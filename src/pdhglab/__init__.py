@@ -13,7 +13,7 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .dynamics import OdeState, continuous_lyapunov, hires_ode_step, integrate
+from .dynamics import OdeState, hires_ode_step, integrate
 from .engine import (
     StepRecord,
     Trajectory,
@@ -24,12 +24,14 @@ from .engine import (
 )
 from .lyapunov import (
     LyapunovRecord,
+    LyapunovTable,
     NoMatchingLemma,
     alpha_rate,
     check_lemma,
+    lemma_records,
     lyapunov_accelerated,
     lyapunov_fixed,
-    lyapunov_varying,
+    lyapunov_table,
     numerical_error,
     rho_rate,
     slack_tolerance,
@@ -72,7 +74,6 @@ from .zoo import (
     build_instance,
     certify_saddle,
     difference_matrix,
-    kkt_oracle,
     make_generalized_lasso,
     make_lasso,
     make_quad_pair,

@@ -48,14 +48,13 @@ from .config import (
     serialize_config,
 )
 from .dynamics import OdeState, integrate
-from .engine import Trajectory, run
+from .engine import run
 from .lyapunov import (
+    LyapunovTable,
     NoMatchingLemma,
     alpha_rate,
-    check_lemma,
-    lyapunov_accelerated,
-    lyapunov_varying,
-    numerical_error,
+    lemma_records,
+    lyapunov_table,
     rho_rate,
     slack_tolerance,
     theorem_bound,
@@ -96,11 +95,6 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _sq(u: np.ndarray, v: np.ndarray) -> float:
-    d = u - v
-    return float(d @ d)
-
-
 def _resolve_saddle(built: BuiltInstance) -> tuple[Optional[PrimalDualPair], str]:
     if built.saddle is not None:
         source = "kkt_oracle" if built.spec.kind == QUAD_PAIR else "closed_form"
@@ -111,141 +105,59 @@ def _resolve_saddle(built: BuiltInstance) -> tuple[Optional[PrimalDualPair], str
         return None, "unavailable"
 
 
-def _lyapunov_series(
-    traj: Trajectory, problem, saddle: Optional[PrimalDualPair]
-) -> list[tuple[float, float]]:
-    """(E(k), NE of the associated transition) aligned with traj.records.
-
-    The accelerated form needs the previous iterate; entries that are not
-    computable (no saddle, record gaps) are nan.
-    """
-    nan = float("nan")
-    if saddle is None:
-        return [(nan, nan)] * len(traj.records)
-    sched = traj.schedule
-    F = problem.F
-    out = []
-    if sched.regime == ACCELERATED:
-        prev = None
-        for rec in traj.records:
-            if prev is None and rec.k == sched.k_start:
-                E = lyapunov_accelerated(
-                    rec.x, rec.x, traj.init.y, saddle, rec.tau, None, sched.s, F
-                )
-                ne = numerical_error(
-                    np.zeros_like(rec.x), rec.y - traj.init.y, None, sched.s, F,
-                    accelerated=True,
-                )
-            elif prev is not None and prev.k == rec.k - 1:
-                E = lyapunov_accelerated(
-                    rec.x, prev.x, prev.y, saddle, rec.tau, prev.tau, sched.s, F
-                )
-                ne = numerical_error(
-                    rec.x - prev.x, rec.y - prev.y, prev.tau, sched.s, F,
-                    accelerated=True,
-                )
-            else:
-                E, ne = nan, nan
-            out.append((E, ne))
-            prev = rec
-    else:
-        for rec in traj.records:
-            E = lyapunov_varying(rec.x, rec.y, saddle, rec.tau, rec.sigma, F)
-            ne = numerical_error(
-                rec.x_next - rec.x, rec.y_next - rec.y, rec.tau, rec.sigma, F
-            )
-            out.append((E, ne))
-    return out
-
-
-def _bound_constants(built, schedule, traj, E_series):
-    """Constants the regime's theorem bound needs, or None when unavailable."""
-    mu, gamma = built.problem.mu, built.problem.gamma
-    F_norm = built.F_norm
-    if schedule.regime == VARYING_SC:
-        if not traj.records or traj.records[0].k != 0 or math.isnan(E_series[0][0]):
-            return None
-        rec0 = traj.records[0]
-        return dict(
-            mu=mu, c=schedule.c, s=schedule.s, F_norm=F_norm,
-            E0=E_series[0][0],
-            dx0=_sq(rec0.x, built.saddle.x) if built.saddle is not None else None,
-            dy0=_sq(rec0.y, built.saddle.y) if built.saddle is not None else None,
-        )
+def _bound_constants(built, schedule, table: LyapunovTable) -> Optional[dict]:
+    """Keyword arguments of the regime's theorem_bound, or None when unavailable."""
+    mu = built.problem.mu
     if schedule.regime == ACCELERATED:
         K0 = k0_threshold(mu, schedule.c)
-        E_K0 = None
-        for rec, (E, _) in zip(traj.records, E_series):
-            if rec.k == K0 and not math.isnan(E):
-                E_K0 = E
-                break
-        if E_K0 is None:
-            return None
-        return dict(mu=mu, c=schedule.c, E_K0=E_K0, K0=K0)
-    if schedule.regime == OPTIMAL_SS:
-        if not traj.records or traj.records[0].k != 0 or math.isnan(E_series[0][0]):
-            return None
-        return dict(
-            mu=mu, gamma=gamma, s=schedule.s, F_norm=F_norm, E0=E_series[0][0]
-        )
-    return None
+        for k, E in zip(table.k, table.E):
+            if k == K0 and not math.isnan(E):
+                return dict(mu=mu, c=schedule.c, E_K0=E)
+        return None
+    if schedule.regime == FIXED or table.k[0] != 0 or math.isnan(table.E[0]):
+        return None
+    consts = dict(
+        mu=mu, s=schedule.s, F_norm=built.F_norm, E0=table.E[0],
+        dx0=table.dist_x[0], dy0=table.dist_y[0],
+    )
+    if schedule.regime == VARYING_SC:
+        consts["c"] = schedule.c
+    else:
+        consts["gamma"] = built.problem.gamma
+    return consts
 
 
-def _bound_at(regime, k, consts) -> float:
-    if consts is None:
-        return float("nan")
-    if regime == VARYING_SC:
-        return theorem_bound(
-            regime, k, mu=consts["mu"], c=consts["c"], s=consts["s"],
-            F_norm=consts["F_norm"], E0=consts["E0"],
-        )
-    if regime == ACCELERATED:
-        return theorem_bound(
-            regime, k, mu=consts["mu"], c=consts["c"], E_K0=consts["E_K0"]
-        )
-    if regime == OPTIMAL_SS:
-        return theorem_bound(
-            regime, k, mu=consts["mu"], gamma=consts["gamma"], s=consts["s"],
-            F_norm=consts["F_norm"], E0=consts["E0"],
-        )
-    return float("nan")
-
-
-def _check_lemma(config, built, traj, saddle) -> tuple[CheckResult, Optional[list]]:
-    if saddle is None:
+def _check_lemma(config, built, traj, table) -> tuple[CheckResult, Optional[list]]:
+    if table is None:
         return CheckResult(CHECK_LEMMA, SKIPPED, "no certified saddle available"), None
     try:
-        records = check_lemma(config.regime, traj, built.problem, saddle, built.F_norm)
+        records = lemma_records(config.regime, traj, built.problem, table, built.F_norm)
     except NoMatchingLemma as exc:
         return CheckResult(CHECK_LEMMA, SKIPPED, str(exc)), None
     except ValueError as exc:
         return CheckResult(CHECK_LEMMA, FAIL, str(exc)), None
-    worst_k, worst_margin = None, math.inf
-    for rec in records:
-        margin = rec.lemma_slack + slack_tolerance(rec.E)
-        if margin < worst_margin:
-            worst_k, worst_margin = rec.k, margin
-    if worst_margin < 0.0:
-        return (
-            CheckResult(
-                CHECK_LEMMA, FAIL,
-                f"slack violation at k={worst_k}, margin={worst_margin:.3e}",
-            ),
-            records,
-        )
-    detail = f"{len(records)} transitions"
-    if worst_k is not None:
-        detail += f", min margin {worst_margin:.3e} at k={worst_k}"
-    return CheckResult(CHECK_LEMMA, PASS, detail), records
+    status, detail = PASS, f"{len(records)} transitions"
+    nan_k = next((rec.k for rec in records if math.isnan(rec.lemma_slack)), None)
+    if nan_k is not None:
+        status, detail = FAIL, f"slack is nan at k={nan_k}"
+    elif records:
+        worst = min(records, key=lambda rec: rec.lemma_slack + slack_tolerance(rec.E))
+        margin = worst.lemma_slack + slack_tolerance(worst.E)
+        if margin < 0.0:
+            status, detail = FAIL, f"slack violation at k={worst.k}, margin={margin:.3e}"
+        else:
+            lowest = min(records, key=lambda rec: rec.lemma_slack)
+            detail += f", min slack {lowest.lemma_slack:.3e} at k={lowest.k}"
+    return CheckResult(CHECK_LEMMA, status, detail), records
 
 
-def _check_theorem(config, built, schedule, traj, saddle, E_series, consts) -> CheckResult:
+def _check_theorem(config, built, schedule, table, consts) -> CheckResult:
     regime = config.regime
     if regime == FIXED:
         return CheckResult(
             CHECK_THEOREM, SKIPPED, "fixed regime has no closed-form rate guarantee"
         )
-    if saddle is None:
+    if table is None:
         return CheckResult(CHECK_THEOREM, SKIPPED, "no certified saddle available")
     if consts is None:
         return CheckResult(
@@ -256,51 +168,42 @@ def _check_theorem(config, built, schedule, traj, saddle, E_series, consts) -> C
 
     if regime == VARYING_SC:
         worst = 0.0
-        for rec, (E, _) in zip(traj.records, E_series):
+        for k, E in zip(table.k, table.E):
             if math.isnan(E):
                 continue
-            bound = _bound_at(regime, rec.k, consts)
+            bound = theorem_bound(regime, k, **consts)
             if E > bound * (1.0 + 1e-6):
                 worst = max(worst, E / bound if bound > 0 else math.inf)
         if worst > 0.0:
             return CheckResult(
                 CHECK_THEOREM, FAIL, f"Lyapunov bound exceeded, worst ratio {worst:.6g}"
             )
-        for rec in traj.records:
-            dist = _sq(rec.x, saddle.x)
-            tb = theorem_bound(
-                regime, rec.k, mu=mu, c=consts["c"], s=consts["s"],
-                F_norm=consts["F_norm"], dx0=consts["dx0"], dy0=consts["dy0"],
-                form="trajectory",
-            )
+        for k, dist in zip(table.k, table.dist_x):
+            tb = theorem_bound(regime, k, form="trajectory", **consts)
             if dist > tb * (1.0 + 1e-6):
                 return CheckResult(
                     CHECK_THEOREM, FAIL,
-                    f"trajectory bound exceeded at k={rec.k}: {dist:.6g} > {tb:.6g}",
+                    f"trajectory bound exceeded at k={k}: {dist:.6g} > {tb:.6g}",
                 )
         return CheckResult(CHECK_THEOREM, PASS, "Lyapunov and trajectory bounds hold")
 
     if regime == ACCELERATED:
-        K0 = consts["K0"]
-        for rec in traj.records:
-            if rec.k < K0:
+        K0 = k0_threshold(mu, schedule.c)
+        for k, dist in zip(table.k, table.dist_x):
+            if k < K0:
                 continue
-            dist = _sq(rec.x, saddle.x)
-            bound = _bound_at(regime, rec.k, consts)
+            bound = theorem_bound(regime, k, **consts)
             if dist > bound * (1.0 + 1e-6):
                 return CheckResult(
                     CHECK_THEOREM, FAIL,
-                    f"O(1/k^2) bound exceeded at k={rec.k}: {dist:.6g} > {bound:.6g}",
+                    f"O(1/k^2) bound exceeded at k={k}: {dist:.6g} > {bound:.6g}",
                 )
         return CheckResult(CHECK_THEOREM, PASS, f"O(1/k^2) bound holds from K0={K0}")
 
     # OPTIMAL_SS: per-step contraction plus the terminal weighted sandwich.
     rho = rho_rate(mu, gamma, schedule.s, built.F_norm)
-    series = [
-        (rec.k, E) for rec, (E, _) in zip(traj.records, E_series) if not math.isnan(E)
-    ]
     try:
-        summary = contraction_factors(series)
+        summary = contraction_factors(_finite_E(table))
         if summary.max_ratio > rho + 1e-8:
             return CheckResult(
                 CHECK_THEOREM, FAIL,
@@ -309,14 +212,8 @@ def _check_theorem(config, built, schedule, traj, saddle, E_series, consts) -> C
         ratio_detail = f"max ratio {summary.max_ratio:.6g} <= rho {rho:.6g}"
     except ValueError:
         ratio_detail = "contraction ratios not measurable (series too short)"
-    last = traj.records[-1]
-    K = last.k + 1
-    weighted = mu * _sq(last.x_next, saddle.x) + gamma * _sq(last.y_next, saddle.y)
-    rec0 = traj.records[0]
-    sandwich = theorem_bound(
-        regime, K, mu=mu, gamma=gamma, s=schedule.s, F_norm=built.F_norm,
-        dx0=_sq(rec0.x, saddle.x), dy0=_sq(rec0.y, saddle.y), form="trajectory",
-    )
+    weighted = mu * table.dist_x_next[-1] + gamma * table.dist_y_next[-1]
+    sandwich = theorem_bound(regime, table.k[-1] + 1, form="trajectory", **consts)
     if weighted > sandwich * (1.0 + 1e-9) + 1e-300:
         return CheckResult(
             CHECK_THEOREM, FAIL,
@@ -325,20 +222,19 @@ def _check_theorem(config, built, schedule, traj, saddle, E_series, consts) -> C
     return CheckResult(CHECK_THEOREM, PASS, ratio_detail)
 
 
-def _check_rate_fit(config, built, traj, saddle) -> tuple[CheckResult, Optional[float], Optional[float]]:
-    if saddle is None:
+def _finite_E(table: LyapunovTable) -> list[tuple[int, float]]:
+    return [(k, E) for k, E in zip(table.k, table.E) if not math.isnan(E)]
+
+
+def _check_rate_fit(config, built, traj, table) -> tuple[CheckResult, Optional[float], Optional[float]]:
+    if table is None:
         return CheckResult(CHECK_RATE_FIT, SKIPPED, "no certified saddle available"), None, None
     K0 = 1
     if config.regime == ACCELERATED:
-        sched_c = traj.schedule.c
-        K0 = k0_threshold(built.problem.mu, sched_c)
+        K0 = k0_threshold(built.problem.mu, traj.schedule.c)
     lo, hi = default_window(K0)
     hi = min(hi, traj.records[-1].k)
-    series = [
-        (rec.k, _sq(rec.x, saddle.x))
-        for rec in traj.records
-        if _sq(rec.x, saddle.x) > 0.0
-    ]
+    series = [(k, dist) for k, dist in zip(table.k, table.dist_x) if dist > 0.0]
     try:
         fit = fit_rate(series, window=(lo, hi), name="dist_x_sq")
     except ValueError as exc:
@@ -381,8 +277,9 @@ def _check_ode_compare(config, built, schedule, traj) -> CheckResult:
             idx = (rec.k + 1) * 100
             if (rec.k + 1) * s > T + 1e-12 or idx >= len(ref):
                 continue
-            state = ref[idx]
-            err = math.sqrt(_sq(rec.x_next, state.X) + _sq(rec.y_next, state.Y))
+            dx = rec.x_next - ref[idx].X
+            dy = rec.y_next - ref[idx].Y
+            err = math.sqrt(float(dx @ dx) + float(dy @ dy))
             sup = max(sup, err)
         sups.append(sup)
     ratios = [sups[i + 1] / sups[i] for i in range(2)] if min(sups) > 0 else []
@@ -446,33 +343,28 @@ def execute(
         budget=config.budget, tol=config.tol, record_every=config.record_every,
     )
     saddle, saddle_source = _resolve_saddle(built)
-    E_series = _lyapunov_series(traj, problem, saddle)
-    consts = _bound_constants(built, schedule, traj, E_series) if saddle else None
+    table = lyapunov_table(traj, problem, saddle) if saddle is not None else None
+    consts = _bound_constants(built, schedule, table) if table is not None else None
+    # The sweep aggregate wants a slope even when rate_fit was not requested.
+    rate_fit, slope, resid = _check_rate_fit(config, built, traj, table)
+    metrics = {"slope": slope, "slope_residual": resid, "geomean_ratio": None}
 
-    lemma_by_k = {}
+    slacks = None
     results: list[CheckResult] = []
-    metrics = {"slope": None, "slope_residual": None, "geomean_ratio": None}
     for name in config.checks:
         if name == CHECK_LEMMA:
-            result, lem_records = _check_lemma(config, built, traj, saddle)
+            result, lem_records = _check_lemma(config, built, traj, table)
             if lem_records:
-                lemma_by_k = {rec.k: rec.lemma_slack for rec in lem_records}
+                slacks = [rec.lemma_slack for rec in lem_records]
         elif name == CHECK_THEOREM:
-            result = _check_theorem(config, built, schedule, traj, saddle, E_series, consts)
+            result = _check_theorem(config, built, schedule, table, consts)
         elif name == CHECK_RATE_FIT:
-            result, slope, resid = _check_rate_fit(config, built, traj, saddle)
-            metrics["slope"], metrics["slope_residual"] = slope, resid
+            result = rate_fit
         else:
             result = _check_ode_compare(config, built, schedule, traj)
         results.append(result)
 
-    if metrics["slope"] is None and traj.records and saddle is not None:
-        # The sweep aggregate wants a slope even when rate_fit was not requested.
-        _, slope, resid = _check_rate_fit(config, built, traj, saddle)
-        metrics["slope"], metrics["slope_residual"] = slope, resid
-    finite_E = [
-        (rec.k, E) for rec, (E, _) in zip(traj.records, E_series) if not math.isnan(E)
-    ]
+    finite_E = _finite_E(table) if table is not None else []
     if len(finite_E) >= 2:
         try:
             metrics["geomean_ratio"] = contraction_factors(finite_E).geomean_ratio
@@ -505,7 +397,7 @@ def execute(
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(
             os.path.join(out_dir, "trajectory.csv"),
-            traj, saddle, E_series, lemma_by_k, config.regime, consts,
+            traj, table, slacks, config.regime, consts,
         )
         with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -514,29 +406,27 @@ def execute(
     return exit_code, lines, metrics
 
 
-def _write_csv(path, traj, saddle, E_series, lemma_by_k, regime, consts):
+def _write_csv(path, traj, table, slacks, regime, consts):
     nan = float("nan")
+    n = len(traj.records)
+    if table is None:
+        columns = ((nan,) * n,) * 4
+    else:
+        columns = (table.dist_x, table.dist_y, table.E, table.ne)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for rec, (E, ne) in zip(traj.records, E_series):
-            if saddle is not None:
-                dist_x = _sq(rec.x, saddle.x)
-                dist_y = _sq(rec.y, saddle.y)
-            else:
-                dist_x = dist_y = nan
-            if regime == FIXED or consts is None:
-                bound = nan
-            else:
-                bound = _bound_at(regime, rec.k, consts)
+        for rec, dist_x, dist_y, E, ne, slack in zip(
+            traj.records, *columns, slacks or (nan,) * n
+        ):
+            bound = nan if consts is None else theorem_bound(regime, rec.k, **consts)
             writer.writerow(
                 [str(rec.k)]
                 + [
                     _fmt(v)
                     for v in (
                         rec.tau, rec.sigma, rec.theta, dist_x, dist_y, E, ne,
-                        lemma_by_k.get(rec.k, nan), bound,
-                        rec.primal_residual, rec.dual_residual,
+                        slack, bound, rec.primal_residual, rec.dual_residual,
                     )
                 ]
             )

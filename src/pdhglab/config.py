@@ -3,6 +3,8 @@
 Unknown keys are rejected by dotted path ("schedule.momentum"), missing
 required fields and violated regime preconditions are rejected by name —
 silent typos in schedule constants would corrupt experimental conclusions.
+Non-finite numbers (NaN, Infinity, literals that overflow a double) are
+rejected too: no schedule constant, tolerance or modulus may be one.
 
 Document shape (see the README for the full grammar):
 
@@ -24,6 +26,7 @@ Only "instance" and "regime" are required; everything else defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -122,6 +125,17 @@ def _parse_instance(obj) -> InstanceSpec:
         raise ConfigError(f"instance: {exc}") from exc
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number {name} is not allowed")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"number {text} overflows to {value}")
+    return value
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a config document.
 
@@ -130,7 +144,9 @@ def parse_config(text: str) -> ExperimentConfig:
     for a rank-deficient design matrix — are caught here, before any run.
     """
     try:
-        obj = json.loads(text)
+        obj = json.loads(
+            text, parse_constant=_reject_constant, parse_float=_finite_float
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lyapunov import lyapunov_fixed
 from .problems import SaddleProblem
 
 
@@ -149,14 +148,3 @@ def integrate(
         states.append(hires_ode_step(states[-1], h, s, tau, sigma, problem))
     return states
 
-
-def continuous_lyapunov(
-    X: np.ndarray,
-    Y: np.ndarray,
-    saddle,
-    tau: float,
-    sigma: float,
-    F: np.ndarray,
-) -> float:
-    """Continuous-time Lyapunov value — same algebra as the fixed-step one."""
-    return lyapunov_fixed(X, Y, saddle, tau, sigma, F)

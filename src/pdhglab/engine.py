@@ -29,11 +29,10 @@ saddle).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .problems import PrimalDualPair, SaddleProblem
+from .problems import PrimalDualPair, SaddleProblem, inclusion_residuals
 from .schedules import ACCELERATED, Schedule, schedule_at
 
 TERMINATION_BUDGET = "budget"
@@ -87,16 +86,11 @@ def pdhg_step(
     problem: SaddleProblem,
     x_k: np.ndarray,
     y_k: np.ndarray,
-    x_prev: Optional[np.ndarray],
     tau_k: float,
     sigma_k: float,
     theta_k: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance one iteration; returns (x_{k+1}, xbar_{k+1}, y_{k+1}).
-
-    ``x_prev`` is accepted for symmetry with diagnostic call sites; the
-    update itself never reads it.
-    """
+    """Advance one iteration; returns (x_{k+1}, xbar_{k+1}, y_{k+1})."""
     if tau_k <= 0 or sigma_k <= 0:
         raise ValueError("step sizes must be positive")
     if not 0.0 <= theta_k <= 1.0:
@@ -165,7 +159,7 @@ def run(
     for i in range(budget):
         k = schedule.k_start + i
         tau_k, sigma_k, theta_k = schedule_at(schedule, k)
-        x_next, x_bar, y_next = pdhg_step(problem, x, y, None, tau_k, sigma_k, theta_k)
+        x_next, x_bar, y_next = pdhg_step(problem, x, y, tau_k, sigma_k, theta_k)
         rp, rd = step_residuals(problem.F, x, y, x_next, y_next, tau_k, sigma_k, theta_k)
 
         state_norm = float(np.linalg.norm(x_next)) + float(np.linalg.norm(y_next))
@@ -211,29 +205,13 @@ def optimality_residual(problem: SaddleProblem, record: StepRecord) -> tuple[flo
         r_x = dist(0, @f(x_{k+1}) + F^T y_k + (x_{k+1} - x_k)/tau_k)
         r_y = dist(0, @g*(y_{k+1}) - F xbar_{k+1} + (y_{k+1} - y_k)/sigma_k)
 
-    Smooth terms use the gradient oracle; nonsmooth terms need an exact
-    subdifferential-distance oracle on the problem.
+    Evaluated by :func:`~pdhglab.problems.inclusion_residuals`.
     """
     F = problem.F
-    w_x = F.T @ record.y + (record.x_next - record.x) / record.tau
-    if problem.subdiff_f is not None:
-        r_x = float(problem.subdiff_f(record.x_next, w_x))
-    elif problem.grad_f is not None:
-        r_x = float(np.linalg.norm(problem.grad_f(record.x_next) + w_x))
-    else:
-        raise ValueError(
-            "problem has neither subdiff_f nor grad_f; supply a subdifferential "
-            "oracle to evaluate the primal inclusion residual"
-        )
-
-    w_y = -(F @ record.x_bar) + (record.y_next - record.y) / record.sigma
-    if problem.subdiff_gstar is not None:
-        r_y = float(problem.subdiff_gstar(record.y_next, w_y))
-    elif problem.grad_gstar is not None:
-        r_y = float(np.linalg.norm(problem.grad_gstar(record.y_next) + w_y))
-    else:
-        raise ValueError(
-            "problem has neither subdiff_gstar nor grad_gstar; supply a "
-            "subdifferential oracle to evaluate the dual inclusion residual"
-        )
-    return r_x, r_y
+    return inclusion_residuals(
+        problem,
+        record.x_next,
+        F.T @ record.y + (record.x_next - record.x) / record.tau,
+        record.y_next,
+        -(F @ record.x_bar) + (record.y_next - record.y) / record.sigma,
+    )

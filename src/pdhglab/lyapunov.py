@@ -4,16 +4,18 @@ Three discrete Lyapunov functions are evaluated, one per analysis regime:
 
 * fixed steps:      E(k) = ||x_k - x*||^2/(2 tau) + ||y_k - y*||^2/(2 sigma)
                            - <F (x_k - x*), y_k - y*>
-* varying steps:    same form with (tau_k, sigma_k)
+* varying steps:    same form with (tau_k, sigma_k) (:func:`lyapunov_fixed`
+                    evaluated at the step sizes of iteration k)
 * accelerated:      E(k) = ||x_k - x*||^2/(2 tau_k^2) + ||y_{k-1} - y*||^2/(2 s^2)
                            + <F (x_k - x_{k-1}), y_{k-1} - y*>/tau_{k-1}
                            + ||x_k - x_{k-1}||^2/(2 tau_{k-1}^2)
 
 Each regime's descent lemma bounds E(k+1) - E(k) by an explicit nonpositive
-(or sign-determined) right-hand side; :func:`check_lemma` evaluates the
-inequality along a recorded trajectory and reports per-step slack.  The
-closed-form convergence guarantees of each regime are exposed through
-:func:`theorem_bound`.
+(or sign-determined) right-hand side.  :func:`lyapunov_table` evaluates the
+Lyapunov values, NE terms and saddle distances along a recorded trajectory
+in one pass; :func:`check_lemma` adds the lemma's right-hand side and
+reports per-step slack.  The closed-form convergence guarantees of each
+regime are exposed through :func:`theorem_bound`.
 
 All evaluators are pure functions of their arguments.
 """
@@ -56,8 +58,7 @@ class LyapunovRecord:
         lemma_slack = lemma_rhs - (E(k+1) - E(k))
 
     so that lemma_slack >= -slack_tolerance(E) certifies the lemma at this
-    step.  ``theorem_bound`` is filled by callers that know the run's
-    initial constants; it is None here.
+    step.
     """
 
     k: int
@@ -65,7 +66,26 @@ class LyapunovRecord:
     ne: float
     lemma_rhs: float
     lemma_slack: float
-    theorem_bound: Optional[float] = None
+
+
+@dataclass(frozen=True, eq=False)
+class LyapunovTable:
+    """Diagnostics of one trajectory against one saddle, as columns aligned
+    with ``trajectory.records`` (entry i describes the transition k -> k+1
+    of record i): the regime's Lyapunov values E(k) and E(k+1), the
+    numerical-error term NE, and the squared distances of the pre-state
+    (x_k, y_k) and the post-state (x_{k+1}, y_{k+1}) to the saddle.
+    Undefined entries are nan.
+    """
+
+    k: tuple[int, ...]
+    E: tuple[float, ...]
+    ne: tuple[float, ...]
+    dist_x: tuple[float, ...]
+    dist_y: tuple[float, ...]
+    E_next: tuple[float, ...]
+    dist_x_next: tuple[float, ...]
+    dist_y_next: tuple[float, ...]
 
 
 def slack_tolerance(E_k: float) -> float:
@@ -97,18 +117,6 @@ def lyapunov_fixed(
     return float(
         dx @ dx / (2.0 * tau) + dy @ dy / (2.0 * sigma) - (F @ dx) @ dy
     )
-
-
-def lyapunov_varying(
-    x_k: np.ndarray,
-    y_k: np.ndarray,
-    saddle: PrimalDualPair,
-    tau_k: float,
-    sigma_k: float,
-    F: np.ndarray,
-) -> float:
-    """Iteration-varying Lyapunov value: the fixed form with (tau_k, sigma_k)."""
-    return lyapunov_fixed(x_k, y_k, saddle, tau_k, sigma_k, F)
 
 
 def lyapunov_accelerated(
@@ -296,9 +304,140 @@ def theorem_bound(
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def _sq_dist(u: np.ndarray, v: np.ndarray) -> float:
-    d = u - v
-    return float(d @ d)
+def lyapunov_table(
+    trajectory: Trajectory, problem: SaddleProblem, saddle: PrimalDualPair
+) -> LyapunovTable:
+    """Evaluate the regime's Lyapunov diagnostics along a recorded trajectory.
+
+    One walk over the records.  Each state's E and distances are evaluated
+    once: E(k+1) of a record is E(k) of the next one when that record is its
+    successor, so fresh post-state values are computed only for the last
+    record and across ``record_every`` gaps.  The accelerated form needs the
+    record of step k - 1; at the first iteration k_start it uses the
+    convention 1/tau_0 := 0 with y_0 the run's init, and after a gap its
+    E(k) and NE are nan.
+    """
+    sched = trajectory.schedule
+    s, F = sched.s, problem.F
+    accelerated = sched.regime == ACCELERATED
+    nan = float("nan")
+
+    def state(k, x, y, before):
+        # (E(k), ||x - x*||^2, ||y - y*||^2) at (x_k, y_k); ``before`` is
+        # the record of step k - 1, or None when it was not recorded.
+        tau, sigma, _ = schedule_at(sched, k)
+        if not accelerated:
+            E = lyapunov_fixed(x, y, saddle, tau, sigma, F)
+        elif before is not None:
+            E = lyapunov_accelerated(x, before.x, before.y, saddle, tau, before.tau, s, F)
+        elif k == sched.k_start:
+            E = lyapunov_accelerated(x, x, trajectory.init.y, saddle, tau, None, s, F)
+        else:
+            E = nan
+        dx = x - saddle.x
+        dy = y - saddle.y
+        return E, float(dx @ dx), float(dy @ dy)
+
+    rows = []
+    prev = post = None
+    for rec in trajectory.records:
+        before = prev if prev is not None and prev.k == rec.k - 1 else None
+        pre = post if before is not None else state(rec.k, rec.x, rec.y, None)
+        post = state(rec.k + 1, rec.x_next, rec.y_next, rec)
+        if not accelerated:
+            ne = numerical_error(
+                rec.x_next - rec.x, rec.y_next - rec.y, rec.tau, rec.sigma, F
+            )
+        elif before is not None:
+            ne = numerical_error(
+                rec.x - before.x, rec.y - before.y, before.tau, s, F, accelerated=True
+            )
+        elif rec.k == sched.k_start:
+            ne = numerical_error(
+                np.zeros_like(rec.x), rec.y - trajectory.init.y, None, s, F,
+                accelerated=True,
+            )
+        else:
+            ne = nan
+        rows.append((rec.k, pre[0], ne, pre[1], pre[2]) + post)
+        prev = rec
+    columns = tuple(zip(*rows)) if rows else ((),) * 8
+    return LyapunovTable(*columns)
+
+
+def lemma_records(
+    regime: str,
+    trajectory: Trajectory,
+    problem: SaddleProblem,
+    table: LyapunovTable,
+    F_norm: Optional[float] = None,
+) -> list[LyapunovRecord]:
+    """:func:`check_lemma` on a precomputed :func:`lyapunov_table` of the
+    trajectory; same preconditions, dispatch and result."""
+    sched = trajectory.schedule
+    if regime != sched.regime:
+        raise ValueError(
+            f"regime {regime!r} does not match the trajectory's schedule "
+            f"({sched.regime!r})"
+        )
+    records = trajectory.records
+    if not records:
+        return []
+    if F_norm is None:
+        F_norm = operator_norm(problem.F)
+    if sched.s * F_norm >= 1.0:
+        raise ValueError(
+            f"inadmissible trajectory: s * ||F|| = {sched.s * F_norm} >= 1; "
+            "the descent lemmas assume s * ||F|| < 1"
+        )
+
+    mu, gamma = problem.mu, problem.gamma
+    if regime == ACCELERATED:
+        if mu <= 0:
+            raise NoMatchingLemma("the accelerated lemma needs mu > 0")
+        if records[0].k != sched.k_start:
+            raise ValueError(
+                "accelerated lemma checking needs the trajectory recorded from its "
+                f"first iteration k = {sched.k_start}"
+            )
+        if any(b.k != a.k + 1 for a, b in zip(records, records[1:])):
+            raise ValueError(
+                "accelerated lemma checking needs consecutively recorded "
+                "steps (record_every = 1)"
+            )
+    elif regime == VARYING_SC:
+        if mu <= 0:
+            raise NoMatchingLemma("the iteration-varying lemma needs mu > 0")
+    elif regime in (FIXED, OPTIMAL_SS):
+        if mu <= 0 or gamma <= 0:
+            raise NoMatchingLemma(
+                "fixed-step runs are covered only by the doubly-strongly-convex "
+                "lemma, which needs mu > 0 and gamma > 0"
+            )
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+
+    out = []
+    for rec, E_k, ne, E_n, dxn, dyn in zip(
+        records, table.E, table.ne, table.E_next, table.dist_x_next, table.dist_y_next
+    ):
+        tau_k, sigma_k = rec.tau, rec.sigma
+        tau_n, sigma_n, _ = schedule_at(sched, rec.k + 1)
+        if regime == ACCELERATED:
+            rhs = -(mu / tau_k + 1.0 / (2.0 * tau_k**2) - 1.0 / (2.0 * tau_n**2)) * dxn
+        elif regime == VARYING_SC:
+            rhs = (
+                -(mu + 1.0 / (2.0 * tau_k) - 1.0 / (2.0 * tau_n)) * dxn
+                - (1.0 / (2.0 * sigma_k) - 1.0 / (2.0 * sigma_n)) * dyn
+            )
+        else:
+            rhs = -(mu * dxn + gamma * dyn)
+        out.append(
+            LyapunovRecord(
+                k=rec.k, E=E_k, ne=ne, lemma_rhs=rhs, lemma_slack=rhs - (E_n - E_k)
+            )
+        )
+    return out
 
 
 def check_lemma(
@@ -322,128 +461,5 @@ def check_lemma(
     s ||F|| < 1 is re-verified against a freshly computed operator norm;
     an inadmissible trajectory is refused outright.
     """
-    sched = trajectory.schedule
-    if regime != sched.regime:
-        raise ValueError(
-            f"regime {regime!r} does not match the trajectory's schedule "
-            f"({sched.regime!r})"
-        )
-    if not trajectory.records:
-        return []
-    if F_norm is None:
-        F_norm = operator_norm(problem.F)
-    if sched.s * F_norm >= 1.0:
-        raise ValueError(
-            f"inadmissible trajectory: s * ||F|| = {sched.s * F_norm} >= 1; "
-            "the descent lemmas assume s * ||F|| < 1"
-        )
-
-    F = problem.F
-    mu, gamma = problem.mu, problem.gamma
-
-    if regime == ACCELERATED:
-        if mu <= 0:
-            raise NoMatchingLemma("the accelerated lemma needs mu > 0")
-        return _check_accelerated(trajectory, saddle, F, mu)
-
-    if regime == VARYING_SC:
-        if mu <= 0:
-            raise NoMatchingLemma("the iteration-varying lemma needs mu > 0")
-        strongly_convex_pair = False
-    elif regime in (FIXED, OPTIMAL_SS):
-        if mu <= 0 or gamma <= 0:
-            raise NoMatchingLemma(
-                "fixed-step runs are covered only by the doubly-strongly-convex "
-                "lemma, which needs mu > 0 and gamma > 0"
-            )
-        strongly_convex_pair = True
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-
-    out = []
-    for rec in trajectory.records:
-        tau_k, sigma_k = rec.tau, rec.sigma
-        if strongly_convex_pair:
-            tau_n, sigma_n = tau_k, sigma_k
-        else:
-            tau_n, sigma_n, _ = schedule_at(sched, rec.k + 1)
-        E_k = lyapunov_varying(rec.x, rec.y, saddle, tau_k, sigma_k, F)
-        E_n = lyapunov_varying(rec.x_next, rec.y_next, saddle, tau_n, sigma_n, F)
-        dxn = _sq_dist(rec.x_next, saddle.x)
-        dyn = _sq_dist(rec.y_next, saddle.y)
-        if strongly_convex_pair:
-            rhs = -(mu * dxn + gamma * dyn)
-        else:
-            rhs = (
-                -(mu + 1.0 / (2.0 * tau_k) - 1.0 / (2.0 * tau_n)) * dxn
-                - (1.0 / (2.0 * sigma_k) - 1.0 / (2.0 * sigma_n)) * dyn
-            )
-        ne = numerical_error(rec.x_next - rec.x, rec.y_next - rec.y, tau_k, sigma_k, F)
-        out.append(
-            LyapunovRecord(
-                k=rec.k,
-                E=E_k,
-                ne=ne,
-                lemma_rhs=rhs,
-                lemma_slack=rhs - (E_n - E_k),
-            )
-        )
-    return out
-
-
-def _check_accelerated(
-    trajectory: Trajectory,
-    saddle: PrimalDualPair,
-    F: np.ndarray,
-    mu: float,
-) -> list[LyapunovRecord]:
-    sched = trajectory.schedule
-    recs = trajectory.records
-    s = sched.s
-    if recs[0].k != sched.k_start:
-        raise ValueError(
-            "accelerated lemma checking needs the trajectory recorded from its "
-            f"first iteration k = {sched.k_start}"
-        )
-    out = []
-    for idx, rec in enumerate(recs):
-        tau_k = rec.tau
-        tau_n, _, _ = schedule_at(sched, rec.k + 1)
-        if idx == 0:
-            # k = k_start: 1/tau_0 := 0 and x_0 := x_1, so E(k) collapses to
-            # the two surviving terms, with y_0 taken from the run's init.
-            E_k = lyapunov_accelerated(
-                rec.x, rec.x, trajectory.init.y, saddle, tau_k, None, s, F
-            )
-            ne = numerical_error(
-                np.zeros_like(rec.x), rec.y - trajectory.init.y, None, s, F,
-                accelerated=True,
-            )
-        else:
-            prev = recs[idx - 1]
-            if prev.k != rec.k - 1:
-                raise ValueError(
-                    "accelerated lemma checking needs consecutively recorded "
-                    "steps (record_every = 1)"
-                )
-            E_k = lyapunov_accelerated(
-                rec.x, prev.x, prev.y, saddle, tau_k, prev.tau, s, F
-            )
-            ne = numerical_error(
-                rec.x - prev.x, rec.y - prev.y, prev.tau, s, F, accelerated=True
-            )
-        E_n = lyapunov_accelerated(
-            rec.x_next, rec.x, rec.y, saddle, tau_n, tau_k, s, F
-        )
-        dxn = _sq_dist(rec.x_next, saddle.x)
-        rhs = -(mu / tau_k + 1.0 / (2.0 * tau_k**2) - 1.0 / (2.0 * tau_n**2)) * dxn
-        out.append(
-            LyapunovRecord(
-                k=rec.k,
-                E=E_k,
-                ne=ne,
-                lemma_rhs=rhs,
-                lemma_slack=rhs - (E_n - E_k),
-            )
-        )
-    return out
+    table = lyapunov_table(trajectory, problem, saddle)
+    return lemma_records(regime, trajectory, problem, table, F_norm)

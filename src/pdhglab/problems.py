@@ -146,3 +146,34 @@ def check_admissibility(s: float, F_norm: float) -> Admissibility:
         raise ValueError("F_norm must be nonnegative")
     margin = 1.0 - s * F_norm
     return Admissibility(admissible=margin > 0.0, margin=margin)
+
+
+
+def inclusion_residuals(
+    problem: SaddleProblem,
+    x: np.ndarray,
+    w_x: np.ndarray,
+    y: np.ndarray,
+    w_y: np.ndarray,
+) -> tuple[float, float]:
+    """Inclusion residuals (dist(0, @f(x) + w_x), dist(0, @g*(y) + w_y)).
+
+    Each term uses its subdifferential-distance oracle when the problem has
+    one, else the norm of gradient plus offset; raises ValueError when a
+    term has neither.
+    """
+    return (
+        _inclusion_residual(problem.subdiff_f, problem.grad_f, x, w_x, "f"),
+        _inclusion_residual(problem.subdiff_gstar, problem.grad_gstar, y, w_y, "gstar"),
+    )
+
+
+def _inclusion_residual(subdiff, grad, point, offset, name: str) -> float:
+    if subdiff is not None:
+        return float(subdiff(point, offset))
+    if grad is not None:
+        return float(np.linalg.norm(grad(point) + offset))
+    raise ValueError(
+        f"problem has neither subdiff_{name} nor grad_{name}; supply a "
+        "subdifferential oracle to evaluate the inclusion residual"
+    )

@@ -46,9 +46,6 @@ class Schedule:
     gamma: float = 0.0
     k_start: int = 0
 
-    def at(self, k: int) -> tuple[float, float, float]:
-        return schedule_at(self, k)
-
 
 def _default_s(F_norm: float) -> float:
     return DEFAULT_S_FRACTION / F_norm if F_norm > 0 else 1.0

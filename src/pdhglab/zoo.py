@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import TERMINATION_RESIDUAL, run
-from .problems import PrimalDualPair, SaddleProblem, operator_norm
+from .problems import PrimalDualPair, SaddleProblem, inclusion_residuals, operator_norm
 from .proximal import (
     QuadraticProxCache,
     linf_normal_cone_dist,
@@ -192,6 +192,10 @@ def make_quad_pair(
 def _solve_kkt(
     mu: float, gamma: float, F: np.ndarray, a: np.ndarray, b_hat: np.ndarray
 ) -> PrimalDualPair:
+    """Exact saddle of a quadratic pair: the unique solution of
+    mu(x - a) + F^T y = 0, gamma(y - b_hat) - F x = 0 (always nonsingular
+    for positive moduli — the system's symmetric part is positive definite).
+    """
     d2, d1 = F.shape
     K = np.zeros((d1 + d2, d1 + d2))
     K[:d1, :d1] = mu * np.eye(d1)
@@ -206,36 +210,15 @@ def _solve_kkt(
     return PrimalDualPair(x=z[:d1], y=z[d1:])
 
 
-def kkt_oracle(pair: QuadPair) -> PrimalDualPair:
-    """Exact saddle of a quadratic pair: the unique solution of
-    mu(x - a) + F^T y = 0, gamma(y - b_hat) - F x = 0 (always nonsingular
-    for positive moduli — the system's symmetric part is positive definite).
-    """
-    return _solve_kkt(
-        pair.problem.mu, pair.problem.gamma, pair.problem.F, pair.a, pair.b_hat
-    )
-
-
 def certify_saddle(
     problem: SaddleProblem, candidate: PrimalDualPair, tol: float
 ) -> SaddleCertificate:
     """Check the saddle conditions 0 in @f(x*) + F^T y* and
     0 in @g*(y*) - F x* via the problem's residual oracles."""
     F = problem.F
-    w_x = F.T @ candidate.y
-    if problem.subdiff_f is not None:
-        r_x = float(problem.subdiff_f(candidate.x, w_x))
-    elif problem.grad_f is not None:
-        r_x = float(np.linalg.norm(problem.grad_f(candidate.x) + w_x))
-    else:
-        raise ValueError("certify_saddle needs subdiff_f or grad_f on the problem")
-    w_y = -(F @ candidate.x)
-    if problem.subdiff_gstar is not None:
-        r_y = float(problem.subdiff_gstar(candidate.y, w_y))
-    elif problem.grad_gstar is not None:
-        r_y = float(np.linalg.norm(problem.grad_gstar(candidate.y) + w_y))
-    else:
-        raise ValueError("certify_saddle needs subdiff_gstar or grad_gstar on the problem")
+    r_x, r_y = inclusion_residuals(
+        problem, candidate.x, F.T @ candidate.y, candidate.y, -(F @ candidate.x)
+    )
     return SaddleCertificate(passed=r_x <= tol and r_y <= tol, r_x=r_x, r_y=r_y, tol=tol)
 
 

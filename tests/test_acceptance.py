@@ -33,7 +33,7 @@ from pdhglab.dynamics import OdeState, integrate
 from pdhglab.lyapunov import (
     check_lemma,
     lyapunov_accelerated,
-    lyapunov_varying,
+    lyapunov_fixed,
     numerical_error,
     rho_rate,
     theorem_bound,
@@ -153,7 +153,7 @@ def test_criterion_02_varying_sc_theorem_bound():
     records = traj.records
     assert records[0].k == 0 and records[-1].k == 10_000
     E = [
-        lyapunov_varying(rec.x, rec.y, saddle, rec.tau, rec.sigma, problem.F)
+        lyapunov_fixed(rec.x, rec.y, saddle, rec.tau, rec.sigma, problem.F)
         for rec in records
     ]
     dx0 = dist_sq(records[0].x, saddle.x)
@@ -273,7 +273,7 @@ def test_criterion_05_contraction_rate():
     built, traj, s, rho = optimal_ss_run()
     problem, saddle = built.problem, built.saddle
     E = [
-        (rec.k, lyapunov_varying(rec.x, rec.y, saddle, rec.tau, rec.sigma, problem.F))
+        (rec.k, lyapunov_fixed(rec.x, rec.y, saddle, rec.tau, rec.sigma, problem.F))
         for rec in traj.records
     ]
     summary = contraction_factors(E)

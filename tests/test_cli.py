@@ -9,14 +9,16 @@ is checked against values recomputed through the library API — the CSV uses
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from pdhglab.cli import CSV_COLUMNS, JOBS_ENV_VAR, main
+from pdhglab import cli, lyapunov, zoo
+from pdhglab.cli import CSV_COLUMNS, JOBS_ENV_VAR, execute, main
 from pdhglab.config import materialize, parse_config
 from pdhglab.engine import run
-from pdhglab.lyapunov import lyapunov_varying, numerical_error
+from pdhglab.lyapunov import lyapunov_fixed, numerical_error
 from pdhglab.problems import PrimalDualPair
 
 
@@ -96,7 +98,7 @@ def test_run_budget_one_golden_row(tmp_path):
     assert float(row["theta_k"]) == rec.theta == 1.0
     assert float(row["dist_x_sq"]) == float((rec.x - saddle.x) @ (rec.x - saddle.x))
     assert float(row["dist_y_sq"]) == float((rec.y - saddle.y) @ (rec.y - saddle.y))
-    E = lyapunov_varying(rec.x, rec.y, saddle, rec.tau, rec.sigma, problem.F)
+    E = lyapunov_fixed(rec.x, rec.y, saddle, rec.tau, rec.sigma, problem.F)
     ne = numerical_error(
         rec.x_next - rec.x, rec.y_next - rec.y, rec.tau, rec.sigma, problem.F
     )
@@ -125,9 +127,83 @@ def test_verify_prints_checks_but_writes_nothing(tmp_path, capsys):
     assert main(["verify", write_config(tmp_path, doc)]) == 0
     stdout = capsys.readouterr().out
     assert "check.lemma = PASS" in stdout
+    assert re.search(
+        r"check\.lemma = PASS \(\d+ transitions, min slack \S+ at k=\d+\)", stdout
+    )
     assert "check.theorem = PASS" in stdout
     assert "exit_status = 0" in stdout
     assert not out.exists()
+
+
+def test_verify_theorem_on_reference_run_saddle(tmp_path, capsys):
+    # no closed-form saddle at lam = 0.05: the trajectory bound's initial
+    # distances are taken against the reference-run saddle
+    doc = {
+        "instance": {"kind": "lasso", "d": 10, "seed": 0, "lam": 0.05},
+        "regime": "varying_sc",
+        "budget": 2000,
+        "checks": ["theorem"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 0
+    stdout = capsys.readouterr().out
+    assert "saddle.source = reference_run" in stdout
+    assert "check.theorem = PASS" in stdout
+
+
+def test_verify_fails_lemma_on_nan_slack(tmp_path, capsys, monkeypatch):
+    # a prox oracle that returns nan trips the divergence guard at k = 0;
+    # the one recorded transition has E(1) = nan, so its slack is nan
+    monkeypatch.setattr(
+        zoo, "prox_shifted_quadratic", lambda a, m, v, t: np.full_like(v, np.nan)
+    )
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 2, "seed": 0},
+        "regime": "fixed",
+        "budget": 10,
+        "checks": ["lemma"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 1
+    stdout = capsys.readouterr().out
+    assert "run.termination = divergence_guard" in stdout
+    assert "check.lemma = FAIL (slack is nan at k=0)" in stdout
+
+
+@pytest.mark.parametrize("regime", ["varying_sc", "accelerated"])
+def test_execute_evaluates_each_lyapunov_value_once(monkeypatch, regime):
+    calls = {"E": 0, "NE": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, key in (
+        ("lyapunov_fixed", "E"), ("lyapunov_accelerated", "E"), ("numerical_error", "NE")
+    ):
+        monkeypatch.setattr(lyapunov, name, counted(getattr(lyapunov, name), key))
+    trajectories = []
+    real_run = cli.run
+
+    def recording_run(*args, **kwargs):
+        trajectories.append(real_run(*args, **kwargs))
+        return trajectories[-1]
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    config = parse_config(json.dumps({
+        "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
+        "regime": regime,
+        "budget": 200,
+        "record_every": 1,
+        "checks": ["lemma", "theorem", "rate_fit"],
+    }))
+    code, lines, _ = execute(config, write_trajectory=False, quiet=True)
+    assert code == 0
+    assert any(line.startswith("check.lemma = PASS") for line in lines)
+    K = len(trajectories[0].records)
+    assert K > 1
+    assert calls["E"] <= K + 1
+    assert calls["NE"] <= K
 
 
 def test_verify_skips_lemma_outside_its_scope(tmp_path, capsys):
@@ -241,6 +317,19 @@ def test_bad_config_is_exit_2(tmp_path, capsys):
     }
     assert main(["run", write_config(tmp_path, doc)]) == 2
     assert "schedule.momentum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_number_is_exit_2(tmp_path, capsys, number):
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 2},
+        "regime": "fixed",
+        "schedule": {"s": "NUMBER"},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc).replace('"NUMBER"', number))
+    assert main(["verify", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_inadmissible_schedule_is_exit_2(tmp_path, capsys):

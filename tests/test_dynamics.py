@@ -12,9 +12,9 @@ from pdhglab import (
     PrimalDualPair,
     SaddleProblem,
     build_instance,
-    continuous_lyapunov,
     hires_ode_step,
     integrate,
+    lyapunov_fixed,
     make_schedule,
     run,
 )
@@ -153,21 +153,13 @@ def test_fixed_step_iteration_matches_implicit_euler():
         assert gap <= 1e-9
 
 
-def test_continuous_lyapunov_matches_fixed_form_value():
-    F = np.array([[0.5]])
-    sad = PrimalDualPair(np.zeros(1), np.zeros(1))
-    got = continuous_lyapunov(np.array([1.0]), np.array([1.0]), sad, 1.0, 1.0, F)
-    assert abs(got - 0.5) <= 1e-15
-    assert continuous_lyapunov(np.zeros(1), np.zeros(1), sad, 1.0, 1.0, F) == 0.0
-
-
 def test_continuous_lyapunov_decays_along_flow():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=2, d2=2, seed=3))
     s = 0.4 / built.F_norm
     init = OdeState(np.ones(2), np.ones(2), 0.0)
     states = integrate(init, T=5.0, h=0.05, s=s, tau=s, sigma=s, problem=built.problem)
     sad = built.saddle
-    vals = [continuous_lyapunov(st.X, st.Y, sad, s, s, built.problem.F) for st in states]
+    vals = [lyapunov_fixed(st.X, st.Y, sad, s, s, built.problem.F) for st in states]
     assert all(b <= a + 1e-8 for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-2 * vals[0]
 

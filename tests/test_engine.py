@@ -12,7 +12,6 @@ from pdhglab import (
     PrimalDualPair,
     SaddleProblem,
     build_instance,
-    kkt_oracle,
     make_schedule,
     optimality_residual,
     pdhg_step,
@@ -24,7 +23,6 @@ from pdhglab.engine import (
     TERMINATION_DIVERGENCE,
     TERMINATION_RESIDUAL,
 )
-from pdhglab.zoo import QuadPair
 
 
 def scalar_quadratic_problem():
@@ -45,7 +43,7 @@ def scalar_quadratic_problem():
 def test_pdhg_step_scalar_example():
     prob = scalar_quadratic_problem()
     x_next, x_bar, y_next = pdhg_step(
-        prob, np.array([1.0]), np.array([0.0]), None, 0.5, 0.5, 1.0
+        prob, np.array([1.0]), np.array([0.0]), 0.5, 0.5, 1.0
     )
     assert abs(x_next[0] - 2.0 / 3.0) <= 1e-15
     assert abs(x_bar[0] - 1.0 / 3.0) <= 1e-15
@@ -58,7 +56,7 @@ def test_pdhg_step_saddle_is_fixed_point():
     sad = built.saddle
     for theta in (0.0, 0.5, 1.0):
         x_next, x_bar, y_next = pdhg_step(
-            built.problem, sad.x, sad.y, None, 0.4, 0.3, theta
+            built.problem, sad.x, sad.y, 0.4, 0.3, theta
         )
         assert np.linalg.norm(x_next - sad.x) <= 1e-12
         assert np.linalg.norm(x_bar - sad.x) <= 1e-12
@@ -68,7 +66,7 @@ def test_pdhg_step_saddle_is_fixed_point():
 def test_pdhg_step_theta_zero_disables_extrapolation():
     prob = scalar_quadratic_problem()
     x_next, x_bar, _ = pdhg_step(
-        prob, np.array([1.0]), np.array([0.3]), None, 0.5, 0.5, 0.0
+        prob, np.array([1.0]), np.array([0.3]), 0.5, 0.5, 0.0
     )
     assert np.array_equal(x_bar, x_next)
 
@@ -80,7 +78,7 @@ def test_run_reaches_kkt_saddle():
     init = PrimalDualPair(np.zeros(4), np.zeros(4))
     traj = run(built.problem, sched, init, budget=2000, tol=1e-10)
     assert traj.termination == TERMINATION_RESIDUAL
-    sad = kkt_oracle(QuadPair(built.problem, built.a, built.b_hat, built.saddle))
+    sad = built.saddle
     final = traj.final
     assert np.linalg.norm(final.x - sad.x) <= 1e-8
     assert np.linalg.norm(final.y - sad.y) <= 1e-8

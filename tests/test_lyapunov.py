@@ -24,7 +24,6 @@ from pdhglab import (
     check_lemma,
     lyapunov_accelerated,
     lyapunov_fixed,
-    lyapunov_varying,
     make_schedule,
     numerical_error,
     rho_rate,
@@ -46,12 +45,13 @@ def test_lyapunov_fixed_hand_values():
 
 
 def test_lyapunov_varying_hand_value():
+    # the varying-step Lyapunov value is the fixed form at (tau_k, sigma_k)
     # k = 0 of the varying schedule with c = 1, s = 0.5: tau0 = 1, sigma0 = 1/4
     F = np.array([[1.0]])
-    val = lyapunov_varying(np.array([1.0]), np.array([1.0]), ZERO, 1.0, 0.25, F)
+    val = lyapunov_fixed(np.array([1.0]), np.array([1.0]), ZERO, 1.0, 0.25, F)
     assert abs(val - 1.5) <= 1e-15
-    assert lyapunov_varying(np.zeros(1), np.zeros(1), ZERO, 1.0, 0.25, F) == 0.0
-    val = lyapunov_varying(np.array([1.0]), np.array([1.0]), ZERO, 1.0, 1.0, np.array([[0.0]]))
+    assert lyapunov_fixed(np.zeros(1), np.zeros(1), ZERO, 1.0, 0.25, F) == 0.0
+    val = lyapunov_fixed(np.array([1.0]), np.array([1.0]), ZERO, 1.0, 1.0, np.array([[0.0]]))
     assert abs(val - 1.0) <= 1e-15
 
 
@@ -91,7 +91,6 @@ def test_quadratic_forms_nonnegative_under_admissibility():
             dy = rng.standard_normal(d)
             sad = PrimalDualPair(np.zeros(d), np.zeros(d))
             assert lyapunov_fixed(dx, dy, sad, tau, sigma, F) >= -1e-12
-            assert lyapunov_varying(dx, dy, sad, tau, sigma, F) >= -1e-12
             assert numerical_error(dx, dy, tau, sigma, F) >= -1e-12
             # accelerated form: tau plays tau_{k-1}, the dual scale is s itself
             assert numerical_error(dx, dy, tau, s, F, accelerated=True) >= -1e-12

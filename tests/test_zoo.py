@@ -10,7 +10,6 @@ from pdhglab import (
     build_instance,
     certify_saddle,
     difference_matrix,
-    kkt_oracle,
     make_lasso,
     make_generalized_lasso,
     make_quad_pair,
@@ -33,7 +32,7 @@ def test_kkt_oracle_hand_example():
     # mu = gamma = 1, F = [1], a = 2, b_hat = 0:
     #   (x - 2) + y = 0 and y - x = 0, solved by (x, y) = (1, 1)
     pair = make_quad_pair(np.array([2.0]), np.array([0.0]), 1.0, 1.0, np.array([[1.0]]))
-    sad = kkt_oracle(pair)
+    sad = pair.saddle
     assert abs(sad.x[0] - 1.0) <= 1e-12
     assert abs(sad.y[0] - 1.0) <= 1e-12
 
@@ -47,7 +46,7 @@ def test_kkt_oracle_certifies_on_random_instances():
         mu = float(rng.uniform(0.2, 5.0))
         gamma = float(rng.uniform(0.2, 5.0))
         pair = make_quad_pair(rng.standard_normal(d1), rng.standard_normal(d2), mu, gamma, F)
-        sad = kkt_oracle(pair)
+        sad = pair.saddle
         cert = certify_saddle(pair.problem, sad, tol=1e-8)
         assert cert.passed
         assert cert.r_x <= 1e-10 and cert.r_y <= 1e-10
