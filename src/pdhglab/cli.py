@@ -151,7 +151,17 @@ def _check_lemma(config, built, traj, table) -> tuple[CheckResult, Optional[list
     return CheckResult(CHECK_LEMMA, status, detail), records
 
 
-def _check_theorem(config, built, schedule, table, consts) -> CheckResult:
+def _first_nan(k, *named) -> Optional[CheckResult]:
+    """A theorem FAIL naming the first nan among the (name, value) pairs."""
+    for name, value in named:
+        if math.isnan(value):
+            return CheckResult(CHECK_THEOREM, FAIL, f"{name} is nan at k={k}")
+    return None
+
+
+def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResult:
+    """The regime's closed-form bound; ``bounds`` is the default-form
+    theorem_bound of each table record.  Any nan it compares is a FAIL."""
     regime = config.regime
     if regime == FIXED:
         return CheckResult(
@@ -165,13 +175,20 @@ def _check_theorem(config, built, schedule, table, consts) -> CheckResult:
             "bound constants unavailable (run not recorded from its start)",
         )
     mu, gamma = built.problem.mu, built.problem.gamma
+    # The final post-state is compared by no per-record bound below.
+    failed = _first_nan(
+        table.k[-1] + 1,
+        ("Lyapunov value", table.E_next[-1]), ("distance", table.dist_x_next[-1]),
+    )
+    if failed:
+        return failed
 
     if regime == VARYING_SC:
         worst = 0.0
-        for k, E in zip(table.k, table.E):
-            if math.isnan(E):
-                continue
-            bound = theorem_bound(regime, k, **consts)
+        for k, E, bound in zip(table.k, table.E, bounds):
+            failed = _first_nan(k, ("Lyapunov value", E), ("bound", bound))
+            if failed:
+                return failed
             if E > bound * (1.0 + 1e-6):
                 worst = max(worst, E / bound if bound > 0 else math.inf)
         if worst > 0.0:
@@ -180,6 +197,9 @@ def _check_theorem(config, built, schedule, table, consts) -> CheckResult:
             )
         for k, dist in zip(table.k, table.dist_x):
             tb = theorem_bound(regime, k, form="trajectory", **consts)
+            failed = _first_nan(k, ("distance", dist), ("trajectory bound", tb))
+            if failed:
+                return failed
             if dist > tb * (1.0 + 1e-6):
                 return CheckResult(
                     CHECK_THEOREM, FAIL,
@@ -189,10 +209,12 @@ def _check_theorem(config, built, schedule, table, consts) -> CheckResult:
 
     if regime == ACCELERATED:
         K0 = k0_threshold(mu, schedule.c)
-        for k, dist in zip(table.k, table.dist_x):
+        for k, dist, bound in zip(table.k, table.dist_x, bounds):
             if k < K0:
                 continue
-            bound = theorem_bound(regime, k, **consts)
+            failed = _first_nan(k, ("distance", dist), ("bound", bound))
+            if failed:
+                return failed
             if dist > bound * (1.0 + 1e-6):
                 return CheckResult(
                     CHECK_THEOREM, FAIL,
@@ -202,6 +224,10 @@ def _check_theorem(config, built, schedule, table, consts) -> CheckResult:
 
     # OPTIMAL_SS: per-step contraction plus the terminal weighted sandwich.
     rho = rho_rate(mu, gamma, schedule.s, built.F_norm)
+    for k, E in zip(table.k, table.E):
+        failed = _first_nan(k, ("Lyapunov value", E))
+        if failed:
+            return failed
     try:
         summary = contraction_factors(_finite_E(table))
         if summary.max_ratio > rho + 1e-8:
@@ -214,6 +240,11 @@ def _check_theorem(config, built, schedule, table, consts) -> CheckResult:
         ratio_detail = "contraction ratios not measurable (series too short)"
     weighted = mu * table.dist_x_next[-1] + gamma * table.dist_y_next[-1]
     sandwich = theorem_bound(regime, table.k[-1] + 1, form="trajectory", **consts)
+    failed = _first_nan(
+        table.k[-1] + 1, ("terminal weighted distance", weighted), ("sandwich", sandwich)
+    )
+    if failed:
+        return failed
     if weighted > sandwich * (1.0 + 1e-9) + 1e-300:
         return CheckResult(
             CHECK_THEOREM, FAIL,
@@ -345,6 +376,10 @@ def execute(
     saddle, saddle_source = _resolve_saddle(built)
     table = lyapunov_table(traj, problem, saddle) if saddle is not None else None
     consts = _bound_constants(built, schedule, table) if table is not None else None
+    # The default-form bound of each record, read by the theorem check and the CSV.
+    bounds = None
+    if consts is not None and (write_trajectory or CHECK_THEOREM in config.checks):
+        bounds = [theorem_bound(config.regime, k, **consts) for k in table.k]
     # The sweep aggregate wants a slope even when rate_fit was not requested.
     rate_fit, slope, resid = _check_rate_fit(config, built, traj, table)
     metrics = {"slope": slope, "slope_residual": resid, "geomean_ratio": None}
@@ -357,7 +392,7 @@ def execute(
             if lem_records:
                 slacks = [rec.lemma_slack for rec in lem_records]
         elif name == CHECK_THEOREM:
-            result = _check_theorem(config, built, schedule, table, consts)
+            result = _check_theorem(config, built, schedule, table, consts, bounds)
         elif name == CHECK_RATE_FIT:
             result = rate_fit
         else:
@@ -397,7 +432,7 @@ def execute(
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(
             os.path.join(out_dir, "trajectory.csv"),
-            traj, table, slacks, config.regime, consts,
+            traj, table, slacks, bounds,
         )
         with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -406,7 +441,7 @@ def execute(
     return exit_code, lines, metrics
 
 
-def _write_csv(path, traj, table, slacks, regime, consts):
+def _write_csv(path, traj, table, slacks, bounds):
     nan = float("nan")
     n = len(traj.records)
     if table is None:
@@ -416,10 +451,9 @@ def _write_csv(path, traj, table, slacks, regime, consts):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for rec, dist_x, dist_y, E, ne, slack in zip(
-            traj.records, *columns, slacks or (nan,) * n
+        for rec, dist_x, dist_y, E, ne, slack, bound in zip(
+            traj.records, *columns, slacks or (nan,) * n, bounds or (nan,) * n
         ):
-            bound = nan if consts is None else theorem_bound(regime, rec.k, **consts)
             writer.writerow(
                 [str(rec.k)]
                 + [
@@ -453,9 +487,23 @@ def _run_cell(payload):
     return (i, j, c, s, exit_code, metrics)
 
 
+def _jobs() -> int:
+    """Worker count from the environment; anything but a positive integer is a
+    ConfigError."""
+    text = os.environ.get(JOBS_ENV_VAR, "1")
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ConfigError(f"{JOBS_ENV_VAR} must be a positive integer, got {text!r}")
+    return jobs
+
+
 def sweep(config: ExperimentConfig) -> int:
     """Grid runner over the schedule constants; every cell is validated
     before any cell executes."""
+    jobs = _jobs()
     cells = _sweep_cells(config)
     base_output = config.output or "."
     for i, j, c, s in cells:
@@ -466,9 +514,8 @@ def sweep(config: ExperimentConfig) -> int:
 
     text = serialize_config(replace(config, sweep_c=None, sweep_s=None))
     payloads = [(text, i, j, c, s, base_output) for i, j, c, s in cells]
-    jobs = int(os.environ.get(JOBS_ENV_VAR, "1"))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             outcomes = list(pool.map(_run_cell, payloads))
     else:
         outcomes = [_run_cell(p) for p in payloads]

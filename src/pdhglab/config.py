@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .schedules import REGIMES, Schedule, make_schedule
-from .zoo import KINDS, BuiltInstance, InstanceSpec, build_instance
+from .zoo import KINDS, QUAD_PAIR, BuiltInstance, InstanceSpec, build_instance
 
 CHECK_LEMMA = "lemma"
 CHECK_THEOREM = "theorem"
@@ -65,10 +65,18 @@ class ExperimentConfig:
     sweep_s: Optional[tuple[float, ...]] = None
 
 
+def _require_double(value, where: str) -> None:
+    # An integer literal can be too large for a double.
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(f'key "{where}" overflows a double') from None
+
+
 def _require_keys(obj: dict, allowed: dict, path: str) -> None:
     for key in obj:
+        where = f"{path}.{key}" if path else key
         if key not in allowed:
-            where = f"{path}.{key}" if path else key
             raise ConfigError(f'unknown key "{where}"')
         expected = allowed[key]
         value = obj[key]
@@ -76,13 +84,12 @@ def _require_keys(obj: dict, allowed: dict, path: str) -> None:
             continue
         if expected is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(
-                    f'key "{path + "." if path else ""}{key}" must be a number'
-                )
+                raise ConfigError(f'key "{where}" must be a number')
+            _require_double(value, where)
         elif not isinstance(value, expected):
             kind = {int: "an integer", str: "a string", bool: "a boolean",
                     dict: "an object", list: "an array"}[expected]
-            raise ConfigError(f'key "{path + "." if path else ""}{key}" must be {kind}')
+            raise ConfigError(f'key "{where}" must be {kind}')
 
 
 def _parse_instance(obj) -> InstanceSpec:
@@ -100,6 +107,12 @@ def _parse_instance(obj) -> InstanceSpec:
         raise ConfigError(
             f'key "instance.kind" must be one of {list(KINDS)}, got {obj["kind"]!r}'
         )
+    for key in ("mu", "gamma"):
+        if key in obj and obj["kind"] != QUAD_PAIR:
+            raise ConfigError(
+                f'key "instance.{key}" applies to {QUAD_PAIR} only; '
+                f'{obj["kind"]} derives its moduli from the data'
+            )
     if "d" in obj and "d1" in obj:
         raise ConfigError('keys "instance.d" and "instance.d1" are mutually exclusive')
     d1 = obj.get("d1", obj.get("d"))
@@ -147,7 +160,9 @@ def parse_config(text: str) -> ExperimentConfig:
         obj = json.loads(
             text, parse_constant=_reject_constant, parse_float=_finite_float
         )
-    except json.JSONDecodeError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:  # malformed, or an integer over Python's digit limit
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config document must be a JSON object")
@@ -184,6 +199,7 @@ def parse_config(text: str) -> ExperimentConfig:
         for v in values:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(f'key "sweep.{name}" must contain numbers only')
+            _require_double(v, f"sweep.{name}")
         if name == "c":
             sweep_c = tuple(float(v) for v in values)
         else:

@@ -168,6 +168,46 @@ def test_verify_fails_lemma_on_nan_slack(tmp_path, capsys, monkeypatch):
     assert "check.lemma = FAIL (slack is nan at k=0)" in stdout
 
 
+@pytest.mark.parametrize(
+    "regime, k_end", [("optimal_ss", 1), ("varying_sc", 1), ("accelerated", 2)]
+)
+def test_verify_fails_theorem_on_nan_post_state(
+    tmp_path, capsys, monkeypatch, regime, k_end
+):
+    # the divergence guard stops after the first transition, whose post-state
+    # (and so the optimal_ss terminal weighted distance) is nan
+    monkeypatch.setattr(
+        zoo, "prox_shifted_quadratic", lambda a, m, v, t: np.full_like(v, np.nan)
+    )
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 2, "seed": 0},
+        "regime": regime,
+        "budget": 10,
+        "checks": ["theorem"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 1
+    stdout = capsys.readouterr().out
+    assert "run.termination = divergence_guard" in stdout
+    assert f"check.theorem = FAIL (Lyapunov value is nan at k={k_end})" in stdout
+
+
+@pytest.mark.parametrize("regime", ["varying_sc", "accelerated"])
+def test_theorem_fails_on_nan_bound(monkeypatch, regime):
+    monkeypatch.setattr(cli, "theorem_bound", lambda *args, **kwargs: math.nan)
+    config = parse_config(json.dumps({
+        "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
+        "regime": regime,
+        "budget": 50,
+        "checks": ["theorem"],
+    }))
+    code, lines, _ = execute(config, write_trajectory=False, quiet=True)
+    assert code == 1
+    assert any(
+        re.fullmatch(r"check\.theorem = FAIL \(bound is nan at k=\d+\)", line)
+        for line in lines
+    )
+
+
 @pytest.mark.parametrize("regime", ["varying_sc", "accelerated"])
 def test_execute_evaluates_each_lyapunov_value_once(monkeypatch, regime):
     calls = {"E": 0, "NE": 0}
@@ -204,6 +244,32 @@ def test_execute_evaluates_each_lyapunov_value_once(monkeypatch, regime):
     assert K > 1
     assert calls["E"] <= K + 1
     assert calls["NE"] <= K
+
+
+def test_theorem_and_csv_share_one_bound_per_record(tmp_path, monkeypatch):
+    calls = []
+    real_bound = cli.theorem_bound
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_bound(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "theorem_bound", counted)
+    config = parse_config(json.dumps({
+        "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
+        "regime": "varying_sc",
+        "budget": 200,
+        "checks": ["theorem"],
+        "output": str(tmp_path),
+    }))
+    code, lines, _ = execute(config, write_trajectory=True, quiet=True)
+    assert code == 0
+    assert "check.theorem = PASS (Lyapunov and trajectory bounds hold)" in lines
+    rows = read_rows(tmp_path / "trajectory.csv")
+    K = len(rows)
+    assert K > 1
+    assert all(math.isfinite(float(row["theorem_bound"])) for row in rows)
+    assert len(calls) <= 2 * K
 
 
 def test_verify_skips_lemma_outside_its_scope(tmp_path, capsys):
@@ -275,6 +341,20 @@ def test_sweep_parallel_output_is_identical(tmp_path, monkeypatch):
         assert (serial / cell / "trajectory.csv").read_bytes() == (
             parallel / cell / "trajectory.csv"
         ).read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_sweep_rejects_bad_jobs_value(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv(JOBS_ENV_VAR, value)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "out"
+    assert main(["sweep", write_config(tmp_path, sweep_doc(out))]) == 2
+    assert JOBS_ENV_VAR in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_bad_cell_before_running_any(tmp_path, capsys):

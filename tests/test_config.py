@@ -191,6 +191,47 @@ def test_sweep_arrays():
         parse(make_doc(sweep={"s": [0.4, "auto"]}))
 
 
+HUGE = 10**400  # an integer literal no double can hold
+
+
+@pytest.mark.parametrize(
+    "key, doc",
+    [
+        ("schedule.s", make_doc(schedule={"s": HUGE})),
+        ("schedule.tau", make_doc(schedule={"tau": HUGE, "sigma": 0.1})),
+        ("sweep.c", make_doc(regime="varying_sc", sweep={"c": [0.5, HUGE]})),
+        ("sweep.s", make_doc(sweep={"s": [-HUGE]})),
+        ("tol", make_doc(tol=HUGE)),
+        ("instance.lam", {"instance": {"kind": "lasso", "d": 4, "lam": HUGE},
+                          "regime": "fixed"}),
+        ("instance.mu", {"instance": {"kind": "quad_pair", "d": 4, "mu": HUGE},
+                         "regime": "fixed"}),
+        ("instance.gamma", {"instance": {"kind": "quad_pair", "d": 4, "gamma": HUGE},
+                            "regime": "fixed"}),
+        ("instance.cond", {"instance": {"kind": "quad_pair", "d": 4, "cond": HUGE},
+                           "regime": "fixed"}),
+    ],
+)
+def test_integer_overflowing_a_double_rejected(key, doc):
+    with pytest.raises(ConfigError, match=f'"{key}" overflows a double'):
+        parse(doc)
+
+
+def test_integer_over_the_digit_limit_rejected():
+    text = json.dumps(make_doc(schedule={"s": "NUMBER"})).replace('"NUMBER"', "1" * 5000)
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("kind", ["lasso", "gen_lasso"])
+@pytest.mark.parametrize("key", ["mu", "gamma"])
+def test_moduli_rejected_outside_quad_pair(kind, key):
+    # lasso-type moduli come from the data; a given value would be ignored
+    doc = {"instance": {"kind": kind, "d": 4, "lam": 0.5, key: 3.0}, "regime": "fixed"}
+    with pytest.raises(ConfigError, match=f'"instance.{key}" applies to quad_pair only'):
+        parse(doc)
+
+
 # ---------------------------------------------------------------------------
 # round trips
 

@@ -18,6 +18,7 @@ from pdhglab import (
     make_schedule,
     run,
 )
+from pdhglab import dynamics
 from pdhglab.dynamics import mass_matrix
 
 
@@ -94,9 +95,9 @@ def test_implicit_equation_residual_is_small():
     assert np.linalg.norm(M @ (zn - z) - 0.2 * rhs) <= 1e-8
 
 
-def test_newton_handles_nonlinear_gradients():
-    # cubic primal gradient: the implicit equation is genuinely nonlinear
-    prob = SaddleProblem(
+def cubic_problem():
+    """Cubic primal gradient: the implicit equation is genuinely nonlinear."""
+    return SaddleProblem(
         d1=1,
         d2=1,
         F=np.array([[0.0]]),
@@ -105,18 +106,26 @@ def test_newton_handles_nonlinear_gradients():
         grad_f=lambda x: x**3,
         grad_gstar=lambda y: y,
     )
-    h, s = 0.5, 0.5
-    state = OdeState(np.array([2.0]), np.array([0.0]), 0.0)
-    nxt = hires_ode_step(state, h, s, s, s, prob)
-    # scalar oracle: solve (s/tau)(u - 2) + h u^3 = 0 by bisection
-    lo, hi = 0.0, 2.0
+
+
+def cubic_step_oracle(x, h):
+    """Solve (u - x) + h u^3 = 0 (s = tau) by bisection on [0, x]."""
+    lo, hi = 0.0, x
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if (mid - 2.0) + h * mid**3 > 0:
+        if (mid - x) + h * mid**3 > 0:
             hi = mid
         else:
             lo = mid
-    assert abs(nxt.X[0] - 0.5 * (lo + hi)) <= 1e-8
+    return 0.5 * (lo + hi)
+
+
+def test_newton_handles_nonlinear_gradients():
+    prob = cubic_problem()
+    h, s = 0.5, 0.5
+    state = OdeState(np.array([2.0]), np.array([0.0]), 0.0)
+    nxt = hires_ode_step(state, h, s, s, s, prob)
+    assert abs(nxt.X[0] - cubic_step_oracle(2.0, h)) <= 1e-8
     with pytest.raises(RuntimeError):
         hires_ode_step(state, h, s, s, s, prob, newton_tol=1e-14, newton_max_iter=1)
 
@@ -130,6 +139,65 @@ def test_integrate_includes_initial_state():
     assert abs(states[-1].t - 1.0) <= 1e-12
     for st in states:
         assert np.all(np.isfinite(st.X)) and np.all(np.isfinite(st.Y))
+
+
+def test_integrate_sets_up_once_per_call(monkeypatch):
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=16, seed=1))
+    s = 0.9 / built.F_norm
+    calls = {"mass_matrix": 0, "cond": 0, "_rhs_jacobian": 0}
+
+    def counted(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(dynamics, "mass_matrix", "mass_matrix")
+    counted(np.linalg, "cond", "cond")
+    counted(dynamics, "_rhs_jacobian", "_rhs_jacobian")
+    init = OdeState(np.ones(16), -np.ones(16), 0.0)
+    states = integrate(init, T=1.0, h=s / 100, s=s, tau=s, sigma=s, problem=built.problem)
+    assert len(states) > 100
+    assert calls == {"mass_matrix": 1, "cond": 1, "_rhs_jacobian": 1}
+
+
+def test_integrate_matches_chained_single_steps():
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=16, seed=1))
+    s = 0.9 / built.F_norm
+    h = s / 100
+    init = OdeState(np.ones(16), -np.ones(16), 0.0)
+    states = integrate(init, T=1.0, h=h, s=s, tau=s, sigma=s, problem=built.problem)
+    state = init
+    for ref in states[1:]:
+        state = hires_ode_step(state, h, s, s, s, built.problem)
+        gap = np.hypot(np.linalg.norm(ref.X - state.X), np.linalg.norm(ref.Y - state.Y))
+        assert gap <= 1e-12 * np.hypot(np.linalg.norm(state.X), np.linalg.norm(state.Y))
+        assert ref.t == state.t
+
+
+def test_integrate_rebuilds_newton_matrix_for_nonlinear_gradients(monkeypatch):
+    # the Newton matrix taken at X = 2 is far off at later states, so the
+    # frozen-matrix update stops halving the residual and it is re-taken
+    jacobians = []
+    real_jacobian = dynamics._rhs_jacobian
+
+    def recorded(*args):
+        jacobians.append(args)
+        return real_jacobian(*args)
+
+    monkeypatch.setattr(dynamics, "_rhs_jacobian", recorded)
+    h, s = 0.5, 0.5
+    init = OdeState(np.array([2.0]), np.array([0.0]), 0.0)
+    states = integrate(init, T=5.0, h=h, s=s, tau=s, sigma=s, problem=cubic_problem())
+    assert len(states) == 11
+    assert len(jacobians) > 1
+    x = 2.0
+    for state in states[1:]:
+        x = cubic_step_oracle(x, h)
+        assert abs(state.X[0] - x) <= 1e-8
 
 
 def test_fixed_step_iteration_matches_implicit_euler():
