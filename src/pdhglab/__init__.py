@@ -37,14 +37,7 @@ from .lyapunov import (
     slack_tolerance,
     theorem_bound,
 )
-from .problems import (
-    Admissibility,
-    PowerIterationError,
-    PrimalDualPair,
-    SaddleProblem,
-    check_admissibility,
-    operator_norm,
-)
+from .problems import PrimalDualPair, SaddleProblem
 from .proximal import (
     QuadraticProxCache,
     l1_subdiff_dist,

@@ -12,7 +12,9 @@ Subcommands:
                        rate constants (alpha, rho, K0) without running.
 
 Exit status: 0 when every requested check passed or was skipped, 1 when any
-check failed, 2 for configuration errors.
+check failed or the run was stopped by the divergence guard (the summary
+then names it as ``exit_reason = divergence_guard``), 2 for configuration
+errors.
 
 The trajectory CSV has one row per recorded step.  Row k holds the pre-step
 state diagnostics (distances, Lyapunov value) at iterate k together with the
@@ -48,7 +50,7 @@ from .config import (
     serialize_config,
 )
 from .dynamics import OdeState, integrate
-from .engine import run
+from .engine import TERMINATION_DIVERGENCE, run
 from .lyapunov import (
     LyapunovTable,
     NoMatchingLemma,
@@ -100,7 +102,7 @@ def _resolve_saddle(built: BuiltInstance) -> tuple[Optional[PrimalDualPair], str
         source = "kkt_oracle" if built.spec.kind == QUAD_PAIR else "closed_form"
         return built.saddle, source
     try:
-        return reference_saddle(built.problem, F_norm=built.F_norm), "reference_run"
+        return reference_saddle(built.problem), "reference_run"
     except RuntimeError:
         return None, "unavailable"
 
@@ -117,7 +119,7 @@ def _bound_constants(built, schedule, table: LyapunovTable) -> Optional[dict]:
     if schedule.regime == FIXED or table.k[0] != 0 or math.isnan(table.E[0]):
         return None
     consts = dict(
-        mu=mu, s=schedule.s, F_norm=built.F_norm, E0=table.E[0],
+        mu=mu, s=schedule.s, F_norm=built.problem.F_norm, E0=table.E[0],
         dx0=table.dist_x[0], dy0=table.dist_y[0],
     )
     if schedule.regime == VARYING_SC:
@@ -131,7 +133,7 @@ def _check_lemma(config, built, traj, table) -> tuple[CheckResult, Optional[list
     if table is None:
         return CheckResult(CHECK_LEMMA, SKIPPED, "no certified saddle available"), None
     try:
-        records = lemma_records(config.regime, traj, built.problem, table, built.F_norm)
+        records = lemma_records(config.regime, traj, built.problem, table)
     except NoMatchingLemma as exc:
         return CheckResult(CHECK_LEMMA, SKIPPED, str(exc)), None
     except ValueError as exc:
@@ -223,7 +225,7 @@ def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResul
         return CheckResult(CHECK_THEOREM, PASS, f"O(1/k^2) bound holds from K0={K0}")
 
     # OPTIMAL_SS: per-step contraction plus the terminal weighted sandwich.
-    rho = rho_rate(mu, gamma, schedule.s, built.F_norm)
+    rho = rho_rate(mu, gamma, schedule.s, built.problem.F_norm)
     for k, E in zip(table.k, table.E):
         failed = _first_nan(k, ("Lyapunov value", E))
         if failed:
@@ -338,9 +340,9 @@ def _summary_header(config, built, schedule) -> list[str]:
         lines.append(f"instance.lam = {_fmt(spec.lam)}")
     lines.append(f"instance.mu = {_fmt(problem.mu)}")
     lines.append(f"instance.gamma = {_fmt(problem.gamma)}")
-    lines.append(f"F_norm = {_fmt(built.F_norm)}")
-    lines.append(f"admissibility.s_F_norm = {_fmt(schedule.s * built.F_norm)}")
-    lines.append(f"admissibility.margin = {_fmt(1.0 - schedule.s * built.F_norm)}")
+    lines.append(f"F_norm = {_fmt(problem.F_norm)}")
+    lines.append(f"admissibility.s_F_norm = {_fmt(schedule.s * problem.F_norm)}")
+    lines.append(f"admissibility.margin = {_fmt(1.0 - schedule.s * problem.F_norm)}")
     lines.append(f"schedule.s = {_fmt(schedule.s)}")
     if schedule.c is not None:
         lines.append(f"schedule.c = {_fmt(schedule.c)}")
@@ -350,12 +352,12 @@ def _summary_header(config, built, schedule) -> list[str]:
         lines.append(f"schedule.sigma = {_fmt(schedule.sigma)}")
     lines.append(f"schedule.k_start = {schedule.k_start}")
     if config.regime == VARYING_SC:
-        alpha = alpha_rate(problem.mu, schedule.c, schedule.s, built.F_norm)
+        alpha = alpha_rate(problem.mu, schedule.c, schedule.s, problem.F_norm)
         lines.append(f"rate.alpha = {_fmt(alpha)}")
     elif config.regime == ACCELERATED:
         lines.append(f"rate.K0 = {k0_threshold(problem.mu, schedule.c)}")
     elif config.regime == OPTIMAL_SS:
-        rho = rho_rate(problem.mu, problem.gamma, schedule.s, built.F_norm)
+        rho = rho_rate(problem.mu, problem.gamma, schedule.s, problem.F_norm)
         lines.append(f"rate.rho = {_fmt(rho)}")
     return lines
 
@@ -406,7 +408,8 @@ def execute(
         except ValueError:
             pass
 
-    exit_code = 1 if any(r.status == FAIL for r in results) else 0
+    diverged = traj.termination == TERMINATION_DIVERGENCE
+    exit_code = 1 if diverged or any(r.status == FAIL for r in results) else 0
 
     lines = _summary_header(config, built, schedule)
     lines.append(f"run.budget = {config.budget}")
@@ -425,6 +428,8 @@ def execute(
         lines.append(f"contraction.geomean_ratio = {_fmt(metrics['geomean_ratio'])}")
     for result in results:
         lines.append(result.line())
+    if diverged:
+        lines.append(f"exit_reason = {TERMINATION_DIVERGENCE}")
     lines.append(f"exit_status = {exit_code}")
 
     if write_trajectory:

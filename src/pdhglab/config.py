@@ -86,7 +86,9 @@ def _require_keys(obj: dict, allowed: dict, path: str) -> None:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f'key "{where}" must be a number')
             _require_double(value, where)
-        elif not isinstance(value, expected):
+        elif not isinstance(value, expected) or (
+            expected is int and isinstance(value, bool)  # bool subclasses int
+        ):
             kind = {int: "an integer", str: "a string", bool: "a boolean",
                     dict: "an object", list: "an array"}[expected]
             raise ConfigError(f'key "{where}" must be {kind}')
@@ -251,7 +253,7 @@ def materialize(config: ExperimentConfig) -> tuple[BuiltInstance, Schedule]:
     try:
         schedule = make_schedule(
             config.regime,
-            built.F_norm,
+            built.problem.F_norm,
             s=config.s,
             c=config.c,
             tau=config.tau,

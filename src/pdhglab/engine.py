@@ -55,7 +55,6 @@ class StepRecord:
     x: np.ndarray
     y: np.ndarray
     x_next: np.ndarray
-    x_bar: np.ndarray
     y_next: np.ndarray
     primal_residual: float
     dual_residual: float
@@ -159,7 +158,7 @@ def run(
     for i in range(budget):
         k = schedule.k_start + i
         tau_k, sigma_k, theta_k = schedule_at(schedule, k)
-        x_next, x_bar, y_next = pdhg_step(problem, x, y, tau_k, sigma_k, theta_k)
+        x_next, _, y_next = pdhg_step(problem, x, y, tau_k, sigma_k, theta_k)
         rp, rd = step_residuals(problem.F, x, y, x_next, y_next, tau_k, sigma_k, theta_k)
 
         state_norm = float(np.linalg.norm(x_next)) + float(np.linalg.norm(y_next))
@@ -177,7 +176,6 @@ def run(
                     x=x,
                     y=y,
                     x_next=x_next,
-                    x_bar=x_bar,
                     y_next=y_next,
                     primal_residual=rp,
                     dual_residual=rd,
@@ -205,13 +203,16 @@ def optimality_residual(problem: SaddleProblem, record: StepRecord) -> tuple[flo
         r_x = dist(0, @f(x_{k+1}) + F^T y_k + (x_{k+1} - x_k)/tau_k)
         r_y = dist(0, @g*(y_{k+1}) - F xbar_{k+1} + (y_{k+1} - y_k)/sigma_k)
 
-    Evaluated by :func:`~pdhglab.problems.inclusion_residuals`.
+    Evaluated by :func:`~pdhglab.problems.inclusion_residuals`.  xbar_{k+1}
+    is recomputed with the operations of :func:`pdhg_step`, so it carries
+    the same bits as the iterate's.
     """
     F = problem.F
+    x_bar = record.x_next + record.theta * (record.x_next - record.x)
     return inclusion_residuals(
         problem,
         record.x_next,
         F.T @ record.y + (record.x_next - record.x) / record.tau,
         record.y_next,
-        -(F @ record.x_bar) + (record.y_next - record.y) / record.sigma,
+        -(F @ x_bar) + (record.y_next - record.y) / record.sigma,
     )

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import Trajectory
-from .problems import PrimalDualPair, SaddleProblem, operator_norm
+from .problems import PrimalDualPair, SaddleProblem
 from .schedules import (
     ACCELERATED,
     FIXED,
@@ -370,7 +370,6 @@ def lemma_records(
     trajectory: Trajectory,
     problem: SaddleProblem,
     table: LyapunovTable,
-    F_norm: Optional[float] = None,
 ) -> list[LyapunovRecord]:
     """:func:`check_lemma` on a precomputed :func:`lyapunov_table` of the
     trajectory; same preconditions, dispatch and result."""
@@ -383,11 +382,9 @@ def lemma_records(
     records = trajectory.records
     if not records:
         return []
-    if F_norm is None:
-        F_norm = operator_norm(problem.F)
-    if sched.s * F_norm >= 1.0:
+    if sched.s * problem.F_norm >= 1.0:
         raise ValueError(
-            f"inadmissible trajectory: s * ||F|| = {sched.s * F_norm} >= 1; "
+            f"inadmissible trajectory: s * ||F|| = {sched.s * problem.F_norm} >= 1; "
             "the descent lemmas assume s * ||F|| < 1"
         )
 
@@ -445,7 +442,6 @@ def check_lemma(
     trajectory: Trajectory,
     problem: SaddleProblem,
     saddle: PrimalDualPair,
-    F_norm: Optional[float] = None,
 ) -> list[LyapunovRecord]:
     """Evaluate the regime's descent lemma along a recorded trajectory.
 
@@ -458,8 +454,8 @@ def check_lemma(
     k_start); optimal_ss, and fixed with both moduli positive -> the
     doubly-strongly-convex lemma.  A fixed-step run on a merely convex
     problem raises NoMatchingLemma.  The admissibility precondition
-    s ||F|| < 1 is re-verified against a freshly computed operator norm;
+    s ||F|| < 1 is re-verified against the problem's exact ``F_norm``;
     an inadmissible trajectory is refused outright.
     """
     table = lyapunov_table(trajectory, problem, saddle)
-    return lemma_records(regime, trajectory, problem, table, F_norm)
+    return lemma_records(regime, trajectory, problem, table)

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import TERMINATION_RESIDUAL, run
-from .problems import PrimalDualPair, SaddleProblem, inclusion_residuals, operator_norm
+from .problems import PrimalDualPair, SaddleProblem, inclusion_residuals
 from .proximal import (
     QuadraticProxCache,
     linf_normal_cone_dist,
@@ -78,7 +78,6 @@ class BuiltInstance:
 
     spec: InstanceSpec
     problem: SaddleProblem
-    F_norm: float
     saddle: Optional[PrimalDualPair] = None
     A: Optional[np.ndarray] = None
     b: Optional[np.ndarray] = None
@@ -228,7 +227,6 @@ def reference_saddle(
     tol: float = 1e-12,
     certify_tol: float = 1e-8,
     s: Optional[float] = None,
-    F_norm: Optional[float] = None,
 ) -> PrimalDualPair:
     """High-accuracy saddle for instances without closed form: a long
     fixed-regime run to displacement residual ``tol``, then certification.
@@ -236,9 +234,7 @@ def reference_saddle(
     Raises RuntimeError if the run does not reach the residual target or the
     certificate fails.
     """
-    if F_norm is None:
-        F_norm = operator_norm(problem.F)
-    sched = make_schedule(FIXED, F_norm, s=s)
+    sched = make_schedule(FIXED, problem.F_norm, s=s)
     init = PrimalDualPair(x=np.zeros(problem.d1), y=np.zeros(problem.d2))
     traj = run(problem, sched, init, budget=budget, tol=tol, record_every=budget)
     if traj.termination != TERMINATION_RESIDUAL:
@@ -314,7 +310,6 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
         return BuiltInstance(
             spec=spec,
             problem=pair.problem,
-            F_norm=operator_norm(F),
             saddle=pair.saddle,
             a=a,
             b_hat=b_hat,
@@ -342,7 +337,6 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
     return BuiltInstance(
         spec=spec,
         problem=problem,
-        F_norm=operator_norm(problem.F),
         saddle=saddle,
         A=A,
         b=b,

@@ -77,7 +77,7 @@ def dist_sq(u, v):
 def resolve_saddle(built):
     if built.saddle is not None:
         return built.saddle
-    return reference_saddle(built.problem, F_norm=built.F_norm)
+    return reference_saddle(built.problem)
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +112,11 @@ def test_criterion_01_lemma_descent_suites():
             built = build_instance(spec)
             problem = built.problem
             schedule = make_schedule(
-                regime, built.F_norm, mu=problem.mu, gamma=problem.gamma
+                regime, built.problem.F_norm, mu=problem.mu, gamma=problem.gamma
             )
             traj = run(problem, schedule, zeros_init(problem), budget=1000, tol=0.0)
             saddle = resolve_saddle(built)
-            for rec in check_lemma(regime, traj, problem, saddle, built.F_norm):
+            for rec in check_lemma(regime, traj, problem, saddle):
                 worst = min(worst, rec.lemma_slack + 1e-8 * (1.0 + abs(rec.E)))
                 n_steps += 1
             n_runs += 1
@@ -137,7 +137,7 @@ def test_criterion_01_lemma_descent_suites():
 def varying_sc_instance():
     built = build_instance(InstanceSpec(LASSO, d1=20, seed=1, lam=2.0, cond=10.0))
     mu = built.problem.mu
-    s = min(0.9 / built.F_norm, mu)
+    s = min(0.9 / built.problem.F_norm, mu)
     return built, mu, s
 
 
@@ -145,7 +145,7 @@ def test_criterion_02_varying_sc_theorem_bound():
     built, mu, s = varying_sc_instance()
     problem = built.problem
     c = 0.5 * mu
-    schedule = make_schedule(VARYING_SC, built.F_norm, s=s, c=c, mu=mu)
+    schedule = make_schedule(VARYING_SC, built.problem.F_norm, s=s, c=c, mu=mu)
     traj = run(problem, schedule, zeros_init(problem), budget=10_001, tol=0.0)
     saddle = built.saddle
     assert saddle is not None  # dual-interior design: closed-form saddle
@@ -162,11 +162,11 @@ def test_criterion_02_varying_sc_theorem_bound():
     worst_E = worst_traj = 0.0
     for rec, Ek in zip(records, E):
         bound = theorem_bound(
-            VARYING_SC, rec.k, mu=mu, c=c, s=s, F_norm=built.F_norm, E0=E[0]
+            VARYING_SC, rec.k, mu=mu, c=c, s=s, F_norm=built.problem.F_norm, E0=E[0]
         )
         worst_E = max(worst_E, Ek / bound)
         tb = theorem_bound(
-            VARYING_SC, rec.k, mu=mu, c=c, s=s, F_norm=built.F_norm,
+            VARYING_SC, rec.k, mu=mu, c=c, s=s, F_norm=built.problem.F_norm,
             dx0=dx0, dy0=dy0, form="trajectory",
         )
         worst_traj = max(worst_traj, dist_sq(rec.x, saddle.x) / tb)
@@ -189,7 +189,7 @@ def test_criterion_03_slope_trend_toward_minus_two():
     saddle = built.saddle
     slopes = []
     for frac in (0.5, 0.1, 0.02):
-        schedule = make_schedule(VARYING_SC, built.F_norm, s=s, c=frac * mu, mu=mu)
+        schedule = make_schedule(VARYING_SC, built.problem.F_norm, s=s, c=frac * mu, mu=mu)
         traj = run(problem, schedule, zeros_init(problem), budget=10_001, tol=0.0)
         series = [
             (rec.k, dist_sq(rec.x, saddle.x))
@@ -220,8 +220,8 @@ def test_criterion_04_accelerated_rate_bound():
     mu = problem.mu
     c = 2.0 * mu / 3.0
     assert k0_threshold(mu, c) == 1
-    s = min(0.9 / built.F_norm, mu)
-    schedule = make_schedule(ACCELERATED, built.F_norm, s=s, c=c, mu=mu)
+    s = min(0.9 / built.problem.F_norm, mu)
+    schedule = make_schedule(ACCELERATED, built.problem.F_norm, s=s, c=c, mu=mu)
     init = zeros_init(problem)
     traj = run(problem, schedule, init, budget=10_000, tol=0.0)
     saddle = built.saddle
@@ -263,9 +263,9 @@ def optimal_ss_run():
     built = build_instance(InstanceSpec(QUAD_PAIR, d1=5, seed=0))  # mu = gamma = 1
     problem = built.problem
     s = 0.5
-    schedule = make_schedule(OPTIMAL_SS, built.F_norm, s=s, mu=1.0, gamma=1.0)
+    schedule = make_schedule(OPTIMAL_SS, built.problem.F_norm, s=s, mu=1.0, gamma=1.0)
     traj = run(problem, schedule, zeros_init(problem), budget=2000, tol=1e-10)
-    rho = rho_rate(1.0, 1.0, s, built.F_norm)
+    rho = rho_rate(1.0, 1.0, s, built.problem.F_norm)
     return built, traj, s, rho
 
 
@@ -282,7 +282,7 @@ def test_criterion_05_contraction_rate():
     weighted = dist_sq(last.x_next, saddle.x) + dist_sq(last.y_next, saddle.y)
     rec0 = traj.records[0]
     sandwich = theorem_bound(
-        OPTIMAL_SS, last.k + 1, mu=1.0, gamma=1.0, s=s, F_norm=built.F_norm,
+        OPTIMAL_SS, last.k + 1, mu=1.0, gamma=1.0, s=s, F_norm=built.problem.F_norm,
         dx0=dist_sq(rec0.x, saddle.x), dy0=dist_sq(rec0.y, saddle.y),
         form="trajectory",
     )
@@ -379,7 +379,7 @@ def test_criterion_07_optimality_residuals():
         built = build_instance(spec)
         problem = built.problem
         schedule = make_schedule(
-            regime, built.F_norm, mu=problem.mu, gamma=problem.gamma
+            regime, built.problem.F_norm, mu=problem.mu, gamma=problem.gamma
         )
         traj = run(problem, schedule, zeros_init(problem), budget=1000, tol=0.0)
         for rec in traj.records:
@@ -406,8 +406,8 @@ def test_criterion_09_ode_consistency():
     T = 10.0
     sups = []
     for base in (0.1, 0.05, 0.025):
-        s = base / built.F_norm
-        schedule = make_schedule(FIXED, built.F_norm, s=s)
+        s = base / built.problem.F_norm
+        schedule = make_schedule(FIXED, built.problem.F_norm, s=s)
         traj = run(
             problem, schedule, init, budget=int(math.ceil(T / s)), tol=0.0
         )
@@ -444,10 +444,10 @@ def test_criterion_10_tv_denoising_end_to_end():
         InstanceSpec(GEN_LASSO, d1=50, seed=0, lam=0.2, identity_a=True)
     )
     problem = built.problem
-    ref = reference_saddle(problem, F_norm=built.F_norm)
+    ref = reference_saddle(problem)
     cert = certify_saddle(problem, ref, tol=1e-8)
 
-    schedule = make_schedule(FIXED, built.F_norm)
+    schedule = make_schedule(FIXED, built.problem.F_norm)
     traj = run(problem, schedule, zeros_init(problem), budget=100_000, tol=1e-12)
     phi_run = primal_objective(
         built.A, built.b, built.spec.lam, problem.F, traj.final.x

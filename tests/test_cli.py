@@ -168,6 +168,27 @@ def test_verify_fails_lemma_on_nan_slack(tmp_path, capsys, monkeypatch):
     assert "check.lemma = FAIL (slack is nan at k=0)" in stdout
 
 
+def test_divergence_guard_exits_1_without_checks(tmp_path, capsys, monkeypatch):
+    # no check can fail, yet a run the guard stopped is not a success
+    monkeypatch.setattr(
+        zoo, "prox_shifted_quadratic", lambda a, m, v, t: np.full_like(v, np.nan)
+    )
+    out = tmp_path / "out"
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 2, "seed": 0},
+        "regime": "fixed",
+        "budget": 10,
+        "checks": [],
+        "output": str(out),
+    }
+    assert main(["run", write_config(tmp_path, doc)]) == 1
+    stdout = capsys.readouterr().out
+    summary = (out / "summary.txt").read_text()
+    for text in (stdout, summary):
+        assert "run.termination = divergence_guard" in text
+        assert "exit_reason = divergence_guard\nexit_status = 1\n" in text
+
+
 @pytest.mark.parametrize(
     "regime, k_end", [("optimal_ss", 1), ("varying_sc", 1), ("accelerated", 2)]
 )
@@ -410,6 +431,40 @@ def test_non_finite_number_is_exit_2(tmp_path, capsys, number):
     path.write_text(json.dumps(doc).replace('"NUMBER"', number))
     assert main(["verify", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, doc",
+    [
+        ("budget", {"budget": True}),
+        ("record_every", {"record_every": True}),
+        ("instance.d", {"instance": {"kind": "quad_pair", "d": True}}),
+        ("instance.d1", {"instance": {"kind": "quad_pair", "d1": True}}),
+        ("instance.d2", {"instance": {"kind": "quad_pair", "d": 2, "d2": True}}),
+        ("instance.seed", {"instance": {"kind": "quad_pair", "d": 2, "seed": False}}),
+        ("instance.m", {"instance": {"kind": "lasso", "d": 2, "lam": 0.5, "m": True}}),
+    ],
+)
+def test_boolean_for_integer_key_is_exit_2(tmp_path, capsys, key, doc):
+    # bool subclasses int, yet true/false is no integer
+    doc = {"instance": {"kind": "quad_pair", "d": 2}, "regime": "fixed", **doc}
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    assert f'key "{key}" must be an integer' in capsys.readouterr().err
+
+
+def test_verify_large_total_variation_instance(tmp_path, capsys):
+    # the first-difference norm at d = 400 is exact, so every check runs
+    doc = {
+        "instance": {"kind": "gen_lasso", "d": 400, "lam": 0.05, "identity_a": True},
+        "regime": "varying_sc",
+        "budget": 200,
+        "checks": ["lemma", "theorem", "rate_fit"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 0
+    stdout = capsys.readouterr().out
+    assert "saddle.source = reference_run" in stdout
+    for name in ("lemma", "theorem", "rate_fit"):
+        assert f"check.{name} = PASS" in stdout
 
 
 def test_inadmissible_schedule_is_exit_2(tmp_path, capsys):

@@ -82,7 +82,7 @@ def test_decoupled_scalar_recurrence():
 def test_implicit_equation_residual_is_small():
     # independently verify M (z+ - z) = h rhs(z+) on a coupled smooth instance
     built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=3, seed=1))
-    s = 0.5 / built.F_norm
+    s = 0.5 / built.problem.F_norm
     prob = built.problem
     state = OdeState(np.ones(3), -np.ones(3), 0.0)
     nxt = hires_ode_step(state, 0.2, s, s, s, prob)
@@ -143,7 +143,7 @@ def test_integrate_includes_initial_state():
 
 def test_integrate_sets_up_once_per_call(monkeypatch):
     built = build_instance(InstanceSpec(kind="quad_pair", d1=16, seed=1))
-    s = 0.9 / built.F_norm
+    s = 0.9 / built.problem.F_norm
     calls = {"mass_matrix": 0, "cond": 0, "_rhs_jacobian": 0}
 
     def counted(module, name, key):
@@ -166,7 +166,7 @@ def test_integrate_sets_up_once_per_call(monkeypatch):
 
 def test_integrate_matches_chained_single_steps():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=16, seed=1))
-    s = 0.9 / built.F_norm
+    s = 0.9 / built.problem.F_norm
     h = s / 100
     init = OdeState(np.ones(16), -np.ones(16), 0.0)
     states = integrate(init, T=1.0, h=h, s=s, tau=s, sigma=s, problem=built.problem)
@@ -203,8 +203,8 @@ def test_integrate_rebuilds_newton_matrix_for_nonlinear_gradients(monkeypatch):
 def test_fixed_step_iteration_matches_implicit_euler():
     # the fixed-step, theta = 1 iteration IS the implicit scheme with h = s
     built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=3, seed=12))
-    s = 0.3 / built.F_norm
-    sched = make_schedule(FIXED, built.F_norm, s=s)
+    s = 0.3 / built.problem.F_norm
+    sched = make_schedule(FIXED, built.problem.F_norm, s=s)
     init = PrimalDualPair(np.ones(3), np.zeros(3))
     n = 30
     traj = run(built.problem, sched, init, budget=n, tol=0.0)
@@ -223,7 +223,7 @@ def test_fixed_step_iteration_matches_implicit_euler():
 
 def test_continuous_lyapunov_decays_along_flow():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=2, d2=2, seed=3))
-    s = 0.4 / built.F_norm
+    s = 0.4 / built.problem.F_norm
     init = OdeState(np.ones(2), np.ones(2), 0.0)
     states = integrate(init, T=5.0, h=0.05, s=s, tau=s, sigma=s, problem=built.problem)
     sad = built.saddle
@@ -234,7 +234,7 @@ def test_continuous_lyapunov_decays_along_flow():
 
 def test_long_horizon_flow_reaches_saddle():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=2, d2=2, seed=3))
-    s = 0.4 / built.F_norm
+    s = 0.4 / built.problem.F_norm
     init = OdeState(np.ones(2), -np.ones(2), 0.0)
     final = integrate(init, T=10.0, h=1e-3, s=s, tau=s, sigma=s, problem=built.problem)[-1]
     sad = built.saddle

@@ -171,14 +171,14 @@ def test_check_lemma_quadratic_pair_all_regimes():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=5, d2=5, seed=0, mu=1.0, gamma=1.0))
     init = PrimalDualPair(np.zeros(5), np.zeros(5))
     regimes = {
-        FIXED: make_schedule(FIXED, built.F_norm),
-        VARYING_SC: make_schedule(VARYING_SC, built.F_norm, mu=1.0),
-        ACCELERATED: make_schedule(ACCELERATED, built.F_norm, mu=1.0),
-        OPTIMAL_SS: make_schedule(OPTIMAL_SS, built.F_norm, mu=1.0, gamma=1.0),
+        FIXED: make_schedule(FIXED, built.problem.F_norm),
+        VARYING_SC: make_schedule(VARYING_SC, built.problem.F_norm, mu=1.0),
+        ACCELERATED: make_schedule(ACCELERATED, built.problem.F_norm, mu=1.0),
+        OPTIMAL_SS: make_schedule(OPTIMAL_SS, built.problem.F_norm, mu=1.0, gamma=1.0),
     }
     for regime, sched in regimes.items():
         traj = run(built.problem, sched, init, budget=500, tol=0.0)
-        records = check_lemma(regime, traj, built.problem, built.saddle, F_norm=built.F_norm)
+        records = check_lemma(regime, traj, built.problem, built.saddle)
         assert len(records) >= 1
         for rec in records:
             assert rec.lemma_slack >= -slack_tolerance(rec.E)
@@ -190,9 +190,9 @@ def test_check_lemma_quadratic_pair_all_regimes():
 
 def test_check_lemma_saddle_start_gives_zero_energy():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=3, seed=8))
-    sched = make_schedule(OPTIMAL_SS, built.F_norm, mu=1.0, gamma=1.0)
+    sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, mu=1.0, gamma=1.0)
     traj = run(built.problem, sched, built.saddle, budget=20, tol=0.0)
-    records = check_lemma(OPTIMAL_SS, traj, built.problem, built.saddle, F_norm=built.F_norm)
+    records = check_lemma(OPTIMAL_SS, traj, built.problem, built.saddle)
     for rec in records:
         assert abs(rec.E) <= 1e-20
         assert abs(rec.lemma_slack) <= 1e-20
@@ -201,24 +201,24 @@ def test_check_lemma_saddle_start_gives_zero_energy():
 def test_check_lemma_refuses_inadmissible_scale():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=2, d2=2, seed=9))
     # bypass the factory to fabricate an inadmissible schedule (s ||F|| = 1.5)
-    bad = Schedule(regime=VARYING_SC, s=1.5 / built.F_norm, c=0.5, mu=1.0)
+    bad = Schedule(regime=VARYING_SC, s=1.5 / built.problem.F_norm, c=0.5, mu=1.0)
     traj = run(built.problem, bad, PrimalDualPair(np.ones(2), np.ones(2)), budget=3, tol=0.0)
     with pytest.raises(ValueError):
-        check_lemma(VARYING_SC, traj, built.problem, built.saddle, F_norm=built.F_norm)
+        check_lemma(VARYING_SC, traj, built.problem, built.saddle)
 
 
 def test_check_lemma_regime_mismatch():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=2, d2=2, seed=9))
-    sched = make_schedule(FIXED, built.F_norm)
+    sched = make_schedule(FIXED, built.problem.F_norm)
     traj = run(built.problem, sched, PrimalDualPair(np.ones(2), np.ones(2)), budget=5, tol=0.0)
     with pytest.raises(ValueError):
-        check_lemma(VARYING_SC, traj, built.problem, built.saddle, F_norm=built.F_norm)
+        check_lemma(VARYING_SC, traj, built.problem, built.saddle)
 
 
 def test_check_lemma_requires_both_moduli_for_fixed_steps():
     built = build_instance(InstanceSpec(kind="lasso", d1=5, seed=3, lam=10.0))
     assert built.saddle is not None  # interior dual: closed-form saddle
-    sched = make_schedule(FIXED, built.F_norm)
+    sched = make_schedule(FIXED, built.problem.F_norm)
     traj = run(built.problem, sched, PrimalDualPair(np.zeros(5), np.zeros(5)), budget=20, tol=0.0)
     with pytest.raises(NoMatchingLemma):
-        check_lemma(FIXED, traj, built.problem, built.saddle, F_norm=built.F_norm)
+        check_lemma(FIXED, traj, built.problem, built.saddle)

@@ -1,27 +1,30 @@
-"""Problem container, spectral-norm estimation, and admissibility tests."""
+"""Problem container, its exact operator norm, and the primal/dual pair."""
+
+import math
 
 import numpy as np
 import pytest
 
-from pdhglab import (
-    Admissibility,
-    PowerIterationError,
-    PrimalDualPair,
-    SaddleProblem,
-    check_admissibility,
-    operator_norm,
-)
+from pdhglab import InstanceSpec, PrimalDualPair, SaddleProblem, build_instance
+
+
+def norm_of(F) -> float:
+    F = np.asarray(F, dtype=float)
+    return SaddleProblem(
+        d1=F.shape[1], d2=F.shape[0], F=F,
+        prox_f=lambda v, t: v, prox_gstar=lambda w, t: w,
+    ).F_norm
 
 
 def test_operator_norm_small_examples():
-    assert operator_norm(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(1.0, abs=1e-12)
-    assert operator_norm(np.array([[3.0]])) == pytest.approx(3.0, abs=1e-12)
-    got = operator_norm(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert got == pytest.approx(5.464985704219043, abs=1e-9)
+    assert norm_of([[0.0, 1.0], [1.0, 0.0]]) == pytest.approx(1.0, abs=1e-15)
+    assert norm_of([[3.0]]) == 3.0
+    got = norm_of([[1.0, 2.0], [3.0, 4.0]])
+    assert got == pytest.approx(5.464985704219043, rel=1e-15)
 
 
 def test_operator_norm_zero_matrix():
-    assert operator_norm(np.zeros((3, 2))) == 0.0
+    assert norm_of(np.zeros((3, 2))) == 0.0
 
 
 def test_operator_norm_matches_dense_svd():
@@ -30,27 +33,20 @@ def test_operator_norm_matches_dense_svd():
         m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         F = rng.standard_normal((m, n)) * float(rng.uniform(0.1, 10.0))
         want = np.linalg.svd(F, compute_uv=False)[0]
-        got = operator_norm(F)
-        assert abs(got - want) <= 1e-8 * max(1.0, want)
+        assert norm_of(F) == pytest.approx(want, rel=1e-14)
 
 
-def test_operator_norm_nonconvergence_carries_estimate():
-    F = np.array([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(PowerIterationError) as info:
-        operator_norm(F, tol=1e-30, max_iter=3)
-    # the partial estimate is still in the right ballpark
-    assert abs(info.value.estimate - 5.464985704219043) <= 0.5
+@pytest.mark.parametrize("d", [2, 80, 400])
+def test_operator_norm_of_first_differences_is_closed_form(d):
+    # ||D||_2 = 2 cos(pi / (2d)) for the (d-1) x d first-difference matrix
+    built = build_instance(InstanceSpec("gen_lasso", d1=d, lam=0.5, identity_a=True))
+    want = 2.0 * math.cos(math.pi / (2 * d))
+    assert built.problem.F_norm == pytest.approx(want, rel=1e-14)
 
 
-def test_check_admissibility_examples():
-    rep = check_admissibility(0.5, 1.0)
-    assert isinstance(rep, Admissibility)
-    assert rep.admissible and rep.margin == pytest.approx(0.5)
-    # the boundary s * ||F|| = 1 is excluded
-    assert not check_admissibility(1.0, 1.0).admissible
-    s = 0.9 / operator_norm(np.array([[3.0]]))
-    rep = check_admissibility(s, 3.0)
-    assert rep.admissible and rep.margin == pytest.approx(0.1, abs=1e-12)
+def test_operator_norm_of_lasso_identity_is_one():
+    built = build_instance(InstanceSpec("lasso", d1=40, lam=0.1))
+    assert built.problem.F_norm == 1.0
 
 
 def test_saddle_problem_holds_dimensions_and_oracles():

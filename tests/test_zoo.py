@@ -83,7 +83,7 @@ def test_lasso_active_dual_has_no_closed_form():
 
 def test_reference_saddle_certifies():
     built = build_instance(InstanceSpec(kind="lasso", d1=5, seed=3, lam=0.5, cond=3.0))
-    sad = reference_saddle(built.problem, F_norm=built.F_norm)
+    sad = reference_saddle(built.problem)
     cert = certify_saddle(built.problem, sad, tol=1e-8)
     assert cert.passed
     # an l1-regularized solution at this lam is sparse but not all-zero
@@ -144,7 +144,7 @@ def test_build_instance_is_deterministic():
     b2 = build_instance(spec)
     assert np.array_equal(b1.A, b2.A)
     assert np.array_equal(b1.b, b2.b)
-    assert b1.F_norm == b2.F_norm
+    assert b1.problem.F_norm == b2.problem.F_norm
 
 
 def test_build_instance_quad_pair_unit_coupling_norm():
@@ -178,8 +178,8 @@ def test_instance_spec_validation():
 def test_tv_instance_end_to_end_fixed_run():
     built = build_instance(InstanceSpec(kind="gen_lasso", d1=20, seed=0, lam=0.2, identity_a=True))
     assert built.problem.d2 == 19
-    sad = reference_saddle(built.problem, F_norm=built.F_norm)
-    sched = make_schedule(FIXED, built.F_norm)
+    sad = reference_saddle(built.problem)
+    sched = make_schedule(FIXED, built.problem.F_norm)
     traj = run(built.problem, sched, PrimalDualPair(np.zeros(20), np.zeros(19)), budget=50_000, tol=1e-12)
     phi_run = primal_objective(built.A, built.b, 0.2, built.problem.F, traj.final.x)
     phi_ref = primal_objective(built.A, built.b, 0.2, built.problem.F, sad.x)
