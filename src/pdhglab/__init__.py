@@ -15,7 +15,6 @@ from .config import (
 )
 from .dynamics import OdeState, hires_ode_step, integrate
 from .engine import (
-    StepRecord,
     Trajectory,
     optimality_residual,
     pdhg_step,
@@ -23,7 +22,6 @@ from .engine import (
     step_residuals,
 )
 from .lyapunov import (
-    LyapunovRecord,
     LyapunovTable,
     NoMatchingLemma,
     alpha_rate,

@@ -14,14 +14,14 @@ Subcommands:
 Exit status: 0 when every requested check passed or was skipped, 1 when any
 check failed or the run was stopped by the divergence guard (the summary
 then names it as ``exit_reason = divergence_guard``), 2 for configuration
-errors.
+errors, including a budget whose trajectory cannot be reserved in memory.
 
 The trajectory CSV has one row per recorded step.  Row k holds the pre-step
 state diagnostics (distances, Lyapunov value) at iterate k together with the
 transition quantities of step k -> k+1 (numerical error, lemma slack,
 residuals).  Values are written with 17 significant digits so downstream
 tolerance checks read back losslessly; entries that are not defined for the
-run (no saddle point, no matching lemma, gaps in accelerated records) are
+run (no saddle point, no matching lemma, gaps in accelerated rows) are
 ``nan``.
 """
 
@@ -112,15 +112,13 @@ def _bound_constants(built, schedule, table: LyapunovTable) -> Optional[dict]:
     mu = built.problem.mu
     if schedule.regime == ACCELERATED:
         K0 = k0_threshold(mu, schedule.c)
-        for k, E in zip(table.k, table.E):
-            if k == K0 and not math.isnan(E):
-                return dict(mu=mu, c=schedule.c, E_K0=E)
-        return None
+        at = np.flatnonzero((table.k == K0) & ~np.isnan(table.E))
+        return dict(mu=mu, c=schedule.c, E_K0=float(table.E[at[0]])) if at.size else None
     if schedule.regime == FIXED or table.k[0] != 0 or math.isnan(table.E[0]):
         return None
     consts = dict(
-        mu=mu, s=schedule.s, F_norm=built.problem.F_norm, E0=table.E[0],
-        dx0=table.dist_x[0], dy0=table.dist_y[0],
+        mu=mu, s=schedule.s, F_norm=built.problem.F_norm, E0=float(table.E[0]),
+        dx0=float(table.dist_x[0]), dy0=float(table.dist_y[0]),
     )
     if schedule.regime == VARYING_SC:
         consts["c"] = schedule.c
@@ -129,41 +127,45 @@ def _bound_constants(built, schedule, table: LyapunovTable) -> Optional[dict]:
     return consts
 
 
-def _check_lemma(config, built, traj, table) -> tuple[CheckResult, Optional[list]]:
+def _check_lemma(config, built, traj, table) -> tuple[CheckResult, Optional[np.ndarray]]:
+    """The lemma verdict and the per-row slacks (None when not evaluated)."""
     if table is None:
         return CheckResult(CHECK_LEMMA, SKIPPED, "no certified saddle available"), None
     try:
-        records = lemma_records(config.regime, traj, built.problem, table)
+        _, slack = lemma_records(config.regime, traj, built.problem, table)
     except NoMatchingLemma as exc:
         return CheckResult(CHECK_LEMMA, SKIPPED, str(exc)), None
     except ValueError as exc:
         return CheckResult(CHECK_LEMMA, FAIL, str(exc)), None
-    status, detail = PASS, f"{len(records)} transitions"
-    nan_k = next((rec.k for rec in records if math.isnan(rec.lemma_slack)), None)
-    if nan_k is not None:
-        status, detail = FAIL, f"slack is nan at k={nan_k}"
-    elif records:
-        worst = min(records, key=lambda rec: rec.lemma_slack + slack_tolerance(rec.E))
-        margin = worst.lemma_slack + slack_tolerance(worst.E)
-        if margin < 0.0:
-            status, detail = FAIL, f"slack violation at k={worst.k}, margin={margin:.3e}"
-        else:
-            lowest = min(records, key=lambda rec: rec.lemma_slack)
-            detail += f", min slack {lowest.lemma_slack:.3e} at k={lowest.k}"
-    return CheckResult(CHECK_LEMMA, status, detail), records
+    k = table.k
+    nan = np.flatnonzero(np.isnan(slack))
+    if nan.size:
+        return CheckResult(CHECK_LEMMA, FAIL, f"slack is nan at k={k[nan[0]]}"), slack
+    margin = slack + slack_tolerance(table.E)
+    worst = np.argmin(margin)
+    if margin[worst] < 0.0:
+        detail = f"slack violation at k={k[worst]}, margin={margin[worst]:.3e}"
+        return CheckResult(CHECK_LEMMA, FAIL, detail), slack
+    lowest = np.argmin(slack)
+    detail = f"{len(slack)} transitions, min slack {slack[lowest]:.3e} at k={k[lowest]}"
+    return CheckResult(CHECK_LEMMA, PASS, detail), slack
 
 
 def _first_nan(k, *named) -> Optional[CheckResult]:
-    """A theorem FAIL naming the first nan among the (name, value) pairs."""
-    for name, value in named:
-        if math.isnan(value):
-            return CheckResult(CHECK_THEOREM, FAIL, f"{name} is nan at k={k}")
-    return None
+    """A theorem FAIL naming the first nan among the (name, column) pairs:
+    the earliest row of ``k`` first, then the earliest pair."""
+    hits = np.argwhere(np.isnan(np.column_stack([column for _, column in named])))
+    if not len(hits):
+        return None
+    row, pair = hits[0]
+    return CheckResult(
+        CHECK_THEOREM, FAIL, f"{named[pair][0]} is nan at k={np.atleast_1d(k)[row]}"
+    )
 
 
 def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResult:
     """The regime's closed-form bound; ``bounds`` is the default-form
-    theorem_bound of each table record.  Any nan it compares is a FAIL."""
+    theorem_bound of each table row.  Any nan it compares is a FAIL."""
     regime = config.regime
     if regime == FIXED:
         return CheckResult(
@@ -177,59 +179,64 @@ def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResul
             "bound constants unavailable (run not recorded from its start)",
         )
     mu, gamma = built.problem.mu, built.problem.gamma
-    # The final post-state is compared by no per-record bound below.
+    k, E, dist = table.k, table.E, table.dist_x
+    last = int(k[-1]) + 1
+    # The final post-state is compared by no per-row bound below.
     failed = _first_nan(
-        table.k[-1] + 1,
-        ("Lyapunov value", table.E_next[-1]), ("distance", table.dist_x_next[-1]),
+        last, ("Lyapunov value", table.E_next[-1]), ("distance", table.dist_x_next[-1])
     )
     if failed:
         return failed
 
     if regime == VARYING_SC:
-        worst = 0.0
-        for k, E, bound in zip(table.k, table.E, bounds):
-            failed = _first_nan(k, ("Lyapunov value", E), ("bound", bound))
-            if failed:
-                return failed
-            if E > bound * (1.0 + 1e-6):
-                worst = max(worst, E / bound if bound > 0 else math.inf)
-        if worst > 0.0:
-            return CheckResult(
-                CHECK_THEOREM, FAIL, f"Lyapunov bound exceeded, worst ratio {worst:.6g}"
+        failed = _first_nan(k, ("Lyapunov value", E), ("bound", bounds))
+        if failed:
+            return failed
+        over = E > bounds * (1.0 + 1e-6)
+        if over.any():
+            ratio = np.divide(
+                E[over], bounds[over], out=np.full(over.sum(), math.inf),
+                where=bounds[over] > 0,
             )
-        for k, dist in zip(table.k, table.dist_x):
-            tb = theorem_bound(regime, k, form="trajectory", **consts)
-            failed = _first_nan(k, ("distance", dist), ("trajectory bound", tb))
-            if failed:
-                return failed
-            if dist > tb * (1.0 + 1e-6):
-                return CheckResult(
-                    CHECK_THEOREM, FAIL,
-                    f"trajectory bound exceeded at k={k}: {dist:.6g} > {tb:.6g}",
-                )
+            return CheckResult(
+                CHECK_THEOREM, FAIL, f"Lyapunov bound exceeded, worst ratio {ratio.max():.6g}"
+            )
+        tb = np.array(
+            [theorem_bound(regime, ki, form="trajectory", **consts) for ki in k.tolist()]
+        )
+        failed = _first_nan(k, ("distance", dist), ("trajectory bound", tb))
+        if failed:
+            return failed
+        over = np.flatnonzero(dist > tb * (1.0 + 1e-6))
+        if over.size:
+            i = over[0]
+            return CheckResult(
+                CHECK_THEOREM, FAIL,
+                f"trajectory bound exceeded at k={k[i]}: {dist[i]:.6g} > {tb[i]:.6g}",
+            )
         return CheckResult(CHECK_THEOREM, PASS, "Lyapunov and trajectory bounds hold")
 
     if regime == ACCELERATED:
         K0 = k0_threshold(mu, schedule.c)
-        for k, dist, bound in zip(table.k, table.dist_x, bounds):
-            if k < K0:
-                continue
-            failed = _first_nan(k, ("distance", dist), ("bound", bound))
-            if failed:
-                return failed
-            if dist > bound * (1.0 + 1e-6):
-                return CheckResult(
-                    CHECK_THEOREM, FAIL,
-                    f"O(1/k^2) bound exceeded at k={k}: {dist:.6g} > {bound:.6g}",
-                )
+        after = k >= K0
+        k, dist, bound = k[after], dist[after], bounds[after]
+        failed = _first_nan(k, ("distance", dist), ("bound", bound))
+        if failed:
+            return failed
+        over = np.flatnonzero(dist > bound * (1.0 + 1e-6))
+        if over.size:
+            i = over[0]
+            return CheckResult(
+                CHECK_THEOREM, FAIL,
+                f"O(1/k^2) bound exceeded at k={k[i]}: {dist[i]:.6g} > {bound[i]:.6g}",
+            )
         return CheckResult(CHECK_THEOREM, PASS, f"O(1/k^2) bound holds from K0={K0}")
 
     # OPTIMAL_SS: per-step contraction plus the terminal weighted sandwich.
     rho = rho_rate(mu, gamma, schedule.s, built.problem.F_norm)
-    for k, E in zip(table.k, table.E):
-        failed = _first_nan(k, ("Lyapunov value", E))
-        if failed:
-            return failed
+    failed = _first_nan(k, ("Lyapunov value", E))
+    if failed:
+        return failed
     try:
         summary = contraction_factors(_finite_E(table))
         if summary.max_ratio > rho + 1e-8:
@@ -241,9 +248,9 @@ def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResul
     except ValueError:
         ratio_detail = "contraction ratios not measurable (series too short)"
     weighted = mu * table.dist_x_next[-1] + gamma * table.dist_y_next[-1]
-    sandwich = theorem_bound(regime, table.k[-1] + 1, form="trajectory", **consts)
+    sandwich = theorem_bound(regime, last, form="trajectory", **consts)
     failed = _first_nan(
-        table.k[-1] + 1, ("terminal weighted distance", weighted), ("sandwich", sandwich)
+        last, ("terminal weighted distance", weighted), ("sandwich", sandwich)
     )
     if failed:
         return failed
@@ -255,8 +262,10 @@ def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResul
     return CheckResult(CHECK_THEOREM, PASS, ratio_detail)
 
 
-def _finite_E(table: LyapunovTable) -> list[tuple[int, float]]:
-    return [(k, E) for k, E in zip(table.k, table.E) if not math.isnan(E)]
+def _finite_E(table: LyapunovTable) -> np.ndarray:
+    """The (k, E) rows of the table where E is defined, as an (n, 2) array."""
+    keep = ~np.isnan(table.E)
+    return np.column_stack((table.k[keep], table.E[keep]))
 
 
 def _check_rate_fit(config, built, traj, table) -> tuple[CheckResult, Optional[float], Optional[float]]:
@@ -266,8 +275,9 @@ def _check_rate_fit(config, built, traj, table) -> tuple[CheckResult, Optional[f
     if config.regime == ACCELERATED:
         K0 = k0_threshold(built.problem.mu, traj.schedule.c)
     lo, hi = default_window(K0)
-    hi = min(hi, traj.records[-1].k)
-    series = [(k, dist) for k, dist in zip(table.k, table.dist_x) if dist > 0.0]
+    hi = min(hi, int(traj.k[-1]))
+    positive = table.dist_x > 0.0
+    series = np.column_stack((table.k[positive], table.dist_x[positive]))
     try:
         fit = fit_rate(series, window=(lo, hi), name="dist_x_sq")
     except ValueError as exc:
@@ -294,10 +304,7 @@ def _check_ode_compare(config, built, schedule, traj) -> CheckResult:
     y0 = np.zeros(problem.d2)
     sups = []
     for level in range(3):
-        scale = 0.5**level
-        s = schedule.s * scale
-        tau = schedule.tau * scale
-        sigma = schedule.sigma * scale
+        s, tau, sigma = (v * 0.5**level for v in (schedule.s, schedule.tau, schedule.sigma))
         n_iter = int(math.ceil(T / s))
         sub_sched = Schedule(regime=FIXED, s=s, tau=tau, sigma=sigma)
         sub_traj = run(
@@ -306,27 +313,22 @@ def _check_ode_compare(config, built, schedule, traj) -> CheckResult:
         )
         ref = integrate(OdeState(X=x0, Y=y0, t=0.0), T, s / 100.0, s, tau, sigma, problem)
         sup = 0.0
-        for rec in sub_traj.records:
-            idx = (rec.k + 1) * 100
-            if (rec.k + 1) * s > T + 1e-12 or idx >= len(ref):
+        for k, x_next, y_next in zip(sub_traj.k.tolist(), sub_traj.x_next, sub_traj.y_next):
+            idx = (k + 1) * 100
+            if (k + 1) * s > T + 1e-12 or idx >= len(ref):
                 continue
-            dx = rec.x_next - ref[idx].X
-            dy = rec.y_next - ref[idx].Y
+            dx = x_next - ref[idx].X
+            dy = y_next - ref[idx].Y
             err = math.sqrt(float(dx @ dx) + float(dy @ dy))
             sup = max(sup, err)
         sups.append(sup)
-    ratios = [sups[i + 1] / sups[i] for i in range(2)] if min(sups) > 0 else []
-    if ratios and max(ratios) <= 0.7:
-        return CheckResult(
-            CHECK_ODE_COMPARE, PASS,
-            "halving ratios " + ", ".join(f"{r:.3f}" for r in ratios),
-        )
-    if not ratios:
+    if not min(sups) > 0:
         return CheckResult(CHECK_ODE_COMPARE, SKIPPED, "discretization error is zero")
-    return CheckResult(
-        CHECK_ODE_COMPARE, FAIL,
-        "halving ratios " + ", ".join(f"{r:.3f}" for r in ratios) + " exceed 0.7",
-    )
+    ratios = [sups[i + 1] / sups[i] for i in range(2)]
+    detail = "halving ratios " + ", ".join(f"{r:.3f}" for r in ratios)
+    if max(ratios) <= 0.7:
+        return CheckResult(CHECK_ODE_COMPARE, PASS, detail)
+    return CheckResult(CHECK_ODE_COMPARE, FAIL, detail + " exceed 0.7")
 
 
 def _summary_header(config, built, schedule) -> list[str]:
@@ -359,6 +361,9 @@ def _summary_header(config, built, schedule) -> list[str]:
     elif config.regime == OPTIMAL_SS:
         rho = rho_rate(problem.mu, problem.gamma, schedule.s, problem.F_norm)
         lines.append(f"rate.rho = {_fmt(rho)}")
+    lines.append(f"run.budget = {config.budget}")
+    lines.append(f"run.tol = {_fmt(config.tol)}")
+    lines.append(f"run.record_every = {config.record_every}")
     return lines
 
 
@@ -378,10 +383,10 @@ def execute(
     saddle, saddle_source = _resolve_saddle(built)
     table = lyapunov_table(traj, problem, saddle) if saddle is not None else None
     consts = _bound_constants(built, schedule, table) if table is not None else None
-    # The default-form bound of each record, read by the theorem check and the CSV.
+    # The default-form bound of each row, read by the theorem check and the CSV.
     bounds = None
     if consts is not None and (write_trajectory or CHECK_THEOREM in config.checks):
-        bounds = [theorem_bound(config.regime, k, **consts) for k in table.k]
+        bounds = np.array([theorem_bound(config.regime, k, **consts) for k in table.k.tolist()])
     # The sweep aggregate wants a slope even when rate_fit was not requested.
     rate_fit, slope, resid = _check_rate_fit(config, built, traj, table)
     metrics = {"slope": slope, "slope_residual": resid, "geomean_ratio": None}
@@ -390,9 +395,7 @@ def execute(
     results: list[CheckResult] = []
     for name in config.checks:
         if name == CHECK_LEMMA:
-            result, lem_records = _check_lemma(config, built, traj, table)
-            if lem_records:
-                slacks = [rec.lemma_slack for rec in lem_records]
+            result, slacks = _check_lemma(config, built, traj, table)
         elif name == CHECK_THEOREM:
             result = _check_theorem(config, built, schedule, table, consts, bounds)
         elif name == CHECK_RATE_FIT:
@@ -401,25 +404,20 @@ def execute(
             result = _check_ode_compare(config, built, schedule, traj)
         results.append(result)
 
-    finite_E = _finite_E(table) if table is not None else []
-    if len(finite_E) >= 2:
+    if table is not None:
         try:
-            metrics["geomean_ratio"] = contraction_factors(finite_E).geomean_ratio
-        except ValueError:
+            metrics["geomean_ratio"] = contraction_factors(_finite_E(table)).geomean_ratio
+        except ValueError:  # not measurable
             pass
 
     diverged = traj.termination == TERMINATION_DIVERGENCE
     exit_code = 1 if diverged or any(r.status == FAIL for r in results) else 0
 
     lines = _summary_header(config, built, schedule)
-    lines.append(f"run.budget = {config.budget}")
-    lines.append(f"run.tol = {_fmt(config.tol)}")
-    lines.append(f"run.record_every = {config.record_every}")
     lines.append(f"run.termination = {traj.termination}")
-    last = traj.records[-1]
-    lines.append(f"run.last_k = {last.k}")
-    lines.append(f"run.final_primal_residual = {_fmt(last.primal_residual)}")
-    lines.append(f"run.final_dual_residual = {_fmt(last.dual_residual)}")
+    lines.append(f"run.last_k = {traj.k[-1]}")
+    lines.append(f"run.final_primal_residual = {_fmt(traj.primal_residual[-1])}")
+    lines.append(f"run.final_dual_residual = {_fmt(traj.dual_residual[-1])}")
     lines.append(f"saddle.source = {saddle_source}")
     if metrics["slope"] is not None:
         lines.append(f"rate_fit.slope = {_fmt(metrics['slope'])}")
@@ -447,38 +445,27 @@ def execute(
 
 
 def _write_csv(path, traj, table, slacks, bounds):
-    nan = float("nan")
-    n = len(traj.records)
+    undefined = np.full(len(traj.k), math.nan)
     if table is None:
-        columns = ((nan,) * n,) * 4
+        diagnostics = [undefined] * 4
     else:
-        columns = (table.dist_x, table.dist_y, table.E, table.ne)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec, dist_x, dist_y, E, ne, slack, bound in zip(
-            traj.records, *columns, slacks or (nan,) * n, bounds or (nan,) * n
-        ):
-            writer.writerow(
-                [str(rec.k)]
-                + [
-                    _fmt(v)
-                    for v in (
-                        rec.tau, rec.sigma, rec.theta, dist_x, dist_y, E, ne,
-                        slack, bound, rec.primal_residual, rec.dual_residual,
-                    )
-                ]
-            )
+        diagnostics = [table.dist_x, table.dist_y, table.E, table.ne]
+    columns = (
+        [traj.k, traj.tau, traj.sigma, traj.theta]
+        + diagnostics
+        + [undefined if slacks is None else slacks, undefined if bounds is None else bounds]
+        + [traj.primal_residual, traj.dual_residual]
+    )
+    np.savetxt(
+        path, np.column_stack(columns), fmt=["%d"] + ["%.17g"] * 11, delimiter=",",
+        newline="\r\n", header=",".join(CSV_COLUMNS), comments="",
+    )
 
 
 def _sweep_cells(config: ExperimentConfig):
     cs = config.sweep_c if config.sweep_c is not None else (config.c,)
     ss = config.sweep_s if config.sweep_s is not None else (config.s,)
-    cells = []
-    for i, c in enumerate(cs):
-        for j, s in enumerate(ss):
-            cells.append((i, j, c, s))
-    return cells
+    return [(i, j, c, s) for i, c in enumerate(cs) for j, s in enumerate(ss)]
 
 
 def _run_cell(payload):
@@ -535,16 +522,9 @@ def sweep(config: ExperimentConfig) -> int:
         )
         for i, j, c, s, code, metrics in outcomes:
             overall = max(overall, code)
+            values = (c, s, metrics["slope"], metrics["slope_residual"], metrics["geomean_ratio"])
             writer.writerow(
-                [
-                    f"cell_{i}_{j}",
-                    "" if c is None else _fmt(c),
-                    "" if s is None else _fmt(s),
-                    "" if metrics["slope"] is None else _fmt(metrics["slope"]),
-                    "" if metrics["slope_residual"] is None else _fmt(metrics["slope_residual"]),
-                    "" if metrics["geomean_ratio"] is None else _fmt(metrics["geomean_ratio"]),
-                    str(code),
-                ]
+                [f"cell_{i}_{j}"] + ["" if v is None else _fmt(v) for v in values] + [str(code)]
             )
     print(f"wrote {agg_path} ({len(outcomes)} cells)")
     return overall
@@ -553,9 +533,6 @@ def sweep(config: ExperimentConfig) -> int:
 def info(config: ExperimentConfig) -> int:
     built, schedule = materialize(config)
     lines = _summary_header(config, built, schedule)
-    lines.append(f"run.budget = {config.budget}")
-    lines.append(f"run.tol = {_fmt(config.tol)}")
-    lines.append(f"run.record_every = {config.record_every}")
     lines.append(f"checks = {','.join(config.checks) if config.checks else '(none)'}")
     print("\n".join(lines))
     return 0
@@ -598,6 +575,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # the trajectory is reserved for the whole budget
+        print(f"config error: {exc}; lower budget or raise record_every", file=sys.stderr)
         return 2
 
 

@@ -109,12 +109,17 @@ def _parse_instance(obj) -> InstanceSpec:
         raise ConfigError(
             f'key "instance.kind" must be one of {list(KINDS)}, got {obj["kind"]!r}'
         )
-    for key in ("mu", "gamma"):
-        if key in obj and obj["kind"] != QUAD_PAIR:
+    # A key the kind ignores would run silently with another value.
+    kind = obj["kind"]
+    for key in obj:
+        if key in ("mu", "gamma", "d2") and kind != QUAD_PAIR:
             raise ConfigError(
-                f'key "instance.{key}" applies to {QUAD_PAIR} only; '
-                f'{obj["kind"]} derives its moduli from the data'
+                f'key "instance.{key}" applies to {QUAD_PAIR} only; {kind} derives it from the data'
             )
+        if key in ("lam", "cond", "m", "identity_a") and kind == QUAD_PAIR:
+            raise ConfigError(f'key "instance.{key}" does not apply to {QUAD_PAIR}')
+        if key in ("cond", "m") and obj.get("identity_a"):
+            raise ConfigError(f'key "instance.{key}" does not apply with "instance.identity_a"')
     if "d" in obj and "d1" in obj:
         raise ConfigError('keys "instance.d" and "instance.d1" are mutually exclusive')
     d1 = obj.get("d1", obj.get("d"))
@@ -208,11 +213,13 @@ def parse_config(text: str) -> ExperimentConfig:
             sweep_s = tuple(float(v) for v in values)
 
     checks = obj.get("checks", [])
-    for check in checks:
+    for i, check in enumerate(checks):
         if check not in CHECKS:
             raise ConfigError(
                 f'unknown check "{check}"; available checks are {list(CHECKS)}'
             )
+        if check in checks[:i]:
+            raise ConfigError(f'check "{check}" appears twice in "checks"')
 
     budget = obj.get("budget", DEFAULT_BUDGET)
     if budget < 1:
@@ -275,10 +282,11 @@ def serialize_config(config: ExperimentConfig) -> str:
     instance["seed"] = spec.seed
     if spec.lam is not None:
         instance["lam"] = spec.lam
-    if spec.kind == "quad_pair":
+    if spec.kind == QUAD_PAIR:
         instance["mu"] = spec.mu
         instance["gamma"] = spec.gamma
-    instance["cond"] = spec.cond
+    elif not spec.identity_a:
+        instance["cond"] = spec.cond
     if spec.m is not None:
         instance["m"] = spec.m
     if spec.identity_a:

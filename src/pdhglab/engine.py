@@ -12,8 +12,8 @@ The prox-composed form is an exact rewrite of the defining argmin/argmax
 subproblems; the equivalence is itself a tested property.
 
 :func:`run` drives the iteration under a :class:`~pdhglab.schedules.Schedule`
-and records :class:`StepRecord` snapshots.  Residuals attached to each record
-are fixed-point displacement residuals
+and records a :class:`Trajectory`: one row per recorded step, stored as
+columns.  The residuals of each row are fixed-point displacement residuals
 
     primal: || (x_k - x_{k+1}) / tau_k  - F^T (y_k - y_{k+1}) ||
     dual:   || (y_k - y_{k+1}) / sigma_k - theta_k F (x_k - x_{k+1}) ||
@@ -45,40 +45,37 @@ DIVERGENCE_GUARD = 1e12
 
 
 @dataclass(frozen=True, eq=False)
-class StepRecord:
-    """One recorded transition k -> k+1 with pre- and post-states."""
-
-    k: int
-    tau: float
-    sigma: float
-    theta: float
-    x: np.ndarray
-    y: np.ndarray
-    x_next: np.ndarray
-    y_next: np.ndarray
-    primal_residual: float
-    dual_residual: float
-
-
-@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded steps of one solver run.
+    """Recorded steps of one solver run, as columns aligned by row.
+
+    Row i is the transition k[i] -> k[i] + 1: the step sizes ``tau``,
+    ``sigma``, ``theta`` and displacement residuals of that step, each of
+    shape (R,), and the pre-state ``x``, ``y`` and post-state ``x_next``,
+    ``y_next``, each of shape (R, d).
 
     ``init`` is the user-supplied starting pair.  For the accelerated
     regime the engine performs a preparatory dual half-step before the
     recorded iterations begin (see :func:`run`), so ``init.y`` precedes
-    the first record's pre-state dual variable.
+    the first row's pre-state dual variable.
     """
 
-    records: tuple[StepRecord, ...]
+    k: np.ndarray
+    tau: np.ndarray
+    sigma: np.ndarray
+    theta: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    x_next: np.ndarray
+    y_next: np.ndarray
+    primal_residual: np.ndarray
+    dual_residual: np.ndarray
     init: PrimalDualPair
     schedule: Schedule
     termination: str
 
     @property
     def final(self) -> PrimalDualPair:
-        last = self.records[-1]
-        return PrimalDualPair(x=last.x_next, y=last.y_next)
+        return PrimalDualPair(x=self.x_next[-1], y=self.y_next[-1])
 
 
 def pdhg_step(
@@ -153,7 +150,20 @@ def run(
         sigma0 = schedule.c * schedule.s**2
         y = problem.prox_gstar(y + sigma0 * (problem.F @ x), sigma0)
 
-    records = []
+    d1, d2 = problem.d1, problem.d2
+    if record_every == 1:
+        # Each row's post-state is the next row's pre-state: store it once.
+        rows = budget
+        xs, ys = np.empty((budget + 1, d1)), np.empty((budget + 1, d2))
+        X, X_next, Y, Y_next = xs[:-1], xs[1:], ys[:-1], ys[1:]
+    else:
+        rows = -(-budget // record_every) + 1  # the stride rows plus the last step
+        X, X_next = np.empty((rows, d1)), np.empty((rows, d1))
+        Y, Y_next = np.empty((rows, d2)), np.empty((rows, d2))
+    K = np.empty(rows, dtype=np.int64)
+    RP, RD = np.empty(rows), np.empty(rows)
+
+    n = 0
     termination = TERMINATION_BUDGET
     for i in range(budget):
         k = schedule.k_start + i
@@ -167,20 +177,9 @@ def run(
         last = diverged or hit_tol or i == budget - 1
 
         if i % record_every == 0 or last:
-            records.append(
-                StepRecord(
-                    k=k,
-                    tau=tau_k,
-                    sigma=sigma_k,
-                    theta=theta_k,
-                    x=x,
-                    y=y,
-                    x_next=x_next,
-                    y_next=y_next,
-                    primal_residual=rp,
-                    dual_residual=rd,
-                )
-            )
+            K[n], RP[n], RD[n] = k, rp, rd
+            X[n], Y[n], X_next[n], Y_next[n] = x, y, x_next, y_next
+            n += 1
         x, y = x_next, y_next
         if diverged:
             termination = TERMINATION_DIVERGENCE
@@ -189,16 +188,17 @@ def run(
             termination = TERMINATION_RESIDUAL
             break
 
+    k = K[:n]
+    tau, sigma, theta = schedule_at(schedule, k)
     return Trajectory(
-        records=tuple(records),
-        init=init,
-        schedule=schedule,
-        termination=termination,
+        k=k, tau=tau, sigma=sigma, theta=theta, x=X[:n], y=Y[:n],
+        x_next=X_next[:n], y_next=Y_next[:n], primal_residual=RP[:n], dual_residual=RD[:n],
+        init=init, schedule=schedule, termination=termination,
     )
 
 
-def optimality_residual(problem: SaddleProblem, record: StepRecord) -> tuple[float, float]:
-    """Exact inclusion residuals of one recorded transition.
+def optimality_residual(problem: SaddleProblem, traj: Trajectory, i: int) -> tuple[float, float]:
+    """Exact inclusion residuals of row ``i`` of a trajectory.
 
         r_x = dist(0, @f(x_{k+1}) + F^T y_k + (x_{k+1} - x_k)/tau_k)
         r_y = dist(0, @g*(y_{k+1}) - F xbar_{k+1} + (y_{k+1} - y_k)/sigma_k)
@@ -208,11 +208,12 @@ def optimality_residual(problem: SaddleProblem, record: StepRecord) -> tuple[flo
     the same bits as the iterate's.
     """
     F = problem.F
-    x_bar = record.x_next + record.theta * (record.x_next - record.x)
+    x, y, x_next, y_next = traj.x[i], traj.y[i], traj.x_next[i], traj.y_next[i]
+    x_bar = x_next + traj.theta[i] * (x_next - x)
     return inclusion_residuals(
         problem,
-        record.x_next,
-        F.T @ record.y + (record.x_next - record.x) / record.tau,
-        record.y_next,
-        -(F @ x_bar) + (record.y_next - record.y) / record.sigma,
+        x_next,
+        F.T @ y + (x_next - x) / traj.tau[i],
+        y_next,
+        -(F @ x_bar) + (y_next - y) / traj.sigma[i],
     )

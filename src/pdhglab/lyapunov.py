@@ -13,11 +13,13 @@ Three discrete Lyapunov functions are evaluated, one per analysis regime:
 Each regime's descent lemma bounds E(k+1) - E(k) by an explicit nonpositive
 (or sign-determined) right-hand side.  :func:`lyapunov_table` evaluates the
 Lyapunov values, NE terms and saddle distances along a recorded trajectory
-in one pass; :func:`check_lemma` adds the lemma's right-hand side and
-reports per-step slack.  The closed-form convergence guarantees of each
-regime are exposed through :func:`theorem_bound`.
+as columns, a block of rows at a time; :func:`lemma_records` adds the
+lemma's right-hand side and per-step slack.  The closed-form convergence
+guarantees of each regime are exposed through :func:`theorem_bound`.
 
-All evaluators are pure functions of their arguments.
+All evaluators are pure functions of their arguments.  The Lyapunov and NE
+evaluators take one state (and return a float) or stacked rows of states
+with per-row step sizes (and return one value per row).
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ from .schedules import (
 )
 
 
+#: Entries per state array in one row block of :func:`lyapunov_table`
+#: (128 KiB of doubles); it bounds the memory the block's temporaries take.
+BLOCK_ELEMENTS = 2**14
+
+
 class NoMatchingLemma(ValueError):
     """No descent lemma / rate guarantee covers the requested configuration.
 
@@ -50,46 +57,44 @@ class NoMatchingLemma(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class LyapunovRecord:
-    """Per-transition diagnostic: Lyapunov value, numerical-error term,
-    descent-lemma right-hand side, and the certified slack
-
-        lemma_slack = lemma_rhs - (E(k+1) - E(k))
-
-    so that lemma_slack >= -slack_tolerance(E) certifies the lemma at this
-    step.
-    """
-
-    k: int
-    E: float
-    ne: float
-    lemma_rhs: float
-    lemma_slack: float
-
-
 @dataclass(frozen=True, eq=False)
 class LyapunovTable:
     """Diagnostics of one trajectory against one saddle, as columns aligned
-    with ``trajectory.records`` (entry i describes the transition k -> k+1
-    of record i): the regime's Lyapunov values E(k) and E(k+1), the
+    with the trajectory's rows (entry i describes the transition k -> k+1
+    of row i): the regime's Lyapunov values E(k) and E(k+1), the
     numerical-error term NE, and the squared distances of the pre-state
     (x_k, y_k) and the post-state (x_{k+1}, y_{k+1}) to the saddle.
     Undefined entries are nan.
     """
 
-    k: tuple[int, ...]
-    E: tuple[float, ...]
-    ne: tuple[float, ...]
-    dist_x: tuple[float, ...]
-    dist_y: tuple[float, ...]
-    E_next: tuple[float, ...]
-    dist_x_next: tuple[float, ...]
-    dist_y_next: tuple[float, ...]
+    k: np.ndarray
+    E: np.ndarray
+    ne: np.ndarray
+    dist_x: np.ndarray
+    dist_y: np.ndarray
+    E_next: np.ndarray
+    dist_x_next: np.ndarray
+    dist_y_next: np.ndarray
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray):
+    """Inner product over the last axis: one per row for stacked vectors."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _as_result(value):
+    """A float for one state, the array for stacked rows."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _coupled_form(dx, dy, tau, sigma, F):
+    """||dx||^2/(2 tau) + ||dy||^2/(2 sigma) - <F dx, dy>, per row."""
+    return _rowdot(dx, dx) / (2.0 * tau) + _rowdot(dy, dy) / (2.0 * sigma) - _rowdot(dx @ F.T, dy)
 
 
 def slack_tolerance(E_k: float) -> float:
-    """Relative-absolute tolerance 1e-8 (1 + |E(k)|) on the lemma slack.
+    """Relative-absolute tolerance 1e-8 (1 + |E(k)|) on the lemma slack
+    (elementwise for an array of E values).
 
     The inequalities are exact in exact arithmetic; this covers prox-solve
     and rounding error only.
@@ -101,22 +106,19 @@ def lyapunov_fixed(
     x_k: np.ndarray,
     y_k: np.ndarray,
     saddle: PrimalDualPair,
-    tau: float,
-    sigma: float,
+    tau,
+    sigma,
     F: np.ndarray,
-) -> float:
+):
     """Fixed-step Lyapunov value at (x_k, y_k).
 
     Nonnegative whenever tau * sigma = s^2 and s ||F|| < 1, with the sandwich
     (1 - s||F||)/2 * (||dx||^2/tau + ||dy||^2/sigma) <= E <= (1 + s||F||)/2 * (same).
+    Stacked rows (R, d) take step sizes of shape (R,) and give R values.
     """
-    if tau <= 0 or sigma <= 0:
+    if np.any(tau <= 0) or np.any(sigma <= 0):
         raise ValueError("step sizes must be positive")
-    dx = x_k - saddle.x
-    dy = y_k - saddle.y
-    return float(
-        dx @ dx / (2.0 * tau) + dy @ dy / (2.0 * sigma) - (F @ dx) @ dy
-    )
+    return _as_result(_coupled_form(x_k - saddle.x, y_k - saddle.y, tau, sigma, F))
 
 
 def lyapunov_accelerated(
@@ -124,40 +126,40 @@ def lyapunov_accelerated(
     x_prev: np.ndarray,
     y_prev: np.ndarray,
     saddle: PrimalDualPair,
-    tau_k: float,
-    tau_prev: Optional[float],
+    tau_k,
+    tau_prev,
     s: float,
     F: np.ndarray,
-) -> float:
+):
     """Accelerated Lyapunov value at index k.
 
     ``y_prev`` is y_{k-1} — the accelerated function pairs the current primal
     iterate with the previous dual one.  ``tau_prev = None`` encodes the
     1/tau_0 := 0 convention at k = 1: both terms carrying tau_{k-1} vanish.
     Bounded below by ||x_k - x*||^2/(2 tau_k^2) under tau_{k+1} sigma_k = s^2
-    and s ||F|| < 1.
+    and s ||F|| < 1.  Stacked rows take per-row ``tau_k`` and ``tau_prev``.
     """
-    if tau_k <= 0 or s <= 0:
+    if np.any(tau_k <= 0) or s <= 0:
         raise ValueError("tau_k and s must be positive")
     dx = x_k - saddle.x
     dy = y_prev - saddle.y
-    value = dx @ dx / (2.0 * tau_k**2) + dy @ dy / (2.0 * s**2)
+    value = _rowdot(dx, dx) / (2.0 * tau_k**2) + _rowdot(dy, dy) / (2.0 * s**2)
     if tau_prev is not None:
-        if tau_prev <= 0:
+        if np.any(tau_prev <= 0):
             raise ValueError("tau_prev must be positive (or None for 1/tau_0 := 0)")
         step = x_k - x_prev
-        value += (F @ step) @ dy / tau_prev + step @ step / (2.0 * tau_prev**2)
-    return float(value)
+        value += _rowdot(step @ F.T, dy) / tau_prev + _rowdot(step, step) / (2.0 * tau_prev**2)
+    return _as_result(value)
 
 
 def numerical_error(
     dx: np.ndarray,
     dy: np.ndarray,
-    tau: Optional[float],
-    sigma: float,
+    tau,
+    sigma,
     F: np.ndarray,
     accelerated: bool = False,
-) -> float:
+):
     """Numerical-error term NE of the implicit discretization.
 
     Fixed/varying form (default):
@@ -172,20 +174,21 @@ def numerical_error(
     with ``tau = None`` encoding 1/tau_0 := 0 (only the dy term survives).
     Nonnegative whenever the step sizes obey the regime's coupling to s^2 and
     s ||F|| < 1; exactly zero on the admissibility boundary s ||F|| = 1 for
-    aligned displacements.
+    aligned displacements.  Stacked displacement rows take per-row step
+    sizes.
     """
-    if sigma <= 0:
+    if np.any(sigma <= 0):
         raise ValueError("sigma (or s) must be positive")
     if accelerated:
-        value = dy @ dy / (2.0 * sigma**2)
+        value = _rowdot(dy, dy) / (2.0 * sigma**2)
         if tau is not None:
-            if tau <= 0:
+            if np.any(tau <= 0):
                 raise ValueError("tau must be positive (or None for 1/tau_0 := 0)")
-            value += dx @ dx / (2.0 * tau**2) - (F @ dx) @ dy / tau
-        return float(value)
-    if tau is None or tau <= 0:
+            value += _rowdot(dx, dx) / (2.0 * tau**2) - _rowdot(dx @ F.T, dy) / tau
+        return _as_result(value)
+    if tau is None or np.any(tau <= 0):
         raise ValueError("tau must be positive")
-    return float(dx @ dx / (2.0 * tau) + dy @ dy / (2.0 * sigma) - (F @ dx) @ dy)
+    return _as_result(_coupled_form(dx, dy, tau, sigma, F))
 
 
 def alpha_rate(mu: float, c: float, s: float, F_norm: float) -> float:
@@ -205,6 +208,14 @@ def rho_rate(mu: float, gamma: float, s: float, F_norm: float) -> float:
         raise ValueError("rho_rate needs s > 0 and F_norm >= 0")
     q = s * F_norm
     return (1.0 + q) / (1.0 + q + 2.0 * s * math.sqrt(mu * gamma))
+
+
+def _sandwich(s: float, F_norm: float) -> float:
+    """(1 + s||F||)/(1 - s||F||): the Lyapunov sandwich's distance factor."""
+    q = s * F_norm
+    if q >= 1.0:
+        raise ValueError("trajectory bound needs s * F_norm < 1")
+    return (1.0 + q) / (1.0 - q)
 
 
 def _gamma_ratio(a: float, b: float) -> float:
@@ -268,11 +279,8 @@ def theorem_bound(
             return (1.0 + alpha) * _gamma_ratio(k + 2.0, k + 2.0 + alpha) * E0
         if dx0 is None or dy0 is None:
             raise ValueError("varying_sc trajectory bound needs dx0 and dy0")
-        q = s * F_norm
-        if q >= 1.0:
-            raise ValueError("trajectory bound needs s * F_norm < 1")
-        pref = (1.0 + q) / (1.0 - q)
         weight = dx0 + dy0 / (c**2 * s**2)
+        pref = _sandwich(s, F_norm)
         return pref * (1.0 + alpha) * _gamma_ratio(k + 1.0, k + 2.0 + alpha) * weight
 
     if regime == ACCELERATED:
@@ -295,13 +303,14 @@ def theorem_bound(
             return rho**k * E0
         if dx0 is None or dy0 is None:
             raise ValueError("optimal_ss trajectory bound needs dx0 and dy0")
-        q = s * F_norm
-        if q >= 1.0:
-            raise ValueError("trajectory bound needs s * F_norm < 1")
-        pref = (1.0 + q) / (1.0 - q)
-        return pref * rho**k * (mu * dx0 + gamma * dy0)
+        return _sandwich(s, F_norm) * rho**k * (mu * dx0 + gamma * dy0)
 
     raise ValueError(f"unknown regime {regime!r}")
+
+
+def _sq_dist(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    diff = points - center
+    return _rowdot(diff, diff)
 
 
 def lyapunov_table(
@@ -309,60 +318,49 @@ def lyapunov_table(
 ) -> LyapunovTable:
     """Evaluate the regime's Lyapunov diagnostics along a recorded trajectory.
 
-    One walk over the records.  Each state's E and distances are evaluated
-    once: E(k+1) of a record is E(k) of the next one when that record is its
-    successor, so fresh post-state values are computed only for the last
-    record and across ``record_every`` gaps.  The accelerated form needs the
-    record of step k - 1; at the first iteration k_start it uses the
-    convention 1/tau_0 := 0 with y_0 the run's init, and after a gap its
-    E(k) and NE are nan.
+    Rows are evaluated in blocks of about BLOCK_ELEMENTS entries per state
+    array, so the working set stays small.  E(k+1) is evaluated for every
+    row.  The accelerated E(k) and NE need the row of step k - 1: where the
+    rows are consecutive they are the previous row's E(k+1) and its
+    transition's NE; at the first iteration k_start they use the convention
+    1/tau_0 := 0 with y_0 the run's init, and after a gap they are nan.
     """
-    sched = trajectory.schedule
+    t = trajectory
+    sched = t.schedule
     s, F = sched.s, problem.F
     accelerated = sched.regime == ACCELERATED
-    nan = float("nan")
-
-    def state(k, x, y, before):
-        # (E(k), ||x - x*||^2, ||y - y*||^2) at (x_k, y_k); ``before`` is
-        # the record of step k - 1, or None when it was not recorded.
-        tau, sigma, _ = schedule_at(sched, k)
-        if not accelerated:
-            E = lyapunov_fixed(x, y, saddle, tau, sigma, F)
-        elif before is not None:
-            E = lyapunov_accelerated(x, before.x, before.y, saddle, tau, before.tau, s, F)
-        elif k == sched.k_start:
-            E = lyapunov_accelerated(x, x, trajectory.init.y, saddle, tau, None, s, F)
+    tau_n, sigma_n, _ = schedule_at(sched, t.k + 1)
+    rows = len(t.k)
+    E, ne, E_next, dist_x, dist_y, dist_x_next, dist_y_next = np.empty((7, rows))
+    step = max(1, BLOCK_ELEMENTS // max(problem.d1, problem.d2))
+    for lo in range(0, rows, step):
+        b = slice(lo, lo + step)
+        x, y, x_next, y_next, tau = t.x[b], t.y[b], t.x_next[b], t.y_next[b], t.tau[b]
+        dist_x[b], dist_y[b] = _sq_dist(x, saddle.x), _sq_dist(y, saddle.y)
+        dist_x_next[b], dist_y_next[b] = _sq_dist(x_next, saddle.x), _sq_dist(y_next, saddle.y)
+        if accelerated:
+            E_next[b] = lyapunov_accelerated(x_next, x, y, saddle, tau_n[b], tau, s, F)
+            # the NE of the following row
+            ne[b] = numerical_error(x_next - x, y_next - y, tau, s, F, accelerated=True)
         else:
-            E = nan
-        dx = x - saddle.x
-        dy = y - saddle.y
-        return E, float(dx @ dx), float(dy @ dy)
-
-    rows = []
-    prev = post = None
-    for rec in trajectory.records:
-        before = prev if prev is not None and prev.k == rec.k - 1 else None
-        pre = post if before is not None else state(rec.k, rec.x, rec.y, None)
-        post = state(rec.k + 1, rec.x_next, rec.y_next, rec)
-        if not accelerated:
-            ne = numerical_error(
-                rec.x_next - rec.x, rec.y_next - rec.y, rec.tau, rec.sigma, F
+            E[b] = lyapunov_fixed(x, y, saddle, tau, t.sigma[b], F)
+            E_next[b] = lyapunov_fixed(x_next, y_next, saddle, tau_n[b], sigma_n[b], F)
+            ne[b] = numerical_error(x_next - x, y_next - y, tau, t.sigma[b], F)
+    if accelerated:
+        follows = np.zeros(rows, dtype=bool)
+        follows[1:] = t.k[1:] == t.k[:-1] + 1
+        E = np.where(follows, np.roll(E_next, 1), np.nan)
+        ne = np.where(follows, np.roll(ne, 1), np.nan)
+        if t.k[0] == sched.k_start:
+            x0 = t.x[0]
+            E[0] = lyapunov_accelerated(x0, x0, t.init.y, saddle, t.tau[0], None, s, F)
+            ne[0] = numerical_error(
+                np.zeros_like(x0), t.y[0] - t.init.y, None, s, F, accelerated=True
             )
-        elif before is not None:
-            ne = numerical_error(
-                rec.x - before.x, rec.y - before.y, before.tau, s, F, accelerated=True
-            )
-        elif rec.k == sched.k_start:
-            ne = numerical_error(
-                np.zeros_like(rec.x), rec.y - trajectory.init.y, None, s, F,
-                accelerated=True,
-            )
-        else:
-            ne = nan
-        rows.append((rec.k, pre[0], ne, pre[1], pre[2]) + post)
-        prev = rec
-    columns = tuple(zip(*rows)) if rows else ((),) * 8
-    return LyapunovTable(*columns)
+    return LyapunovTable(
+        k=t.k, E=E, ne=ne, dist_x=dist_x, dist_y=dist_y,
+        E_next=E_next, dist_x_next=dist_x_next, dist_y_next=dist_y_next,
+    )
 
 
 def lemma_records(
@@ -370,34 +368,33 @@ def lemma_records(
     trajectory: Trajectory,
     problem: SaddleProblem,
     table: LyapunovTable,
-) -> list[LyapunovRecord]:
-    """:func:`check_lemma` on a precomputed :func:`lyapunov_table` of the
-    trajectory; same preconditions, dispatch and result."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lemma right-hand sides and slacks of :func:`check_lemma`, on a
+    precomputed :func:`lyapunov_table` of the trajectory; same
+    preconditions and dispatch."""
     sched = trajectory.schedule
     if regime != sched.regime:
         raise ValueError(
             f"regime {regime!r} does not match the trajectory's schedule "
             f"({sched.regime!r})"
         )
-    records = trajectory.records
-    if not records:
-        return []
     if sched.s * problem.F_norm >= 1.0:
         raise ValueError(
             f"inadmissible trajectory: s * ||F|| = {sched.s * problem.F_norm} >= 1; "
             "the descent lemmas assume s * ||F|| < 1"
         )
 
+    k = trajectory.k
     mu, gamma = problem.mu, problem.gamma
     if regime == ACCELERATED:
         if mu <= 0:
             raise NoMatchingLemma("the accelerated lemma needs mu > 0")
-        if records[0].k != sched.k_start:
+        if k[0] != sched.k_start:
             raise ValueError(
                 "accelerated lemma checking needs the trajectory recorded from its "
                 f"first iteration k = {sched.k_start}"
             )
-        if any(b.k != a.k + 1 for a, b in zip(records, records[1:])):
+        if np.any(np.diff(k) != 1):
             raise ValueError(
                 "accelerated lemma checking needs consecutively recorded "
                 "steps (record_every = 1)"
@@ -414,27 +411,19 @@ def lemma_records(
     else:
         raise ValueError(f"unknown regime {regime!r}")
 
-    out = []
-    for rec, E_k, ne, E_n, dxn, dyn in zip(
-        records, table.E, table.ne, table.E_next, table.dist_x_next, table.dist_y_next
-    ):
-        tau_k, sigma_k = rec.tau, rec.sigma
-        tau_n, sigma_n, _ = schedule_at(sched, rec.k + 1)
-        if regime == ACCELERATED:
-            rhs = -(mu / tau_k + 1.0 / (2.0 * tau_k**2) - 1.0 / (2.0 * tau_n**2)) * dxn
-        elif regime == VARYING_SC:
-            rhs = (
-                -(mu + 1.0 / (2.0 * tau_k) - 1.0 / (2.0 * tau_n)) * dxn
-                - (1.0 / (2.0 * sigma_k) - 1.0 / (2.0 * sigma_n)) * dyn
-            )
-        else:
-            rhs = -(mu * dxn + gamma * dyn)
-        out.append(
-            LyapunovRecord(
-                k=rec.k, E=E_k, ne=ne, lemma_rhs=rhs, lemma_slack=rhs - (E_n - E_k)
-            )
+    tau_k, sigma_k = trajectory.tau, trajectory.sigma
+    tau_n, sigma_n, _ = schedule_at(sched, k + 1)
+    dxn, dyn = table.dist_x_next, table.dist_y_next
+    if regime == ACCELERATED:
+        rhs = -(mu / tau_k + 1.0 / (2.0 * tau_k**2) - 1.0 / (2.0 * tau_n**2)) * dxn
+    elif regime == VARYING_SC:
+        rhs = (
+            -(mu + 1.0 / (2.0 * tau_k) - 1.0 / (2.0 * tau_n)) * dxn
+            - (1.0 / (2.0 * sigma_k) - 1.0 / (2.0 * sigma_n)) * dyn
         )
-    return out
+    else:
+        rhs = -(mu * dxn + gamma * dyn)
+    return rhs, rhs - (table.E_next - table.E)
 
 
 def check_lemma(
@@ -442,12 +431,13 @@ def check_lemma(
     trajectory: Trajectory,
     problem: SaddleProblem,
     saddle: PrimalDualPair,
-) -> list[LyapunovRecord]:
+) -> tuple[LyapunovTable, np.ndarray, np.ndarray]:
     """Evaluate the regime's descent lemma along a recorded trajectory.
 
-    Returns one LyapunovRecord per checkable transition, carrying
+    Returns ``(table, lemma_rhs, lemma_slack)``: the :func:`lyapunov_table`
+    and, per row, the lemma's right-hand side and the slack
     lemma_slack = lemma_rhs - (E(k+1) - E(k)); a slack below
-    -slack_tolerance(E(k)) invalidates the run.
+    -slack_tolerance(table.E) invalidates the run.
 
     Dispatch: varying_sc -> iteration-varying lemma; accelerated ->
     accelerated lemma (needs consecutively recorded steps starting at
@@ -458,4 +448,4 @@ def check_lemma(
     an inadmissible trajectory is refused outright.
     """
     table = lyapunov_table(trajectory, problem, saddle)
-    return lemma_records(regime, trajectory, problem, table)
+    return (table, *lemma_records(regime, trajectory, problem, table))

@@ -38,6 +38,12 @@ class ContractionSummary:
     geomean_ratio: float
 
 
+def _pairs(series) -> tuple[np.ndarray, np.ndarray]:
+    """The k and value columns of a series of (k, value) pairs, as floats."""
+    pairs = np.asarray(series, dtype=float).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
 def default_window(K0: int = 1) -> tuple[int, int]:
     """Fit window [max(100, 10*K0), 10^4], skipping the pre-asymptotic head."""
     return (max(100, 10 * K0), 10_000)
@@ -51,25 +57,22 @@ def fit_rate(
     """OLS of ln v against ln k over the window; the slope is the empirical
     order (slope -2 means O(1/k^2)).
 
-    ``series`` is an iterable of (k, v) pairs.  Requires at least 10 points
-    with k inside the window, all with v > 0.
+    ``series`` holds (k, v) pairs: a sequence of pairs or an (n, 2) array.
+    Requires at least 10 points with k inside the window, all with v > 0.
     """
     if window is None:
         window = default_window()
     k_lo, k_hi = window
     if k_lo >= k_hi:
         raise ValueError("window must satisfy k_lo < k_hi")
-    ks, vs = [], []
-    for k, v in series:
-        if k_lo <= k <= k_hi and k > 0:
-            ks.append(k)
-            vs.append(v)
+    ks, vs = _pairs(series)
+    inside = (k_lo <= ks) & (ks <= k_hi) & (ks > 0)
+    ks, vs = ks[inside], vs[inside]
     if len(ks) < 10:
         raise ValueError(f"need at least 10 points in window {window}, got {len(ks)}")
-    vs = np.asarray(vs, dtype=float)
     if np.any(vs <= 0):
         raise ValueError("rate fitting needs strictly positive series values")
-    ln_k = np.log(np.asarray(ks, dtype=float))
+    ln_k = np.log(ks)
     ln_v = np.log(vs)
     slope, intercept = np.polyfit(ln_k, ln_v, 1)
     pred = slope * ln_k + intercept
@@ -84,23 +87,20 @@ def fit_rate(
 
 
 def contraction_factors(E_series) -> ContractionSummary:
-    """Contraction ratios of a positive, indexed series of (k, E) pairs.
+    """Contraction ratios of a positive, indexed series of (k, E) pairs (a
+    sequence of pairs or an (n, 2) array).
 
     The series is truncated at the first E below TRUNCATION_FLOOR.  Ratios
     between non-consecutive indices are normalized per step,
     (E_j/E_i)^(1/(j-i)); the geometric mean telescopes to
     (E_last/E_first)^(1/(k_last-k_first)).
     """
-    ks, Es = [], []
-    for k, E in E_series:
-        if E < TRUNCATION_FLOOR:
-            break
-        ks.append(k)
-        Es.append(E)
+    ks, Es = _pairs(E_series)
+    below = np.flatnonzero(Es < TRUNCATION_FLOOR)
+    if below.size:
+        ks, Es = ks[: below[0]], Es[: below[0]]
     if len(ks) < 2:
         raise ValueError("contraction_factors needs at least two positive entries")
-    ks = np.asarray(ks, dtype=float)
-    Es = np.asarray(Es, dtype=float)
     if np.any(Es <= 0):
         raise ValueError("contraction_factors needs strictly positive E values")
     gaps = np.diff(ks)

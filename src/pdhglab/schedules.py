@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 FIXED = "fixed"
 VARYING_SC = "varying_sc"
 ACCELERATED = "accelerated"
@@ -140,14 +142,22 @@ def make_schedule(
     )
 
 
-def schedule_at(sched: Schedule, k: int) -> tuple[float, float, float]:
-    """Return (tau_k, sigma_k, theta_k) for iteration k >= k_start."""
-    if k < sched.k_start:
-        raise ValueError(f"k = {k} precedes the schedule start k_start = {sched.k_start}")
+def schedule_at(sched: Schedule, k):
+    """Return (tau_k, sigma_k, theta_k) for iteration k >= k_start.
+
+    ``k`` is an int or an integer array; for an array each of the three is
+    an array of k's shape.  The int path makes no numpy call: the engine
+    takes it once per step.
+    """
+    rows = isinstance(k, np.ndarray)
+    first = k.min(initial=sched.k_start) if rows else k
+    if first < sched.k_start:
+        raise ValueError(f"k = {first} precedes the schedule start k_start = {sched.k_start}")
+    one = np.ones(k.shape) if rows else 1.0
     if sched.regime in (FIXED, OPTIMAL_SS):
-        return sched.tau, sched.sigma, 1.0
+        return sched.tau * one, sched.sigma * one, one
     if sched.regime == VARYING_SC:
-        return 1.0 / (sched.c * (k + 1)), sched.c * sched.s**2 * (k + 1), 1.0
+        return 1.0 / (sched.c * (k + 1)), sched.c * sched.s**2 * (k + 1), one
     # ACCELERATED
     return 1.0 / (sched.c * k), sched.c * sched.s**2 * (k + 1), k / (k + 1)
 

@@ -291,8 +291,11 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
     """Materialize a spec into a problem (bitwise-reproducible from the seed).
 
     Closed-form saddles are attached where they exist: quadratic pairs always
-    (KKT oracle), lasso/gen_lasso when lam >= ||A^T b||_inf (then x* = 0 and
-    y* = A^T b is feasible, satisfying both saddle inclusions).  Other
+    (KKT oracle); lasso when lam >= ||A^T b||_inf (then x* = 0 and
+    y* = A^T b); gen_lasso when lam >= ||y*||_inf for the constant
+    x* = c 1, c = <A1, b>/||A1||^2, and y* = -cumsum(A^T (b - A x*))[:-1],
+    the solution of D^T y* = A^T (b - A x*) for the first-difference D.  In
+    each case y* is dual feasible and both saddle inclusions hold.  Other
     instances leave ``saddle`` as None; see :func:`reference_saddle`.
     """
     rng = np.random.default_rng(spec.seed)
@@ -329,11 +332,17 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
     else:
         problem = make_generalized_lasso(A, b, spec.lam, difference_matrix(d1))
 
-    saddle = None
+    # The candidate with F x* = 0 (x* = 0 for lasso, a constant for gen_lasso)
+    # and F^T y* = A^T (b - A x*) is the saddle when y* lies in the dual ball.
     if spec.kind == LASSO:
-        y_star = A.T @ b
-        if np.abs(y_star).max() <= spec.lam:
-            saddle = PrimalDualPair(x=np.zeros(d1), y=y_star)
+        x_star, y_star = np.zeros(d1), A.T @ b
+    else:
+        A1 = A.sum(axis=1)  # A @ 1
+        x_star = np.full(d1, (A1 @ b) / (A1 @ A1))
+        y_star = -np.cumsum(A.T @ (b - A @ x_star))[:-1]
+    saddle = None
+    if np.abs(y_star).max() <= spec.lam:
+        saddle = PrimalDualPair(x=x_star, y=y_star)
     return BuiltInstance(
         spec=spec,
         problem=problem,

@@ -116,8 +116,9 @@ def test_criterion_01_lemma_descent_suites():
             )
             traj = run(problem, schedule, zeros_init(problem), budget=1000, tol=0.0)
             saddle = resolve_saddle(built)
-            for rec in check_lemma(regime, traj, problem, saddle):
-                worst = min(worst, rec.lemma_slack + 1e-8 * (1.0 + abs(rec.E)))
+            table, _, slack = check_lemma(regime, traj, problem, saddle)
+            for E, lemma_slack in zip(table.E, slack):
+                worst = min(worst, lemma_slack + 1e-8 * (1.0 + abs(E)))
                 n_steps += 1
             n_runs += 1
     elapsed = time.perf_counter() - start
@@ -150,26 +151,26 @@ def test_criterion_02_varying_sc_theorem_bound():
     saddle = built.saddle
     assert saddle is not None  # dual-interior design: closed-form saddle
 
-    records = traj.records
-    assert records[0].k == 0 and records[-1].k == 10_000
+    rows = range(len(traj.k))
+    assert traj.k[0] == 0 and traj.k[-1] == 10_000
     E = [
-        lyapunov_fixed(rec.x, rec.y, saddle, rec.tau, rec.sigma, problem.F)
-        for rec in records
+        lyapunov_fixed(traj.x[i], traj.y[i], saddle, traj.tau[i], traj.sigma[i], problem.F)
+        for i in rows
     ]
-    dx0 = dist_sq(records[0].x, saddle.x)
-    dy0 = dist_sq(records[0].y, saddle.y)
+    dx0 = dist_sq(traj.x[0], saddle.x)
+    dy0 = dist_sq(traj.y[0], saddle.y)
 
     worst_E = worst_traj = 0.0
-    for rec, Ek in zip(records, E):
+    for i, Ek in zip(rows, E):
         bound = theorem_bound(
-            VARYING_SC, rec.k, mu=mu, c=c, s=s, F_norm=built.problem.F_norm, E0=E[0]
+            VARYING_SC, traj.k[i], mu=mu, c=c, s=s, F_norm=built.problem.F_norm, E0=E[0]
         )
         worst_E = max(worst_E, Ek / bound)
         tb = theorem_bound(
-            VARYING_SC, rec.k, mu=mu, c=c, s=s, F_norm=built.problem.F_norm,
+            VARYING_SC, traj.k[i], mu=mu, c=c, s=s, F_norm=built.problem.F_norm,
             dx0=dx0, dy0=dy0, form="trajectory",
         )
-        worst_traj = max(worst_traj, dist_sq(rec.x, saddle.x) / tb)
+        worst_traj = max(worst_traj, dist_sq(traj.x[i], saddle.x) / tb)
     ok = worst_E <= 1.0 + 1e-6 and worst_traj <= 1.0 + 1e-6
     report(
         2,
@@ -192,9 +193,9 @@ def test_criterion_03_slope_trend_toward_minus_two():
         schedule = make_schedule(VARYING_SC, built.problem.F_norm, s=s, c=frac * mu, mu=mu)
         traj = run(problem, schedule, zeros_init(problem), budget=10_001, tol=0.0)
         series = [
-            (rec.k, dist_sq(rec.x, saddle.x))
-            for rec in traj.records
-            if dist_sq(rec.x, saddle.x) > 0.0
+            (k, dist_sq(x, saddle.x))
+            for k, x in zip(traj.k, traj.x)
+            if dist_sq(x, saddle.x) > 0.0
         ]
         fit = fit_rate(series, window=(100, 10_000), name="dist_x_sq")
         slopes.append(fit.slope)
@@ -227,21 +228,20 @@ def test_criterion_04_accelerated_rate_bound():
     saddle = built.saddle
     assert saddle is not None
 
-    records = traj.records
-    assert records[0].k == 1 and records[-1].k == 10_000
+    assert traj.k[0] == 1 and traj.k[-1] == 10_000
     # E(K0) at K0 = 1: the starting pair with tau_1 = 1/c, no displacement term
     E_K0 = lyapunov_accelerated(
         init.x, None, init.y, saddle, 1.0 / c, None, s, problem.F
     )
     worst = 0.0
-    for rec in records:
-        bound = theorem_bound(ACCELERATED, rec.k, mu=mu, c=c, E_K0=E_K0)
-        worst = max(worst, dist_sq(rec.x, saddle.x) / bound)
+    for k, x in zip(traj.k, traj.x):
+        bound = theorem_bound(ACCELERATED, k, mu=mu, c=c, E_K0=E_K0)
+        worst = max(worst, dist_sq(x, saddle.x) / bound)
 
     series = [
-        (rec.k, dist_sq(rec.x, saddle.x))
-        for rec in records
-        if dist_sq(rec.x, saddle.x) > 0.0
+        (k, dist_sq(x, saddle.x))
+        for k, x in zip(traj.k, traj.x)
+        if dist_sq(x, saddle.x) > 0.0
     ]
     fit = fit_rate(series, window=(100, 10_000), name="dist_x_sq")
     elapsed = time.perf_counter() - start
@@ -273,17 +273,15 @@ def test_criterion_05_contraction_rate():
     built, traj, s, rho = optimal_ss_run()
     problem, saddle = built.problem, built.saddle
     E = [
-        (rec.k, lyapunov_fixed(rec.x, rec.y, saddle, rec.tau, rec.sigma, problem.F))
-        for rec in traj.records
+        (k, lyapunov_fixed(x, y, saddle, tau, sigma, problem.F))
+        for k, x, y, tau, sigma in zip(traj.k, traj.x, traj.y, traj.tau, traj.sigma)
     ]
     summary = contraction_factors(E)
 
-    last = traj.records[-1]
-    weighted = dist_sq(last.x_next, saddle.x) + dist_sq(last.y_next, saddle.y)
-    rec0 = traj.records[0]
+    weighted = dist_sq(traj.x_next[-1], saddle.x) + dist_sq(traj.y_next[-1], saddle.y)
     sandwich = theorem_bound(
-        OPTIMAL_SS, last.k + 1, mu=1.0, gamma=1.0, s=s, F_norm=built.problem.F_norm,
-        dx0=dist_sq(rec0.x, saddle.x), dy0=dist_sq(rec0.y, saddle.y),
+        OPTIMAL_SS, traj.k[-1] + 1, mu=1.0, gamma=1.0, s=s, F_norm=built.problem.F_norm,
+        dx0=dist_sq(traj.x[0], saddle.x), dy0=dist_sq(traj.y[0], saddle.y),
         form="trajectory",
     )
     ok = (
@@ -305,10 +303,10 @@ def test_criterion_08_saddle_reached_within_cap():
     saddle = built.saddle
     cap = 5.0 * math.log(1e8) / math.log(1.0 / rho)
     hit = None
-    for rec in traj.records:
-        norm = math.sqrt(dist_sq(rec.x, saddle.x) + dist_sq(rec.y, saddle.y))
+    for k, x, y in zip(traj.k, traj.x, traj.y):
+        norm = math.sqrt(dist_sq(x, saddle.x) + dist_sq(y, saddle.y))
         if norm <= 1e-8:
-            hit = rec.k
+            hit = k
             break
     ok = hit is not None and hit <= cap
     report(
@@ -382,8 +380,8 @@ def test_criterion_07_optimality_residuals():
             regime, built.problem.F_norm, mu=problem.mu, gamma=problem.gamma
         )
         traj = run(problem, schedule, zeros_init(problem), budget=1000, tol=0.0)
-        for rec in traj.records:
-            r_x, r_y = optimality_residual(problem, rec)
+        for i in range(len(traj.k)):
+            r_x, r_y = optimality_residual(problem, traj, i)
             worst = max(worst, r_x, r_y)
             n_steps += 1
     ok = worst <= 1e-9
@@ -415,12 +413,12 @@ def test_criterion_09_ode_consistency():
             OdeState(X=init.x, Y=init.y, t=0.0), T, s / 100.0, s, s, s, problem
         )
         sup = 0.0
-        for rec in traj.records:
-            idx = (rec.k + 1) * 100
-            if (rec.k + 1) * s > T + 1e-12 or idx >= len(ref):
+        for k, x_next, y_next in zip(traj.k, traj.x_next, traj.y_next):
+            idx = (k + 1) * 100
+            if (k + 1) * s > T + 1e-12 or idx >= len(ref):
                 continue
             err = math.sqrt(
-                dist_sq(rec.x_next, ref[idx].X) + dist_sq(rec.y_next, ref[idx].Y)
+                dist_sq(x_next, ref[idx].X) + dist_sq(y_next, ref[idx].Y)
             )
             sup = max(sup, err)
         sups.append(sup)
@@ -460,5 +458,5 @@ def test_criterion_10_tv_denoising_end_to_end():
         ok,
         f"reference certified at 1e-8 (r_x {cert.r_x:.2e}, r_y {cert.r_y:.2e}); "
         f"|objective - reference optimum| = {gap:.3e} <= 1e-6 "
-        f"after {traj.records[-1].k + 1} iterations",
+        f"after {traj.k[-1] + 1} iterations",
     )

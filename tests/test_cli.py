@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -88,27 +89,27 @@ def test_run_budget_one_golden_row(tmp_path):
     problem = built.problem
     init = PrimalDualPair(x=np.zeros(problem.d1), y=np.zeros(problem.d2))
     traj = run(problem, schedule, init, budget=1, tol=1e-10, record_every=1)
-    rec = traj.records[0]
     saddle = built.saddle
     assert saddle is not None
 
-    assert int(row["k"]) == rec.k == 0
-    assert float(row["tau_k"]) == rec.tau
-    assert float(row["sigma_k"]) == rec.sigma
-    assert float(row["theta_k"]) == rec.theta == 1.0
-    assert float(row["dist_x_sq"]) == float((rec.x - saddle.x) @ (rec.x - saddle.x))
-    assert float(row["dist_y_sq"]) == float((rec.y - saddle.y) @ (rec.y - saddle.y))
-    E = lyapunov_fixed(rec.x, rec.y, saddle, rec.tau, rec.sigma, problem.F)
+    assert int(row["k"]) == traj.k[0] == 0
+    assert float(row["tau_k"]) == traj.tau[0]
+    assert float(row["sigma_k"]) == traj.sigma[0]
+    assert float(row["theta_k"]) == traj.theta[0] == 1.0
+    assert float(row["dist_x_sq"]) == float((traj.x[0] - saddle.x) @ (traj.x[0] - saddle.x))
+    assert float(row["dist_y_sq"]) == float((traj.y[0] - saddle.y) @ (traj.y[0] - saddle.y))
+    E = lyapunov_fixed(traj.x[0], traj.y[0], saddle, traj.tau[0], traj.sigma[0], problem.F)
     ne = numerical_error(
-        rec.x_next - rec.x, rec.y_next - rec.y, rec.tau, rec.sigma, problem.F
+        traj.x_next[0] - traj.x[0], traj.y_next[0] - traj.y[0],
+        traj.tau[0], traj.sigma[0], problem.F,
     )
     assert float(row["lyapunov"]) == E
     assert float(row["ne"]) == ne
     # no lemma check requested and no fixed-regime bound: both columns are nan
     assert math.isnan(float(row["lemma_slack"]))
     assert math.isnan(float(row["theorem_bound"]))
-    assert float(row["primal_residual"]) == rec.primal_residual
-    assert float(row["dual_residual"]) == rec.dual_residual
+    assert float(row["primal_residual"]) == traj.primal_residual[0]
+    assert float(row["dual_residual"]) == traj.dual_residual[0]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +230,64 @@ def test_theorem_fails_on_nan_bound(monkeypatch, regime):
     )
 
 
+@pytest.mark.parametrize(
+    "regime, form, detail",
+    [
+        ("varying_sc", "lyapunov", r"Lyapunov bound exceeded, worst ratio \S+"),
+        ("varying_sc", "trajectory", r"trajectory bound exceeded at k=0: \S+ > \S+"),
+        ("accelerated", "lyapunov", r"O\(1/k\^2\) bound exceeded at k=1: \S+ > \S+"),
+        ("optimal_ss", "trajectory",
+         r"terminal weighted distance \S+ exceeds sandwich \S+"),
+    ],
+)
+def test_theorem_fails_on_exceeded_bound(monkeypatch, regime, form, detail):
+    real_bound = cli.theorem_bound
+
+    def shrunk(regime, k, form="lyapunov", **kwargs):
+        value = real_bound(regime, k, form=form, **kwargs)
+        return value * 1e-12 if form == shrink else value
+
+    shrink = form
+    monkeypatch.setattr(cli, "theorem_bound", shrunk)
+    config = parse_config(json.dumps({
+        "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
+        "regime": regime,
+        "budget": 50,
+        "checks": ["theorem"],
+    }))
+    code, lines, _ = execute(config, write_trajectory=False, quiet=True)
+    assert code == 1
+    assert any(re.fullmatch(rf"check\.theorem = FAIL \({detail}\)", line) for line in lines)
+
+
+def test_theorem_fails_on_contraction_above_rho(monkeypatch):
+    monkeypatch.setattr(cli, "rho_rate", lambda *args: 0.125)
+    config = parse_config(json.dumps({
+        "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
+        "regime": "optimal_ss",
+        "budget": 50,
+        "checks": ["theorem"],
+    }))
+    code, lines, _ = execute(config, write_trajectory=False, quiet=True)
+    assert code == 1
+    pattern = r"check\.theorem = FAIL \(contraction ratio \S+ exceeds rho=0\.125\)"
+    assert any(re.fullmatch(pattern, line) for line in lines)
+
+
+def test_lemma_fails_on_slack_violation(monkeypatch):
+    monkeypatch.setattr(cli, "slack_tolerance", lambda E: -1e9)
+    config = parse_config(json.dumps({
+        "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
+        "regime": "varying_sc",
+        "budget": 50,
+        "checks": ["lemma"],
+    }))
+    code, lines, _ = execute(config, write_trajectory=False, quiet=True)
+    assert code == 1
+    pattern = r"check\.lemma = FAIL \(slack violation at k=\d+, margin=-1\.000e\+09\)"
+    assert any(re.fullmatch(pattern, line) for line in lines)
+
+
 @pytest.mark.parametrize("regime", ["varying_sc", "accelerated"])
 def test_execute_evaluates_each_lyapunov_value_once(monkeypatch, regime):
     calls = {"E": 0, "NE": 0}
@@ -261,7 +320,7 @@ def test_execute_evaluates_each_lyapunov_value_once(monkeypatch, regime):
     code, lines, _ = execute(config, write_trajectory=False, quiet=True)
     assert code == 0
     assert any(line.startswith("check.lemma = PASS") for line in lines)
-    K = len(trajectories[0].records)
+    K = len(trajectories[0].k)
     assert K > 1
     assert calls["E"] <= K + 1
     assert calls["NE"] <= K
@@ -465,6 +524,120 @@ def test_verify_large_total_variation_instance(tmp_path, capsys):
     assert "saddle.source = reference_run" in stdout
     for name in ("lemma", "theorem", "rate_fit"):
         assert f"check.{name} = PASS" in stdout
+
+
+def test_verify_total_variation_at_large_lam_uses_closed_form(tmp_path, capsys, monkeypatch):
+    # lam = 100 exceeds ||y*||_inf, so no reference run is needed
+    def no_reference_run(problem):
+        raise AssertionError("reference_saddle called")
+
+    monkeypatch.setattr(cli, "reference_saddle", no_reference_run)
+    doc = {
+        "instance": {"kind": "gen_lasso", "d": 400, "lam": 100.0, "identity_a": True},
+        "regime": "varying_sc",
+        "budget": 200,
+        "checks": ["lemma", "theorem", "rate_fit"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 0
+    stdout = capsys.readouterr().out
+    assert "saddle.source = closed_form" in stdout
+    for name in ("lemma", "theorem", "rate_fit"):
+        assert f"check.{name} = PASS" in stdout
+
+
+@pytest.mark.parametrize(
+    "key, instance",
+    [
+        ("instance.d2", {"kind": "lasso", "d": 4, "lam": 0.5, "d2": 7}),
+        ("instance.d2", {"kind": "gen_lasso", "d": 4, "lam": 0.5, "d2": 3}),
+        ("instance.lam", {"kind": "quad_pair", "d": 4, "lam": 3.0}),
+        ("instance.cond", {"kind": "quad_pair", "d": 4, "cond": 5.0}),
+        ("instance.m", {"kind": "quad_pair", "d": 4, "m": 8}),
+        ("instance.identity_a", {"kind": "quad_pair", "d": 4, "identity_a": False}),
+        ("instance.m", {"kind": "lasso", "d": 4, "lam": 0.5, "identity_a": True, "m": 8}),
+        ("instance.cond", {"kind": "gen_lasso", "d": 4, "lam": 0.5, "identity_a": True,
+                           "cond": 5.0}),
+    ],
+)
+def test_instance_key_the_kind_ignores_is_exit_2(tmp_path, capsys, key, instance):
+    doc = {"instance": instance, "regime": "fixed"}
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    assert f'key "{key}"' in capsys.readouterr().err
+
+
+def test_duplicate_check_is_exit_2(tmp_path, capsys):
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 2},
+        "regime": "optimal_ss",
+        "checks": ["lemma", "theorem", "lemma"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    assert 'check "lemma" appears twice' in capsys.readouterr().err
+
+
+def csv_writer_reference(path, columns):
+    """The trajectory CSV as ``csv.writer`` writes it: k as an integer, every
+    other value with 17 significant digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for row in zip(*columns):
+            writer.writerow([str(int(row[0]))] + [f"{float(v):.17g}" for v in row[1:]])
+
+
+def test_csv_matches_csv_writer_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(0)
+    n = 64
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, 0.1, 1.0 / 3.0]
+    values = []
+    for _ in range(11):
+        column = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        column[: len(special)] = rng.permutation(special)
+        values.append(column)
+    k = np.arange(n) * 7
+    traj = SimpleNamespace(
+        k=k, tau=values[0], sigma=values[1], theta=values[2],
+        primal_residual=values[9], dual_residual=values[10],
+    )
+    table = SimpleNamespace(dist_x=values[3], dist_y=values[4], E=values[5], ne=values[6])
+    cli._write_csv(tmp_path / "got.csv", traj, table, values[7], values[8])
+    csv_writer_reference(tmp_path / "want.csv", [k] + values)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    # without a table, slacks or bounds those columns are nan
+    cli._write_csv(tmp_path / "got.csv", traj, None, None, None)
+    undefined = np.full(n, math.nan)
+    csv_writer_reference(
+        tmp_path / "want.csv", [k] + values[:3] + [undefined] * 6 + values[9:]
+    )
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_cli_csv_is_csv_writer_format(tmp_path):
+    out = tmp_path / "out"
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
+        "regime": "varying_sc",
+        "budget": 50,
+        "checks": ["lemma", "theorem"],
+        "output": str(out),
+    }
+    assert main(["run", write_config(tmp_path, doc)]) == 0
+    rows = read_rows(out / "trajectory.csv")
+    columns = [[float(row[name]) for row in rows] for name in CSV_COLUMNS]
+    csv_writer_reference(tmp_path / "want.csv", columns)
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_unreservable_trajectory_is_exit_2(tmp_path, capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise MemoryError("Unable to allocate 29.8 GiB")
+
+    monkeypatch.setattr(cli, "run", refused)
+    doc = {"instance": {"kind": "quad_pair", "d": 4}, "regime": "fixed", "budget": 10**9}
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    assert "lower budget or raise record_every" in capsys.readouterr().err
 
 
 def test_inadmissible_schedule_is_exit_2(tmp_path, capsys):

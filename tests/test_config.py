@@ -286,6 +286,18 @@ def test_round_trip_generalized_lasso():
     )
 
 
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"kind": "quad_pair", "d": 3, "seed": 2},
+        {"kind": "gen_lasso", "d1": 12, "seed": 0, "lam": 0.2, "identity_a": True},
+    ],
+)
+def test_serialize_omits_cond_where_it_is_ignored(instance):
+    config = round_trip({"instance": instance, "regime": "fixed"})
+    assert "cond" not in json.loads(serialize_config(config))["instance"]
+
+
 def test_round_trip_explicit_quad_moduli():
     doc = make_doc(regime="optimal_ss")
     doc["instance"] = {"kind": "quad_pair", "d": 3, "seed": 2, "mu": 4.0, "gamma": 0.5}

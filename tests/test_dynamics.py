@@ -213,10 +213,10 @@ def test_fixed_step_iteration_matches_implicit_euler():
         T=n * s, h=s, s=s, tau=s, sigma=s, problem=built.problem,
     )
     assert len(states) == n + 1
-    for rec in traj.records:
-        st = states[rec.k + 1]
+    for k, x_next, y_next in zip(traj.k, traj.x_next, traj.y_next):
+        st = states[k + 1]
         gap = math.sqrt(
-            float(np.sum((rec.x_next - st.X) ** 2)) + float(np.sum((rec.y_next - st.Y) ** 2))
+            float(np.sum((x_next - st.X) ** 2)) + float(np.sum((y_next - st.Y) ** 2))
         )
         assert gap <= 1e-9
 

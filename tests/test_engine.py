@@ -88,8 +88,8 @@ def test_run_budget_one():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=2, d2=2, seed=1))
     sched = make_schedule(FIXED, built.problem.F_norm)
     traj = run(built.problem, sched, PrimalDualPair(np.ones(2), np.ones(2)), budget=1)
-    assert len(traj.records) == 1
-    assert traj.records[0].k == 0
+    assert len(traj.k) == 1
+    assert traj.k[0] == 0
     assert traj.termination == TERMINATION_BUDGET
 
 
@@ -98,9 +98,9 @@ def test_run_from_saddle_stops_immediately():
     sched = make_schedule(FIXED, built.problem.F_norm)
     traj = run(built.problem, sched, built.saddle, budget=100, tol=1e-10)
     assert traj.termination == TERMINATION_RESIDUAL
-    assert traj.records[-1].k == sched.k_start
-    assert traj.records[-1].primal_residual <= 1e-10
-    assert traj.records[-1].dual_residual <= 1e-10
+    assert traj.k[-1] == sched.k_start
+    assert traj.primal_residual[-1] <= 1e-10
+    assert traj.dual_residual[-1] <= 1e-10
 
 
 def test_run_records_chain_and_extrapolation_identity():
@@ -108,11 +108,27 @@ def test_run_records_chain_and_extrapolation_identity():
     sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, mu=1.0, gamma=1.0)
     init = PrimalDualPair(np.ones(5), -np.ones(5))
     traj = run(built.problem, sched, init, budget=60, tol=0.0)
-    assert np.array_equal(traj.records[0].x, init.x)
-    assert np.array_equal(traj.records[0].y, init.y)
-    for prev, rec in zip(traj.records, traj.records[1:]):
-        assert np.array_equal(rec.x, prev.x_next)
-        assert np.array_equal(rec.y, prev.y_next)
+    assert np.array_equal(traj.x[0], init.x)
+    assert np.array_equal(traj.y[0], init.y)
+    for i in range(1, len(traj.k)):
+        assert np.array_equal(traj.x[i], traj.x_next[i - 1])
+        assert np.array_equal(traj.y[i], traj.y_next[i - 1])
+
+
+def test_run_stores_each_state_once():
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=2, seed=5))
+    sched = make_schedule(FIXED, built.problem.F_norm)
+    init = PrimalDualPair(np.ones(3), np.zeros(2))
+    traj = run(built.problem, sched, init, budget=20, tol=0.0)
+    # one (budget + 1)-row buffer per variable holds pre- and post-states
+    assert np.shares_memory(traj.x[1:], traj.x_next[:-1])
+    assert np.shares_memory(traj.y[1:], traj.y_next[:-1])
+    assert traj.x.base is traj.x_next.base and traj.x.base.shape == (21, 3)
+    strided = run(built.problem, sched, init, budget=20, tol=0.0, record_every=3)
+    # ceil(20 / 3) stride rows plus the last step
+    assert strided.x.base.shape == strided.x_next.base.shape == (8, 3)
+    assert not np.shares_memory(strided.x, strided.x_next)
+    assert strided.k.tolist() == [0, 3, 6, 9, 12, 15, 18, 19]
 
 
 def test_run_record_every_keeps_stride_and_last():
@@ -123,7 +139,7 @@ def test_run_record_every_keeps_stride_and_last():
     init = PrimalDualPair(np.ones(2), np.zeros(2))
     traj = run(built.problem, sched, init, budget=40, tol=0.0, record_every=7)
     assert traj.termination == TERMINATION_BUDGET
-    ks = [rec.k for rec in traj.records]
+    ks = traj.k.tolist()
     assert ks == list(range(0, 40, 7)) + [39]
 
 
@@ -133,10 +149,10 @@ def test_run_is_deterministic():
     init = PrimalDualPair(np.zeros(5), np.zeros(5))
     t1 = run(built.problem, sched, init, budget=50, tol=0.0)
     t2 = run(built.problem, sched, init, budget=50, tol=0.0)
-    for r1, r2 in zip(t1.records, t2.records):
-        assert np.array_equal(r1.x_next, r2.x_next)
-        assert np.array_equal(r1.y_next, r2.y_next)
-        assert r1.primal_residual == r2.primal_residual
+    for i in range(len(t1.k)):
+        assert np.array_equal(t1.x_next[i], t2.x_next[i])
+        assert np.array_equal(t1.y_next[i], t2.y_next[i])
+        assert t1.primal_residual[i] == t2.primal_residual[i]
 
 
 def test_run_divergence_guard():
@@ -151,7 +167,7 @@ def test_run_divergence_guard():
     sched = make_schedule(FIXED, 1.0, s=0.5, tau=0.5, sigma=0.5)
     traj = run(prob, sched, PrimalDualPair(np.ones(1), np.ones(1)), budget=10_000, tol=0.0)
     assert traj.termination == TERMINATION_DIVERGENCE
-    assert len(traj.records) < 10_000
+    assert len(traj.k) < 10_000
 
 
 def test_run_validates_inputs():
@@ -178,8 +194,8 @@ def test_optimality_residual_exact_for_closed_form_prox():
     sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, mu=1.0, gamma=1.0)
     init = PrimalDualPair(np.ones(4), np.ones(4))
     traj = run(built.problem, sched, init, budget=40, tol=0.0)
-    for rec in traj.records:
-        r_x, r_y = optimality_residual(built.problem, rec)
+    for i in range(len(traj.k)):
+        r_x, r_y = optimality_residual(built.problem, traj, i)
         assert r_x <= 1e-9 and r_y <= 1e-9
 
 
@@ -187,9 +203,9 @@ def test_optimality_residual_detects_corruption():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=4, d2=4, seed=7))
     sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, mu=1.0, gamma=1.0)
     init = PrimalDualPair(np.ones(4), np.ones(4))
-    rec = run(built.problem, sched, init, budget=5, tol=0.0).records[2]
-    bad = dataclasses.replace(rec, x_next=rec.x_next + 1e-3)
-    r_x, _ = optimality_residual(built.problem, bad)
+    traj = run(built.problem, sched, init, budget=5, tol=0.0)
+    bad = dataclasses.replace(traj, x_next=traj.x_next + 1e-3)
+    r_x, _ = optimality_residual(built.problem, bad, 2)
     assert r_x >= 1e-4
 
 
@@ -202,6 +218,6 @@ def test_optimality_residual_requires_an_oracle():
         prox_gstar=lambda w, t: w / (1.0 + t),
     )
     sched = make_schedule(FIXED, 1.0)
-    rec = run(prob, sched, PrimalDualPair(np.ones(1), np.ones(1)), budget=1).records[0]
+    traj = run(prob, sched, PrimalDualPair(np.ones(1), np.ones(1)), budget=1)
     with pytest.raises(ValueError):
-        optimality_residual(prob, rec)
+        optimality_residual(prob, traj, 0)

@@ -6,10 +6,12 @@ guarantees (positivity under admissibility, refusal outside it).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pdhglab import lyapunov
 from pdhglab import (
     ACCELERATED,
     FIXED,
@@ -18,16 +20,21 @@ from pdhglab import (
     InstanceSpec,
     NoMatchingLemma,
     PrimalDualPair,
+    SaddleProblem,
     Schedule,
+    Trajectory,
     alpha_rate,
     build_instance,
     check_lemma,
+    lemma_records,
     lyapunov_accelerated,
     lyapunov_fixed,
+    lyapunov_table,
     make_schedule,
     numerical_error,
     rho_rate,
     run,
+    schedule_at,
     slack_tolerance,
     theorem_bound,
 )
@@ -178,24 +185,24 @@ def test_check_lemma_quadratic_pair_all_regimes():
     }
     for regime, sched in regimes.items():
         traj = run(built.problem, sched, init, budget=500, tol=0.0)
-        records = check_lemma(regime, traj, built.problem, built.saddle)
-        assert len(records) >= 1
-        for rec in records:
-            assert rec.lemma_slack >= -slack_tolerance(rec.E)
-            assert rec.ne >= -1e-12
-            assert math.isfinite(rec.E) and math.isfinite(rec.lemma_rhs)
+        table, rhs, slack = check_lemma(regime, traj, built.problem, built.saddle)
+        assert len(slack) >= 1
+        for E, ne, lemma_rhs, lemma_slack in zip(table.E, table.ne, rhs, slack):
+            assert lemma_slack >= -slack_tolerance(E)
+            assert ne >= -1e-12
+            assert math.isfinite(E) and math.isfinite(lemma_rhs)
         # descent: the lemma right-hand side is never positive
-        assert max(rec.lemma_rhs for rec in records) <= 1e-12
+        assert max(rhs) <= 1e-12
 
 
 def test_check_lemma_saddle_start_gives_zero_energy():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=3, seed=8))
     sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, mu=1.0, gamma=1.0)
     traj = run(built.problem, sched, built.saddle, budget=20, tol=0.0)
-    records = check_lemma(OPTIMAL_SS, traj, built.problem, built.saddle)
-    for rec in records:
-        assert abs(rec.E) <= 1e-20
-        assert abs(rec.lemma_slack) <= 1e-20
+    table, _, slack = check_lemma(OPTIMAL_SS, traj, built.problem, built.saddle)
+    for E, lemma_slack in zip(table.E, slack):
+        assert abs(E) <= 1e-20
+        assert abs(lemma_slack) <= 1e-20
 
 
 def test_check_lemma_refuses_inadmissible_scale():
@@ -222,3 +229,155 @@ def test_check_lemma_requires_both_moduli_for_fixed_steps():
     traj = run(built.problem, sched, PrimalDualPair(np.zeros(5), np.zeros(5)), budget=20, tol=0.0)
     with pytest.raises(NoMatchingLemma):
         check_lemma(FIXED, traj, built.problem, built.saddle)
+
+
+# ---------------------------------------------------------------------------
+# the column table against a scalar per-row reference
+
+
+def reference_table(traj, problem, saddle):
+    """The table as one scalar evaluation per row: E(k+1) of a row is reused
+    as E(k) of its successor, the accelerated form reads the row of step
+    k - 1, and k_start uses 1/tau_0 := 0 with y_0 the run's init."""
+    sched = traj.schedule
+    s, F = sched.s, problem.F
+    accelerated = sched.regime == ACCELERATED
+
+    def state(k, x, y, before):
+        tau, sigma, _ = schedule_at(sched, k)
+        if not accelerated:
+            E = lyapunov_fixed(x, y, saddle, tau, sigma, F)
+        elif before is not None:
+            E = lyapunov_accelerated(
+                x, traj.x[before], traj.y[before], saddle, tau, traj.tau[before], s, F
+            )
+        elif k == sched.k_start:
+            E = lyapunov_accelerated(x, x, traj.init.y, saddle, tau, None, s, F)
+        else:
+            E = math.nan
+        return E, float((x - saddle.x) @ (x - saddle.x)), float((y - saddle.y) @ (y - saddle.y))
+
+    rows, post = [], None
+    for i, k in enumerate(traj.k.tolist()):
+        x, y, x_next, y_next = traj.x[i], traj.y[i], traj.x_next[i], traj.y_next[i]
+        before = i - 1 if i > 0 and traj.k[i - 1] == k - 1 else None
+        pre = post if before is not None else state(k, x, y, None)
+        post = state(k + 1, x_next, y_next, i)
+        if not accelerated:
+            ne = numerical_error(x_next - x, y_next - y, traj.tau[i], traj.sigma[i], F)
+        elif before is not None:
+            ne = numerical_error(
+                x - traj.x[before], y - traj.y[before], traj.tau[before], s, F,
+                accelerated=True,
+            )
+        elif k == sched.k_start:
+            ne = numerical_error(np.zeros_like(x), y - traj.init.y, None, s, F, accelerated=True)
+        else:
+            ne = math.nan
+        rows.append((pre[0], ne, pre[1], pre[2]) + post)
+    names = ("E", "ne", "dist_x", "dist_y", "E_next", "dist_x_next", "dist_y_next")
+    return dict(zip(names, map(np.array, zip(*rows))))
+
+
+def reference_slack(regime, traj, problem, ref):
+    mu, gamma = problem.mu, problem.gamma
+    rhs_all, slack_all = [], []
+    for i, k in enumerate(traj.k.tolist()):
+        tau_k, sigma_k = traj.tau[i], traj.sigma[i]
+        tau_n, sigma_n, _ = schedule_at(traj.schedule, k + 1)
+        dxn, dyn = ref["dist_x_next"][i], ref["dist_y_next"][i]
+        if regime == ACCELERATED:
+            rhs = -(mu / tau_k + 1.0 / (2.0 * tau_k**2) - 1.0 / (2.0 * tau_n**2)) * dxn
+        elif regime == VARYING_SC:
+            rhs = (
+                -(mu + 1.0 / (2.0 * tau_k) - 1.0 / (2.0 * tau_n)) * dxn
+                - (1.0 / (2.0 * sigma_k) - 1.0 / (2.0 * sigma_n)) * dyn
+            )
+        else:
+            rhs = -(mu * dxn + gamma * dyn)
+        rhs_all.append(rhs)
+        slack_all.append(rhs - (ref["E_next"][i] - ref["E"][i]))
+    return np.array(rhs_all), np.array(slack_all)
+
+
+@pytest.mark.parametrize("block_elements", [None, 12])
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("regime", [FIXED, VARYING_SC, ACCELERATED, OPTIMAL_SS])
+def test_table_matches_scalar_reference(monkeypatch, regime, record_every, block_elements):
+    if block_elements is not None:  # several blocks, with boundaries inside gaps
+        monkeypatch.setattr(lyapunov, "BLOCK_ELEMENTS", block_elements)
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=5, d2=3, seed=4))
+    problem = built.problem
+    sched = make_schedule(regime, problem.F_norm, mu=problem.mu, gamma=problem.gamma)
+    init = PrimalDualPair(np.ones(5), -np.ones(3))
+    traj = run(problem, sched, init, budget=61, tol=0.0, record_every=record_every)
+    assert traj.k[0] == sched.k_start
+    table = lyapunov_table(traj, problem, built.saddle)
+    ref = reference_table(traj, problem, built.saddle)
+    for name, want in ref.items():
+        np.testing.assert_allclose(getattr(table, name), want, rtol=1e-13, atol=0.0)
+    assert np.isfinite(table.E[0]) and np.isfinite(table.ne[0])  # the k_start row
+    if regime == ACCELERATED and record_every > 1:
+        assert np.isnan(table.E[1:]).all() and np.isnan(table.ne[1:]).all()
+        with pytest.raises(ValueError, match="consecutively recorded"):
+            lemma_records(regime, traj, problem, table)
+        return
+    rhs, slack = lemma_records(regime, traj, problem, table)
+    want_rhs, want_slack = reference_slack(regime, traj, problem, ref)
+    np.testing.assert_allclose(rhs, want_rhs, rtol=1e-13, atol=0.0)
+    # a slack is a difference of nearly equal values: relative to its terms
+    scale = np.abs(ref["E"]) + np.abs(ref["E_next"]) + np.abs(want_rhs)
+    assert np.all(np.abs(slack - want_slack) <= 1e-13 * scale)
+
+
+def test_evaluators_keep_one_code_path_for_one_state():
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=4, d2=2, seed=5))
+    problem, saddle = built.problem, built.saddle
+    rng = np.random.default_rng(1)
+    x, y = rng.standard_normal((3, 4)), rng.standard_normal((3, 2))
+    tau, sigma = np.array([0.5, 0.25, 0.125]), np.array([0.2, 0.4, 0.8])
+    F = problem.F
+    rows = lyapunov_fixed(x, y, saddle, tau, sigma, F)
+    one = lyapunov_fixed(x[1], y[1], saddle, tau[1], sigma[1], F)
+    assert isinstance(one, float) and rows.shape == (3,)
+    assert math.isclose(rows[1], one, rel_tol=1e-14)
+    rows = lyapunov_accelerated(x, x[::-1], y, saddle, tau, sigma, 0.5, F)
+    one = lyapunov_accelerated(x[0], x[2], y[0], saddle, tau[0], sigma[0], 0.5, F)
+    assert isinstance(one, float) and math.isclose(rows[0], one, rel_tol=1e-14)
+    rows = numerical_error(x, y, tau, 0.5, F, accelerated=True)
+    one = numerical_error(x[2], y[2], tau[2], 0.5, F, accelerated=True)
+    assert isinstance(one, float) and math.isclose(rows[2], one, rel_tol=1e-14)
+    with pytest.raises(ValueError):
+        lyapunov_fixed(x, y, saddle, np.array([0.5, -1.0, 0.5]), sigma, F)
+
+
+@pytest.mark.parametrize("regime", [VARYING_SC, ACCELERATED])
+def test_table_working_memory_is_bounded(regime):
+    # a 2000 x 400 trajectory (12.8 MB of states): the table's temporaries
+    # stay at a few row blocks instead of whole-trajectory arrays
+    d, rows = 400, 2000
+    problem = SaddleProblem(
+        d1=d, d2=d, F=np.eye(d), prox_f=lambda v, t: v, prox_gstar=lambda w, t: w,
+        mu=1.0, gamma=1.0,
+    )
+    sched = make_schedule(regime, problem.F_norm, mu=1.0)
+    rng = np.random.default_rng(0)
+    xs, ys = rng.standard_normal((rows + 1, d)), rng.standard_normal((rows + 1, d))
+    k = np.arange(sched.k_start, sched.k_start + rows)
+    tau, sigma, theta = schedule_at(sched, k)
+    traj = Trajectory(
+        k=k, tau=tau, sigma=sigma, theta=theta, x=xs[:-1], y=ys[:-1],
+        x_next=xs[1:], y_next=ys[1:], primal_residual=np.zeros(rows),
+        dual_residual=np.zeros(rows), init=PrimalDualPair(xs[0], ys[0]),
+        schedule=sched, termination="budget",
+    )
+    saddle = PrimalDualPair(np.zeros(d), np.zeros(d))
+    tracemalloc.start()
+    try:
+        table = lyapunov_table(traj, problem, saddle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = 9 * rows * 8  # seven columns, plus the two the accelerated shift replaces
+    assert peak <= output + 2**20
+    assert np.isfinite(table.E_next).all()

@@ -14,4 +14,4 @@ def test_readme_quickstart_runs():
     source = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
     namespace = {}
     exec(compile(source, str(README), "exec"), namespace)
-    assert namespace["records"]
+    assert namespace["slack"].size

@@ -81,6 +81,33 @@ def test_lasso_active_dual_has_no_closed_form():
     assert built.saddle is None
 
 
+@pytest.mark.parametrize("identity_a", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_gen_lasso_closed_form_saddle_certifies(seed, identity_a):
+    # lam >= ||y*||_inf for the constant x* = <A1, b>/||A1||^2 * 1 makes
+    # (x*, y*) with D^T y* = A^T (b - A x*) the exact saddle point
+    spec = InstanceSpec(kind="gen_lasso", d1=40, seed=seed, lam=20.0, identity_a=identity_a)
+    built = build_instance(spec)
+    assert built.saddle is not None
+    assert np.ptp(built.saddle.x) == 0.0
+    assert np.max(np.abs(built.saddle.y)) <= 20.0
+    cert = certify_saddle(built.problem, built.saddle, tol=1e-10)
+    assert cert.passed
+
+
+def test_gen_lasso_closed_form_matches_reference_run():
+    built = build_instance(InstanceSpec(kind="gen_lasso", d1=10, seed=0, lam=5.0, identity_a=True))
+    assert built.saddle is not None
+    ref = reference_saddle(built.problem)
+    assert np.max(np.abs(ref.x - built.saddle.x)) <= 1e-9
+    assert np.max(np.abs(ref.y - built.saddle.y)) <= 1e-9
+
+
+def test_gen_lasso_below_the_dual_bound_has_no_closed_form():
+    built = build_instance(InstanceSpec(kind="gen_lasso", d1=40, seed=0, lam=1.0, identity_a=True))
+    assert built.saddle is None
+
+
 def test_reference_saddle_certifies():
     built = build_instance(InstanceSpec(kind="lasso", d1=5, seed=3, lam=0.5, cond=3.0))
     sad = reference_saddle(built.problem)
