@@ -11,7 +11,6 @@ from .config import (
     ExperimentConfig,
     materialize,
     parse_config,
-    serialize_config,
 )
 from .dynamics import OdeState, hires_ode_step, integrate
 from .engine import (

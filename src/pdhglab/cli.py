@@ -47,7 +47,6 @@ from .config import (
     ExperimentConfig,
     materialize,
     parse_config,
-    serialize_config,
 )
 from .dynamics import OdeState, integrate
 from .engine import TERMINATION_DIVERGENCE, run
@@ -201,9 +200,7 @@ def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResul
             return CheckResult(
                 CHECK_THEOREM, FAIL, f"Lyapunov bound exceeded, worst ratio {ratio.max():.6g}"
             )
-        tb = np.array(
-            [theorem_bound(regime, ki, form="trajectory", **consts) for ki in k.tolist()]
-        )
+        tb = theorem_bound(regime, k, form="trajectory", **consts)
         failed = _first_nan(k, ("distance", dist), ("trajectory bound", tb))
         if failed:
             return failed
@@ -372,7 +369,8 @@ def execute(
     write_trajectory: bool = True,
     quiet: bool = False,
 ):
-    """Run one experiment; returns (exit_code, summary_lines, metrics)."""
+    """Run one experiment; returns (exit_code, summary_lines, metrics).
+    A violated regime precondition raises ConfigError before anything runs."""
     built, schedule = materialize(config)
     problem = built.problem
     init = PrimalDualPair(x=np.zeros(problem.d1), y=np.zeros(problem.d2))
@@ -386,7 +384,7 @@ def execute(
     # The default-form bound of each row, read by the theorem check and the CSV.
     bounds = None
     if consts is not None and (write_trajectory or CHECK_THEOREM in config.checks):
-        bounds = np.array([theorem_bound(config.regime, k, **consts) for k in table.k.tolist()])
+        bounds = theorem_bound(config.regime, table.k, **consts)
     # The sweep aggregate wants a slope even when rate_fit was not requested.
     rate_fit, slope, resid = _check_rate_fit(config, built, traj, table)
     metrics = {"slope": slope, "slope_residual": resid, "geomean_ratio": None}
@@ -462,21 +460,22 @@ def _write_csv(path, traj, table, slacks, bounds):
     )
 
 
-def _sweep_cells(config: ExperimentConfig):
+def _sweep_cells(config: ExperimentConfig) -> list[tuple[int, int, ExperimentConfig]]:
+    """The (i, j, config) of each grid cell, writing into output/cell_i_j."""
     cs = config.sweep_c if config.sweep_c is not None else (config.c,)
     ss = config.sweep_s if config.sweep_s is not None else (config.s,)
-    return [(i, j, c, s) for i, c in enumerate(cs) for j, s in enumerate(ss)]
+    base_output = config.output or "."
+    return [
+        (i, j, replace(
+            config, c=c, s=s, sweep_c=None, sweep_s=None,
+            output=os.path.join(base_output, f"cell_{i}_{j}"),
+        ))
+        for i, c in enumerate(cs) for j, s in enumerate(ss)
+    ]
 
 
-def _run_cell(payload):
-    text, i, j, c, s, base_output = payload
-    config = parse_config(text)
-    cell = replace(
-        config, c=c, s=s, sweep_c=None, sweep_s=None,
-        output=os.path.join(base_output, f"cell_{i}_{j}"),
-    )
-    exit_code, _, metrics = execute(cell, write_trajectory=True, quiet=True)
-    return (i, j, c, s, exit_code, metrics)
+def _run_cell(cell: ExperimentConfig):
+    return execute(cell, write_trajectory=True, quiet=True)
 
 
 def _jobs() -> int:
@@ -497,21 +496,20 @@ def sweep(config: ExperimentConfig) -> int:
     before any cell executes."""
     jobs = _jobs()
     cells = _sweep_cells(config)
-    base_output = config.output or "."
-    for i, j, c, s in cells:
+    for i, j, cell in cells:
         try:
-            materialize(replace(config, c=c, s=s, sweep_c=None, sweep_s=None))
+            materialize(cell)
         except ConfigError as exc:
-            raise ConfigError(f"sweep cell ({i}, {j}) with c={c}, s={s}: {exc}") from exc
+            raise ConfigError(f"sweep cell ({i}, {j}) with c={cell.c}, s={cell.s}: {exc}") from exc
 
-    text = serialize_config(replace(config, sweep_c=None, sweep_s=None))
-    payloads = [(text, i, j, c, s, base_output) for i, j, c, s in cells]
+    configs = [cell for _, _, cell in cells]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            outcomes = list(pool.map(_run_cell, payloads))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
+            outcomes = list(pool.map(_run_cell, configs))
     else:
-        outcomes = [_run_cell(p) for p in payloads]
+        outcomes = list(map(_run_cell, configs))
 
+    base_output = config.output or "."
     os.makedirs(base_output, exist_ok=True)
     agg_path = os.path.join(base_output, "sweep_summary.csv")
     overall = 0
@@ -520,9 +518,12 @@ def sweep(config: ExperimentConfig) -> int:
         writer.writerow(
             ["cell", "c", "s", "slope", "slope_residual", "geomean_ratio", "exit_status"]
         )
-        for i, j, c, s, code, metrics in outcomes:
+        for (i, j, cell), (code, _, metrics) in zip(cells, outcomes):
             overall = max(overall, code)
-            values = (c, s, metrics["slope"], metrics["slope_residual"], metrics["geomean_ratio"])
+            values = (
+                cell.c, cell.s,
+                metrics["slope"], metrics["slope_residual"], metrics["geomean_ratio"],
+            )
             writer.writerow(
                 [f"cell_{i}_{j}"] + ["" if v is None else _fmt(v) for v in values] + [str(code)]
             )

@@ -1,10 +1,12 @@
 """Experiment configuration: one canonical JSON document, strictly parsed.
 
-Unknown keys are rejected by dotted path ("schedule.momentum"), missing
-required fields and violated regime preconditions are rejected by name —
-silent typos in schedule constants would corrupt experimental conclusions.
-Non-finite numbers (NaN, Infinity, literals that overflow a double) are
-rejected too: no schedule constant, tolerance or modulus may be one.
+Unknown keys are rejected by dotted path ("schedule.momentum") and missing
+required fields by name — silent typos in schedule constants would corrupt
+experimental conclusions.  Non-finite numbers (NaN, Infinity, literals that
+overflow a double) are rejected too: no schedule constant, tolerance or
+modulus may be one.  Regime preconditions on derived constants (mu, gamma,
+||F||) are checked by :func:`materialize` when the instance is built, before
+any iteration.
 
 Document shape (see the README for the full grammar):
 
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .schedules import REGIMES, Schedule, make_schedule
+from .schedules import ACCELERATED, REGIMES, Schedule, make_schedule
 from .zoo import KINDS, QUAD_PAIR, BuiltInstance, InstanceSpec, build_instance
 
 CHECK_LEMMA = "lemma"
@@ -157,11 +159,12 @@ def _finite_float(text: str) -> float:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate a config document.
+    """Parse a config document and check everything that needs no numerics:
+    keys, types, ranges and which keys apply to which kind and regime.
 
-    Validation materializes the instance and builds the (non-sweep) schedule,
-    so regime preconditions that depend on derived quantities — e.g. mu = 0
-    for a rank-deficient design matrix — are caught here, before any run.
+    Regime preconditions that depend on derived quantities — e.g. mu = 0
+    for a rank-deficient design matrix — are checked by :func:`materialize`
+    when the instance is built, before any iteration.
     """
     try:
         obj = json.loads(
@@ -230,8 +233,13 @@ def parse_config(text: str) -> ExperimentConfig:
     record_every = obj.get("record_every", DEFAULT_RECORD_EVERY)
     if record_every < 1:
         raise ConfigError('key "record_every" must be at least 1')
+    if regime == ACCELERATED and CHECK_LEMMA in checks and record_every > 1:
+        raise ConfigError(
+            'key "record_every" must be 1 for the accelerated lemma check, '
+            "which needs consecutively recorded steps"
+        )
 
-    config = ExperimentConfig(
+    return ExperimentConfig(
         instance=instance,
         regime=regime,
         s=None if sched_obj.get("s") is None else float(sched_obj["s"]),
@@ -246,13 +254,14 @@ def parse_config(text: str) -> ExperimentConfig:
         sweep_c=sweep_c,
         sweep_s=sweep_s,
     )
-    materialize(config)  # validation only; rebuilt (deterministically) at run time
-    return config
 
 
 def materialize(config: ExperimentConfig) -> tuple[BuiltInstance, Schedule]:
     """Build the instance and schedule, translating any regime-precondition
-    violation into a ConfigError naming the offending parameter."""
+    violation into a ConfigError naming the offending parameter.
+
+    This is the only place an instance is built: once per run, before any
+    iteration, and once more per sweep cell to validate every cell first."""
     try:
         built = build_instance(config.instance)
     except ValueError as exc:
@@ -271,46 +280,3 @@ def materialize(config: ExperimentConfig) -> tuple[BuiltInstance, Schedule]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return built, schedule
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical JSON form; parse_config(serialize_config(c)) == c."""
-    spec = config.instance
-    instance = {"kind": spec.kind, "d1": spec.d1}
-    if spec.d2 is not None:
-        instance["d2"] = spec.d2
-    instance["seed"] = spec.seed
-    if spec.lam is not None:
-        instance["lam"] = spec.lam
-    if spec.kind == QUAD_PAIR:
-        instance["mu"] = spec.mu
-        instance["gamma"] = spec.gamma
-    elif not spec.identity_a:
-        instance["cond"] = spec.cond
-    if spec.m is not None:
-        instance["m"] = spec.m
-    if spec.identity_a:
-        instance["identity_a"] = True
-
-    obj: dict = {"instance": instance, "regime": config.regime}
-    schedule = {
-        name: getattr(config, name)
-        for name in ("s", "c", "tau", "sigma")
-        if getattr(config, name) is not None
-    }
-    if schedule:
-        obj["schedule"] = schedule
-    obj["budget"] = config.budget
-    obj["tol"] = config.tol
-    obj["record_every"] = config.record_every
-    obj["checks"] = list(config.checks)
-    if config.output is not None:
-        obj["output"] = config.output
-    sweep = {}
-    if config.sweep_c is not None:
-        sweep["c"] = list(config.sweep_c)
-    if config.sweep_s is not None:
-        sweep["s"] = list(config.sweep_s)
-    if sweep:
-        obj["sweep"] = sweep
-    return json.dumps(obj, indent=2)

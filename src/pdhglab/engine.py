@@ -28,6 +28,7 @@ saddle).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,9 +111,9 @@ def step_residuals(
     """Displacement (fixed-point) residuals of one transition."""
     dx = x_k - x_next
     dy = y_k - y_next
-    rp = float(np.linalg.norm(dx / tau_k - F.T @ dy))
-    rd = float(np.linalg.norm(dy / sigma_k - theta_k * (F @ dx)))
-    return rp, rd
+    rx = dx / tau_k - F.T @ dy
+    ry = dy / sigma_k - theta_k * (F @ dx)
+    return math.sqrt(float(rx @ rx)), math.sqrt(float(ry @ ry))
 
 
 def run(
@@ -171,7 +172,7 @@ def run(
         x_next, _, y_next = pdhg_step(problem, x, y, tau_k, sigma_k, theta_k)
         rp, rd = step_residuals(problem.F, x, y, x_next, y_next, tau_k, sigma_k, theta_k)
 
-        state_norm = float(np.linalg.norm(x_next)) + float(np.linalg.norm(y_next))
+        state_norm = math.sqrt(float(x_next @ x_next)) + math.sqrt(float(y_next @ y_next))
         diverged = (not np.isfinite(state_norm)) or state_norm > DIVERGENCE_GUARD
         hit_tol = max(rp, rd) <= tol
         last = diverged or hit_tol or i == budget - 1

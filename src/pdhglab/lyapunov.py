@@ -218,14 +218,19 @@ def _sandwich(s: float, F_norm: float) -> float:
     return (1.0 + q) / (1.0 - q)
 
 
-def _gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a)/Gamma(b) in the log domain (stable past k ~ 170)."""
-    return math.exp(math.lgamma(a) - math.lgamma(b))
+def _lgamma(a: np.ndarray) -> np.ndarray:
+    """math.lgamma elementwise, without holding an array of Python floats."""
+    return np.fromiter(map(math.lgamma, np.ravel(a)), float).reshape(np.shape(a))
+
+
+def _gamma_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gamma(a)/Gamma(b) elementwise, in the log domain (stable past k ~ 170)."""
+    return np.exp(_lgamma(a) - _lgamma(b))
 
 
 def theorem_bound(
     regime: str,
-    k: int,
+    k: int | np.ndarray,
     *,
     mu: float = 0.0,
     gamma: float = 0.0,
@@ -237,8 +242,9 @@ def theorem_bound(
     dx0: Optional[float] = None,
     dy0: Optional[float] = None,
     form: str = "lyapunov",
-) -> float:
-    """Closed-form convergence bound of the given regime, evaluated at k.
+) -> float | np.ndarray:
+    """Closed-form convergence bound of the given regime, evaluated at k:
+    a float for an integer k, one bound per entry for an integer array k.
 
     ``varying_sc``
         form "lyapunov": E(k) <= (1 + alpha) Gamma(k+2)/Gamma(k+2+alpha) E(0),
@@ -267,43 +273,45 @@ def theorem_bound(
     if regime == FIXED:
         raise NoMatchingLemma("the fixed regime has no closed-form rate guarantee")
 
+    k = np.asarray(k)
     if regime == VARYING_SC:
         if c is None or s is None or F_norm is None:
             raise ValueError("varying_sc bound needs c, s and F_norm")
-        if k < 0:
+        if np.any(k < 0):
             raise ValueError("k must be >= 0")
         alpha = alpha_rate(mu, c, s, F_norm)
         if form == "lyapunov":
             if E0 is None:
                 raise ValueError("varying_sc Lyapunov bound needs E0")
-            return (1.0 + alpha) * _gamma_ratio(k + 2.0, k + 2.0 + alpha) * E0
+            return _as_result((1.0 + alpha) * _gamma_ratio(k + 2.0, k + 2.0 + alpha) * E0)
         if dx0 is None or dy0 is None:
             raise ValueError("varying_sc trajectory bound needs dx0 and dy0")
         weight = dx0 + dy0 / (c**2 * s**2)
         pref = _sandwich(s, F_norm)
-        return pref * (1.0 + alpha) * _gamma_ratio(k + 1.0, k + 2.0 + alpha) * weight
+        return _as_result(
+            pref * (1.0 + alpha) * _gamma_ratio(k + 1.0, k + 2.0 + alpha) * weight
+        )
 
     if regime == ACCELERATED:
         if c is None or E_K0 is None:
             raise ValueError("accelerated bound needs c and E_K0")
         K0 = k0_threshold(mu, c)
-        if k < K0:
-            return float("nan")
-        return 2.0 * E_K0 / (c**2 * k**2)
+        k_sq = np.square(np.maximum(k, K0), dtype=float)  # K0 >= 1: no division by zero
+        return _as_result(np.where(k < K0, np.nan, 2.0 * E_K0 / (c**2 * k_sq)))
 
     if regime == OPTIMAL_SS:
         if s is None or F_norm is None:
             raise ValueError("optimal_ss bound needs s and F_norm")
-        if k < 0:
+        if np.any(k < 0):
             raise ValueError("k must be >= 0")
         rho = rho_rate(mu, gamma, s, F_norm)
         if form == "lyapunov":
             if E0 is None:
                 raise ValueError("optimal_ss Lyapunov bound needs E0")
-            return rho**k * E0
+            return _as_result(rho**k * E0)
         if dx0 is None or dy0 is None:
             raise ValueError("optimal_ss trajectory bound needs dx0 and dy0")
-        return _sandwich(s, F_norm) * rho**k * (mu * dx0 + gamma * dy0)
+        return _as_result(_sandwich(s, F_norm) * rho**k * (mu * dx0 + gamma * dy0))
 
     raise ValueError(f"unknown regime {regime!r}")
 

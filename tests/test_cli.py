@@ -15,9 +15,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pdhglab import cli, lyapunov, zoo
+from pdhglab import cli, config as config_module, lyapunov, zoo
 from pdhglab.cli import CSV_COLUMNS, JOBS_ENV_VAR, execute, main
-from pdhglab.config import materialize, parse_config
+from pdhglab.config import ConfigError, materialize, parse_config
 from pdhglab.engine import run
 from pdhglab.lyapunov import lyapunov_fixed, numerical_error
 from pdhglab.problems import PrimalDualPair
@@ -215,7 +215,9 @@ def test_verify_fails_theorem_on_nan_post_state(
 
 @pytest.mark.parametrize("regime", ["varying_sc", "accelerated"])
 def test_theorem_fails_on_nan_bound(monkeypatch, regime):
-    monkeypatch.setattr(cli, "theorem_bound", lambda *args, **kwargs: math.nan)
+    monkeypatch.setattr(
+        cli, "theorem_bound", lambda regime, k, **kwargs: np.full(np.shape(k), math.nan)
+    )
     config = parse_config(json.dumps({
         "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
         "regime": regime,
@@ -349,7 +351,8 @@ def test_theorem_and_csv_share_one_bound_per_record(tmp_path, monkeypatch):
     K = len(rows)
     assert K > 1
     assert all(math.isfinite(float(row["theorem_bound"])) for row in rows)
-    assert len(calls) <= 2 * K
+    # one call for the CSV column, one for the trajectory bound: no per-row calls
+    assert len(calls) == 2
 
 
 def test_verify_skips_lemma_outside_its_scope(tmp_path, capsys):
@@ -445,6 +448,57 @@ def test_sweep_rejects_bad_cell_before_running_any(tmp_path, capsys):
     stderr = capsys.readouterr().err
     assert "sweep cell (1, 0)" in stderr
     assert not (out / "cell_0_0").exists()
+
+
+def test_sweep_runs_when_every_cell_overrides_an_invalid_base_schedule(tmp_path, monkeypatch):
+    # only the cells run, so the base schedule.c is never built
+    monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
+    out = tmp_path / "out"
+    doc = sweep_doc(out)
+    doc["schedule"] = {"c": 2.0}  # on the c < 2*mu boundary
+    assert main(["sweep", write_config(tmp_path, doc)]) == 0
+    assert len(read_rows(out / "sweep_summary.csv")) == 4
+
+
+# ---------------------------------------------------------------------------
+# instance builds
+
+
+def count_builds(monkeypatch):
+    builds = []
+    real_build = config_module.build_instance
+
+    def counted(spec):
+        builds.append(spec)
+        return real_build(spec)
+
+    monkeypatch.setattr(config_module, "build_instance", counted)
+    return builds
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "info"])
+def test_each_command_builds_the_instance_once(tmp_path, monkeypatch, command):
+    builds = count_builds(monkeypatch)
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
+        "regime": "varying_sc",
+        "budget": 50,
+        "checks": ["lemma", "theorem"],
+        "output": str(tmp_path / "out"),
+    }
+    assert main([command, write_config(tmp_path, doc)]) == 0
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("jobs, builds_in_this_process", [("1", 8), ("2", 4)])
+def test_sweep_builds_each_cell_to_validate_and_to_run(
+    tmp_path, monkeypatch, jobs, builds_in_this_process
+):
+    # with a pool the cells run (and build) in the workers
+    monkeypatch.setenv(JOBS_ENV_VAR, jobs)
+    builds = count_builds(monkeypatch)
+    assert main(["sweep", write_config(tmp_path, sweep_doc(tmp_path / "out"))]) == 0
+    assert len(builds) == builds_in_this_process
 
 
 # ---------------------------------------------------------------------------
@@ -648,3 +702,42 @@ def test_inadmissible_schedule_is_exit_2(tmp_path, capsys):
     }
     assert main(["run", write_config(tmp_path, doc)]) == 2
     assert "admissibility" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"instance": {"kind": "quad_pair", "d": 4, "seed": 1}, "regime": "varying_sc",
+          "schedule": {"c": 2.0}}, r"c must lie strictly inside \(0, 2\*mu\)"),
+        ({"instance": {"kind": "quad_pair", "d": 4, "seed": 1}, "regime": "accelerated",
+          "schedule": {"c": 1.0}}, r"c must lie strictly inside \(0, mu\)"),
+        ({"instance": {"kind": "lasso", "d1": 5, "seed": 0, "lam": 0.5},
+          "regime": "optimal_ss"}, "gamma must be positive"),
+        ({"instance": {"kind": "lasso", "d1": 5, "m": 3, "seed": 0, "lam": 0.5},
+          "regime": "varying_sc"}, "mu must be positive"),
+        ({"instance": {"kind": "quad_pair", "d": 4, "seed": 1}, "regime": "fixed",
+          "schedule": {"s": 1.5}}, "admissibility"),
+        ({"instance": {"kind": "quad_pair", "d": 4, "seed": 1}, "regime": "fixed",
+          "schedule": {"c": 0.5}}, "c is not a fixed-regime parameter"),
+    ],
+)
+def test_derived_precondition_is_exit_2_before_any_output(tmp_path, capsys, doc, message):
+    with pytest.raises(ConfigError, match=message) as raised:
+        materialize(parse_config(json.dumps(doc)))
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, {**doc, "output": str(out)})]) == 2
+    assert capsys.readouterr().err == f"config error: {raised.value}\n"
+    assert not out.exists()
+
+
+def test_accelerated_lemma_with_a_record_stride_is_exit_2(tmp_path, capsys):
+    # the accelerated lemma needs every step; a stride cannot be checked as asked
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 4, "seed": 1},
+        "regime": "accelerated",
+        "budget": 30,
+        "record_every": 3,
+        "checks": ["lemma"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    assert 'key "record_every" must be 1' in capsys.readouterr().err

@@ -2,11 +2,13 @@
 
 The parser's job is to refuse anything it does not fully understand —
 a silently ignored typo in a schedule constant would invalidate every
-conclusion drawn from the run — and to catch regime preconditions at
-parse time, before any iterations are spent.
+conclusion drawn from the run.  Regime preconditions on derived constants
+are caught when the instance is built (``materialize``), before any
+iterations are spent.
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -15,7 +17,6 @@ from pdhglab.config import (
     ExperimentConfig,
     materialize,
     parse_config,
-    serialize_config,
 )
 from pdhglab.schedules import ACCELERATED, FIXED, OPTIMAL_SS, VARYING_SC
 
@@ -174,6 +175,14 @@ def test_run_parameter_bounds():
         parse(make_doc(record_every=0))
 
 
+def test_accelerated_lemma_needs_every_step_recorded():
+    with pytest.raises(ConfigError, match='"record_every" must be 1 for the accelerated lemma'):
+        parse(make_doc(regime="accelerated", record_every=3, checks=["lemma"]))
+    # without the lemma check, or in another regime, a stride is fine
+    assert parse(make_doc(regime="accelerated", record_every=3)).record_every == 3
+    assert parse(make_doc(regime="varying_sc", record_every=3, checks=["lemma"])).record_every == 3
+
+
 def test_checks_are_validated():
     config = parse(make_doc(checks=["lemma", "theorem", "rate_fit", "ode_compare"]))
     assert config.checks == ("lemma", "theorem", "rate_fit", "ode_compare")
@@ -233,12 +242,12 @@ def test_moduli_rejected_outside_quad_pair(kind, key):
 
 
 # ---------------------------------------------------------------------------
-# round trips
+# round trips: a sweep hands each cell's config to its worker by pickling
 
 
 def round_trip(doc):
     config = parse(doc)
-    again = parse_config(serialize_config(config))
+    again = pickle.loads(pickle.dumps(config))
     assert again == config
     return config
 
@@ -286,18 +295,6 @@ def test_round_trip_generalized_lasso():
     )
 
 
-@pytest.mark.parametrize(
-    "instance",
-    [
-        {"kind": "quad_pair", "d": 3, "seed": 2},
-        {"kind": "gen_lasso", "d1": 12, "seed": 0, "lam": 0.2, "identity_a": True},
-    ],
-)
-def test_serialize_omits_cond_where_it_is_ignored(instance):
-    config = round_trip({"instance": instance, "regime": "fixed"})
-    assert "cond" not in json.loads(serialize_config(config))["instance"]
-
-
 def test_round_trip_explicit_quad_moduli():
     doc = make_doc(regime="optimal_ss")
     doc["instance"] = {"kind": "quad_pair", "d": 3, "seed": 2, "mu": 4.0, "gamma": 0.5}
@@ -307,20 +304,21 @@ def test_round_trip_explicit_quad_moduli():
 
 
 # ---------------------------------------------------------------------------
-# regime preconditions are checked at parse time, naming the violation
+# regime preconditions are checked when the instance is built, before any
+# iteration, naming the violation
 
 
 def test_varying_sc_c_boundary_rejected():
     # quad_pair default mu = 1; c = 2*mu sits on the open boundary
     doc = make_doc(regime="varying_sc", schedule={"c": 2.0})
     with pytest.raises(ConfigError, match=r"c must lie strictly inside \(0, 2\*mu\)"):
-        parse(doc)
+        materialize(parse(doc))
 
 
 def test_accelerated_c_boundary_rejected():
     doc = make_doc(regime="accelerated", schedule={"c": 1.0})
     with pytest.raises(ConfigError, match=r"c must lie strictly inside \(0, mu\)"):
-        parse(doc)
+        materialize(parse(doc))
 
 
 def test_optimal_ss_requires_gamma():
@@ -330,7 +328,7 @@ def test_optimal_ss_requires_gamma():
         "regime": "optimal_ss",
     }
     with pytest.raises(ConfigError, match="gamma must be positive"):
-        parse(doc)
+        materialize(parse(doc))
 
 
 def test_varying_sc_requires_mu():
@@ -340,20 +338,20 @@ def test_varying_sc_requires_mu():
         "regime": "varying_sc",
     }
     with pytest.raises(ConfigError, match="mu must be positive"):
-        parse(doc)
+        materialize(parse(doc))
 
 
 def test_inadmissible_step_rejected():
     # quad_pair coupling is normalized to unit operator norm
     doc = make_doc(schedule={"s": 1.5})
     with pytest.raises(ConfigError, match="admissibility"):
-        parse(doc)
+        materialize(parse(doc))
 
 
 def test_fixed_regime_rejects_c():
     doc = make_doc(schedule={"c": 0.5})
     with pytest.raises(ConfigError, match="c is not a fixed-regime parameter"):
-        parse(doc)
+        materialize(parse(doc))
 
 
 def test_config_is_a_plain_value():
