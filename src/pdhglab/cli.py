@@ -4,8 +4,9 @@ Subcommands:
 
 * ``run <config>``     execute one experiment; write trajectory.csv and
                        summary.txt into the output directory.
-* ``sweep <config>``   run a grid over schedule constants c and s; one
-                       subdirectory per cell plus an aggregate sweep_summary.csv.
+* ``sweep <config>``   run a grid over schedule constants c and s, serially on
+                       one built instance and saddle; one subdirectory per
+                       cell plus an aggregate sweep_summary.csv.
 * ``verify <config>``  run the requested checks only; print the summary,
                        write no trajectory CSV.
 * ``info <config>``    print resolved defaults, admissibility margin and the
@@ -14,7 +15,8 @@ Subcommands:
 Exit status: 0 when every requested check passed or was skipped, 1 when any
 check failed or the run was stopped by the divergence guard (the summary
 then names it as ``exit_reason = divergence_guard``), 2 for configuration
-errors, including a budget whose trajectory cannot be reserved in memory.
+errors, including a budget whose trajectory cannot be reserved in memory
+and an instance too large to build.
 
 The trajectory CSV has one row per recorded step.  Row k holds the pre-step
 state diagnostics (distances, Lyapunov value) at iterate k together with the
@@ -32,7 +34,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -46,6 +47,8 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     materialize,
+    materialize_instance,
+    materialize_schedule,
     parse_config,
 )
 from .dynamics import OdeState, integrate
@@ -69,8 +72,6 @@ CSV_COLUMNS = [
     "k", "tau_k", "sigma_k", "theta_k", "dist_x_sq", "dist_y_sq", "lyapunov",
     "ne", "lemma_slack", "theorem_bound", "primal_residual", "dual_residual",
 ]
-
-JOBS_ENV_VAR = "PDHGLAB_JOBS"
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -172,12 +173,13 @@ def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResul
         )
     if table is None:
         return CheckResult(CHECK_THEOREM, SKIPPED, "no certified saddle available")
-    if consts is None:
-        return CheckResult(
-            CHECK_THEOREM, SKIPPED,
-            "bound constants unavailable (run not recorded from its start)",
-        )
     mu, gamma = built.problem.mu, built.problem.gamma
+    if consts is None:
+        reason = "bound constants unavailable (run not recorded from its start)"
+        if regime == ACCELERATED:
+            K0 = k0_threshold(mu, schedule.c)
+            reason = f"E(K0) unavailable: no Lyapunov value at K0={K0}, last k={table.k[-1]}"
+        return CheckResult(CHECK_THEOREM, SKIPPED, reason)
     k, E, dist = table.k, table.E, table.dist_x
     last = int(k[-1]) + 1
     # The final post-state is compared by no per-row bound below.
@@ -372,13 +374,22 @@ def execute(
     """Run one experiment; returns (exit_code, summary_lines, metrics).
     A violated regime precondition raises ConfigError before anything runs."""
     built, schedule = materialize(config)
+    return _execute(config, built, schedule, _resolve_saddle(built), write_trajectory, quiet)
+
+
+def _execute(config, built, schedule, resolved, write_trajectory, quiet):
+    """:func:`execute` on a built instance, its schedule and its resolved
+    (saddle, source)."""
+    saddle, saddle_source = resolved
     problem = built.problem
     init = PrimalDualPair(x=np.zeros(problem.d1), y=np.zeros(problem.d2))
-    traj = run(
-        problem, schedule, init,
-        budget=config.budget, tol=config.tol, record_every=config.record_every,
-    )
-    saddle, saddle_source = _resolve_saddle(built)
+    try:
+        traj = run(
+            problem, schedule, init,
+            budget=config.budget, tol=config.tol, record_every=config.record_every,
+        )
+    except MemoryError as exc:  # the trajectory is reserved for the whole budget
+        raise ConfigError(f"{exc}; lower budget or raise record_every") from exc
     table = lyapunov_table(traj, problem, saddle) if saddle is not None else None
     consts = _bound_constants(built, schedule, table) if table is not None else None
     # The default-form bound of each row, read by the theorem check and the CSV.
@@ -460,56 +471,29 @@ def _write_csv(path, traj, table, slacks, bounds):
     )
 
 
-def _sweep_cells(config: ExperimentConfig) -> list[tuple[int, int, ExperimentConfig]]:
-    """The (i, j, config) of each grid cell, writing into output/cell_i_j."""
-    cs = config.sweep_c if config.sweep_c is not None else (config.c,)
-    ss = config.sweep_s if config.sweep_s is not None else (config.s,)
+def sweep(config: ExperimentConfig) -> int:
+    """Grid runner over the schedule constants on one built instance and one
+    resolved saddle; every cell's schedule is validated before any cell runs."""
+    built = materialize_instance(config)
     base_output = config.output or "."
-    return [
-        (i, j, replace(
-            config, c=c, s=s, sweep_c=None, sweep_s=None,
-            output=os.path.join(base_output, f"cell_{i}_{j}"),
-        ))
-        for i, c in enumerate(cs) for j, s in enumerate(ss)
+    cells = []
+    for i, c in enumerate(config.sweep_c if config.sweep_c is not None else (config.c,)):
+        for j, s in enumerate(config.sweep_s if config.sweep_s is not None else (config.s,)):
+            cell = replace(
+                config, c=c, s=s, sweep_c=None, sweep_s=None,
+                output=os.path.join(base_output, f"cell_{i}_{j}"),
+            )
+            try:
+                cells.append((f"cell_{i}_{j}", cell, materialize_schedule(cell, built)))
+            except ConfigError as exc:
+                raise ConfigError(f"sweep cell ({i}, {j}) with c={c}, s={s}: {exc}") from exc
+
+    resolved = _resolve_saddle(built)
+    outcomes = [
+        _execute(cell, built, schedule, resolved, write_trajectory=True, quiet=True)
+        for _, cell, schedule in cells
     ]
 
-
-def _run_cell(cell: ExperimentConfig):
-    return execute(cell, write_trajectory=True, quiet=True)
-
-
-def _jobs() -> int:
-    """Worker count from the environment; anything but a positive integer is a
-    ConfigError."""
-    text = os.environ.get(JOBS_ENV_VAR, "1")
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ConfigError(f"{JOBS_ENV_VAR} must be a positive integer, got {text!r}")
-    return jobs
-
-
-def sweep(config: ExperimentConfig) -> int:
-    """Grid runner over the schedule constants; every cell is validated
-    before any cell executes."""
-    jobs = _jobs()
-    cells = _sweep_cells(config)
-    for i, j, cell in cells:
-        try:
-            materialize(cell)
-        except ConfigError as exc:
-            raise ConfigError(f"sweep cell ({i}, {j}) with c={cell.c}, s={cell.s}: {exc}") from exc
-
-    configs = [cell for _, _, cell in cells]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-            outcomes = list(pool.map(_run_cell, configs))
-    else:
-        outcomes = list(map(_run_cell, configs))
-
-    base_output = config.output or "."
     os.makedirs(base_output, exist_ok=True)
     agg_path = os.path.join(base_output, "sweep_summary.csv")
     overall = 0
@@ -518,15 +502,13 @@ def sweep(config: ExperimentConfig) -> int:
         writer.writerow(
             ["cell", "c", "s", "slope", "slope_residual", "geomean_ratio", "exit_status"]
         )
-        for (i, j, cell), (code, _, metrics) in zip(cells, outcomes):
+        for (name, cell, _), (code, _, metrics) in zip(cells, outcomes):
             overall = max(overall, code)
             values = (
                 cell.c, cell.s,
                 metrics["slope"], metrics["slope_residual"], metrics["geomean_ratio"],
             )
-            writer.writerow(
-                [f"cell_{i}_{j}"] + ["" if v is None else _fmt(v) for v in values] + [str(code)]
-            )
+            writer.writerow([name] + ["" if v is None else _fmt(v) for v in values] + [str(code)])
     print(f"wrote {agg_path} ({len(outcomes)} cells)")
     return overall
 
@@ -577,8 +559,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # the trajectory is reserved for the whole budget
-        print(f"config error: {exc}; lower budget or raise record_every", file=sys.stderr)
+    except MemoryError as exc:  # e.g. an instance too large to build
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -5,8 +5,8 @@ required fields by name — silent typos in schedule constants would corrupt
 experimental conclusions.  Non-finite numbers (NaN, Infinity, literals that
 overflow a double) are rejected too: no schedule constant, tolerance or
 modulus may be one.  Regime preconditions on derived constants (mu, gamma,
-||F||) are checked by :func:`materialize` when the instance is built, before
-any iteration.
+||F||) are checked by :func:`materialize_schedule` once the instance is
+built, before any iteration.
 
 Document shape (see the README for the full grammar):
 
@@ -163,8 +163,9 @@ def parse_config(text: str) -> ExperimentConfig:
     keys, types, ranges and which keys apply to which kind and regime.
 
     Regime preconditions that depend on derived quantities — e.g. mu = 0
-    for a rank-deficient design matrix — are checked by :func:`materialize`
-    when the instance is built, before any iteration.
+    for a rank-deficient design matrix — are checked by
+    :func:`materialize_schedule` once the instance is built, before any
+    iteration.
     """
     try:
         obj = json.loads(
@@ -256,27 +257,32 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def materialize(config: ExperimentConfig) -> tuple[BuiltInstance, Schedule]:
-    """Build the instance and schedule, translating any regime-precondition
-    violation into a ConfigError naming the offending parameter.
+def materialize_instance(config: ExperimentConfig) -> BuiltInstance:
+    """Build the config's instance; a ValueError becomes a ConfigError.
 
-    This is the only place an instance is built: once per run, before any
-    iteration, and once more per sweep cell to validate every cell first."""
+    This is the only place an instance is built: once per command, a sweep
+    included, before any iteration."""
     try:
-        built = build_instance(config.instance)
+        return build_instance(config.instance)
     except ValueError as exc:
         raise ConfigError(f"instance: {exc}") from exc
+
+
+def materialize_schedule(config: ExperimentConfig, built: BuiltInstance) -> Schedule:
+    """The config's schedule on a built instance, translating any
+    regime-precondition violation into a ConfigError naming the parameter."""
+    problem = built.problem
     try:
-        schedule = make_schedule(
-            config.regime,
-            built.problem.F_norm,
-            s=config.s,
-            c=config.c,
-            tau=config.tau,
-            sigma=config.sigma,
-            mu=built.problem.mu,
-            gamma=built.problem.gamma,
+        return make_schedule(
+            config.regime, problem.F_norm, s=config.s, c=config.c, tau=config.tau,
+            sigma=config.sigma, mu=problem.mu, gamma=problem.gamma,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return built, schedule
+
+
+def materialize(config: ExperimentConfig) -> tuple[BuiltInstance, Schedule]:
+    """The built instance and its schedule, each translating a ValueError into
+    a ConfigError."""
+    built = materialize_instance(config)
+    return built, materialize_schedule(config, built)

@@ -134,6 +134,9 @@ def run(
     y_1 = prox_{sigma_0 g*}(y_0 + sigma_0 F x_1) with sigma_0 = c s^2
     (no primal step, no extrapolation — 1/tau_0 := 0), after which every
     recorded transition is a full iteration.
+
+    The trajectory is reserved for the whole budget up front; a reservation
+    that fails raises MemoryError before any step.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -152,17 +155,20 @@ def run(
         y = problem.prox_gstar(y + sigma0 * (problem.F @ x), sigma0)
 
     d1, d2 = problem.d1, problem.d2
-    if record_every == 1:
-        # Each row's post-state is the next row's pre-state: store it once.
-        rows = budget
-        xs, ys = np.empty((budget + 1, d1)), np.empty((budget + 1, d2))
-        X, X_next, Y, Y_next = xs[:-1], xs[1:], ys[:-1], ys[1:]
-    else:
-        rows = -(-budget // record_every) + 1  # the stride rows plus the last step
-        X, X_next = np.empty((rows, d1)), np.empty((rows, d1))
-        Y, Y_next = np.empty((rows, d2)), np.empty((rows, d2))
-    K = np.empty(rows, dtype=np.int64)
-    RP, RD = np.empty(rows), np.empty(rows)
+    # A stride records its rows plus the last step.
+    rows = budget if record_every == 1 else -(-budget // record_every) + 1
+    try:
+        if record_every == 1:
+            # Each row's post-state is the next row's pre-state: store it once.
+            xs, ys = np.empty((budget + 1, d1)), np.empty((budget + 1, d2))
+            X, X_next, Y, Y_next = xs[:-1], xs[1:], ys[:-1], ys[1:]
+        else:
+            X, X_next = np.empty((rows, d1)), np.empty((rows, d1))
+            Y, Y_next = np.empty((rows, d2)), np.empty((rows, d2))
+        K = np.empty(rows, dtype=np.int64)
+        RP, RD = np.empty(rows), np.empty(rows)
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's dimension limit
+        raise MemoryError(f"a trajectory of {rows} rows cannot be reserved ({exc})") from exc
 
     n = 0
     termination = TERMINATION_BUDGET

@@ -44,8 +44,6 @@ class Schedule:
     c: Optional[float] = None
     tau: Optional[float] = None
     sigma: Optional[float] = None
-    mu: float = 0.0
-    gamma: float = 0.0
     k_start: int = 0
 
 
@@ -136,8 +134,6 @@ def make_schedule(
         c=None if c is None else float(c),
         tau=None if tau is None else float(tau),
         sigma=None if sigma is None else float(sigma),
-        mu=float(mu),
-        gamma=float(gamma),
         k_start=1 if regime == ACCELERATED else 0,
     )
 

@@ -81,8 +81,6 @@ class BuiltInstance:
     saddle: Optional[PrimalDualPair] = None
     A: Optional[np.ndarray] = None
     b: Optional[np.ndarray] = None
-    a: Optional[np.ndarray] = None
-    b_hat: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -310,13 +308,7 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
         G = rng.standard_normal((d2, d1))
         F = G / np.linalg.norm(G, 2)
         pair = make_quad_pair(a, b_hat, spec.mu, spec.gamma, F)
-        return BuiltInstance(
-            spec=spec,
-            problem=pair.problem,
-            saddle=pair.saddle,
-            a=a,
-            b_hat=b_hat,
-        )
+        return BuiltInstance(spec=spec, problem=pair.problem, saddle=pair.saddle)
 
     d1 = spec.d1
     if spec.identity_a:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pdhglab import cli, config as config_module, lyapunov, zoo
-from pdhglab.cli import CSV_COLUMNS, JOBS_ENV_VAR, execute, main
+from pdhglab.cli import CSV_COLUMNS, execute, main
 from pdhglab.config import ConfigError, materialize, parse_config
 from pdhglab.engine import run
 from pdhglab.lyapunov import lyapunov_fixed, numerical_error
@@ -149,6 +149,23 @@ def test_verify_theorem_on_reference_run_saddle(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "saddle.source = reference_run" in stdout
     assert "check.theorem = PASS" in stdout
+
+
+def test_theorem_skip_names_the_missing_E_K0(tmp_path, capsys):
+    # c = 0.99 puts K0 = ceil(0.99 / 0.02) = 50 past the last recorded k = 20;
+    # the run is recorded from its start, only E(K0) is missing
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 4, "seed": 1},
+        "regime": "accelerated",
+        "schedule": {"c": 0.99},
+        "budget": 20,
+        "checks": ["theorem"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 0
+    assert (
+        "check.theorem = SKIPPED (E(K0) unavailable: no Lyapunov value at K0=50, last k=20)"
+        in capsys.readouterr().out
+    )
 
 
 def test_verify_fails_lemma_on_nan_slack(tmp_path, capsys, monkeypatch):
@@ -386,9 +403,8 @@ def sweep_doc(out):
     }
 
 
-def test_sweep_runs_grid(tmp_path, monkeypatch):
-    monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-    out = tmp_path / "serial"
+def test_sweep_runs_grid(tmp_path):
+    out = tmp_path / "out"
     assert main(["sweep", write_config(tmp_path, sweep_doc(out))]) == 0
 
     rows = read_rows(out / "sweep_summary.csv")
@@ -408,36 +424,32 @@ def test_sweep_runs_grid(tmp_path, monkeypatch):
     assert header == "cell,c,s,slope,slope_residual,geomean_ratio,exit_status"
 
 
-def test_sweep_parallel_output_is_identical(tmp_path, monkeypatch):
-    monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-    serial = tmp_path / "serial"
-    assert main(["sweep", write_config(tmp_path, sweep_doc(serial), "a.json")]) == 0
-
-    monkeypatch.setenv(JOBS_ENV_VAR, "2")
-    parallel = tmp_path / "parallel"
-    assert main(["sweep", write_config(tmp_path, sweep_doc(parallel), "b.json")]) == 0
-
-    assert (serial / "sweep_summary.csv").read_bytes() == (
-        parallel / "sweep_summary.csv"
-    ).read_bytes()
-    for cell in ("cell_0_0", "cell_0_1", "cell_1_0", "cell_1_1"):
-        assert (serial / cell / "trajectory.csv").read_bytes() == (
-            parallel / cell / "trajectory.csv"
-        ).read_bytes()
+def reference_run_sweep_doc(out):
+    # lam = 0.05 lies below the closed-form threshold: the saddle is a reference run
+    return {
+        "instance": {"kind": "gen_lasso", "d": 20, "lam": 0.05, "identity_a": True},
+        "regime": "varying_sc",
+        "budget": 300,
+        "checks": ["lemma", "theorem", "rate_fit"],
+        "output": str(out),
+        "sweep": {"c": [0.5, 0.25], "s": [0.4, 0.2]},
+    }
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-def test_sweep_rejects_bad_jobs_value(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv(JOBS_ENV_VAR, value)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-    out = tmp_path / "out"
-    assert main(["sweep", write_config(tmp_path, sweep_doc(out))]) == 2
-    assert JOBS_ENV_VAR in capsys.readouterr().err
-    assert not out.exists()
+def test_sweep_cells_match_standalone_runs(tmp_path):
+    # the cells share one instance and one saddle, yet each writes what a
+    # standalone run of its own config writes
+    out = tmp_path / "sweep"
+    doc = reference_run_sweep_doc(out)
+    assert main(["sweep", write_config(tmp_path, doc)]) == 0
+    for row in read_rows(out / "sweep_summary.csv"):
+        alone = tmp_path / "alone" / row["cell"]
+        cell_doc = {key: value for key, value in doc.items() if key != "sweep"}
+        cell_doc.update(schedule={"c": float(row["c"]), "s": float(row["s"])}, output=str(alone))
+        code = main(["run", write_config(tmp_path, cell_doc, f"{row['cell']}.json")])
+        assert str(code) == row["exit_status"]
+        for name in ("trajectory.csv", "summary.txt"):
+            assert (out / row["cell"] / name).read_bytes() == (alone / name).read_bytes()
 
 
 def test_sweep_rejects_bad_cell_before_running_any(tmp_path, capsys):
@@ -450,9 +462,20 @@ def test_sweep_rejects_bad_cell_before_running_any(tmp_path, capsys):
     assert not (out / "cell_0_0").exists()
 
 
-def test_sweep_runs_when_every_cell_overrides_an_invalid_base_schedule(tmp_path, monkeypatch):
-    # only the cells run, so the base schedule.c is never built
-    monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
+def test_sweep_build_error_names_no_cell(tmp_path, capsys):
+    # the instance is built once for the whole sweep, so no cell caused it
+    out = tmp_path / "out"
+    doc = sweep_doc(out)
+    doc["instance"]["mu"] = 0.0
+    assert main(["sweep", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: instance: quad_pair instances need mu > 0 and gamma > 0\n"
+    )
+    assert not out.exists()
+
+
+def test_sweep_runs_when_every_cell_overrides_an_invalid_base_schedule(tmp_path):
+    # only the cells' schedules are made, so the base schedule.c never is
     out = tmp_path / "out"
     doc = sweep_doc(out)
     doc["schedule"] = {"c": 2.0}  # on the c < 2*mu boundary
@@ -476,8 +499,9 @@ def count_builds(monkeypatch):
     return builds
 
 
-@pytest.mark.parametrize("command", ["run", "verify", "info"])
+@pytest.mark.parametrize("command", ["run", "verify", "info", "sweep"])
 def test_each_command_builds_the_instance_once(tmp_path, monkeypatch, command):
+    # the sweep's four cells share its one instance
     builds = count_builds(monkeypatch)
     doc = {
         "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
@@ -485,20 +509,27 @@ def test_each_command_builds_the_instance_once(tmp_path, monkeypatch, command):
         "budget": 50,
         "checks": ["lemma", "theorem"],
         "output": str(tmp_path / "out"),
+        "sweep": {"c": [0.5, 0.25], "s": [0.4, 0.2]},
     }
     assert main([command, write_config(tmp_path, doc)]) == 0
     assert len(builds) == 1
 
 
-@pytest.mark.parametrize("jobs, builds_in_this_process", [("1", 8), ("2", 4)])
-def test_sweep_builds_each_cell_to_validate_and_to_run(
-    tmp_path, monkeypatch, jobs, builds_in_this_process
+@pytest.mark.parametrize("command, runs", [("run", 1), ("verify", 1), ("info", 0), ("sweep", 1)])
+def test_each_command_resolves_the_reference_saddle_at_most_once(
+    tmp_path, monkeypatch, command, runs
 ):
-    # with a pool the cells run (and build) in the workers
-    monkeypatch.setenv(JOBS_ENV_VAR, jobs)
-    builds = count_builds(monkeypatch)
-    assert main(["sweep", write_config(tmp_path, sweep_doc(tmp_path / "out"))]) == 0
-    assert len(builds) == builds_in_this_process
+    calls = []
+    real_reference_saddle = cli.reference_saddle
+
+    def counted(problem):
+        calls.append(problem)
+        return real_reference_saddle(problem)
+
+    monkeypatch.setattr(cli, "reference_saddle", counted)
+    doc = reference_run_sweep_doc(tmp_path / "out")
+    assert main([command, write_config(tmp_path, doc)]) == 0
+    assert len(calls) == runs
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +723,27 @@ def test_unreservable_trajectory_is_exit_2(tmp_path, capsys, monkeypatch):
     doc = {"instance": {"kind": "quad_pair", "d": 4}, "regime": "fixed", "budget": 10**9}
     assert main(["verify", write_config(tmp_path, doc)]) == 2
     assert "lower budget or raise record_every" in capsys.readouterr().err
+
+
+def test_budget_past_the_array_size_limit_is_exit_2(tmp_path, capsys):
+    # numpy refuses this shape before it allocates anything
+    doc = {"instance": {"kind": "quad_pair", "d": 4}, "regime": "fixed", "budget": 10**20}
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot be reserved" in err
+    assert "lower budget or raise record_every" in err
+
+
+def test_instance_too_large_to_build_is_exit_2_without_budget_advice(
+    tmp_path, capsys, monkeypatch
+):
+    def refused(spec):
+        raise MemoryError("Unable to allocate 14.6 TiB")
+
+    monkeypatch.setattr(config_module, "build_instance", refused)
+    doc = {"instance": {"kind": "lasso", "d": 10**6, "lam": 0.1}, "regime": "fixed"}
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == "config error: Unable to allocate 14.6 TiB\n"
 
 
 def test_inadmissible_schedule_is_exit_2(tmp_path, capsys):

@@ -242,7 +242,7 @@ def test_moduli_rejected_outside_quad_pair(kind, key):
 
 
 # ---------------------------------------------------------------------------
-# round trips: a sweep hands each cell's config to its worker by pickling
+# round trips: a parsed config is a plain value that pickles and compares equal
 
 
 def round_trip(doc):

@@ -208,7 +208,7 @@ def test_check_lemma_saddle_start_gives_zero_energy():
 def test_check_lemma_refuses_inadmissible_scale():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=2, d2=2, seed=9))
     # bypass the factory to fabricate an inadmissible schedule (s ||F|| = 1.5)
-    bad = Schedule(regime=VARYING_SC, s=1.5 / built.problem.F_norm, c=0.5, mu=1.0)
+    bad = Schedule(regime=VARYING_SC, s=1.5 / built.problem.F_norm, c=0.5)
     traj = run(built.problem, bad, PrimalDualPair(np.ones(2), np.ones(2)), budget=3, tol=0.0)
     with pytest.raises(ValueError):
         check_lemma(VARYING_SC, traj, built.problem, built.saddle)
