@@ -12,7 +12,7 @@ from .config import (
     materialize,
     parse_config,
 )
-from .dynamics import OdeState, hires_ode_step, integrate
+from .dynamics import OdeState, integrate
 from .engine import (
     Trajectory,
     optimality_residual,
@@ -24,7 +24,6 @@ from .lyapunov import (
     LyapunovTable,
     NoMatchingLemma,
     alpha_rate,
-    check_lemma,
     lemma_records,
     lyapunov_accelerated,
     lyapunov_fixed,
@@ -37,12 +36,10 @@ from .lyapunov import (
 from .problems import PrimalDualPair, SaddleProblem
 from .proximal import (
     QuadraticProxCache,
-    l1_subdiff_dist,
     linf_normal_cone_dist,
     project_linf_ball,
     prox_least_squares,
     prox_shifted_quadratic,
-    soft_threshold,
 )
 from .rates import RateFit, contraction_factors, default_window, fit_rate
 from .schedules import (
@@ -59,13 +56,11 @@ from .schedules import (
 from .zoo import (
     BuiltInstance,
     InstanceSpec,
-    QuadPair,
     SaddleCertificate,
     build_instance,
     certify_saddle,
     difference_matrix,
     make_generalized_lasso,
-    make_lasso,
     make_quad_pair,
     primal_objective,
     reference_saddle,

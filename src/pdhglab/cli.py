@@ -151,21 +151,24 @@ def _check_lemma(config, built, traj, table) -> tuple[CheckResult, Optional[np.n
     return CheckResult(CHECK_LEMMA, PASS, detail), slack
 
 
-def _first_nan(k, *named) -> Optional[CheckResult]:
-    """A theorem FAIL naming the first nan among the (name, column) pairs:
-    the earliest row of ``k`` first, then the earliest pair."""
-    hits = np.argwhere(np.isnan(np.column_stack([column for _, column in named])))
+def _first_nonfinite(k, *named) -> Optional[CheckResult]:
+    """A theorem FAIL naming the first nan or inf among the (name, column)
+    pairs: the earliest row of ``k`` first, then the earliest pair."""
+    values = np.column_stack([column for _, column in named])
+    hits = np.argwhere(~np.isfinite(values))
     if not len(hits):
         return None
     row, pair = hits[0]
     return CheckResult(
-        CHECK_THEOREM, FAIL, f"{named[pair][0]} is nan at k={np.atleast_1d(k)[row]}"
+        CHECK_THEOREM, FAIL,
+        f"{named[pair][0]} is {values[row, pair]:g} at k={np.atleast_1d(k)[row]}",
     )
 
 
 def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResult:
     """The regime's closed-form bound; ``bounds`` is the default-form
-    theorem_bound of each table row.  Any nan it compares is a FAIL."""
+    theorem_bound of each table row.  Any nan or inf it compares (an
+    overflowed bound, say) is a FAIL."""
     regime = config.regime
     if regime == FIXED:
         return CheckResult(
@@ -183,14 +186,14 @@ def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResul
     k, E, dist = table.k, table.E, table.dist_x
     last = int(k[-1]) + 1
     # The final post-state is compared by no per-row bound below.
-    failed = _first_nan(
+    failed = _first_nonfinite(
         last, ("Lyapunov value", table.E_next[-1]), ("distance", table.dist_x_next[-1])
     )
     if failed:
         return failed
 
     if regime == VARYING_SC:
-        failed = _first_nan(k, ("Lyapunov value", E), ("bound", bounds))
+        failed = _first_nonfinite(k, ("Lyapunov value", E), ("bound", bounds))
         if failed:
             return failed
         over = E > bounds * (1.0 + 1e-6)
@@ -203,7 +206,7 @@ def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResul
                 CHECK_THEOREM, FAIL, f"Lyapunov bound exceeded, worst ratio {ratio.max():.6g}"
             )
         tb = theorem_bound(regime, k, form="trajectory", **consts)
-        failed = _first_nan(k, ("distance", dist), ("trajectory bound", tb))
+        failed = _first_nonfinite(k, ("distance", dist), ("trajectory bound", tb))
         if failed:
             return failed
         over = np.flatnonzero(dist > tb * (1.0 + 1e-6))
@@ -219,7 +222,7 @@ def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResul
         K0 = k0_threshold(mu, schedule.c)
         after = k >= K0
         k, dist, bound = k[after], dist[after], bounds[after]
-        failed = _first_nan(k, ("distance", dist), ("bound", bound))
+        failed = _first_nonfinite(k, ("distance", dist), ("bound", bound))
         if failed:
             return failed
         over = np.flatnonzero(dist > bound * (1.0 + 1e-6))
@@ -233,7 +236,7 @@ def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResul
 
     # OPTIMAL_SS: per-step contraction plus the terminal weighted sandwich.
     rho = rho_rate(mu, gamma, schedule.s, built.problem.F_norm)
-    failed = _first_nan(k, ("Lyapunov value", E))
+    failed = _first_nonfinite(k, ("Lyapunov value", E))
     if failed:
         return failed
     try:
@@ -248,7 +251,7 @@ def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResul
         ratio_detail = "contraction ratios not measurable (series too short)"
     weighted = mu * table.dist_x_next[-1] + gamma * table.dist_y_next[-1]
     sandwich = theorem_bound(regime, last, form="trajectory", **consts)
-    failed = _first_nan(
+    failed = _first_nonfinite(
         last, ("terminal weighted distance", weighted), ("sandwich", sandwich)
     )
     if failed:
@@ -274,11 +277,15 @@ def _check_rate_fit(config, built, traj, table) -> tuple[CheckResult, Optional[f
     if config.regime == ACCELERATED:
         K0 = k0_threshold(built.problem.mu, traj.schedule.c)
     lo, hi = default_window(K0)
-    hi = min(hi, int(traj.k[-1]))
+    last = int(traj.k[-1])
+    if last <= lo:
+        detail = f"the fit window starts at k={lo} and the run ends at k={last}"
+        return CheckResult(CHECK_RATE_FIT, SKIPPED, detail), None, None
+    hi = min(hi, last)
     positive = table.dist_x > 0.0
     series = np.column_stack((table.k[positive], table.dist_x[positive]))
     try:
-        fit = fit_rate(series, window=(lo, hi), name="dist_x_sq")
+        fit = fit_rate(series, window=(lo, hi))
     except ValueError as exc:
         return CheckResult(CHECK_RATE_FIT, SKIPPED, str(exc)), None, None
     detail = (

@@ -11,10 +11,11 @@ invertible whenever tau * sigma = s^2 and s ||F|| < 1.  This module
 integrates the system with implicit Euler so discrete iterates can be
 compared against near-continuous reference trajectories (h = s/100).
 
-Each step solves M (z+ - z) = h G(z+) for z = (X, Y) by Newton's method and
-accepts z+ once the residual is at most 1e-10.  One ``integrate`` call fixes
-h, s, tau, sigma and the problem, so it builds M, checks its condition number
-and inverts the Newton matrix M - h dG once; affine gradients then cost one
+:func:`integrate` is the stepper.  Each step solves M (z+ - z) = h G(z+) for
+z = (X, Y) by Newton's method and accepts z+ once the residual is at most
+NEWTON_TOL, giving up after NEWTON_MAX_ITER updates.  One call fixes h, s,
+tau, sigma and the problem, so it builds M, checks its condition number and
+inverts the Newton matrix M - h dG once; affine gradients then cost one
 update per step, and the matrix is re-taken only when an update fails to
 halve the residual.
 
@@ -41,13 +42,6 @@ class OdeState:
     X: np.ndarray
     Y: np.ndarray
     t: float
-
-
-def _require_gradients(problem: SaddleProblem) -> None:
-    if problem.grad_f is None or problem.grad_gstar is None:
-        raise ValueError(
-            "the ODE system needs smooth oracles: supply grad_f and grad_gstar"
-        )
 
 
 def mass_matrix(s: float, tau: float, sigma: float, F: np.ndarray) -> np.ndarray:
@@ -95,7 +89,7 @@ class _ImplicitEuler:
     residual, so non-affine gradients still converge as plain Newton does.
     """
 
-    def __init__(self, z0, h, s, tau, sigma, problem, newton_tol, newton_max_iter):
+    def __init__(self, z0, h, s, tau, sigma, problem):
         if s <= 0 or tau <= 0 or sigma <= 0:
             raise ValueError("s, tau, sigma must be positive")
         M = mass_matrix(s, tau, sigma, problem.F)
@@ -107,7 +101,6 @@ class _ImplicitEuler:
             )
         self.M, self.h, self.problem = M, h, problem
         self.d1 = problem.F.shape[1]
-        self.newton_tol, self.newton_max_iter = newton_tol, newton_max_iter
         self._newton_at(z0)
 
     def _newton_at(self, z):
@@ -125,14 +118,14 @@ class _ImplicitEuler:
 
     def step(self, z: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(z+, G(z+)) from z and G = G(z); raises RuntimeError when the
-        residual does not reach ``newton_tol``."""
+        residual does not reach NEWTON_TOL within NEWTON_MAX_ITER updates."""
         M, h = self.M, self.h
         z_new = z
         last = np.inf
-        for _ in range(self.newton_max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             H = M @ (z_new - z) - h * G
             res = np.linalg.norm(H)
-            if res <= self.newton_tol:
+            if res <= NEWTON_TOL:
                 return z_new, G
             if res > 0.5 * last:
                 self._newton_at(z_new)
@@ -140,36 +133,8 @@ class _ImplicitEuler:
             G = self.rhs(z_new)
             last = res
         raise RuntimeError(
-            f"implicit-Euler Newton solve did not reach residual {self.newton_tol}"
+            f"implicit-Euler Newton solve did not reach residual {NEWTON_TOL}"
         )
-
-
-def hires_ode_step(
-    state: OdeState,
-    h: float,
-    s: float,
-    tau: float,
-    sigma: float,
-    problem: SaddleProblem,
-    newton_tol: float = NEWTON_TOL,
-    newton_max_iter: int = NEWTON_MAX_ITER,
-) -> OdeState:
-    """One implicit-Euler step: solve M (z_new - z) = h G(z_new).
-
-    The inner Newton iteration (a single linear solve when grad f, grad g*
-    are affine) runs until the nonlinear residual drops below ``newton_tol``.
-    Raises on a singular mass matrix or Newton non-convergence.  h = 0
-    returns the state unchanged.
-    """
-    if h < 0:
-        raise ValueError("h must be nonnegative")
-    _require_gradients(problem)
-    if h == 0.0:
-        return state
-    z = np.concatenate([state.X, state.Y])
-    stepper = _ImplicitEuler(z, h, s, tau, sigma, problem, newton_tol, newton_max_iter)
-    z_new, _ = stepper.step(z, stepper.rhs(z))
-    return OdeState(X=z_new[: stepper.d1], Y=z_new[stepper.d1 :], t=state.t + h)
 
 
 def integrate(
@@ -183,16 +148,19 @@ def integrate(
 ) -> list[OdeState]:
     """ceil(T/h) implicit-Euler steps; returns states including the initial one.
 
-    Each step is the step of :func:`hires_ode_step` at its default Newton
-    settings; the setup (mass matrix, condition check, Newton matrix) is done
-    once per call, and G(z+) of each step seeds the next.
+    G(z+) of each step seeds the next.  Raises ValueError on a problem
+    without both gradient oracles or on a singular mass matrix, and
+    RuntimeError when a Newton solve does not converge.
     """
     if T <= 0 or h <= 0:
         raise ValueError("T and h must be positive")
-    _require_gradients(problem)
+    if problem.grad_f is None or problem.grad_gstar is None:
+        raise ValueError(
+            "the ODE system needs smooth oracles: supply grad_f and grad_gstar"
+        )
     n_steps = int(np.ceil(T / h - 1e-12))
     z = np.concatenate([init.X, init.Y])
-    stepper = _ImplicitEuler(z, h, s, tau, sigma, problem, NEWTON_TOL, NEWTON_MAX_ITER)
+    stepper = _ImplicitEuler(z, h, s, tau, sigma, problem)
     G = stepper.rhs(z)
     d1 = stepper.d1
     states = [init]

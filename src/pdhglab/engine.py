@@ -86,8 +86,8 @@ def pdhg_step(
     tau_k: float,
     sigma_k: float,
     theta_k: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance one iteration; returns (x_{k+1}, xbar_{k+1}, y_{k+1})."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance one iteration; returns (x_{k+1}, y_{k+1})."""
     if tau_k <= 0 or sigma_k <= 0:
         raise ValueError("step sizes must be positive")
     if not 0.0 <= theta_k <= 1.0:
@@ -95,7 +95,7 @@ def pdhg_step(
     x_next = problem.prox_f(x_k - tau_k * (problem.F.T @ y_k), tau_k)
     x_bar = x_next + theta_k * (x_next - x_k)
     y_next = problem.prox_gstar(y_k + sigma_k * (problem.F @ x_bar), sigma_k)
-    return x_next, x_bar, y_next
+    return x_next, y_next
 
 
 def step_residuals(
@@ -175,7 +175,7 @@ def run(
     for i in range(budget):
         k = schedule.k_start + i
         tau_k, sigma_k, theta_k = schedule_at(schedule, k)
-        x_next, _, y_next = pdhg_step(problem, x, y, tau_k, sigma_k, theta_k)
+        x_next, y_next = pdhg_step(problem, x, y, tau_k, sigma_k, theta_k)
         rp, rd = step_residuals(problem.F, x, y, x_next, y_next, tau_k, sigma_k, theta_k)
 
         state_norm = math.sqrt(float(x_next @ x_next)) + math.sqrt(float(y_next @ y_next))

@@ -13,8 +13,9 @@ Three discrete Lyapunov functions are evaluated, one per analysis regime:
 Each regime's descent lemma bounds E(k+1) - E(k) by an explicit nonpositive
 (or sign-determined) right-hand side.  :func:`lyapunov_table` evaluates the
 Lyapunov values, NE terms and saddle distances along a recorded trajectory
-as columns, a block of rows at a time; :func:`lemma_records` adds the
-lemma's right-hand side and per-step slack.  The closed-form convergence
+as columns, a block of rows at a time; :func:`lemma_records` reads that
+table for the lemma's right-hand side and per-step slack, so checking a
+lemma is those two calls in turn.  The closed-form convergence
 guarantees of each regime are exposed through :func:`theorem_bound`.
 
 All evaluators are pure functions of their arguments.  The Lyapunov and NE
@@ -51,7 +52,7 @@ class NoMatchingLemma(ValueError):
     """No descent lemma / rate guarantee covers the requested configuration.
 
     Raised, for example, when a fixed-step run on a merely convex problem is
-    handed to :func:`check_lemma`: every available lemma needs at least one
+    handed to :func:`lemma_records`: every available lemma needs at least one
     strong-convexity modulus.  Callers that merely report diagnostics should
     catch this and mark the check as skipped rather than failed.
     """
@@ -286,7 +287,8 @@ def theorem_bound(
             return _as_result((1.0 + alpha) * _gamma_ratio(k + 2.0, k + 2.0 + alpha) * E0)
         if dx0 is None or dy0 is None:
             raise ValueError("varying_sc trajectory bound needs dx0 and dy0")
-        weight = dx0 + dy0 / (c**2 * s**2)
+        # numpy's power overflows to inf (and the term to 0) where float ** raises
+        weight = dx0 + dy0 / (np.float64(c) ** 2 * s**2)
         pref = _sandwich(s, F_norm)
         return _as_result(
             pref * (1.0 + alpha) * _gamma_ratio(k + 1.0, k + 2.0 + alpha) * weight
@@ -297,7 +299,7 @@ def theorem_bound(
             raise ValueError("accelerated bound needs c and E_K0")
         K0 = k0_threshold(mu, c)
         k_sq = np.square(np.maximum(k, K0), dtype=float)  # K0 >= 1: no division by zero
-        return _as_result(np.where(k < K0, np.nan, 2.0 * E_K0 / (c**2 * k_sq)))
+        return _as_result(np.where(k < K0, np.nan, 2.0 * E_K0 / (np.float64(c) ** 2 * k_sq)))
 
     if regime == OPTIMAL_SS:
         if s is None or F_norm is None:
@@ -377,9 +379,21 @@ def lemma_records(
     problem: SaddleProblem,
     table: LyapunovTable,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The lemma right-hand sides and slacks of :func:`check_lemma`, on a
-    precomputed :func:`lyapunov_table` of the trajectory; same
-    preconditions and dispatch."""
+    """The regime's descent lemma along a recorded trajectory, on its
+    precomputed :func:`lyapunov_table`.
+
+    Returns ``(lemma_rhs, lemma_slack)`` per row: the lemma's right-hand
+    side and the slack lemma_slack = lemma_rhs - (E(k+1) - E(k)); a slack
+    below -slack_tolerance(table.E) invalidates the run.
+
+    Dispatch: varying_sc -> iteration-varying lemma; accelerated ->
+    accelerated lemma (needs consecutively recorded steps starting at
+    k_start); optimal_ss, and fixed with both moduli positive -> the
+    doubly-strongly-convex lemma.  A fixed-step run on a merely convex
+    problem raises NoMatchingLemma.  The admissibility precondition
+    s ||F|| < 1 is re-verified against the problem's exact ``F_norm``;
+    an inadmissible trajectory is refused outright.
+    """
     sched = trajectory.schedule
     if regime != sched.regime:
         raise ValueError(
@@ -432,28 +446,3 @@ def lemma_records(
     else:
         rhs = -(mu * dxn + gamma * dyn)
     return rhs, rhs - (table.E_next - table.E)
-
-
-def check_lemma(
-    regime: str,
-    trajectory: Trajectory,
-    problem: SaddleProblem,
-    saddle: PrimalDualPair,
-) -> tuple[LyapunovTable, np.ndarray, np.ndarray]:
-    """Evaluate the regime's descent lemma along a recorded trajectory.
-
-    Returns ``(table, lemma_rhs, lemma_slack)``: the :func:`lyapunov_table`
-    and, per row, the lemma's right-hand side and the slack
-    lemma_slack = lemma_rhs - (E(k+1) - E(k)); a slack below
-    -slack_tolerance(table.E) invalidates the run.
-
-    Dispatch: varying_sc -> iteration-varying lemma; accelerated ->
-    accelerated lemma (needs consecutively recorded steps starting at
-    k_start); optimal_ss, and fixed with both moduli positive -> the
-    doubly-strongly-convex lemma.  A fixed-step run on a merely convex
-    problem raises NoMatchingLemma.  The admissibility precondition
-    s ||F|| < 1 is re-verified against the problem's exact ``F_norm``;
-    an inadmissible trajectory is refused outright.
-    """
-    table = lyapunov_table(trajectory, problem, saddle)
-    return (table, *lemma_records(regime, trajectory, problem, table))

@@ -7,8 +7,9 @@ A problem
 is described by its two proximal oracles, the coupling matrix ``F`` and the
 strong-convexity moduli ``(mu, gamma)`` of ``f`` and ``g*``.  The solver
 engine never inspects ``f`` or ``g*`` directly; the prox oracles are the unit
-of extension.  Gradient and subdifferential-residual oracles are optional and
-only required by the continuous dynamics and by saddle certification.
+of extension.  The gradient oracles and the residual oracle of ``g*`` are
+optional: the continuous dynamics need both gradients, and saddle
+certification needs ``grad_f`` plus ``subdiff_gstar`` or ``grad_gstar``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class SaddleProblem:
     prox_gstar : (w, t) -> argmin_u g*(u) + ||u - w||^2 / (2 t).
     mu, gamma : strong-convexity moduli of f and g* (0 means merely convex).
     grad_f, grad_gstar : optional gradient oracles (smooth terms only).
-    subdiff_f, subdiff_gstar : optional residual oracles; ``subdiff_f(x, w)``
-        returns dist(0, df(x) + w) for a linear offset ``w``.
+    subdiff_gstar : optional residual oracle; ``subdiff_gstar(y, w)`` returns
+        dist(0, dg*(y) + w) for a linear offset ``w``.
     """
 
     d1: int
@@ -51,7 +52,6 @@ class SaddleProblem:
     gamma: float = 0.0
     grad_f: Optional[GradOracle] = None
     grad_gstar: Optional[GradOracle] = None
-    subdiff_f: Optional[SubdiffOracle] = None
     subdiff_gstar: Optional[SubdiffOracle] = None
     F_norm: float = field(init=False)
 
@@ -88,22 +88,20 @@ def inclusion_residuals(
 ) -> tuple[float, float]:
     """Inclusion residuals (dist(0, @f(x) + w_x), dist(0, @g*(y) + w_y)).
 
-    Each term uses its subdifferential-distance oracle when the problem has
-    one, else the norm of gradient plus offset; raises ValueError when a
-    term has neither.
+    The f term is the norm of gradient plus offset; the g* term uses the
+    subdifferential-distance oracle when the problem has one, else the
+    gradient.  Raises ValueError when a term has no oracle.
     """
-    return (
-        _inclusion_residual(problem.subdiff_f, problem.grad_f, x, w_x, "f"),
-        _inclusion_residual(problem.subdiff_gstar, problem.grad_gstar, y, w_y, "gstar"),
-    )
-
-
-def _inclusion_residual(subdiff, grad, point, offset, name: str) -> float:
-    if subdiff is not None:
-        return float(subdiff(point, offset))
-    if grad is not None:
-        return float(np.linalg.norm(grad(point) + offset))
+    if problem.grad_f is None:
+        raise ValueError(
+            "problem has no grad_f; supply it to evaluate the inclusion residual"
+        )
+    r_x = float(np.linalg.norm(problem.grad_f(x) + w_x))
+    if problem.subdiff_gstar is not None:
+        return r_x, float(problem.subdiff_gstar(y, w_y))
+    if problem.grad_gstar is not None:
+        return r_x, float(np.linalg.norm(problem.grad_gstar(y) + w_y))
     raise ValueError(
-        f"problem has neither subdiff_{name} nor grad_{name}; supply a "
+        "problem has neither subdiff_gstar nor grad_gstar; supply a "
         "subdifferential oracle to evaluate the inclusion residual"
     )

@@ -1,27 +1,16 @@
 """Closed-form and cached-factorization proximal operators.
 
-Covers the objective families used by the problem zoo: the l1 norm (soft
-thresholding), indicators of l-infinity balls (clipping), least-squares data
-fidelity (via a one-time spectral decomposition of A^T A, so that an
-iteration-varying prox weight costs one matrix-vector pass per call), and
-shifted quadratics.  Exact subdifferential residual helpers for the nonsmooth
-terms live here as well.
+Covers the objective families used by the problem zoo: indicators of
+l-infinity balls (clipping), least-squares data fidelity (via a one-time
+spectral decomposition of A^T A, so that an iteration-varying prox weight
+costs one matrix-vector pass per call), and shifted quadratics.  The exact
+normal-cone residual of the l-infinity ball, the one nonsmooth term, lives
+here as well.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    """Prox of t * ||.||_1: componentwise sign(v_i) * max(|v_i| - t, 0).
-
-    Ties |v_i| = t map to exactly 0.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
 def project_linf_ball(w: np.ndarray, r: float) -> np.ndarray:
@@ -80,23 +69,6 @@ def prox_shifted_quadratic(a: np.ndarray, m: float, v: np.ndarray, t: float) -> 
     a = np.asarray(a, dtype=float)
     v = np.asarray(v, dtype=float)
     return (v + t * m * a) / (1.0 + t * m)
-
-
-def l1_subdiff_dist(x: np.ndarray, w: np.ndarray, lam: float) -> float:
-    """dist(0, d(lam * ||.||_1)(x) + w) via exact interval membership.
-
-    Per coordinate the subdifferential is {lam * sign(x_i)} off zero and the
-    interval [-lam, lam] at zero; the distance is the Euclidean norm of the
-    per-coordinate distances.
-    """
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    per = np.where(
-        x != 0.0,
-        np.abs(lam * np.sign(x) + w),
-        np.maximum(np.abs(w) - lam, 0.0),
-    )
-    return float(np.linalg.norm(per))
 
 
 def linf_normal_cone_dist(y: np.ndarray, w: np.ndarray, r: float) -> float:

@@ -25,7 +25,6 @@ class RateFit:
     intercept: float
     window: tuple[int, int]
     residual: float
-    name: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,11 +48,7 @@ def default_window(K0: int = 1) -> tuple[int, int]:
     return (max(100, 10 * K0), 10_000)
 
 
-def fit_rate(
-    series,
-    window: tuple[int, int] | None = None,
-    name: str = "",
-) -> RateFit:
+def fit_rate(series, window: tuple[int, int] | None = None) -> RateFit:
     """OLS of ln v against ln k over the window; the slope is the empirical
     order (slope -2 means O(1/k^2)).
 
@@ -78,11 +73,7 @@ def fit_rate(
     pred = slope * ln_k + intercept
     residual = float(np.sqrt(np.mean((ln_v - pred) ** 2)))
     return RateFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        window=(k_lo, k_hi),
-        residual=residual,
-        name=name,
+        slope=float(slope), intercept=float(intercept), window=(k_lo, k_hi), residual=residual
     )
 
 

@@ -94,16 +94,6 @@ class SaddleCertificate:
     tol: float
 
 
-@dataclass(frozen=True, eq=False)
-class QuadPair:
-    """Quadratic-quadratic instance together with its exact saddle point."""
-
-    problem: SaddleProblem
-    a: np.ndarray
-    b_hat: np.ndarray
-    saddle: PrimalDualPair
-
-
 def difference_matrix(d: int) -> np.ndarray:
     """(d-1) x d first-difference operator with rows (..., -1, +1, ...).
 
@@ -116,13 +106,6 @@ def difference_matrix(d: int) -> np.ndarray:
     F[idx, idx] = -1.0
     F[idx, idx + 1] = 1.0
     return F
-
-
-def make_lasso(A: np.ndarray, b: np.ndarray, lam: float) -> SaddleProblem:
-    """Lasso in saddle form: F is the identity, the dual ball has radius lam."""
-    A = np.asarray(A, dtype=float)
-    d1 = A.shape[1]
-    return make_generalized_lasso(A, b, lam, np.eye(d1))
 
 
 def make_generalized_lasso(
@@ -161,9 +144,9 @@ def make_generalized_lasso(
 
 def make_quad_pair(
     a: np.ndarray, b_hat: np.ndarray, mu: float, gamma: float, F: np.ndarray
-) -> QuadPair:
-    """f = mu/2 ||x - a||^2 against g* = gamma/2 ||y - b_hat||^2, with the
-    exact saddle point solved from the KKT system."""
+) -> tuple[SaddleProblem, PrimalDualPair]:
+    """f = mu/2 ||x - a||^2 against g* = gamma/2 ||y - b_hat||^2; returns the
+    problem and its exact saddle point, solved from the KKT system."""
     if mu <= 0 or gamma <= 0:
         raise ValueError("quad pairs need mu > 0 and gamma > 0")
     a = np.asarray(a, dtype=float).ravel()
@@ -182,8 +165,7 @@ def make_quad_pair(
         grad_f=lambda x: mu * (x - a),
         grad_gstar=lambda y: gamma * (y - b_hat),
     )
-    saddle = _solve_kkt(mu, gamma, F, a, b_hat)
-    return QuadPair(problem=problem, a=a, b_hat=b_hat, saddle=saddle)
+    return problem, _solve_kkt(mu, gamma, F, a, b_hat)
 
 
 def _solve_kkt(
@@ -307,8 +289,8 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
         b_hat = rng.standard_normal(d2)
         G = rng.standard_normal((d2, d1))
         F = G / np.linalg.norm(G, 2)
-        pair = make_quad_pair(a, b_hat, spec.mu, spec.gamma, F)
-        return BuiltInstance(spec=spec, problem=pair.problem, saddle=pair.saddle)
+        problem, saddle = make_quad_pair(a, b_hat, spec.mu, spec.gamma, F)
+        return BuiltInstance(spec=spec, problem=problem, saddle=saddle)
 
     d1 = spec.d1
     if spec.identity_a:
@@ -319,10 +301,8 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
         A = conditioned_matrix(rng, m, d1, spec.cond)
         b = rng.standard_normal(m)
 
-    if spec.kind == LASSO:
-        problem = make_lasso(A, b, spec.lam)
-    else:
-        problem = make_generalized_lasso(A, b, spec.lam, difference_matrix(d1))
+    F = np.eye(d1) if spec.kind == LASSO else difference_matrix(d1)
+    problem = make_generalized_lasso(A, b, spec.lam, F)
 
     # The candidate with F x* = 0 (x* = 0 for lasso, a constant for gen_lasso)
     # and F^T y* = A^T (b - A x*) is the saddle when y* lies in the dual ball.

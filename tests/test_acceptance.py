@@ -31,9 +31,10 @@ import numpy as np
 from pdhglab.engine import optimality_residual, run
 from pdhglab.dynamics import OdeState, integrate
 from pdhglab.lyapunov import (
-    check_lemma,
+    lemma_records,
     lyapunov_accelerated,
     lyapunov_fixed,
+    lyapunov_table,
     numerical_error,
     rho_rate,
     theorem_bound,
@@ -116,7 +117,8 @@ def test_criterion_01_lemma_descent_suites():
             )
             traj = run(problem, schedule, zeros_init(problem), budget=1000, tol=0.0)
             saddle = resolve_saddle(built)
-            table, _, slack = check_lemma(regime, traj, problem, saddle)
+            table = lyapunov_table(traj, problem, saddle)
+            _, slack = lemma_records(regime, traj, problem, table)
             for E, lemma_slack in zip(table.E, slack):
                 worst = min(worst, lemma_slack + 1e-8 * (1.0 + abs(E)))
                 n_steps += 1
@@ -197,7 +199,7 @@ def test_criterion_03_slope_trend_toward_minus_two():
             for k, x in zip(traj.k, traj.x)
             if dist_sq(x, saddle.x) > 0.0
         ]
-        fit = fit_rate(series, window=(100, 10_000), name="dist_x_sq")
+        fit = fit_rate(series, window=(100, 10_000))
         slopes.append(fit.slope)
     gaps = [abs(sl + 2.0) for sl in slopes]
     ok = gaps[0] > gaps[1] > gaps[2] and -2.1 <= slopes[-1] <= -1.75
@@ -243,7 +245,7 @@ def test_criterion_04_accelerated_rate_bound():
         for k, x in zip(traj.k, traj.x)
         if dist_sq(x, saddle.x) > 0.0
     ]
-    fit = fit_rate(series, window=(100, 10_000), name="dist_x_sq")
+    fit = fit_rate(series, window=(100, 10_000))
     elapsed = time.perf_counter() - start
     ok = worst <= 1.0 + 1e-6 and -2.3 <= fit.slope <= -1.9 and elapsed < 30.0
     report(

@@ -249,6 +249,72 @@ def test_theorem_fails_on_nan_bound(monkeypatch, regime):
     )
 
 
+def test_theorem_fails_on_infinite_bound(monkeypatch):
+    # an overflowed bound holds every value below it: it must not pass
+    monkeypatch.setattr(
+        cli, "theorem_bound", lambda regime, k, **kwargs: np.full(np.shape(k), math.inf)
+    )
+    config = parse_config(json.dumps({
+        "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
+        "regime": "varying_sc",
+        "budget": 50,
+        "checks": ["theorem"],
+    }))
+    code, lines, _ = execute(config, write_trajectory=False, quiet=True)
+    assert code == 1
+    assert "check.theorem = FAIL (bound is inf at k=0)" in lines
+
+
+# numpy warns of the overflows this config is built to cause
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_varying_sc_theorem_with_an_overflowing_c_squared_ends_in_a_verdict(tmp_path, capsys):
+    # mu = 1e200 puts c = mu/2 past sqrt(max double): c^2 in the trajectory
+    # bound's weight dx0 + dy0 / (c^2 s^2) overflows, and the term it divides
+    # rounds to 0, so the bound itself stays finite
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 4, "mu": 1e200},
+        "regime": "varying_sc",
+        "budget": 50,
+        "checks": ["theorem"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 0
+    assert "check.theorem = PASS (Lyapunov and trajectory bounds hold)" in capsys.readouterr().out
+
+
+# numpy warns of the overflows this config is built to cause
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_accelerated_with_an_overflowing_c_squared_ends_in_a_verdict(tmp_path, capsys):
+    # mu = 1e200: c^2 in the bound 2 E(K0) / (c^2 k^2) overflows, and so does
+    # E(K0), so no bound can be evaluated
+    out = tmp_path / "out"
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 4, "mu": 1e200},
+        "regime": "accelerated",
+        "budget": 50,
+        "checks": [],
+        "output": str(out),
+    }
+    assert main(["run", write_config(tmp_path, doc)]) == 0
+    assert all(math.isnan(float(row["theorem_bound"])) for row in read_rows(out / "trajectory.csv"))
+    doc["checks"] = ["theorem"]
+    assert main(["verify", write_config(tmp_path, doc)]) == 1
+    assert "check.theorem = FAIL (Lyapunov value is inf at k=51)" in capsys.readouterr().out
+
+
+def test_rate_fit_skip_names_the_window_start_and_the_last_k(tmp_path, capsys):
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 4},
+        "regime": "varying_sc",
+        "budget": 50,
+        "checks": ["rate_fit"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 0
+    assert (
+        "check.rate_fit = SKIPPED (the fit window starts at k=100 and the run ends at k=49)"
+        in capsys.readouterr().out
+    )
+
+
 @pytest.mark.parametrize(
     "regime, form, detail",
     [

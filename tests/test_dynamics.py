@@ -12,7 +12,6 @@ from pdhglab import (
     PrimalDualPair,
     SaddleProblem,
     build_instance,
-    hires_ode_step,
     integrate,
     lyapunov_fixed,
     make_schedule,
@@ -37,6 +36,11 @@ def decoupled_problem():
     )
 
 
+def one_step(state, h, s, tau, sigma, problem):
+    """One implicit-Euler step of size h: the last state of integrate over T = h."""
+    return integrate(state, T=h, h=h, s=s, tau=tau, sigma=sigma, problem=problem)[-1]
+
+
 def test_mass_matrix_layout():
     F = np.array([[2.0]])
     M = mass_matrix(0.5, 0.25, 1.0, F)
@@ -56,15 +60,7 @@ def test_mass_matrix_singularity_rejected():
         grad_f=lambda x: x, grad_gstar=lambda y: y,
     )
     with pytest.raises(ValueError):
-        hires_ode_step(state, 0.1, 1.0, 1.0, 1.0, prob)
-
-
-def test_zero_step_is_identity():
-    prob = decoupled_problem()
-    state = OdeState(np.array([0.7]), np.array([-0.3]), 1.5)
-    nxt = hires_ode_step(state, 0.0, 0.5, 0.5, 0.5, prob)
-    assert np.array_equal(nxt.X, state.X) and np.array_equal(nxt.Y, state.Y)
-    assert nxt.t == state.t
+        one_step(state, 0.1, 1.0, 1.0, 1.0, prob)
 
 
 def test_decoupled_scalar_recurrence():
@@ -73,7 +69,7 @@ def test_decoupled_scalar_recurrence():
     h, s = 0.25, 0.5
     state = OdeState(np.array([1.0]), np.array([-2.0]), 0.0)
     for n in range(1, 12):
-        state = hires_ode_step(state, h, s, s, s, prob)
+        state = one_step(state, h, s, s, s, prob)
         assert abs(state.X[0] - (1 + h) ** -n) <= 1e-9
         assert abs(state.Y[0] + 2.0 * (1 + h) ** -n) <= 1e-9
         assert abs(state.t - n * h) <= 1e-12
@@ -85,7 +81,7 @@ def test_implicit_equation_residual_is_small():
     s = 0.5 / built.problem.F_norm
     prob = built.problem
     state = OdeState(np.ones(3), -np.ones(3), 0.0)
-    nxt = hires_ode_step(state, 0.2, s, s, s, prob)
+    nxt = one_step(state, 0.2, s, s, s, prob)
     M = mass_matrix(s, s, s, prob.F)
     z = np.concatenate([state.X, state.Y])
     zn = np.concatenate([nxt.X, nxt.Y])
@@ -120,14 +116,16 @@ def cubic_step_oracle(x, h):
     return 0.5 * (lo + hi)
 
 
-def test_newton_handles_nonlinear_gradients():
+def test_newton_handles_nonlinear_gradients(monkeypatch):
     prob = cubic_problem()
     h, s = 0.5, 0.5
     state = OdeState(np.array([2.0]), np.array([0.0]), 0.0)
-    nxt = hires_ode_step(state, h, s, s, s, prob)
+    nxt = one_step(state, h, s, s, s, prob)
     assert abs(nxt.X[0] - cubic_step_oracle(2.0, h)) <= 1e-8
+    monkeypatch.setattr(dynamics, "NEWTON_TOL", 1e-14)
+    monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 1)
     with pytest.raises(RuntimeError):
-        hires_ode_step(state, h, s, s, s, prob, newton_tol=1e-14, newton_max_iter=1)
+        one_step(state, h, s, s, s, prob)
 
 
 def test_integrate_includes_initial_state():
@@ -172,7 +170,7 @@ def test_integrate_matches_chained_single_steps():
     states = integrate(init, T=1.0, h=h, s=s, tau=s, sigma=s, problem=built.problem)
     state = init
     for ref in states[1:]:
-        state = hires_ode_step(state, h, s, s, s, built.problem)
+        state = one_step(state, h, s, s, s, built.problem)
         gap = np.hypot(np.linalg.norm(ref.X - state.X), np.linalg.norm(ref.Y - state.Y))
         assert gap <= 1e-12 * np.hypot(np.linalg.norm(state.X), np.linalg.norm(state.Y))
         assert ref.t == state.t

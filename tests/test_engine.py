@@ -42,11 +42,12 @@ def scalar_quadratic_problem():
 
 def test_pdhg_step_scalar_example():
     prob = scalar_quadratic_problem()
-    x_next, x_bar, y_next = pdhg_step(
+    x_next, y_next = pdhg_step(
         prob, np.array([1.0]), np.array([0.0]), 0.5, 0.5, 1.0
     )
     assert abs(x_next[0] - 2.0 / 3.0) <= 1e-15
-    assert abs(x_bar[0] - 1.0 / 3.0) <= 1e-15
+    # the dual step reads xbar = x_next + (x_next - x_k) = 1/3:
+    # y_next = (0 + 0.5 * xbar) / (1 + 0.5) = 1/9
     assert abs(y_next[0] - 1.0 / 9.0) <= 1e-15
 
 
@@ -55,20 +56,19 @@ def test_pdhg_step_saddle_is_fixed_point():
     built = build_instance(spec)
     sad = built.saddle
     for theta in (0.0, 0.5, 1.0):
-        x_next, x_bar, y_next = pdhg_step(
+        x_next, y_next = pdhg_step(
             built.problem, sad.x, sad.y, 0.4, 0.3, theta
         )
         assert np.linalg.norm(x_next - sad.x) <= 1e-12
-        assert np.linalg.norm(x_bar - sad.x) <= 1e-12
         assert np.linalg.norm(y_next - sad.y) <= 1e-12
 
 
 def test_pdhg_step_theta_zero_disables_extrapolation():
     prob = scalar_quadratic_problem()
-    x_next, x_bar, _ = pdhg_step(
-        prob, np.array([1.0]), np.array([0.3]), 0.5, 0.5, 0.0
-    )
-    assert np.array_equal(x_bar, x_next)
+    y = np.array([0.3])
+    x_next, y_next = pdhg_step(prob, np.array([1.0]), y, 0.5, 0.5, 0.0)
+    # the dual step is taken from x_next itself
+    assert np.array_equal(y_next, prob.prox_gstar(y + 0.5 * (prob.F @ x_next), 0.5))
 
 
 def test_run_reaches_kkt_saddle():

@@ -25,7 +25,6 @@ from pdhglab import (
     Trajectory,
     alpha_rate,
     build_instance,
-    check_lemma,
     lemma_records,
     lyapunov_accelerated,
     lyapunov_fixed,
@@ -185,7 +184,8 @@ def test_check_lemma_quadratic_pair_all_regimes():
     }
     for regime, sched in regimes.items():
         traj = run(built.problem, sched, init, budget=500, tol=0.0)
-        table, rhs, slack = check_lemma(regime, traj, built.problem, built.saddle)
+        table = lyapunov_table(traj, built.problem, built.saddle)
+        rhs, slack = lemma_records(regime, traj, built.problem, table)
         assert len(slack) >= 1
         for E, ne, lemma_rhs, lemma_slack in zip(table.E, table.ne, rhs, slack):
             assert lemma_slack >= -slack_tolerance(E)
@@ -199,7 +199,8 @@ def test_check_lemma_saddle_start_gives_zero_energy():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=3, seed=8))
     sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, mu=1.0, gamma=1.0)
     traj = run(built.problem, sched, built.saddle, budget=20, tol=0.0)
-    table, _, slack = check_lemma(OPTIMAL_SS, traj, built.problem, built.saddle)
+    table = lyapunov_table(traj, built.problem, built.saddle)
+    _, slack = lemma_records(OPTIMAL_SS, traj, built.problem, table)
     for E, lemma_slack in zip(table.E, slack):
         assert abs(E) <= 1e-20
         assert abs(lemma_slack) <= 1e-20
@@ -211,7 +212,8 @@ def test_check_lemma_refuses_inadmissible_scale():
     bad = Schedule(regime=VARYING_SC, s=1.5 / built.problem.F_norm, c=0.5)
     traj = run(built.problem, bad, PrimalDualPair(np.ones(2), np.ones(2)), budget=3, tol=0.0)
     with pytest.raises(ValueError):
-        check_lemma(VARYING_SC, traj, built.problem, built.saddle)
+        table = lyapunov_table(traj, built.problem, built.saddle)
+        lemma_records(VARYING_SC, traj, built.problem, table)
 
 
 def test_check_lemma_regime_mismatch():
@@ -219,7 +221,8 @@ def test_check_lemma_regime_mismatch():
     sched = make_schedule(FIXED, built.problem.F_norm)
     traj = run(built.problem, sched, PrimalDualPair(np.ones(2), np.ones(2)), budget=5, tol=0.0)
     with pytest.raises(ValueError):
-        check_lemma(VARYING_SC, traj, built.problem, built.saddle)
+        table = lyapunov_table(traj, built.problem, built.saddle)
+        lemma_records(VARYING_SC, traj, built.problem, table)
 
 
 def test_check_lemma_requires_both_moduli_for_fixed_steps():
@@ -228,7 +231,8 @@ def test_check_lemma_requires_both_moduli_for_fixed_steps():
     sched = make_schedule(FIXED, built.problem.F_norm)
     traj = run(built.problem, sched, PrimalDualPair(np.zeros(5), np.zeros(5)), budget=20, tol=0.0)
     with pytest.raises(NoMatchingLemma):
-        check_lemma(FIXED, traj, built.problem, built.saddle)
+        table = lyapunov_table(traj, built.problem, built.saddle)
+        lemma_records(FIXED, traj, built.problem, table)
 
 
 # ---------------------------------------------------------------------------

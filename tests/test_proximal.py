@@ -9,12 +9,10 @@ import numpy as np
 
 from pdhglab import (
     QuadraticProxCache,
-    l1_subdiff_dist,
     linf_normal_cone_dist,
     project_linf_ball,
     prox_least_squares,
     prox_shifted_quadratic,
-    soft_threshold,
 )
 
 
@@ -27,35 +25,6 @@ def scalar_prox_oracle(h, v, t, lo=-50.0, hi=50.0, rounds=60):
         lo = grid[max(i - 1, 0)]
         hi = grid[min(i + 1, len(grid) - 1)]
     return 0.5 * (lo + hi)
-
-
-def test_soft_threshold_examples():
-    out = soft_threshold(np.array([3.0, -0.5, 0.0]), 1.0)
-    assert np.array_equal(out, np.array([2.0, 0.0, 0.0]))
-    v = np.array([1.7, -2.3, 0.4])
-    assert np.array_equal(soft_threshold(v, 0.0), v)
-    # the kink absorbs points with |v| = t
-    assert np.array_equal(soft_threshold(np.array([-2.0]), 2.0), np.array([0.0]))
-
-
-def test_soft_threshold_matches_refinement_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        v = float(rng.uniform(-4, 4))
-        t = float(rng.uniform(0.05, 3.0))
-        lam = float(rng.uniform(0.1, 2.0))
-        got = soft_threshold(np.array([v]), t * lam)[0]
-        want = scalar_prox_oracle(lambda u: lam * abs(u), v, t)
-        assert abs(got - want) <= 1e-6
-
-
-def test_soft_threshold_rejects_negative_t():
-    try:
-        soft_threshold(np.array([1.0]), -0.1)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("negative threshold accepted")
 
 
 def test_project_linf_ball_examples():
@@ -149,27 +118,13 @@ def test_prox_maps_are_nonexpansive():
         u = rng.standard_normal(4)
         v = rng.standard_normal(4)
         t = float(rng.uniform(0.05, 5.0))
-        lam = float(rng.uniform(0.1, 2.0))
         r = float(rng.uniform(0.1, 2.0))
         gap = np.linalg.norm(u - v)
-        assert np.linalg.norm(soft_threshold(u, t * lam) - soft_threshold(v, t * lam)) <= gap + 1e-12
         assert np.linalg.norm(project_linf_ball(u, r) - project_linf_ball(v, r)) <= gap + 1e-12
         assert (
             np.linalg.norm(prox_least_squares(cache, u, t) - prox_least_squares(cache, v, t))
             <= gap + 1e-12
         )
-
-
-def test_l1_subdiff_dist_cases():
-    lam = 1.5
-    # off zero the subdifferential is the single point lam * sign(x)
-    assert l1_subdiff_dist(np.array([2.0]), np.array([-lam]), lam) == 0.0
-    assert abs(l1_subdiff_dist(np.array([2.0]), np.array([0.5]), lam) - 2.0) <= 1e-15
-    # at zero it is the interval [-lam, lam]
-    assert l1_subdiff_dist(np.array([0.0]), np.array([1.0]), lam) == 0.0
-    assert abs(l1_subdiff_dist(np.array([0.0]), np.array([2.5]), lam) - 1.0) <= 1e-15
-    mixed = l1_subdiff_dist(np.array([1.0, 0.0]), np.array([-lam, -2.0]), lam)
-    assert abs(mixed - 0.5) <= 1e-15
 
 
 def test_linf_normal_cone_dist_cases():

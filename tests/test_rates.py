@@ -10,12 +10,11 @@ from pdhglab import contraction_factors, default_window, fit_rate
 
 def test_fit_rate_recovers_exact_power_law():
     series = [(k, 7.0 * k**-2.5) for k in range(1, 2000)]
-    fit = fit_rate(series, window=(10, 1500), name="power")
+    fit = fit_rate(series, window=(10, 1500))
     assert abs(fit.slope + 2.5) <= 1e-9
     assert abs(fit.intercept - math.log(7.0)) <= 1e-9
     assert fit.residual <= 1e-10
     assert fit.window == (10, 1500)
-    assert fit.name == "power"
 
 
 def test_fit_rate_window_filters_points():

@@ -10,15 +10,13 @@ from pdhglab import (
     build_instance,
     certify_saddle,
     difference_matrix,
-    make_lasso,
-    make_generalized_lasso,
     make_quad_pair,
     make_schedule,
     primal_objective,
     reference_saddle,
     run,
 )
-from pdhglab.zoo import QuadPair, conditioned_matrix, piecewise_constant_signal
+from pdhglab.zoo import conditioned_matrix, piecewise_constant_signal
 
 
 def test_difference_matrix_action():
@@ -31,8 +29,7 @@ def test_difference_matrix_action():
 def test_kkt_oracle_hand_example():
     # mu = gamma = 1, F = [1], a = 2, b_hat = 0:
     #   (x - 2) + y = 0 and y - x = 0, solved by (x, y) = (1, 1)
-    pair = make_quad_pair(np.array([2.0]), np.array([0.0]), 1.0, 1.0, np.array([[1.0]]))
-    sad = pair.saddle
+    _, sad = make_quad_pair(np.array([2.0]), np.array([0.0]), 1.0, 1.0, np.array([[1.0]]))
     assert abs(sad.x[0] - 1.0) <= 1e-12
     assert abs(sad.y[0] - 1.0) <= 1e-12
 
@@ -45,24 +42,10 @@ def test_kkt_oracle_certifies_on_random_instances():
         F = rng.standard_normal((d2, d1))
         mu = float(rng.uniform(0.2, 5.0))
         gamma = float(rng.uniform(0.2, 5.0))
-        pair = make_quad_pair(rng.standard_normal(d1), rng.standard_normal(d2), mu, gamma, F)
-        sad = pair.saddle
-        cert = certify_saddle(pair.problem, sad, tol=1e-8)
+        prob, sad = make_quad_pair(rng.standard_normal(d1), rng.standard_normal(d2), mu, gamma, F)
+        cert = certify_saddle(prob, sad, tol=1e-8)
         assert cert.passed
         assert cert.r_x <= 1e-10 and cert.r_y <= 1e-10
-
-
-def test_make_lasso_is_generalized_lasso_with_identity():
-    rng = np.random.default_rng(37)
-    A = rng.standard_normal((8, 5))
-    b = rng.standard_normal(8)
-    p1 = make_lasso(A, b, 0.7)
-    p2 = make_generalized_lasso(A, b, 0.7, np.eye(5))
-    v = rng.standard_normal(5)
-    w = rng.standard_normal(5)
-    assert np.array_equal(p1.prox_f(v, 0.3), p2.prox_f(v, 0.3))
-    assert np.array_equal(p1.prox_gstar(w, 0.3), p2.prox_gstar(w, 0.3))
-    assert p1.mu == p2.mu and p1.gamma == 0.0
 
 
 def test_lasso_interior_dual_closed_form_saddle():
@@ -125,7 +108,7 @@ def test_certify_saddle_rejects_non_saddle():
 
 
 def test_certify_saddle_needs_residual_oracles():
-    prob = make_quad_pair(np.zeros(1), np.zeros(1), 1.0, 1.0, np.array([[1.0]])).problem
+    prob, _ = make_quad_pair(np.zeros(1), np.zeros(1), 1.0, 1.0, np.array([[1.0]]))
     stripped = type(prob)(
         d1=prob.d1, d2=prob.d2, F=prob.F,
         prox_f=prob.prox_f, prox_gstar=prob.prox_gstar,
