@@ -12,7 +12,7 @@ from .config import (
     materialize,
     parse_config,
 )
-from .dynamics import OdeState, integrate
+from .dynamics import integrate
 from .engine import (
     Trajectory,
     optimality_residual,

@@ -11,8 +11,9 @@ invertible whenever tau * sigma = s^2 and s ||F|| < 1.  This module
 integrates the system with implicit Euler so discrete iterates can be
 compared against near-continuous reference trajectories (h = s/100).
 
-:func:`integrate` is the stepper.  Each step solves M (z+ - z) = h G(z+) for
-z = (X, Y) by Newton's method and accepts z+ once the residual is at most
+:func:`integrate` is the stepper; it returns the states as two arrays, X and
+Y, one row per step.  Each step solves M (z+ - z) = h G(z+) for z = (X, Y)
+by Newton's method and accepts z+ once the residual is at most
 NEWTON_TOL, giving up after NEWTON_MAX_ITER updates.  One call fixes h, s,
 tau, sigma and the problem, so it builds M, checks its condition number and
 inverts the Newton matrix M - h dG once; affine gradients then cost one
@@ -25,23 +26,12 @@ grad f and grad g* pointwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .problems import SaddleProblem
+from .problems import PrimalDualPair, SaddleProblem
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
-
-
-@dataclass(frozen=True, eq=False)
-class OdeState:
-    """Continuous-time state (X(t), Y(t)) at time t."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    t: float
 
 
 def mass_matrix(s: float, tau: float, sigma: float, F: np.ndarray) -> np.ndarray:
@@ -78,78 +68,22 @@ def _rhs_jacobian(problem: SaddleProblem, X: np.ndarray, Y: np.ndarray) -> np.nd
     return J
 
 
-class _ImplicitEuler:
-    """Implicit-Euler steps M (z+ - z) = h G(z+) for one (h, s, tau, sigma,
-    problem), with z = (X, Y) stacked.
-
-    The mass matrix and its condition check are built once, and so is the
-    inverse Newton matrix (M - h dG)^-1, taken at the first state.  Each step
-    runs Newton with that frozen matrix (one update for affine gradients) and
-    re-takes it at the current iterate whenever an update fails to halve the
-    residual, so non-affine gradients still converge as plain Newton does.
-    """
-
-    def __init__(self, z0, h, s, tau, sigma, problem):
-        if s <= 0 or tau <= 0 or sigma <= 0:
-            raise ValueError("s, tau, sigma must be positive")
-        M = mass_matrix(s, tau, sigma, problem.F)
-        cond = np.linalg.cond(M)
-        if not np.isfinite(cond) or cond > 1e14:
-            raise ValueError(
-                "mass matrix is singular (tau * sigma * ||F||^2 = 1 degeneracy); "
-                "choose admissible steps with s * ||F|| < 1"
-            )
-        self.M, self.h, self.problem = M, h, problem
-        self.d1 = problem.F.shape[1]
-        self._newton_at(z0)
-
-    def _newton_at(self, z):
-        d1 = self.d1
-        J = self.M - self.h * _rhs_jacobian(self.problem, z[:d1], z[d1:])
-        self._J_inv = np.linalg.inv(J)
-
-    def rhs(self, z: np.ndarray) -> np.ndarray:
-        """G(z) = (-F^T Y - grad f(X), F X - grad g*(Y))."""
-        problem, X, Y = self.problem, z[: self.d1], z[self.d1 :]
-        F = problem.F
-        return np.concatenate(
-            [-(F.T @ Y) - problem.grad_f(X), F @ X - problem.grad_gstar(Y)]
-        )
-
-    def step(self, z: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(z+, G(z+)) from z and G = G(z); raises RuntimeError when the
-        residual does not reach NEWTON_TOL within NEWTON_MAX_ITER updates."""
-        M, h = self.M, self.h
-        z_new = z
-        last = np.inf
-        for _ in range(NEWTON_MAX_ITER):
-            H = M @ (z_new - z) - h * G
-            res = np.linalg.norm(H)
-            if res <= NEWTON_TOL:
-                return z_new, G
-            if res > 0.5 * last:
-                self._newton_at(z_new)
-            z_new = z_new - self._J_inv @ H
-            G = self.rhs(z_new)
-            last = res
-        raise RuntimeError(
-            f"implicit-Euler Newton solve did not reach residual {NEWTON_TOL}"
-        )
-
-
 def integrate(
-    init: OdeState,
+    init: PrimalDualPair,
     T: float,
     h: float,
     s: float,
     tau: float,
     sigma: float,
     problem: SaddleProblem,
-) -> list[OdeState]:
-    """ceil(T/h) implicit-Euler steps; returns states including the initial one.
+) -> tuple[np.ndarray, np.ndarray]:
+    """n = ceil(T/h) implicit-Euler steps from ``init``.
 
-    G(z+) of each step seeds the next.  Raises ValueError on a problem
-    without both gradient oracles or on a singular mass matrix, and
+    Returns (X, Y) of shapes (n+1, d1) and (n+1, d2); row j is the state at
+    t = j h.  Newton runs with (M - h dG)^-1 taken at the first state and
+    re-taken at the current iterate whenever an update fails to halve the
+    residual; G(z+) of each step seeds the next.  Raises ValueError on a
+    problem without both gradient oracles or on a singular mass matrix, and
     RuntimeError when a Newton solve does not converge.
     """
     if T <= 0 or h <= 0:
@@ -158,13 +92,48 @@ def integrate(
         raise ValueError(
             "the ODE system needs smooth oracles: supply grad_f and grad_gstar"
         )
+    if s <= 0 or tau <= 0 or sigma <= 0:
+        raise ValueError("s, tau, sigma must be positive")
+    F, d1 = problem.F, problem.d1
+    M = mass_matrix(s, tau, sigma, F)
+    cond = np.linalg.cond(M)
+    if not np.isfinite(cond) or cond > 1e14:
+        raise ValueError(
+            "mass matrix is singular (tau * sigma * ||F||^2 = 1 degeneracy); "
+            "choose admissible steps with s * ||F|| < 1"
+        )
+
+    def rhs(z):
+        # G(z) = (-F^T Y - grad f(X), F X - grad g*(Y))
+        X, Y = z[:d1], z[d1:]
+        return np.concatenate(
+            [-(F.T @ Y) - problem.grad_f(X), F @ X - problem.grad_gstar(Y)]
+        )
+
+    def newton_inverse(z):
+        return np.linalg.inv(M - h * _rhs_jacobian(problem, z[:d1], z[d1:]))
+
     n_steps = int(np.ceil(T / h - 1e-12))
-    z = np.concatenate([init.X, init.Y])
-    stepper = _ImplicitEuler(z, h, s, tau, sigma, problem)
-    G = stepper.rhs(z)
-    d1 = stepper.d1
-    states = [init]
-    for _ in range(n_steps):
-        z, G = stepper.step(z, G)
-        states.append(OdeState(X=z[:d1], Y=z[d1:], t=states[-1].t + h))
-    return states
+    Z = np.empty((n_steps + 1, d1 + problem.d2))
+    z = Z[0] = np.concatenate([init.x, init.y])
+    J_inv = newton_inverse(z)
+    G = rhs(z)
+    for j in range(1, n_steps + 1):
+        z_new = z
+        last = np.inf
+        for _ in range(NEWTON_MAX_ITER):
+            H = M @ (z_new - z) - h * G
+            res = np.linalg.norm(H)
+            if res <= NEWTON_TOL:
+                break
+            if res > 0.5 * last:
+                J_inv = newton_inverse(z_new)
+            z_new = z_new - J_inv @ H
+            G = rhs(z_new)
+            last = res
+        else:
+            raise RuntimeError(
+                f"implicit-Euler Newton solve did not reach residual {NEWTON_TOL}"
+            )
+        z = Z[j] = z_new
+    return Z[:, :d1], Z[:, d1:]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import PrimalDualPair, SaddleProblem, inclusion_residuals
+from .problems import PrimalDualPair, SaddleProblem, _norm, inclusion_residuals
 from .schedules import ACCELERATED, Schedule, schedule_at
 
 TERMINATION_BUDGET = "budget"
@@ -113,7 +113,7 @@ def step_residuals(
     dy = y_k - y_next
     rx = dx / tau_k - F.T @ dy
     ry = dy / sigma_k - theta_k * (F @ dx)
-    return math.sqrt(float(rx @ rx)), math.sqrt(float(ry @ ry))
+    return _norm(rx), _norm(ry)
 
 
 def run(

@@ -374,13 +374,13 @@ def lyapunov_table(
 
 
 def lemma_records(
-    regime: str,
     trajectory: Trajectory,
     problem: SaddleProblem,
     table: LyapunovTable,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The regime's descent lemma along a recorded trajectory, on its
-    precomputed :func:`lyapunov_table`.
+    """The descent lemma of the trajectory's regime (read from its
+    schedule) along the recorded steps, on its precomputed
+    :func:`lyapunov_table`.
 
     Returns ``(lemma_rhs, lemma_slack)`` per row: the lemma's right-hand
     side and the slack lemma_slack = lemma_rhs - (E(k+1) - E(k)); a slack
@@ -395,11 +395,7 @@ def lemma_records(
     an inadmissible trajectory is refused outright.
     """
     sched = trajectory.schedule
-    if regime != sched.regime:
-        raise ValueError(
-            f"regime {regime!r} does not match the trajectory's schedule "
-            f"({sched.regime!r})"
-        )
+    regime = sched.regime
     if sched.s * problem.F_norm >= 1.0:
         raise ValueError(
             f"inadmissible trajectory: s * ||F|| = {sched.s * problem.F_norm} >= 1; "

@@ -14,6 +14,7 @@ certification needs ``grad_f`` plus ``subdiff_gstar`` or ``grad_gstar``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -30,8 +31,8 @@ class SaddleProblem:
 
     Fields
     ------
-    d1, d2 : primal and dual dimensions.
-    F : (d2, d1) coupling matrix.
+    F : (d2, d1) coupling matrix; the primal and dual dimensions ``d1`` and
+        ``d2`` are read from its shape.
     F_norm : spectral norm ||F||_2, derived from F at construction by SVD
         (0.0 for the zero matrix); every admissibility test s * ||F|| < 1
         reads it.
@@ -43,8 +44,6 @@ class SaddleProblem:
         dist(0, dg*(y) + w) for a linear offset ``w``.
     """
 
-    d1: int
-    d2: int
     F: np.ndarray
     prox_f: ProxOracle
     prox_gstar: ProxOracle
@@ -57,14 +56,20 @@ class SaddleProblem:
 
     def __post_init__(self):
         F = np.asarray(self.F, dtype=float)
-        if F.shape != (self.d2, self.d1):
-            raise ValueError(
-                f"F has shape {F.shape}, expected ({self.d2}, {self.d1})"
-            )
+        if F.ndim != 2:
+            raise ValueError(f"F must be 2-D, got shape {F.shape}")
         if self.mu < 0 or self.gamma < 0:
             raise ValueError("strong-convexity moduli must be nonnegative")
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "F_norm", float(np.linalg.norm(F, 2)))
+
+    @property
+    def d1(self) -> int:
+        return self.F.shape[1]
+
+    @property
+    def d2(self) -> int:
+        return self.F.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +82,16 @@ class PrimalDualPair:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float).ravel())
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float).ravel())
+
+
+def _norm(r: np.ndarray) -> float:
+    """||r|| as sqrt(r @ r), rescaled by max |r| when only the square overflows."""
+    value = math.sqrt(float(r @ r))
+    if value == math.inf and np.isfinite(r).all():
+        scale = float(np.abs(r).max())
+        r = r / scale
+        value = scale * math.sqrt(float(r @ r))
+    return value
 
 
 def inclusion_residuals(
@@ -96,11 +111,11 @@ def inclusion_residuals(
         raise ValueError(
             "problem has no grad_f; supply it to evaluate the inclusion residual"
         )
-    r_x = float(np.linalg.norm(problem.grad_f(x) + w_x))
+    r_x = _norm(problem.grad_f(x) + w_x)
     if problem.subdiff_gstar is not None:
         return r_x, float(problem.subdiff_gstar(y, w_y))
     if problem.grad_gstar is not None:
-        return r_x, float(np.linalg.norm(problem.grad_gstar(y) + w_y))
+        return r_x, _norm(problem.grad_gstar(y) + w_y)
     raise ValueError(
         "problem has neither subdiff_gstar nor grad_gstar; supply a "
         "subdifferential oracle to evaluate the inclusion residual"

@@ -48,15 +48,13 @@ def default_window(K0: int = 1) -> tuple[int, int]:
     return (max(100, 10 * K0), 10_000)
 
 
-def fit_rate(series, window: tuple[int, int] | None = None) -> RateFit:
-    """OLS of ln v against ln k over the window; the slope is the empirical
-    order (slope -2 means O(1/k^2)).
+def fit_rate(series, window: tuple[int, int]) -> RateFit:
+    """OLS of ln v against ln k over the window [k_lo, k_hi]; the slope is
+    the empirical order (slope -2 means O(1/k^2)).
 
     ``series`` holds (k, v) pairs: a sequence of pairs or an (n, 2) array.
     Requires at least 10 points with k inside the window, all with v > 0.
     """
-    if window is None:
-        window = default_window()
     k_lo, k_hi = window
     if k_lo >= k_hi:
         raise ValueError("window must satisfy k_lo < k_hi")

@@ -44,7 +44,11 @@ class Schedule:
     c: Optional[float] = None
     tau: Optional[float] = None
     sigma: Optional[float] = None
-    k_start: int = 0
+
+    @property
+    def k_start(self) -> int:
+        """The first iteration index: 1 for ``accelerated``, else 0."""
+        return 1 if self.regime == ACCELERATED else 0
 
 
 def _default_s(F_norm: float) -> float:
@@ -134,7 +138,6 @@ def make_schedule(
         c=None if c is None else float(c),
         tau=None if tau is None else float(tau),
         sigma=None if sigma is None else float(sigma),
-        k_start=1 if regime == ACCELERATED else 0,
     )
 
 

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import TERMINATION_RESIDUAL, run
-from .problems import PrimalDualPair, SaddleProblem, inclusion_residuals
+from .problems import PrimalDualPair, SaddleProblem, _norm, inclusion_residuals
 from .proximal import (
     QuadraticProxCache,
     linf_normal_cone_dist,
@@ -39,6 +39,12 @@ LASSO = "lasso"
 GEN_LASSO = "gen_lasso"
 QUAD_PAIR = "quad_pair"
 KINDS = (LASSO, GEN_LASSO, QUAD_PAIR)
+
+#: Step budget, displacement-residual target and certificate tolerance of
+#: :func:`reference_saddle`.
+REFERENCE_BUDGET = 500_000
+REFERENCE_TOL = 1e-12
+REFERENCE_CERTIFY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -91,7 +97,6 @@ class SaddleCertificate:
     passed: bool
     r_x: float
     r_y: float
-    tol: float
 
 
 def difference_matrix(d: int) -> np.ndarray:
@@ -130,8 +135,6 @@ def make_generalized_lasso(
         )
     cache = QuadraticProxCache(A, b)
     return SaddleProblem(
-        d1=A.shape[1],
-        d2=F.shape[0],
         F=F,
         prox_f=lambda v, t: prox_least_squares(cache, v, t),
         prox_gstar=lambda w, t: project_linf_ball(w, lam),
@@ -155,8 +158,6 @@ def make_quad_pair(
     if F.shape != (b_hat.size, a.size):
         raise ValueError(f"F must be {b_hat.size} x {a.size}, got {F.shape}")
     problem = SaddleProblem(
-        d1=a.size,
-        d2=b_hat.size,
         F=F,
         prox_f=lambda v, t: prox_shifted_quadratic(a, mu, v, t),
         prox_gstar=lambda w, t: prox_shifted_quadratic(b_hat, gamma, w, t),
@@ -183,8 +184,8 @@ def _solve_kkt(
     K[d1:, d1:] = gamma * np.eye(d2)
     rhs = np.concatenate([mu * a, gamma * b_hat])
     z = np.linalg.solve(K, rhs)
-    residual = float(np.linalg.norm(K @ z - rhs))
-    if residual > 1e-10 * (1.0 + float(np.linalg.norm(rhs))):
+    residual = _norm(K @ z - rhs)
+    if residual > 1e-10 * (1.0 + _norm(rhs)):
         raise RuntimeError(f"KKT solve residual {residual} exceeds tolerance")
     return PrimalDualPair(x=z[:d1], y=z[d1:])
 
@@ -198,36 +199,34 @@ def certify_saddle(
     r_x, r_y = inclusion_residuals(
         problem, candidate.x, F.T @ candidate.y, candidate.y, -(F @ candidate.x)
     )
-    return SaddleCertificate(passed=r_x <= tol and r_y <= tol, r_x=r_x, r_y=r_y, tol=tol)
+    return SaddleCertificate(passed=r_x <= tol and r_y <= tol, r_x=r_x, r_y=r_y)
 
 
-def reference_saddle(
-    problem: SaddleProblem,
-    budget: int = 500_000,
-    tol: float = 1e-12,
-    certify_tol: float = 1e-8,
-    s: Optional[float] = None,
-) -> PrimalDualPair:
-    """High-accuracy saddle for instances without closed form: a long
-    fixed-regime run to displacement residual ``tol``, then certification.
+def reference_saddle(problem: SaddleProblem) -> PrimalDualPair:
+    """High-accuracy saddle for instances without closed form: a fixed-regime
+    run at the default step of up to REFERENCE_BUDGET steps to displacement
+    residual REFERENCE_TOL, then certification to REFERENCE_CERTIFY_TOL.
 
     Raises RuntimeError if the run does not reach the residual target or the
     certificate fails.
     """
-    sched = make_schedule(FIXED, problem.F_norm, s=s)
+    sched = make_schedule(FIXED, problem.F_norm)
     init = PrimalDualPair(x=np.zeros(problem.d1), y=np.zeros(problem.d2))
-    traj = run(problem, sched, init, budget=budget, tol=tol, record_every=budget)
+    traj = run(
+        problem, sched, init,
+        budget=REFERENCE_BUDGET, tol=REFERENCE_TOL, record_every=REFERENCE_BUDGET,
+    )
     if traj.termination != TERMINATION_RESIDUAL:
         raise RuntimeError(
             f"reference run stopped with termination={traj.termination!r} "
-            f"before reaching residual {tol}"
+            f"before reaching residual {REFERENCE_TOL}"
         )
     candidate = traj.final
-    cert = certify_saddle(problem, candidate, certify_tol)
+    cert = certify_saddle(problem, candidate, REFERENCE_CERTIFY_TOL)
     if not cert.passed:
         raise RuntimeError(
             f"reference point failed certification: r_x={cert.r_x}, r_y={cert.r_y} "
-            f"(tol {certify_tol})"
+            f"(tol {REFERENCE_CERTIFY_TOL})"
         )
     return candidate
 

@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from pdhglab.engine import optimality_residual, run
-from pdhglab.dynamics import OdeState, integrate
+from pdhglab.dynamics import integrate
 from pdhglab.lyapunov import (
     lemma_records,
     lyapunov_accelerated,
@@ -118,7 +118,7 @@ def test_criterion_01_lemma_descent_suites():
             traj = run(problem, schedule, zeros_init(problem), budget=1000, tol=0.0)
             saddle = resolve_saddle(built)
             table = lyapunov_table(traj, problem, saddle)
-            _, slack = lemma_records(regime, traj, problem, table)
+            _, slack = lemma_records(traj, problem, table)
             for E, lemma_slack in zip(table.E, slack):
                 worst = min(worst, lemma_slack + 1e-8 * (1.0 + abs(E)))
                 n_steps += 1
@@ -411,17 +411,13 @@ def test_criterion_09_ode_consistency():
         traj = run(
             problem, schedule, init, budget=int(math.ceil(T / s)), tol=0.0
         )
-        ref = integrate(
-            OdeState(X=init.x, Y=init.y, t=0.0), T, s / 100.0, s, s, s, problem
-        )
+        X, Y = integrate(init, T, s / 100.0, s, s, s, problem)
         sup = 0.0
         for k, x_next, y_next in zip(traj.k, traj.x_next, traj.y_next):
             idx = (k + 1) * 100
-            if (k + 1) * s > T + 1e-12 or idx >= len(ref):
+            if (k + 1) * s > T + 1e-12 or idx >= len(X):
                 continue
-            err = math.sqrt(
-                dist_sq(x_next, ref[idx].X) + dist_sq(y_next, ref[idx].Y)
-            )
+            err = math.sqrt(dist_sq(x_next, X[idx]) + dist_sq(y_next, Y[idx]))
             sup = max(sup, err)
         sups.append(sup)
     ratios = [sups[i + 1] / sups[i] for i in range(2)]

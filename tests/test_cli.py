@@ -18,9 +18,11 @@ import pytest
 from pdhglab import cli, config as config_module, lyapunov, zoo
 from pdhglab.cli import CSV_COLUMNS, execute, main
 from pdhglab.config import ConfigError, materialize, parse_config
+from pdhglab.dynamics import integrate
 from pdhglab.engine import run
 from pdhglab.lyapunov import lyapunov_fixed, numerical_error
 from pdhglab.problems import PrimalDualPair
+from pdhglab.schedules import FIXED, Schedule
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -299,6 +301,54 @@ def test_accelerated_with_an_overflowing_c_squared_ends_in_a_verdict(tmp_path, c
     doc["checks"] = ["theorem"]
     assert main(["verify", write_config(tmp_path, doc)]) == 1
     assert "check.theorem = FAIL (Lyapunov value is inf at k=51)" in capsys.readouterr().out
+
+
+# numpy warns of the overflows this config is built to cause
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_final_residual_stays_finite_when_its_square_overflows(tmp_path, capsys):
+    # mu = 1e300: the primal displacement residual is about 5e296, so its
+    # square is past the largest double
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 4, "mu": 1e300},
+        "regime": "varying_sc",
+        "budget": 50,
+        "checks": [],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    value = float(re.search(r"^run\.final_primal_residual = (\S+)$", out, re.M).group(1))
+    assert math.isfinite(value) and value > 1e296
+
+
+def test_ode_compare_matches_a_per_row_reference():
+    # the check samples the reference rows in one array expression; here
+    # each iterate is compared with its reference state one row at a time
+    config = parse_config(json.dumps({
+        "instance": {"kind": "quad_pair", "d": 2, "seed": 0},
+        "regime": "fixed",
+        "budget": 10,
+        "checks": ["ode_compare"],
+    }))
+    built, schedule = materialize(config)
+    problem, T = built.problem, 10.0
+    init = PrimalDualPair(np.zeros(2), np.zeros(2))
+    sups = []
+    for level in range(3):
+        s, tau, sigma = (v * 0.5**level for v in (schedule.s, schedule.tau, schedule.sigma))
+        sched = Schedule(regime=FIXED, s=s, tau=tau, sigma=sigma)
+        traj = run(problem, sched, init, budget=int(math.ceil(T / s)), tol=0.0)
+        X, Y = integrate(init, T, s / 100.0, s, tau, sigma, problem)
+        sup = 0.0
+        for k, x_next, y_next in zip(traj.k.tolist(), traj.x_next, traj.y_next):
+            idx = (k + 1) * 100
+            if (k + 1) * s > T + 1e-12 or idx >= len(X):
+                continue
+            dx, dy = x_next - X[idx], y_next - Y[idx]
+            sup = max(sup, math.sqrt(float(dx @ dx) + float(dy @ dy)))
+        sups.append(sup)
+    ratios = ", ".join(f"{sups[i + 1] / sups[i]:.3f}" for i in range(2))
+    result = cli._check_ode_compare(config, built, schedule, None)
+    assert result.detail in (f"halving ratios {ratios}", f"halving ratios {ratios} exceed 0.7")
 
 
 def test_rate_fit_skip_names_the_window_start_and_the_last_k(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 from pdhglab import (
     FIXED,
     InstanceSpec,
-    OdeState,
     PrimalDualPair,
     SaddleProblem,
     build_instance,
@@ -24,8 +23,6 @@ from pdhglab.dynamics import mass_matrix
 def decoupled_problem():
     """f(x) = x^2/2 and g*(y) = y^2/2 with no coupling (F = 0)."""
     return SaddleProblem(
-        d1=1,
-        d2=1,
         F=np.array([[0.0]]),
         prox_f=lambda v, t: v / (1.0 + t),
         prox_gstar=lambda w, t: w / (1.0 + t),
@@ -38,7 +35,8 @@ def decoupled_problem():
 
 def one_step(state, h, s, tau, sigma, problem):
     """One implicit-Euler step of size h: the last state of integrate over T = h."""
-    return integrate(state, T=h, h=h, s=s, tau=tau, sigma=sigma, problem=problem)[-1]
+    X, Y = integrate(state, T=h, h=h, s=s, tau=tau, sigma=sigma, problem=problem)
+    return PrimalDualPair(X[-1], Y[-1])
 
 
 def test_mass_matrix_layout():
@@ -51,10 +49,10 @@ def test_mass_matrix_layout():
 def test_mass_matrix_singularity_rejected():
     # tau sigma ||F||^2 = 1 makes the mass matrix exactly singular
     F = np.array([[1.0]])
-    state = OdeState(np.ones(1), np.ones(1), 0.0)
+    state = PrimalDualPair(np.ones(1), np.ones(1))
     prob = decoupled_problem()
     prob = SaddleProblem(
-        d1=1, d2=1, F=F,
+        F=F,
         prox_f=prob.prox_f, prox_gstar=prob.prox_gstar,
         mu=1.0, gamma=1.0,
         grad_f=lambda x: x, grad_gstar=lambda y: y,
@@ -67,12 +65,11 @@ def test_decoupled_scalar_recurrence():
     # with tau = sigma = s the implicit step is X -> X / (1 + h), Y -> Y / (1 + h)
     prob = decoupled_problem()
     h, s = 0.25, 0.5
-    state = OdeState(np.array([1.0]), np.array([-2.0]), 0.0)
+    state = PrimalDualPair(np.array([1.0]), np.array([-2.0]))
     for n in range(1, 12):
         state = one_step(state, h, s, s, s, prob)
-        assert abs(state.X[0] - (1 + h) ** -n) <= 1e-9
-        assert abs(state.Y[0] + 2.0 * (1 + h) ** -n) <= 1e-9
-        assert abs(state.t - n * h) <= 1e-12
+        assert abs(state.x[0] - (1 + h) ** -n) <= 1e-9
+        assert abs(state.y[0] + 2.0 * (1 + h) ** -n) <= 1e-9
 
 
 def test_implicit_equation_residual_is_small():
@@ -80,13 +77,13 @@ def test_implicit_equation_residual_is_small():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=3, seed=1))
     s = 0.5 / built.problem.F_norm
     prob = built.problem
-    state = OdeState(np.ones(3), -np.ones(3), 0.0)
+    state = PrimalDualPair(np.ones(3), -np.ones(3))
     nxt = one_step(state, 0.2, s, s, s, prob)
     M = mass_matrix(s, s, s, prob.F)
-    z = np.concatenate([state.X, state.Y])
-    zn = np.concatenate([nxt.X, nxt.Y])
+    z = np.concatenate([state.x, state.y])
+    zn = np.concatenate([nxt.x, nxt.y])
     rhs = np.concatenate(
-        [-(prob.F.T @ nxt.Y) - prob.grad_f(nxt.X), prob.F @ nxt.X - prob.grad_gstar(nxt.Y)]
+        [-(prob.F.T @ nxt.y) - prob.grad_f(nxt.x), prob.F @ nxt.x - prob.grad_gstar(nxt.y)]
     )
     assert np.linalg.norm(M @ (zn - z) - 0.2 * rhs) <= 1e-8
 
@@ -94,8 +91,6 @@ def test_implicit_equation_residual_is_small():
 def cubic_problem():
     """Cubic primal gradient: the implicit equation is genuinely nonlinear."""
     return SaddleProblem(
-        d1=1,
-        d2=1,
         F=np.array([[0.0]]),
         prox_f=lambda v, t: v,
         prox_gstar=lambda w, t: w,
@@ -119,9 +114,9 @@ def cubic_step_oracle(x, h):
 def test_newton_handles_nonlinear_gradients(monkeypatch):
     prob = cubic_problem()
     h, s = 0.5, 0.5
-    state = OdeState(np.array([2.0]), np.array([0.0]), 0.0)
+    state = PrimalDualPair(np.array([2.0]), np.array([0.0]))
     nxt = one_step(state, h, s, s, s, prob)
-    assert abs(nxt.X[0] - cubic_step_oracle(2.0, h)) <= 1e-8
+    assert abs(nxt.x[0] - cubic_step_oracle(2.0, h)) <= 1e-8
     monkeypatch.setattr(dynamics, "NEWTON_TOL", 1e-14)
     monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 1)
     with pytest.raises(RuntimeError):
@@ -130,13 +125,11 @@ def test_newton_handles_nonlinear_gradients(monkeypatch):
 
 def test_integrate_includes_initial_state():
     prob = decoupled_problem()
-    init = OdeState(np.array([1.0]), np.array([1.0]), 0.0)
-    states = integrate(init, T=1.0, h=0.1, s=0.5, tau=0.5, sigma=0.5, problem=prob)
-    assert len(states) == 11
-    assert states[0] is init or np.array_equal(states[0].X, init.X)
-    assert abs(states[-1].t - 1.0) <= 1e-12
-    for st in states:
-        assert np.all(np.isfinite(st.X)) and np.all(np.isfinite(st.Y))
+    init = PrimalDualPair(np.array([1.0]), np.array([1.0]))
+    X, Y = integrate(init, T=1.0, h=0.1, s=0.5, tau=0.5, sigma=0.5, problem=prob)
+    assert X.shape == Y.shape == (11, 1)
+    assert np.array_equal(X[0], init.x) and np.array_equal(Y[0], init.y)
+    assert np.all(np.isfinite(X)) and np.all(np.isfinite(Y))
 
 
 def test_integrate_sets_up_once_per_call(monkeypatch):
@@ -156,9 +149,9 @@ def test_integrate_sets_up_once_per_call(monkeypatch):
     counted(dynamics, "mass_matrix", "mass_matrix")
     counted(np.linalg, "cond", "cond")
     counted(dynamics, "_rhs_jacobian", "_rhs_jacobian")
-    init = OdeState(np.ones(16), -np.ones(16), 0.0)
-    states = integrate(init, T=1.0, h=s / 100, s=s, tau=s, sigma=s, problem=built.problem)
-    assert len(states) > 100
+    init = PrimalDualPair(np.ones(16), -np.ones(16))
+    X, _ = integrate(init, T=1.0, h=s / 100, s=s, tau=s, sigma=s, problem=built.problem)
+    assert len(X) > 100
     assert calls == {"mass_matrix": 1, "cond": 1, "_rhs_jacobian": 1}
 
 
@@ -166,14 +159,13 @@ def test_integrate_matches_chained_single_steps():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=16, seed=1))
     s = 0.9 / built.problem.F_norm
     h = s / 100
-    init = OdeState(np.ones(16), -np.ones(16), 0.0)
-    states = integrate(init, T=1.0, h=h, s=s, tau=s, sigma=s, problem=built.problem)
+    init = PrimalDualPair(np.ones(16), -np.ones(16))
+    X, Y = integrate(init, T=1.0, h=h, s=s, tau=s, sigma=s, problem=built.problem)
     state = init
-    for ref in states[1:]:
+    for ref_x, ref_y in zip(X[1:], Y[1:]):
         state = one_step(state, h, s, s, s, built.problem)
-        gap = np.hypot(np.linalg.norm(ref.X - state.X), np.linalg.norm(ref.Y - state.Y))
-        assert gap <= 1e-12 * np.hypot(np.linalg.norm(state.X), np.linalg.norm(state.Y))
-        assert ref.t == state.t
+        gap = np.hypot(np.linalg.norm(ref_x - state.x), np.linalg.norm(ref_y - state.y))
+        assert gap <= 1e-12 * np.hypot(np.linalg.norm(state.x), np.linalg.norm(state.y))
 
 
 def test_integrate_rebuilds_newton_matrix_for_nonlinear_gradients(monkeypatch):
@@ -188,14 +180,14 @@ def test_integrate_rebuilds_newton_matrix_for_nonlinear_gradients(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_rhs_jacobian", recorded)
     h, s = 0.5, 0.5
-    init = OdeState(np.array([2.0]), np.array([0.0]), 0.0)
-    states = integrate(init, T=5.0, h=h, s=s, tau=s, sigma=s, problem=cubic_problem())
-    assert len(states) == 11
+    init = PrimalDualPair(np.array([2.0]), np.array([0.0]))
+    X, _ = integrate(init, T=5.0, h=h, s=s, tau=s, sigma=s, problem=cubic_problem())
+    assert len(X) == 11
     assert len(jacobians) > 1
     x = 2.0
-    for state in states[1:]:
+    for state_x in X[1:]:
         x = cubic_step_oracle(x, h)
-        assert abs(state.X[0] - x) <= 1e-8
+        assert abs(state_x[0] - x) <= 1e-8
 
 
 def test_fixed_step_iteration_matches_implicit_euler():
@@ -206,15 +198,11 @@ def test_fixed_step_iteration_matches_implicit_euler():
     init = PrimalDualPair(np.ones(3), np.zeros(3))
     n = 30
     traj = run(built.problem, sched, init, budget=n, tol=0.0)
-    states = integrate(
-        OdeState(init.x.copy(), init.y.copy(), 0.0),
-        T=n * s, h=s, s=s, tau=s, sigma=s, problem=built.problem,
-    )
-    assert len(states) == n + 1
+    X, Y = integrate(init, T=n * s, h=s, s=s, tau=s, sigma=s, problem=built.problem)
+    assert len(X) == n + 1
     for k, x_next, y_next in zip(traj.k, traj.x_next, traj.y_next):
-        st = states[k + 1]
         gap = math.sqrt(
-            float(np.sum((x_next - st.X) ** 2)) + float(np.sum((y_next - st.Y) ** 2))
+            float(np.sum((x_next - X[k + 1]) ** 2)) + float(np.sum((y_next - Y[k + 1]) ** 2))
         )
         assert gap <= 1e-9
 
@@ -222,10 +210,10 @@ def test_fixed_step_iteration_matches_implicit_euler():
 def test_continuous_lyapunov_decays_along_flow():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=2, d2=2, seed=3))
     s = 0.4 / built.problem.F_norm
-    init = OdeState(np.ones(2), np.ones(2), 0.0)
-    states = integrate(init, T=5.0, h=0.05, s=s, tau=s, sigma=s, problem=built.problem)
+    init = PrimalDualPair(np.ones(2), np.ones(2))
+    X, Y = integrate(init, T=5.0, h=0.05, s=s, tau=s, sigma=s, problem=built.problem)
     sad = built.saddle
-    vals = [lyapunov_fixed(st.X, st.Y, sad, s, s, built.problem.F) for st in states]
+    vals = [lyapunov_fixed(x, y, sad, s, s, built.problem.F) for x, y in zip(X, Y)]
     assert all(b <= a + 1e-8 for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-2 * vals[0]
 
@@ -233,8 +221,8 @@ def test_continuous_lyapunov_decays_along_flow():
 def test_long_horizon_flow_reaches_saddle():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=2, d2=2, seed=3))
     s = 0.4 / built.problem.F_norm
-    init = OdeState(np.ones(2), -np.ones(2), 0.0)
-    final = integrate(init, T=10.0, h=1e-3, s=s, tau=s, sigma=s, problem=built.problem)[-1]
+    init = PrimalDualPair(np.ones(2), -np.ones(2))
+    X, Y = integrate(init, T=10.0, h=1e-3, s=s, tau=s, sigma=s, problem=built.problem)
     sad = built.saddle
-    gap = math.sqrt(float(np.sum((final.X - sad.x) ** 2) + np.sum((final.Y - sad.y) ** 2)))
+    gap = math.sqrt(float(np.sum((X[-1] - sad.x) ** 2) + np.sum((Y[-1] - sad.y) ** 2)))
     assert gap <= 1e-3

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from pdhglab import (
+    ACCELERATED,
     FIXED,
     OPTIMAL_SS,
     InstanceSpec,
     PrimalDualPair,
     SaddleProblem,
+    Schedule,
     build_instance,
     make_schedule,
     optimality_residual,
@@ -28,8 +30,6 @@ from pdhglab.engine import (
 def scalar_quadratic_problem():
     """f(x) = x^2/2, g*(y) = y^2/2, F = [1]."""
     return SaddleProblem(
-        d1=1,
-        d2=1,
         F=np.array([[1.0]]),
         prox_f=lambda v, t: v / (1.0 + t),
         prox_gstar=lambda w, t: w / (1.0 + t),
@@ -91,6 +91,20 @@ def test_run_budget_one():
     assert len(traj.k) == 1
     assert traj.k[0] == 0
     assert traj.termination == TERMINATION_BUDGET
+
+
+def test_directly_built_accelerated_schedule_starts_at_k_one():
+    # the start k = 1 follows from the regime, however the schedule is built
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=3, seed=4))
+    init = PrimalDualPair(np.ones(3), -np.ones(3))
+    direct = Schedule(regime=ACCELERATED, s=0.5, c=0.5)
+    got = run(built.problem, direct, init, budget=20, tol=0.0)
+    made = make_schedule(ACCELERATED, built.problem.F_norm, s=0.5, c=0.5, mu=built.problem.mu)
+    want = run(built.problem, made, init, budget=20, tol=0.0)
+    assert direct == made
+    assert got.k[0] == 1
+    for name in ("k", "tau", "sigma", "theta", "x", "y", "x_next", "y_next"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_run_from_saddle_stops_immediately():
@@ -158,8 +172,6 @@ def test_run_is_deterministic():
 def test_run_divergence_guard():
     # an amplifying fake "prox" drives the state past the guard threshold
     prob = SaddleProblem(
-        d1=1,
-        d2=1,
         F=np.array([[1.0]]),
         prox_f=lambda v, t: 4.0 * v + 1.0,
         prox_gstar=lambda w, t: 4.0 * w + 1.0,
@@ -211,8 +223,6 @@ def test_optimality_residual_detects_corruption():
 
 def test_optimality_residual_requires_an_oracle():
     prob = SaddleProblem(
-        d1=1,
-        d2=1,
         F=np.array([[1.0]]),
         prox_f=lambda v, t: v / (1.0 + t),
         prox_gstar=lambda w, t: w / (1.0 + t),
@@ -221,3 +231,14 @@ def test_optimality_residual_requires_an_oracle():
     traj = run(prob, sched, PrimalDualPair(np.ones(1), np.ones(1)), budget=1)
     with pytest.raises(ValueError):
         optimality_residual(prob, traj, 0)
+
+
+# numpy warns of the squares this test overflows
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_step_residuals_stay_finite_when_their_squares_overflow():
+    # ||(3e200, 4e200)|| = 5e200 though its square is past the largest double
+    F = np.eye(2)
+    x_k, zero = np.array([3e200, 4e200]), np.zeros(2)
+    rp, rd = step_residuals(F, x_k, zero, zero, zero, 1.0, 1.0, 1.0)
+    assert rp == pytest.approx(5e200, rel=1e-15)
+    assert rd == pytest.approx(5e200, rel=1e-15)

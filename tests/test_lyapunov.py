@@ -185,7 +185,7 @@ def test_check_lemma_quadratic_pair_all_regimes():
     for regime, sched in regimes.items():
         traj = run(built.problem, sched, init, budget=500, tol=0.0)
         table = lyapunov_table(traj, built.problem, built.saddle)
-        rhs, slack = lemma_records(regime, traj, built.problem, table)
+        rhs, slack = lemma_records(traj, built.problem, table)
         assert len(slack) >= 1
         for E, ne, lemma_rhs, lemma_slack in zip(table.E, table.ne, rhs, slack):
             assert lemma_slack >= -slack_tolerance(E)
@@ -200,7 +200,7 @@ def test_check_lemma_saddle_start_gives_zero_energy():
     sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, mu=1.0, gamma=1.0)
     traj = run(built.problem, sched, built.saddle, budget=20, tol=0.0)
     table = lyapunov_table(traj, built.problem, built.saddle)
-    _, slack = lemma_records(OPTIMAL_SS, traj, built.problem, table)
+    _, slack = lemma_records(traj, built.problem, table)
     for E, lemma_slack in zip(table.E, slack):
         assert abs(E) <= 1e-20
         assert abs(lemma_slack) <= 1e-20
@@ -213,16 +213,7 @@ def test_check_lemma_refuses_inadmissible_scale():
     traj = run(built.problem, bad, PrimalDualPair(np.ones(2), np.ones(2)), budget=3, tol=0.0)
     with pytest.raises(ValueError):
         table = lyapunov_table(traj, built.problem, built.saddle)
-        lemma_records(VARYING_SC, traj, built.problem, table)
-
-
-def test_check_lemma_regime_mismatch():
-    built = build_instance(InstanceSpec(kind="quad_pair", d1=2, d2=2, seed=9))
-    sched = make_schedule(FIXED, built.problem.F_norm)
-    traj = run(built.problem, sched, PrimalDualPair(np.ones(2), np.ones(2)), budget=5, tol=0.0)
-    with pytest.raises(ValueError):
-        table = lyapunov_table(traj, built.problem, built.saddle)
-        lemma_records(VARYING_SC, traj, built.problem, table)
+        lemma_records(traj, built.problem, table)
 
 
 def test_check_lemma_requires_both_moduli_for_fixed_steps():
@@ -232,7 +223,7 @@ def test_check_lemma_requires_both_moduli_for_fixed_steps():
     traj = run(built.problem, sched, PrimalDualPair(np.zeros(5), np.zeros(5)), budget=20, tol=0.0)
     with pytest.raises(NoMatchingLemma):
         table = lyapunov_table(traj, built.problem, built.saddle)
-        lemma_records(FIXED, traj, built.problem, table)
+        lemma_records(traj, built.problem, table)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +315,9 @@ def test_table_matches_scalar_reference(monkeypatch, regime, record_every, block
     if regime == ACCELERATED and record_every > 1:
         assert np.isnan(table.E[1:]).all() and np.isnan(table.ne[1:]).all()
         with pytest.raises(ValueError, match="consecutively recorded"):
-            lemma_records(regime, traj, problem, table)
+            lemma_records(traj, problem, table)
         return
-    rhs, slack = lemma_records(regime, traj, problem, table)
+    rhs, slack = lemma_records(traj, problem, table)
     want_rhs, want_slack = reference_slack(regime, traj, problem, ref)
     np.testing.assert_allclose(rhs, want_rhs, rtol=1e-13, atol=0.0)
     # a slack is a difference of nearly equal values: relative to its terms
@@ -361,7 +352,7 @@ def test_table_working_memory_is_bounded(regime):
     # stay at a few row blocks instead of whole-trajectory arrays
     d, rows = 400, 2000
     problem = SaddleProblem(
-        d1=d, d2=d, F=np.eye(d), prox_f=lambda v, t: v, prox_gstar=lambda w, t: w,
+        F=np.eye(d), prox_f=lambda v, t: v, prox_gstar=lambda w, t: w,
         mu=1.0, gamma=1.0,
     )
     sched = make_schedule(regime, problem.F_norm, mu=1.0)

@@ -110,7 +110,7 @@ def test_certify_saddle_rejects_non_saddle():
 def test_certify_saddle_needs_residual_oracles():
     prob, _ = make_quad_pair(np.zeros(1), np.zeros(1), 1.0, 1.0, np.array([[1.0]]))
     stripped = type(prob)(
-        d1=prob.d1, d2=prob.d2, F=prob.F,
+        F=prob.F,
         prox_f=prob.prox_f, prox_gstar=prob.prox_gstar,
         mu=prob.mu, gamma=prob.gamma,
     )
@@ -194,3 +194,16 @@ def test_tv_instance_end_to_end_fixed_run():
     phi_run = primal_objective(built.A, built.b, 0.2, built.problem.F, traj.final.x)
     phi_ref = primal_objective(built.A, built.b, 0.2, built.problem.F, sad.x)
     assert abs(phi_run - phi_ref) <= 1e-8
+
+
+# numpy warns of the squares this test overflows
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kkt_solve_check_holds_when_the_squared_norms_overflow(monkeypatch):
+    # mu = 1e300 puts ||rhs||^2 past the largest double; the tolerance
+    # 1e-10 (1 + ||rhs||) must stay finite, so a wrong solve is refused
+    a, b_hat, F = np.ones(2), np.ones(2), np.eye(2)
+    problem, saddle = make_quad_pair(a, b_hat, 1e300, 1.0, F)
+    assert np.isfinite(saddle.x).all() and np.isfinite(saddle.y).all()
+    monkeypatch.setattr(np.linalg, "solve", lambda K, rhs: np.zeros_like(rhs))
+    with pytest.raises(RuntimeError, match="KKT solve residual"):
+        make_quad_pair(a, b_hat, 1e300, 1.0, F)
