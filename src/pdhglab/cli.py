@@ -107,32 +107,12 @@ def _resolve_saddle(built: BuiltInstance) -> tuple[Optional[PrimalDualPair], str
         return None, "unavailable"
 
 
-def _bound_constants(built, schedule, table: LyapunovTable) -> Optional[dict]:
-    """Keyword arguments of the regime's theorem_bound, or None when unavailable."""
-    mu = built.problem.mu
-    if schedule.regime == ACCELERATED:
-        K0 = k0_threshold(mu, schedule.c)
-        at = np.flatnonzero((table.k == K0) & ~np.isnan(table.E))
-        return dict(mu=mu, c=schedule.c, E_K0=float(table.E[at[0]])) if at.size else None
-    if schedule.regime == FIXED or table.k[0] != 0 or math.isnan(table.E[0]):
-        return None
-    consts = dict(
-        mu=mu, s=schedule.s, F_norm=built.problem.F_norm, E0=float(table.E[0]),
-        dx0=float(table.dist_x[0]), dy0=float(table.dist_y[0]),
-    )
-    if schedule.regime == VARYING_SC:
-        consts["c"] = schedule.c
-    else:
-        consts["gamma"] = built.problem.gamma
-    return consts
-
-
-def _check_lemma(config, built, traj, table) -> tuple[CheckResult, Optional[np.ndarray]]:
+def _check_lemma(problem, traj, table) -> tuple[CheckResult, Optional[np.ndarray]]:
     """The lemma verdict and the per-row slacks (None when not evaluated)."""
     if table is None:
         return CheckResult(CHECK_LEMMA, SKIPPED, "no certified saddle available"), None
     try:
-        _, slack = lemma_records(traj, built.problem, table)
+        _, slack = lemma_records(traj, problem, table)
     except NoMatchingLemma as exc:
         return CheckResult(CHECK_LEMMA, SKIPPED, str(exc)), None
     except ValueError as exc:
@@ -165,25 +145,35 @@ def _first_nonfinite(k, *named) -> Optional[CheckResult]:
     )
 
 
-def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResult:
-    """The regime's closed-form bound; ``bounds`` is the default-form
-    theorem_bound of each table row.  Any nan or inf it compares (an
-    overflowed bound, say) is a FAIL."""
-    regime = config.regime
+def _first_over(k, value, bound, what) -> Optional[CheckResult]:
+    """A theorem FAIL naming the first row whose ``value`` exceeds its
+    ``bound`` by more than 1e-6 relative."""
+    over = np.flatnonzero(value > bound * (1.0 + 1e-6))
+    if not over.size:
+        return None
+    i = over[0]
+    return CheckResult(
+        CHECK_THEOREM, FAIL, f"{what} exceeded at k={k[i]}: {value[i]:.6g} > {bound[i]:.6g}"
+    )
+
+
+def _check_theorem(schedule, problem, table, bounds) -> CheckResult:
+    """The regime's closed-form bound against the run.  ``bounds`` is what
+    :func:`theorem_bound` gave for ``table``: its ``(bound, trajectory)``
+    arrays, or the NoMatchingLemma it raised, whose reason is the skip
+    detail.  Any nan or inf compared (an overflowed bound, say) is a FAIL."""
+    regime = schedule.regime
     if regime == FIXED:
         return CheckResult(
             CHECK_THEOREM, SKIPPED, "fixed regime has no closed-form rate guarantee"
         )
     if table is None:
         return CheckResult(CHECK_THEOREM, SKIPPED, "no certified saddle available")
-    mu, gamma = built.problem.mu, built.problem.gamma
-    if consts is None:
-        reason = "bound constants unavailable (run not recorded from its start)"
-        if regime == ACCELERATED:
-            K0 = k0_threshold(mu, schedule.c)
-            reason = f"E(K0) unavailable: no Lyapunov value at K0={K0}, last k={table.k[-1]}"
-        return CheckResult(CHECK_THEOREM, SKIPPED, reason)
+    if isinstance(bounds, NoMatchingLemma):
+        return CheckResult(CHECK_THEOREM, SKIPPED, str(bounds))
+    bound, trajectory = bounds
     k, E, dist = table.k, table.E, table.dist_x
+    mu, gamma = problem.mu, problem.gamma
     last = int(k[-1]) + 1
     # The final post-state is compared by no per-row bound below.
     failed = _first_nonfinite(
@@ -193,49 +183,34 @@ def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResul
         return failed
 
     if regime == VARYING_SC:
-        failed = _first_nonfinite(k, ("Lyapunov value", E), ("bound", bounds))
+        failed = _first_nonfinite(k, ("Lyapunov value", E), ("bound", bound))
         if failed:
             return failed
-        over = E > bounds * (1.0 + 1e-6)
+        over = E > bound * (1.0 + 1e-6)
         if over.any():
             ratio = np.divide(
-                E[over], bounds[over], out=np.full(over.sum(), math.inf),
-                where=bounds[over] > 0,
+                E[over], bound[over], out=np.full(over.sum(), math.inf),
+                where=bound[over] > 0,
             )
             return CheckResult(
                 CHECK_THEOREM, FAIL, f"Lyapunov bound exceeded, worst ratio {ratio.max():.6g}"
             )
-        tb = theorem_bound(regime, k, form="trajectory", **consts)
-        failed = _first_nonfinite(k, ("distance", dist), ("trajectory bound", tb))
-        if failed:
-            return failed
-        over = np.flatnonzero(dist > tb * (1.0 + 1e-6))
-        if over.size:
-            i = over[0]
-            return CheckResult(
-                CHECK_THEOREM, FAIL,
-                f"trajectory bound exceeded at k={k[i]}: {dist[i]:.6g} > {tb[i]:.6g}",
-            )
-        return CheckResult(CHECK_THEOREM, PASS, "Lyapunov and trajectory bounds hold")
+        failed = _first_nonfinite(k, ("distance", dist), ("trajectory bound", trajectory))
+        return failed or _first_over(k, dist, trajectory, "trajectory bound") or CheckResult(
+            CHECK_THEOREM, PASS, "Lyapunov and trajectory bounds hold"
+        )
 
     if regime == ACCELERATED:
         K0 = k0_threshold(mu, schedule.c)
         after = k >= K0
-        k, dist, bound = k[after], dist[after], bounds[after]
+        k, dist, bound = k[after], dist[after], bound[after]
         failed = _first_nonfinite(k, ("distance", dist), ("bound", bound))
-        if failed:
-            return failed
-        over = np.flatnonzero(dist > bound * (1.0 + 1e-6))
-        if over.size:
-            i = over[0]
-            return CheckResult(
-                CHECK_THEOREM, FAIL,
-                f"O(1/k^2) bound exceeded at k={k[i]}: {dist[i]:.6g} > {bound[i]:.6g}",
-            )
-        return CheckResult(CHECK_THEOREM, PASS, f"O(1/k^2) bound holds from K0={K0}")
+        return failed or _first_over(k, dist, bound, "O(1/k^2) bound") or CheckResult(
+            CHECK_THEOREM, PASS, f"O(1/k^2) bound holds from K0={K0}"
+        )
 
     # OPTIMAL_SS: per-step contraction plus the terminal weighted sandwich.
-    rho = rho_rate(mu, gamma, schedule.s, built.problem.F_norm)
+    rho = rho_rate(mu, gamma, schedule.s, problem.F_norm)
     failed = _first_nonfinite(k, ("Lyapunov value", E))
     if failed:
         return failed
@@ -250,7 +225,7 @@ def _check_theorem(config, built, schedule, table, consts, bounds) -> CheckResul
     except ValueError:
         ratio_detail = "contraction ratios not measurable (series too short)"
     weighted = mu * table.dist_x_next[-1] + gamma * table.dist_y_next[-1]
-    sandwich = theorem_bound(regime, last, form="trajectory", **consts)
+    sandwich = trajectory[-1]
     failed = _first_nonfinite(
         last, ("terminal weighted distance", weighted), ("sandwich", sandwich)
     )
@@ -270,12 +245,12 @@ def _finite_E(table: LyapunovTable) -> np.ndarray:
     return np.column_stack((table.k[keep], table.E[keep]))
 
 
-def _check_rate_fit(config, built, traj, table) -> tuple[CheckResult, Optional[float], Optional[float]]:
+def _check_rate_fit(problem, traj, table) -> tuple[CheckResult, Optional[float], Optional[float]]:
     if table is None:
         return CheckResult(CHECK_RATE_FIT, SKIPPED, "no certified saddle available"), None, None
     K0 = 1
-    if config.regime == ACCELERATED:
-        K0 = k0_threshold(built.problem.mu, traj.schedule.c)
+    if traj.schedule.regime == ACCELERATED:
+        K0 = k0_threshold(problem.mu, traj.schedule.c)
     lo, hi = default_window(K0)
     last = int(traj.k[-1])
     if last <= lo:
@@ -295,8 +270,7 @@ def _check_rate_fit(config, built, traj, table) -> tuple[CheckResult, Optional[f
     return CheckResult(CHECK_RATE_FIT, PASS, detail), fit.slope, fit.residual
 
 
-def _check_ode_compare(config, built, schedule, traj) -> CheckResult:
-    problem = built.problem
+def _check_ode_compare(problem, schedule) -> CheckResult:
     if schedule.regime != FIXED:
         return CheckResult(
             CHECK_ODE_COMPARE, SKIPPED, "ODE comparison applies to the fixed regime"
@@ -313,7 +287,11 @@ def _check_ode_compare(config, built, schedule, traj) -> CheckResult:
         n_iter = int(math.ceil(T / s))
         sub_sched = Schedule(regime=FIXED, s=s, tau=tau, sigma=sigma)
         sub_traj = run(problem, sub_sched, init, budget=n_iter, tol=0.0, record_every=1)
-        X, Y = integrate(init, T, s / 100.0, s, tau, sigma, problem)
+        h = s / 100.0
+        try:
+            X, Y = integrate(init, T, h, s, tau, sigma, problem)
+        except RuntimeError as exc:  # a Newton solve that does not converge
+            return CheckResult(CHECK_ODE_COMPARE, FAIL, f"{exc} at step h={h:.6g}")
         # Iterate k + 1 against the reference state at t = (k + 1) s.
         idx = (sub_traj.k + 1) * 100
         keep = ((sub_traj.k + 1) * s <= T + 1e-12) & (idx < len(X))
@@ -391,26 +369,29 @@ def _execute(config, built, schedule, resolved, write_trajectory, quiet):
     except MemoryError as exc:  # the trajectory is reserved for the whole budget
         raise ConfigError(f"{exc}; lower budget or raise record_every") from exc
     table = lyapunov_table(traj, problem, saddle) if saddle is not None else None
-    consts = _bound_constants(built, schedule, table) if table is not None else None
-    # The default-form bound of each row, read by the theorem check and the CSV.
+    # The regime's bounds on each row, read by the theorem check and the CSV:
+    # (bound, trajectory), or the NoMatchingLemma that withheld them.
     bounds = None
-    if consts is not None and (write_trajectory or CHECK_THEOREM in config.checks):
-        bounds = theorem_bound(config.regime, table.k, **consts)
+    if table is not None and (write_trajectory or CHECK_THEOREM in config.checks):
+        try:
+            bounds = theorem_bound(schedule, problem, table)
+        except NoMatchingLemma as exc:
+            bounds = exc
     # The sweep aggregate wants a slope even when rate_fit was not requested.
-    rate_fit, slope, resid = _check_rate_fit(config, built, traj, table)
+    rate_fit, slope, resid = _check_rate_fit(problem, traj, table)
     metrics = {"slope": slope, "slope_residual": resid, "geomean_ratio": None}
 
     slacks = None
     results: list[CheckResult] = []
     for name in config.checks:
         if name == CHECK_LEMMA:
-            result, slacks = _check_lemma(config, built, traj, table)
+            result, slacks = _check_lemma(problem, traj, table)
         elif name == CHECK_THEOREM:
-            result = _check_theorem(config, built, schedule, table, consts, bounds)
+            result = _check_theorem(schedule, problem, table, bounds)
         elif name == CHECK_RATE_FIT:
             result = rate_fit
         else:
-            result = _check_ode_compare(config, built, schedule, traj)
+            result = _check_ode_compare(problem, schedule)
         results.append(result)
 
     if table is not None:
@@ -444,7 +425,7 @@ def _execute(config, built, schedule, resolved, write_trajectory, quiet):
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(
             os.path.join(out_dir, "trajectory.csv"),
-            traj, table, slacks, bounds,
+            traj, table, slacks, bounds[0] if isinstance(bounds, tuple) else None,
         )
         with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -453,7 +434,7 @@ def _execute(config, built, schedule, resolved, write_trajectory, quiet):
     return exit_code, lines, metrics
 
 
-def _write_csv(path, traj, table, slacks, bounds):
+def _write_csv(path, traj, table, slacks, bound):
     undefined = np.full(len(traj.k), math.nan)
     if table is None:
         diagnostics = [undefined] * 4
@@ -462,7 +443,7 @@ def _write_csv(path, traj, table, slacks, bounds):
     columns = (
         [traj.k, traj.tau, traj.sigma, traj.theta]
         + diagnostics
-        + [undefined if slacks is None else slacks, undefined if bounds is None else bounds]
+        + [undefined if slacks is None else slacks, undefined if bound is None else bound]
         + [traj.primal_residual, traj.dual_residual]
     )
     np.savetxt(

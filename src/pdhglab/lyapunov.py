@@ -15,8 +15,10 @@ Each regime's descent lemma bounds E(k+1) - E(k) by an explicit nonpositive
 Lyapunov values, NE terms and saddle distances along a recorded trajectory
 as columns, a block of rows at a time; :func:`lemma_records` reads that
 table for the lemma's right-hand side and per-step slack, so checking a
-lemma is those two calls in turn.  The closed-form convergence
-guarantees of each regime are exposed through :func:`theorem_bound`.
+lemma is those two calls in turn.  :func:`theorem_bound` is the one
+source of each regime's closed-form convergence guarantee: it reads its
+constants from the schedule, the problem and that table, and gives the
+bound on every row.
 
 All evaluators are pure functions of their arguments.  The Lyapunov and NE
 evaluators take one state (and return a float) or stacked rows of states
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .schedules import (
     FIXED,
     OPTIMAL_SS,
     VARYING_SC,
+    Schedule,
     k0_threshold,
     schedule_at,
 )
@@ -224,97 +226,69 @@ def _lgamma(a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, np.ravel(a)), float).reshape(np.shape(a))
 
 
-def _gamma_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gamma(a)/Gamma(b) elementwise, in the log domain (stable past k ~ 170)."""
-    return np.exp(_lgamma(a) - _lgamma(b))
-
-
 def theorem_bound(
-    regime: str,
-    k: int | np.ndarray,
-    *,
-    mu: float = 0.0,
-    gamma: float = 0.0,
-    c: Optional[float] = None,
-    s: Optional[float] = None,
-    F_norm: Optional[float] = None,
-    E0: Optional[float] = None,
-    E_K0: Optional[float] = None,
-    dx0: Optional[float] = None,
-    dy0: Optional[float] = None,
-    form: str = "lyapunov",
-) -> float | np.ndarray:
-    """Closed-form convergence bound of the given regime, evaluated at k:
-    a float for an integer k, one bound per entry for an integer array k.
+    schedule: Schedule, problem: SaddleProblem, table: LyapunovTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form convergence bound of the schedule's regime, one value
+    per row of ``table``, as ``(bound, trajectory)``.
+
+    Every constant is read from its source: regime, s and c from
+    ``schedule``; mu, gamma and ||F|| from ``problem``; E(0) and the squared
+    initial distances dx0, dy0 from the table's row k = 0, and E(K0) from
+    its row K0.
 
     ``varying_sc``
-        form "lyapunov": E(k) <= (1 + alpha) Gamma(k+2)/Gamma(k+2+alpha) E(0),
-        needing mu, c, s, F_norm, E0.  The generalized factorial ratio
-        (k+1)!/(k+1+alpha)! with real alpha is read through the Gamma
-        function and evaluated in the log domain.
-        form "trajectory": ||x_k - x*||^2 <=
+        bound: E(k) <= (1 + alpha) Gamma(k+2)/Gamma(k+2+alpha) E(0), the
+        generalized factorial ratio (k+1)!/(k+1+alpha)! read through the
+        Gamma function in the log domain.  trajectory: ||x_k - x*||^2 <=
         (1 + s||F||)/(1 - s||F||) (1 + alpha) Gamma(k+1)/Gamma(k+2+alpha)
-        (dx0 + dy0/(c^2 s^2)), needing additionally dx0, dy0 — the squared
-        initial distances.
+        (dx0 + dy0/(c^2 s^2)), at each row's pre-state.
 
     ``accelerated``
-        ||x_k - x*||^2 <= 2 E(K0) / (c^2 k^2) for k >= K0 (NaN below K0,
-        where no bound is asserted), needing mu, c, E_K0.
+        ||x_k - x*||^2 <= 2 E(K0) / (c^2 k^2) for k >= K0, NaN below K0,
+        where no bound is asserted; bound and trajectory are one array.
 
     ``optimal_ss``
-        form "lyapunov": E(k) <= rho^k E(0), needing mu, gamma, s, F_norm, E0.
-        form "trajectory": mu ||x_k - x*||^2 + gamma ||y_k - y*||^2 <=
-        (1 + s||F||)/(1 - s||F||) rho^k (mu dx0 + gamma dy0).
+        bound: E(k) <= rho^k E(0).  trajectory: mu ||x_{k+1} - x*||^2 +
+        gamma ||y_{k+1} - y*||^2 <= (1 + s||F||)/(1 - s||F||) rho^(k+1)
+        (mu dx0 + gamma dy0), at each row's post-state.
 
-    Raises NoMatchingLemma for the plain fixed regime (no closed-form rate)
-    and ValueError when a needed constant is missing.
+    Raises NoMatchingLemma for the fixed regime (no closed-form rate), for
+    a run not recorded from k = 0 (or with no E(0)), and for an accelerated
+    table without E(K0).
     """
-    if form not in ("lyapunov", "trajectory"):
-        raise ValueError(f"unknown bound form {form!r}")
+    regime, k, mu = schedule.regime, table.k, problem.mu
     if regime == FIXED:
-        raise NoMatchingLemma("the fixed regime has no closed-form rate guarantee")
-
-    k = np.asarray(k)
+        raise NoMatchingLemma("fixed regime has no closed-form rate guarantee")
+    if regime == ACCELERATED:
+        K0 = k0_threshold(mu, schedule.c)
+        at = np.flatnonzero((k == K0) & ~np.isnan(table.E))
+        if not at.size:
+            raise NoMatchingLemma(
+                f"E(K0) unavailable: no Lyapunov value at K0={K0}, last k={k[-1]}"
+            )
+        E_K0 = float(table.E[at[0]])
+        k_sq = np.square(np.maximum(k, K0), dtype=float)  # K0 >= 1: no division by zero
+        bound = np.where(k < K0, np.nan, 2.0 * E_K0 / (np.float64(schedule.c) ** 2 * k_sq))
+        return bound, bound
+    if k[0] != 0 or math.isnan(table.E[0]):
+        raise NoMatchingLemma("bound constants unavailable (run not recorded from its start)")
+    E0, dx0, dy0 = float(table.E[0]), float(table.dist_x[0]), float(table.dist_y[0])
+    s, F_norm = schedule.s, problem.F_norm
     if regime == VARYING_SC:
-        if c is None or s is None or F_norm is None:
-            raise ValueError("varying_sc bound needs c, s and F_norm")
-        if np.any(k < 0):
-            raise ValueError("k must be >= 0")
+        c = schedule.c
         alpha = alpha_rate(mu, c, s, F_norm)
-        if form == "lyapunov":
-            if E0 is None:
-                raise ValueError("varying_sc Lyapunov bound needs E0")
-            return _as_result((1.0 + alpha) * _gamma_ratio(k + 2.0, k + 2.0 + alpha) * E0)
-        if dx0 is None or dy0 is None:
-            raise ValueError("varying_sc trajectory bound needs dx0 and dy0")
+        lg = _lgamma(k + 2.0 + alpha)
+        bound = (1.0 + alpha) * np.exp(_lgamma(k + 2.0) - lg) * E0
         # numpy's power overflows to inf (and the term to 0) where float ** raises
         weight = dx0 + dy0 / (np.float64(c) ** 2 * s**2)
-        pref = _sandwich(s, F_norm)
-        return _as_result(
-            pref * (1.0 + alpha) * _gamma_ratio(k + 1.0, k + 2.0 + alpha) * weight
-        )
-
-    if regime == ACCELERATED:
-        if c is None or E_K0 is None:
-            raise ValueError("accelerated bound needs c and E_K0")
-        K0 = k0_threshold(mu, c)
-        k_sq = np.square(np.maximum(k, K0), dtype=float)  # K0 >= 1: no division by zero
-        return _as_result(np.where(k < K0, np.nan, 2.0 * E_K0 / (np.float64(c) ** 2 * k_sq)))
-
+        trajectory = _sandwich(s, F_norm) * (1.0 + alpha) * np.exp(_lgamma(k + 1.0) - lg) * weight
+        return bound, trajectory
     if regime == OPTIMAL_SS:
-        if s is None or F_norm is None:
-            raise ValueError("optimal_ss bound needs s and F_norm")
-        if np.any(k < 0):
-            raise ValueError("k must be >= 0")
+        gamma = problem.gamma
         rho = rho_rate(mu, gamma, s, F_norm)
-        if form == "lyapunov":
-            if E0 is None:
-                raise ValueError("optimal_ss Lyapunov bound needs E0")
-            return _as_result(rho**k * E0)
-        if dx0 is None or dy0 is None:
-            raise ValueError("optimal_ss trajectory bound needs dx0 and dy0")
-        return _as_result(_sandwich(s, F_norm) * rho**k * (mu * dx0 + gamma * dy0))
-
+        trajectory = _sandwich(s, F_norm) * rho ** (k + 1) * (mu * dx0 + gamma * dy0)
+        return rho**k * E0, trajectory
     raise ValueError(f"unknown regime {regime!r}")
 
 

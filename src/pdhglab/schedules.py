@@ -124,6 +124,11 @@ def make_schedule(
         s = _default_s(F_norm) if s is None else s
         tau = s * math.sqrt(gamma / mu)
         sigma = s * math.sqrt(mu / gamma)
+        if not (0.0 < tau < math.inf and 0.0 < sigma < math.inf):
+            raise ValueError(
+                f"gamma/mu = {gamma / mu:g} puts the derived steps out of the double "
+                f"range: tau = {tau:g}, sigma = {sigma:g}"
+            )
 
     if s <= 0:
         raise ValueError("s must be positive")

@@ -159,20 +159,14 @@ def test_criterion_02_varying_sc_theorem_bound():
         lyapunov_fixed(traj.x[i], traj.y[i], saddle, traj.tau[i], traj.sigma[i], problem.F)
         for i in rows
     ]
-    dx0 = dist_sq(traj.x[0], saddle.x)
-    dy0 = dist_sq(traj.y[0], saddle.y)
+    bound, trajectory_bound = theorem_bound(
+        schedule, problem, lyapunov_table(traj, problem, saddle)
+    )
 
     worst_E = worst_traj = 0.0
     for i, Ek in zip(rows, E):
-        bound = theorem_bound(
-            VARYING_SC, traj.k[i], mu=mu, c=c, s=s, F_norm=built.problem.F_norm, E0=E[0]
-        )
-        worst_E = max(worst_E, Ek / bound)
-        tb = theorem_bound(
-            VARYING_SC, traj.k[i], mu=mu, c=c, s=s, F_norm=built.problem.F_norm,
-            dx0=dx0, dy0=dy0, form="trajectory",
-        )
-        worst_traj = max(worst_traj, dist_sq(traj.x[i], saddle.x) / tb)
+        worst_E = max(worst_E, Ek / bound[i])
+        worst_traj = max(worst_traj, dist_sq(traj.x[i], saddle.x) / trajectory_bound[i])
     ok = worst_E <= 1.0 + 1e-6 and worst_traj <= 1.0 + 1e-6
     report(
         2,
@@ -235,10 +229,12 @@ def test_criterion_04_accelerated_rate_bound():
     E_K0 = lyapunov_accelerated(
         init.x, None, init.y, saddle, 1.0 / c, None, s, problem.F
     )
+    table = lyapunov_table(traj, problem, saddle)
+    assert table.k[0] == 1 and table.E[0] == E_K0
+    bound, _ = theorem_bound(schedule, problem, table)
     worst = 0.0
-    for k, x in zip(traj.k, traj.x):
-        bound = theorem_bound(ACCELERATED, k, mu=mu, c=c, E_K0=E_K0)
-        worst = max(worst, dist_sq(x, saddle.x) / bound)
+    for x, bound_k in zip(traj.x, bound):
+        worst = max(worst, dist_sq(x, saddle.x) / bound_k)
 
     series = [
         (k, dist_sq(x, saddle.x))
@@ -274,6 +270,7 @@ def optimal_ss_run():
 def test_criterion_05_contraction_rate():
     built, traj, s, rho = optimal_ss_run()
     problem, saddle = built.problem, built.saddle
+    assert problem.mu == 1.0 and problem.gamma == 1.0
     E = [
         (k, lyapunov_fixed(x, y, saddle, tau, sigma, problem.F))
         for k, x, y, tau, sigma in zip(traj.k, traj.x, traj.y, traj.tau, traj.sigma)
@@ -281,11 +278,11 @@ def test_criterion_05_contraction_rate():
     summary = contraction_factors(E)
 
     weighted = dist_sq(traj.x_next[-1], saddle.x) + dist_sq(traj.y_next[-1], saddle.y)
-    sandwich = theorem_bound(
-        OPTIMAL_SS, traj.k[-1] + 1, mu=1.0, gamma=1.0, s=s, F_norm=built.problem.F_norm,
-        dx0=dist_sq(traj.x[0], saddle.x), dy0=dist_sq(traj.y[0], saddle.y),
-        form="trajectory",
+    # the sandwich at the post-state of the last row, k + 1
+    _, trajectory_bound = theorem_bound(
+        traj.schedule, problem, lyapunov_table(traj, problem, saddle)
     )
+    sandwich = trajectory_bound[-1]
     ok = (
         summary.max_ratio <= rho + 1e-8
         and weighted <= sandwich * (1.0 + 1e-9)

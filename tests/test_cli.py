@@ -235,7 +235,8 @@ def test_verify_fails_theorem_on_nan_post_state(
 @pytest.mark.parametrize("regime", ["varying_sc", "accelerated"])
 def test_theorem_fails_on_nan_bound(monkeypatch, regime):
     monkeypatch.setattr(
-        cli, "theorem_bound", lambda regime, k, **kwargs: np.full(np.shape(k), math.nan)
+        cli, "theorem_bound",
+        lambda schedule, problem, table: (np.full(table.k.shape, math.nan),) * 2,
     )
     config = parse_config(json.dumps({
         "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
@@ -254,7 +255,8 @@ def test_theorem_fails_on_nan_bound(monkeypatch, regime):
 def test_theorem_fails_on_infinite_bound(monkeypatch):
     # an overflowed bound holds every value below it: it must not pass
     monkeypatch.setattr(
-        cli, "theorem_bound", lambda regime, k, **kwargs: np.full(np.shape(k), math.inf)
+        cli, "theorem_bound",
+        lambda schedule, problem, table: (np.full(table.k.shape, math.inf),) * 2,
     )
     config = parse_config(json.dumps({
         "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
@@ -347,8 +349,55 @@ def test_ode_compare_matches_a_per_row_reference():
             sup = max(sup, math.sqrt(float(dx @ dx) + float(dy @ dy)))
         sups.append(sup)
     ratios = ", ".join(f"{sups[i + 1] / sups[i]:.3f}" for i in range(2))
-    result = cli._check_ode_compare(config, built, schedule, None)
+    result = cli._check_ode_compare(built.problem, schedule)
     assert result.detail in (f"halving ratios {ratios}", f"halving ratios {ratios} exceed 0.7")
+
+
+# numpy warns of the overflows these moduli are built to cause
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("moduli", [{"mu": 1e200}, {"gamma": 1e200}])
+def test_ode_compare_names_a_newton_failure(tmp_path, capsys, moduli):
+    # the implicit-Euler reference cannot meet the absolute Newton residual
+    # 1e-10 on this scale: a verdict, not a traceback
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 4, **moduli},
+        "regime": "fixed",
+        "budget": 50,
+        "checks": ["ode_compare"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 1
+    pattern = (
+        r"check\.ode_compare = FAIL \(implicit-Euler Newton solve did not reach "
+        r"residual 1e-10 at step h=\S+\)"
+    )
+    assert re.search(pattern, capsys.readouterr().out)
+
+
+# the instance build squares a residual past the double range and warns
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_optimal_ss_moduli_ratio_past_the_double_range_is_exit_2(tmp_path, capsys):
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 2, "mu": 1e-200, "gamma": 1e200},
+        "regime": "optimal_ss",
+        "budget": 10,
+        "checks": [],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    assert "config error: gamma/mu = inf puts the derived steps" in capsys.readouterr().err
+
+
+# numpy warns of the overflows these moduli are built to cause
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("regime", ["fixed", "varying_sc", "accelerated", "optimal_ss"])
+def test_extreme_moduli_never_exit_through_a_traceback(tmp_path, regime):
+    for mu, gamma in [(1, 1), (1e-200, 1e200), (1e200, 1e-200), (1e200, 1), (1, 1e200)]:
+        doc = {
+            "instance": {"kind": "quad_pair", "d": 2, "mu": mu, "gamma": gamma},
+            "regime": regime,
+            "budget": 50,
+            "checks": ["lemma", "theorem", "rate_fit", "ode_compare"],
+        }
+        assert main(["verify", write_config(tmp_path, doc)]) in (0, 1, 2), (mu, gamma)
 
 
 def test_rate_fit_skip_names_the_window_start_and_the_last_k(tmp_path, capsys):
@@ -378,11 +427,12 @@ def test_rate_fit_skip_names_the_window_start_and_the_last_k(tmp_path, capsys):
 def test_theorem_fails_on_exceeded_bound(monkeypatch, regime, form, detail):
     real_bound = cli.theorem_bound
 
-    def shrunk(regime, k, form="lyapunov", **kwargs):
-        value = real_bound(regime, k, form=form, **kwargs)
-        return value * 1e-12 if form == shrink else value
+    def shrunk(schedule, problem, table):
+        bound, trajectory = real_bound(schedule, problem, table)
+        if form == "lyapunov":
+            return bound * 1e-12, trajectory
+        return bound, trajectory * 1e-12
 
-    shrink = form
     monkeypatch.setattr(cli, "theorem_bound", shrunk)
     config = parse_config(json.dumps({
         "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
@@ -484,8 +534,8 @@ def test_theorem_and_csv_share_one_bound_per_record(tmp_path, monkeypatch):
     K = len(rows)
     assert K > 1
     assert all(math.isfinite(float(row["theorem_bound"])) for row in rows)
-    # one call for the CSV column, one for the trajectory bound: no per-row calls
-    assert len(calls) == 2
+    # one call for the CSV column and both bounds of the check: no per-row calls
+    assert len(calls) == 1
 
 
 def test_verify_skips_lemma_outside_its_scope(tmp_path, capsys):

@@ -131,46 +131,114 @@ def test_rate_constants():
     assert abs(rho_rate(1.0, 1.0, 0.5, 1.0) - 0.6) <= 1e-15
 
 
+def bound_inputs(k, E, mu=1.0, gamma=0.0, F_norm=0.0, dist_x=0.0, dist_y=0.0):
+    """A problem with the given moduli and a 1x1 coupling of norm ``F_norm``,
+    and a table with rows ``k``, Lyapunov values ``E`` and constant squared
+    distances; theorem_bound reads nothing else."""
+    problem = SaddleProblem(
+        F=np.array([[F_norm]]), prox_f=None, prox_gstar=None, mu=mu, gamma=gamma
+    )
+    k = np.asarray(k)
+    E = np.broadcast_to(np.asarray(E, dtype=float), k.shape)
+    dx, dy, nan = (np.full(k.shape, v) for v in (dist_x, dist_y, math.nan))
+    table = lyapunov.LyapunovTable(
+        k=k, E=E, ne=nan, dist_x=dx, dist_y=dy, E_next=nan, dist_x_next=dx, dist_y_next=dy
+    )
+    return problem, table
+
+
 def test_theorem_bound_integer_alpha_reduces_to_rational():
     # mu = 1, c = 0.5, s = 1, F = 0 gives alpha = 1 and bound 2 E0 / (k + 2)
-    for k in (0, 1, 8, 100):
-        got = theorem_bound(VARYING_SC, k, mu=1.0, c=0.5, s=1.0, F_norm=0.0, E0=1.0)
-        assert abs(got - 2.0 / (k + 2)) <= 1e-12
-    assert abs(theorem_bound(VARYING_SC, 8, mu=1.0, c=0.5, s=1.0, F_norm=0.0, E0=1.0) - 0.2) <= 1e-12
+    k = np.array([0, 1, 8, 100])
+    problem, table = bound_inputs(k, 1.0)
+    bound, _ = theorem_bound(Schedule(VARYING_SC, s=1.0, c=0.5), problem, table)
+    for ki, got in zip(k, bound):
+        assert abs(got - 2.0 / (ki + 2)) <= 1e-12
+    assert abs(bound[2] - 0.2) <= 1e-12
 
 
 def test_theorem_bound_matches_direct_gamma_for_small_k():
     mu, c, s, Fn = 1.0, 0.25, 0.4, 1.3
     alpha = alpha_rate(mu, c, s, Fn)
-    for k in range(0, 21):
-        got = theorem_bound(VARYING_SC, k, mu=mu, c=c, s=s, F_norm=Fn, E0=3.0)
+    problem, table = bound_inputs(np.arange(21), 3.0, mu=mu, F_norm=Fn)
+    bound, _ = theorem_bound(Schedule(VARYING_SC, s=s, c=c), problem, table)
+    for k, got in enumerate(bound):
         want = (1 + alpha) * math.gamma(k + 2) / math.gamma(k + 2 + alpha) * 3.0
         assert abs(got - want) <= 1e-12 * want
 
 
 def test_theorem_bound_recurrence_and_monotonicity():
     mu, c, s, Fn = 0.5, 0.2, 0.8, 1.0
-    prev = theorem_bound(VARYING_SC, 0, mu=mu, c=c, s=s, F_norm=Fn, E0=1.0)
+    problem, table = bound_inputs(np.arange(400), 1.0, mu=mu, F_norm=Fn)
+    bound, _ = theorem_bound(Schedule(VARYING_SC, s=s, c=c), problem, table)
     alpha = alpha_rate(mu, c, s, Fn)
     for k in range(1, 400):
-        cur = theorem_bound(VARYING_SC, k, mu=mu, c=c, s=s, F_norm=Fn, E0=1.0)
+        prev, cur = bound[k - 1], bound[k]
         assert cur <= prev
         assert abs(cur - prev * (k + 1) / (k + 1 + alpha)) <= 1e-12 * prev
-        prev = cur
 
 
 def test_theorem_bound_regimes_and_errors():
-    with pytest.raises(NoMatchingLemma):
-        theorem_bound(FIXED, 3, E0=1.0)
-    with pytest.raises(ValueError):
-        theorem_bound(VARYING_SC, 3, mu=1.0, c=0.5)  # constants missing
-    # accelerated bound below the threshold index is undefined
-    val = theorem_bound(ACCELERATED, 1, mu=1.0, c=0.9, E_K0=1.0)
-    assert math.isnan(val)
-    got = theorem_bound(ACCELERATED, 10, mu=1.0, c=2.0 / 3.0, E_K0=4.5)
-    assert abs(got - 2 * 4.5 / ((2.0 / 3.0) ** 2 * 100)) <= 1e-12
-    got = theorem_bound(OPTIMAL_SS, 7, mu=1.0, gamma=1.0, s=0.5, F_norm=1.0, E0=2.0)
-    assert abs(got - 0.6**7 * 2.0) <= 1e-12
+    problem, table = bound_inputs(np.arange(5), 1.0, gamma=1.0)
+    with pytest.raises(NoMatchingLemma, match=r"^fixed regime has no closed-form rate guarantee$"):
+        theorem_bound(Schedule(FIXED, s=0.5, tau=0.5, sigma=0.5), problem, table)
+    # accelerated bound below the threshold index K0 = 5 is undefined
+    problem, table = bound_inputs(np.arange(1, 11), 1.0)
+    bound, trajectory = theorem_bound(Schedule(ACCELERATED, s=0.5, c=0.9), problem, table)
+    assert math.isnan(bound[0]) and trajectory is bound
+    problem, table = bound_inputs(np.arange(1, 11), 4.5)
+    bound, _ = theorem_bound(Schedule(ACCELERATED, s=0.5, c=2.0 / 3.0), problem, table)
+    assert abs(bound[-1] - 2 * 4.5 / ((2.0 / 3.0) ** 2 * 100)) <= 1e-12
+    problem, table = bound_inputs(np.arange(8), 2.0, gamma=1.0, F_norm=1.0)
+    bound, _ = theorem_bound(Schedule(OPTIMAL_SS, s=0.5, tau=0.5, sigma=0.5), problem, table)
+    assert abs(bound[-1] - 0.6**7 * 2.0) <= 1e-12
+
+
+def test_theorem_bound_trajectory_forms():
+    # varying_sc at the pre-state k: (1 + q)/(1 - q) (1 + alpha)
+    # Gamma(k+1)/Gamma(k+2+alpha) (dx0 + dy0/(c^2 s^2)), q = s ||F||
+    mu, c, s, Fn = 1.0, 0.25, 0.4, 1.3
+    alpha, q = alpha_rate(mu, c, s, Fn), s * Fn
+    problem, table = bound_inputs(np.arange(21), 3.0, mu=mu, F_norm=Fn, dist_x=2.0, dist_y=0.5)
+    _, trajectory = theorem_bound(Schedule(VARYING_SC, s=s, c=c), problem, table)
+    for k, got in enumerate(trajectory):
+        want = (1 + q) / (1 - q) * (1 + alpha) * math.gamma(k + 1) / math.gamma(k + 2 + alpha)
+        want *= 2.0 + 0.5 / (c**2 * s**2)
+        assert abs(got - want) <= 1e-12 * want
+    # optimal_ss at the post-state k + 1: (1 + q)/(1 - q) rho^(k+1) (mu dx0 + gamma dy0)
+    problem, table = bound_inputs(
+        np.arange(8), 2.0, mu=1.0, gamma=4.0, F_norm=1.0, dist_x=2.0, dist_y=0.5
+    )
+    sched = make_schedule(OPTIMAL_SS, 1.0, s=0.5, mu=1.0, gamma=4.0)
+    _, trajectory = theorem_bound(sched, problem, table)
+    rho = rho_rate(1.0, 4.0, 0.5, 1.0)
+    for k, got in enumerate(trajectory):
+        want = 3.0 * rho ** (k + 1) * (2.0 + 4.0 * 0.5)
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("k, E", [(np.arange(3, 8), 1.0), (np.arange(5), math.nan)])
+def test_theorem_bound_needs_the_run_from_its_start(k, E):
+    # a table that does not start at k = 0, or has no E(0)
+    problem, table = bound_inputs(k, E, gamma=1.0, F_norm=1.0)
+    schedules = (
+        Schedule(VARYING_SC, s=0.5, c=0.5), Schedule(OPTIMAL_SS, s=0.5, tau=0.5, sigma=0.5)
+    )
+    for sched in schedules:
+        with pytest.raises(
+            NoMatchingLemma,
+            match=r"^bound constants unavailable \(run not recorded from its start\)$",
+        ):
+            theorem_bound(sched, problem, table)
+
+
+def test_theorem_bound_accelerated_needs_E_at_K0():
+    # c = 0.9 with mu = 1 gives K0 = 5; rows recorded every 7th step skip it
+    problem, table = bound_inputs(np.arange(1, 30, 7), 1.0)
+    with pytest.raises(
+        NoMatchingLemma, match=r"^E\(K0\) unavailable: no Lyapunov value at K0=5, last k=29$"
+    ):
+        theorem_bound(Schedule(ACCELERATED, s=0.5, c=0.9), problem, table)
 
 
 def test_check_lemma_quadratic_pair_all_regimes():

@@ -106,6 +106,14 @@ def test_optimal_ss_balanced_steps():
         make_schedule(OPTIMAL_SS, 1.0, s=0.5, mu=4.0)  # gamma missing
 
 
+def test_optimal_ss_rejects_a_moduli_ratio_past_the_double_range():
+    # sqrt(gamma/mu) of 1e400 or 1e-400 is inf or 0: no usable step pair
+    with pytest.raises(ValueError, match=r"gamma/mu = inf .* tau = inf, sigma = 0"):
+        make_schedule(OPTIMAL_SS, 1.0, mu=1e-200, gamma=1e200)
+    with pytest.raises(ValueError, match=r"gamma/mu = 0 .* tau = 0, sigma = inf"):
+        make_schedule(OPTIMAL_SS, 1.0, mu=1e200, gamma=1e-200)
+
+
 def test_monotone_step_evolution():
     for regime, kw in [
         (VARYING_SC, dict(c=0.5, mu=1.0)),
