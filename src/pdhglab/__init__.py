@@ -33,7 +33,7 @@ from .lyapunov import (
     slack_tolerance,
     theorem_bound,
 )
-from .problems import PrimalDualPair, SaddleProblem
+from .problems import Dense, FirstDifference, Identity, PrimalDualPair, SaddleProblem
 from .proximal import (
     QuadraticProxCache,
     linf_normal_cone_dist,
@@ -59,7 +59,6 @@ from .zoo import (
     SaddleCertificate,
     build_instance,
     certify_saddle,
-    difference_matrix,
     make_generalized_lasso,
     make_quad_pair,
     primal_objective,

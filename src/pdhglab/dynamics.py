@@ -21,7 +21,9 @@ update per step, and the matrix is re-taken only when an update fails to
 halve the residual.
 
 Restricted to problems carrying gradient oracles; the right-hand side needs
-grad f and grad g* pointwise.
+grad f and grad g* pointwise.  M is assembled from the coupling's dense
+``F.matrix``: of the zoo's kinds, only ``quad_pair`` has both gradients, and
+its coupling is :class:`~pdhglab.problems.Dense`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def mass_matrix(s: float, tau: float, sigma: float, F: np.ndarray) -> np.ndarray
 def _rhs_jacobian(problem: SaddleProblem, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     # Central finite differences on the gradient oracles; exact (to rounding)
     # for the affine gradients of quadratic f, g*.
-    F = problem.F
+    F = problem.F.matrix
     d1, d2 = X.size, Y.size
     J = np.zeros((d1 + d2, d1 + d2))
     eps = 1e-6
@@ -94,7 +96,7 @@ def integrate(
         )
     if s <= 0 or tau <= 0 or sigma <= 0:
         raise ValueError("s, tau, sigma must be positive")
-    F, d1 = problem.F, problem.d1
+    F, d1 = problem.F.matrix, problem.d1
     M = mass_matrix(s, tau, sigma, F)
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > 1e14:

@@ -92,14 +92,15 @@ def pdhg_step(
         raise ValueError("step sizes must be positive")
     if not 0.0 <= theta_k <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    x_next = problem.prox_f(x_k - tau_k * (problem.F.T @ y_k), tau_k)
+    F = problem.F
+    x_next = problem.prox_f(x_k - tau_k * F.apply_T(y_k), tau_k)
     x_bar = x_next + theta_k * (x_next - x_k)
-    y_next = problem.prox_gstar(y_k + sigma_k * (problem.F @ x_bar), sigma_k)
+    y_next = problem.prox_gstar(y_k + sigma_k * F.apply(x_bar), sigma_k)
     return x_next, y_next
 
 
 def step_residuals(
-    F: np.ndarray,
+    F,
     x_k: np.ndarray,
     y_k: np.ndarray,
     x_next: np.ndarray,
@@ -108,11 +109,12 @@ def step_residuals(
     sigma_k: float,
     theta_k: float,
 ) -> tuple[float, float]:
-    """Displacement (fixed-point) residuals of one transition."""
+    """Displacement (fixed-point) residuals of one transition under the
+    coupling operator ``F``."""
     dx = x_k - x_next
     dy = y_k - y_next
-    rx = dx / tau_k - F.T @ dy
-    ry = dy / sigma_k - theta_k * (F @ dx)
+    rx = dx / tau_k - F.apply_T(dy)
+    ry = dy / sigma_k - theta_k * F.apply(dx)
     return _norm(rx), _norm(ry)
 
 
@@ -152,7 +154,7 @@ def run(
 
     if schedule.regime == ACCELERATED:
         sigma0 = schedule.c * schedule.s**2
-        y = problem.prox_gstar(y + sigma0 * (problem.F @ x), sigma0)
+        y = problem.prox_gstar(y + sigma0 * problem.F.apply(x), sigma0)
 
     d1, d2 = problem.d1, problem.d2
     # A stride records its rows plus the last step.
@@ -220,7 +222,7 @@ def optimality_residual(problem: SaddleProblem, traj: Trajectory, i: int) -> tup
     return inclusion_residuals(
         problem,
         x_next,
-        F.T @ y + (x_next - x) / traj.tau[i],
+        F.apply_T(y) + (x_next - x) / traj.tau[i],
         y_next,
-        -(F @ x_bar) + (y_next - y) / traj.sigma[i],
+        -F.apply(x_bar) + (y_next - y) / traj.sigma[i],
     )

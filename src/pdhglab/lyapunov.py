@@ -22,7 +22,8 @@ bound on every row.
 
 All evaluators are pure functions of their arguments.  The Lyapunov and NE
 evaluators take one state (and return a float) or stacked rows of states
-with per-row step sizes (and return one value per row).
+with per-row step sizes (and return one value per row); the coupling ``F``
+is a :mod:`~pdhglab.problems` operator, whose ``apply`` serves both.
 """
 
 from __future__ import annotations
@@ -92,7 +93,10 @@ def _as_result(value):
 
 def _coupled_form(dx, dy, tau, sigma, F):
     """||dx||^2/(2 tau) + ||dy||^2/(2 sigma) - <F dx, dy>, per row."""
-    return _rowdot(dx, dx) / (2.0 * tau) + _rowdot(dy, dy) / (2.0 * sigma) - _rowdot(dx @ F.T, dy)
+    return (
+        _rowdot(dx, dx) / (2.0 * tau) + _rowdot(dy, dy) / (2.0 * sigma)
+        - _rowdot(F.apply(dx), dy)
+    )
 
 
 def slack_tolerance(E_k: float) -> float:
@@ -111,7 +115,7 @@ def lyapunov_fixed(
     saddle: PrimalDualPair,
     tau,
     sigma,
-    F: np.ndarray,
+    F,
 ):
     """Fixed-step Lyapunov value at (x_k, y_k).
 
@@ -132,7 +136,7 @@ def lyapunov_accelerated(
     tau_k,
     tau_prev,
     s: float,
-    F: np.ndarray,
+    F,
 ):
     """Accelerated Lyapunov value at index k.
 
@@ -151,7 +155,7 @@ def lyapunov_accelerated(
         if np.any(tau_prev <= 0):
             raise ValueError("tau_prev must be positive (or None for 1/tau_0 := 0)")
         step = x_k - x_prev
-        value += _rowdot(step @ F.T, dy) / tau_prev + _rowdot(step, step) / (2.0 * tau_prev**2)
+        value += _rowdot(F.apply(step), dy) / tau_prev + _rowdot(step, step) / (2.0 * tau_prev**2)
     return _as_result(value)
 
 
@@ -160,7 +164,7 @@ def numerical_error(
     dy: np.ndarray,
     tau,
     sigma,
-    F: np.ndarray,
+    F,
     accelerated: bool = False,
 ):
     """Numerical-error term NE of the implicit discretization.
@@ -187,7 +191,7 @@ def numerical_error(
         if tau is not None:
             if np.any(tau <= 0):
                 raise ValueError("tau must be positive (or None for 1/tau_0 := 0)")
-            value += _rowdot(dx, dx) / (2.0 * tau**2) - _rowdot(dx @ F.T, dy) / tau
+            value += _rowdot(dx, dx) / (2.0 * tau**2) - _rowdot(F.apply(dx), dy) / tau
         return _as_result(value)
     if tau is None or np.any(tau <= 0):
         raise ValueError("tau must be positive")

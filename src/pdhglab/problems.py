@@ -4,18 +4,26 @@ A problem
 
     min_x max_y  f(x) + <F x, y> - g*(y)
 
-is described by its two proximal oracles, the coupling matrix ``F`` and the
-strong-convexity moduli ``(mu, gamma)`` of ``f`` and ``g*``.  The solver
+is described by its two proximal oracles, the coupling operator ``F`` and
+the strong-convexity moduli ``(mu, gamma)`` of ``f`` and ``g*``.  The solver
 engine never inspects ``f`` or ``g*`` directly; the prox oracles are the unit
-of extension.  The gradient oracles and the residual oracle of ``g*`` are
-optional: the continuous dynamics need both gradients, and saddle
-certification needs ``grad_f`` plus ``subdiff_gstar`` or ``grad_gstar``.
+of extension.
+
+A coupling operator has a ``shape`` (d2, d1), its spectral norm ``norm`` and
+the actions ``apply(v)`` = F v and ``apply_T(w)`` = F^T w.  Both act on the
+last axis, so one call serves a single state (d,) or a block of rows (R, d).
+:class:`Identity` and :class:`FirstDifference` are matrix-free; :class:`Dense`
+wraps any other matrix, and ``SaddleProblem`` wraps an ndarray ``F`` in it.
+
+The gradient oracles and the residual oracle of ``g*`` are optional: the
+continuous dynamics need both gradients, and saddle certification needs
+``grad_f`` plus ``subdiff_gstar`` or ``grad_gstar``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,17 +33,72 @@ GradOracle = Callable[[np.ndarray], np.ndarray]
 SubdiffOracle = Callable[[np.ndarray, np.ndarray], float]
 
 
+class Identity:
+    """F = I on R^d: norm 1, and both actions return their input itself."""
+
+    def __init__(self, d: int):
+        self.shape = (d, d)
+        self.norm = 1.0
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return v
+
+    apply_T = apply
+
+
+class FirstDifference:
+    """The (d-1) x d first difference D, (D v)_i = v_{i+1} - v_i.
+
+    D annihilates constants; its norm is 2 cos(pi / (2d)).  Both actions
+    take the same bits as the products with the dense matrix of D.
+    """
+
+    def __init__(self, d: int):
+        if d < 2:
+            raise ValueError("the first difference needs d >= 2")
+        self.shape = (d - 1, d)
+        self.norm = 2.0 * math.cos(math.pi / (2 * d))
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return v[..., 1:] - v[..., :-1]
+
+    def apply_T(self, w: np.ndarray) -> np.ndarray:
+        # D^T w = (w_{i-1} - w_i)_i with w_{-1} = w_{d-1} = 0
+        p = np.zeros(w.shape[:-1] + (w.shape[-1] + 2,))
+        p[..., 1:-1] = w
+        return p[..., :-1] - p[..., 1:]
+
+
+class Dense:
+    """An explicit (d2, d1) matrix; its norm is the largest singular value
+    (0.0 for the zero matrix)."""
+
+    def __init__(self, matrix):
+        M = np.asarray(matrix, dtype=float)
+        if M.ndim != 2:
+            raise ValueError(f"F must be 2-D, got shape {M.shape}")
+        self.matrix = M
+        self._T = M.T  # one view, not one per product
+        self.shape = M.shape
+        self.norm = float(np.linalg.norm(M, 2))
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.matrix @ v if v.ndim == 1 else v @ self._T
+
+    def apply_T(self, w: np.ndarray) -> np.ndarray:
+        return self._T @ w if w.ndim == 1 else w @ self.matrix
+
+
 @dataclass(frozen=True, eq=False)
 class SaddleProblem:
     """Immutable description of a saddle problem via its prox oracles.
 
     Fields
     ------
-    F : (d2, d1) coupling matrix; the primal and dual dimensions ``d1`` and
-        ``d2`` are read from its shape.
-    F_norm : spectral norm ||F||_2, derived from F at construction by SVD
-        (0.0 for the zero matrix); every admissibility test s * ||F|| < 1
-        reads it.
+    F : (d2, d1) coupling operator (an ndarray is wrapped in :class:`Dense`);
+        the primal and dual dimensions ``d1`` and ``d2`` are read from its
+        shape, and ``F_norm``, which every admissibility test s * ||F|| < 1
+        reads, is its ``norm``.
     prox_f : (v, t) -> argmin_u f(u) + ||u - v||^2 / (2 t).
     prox_gstar : (w, t) -> argmin_u g*(u) + ||u - w||^2 / (2 t).
     mu, gamma : strong-convexity moduli of f and g* (0 means merely convex).
@@ -44,7 +107,7 @@ class SaddleProblem:
         dist(0, dg*(y) + w) for a linear offset ``w``.
     """
 
-    F: np.ndarray
+    F: object
     prox_f: ProxOracle
     prox_gstar: ProxOracle
     mu: float = 0.0
@@ -52,16 +115,16 @@ class SaddleProblem:
     grad_f: Optional[GradOracle] = None
     grad_gstar: Optional[GradOracle] = None
     subdiff_gstar: Optional[SubdiffOracle] = None
-    F_norm: float = field(init=False)
 
     def __post_init__(self):
-        F = np.asarray(self.F, dtype=float)
-        if F.ndim != 2:
-            raise ValueError(f"F must be 2-D, got shape {F.shape}")
         if self.mu < 0 or self.gamma < 0:
             raise ValueError("strong-convexity moduli must be nonnegative")
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "F_norm", float(np.linalg.norm(F, 2)))
+        if not hasattr(self.F, "apply_T"):
+            object.__setattr__(self, "F", Dense(self.F))
+
+    @property
+    def F_norm(self) -> float:
+        return self.F.norm
 
     @property
     def d1(self) -> int:

@@ -21,7 +21,9 @@ def project_linf_ball(w: np.ndarray, r: float) -> np.ndarray:
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    return np.clip(np.asarray(w, dtype=float), -r, r)
+    # np.clip's bits, at half its cost at small d; this argument order also
+    # keeps clip's sign of zero at r = 0
+    return np.minimum(r, np.maximum(-r, np.asarray(w, dtype=float)))
 
 
 class QuadraticProxCache:

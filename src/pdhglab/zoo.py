@@ -4,17 +4,21 @@ Three families, all in the minimax form min_x max_y f(x) + <Fx, y> - g*(y):
 
 * ``lasso``      f = 1/2 ||Ax - b||^2, g = lam ||.||_1 composed with F = I,
                  so g* is the indicator of the l-infinity ball of radius lam.
-* ``gen_lasso``  same with a user-supplied F (the first-difference matrix
-                 gives 1-D total-variation denoising).
+* ``gen_lasso``  same with F = D, the first difference (1-D total-variation
+                 denoising when A = I).
 * ``quad_pair``  f = mu/2 ||x - a||^2, g* = gamma/2 ||y - b_hat||^2 — both
                  terms strongly convex, saddle available in closed form from
                  the KKT system.
 
+The lasso couplings I and D are matrix-free operators from
+:mod:`~pdhglab.problems`, and with ``identity_a`` A = I is never formed
+either, so such an instance builds in O(d); ``quad_pair`` keeps a dense F.
 Strong-convexity moduli are recorded on the problem: mu = lambda_min(A^T A)
 for the least-squares families (zero when A is column-rank-deficient, in
-which case only the fixed regime applies), and the prescribed (mu, gamma)
-for quadratic pairs.  Saddle points come from the KKT oracle where closed
-form exists and from a certified high-accuracy reference run otherwise.
+which case only the fixed regime applies; 1 for A = I), and the prescribed
+(mu, gamma) for quadratic pairs.  Saddle points come from the KKT oracle
+where closed form exists and from a certified high-accuracy reference run
+otherwise.
 """
 
 from __future__ import annotations
@@ -25,7 +29,14 @@ from typing import Optional
 import numpy as np
 
 from .engine import TERMINATION_RESIDUAL, run
-from .problems import PrimalDualPair, SaddleProblem, _norm, inclusion_residuals
+from .problems import (
+    FirstDifference,
+    Identity,
+    PrimalDualPair,
+    SaddleProblem,
+    _norm,
+    inclusion_residuals,
+)
 from .proximal import (
     QuadraticProxCache,
     linf_normal_cone_dist,
@@ -80,7 +91,8 @@ class InstanceSpec:
 @dataclass(frozen=True, eq=False)
 class BuiltInstance:
     """Materialized instance: the problem, its data, and (when available in
-    closed form) its saddle point."""
+    closed form) its saddle point.  ``A`` is None for A = I
+    (``identity_a``)."""
 
     spec: InstanceSpec
     problem: SaddleProblem
@@ -99,48 +111,43 @@ class SaddleCertificate:
     r_y: float
 
 
-def difference_matrix(d: int) -> np.ndarray:
-    """(d-1) x d first-difference operator with rows (..., -1, +1, ...).
-
-    Annihilates constant vectors; spectral norm below 2.
-    """
-    if d < 2:
-        raise ValueError("difference_matrix needs d >= 2")
-    F = np.zeros((d - 1, d))
-    idx = np.arange(d - 1)
-    F[idx, idx] = -1.0
-    F[idx, idx + 1] = 1.0
-    return F
-
-
 def make_generalized_lasso(
-    A: np.ndarray, b: np.ndarray, lam: float, F: np.ndarray
+    A: Optional[np.ndarray], b: np.ndarray, lam: float, F
 ) -> SaddleProblem:
-    """min 1/2 ||Ax - b||^2 + lam ||Fx||_1 in saddle form.
+    """min 1/2 ||Ax - b||^2 + lam ||Fx||_1 in saddle form, for a coupling
+    operator (or matrix) F.
 
     mu is recorded as lambda_min(A^T A); when A is column-rank-deficient the
-    recorded mu is 0 and only the fixed regime applies.  gamma = 0 always
-    (the dual term is an indicator).
+    recorded mu is 0 and only the fixed regime applies.  ``A = None`` stands
+    for A = I without forming it: the prox is (v + t b)/(1 + t), grad f is
+    x - b and mu = 1.  gamma = 0 always (the dual term is an indicator).
     """
-    A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
-    F = np.asarray(F, dtype=float)
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if A.ndim != 2 or A.shape[0] != b.size:
-        raise ValueError(f"A has {A.shape[0]} rows but b has {b.size} entries")
-    if F.shape[1] != A.shape[1]:
-        raise ValueError(
-            f"F has {F.shape[1]} columns but the primal dimension is {A.shape[1]}"
-        )
-    cache = QuadraticProxCache(A, b)
+    if A is None:
+        d1 = b.size
+        prox_f = lambda v, t: prox_shifted_quadratic(b, 1.0, v, t)
+        grad_f = lambda x: x - b
+        mu = 1.0
+    else:
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != b.size:
+            raise ValueError(f"A has {A.shape[0]} rows but b has {b.size} entries")
+        d1 = A.shape[1]
+        cache = QuadraticProxCache(A, b)
+        prox_f = lambda v, t: prox_least_squares(cache, v, t)
+        grad_f = lambda x: A.T @ (A @ x - b)
+        mu = cache.mu
+    if F.shape[1] != d1:
+        raise ValueError(f"F has {F.shape[1]} columns but the primal dimension is {d1}")
     return SaddleProblem(
         F=F,
-        prox_f=lambda v, t: prox_least_squares(cache, v, t),
+        prox_f=prox_f,
         prox_gstar=lambda w, t: project_linf_ball(w, lam),
-        mu=cache.mu,
+        mu=mu,
         gamma=0.0,
-        grad_f=lambda x: A.T @ (A @ x - b),
+        grad_f=grad_f,
         subdiff_gstar=lambda y, w: linf_normal_cone_dist(y, w, lam),
     )
 
@@ -166,7 +173,7 @@ def make_quad_pair(
         grad_f=lambda x: mu * (x - a),
         grad_gstar=lambda y: gamma * (y - b_hat),
     )
-    return problem, _solve_kkt(mu, gamma, F, a, b_hat)
+    return problem, _solve_kkt(mu, gamma, problem.F.matrix, a, b_hat)
 
 
 def _solve_kkt(
@@ -197,7 +204,7 @@ def certify_saddle(
     0 in @g*(y*) - F x* via the problem's residual oracles."""
     F = problem.F
     r_x, r_y = inclusion_residuals(
-        problem, candidate.x, F.T @ candidate.y, candidate.y, -(F @ candidate.x)
+        problem, candidate.x, F.apply_T(candidate.y), candidate.y, -F.apply(candidate.x)
     )
     return SaddleCertificate(passed=r_x <= tol and r_y <= tol, r_x=r_x, r_y=r_y)
 
@@ -259,11 +266,12 @@ def piecewise_constant_signal(rng: np.random.Generator, d: int, segments: int = 
 
 
 def primal_objective(
-    A: np.ndarray, b: np.ndarray, lam: float, F: np.ndarray, x: np.ndarray
+    A: Optional[np.ndarray], b: np.ndarray, lam: float, F, x: np.ndarray
 ) -> float:
-    """Composite objective 1/2 ||Ax - b||^2 + lam ||Fx||_1."""
-    r = A @ x - b
-    return float(0.5 * (r @ r) + lam * np.abs(F @ x).sum())
+    """Composite objective 1/2 ||Ax - b||^2 + lam ||Fx||_1 for a coupling
+    operator F; ``A = None`` stands for A = I."""
+    r = (x if A is None else A @ x) - b
+    return float(0.5 * (r @ r) + lam * np.abs(F.apply(x)).sum())
 
 
 def build_instance(spec: InstanceSpec) -> BuiltInstance:
@@ -293,24 +301,25 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
 
     d1 = spec.d1
     if spec.identity_a:
-        A = np.eye(d1)
+        A = None  # A = I
         b = piecewise_constant_signal(rng, d1)
     else:
         m = spec.m if spec.m is not None else 2 * d1
         A = conditioned_matrix(rng, m, d1, spec.cond)
         b = rng.standard_normal(m)
 
-    F = np.eye(d1) if spec.kind == LASSO else difference_matrix(d1)
+    F = Identity(d1) if spec.kind == LASSO else FirstDifference(d1)
     problem = make_generalized_lasso(A, b, spec.lam, F)
 
     # The candidate with F x* = 0 (x* = 0 for lasso, a constant for gen_lasso)
     # and F^T y* = A^T (b - A x*) is the saddle when y* lies in the dual ball.
     if spec.kind == LASSO:
-        x_star, y_star = np.zeros(d1), A.T @ b
+        x_star, y_star = np.zeros(d1), (b if A is None else A.T @ b)
     else:
-        A1 = A.sum(axis=1)  # A @ 1
+        A1 = np.ones(d1) if A is None else A.sum(axis=1)  # A @ 1
         x_star = np.full(d1, (A1 @ b) / (A1 @ A1))
-        y_star = -np.cumsum(A.T @ (b - A @ x_star))[:-1]
+        r = b - x_star if A is None else A.T @ (b - A @ x_star)
+        y_star = -np.cumsum(r)[:-1]
     saddle = None
     if np.abs(y_star).max() <= spec.lam:
         saddle = PrimalDualPair(x=x_star, y=y_star)

@@ -39,7 +39,7 @@ from pdhglab.lyapunov import (
     rho_rate,
     theorem_bound,
 )
-from pdhglab.problems import PrimalDualPair
+from pdhglab.problems import Dense, PrimalDualPair
 from pdhglab.rates import contraction_factors, fit_rate
 from pdhglab.schedules import (
     ACCELERATED,
@@ -328,8 +328,8 @@ def test_criterion_06_numerical_error_nonnegative():
         for trial in range(10_000):
             d1 = int(rng.integers(1, 7))
             d2 = int(rng.integers(1, 7))
-            F = rng.standard_normal((d2, d1))
-            F_norm = float(np.linalg.norm(F, 2))
+            F = Dense(rng.standard_normal((d2, d1)))
+            F_norm = float(np.linalg.norm(F.matrix, 2))
             # hold s * ||F|| <= 0.99, hitting the boundary now and then
             frac = 0.99 if trial % 97 == 0 else float(rng.uniform(0.01, 0.99))
             s = frac / F_norm

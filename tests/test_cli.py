@@ -702,6 +702,16 @@ def test_each_command_resolves_the_reference_saddle_at_most_once(
 # info and error paths
 
 
+def test_info_on_a_large_tv_instance(tmp_path, capsys):
+    # matrix-free F = D and A = I: a dense D alone would take 80 GB here
+    doc = {
+        "instance": {"kind": "gen_lasso", "d": 100_000, "lam": 0.5, "identity_a": True},
+        "regime": "varying_sc",
+    }
+    assert main(["info", write_config(tmp_path, doc)]) == 0
+    assert "instance.d2 = 99999" in capsys.readouterr().out
+
+
 def test_info_prints_resolved_constants(tmp_path, capsys):
     doc = {
         "instance": {"kind": "quad_pair", "d": 4, "seed": 0},

@@ -79,11 +79,12 @@ def test_implicit_equation_residual_is_small():
     prob = built.problem
     state = PrimalDualPair(np.ones(3), -np.ones(3))
     nxt = one_step(state, 0.2, s, s, s, prob)
-    M = mass_matrix(s, s, s, prob.F)
+    F = prob.F.matrix
+    M = mass_matrix(s, s, s, F)
     z = np.concatenate([state.x, state.y])
     zn = np.concatenate([nxt.x, nxt.y])
     rhs = np.concatenate(
-        [-(prob.F.T @ nxt.y) - prob.grad_f(nxt.x), prob.F @ nxt.x - prob.grad_gstar(nxt.y)]
+        [-(F.T @ nxt.y) - prob.grad_f(nxt.x), F @ nxt.x - prob.grad_gstar(nxt.y)]
     )
     assert np.linalg.norm(M @ (zn - z) - 0.2 * rhs) <= 1e-8
 

@@ -9,6 +9,7 @@ from pdhglab import (
     ACCELERATED,
     FIXED,
     OPTIMAL_SS,
+    Dense,
     InstanceSpec,
     PrimalDualPair,
     SaddleProblem,
@@ -68,7 +69,7 @@ def test_pdhg_step_theta_zero_disables_extrapolation():
     y = np.array([0.3])
     x_next, y_next = pdhg_step(prob, np.array([1.0]), y, 0.5, 0.5, 0.0)
     # the dual step is taken from x_next itself
-    assert np.array_equal(y_next, prob.prox_gstar(y + 0.5 * (prob.F @ x_next), 0.5))
+    assert np.array_equal(y_next, prob.prox_gstar(y + 0.5 * (prob.F.matrix @ x_next), 0.5))
 
 
 def test_run_reaches_kkt_saddle():
@@ -237,7 +238,7 @@ def test_optimality_residual_requires_an_oracle():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_step_residuals_stay_finite_when_their_squares_overflow():
     # ||(3e200, 4e200)|| = 5e200 though its square is past the largest double
-    F = np.eye(2)
+    F = Dense(np.eye(2))
     x_k, zero = np.array([3e200, 4e200]), np.zeros(2)
     rp, rd = step_residuals(F, x_k, zero, zero, zero, 1.0, 1.0, 1.0)
     assert rp == pytest.approx(5e200, rel=1e-15)

@@ -17,6 +17,7 @@ from pdhglab import (
     FIXED,
     OPTIMAL_SS,
     VARYING_SC,
+    Dense,
     InstanceSpec,
     NoMatchingLemma,
     PrimalDualPair,
@@ -42,7 +43,7 @@ ZERO = PrimalDualPair(np.zeros(1), np.zeros(1))
 
 
 def test_lyapunov_fixed_hand_values():
-    F = np.array([[0.5]])
+    F = Dense(np.array([[0.5]]))
     val = lyapunov_fixed(np.array([1.0]), np.array([1.0]), ZERO, 1.0, 1.0, F)
     assert abs(val - 0.5) <= 1e-15
     assert lyapunov_fixed(np.zeros(1), np.zeros(1), ZERO, 1.0, 1.0, F) == 0.0
@@ -53,16 +54,16 @@ def test_lyapunov_fixed_hand_values():
 def test_lyapunov_varying_hand_value():
     # the varying-step Lyapunov value is the fixed form at (tau_k, sigma_k)
     # k = 0 of the varying schedule with c = 1, s = 0.5: tau0 = 1, sigma0 = 1/4
-    F = np.array([[1.0]])
+    F = Dense(np.array([[1.0]]))
     val = lyapunov_fixed(np.array([1.0]), np.array([1.0]), ZERO, 1.0, 0.25, F)
     assert abs(val - 1.5) <= 1e-15
     assert lyapunov_fixed(np.zeros(1), np.zeros(1), ZERO, 1.0, 0.25, F) == 0.0
-    val = lyapunov_fixed(np.array([1.0]), np.array([1.0]), ZERO, 1.0, 1.0, np.array([[0.0]]))
+    val = lyapunov_fixed(np.array([1.0]), np.array([1.0]), ZERO, 1.0, 1.0, Dense(np.array([[0.0]])))
     assert abs(val - 1.0) <= 1e-15
 
 
 def test_lyapunov_accelerated_hand_values():
-    F = np.array([[0.5]])
+    F = Dense(np.array([[0.5]]))
     # x_k = x_prev and y_prev = y*: only the leading distance term survives
     val = lyapunov_accelerated(np.array([3.0]), np.array([3.0]), np.zeros(1), ZERO, 0.5, 1.0, 0.5, F)
     assert abs(val - 9.0 / (2 * 0.25)) <= 1e-12
@@ -77,11 +78,11 @@ def test_lyapunov_accelerated_hand_values():
 
 
 def test_numerical_error_hand_values():
-    F = np.array([[0.5]])
+    F = Dense(np.array([[0.5]]))
     assert abs(numerical_error(np.ones(1), np.ones(1), 1.0, 1.0, F) - 0.5) <= 1e-15
     assert numerical_error(np.zeros(1), np.ones(1), 1.0, 2.0, F) == 0.25
     # boundary degeneracy: s ||F|| = 1 makes the form exactly singular
-    val = numerical_error(np.ones(1), np.ones(1), 1.0, 1.0, np.array([[1.0]]))
+    val = numerical_error(np.ones(1), np.ones(1), 1.0, 1.0, Dense(np.array([[1.0]])))
     assert abs(val) <= 1e-15
 
 
@@ -89,8 +90,8 @@ def test_quadratic_forms_nonnegative_under_admissibility():
     rng = np.random.default_rng(23)
     for d in (1, 2, 5, 20):
         for _ in range(1000 // 4):
-            F = rng.standard_normal((d, d))
-            s = 0.99 / max(np.linalg.svd(F, compute_uv=False)[0], 1e-12)
+            F = Dense(rng.standard_normal((d, d)))
+            s = 0.99 / max(np.linalg.svd(F.matrix, compute_uv=False)[0], 1e-12)
             tau = float(rng.uniform(0.05, 5.0))
             sigma = s**2 / tau
             dx = rng.standard_normal(d)
@@ -107,8 +108,8 @@ def test_accelerated_lower_bound_inequality():
     rng = np.random.default_rng(29)
     for _ in range(250):
         d = int(rng.integers(1, 6))
-        F = rng.standard_normal((d, d))
-        s = 0.99 / max(np.linalg.svd(F, compute_uv=False)[0], 1e-12)
+        F = Dense(rng.standard_normal((d, d)))
+        s = 0.99 / max(np.linalg.svd(F.matrix, compute_uv=False)[0], 1e-12)
         tau_k = float(rng.uniform(0.05, 3.0))
         tau_prev = float(rng.uniform(0.05, 3.0))
         x_k = rng.standard_normal(d)

@@ -5,8 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from pdhglab import InstanceSpec, PrimalDualPair, SaddleProblem, build_instance
+from pdhglab import (
+    Dense,
+    FirstDifference,
+    Identity,
+    InstanceSpec,
+    PrimalDualPair,
+    SaddleProblem,
+    build_instance,
+)
 from pdhglab.problems import inclusion_residuals
+
+
+def dense_difference(d: int) -> np.ndarray:
+    """The (d-1) x d first-difference matrix, rows (..., -1, +1, ...)."""
+    D = np.zeros((d - 1, d))
+    idx = np.arange(d - 1)
+    D[idx, idx] = -1.0
+    D[idx, idx + 1] = 1.0
+    return D
 
 
 def norm_of(F) -> float:
@@ -45,6 +62,58 @@ def test_operator_norm_of_first_differences_is_closed_form(d):
 def test_operator_norm_of_lasso_identity_is_one():
     built = build_instance(InstanceSpec("lasso", d1=40, lam=0.1))
     assert built.problem.F_norm == 1.0
+
+
+def test_first_difference_action():
+    D = FirstDifference(4)
+    assert D.shape == (3, 4)
+    assert np.array_equal(D.apply(np.array([0.0, 1.0, 2.0, 3.0])), np.ones(3))
+    assert np.array_equal(D.apply(np.full(4, 5.0)), np.zeros(3))
+
+
+def test_first_difference_needs_two_coordinates():
+    with pytest.raises(ValueError, match="d >= 2"):
+        FirstDifference(1)
+
+
+@pytest.mark.parametrize("d", [2, 80, 401])
+def test_matrix_free_operators_take_the_bits_of_dense_products(d):
+    rng = np.random.default_rng(d)
+    for op, M in ((Identity(d), np.eye(d)), (FirstDifference(d), dense_difference(d))):
+        assert op.shape == M.shape
+        x, y = rng.standard_normal(d), rng.standard_normal(M.shape[0])
+        X, Y = rng.standard_normal((7, d)), rng.standard_normal((7, M.shape[0]))
+        assert np.array_equal(op.apply(x), M @ x)
+        assert np.array_equal(op.apply_T(y), M.T @ y)
+        assert np.array_equal(op.apply(X), X @ M.T)
+        assert np.array_equal(op.apply_T(Y), Y @ M)
+        # <F x, y> = <x, F^T y> to rounding
+        lhs, rhs = op.apply(x) @ y, x @ op.apply_T(y)
+        assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
+        sv = np.linalg.svd(M, compute_uv=False)[0]
+        assert op.norm == pytest.approx(sv, rel=1e-14)
+
+
+def test_dense_applies_the_products_of_its_matrix():
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((3, 4))
+    op = Dense(M)
+    v, w = rng.standard_normal(4), rng.standard_normal(3)
+    V, W = rng.standard_normal((6, 4)), rng.standard_normal((6, 3))
+    assert np.array_equal(op.apply(v), M @ v)
+    assert np.array_equal(op.apply_T(w), M.T @ w)
+    assert np.array_equal(op.apply(V), V @ M.T)
+    assert np.array_equal(op.apply_T(W), W @ M)
+    assert op.shape == (3, 4) and op.norm == np.linalg.norm(M, 2)
+
+
+def test_saddle_problem_wraps_a_matrix_and_keeps_an_operator():
+    wrapped = SaddleProblem(F=[[1.0, 2.0]], prox_f=lambda v, t: v, prox_gstar=lambda w, t: w)
+    assert isinstance(wrapped.F, Dense) and (wrapped.d1, wrapped.d2) == (2, 1)
+    op = FirstDifference(5)
+    kept = SaddleProblem(F=op, prox_f=lambda v, t: v, prox_gstar=lambda w, t: w)
+    assert kept.F is op and (kept.d1, kept.d2) == (5, 4)
+    assert kept.F_norm == op.norm
 
 
 def test_saddle_problem_holds_dimensions_and_oracles():

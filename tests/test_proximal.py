@@ -6,6 +6,7 @@ the formula itself.
 """
 
 import numpy as np
+import pytest
 
 from pdhglab import (
     QuadraticProxCache,
@@ -33,6 +34,20 @@ def test_project_linf_ball_examples():
     w = np.array([0.2, -0.9])
     assert np.array_equal(project_linf_ball(w, 1.0), w)
     assert np.array_equal(project_linf_ball(np.array([5.0]), 0.0), np.array([0.0]))
+
+
+@pytest.mark.parametrize("r", [0.0, -0.0, 1e-300, 0.5, 1.0, np.inf])
+def test_project_linf_ball_equals_clip_on_special_values(r):
+    w = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1e308, -1e308])
+    got, want = project_linf_ball(w, r), np.clip(w, -r, r)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_project_linf_ball_rejects_a_negative_radius():
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        project_linf_ball(np.zeros(2), -1e-300)
 
 
 def test_project_linf_ball_is_the_componentwise_projection():

@@ -1,15 +1,19 @@
 """Problem zoo tests: builders, oracles, certification, references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pdhglab import (
     FIXED,
+    Dense,
+    FirstDifference,
     InstanceSpec,
     PrimalDualPair,
     build_instance,
     certify_saddle,
-    difference_matrix,
+    make_generalized_lasso,
     make_quad_pair,
     make_schedule,
     primal_objective,
@@ -17,13 +21,6 @@ from pdhglab import (
     run,
 )
 from pdhglab.zoo import conditioned_matrix, piecewise_constant_signal
-
-
-def test_difference_matrix_action():
-    D = difference_matrix(4)
-    assert D.shape == (3, 4)
-    assert np.array_equal(D @ np.array([0.0, 1.0, 2.0, 3.0]), np.ones(3))
-    assert np.array_equal(D @ np.full(4, 5.0), np.zeros(3))
 
 
 def test_kkt_oracle_hand_example():
@@ -91,6 +88,34 @@ def test_gen_lasso_below_the_dual_bound_has_no_closed_form():
     assert built.saddle is None
 
 
+@pytest.mark.parametrize("kind", ["lasso", "gen_lasso"])
+def test_identity_a_takes_the_bits_of_the_dense_identity(kind):
+    # eigh(I) is exactly (1, I), so the O(d) oracles equal the dense ones
+    d, lam = 80, 0.5
+    built = build_instance(InstanceSpec(kind, d1=d, seed=3, lam=lam, identity_a=True))
+    dense = make_generalized_lasso(np.eye(d), built.b, lam, built.problem.F)
+    assert built.A is None and built.problem.mu == dense.mu == 1.0
+    rng = np.random.default_rng(8)
+    v = rng.standard_normal(d)
+    for t in (1e-3, 0.7, 5.0):
+        want = (v + t * built.b) / (1 + t)
+        assert np.array_equal(built.problem.prox_f(v, t), want)
+        assert np.array_equal(dense.prox_f(v, t), want)
+    assert np.array_equal(built.problem.grad_f(v), v - built.b)
+    assert np.array_equal(dense.grad_f(v), v - built.b)
+
+
+def test_tv_instance_builds_in_linear_memory():
+    tracemalloc.start()
+    try:
+        built = build_instance(InstanceSpec("gen_lasso", d1=2000, lam=0.5, identity_a=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built.problem.d2 == 1999
+    assert peak < 2 * 2**20  # a dense 2000 x 2000 array alone is 32 MB
+
+
 def test_reference_saddle_certifies():
     built = build_instance(InstanceSpec(kind="lasso", d1=5, seed=3, lam=0.5, cond=3.0))
     sad = reference_saddle(built.problem)
@@ -140,11 +165,18 @@ def test_piecewise_constant_signal_shape():
     assert 1 <= int(np.sum(jumps)) <= 4
 
 
+def test_primal_objective_with_identity_a():
+    x, b = np.array([1.0, -2.0]), np.array([0.5, 0.5])
+    got = primal_objective(None, b, 1.0, FirstDifference(2), x)
+    assert got == primal_objective(np.eye(2), b, 1.0, Dense(np.array([[-1.0, 1.0]])), x)
+    assert got == 0.5 * (0.25 + 6.25) + 3.0
+
+
 def test_primal_objective_hand_value():
     A = np.eye(2)
     b = np.zeros(2)
     x = np.array([1.0, -2.0])
-    got = primal_objective(A, b, 1.0, np.eye(2), x)
+    got = primal_objective(A, b, 1.0, Dense(np.eye(2)), x)
     assert abs(got - (0.5 * 5.0 + 3.0)) <= 1e-12
 
 
@@ -159,7 +191,7 @@ def test_build_instance_is_deterministic():
 
 def test_build_instance_quad_pair_unit_coupling_norm():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=4, d2=3, seed=2, mu=2.0, gamma=0.5))
-    sv = np.linalg.svd(built.problem.F, compute_uv=False)
+    sv = np.linalg.svd(built.problem.F.matrix, compute_uv=False)
     assert abs(sv[0] - 1.0) <= 1e-12
     assert built.problem.mu == 2.0 and built.problem.gamma == 0.5
     assert built.problem.F.shape == (3, 4)
