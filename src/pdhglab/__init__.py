@@ -23,6 +23,7 @@ from .engine import (
 from .lyapunov import (
     LyapunovTable,
     NoMatchingLemma,
+    TableAccumulator,
     alpha_rate,
     lemma_records,
     lyapunov_accelerated,

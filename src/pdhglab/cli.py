@@ -15,7 +15,7 @@ Subcommands:
 Exit status: 0 when every requested check passed or was skipped, 1 when any
 check failed or the run was stopped by the divergence guard (the summary
 then names it as ``exit_reason = divergence_guard``), 2 for configuration
-errors, including a budget whose trajectory cannot be reserved in memory
+errors, including a budget whose per-row columns cannot be reserved in memory
 and an instance too large to build.
 
 The trajectory CSV has one row per recorded step.  Row k holds the pre-step
@@ -56,9 +56,10 @@ from .engine import TERMINATION_DIVERGENCE, run
 from .lyapunov import (
     LyapunovTable,
     NoMatchingLemma,
+    TableAccumulator,
     alpha_rate,
+    block_rows,
     lemma_records,
-    lyapunov_table,
     rho_rate,
     slack_tolerance,
     theorem_bound,
@@ -95,6 +96,17 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
+
+
+class _Discard:
+    """The block observer of a run whose states nothing reads (a plain
+    class: a dataclass would cost about 1 ms of every command's import)."""
+
+    def __init__(self, block_rows: int):
+        self.block_rows = block_rows
+
+    def __call__(self, k, x, y, x_next, y_next) -> None:
+        pass
 
 
 def _resolve_saddle(built: BuiltInstance) -> tuple[Optional[PrimalDualPair], str]:
@@ -157,6 +169,14 @@ def _first_over(k, value, bound, what) -> Optional[CheckResult]:
     )
 
 
+def _tightest(k, value, bound) -> str:
+    """The largest value/bound ratio and its k, as "<ratio> at k=<k>"; a
+    row whose bound is not positive counts as ratio 0."""
+    ratio = np.divide(value, bound, out=np.zeros(len(value)), where=bound > 0)
+    i = np.argmax(ratio)
+    return f"{ratio[i]:.6g} at k={k[i]}"
+
+
 def _check_theorem(schedule, problem, table, bounds) -> CheckResult:
     """The regime's closed-form bound against the run.  ``bounds`` is what
     :func:`theorem_bound` gave for ``table``: its ``(bound, trajectory)``
@@ -197,7 +217,9 @@ def _check_theorem(schedule, problem, table, bounds) -> CheckResult:
             )
         failed = _first_nonfinite(k, ("distance", dist), ("trajectory bound", trajectory))
         return failed or _first_over(k, dist, trajectory, "trajectory bound") or CheckResult(
-            CHECK_THEOREM, PASS, "Lyapunov and trajectory bounds hold"
+            CHECK_THEOREM, PASS,
+            f"Lyapunov and trajectory bounds hold; tightest E/bound {_tightest(k, E, bound)}, "
+            f"distance/bound {_tightest(k, dist, trajectory)}",
         )
 
     if regime == ACCELERATED:
@@ -206,7 +228,9 @@ def _check_theorem(schedule, problem, table, bounds) -> CheckResult:
         k, dist, bound = k[after], dist[after], bound[after]
         failed = _first_nonfinite(k, ("distance", dist), ("bound", bound))
         return failed or _first_over(k, dist, bound, "O(1/k^2) bound") or CheckResult(
-            CHECK_THEOREM, PASS, f"O(1/k^2) bound holds from K0={K0}"
+            CHECK_THEOREM, PASS,
+            f"O(1/k^2) bound holds from K0={K0}; tightest distance/bound "
+            f"{_tightest(k, dist, bound)}",
         )
 
     # OPTIMAL_SS: per-step contraction plus the terminal weighted sandwich.
@@ -361,14 +385,20 @@ def _execute(config, built, schedule, resolved, write_trajectory, quiet):
     saddle, saddle_source = resolved
     problem = built.problem
     init = PrimalDualPair(x=np.zeros(problem.d1), y=np.zeros(problem.d2))
+    # The run streams its states in blocks: to the table when there is a
+    # saddle to measure them against, else to an observer that drops them.
+    if saddle is not None:
+        observer = TableAccumulator(schedule, problem, saddle, init)
+    else:
+        observer = _Discard(block_rows(problem))
     try:
         traj = run(
-            problem, schedule, init,
-            budget=config.budget, tol=config.tol, record_every=config.record_every,
+            problem, schedule, init, budget=config.budget, tol=config.tol,
+            record_every=config.record_every, observer=observer,
         )
-    except MemoryError as exc:  # the trajectory is reserved for the whole budget
+    except MemoryError as exc:  # the (R,) columns are reserved for the whole budget
         raise ConfigError(f"{exc}; lower budget or raise record_every") from exc
-    table = lyapunov_table(traj, problem, saddle) if saddle is not None else None
+    table = observer.table(traj) if saddle is not None else None
     # The regime's bounds on each row, read by the theorem check and the CSV:
     # (bound, trajectory), or the NoMatchingLemma that withheld them.
     bounds = None

@@ -22,15 +22,16 @@ halve the residual.
 
 Restricted to problems carrying gradient oracles; the right-hand side needs
 grad f and grad g* pointwise.  M is assembled from the coupling's dense
-``F.matrix``: of the zoo's kinds, only ``quad_pair`` has both gradients, and
-its coupling is :class:`~pdhglab.problems.Dense`.
+``F.matrix``, so the coupling must be :class:`~pdhglab.problems.Dense`: of
+the zoo's kinds, only ``quad_pair`` has both gradients, and its coupling is
+dense.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .problems import PrimalDualPair, SaddleProblem
+from .problems import Dense, PrimalDualPair, SaddleProblem
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
@@ -85,8 +86,9 @@ def integrate(
     t = j h.  Newton runs with (M - h dG)^-1 taken at the first state and
     re-taken at the current iterate whenever an update fails to halve the
     residual; G(z+) of each step seeds the next.  Raises ValueError on a
-    problem without both gradient oracles or on a singular mass matrix, and
-    RuntimeError when a Newton solve does not converge.
+    problem without both gradient oracles or without a dense coupling, or on
+    a singular mass matrix, and RuntimeError when a Newton solve does not
+    converge.
     """
     if T <= 0 or h <= 0:
         raise ValueError("T and h must be positive")
@@ -96,6 +98,11 @@ def integrate(
         )
     if s <= 0 or tau <= 0 or sigma <= 0:
         raise ValueError("s, tau, sigma must be positive")
+    if not isinstance(problem.F, Dense):
+        raise ValueError(
+            "the ODE system needs a dense coupling (problems.Dense) to assemble "
+            f"its mass matrix; got {type(problem.F).__name__}"
+        )
     F, d1 = problem.F.matrix, problem.d1
     M = mass_matrix(s, tau, sigma, F)
     cond = np.linalg.cond(M)

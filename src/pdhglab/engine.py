@@ -24,12 +24,17 @@ norms of the stationarity gaps || grad f(x_{k+1}) + F^T y_{k+1} || and
 scaling.  :func:`optimality_residual` evaluates the exact per-step inclusion
 residuals instead (zero for exact prox oracles, regardless of distance to the
 saddle).
+
+A run either keeps every recorded state, or streams them: given a block
+observer, :func:`run` hands the recorded states to it a block of rows at a
+time and keeps only the (R,) columns and the final state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Protocol
 
 import numpy as np
 
@@ -52,31 +57,51 @@ class Trajectory:
     Row i is the transition k[i] -> k[i] + 1: the step sizes ``tau``,
     ``sigma``, ``theta`` and displacement residuals of that step, each of
     shape (R,), and the pre-state ``x``, ``y`` and post-state ``x_next``,
-    ``y_next``, each of shape (R, d).
+    ``y_next``, each of shape (R, d).  A streamed run (see :func:`run`)
+    handed its states to an observer and keeps none: its four state fields
+    are None.
 
     ``init`` is the user-supplied starting pair.  For the accelerated
     regime the engine performs a preparatory dual half-step before the
     recorded iterations begin (see :func:`run`), so ``init.y`` precedes
-    the first row's pre-state dual variable.
+    the first row's pre-state dual variable.  ``final`` is the last
+    post-state: where the states are kept it is read from ``x_next`` and
+    ``y_next``, whatever is passed.
     """
 
     k: np.ndarray
     tau: np.ndarray
     sigma: np.ndarray
     theta: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    x_next: np.ndarray
-    y_next: np.ndarray
+    x: Optional[np.ndarray]
+    y: Optional[np.ndarray]
+    x_next: Optional[np.ndarray]
+    y_next: Optional[np.ndarray]
     primal_residual: np.ndarray
     dual_residual: np.ndarray
     init: PrimalDualPair
     schedule: Schedule
     termination: str
+    final: Optional[PrimalDualPair] = None
 
-    @property
-    def final(self) -> PrimalDualPair:
-        return PrimalDualPair(x=self.x_next[-1], y=self.y_next[-1])
+    def __post_init__(self):
+        if self.x_next is not None:
+            object.__setattr__(self, "final", PrimalDualPair(x=self.x_next[-1], y=self.y_next[-1]))
+
+
+class BlockObserver(Protocol):
+    """What :func:`run` streams recorded states to.
+
+    ``block_rows`` is how many rows the engine buffers between calls.  Each
+    call passes a block of consecutive rows: their ``k`` of shape (n,) and
+    the pre- and post-states ``x``, ``y``, ``x_next``, ``y_next`` of shape
+    (n, d), n <= block_rows.  The state arrays are the engine's buffer,
+    overwritten after the call returns.
+    """
+
+    block_rows: int
+
+    def __call__(self, k, x, y, x_next, y_next) -> None: ...
 
 
 def pdhg_step(
@@ -125,6 +150,7 @@ def run(
     budget: int,
     tol: float = 1e-10,
     record_every: int = 1,
+    observer: Optional[BlockObserver] = None,
 ) -> Trajectory:
     """Iterate under ``schedule`` until the budget is exhausted, both
     displacement residuals fall below ``tol``, or the divergence guard
@@ -137,8 +163,13 @@ def run(
     (no primal step, no extrapolation — 1/tau_0 := 0), after which every
     recorded transition is a full iteration.
 
-    The trajectory is reserved for the whole budget up front; a reservation
-    that fails raises MemoryError before any step.
+    Without an ``observer`` the trajectory keeps every recorded state.
+    With one, the states are buffered ``observer.block_rows`` rows at a
+    time: each full block, and the last partial one, goes to the observer,
+    and the buffer is reused.  The trajectory then holds its (R,) columns
+    and ``final`` but no states.  The (R,) columns, and the states when
+    kept, are reserved for the whole budget up front; a reservation that
+    fails raises MemoryError before any step.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -159,20 +190,22 @@ def run(
     d1, d2 = problem.d1, problem.d2
     # A stride records its rows plus the last step.
     rows = budget if record_every == 1 else -(-budget // record_every) + 1
+    block = rows if observer is None else min(rows, observer.block_rows)
     try:
         if record_every == 1:
             # Each row's post-state is the next row's pre-state: store it once.
-            xs, ys = np.empty((budget + 1, d1)), np.empty((budget + 1, d2))
+            xs, ys = np.empty((block + 1, d1)), np.empty((block + 1, d2))
             X, X_next, Y, Y_next = xs[:-1], xs[1:], ys[:-1], ys[1:]
         else:
-            X, X_next = np.empty((rows, d1)), np.empty((rows, d1))
-            Y, Y_next = np.empty((rows, d2)), np.empty((rows, d2))
+            X, X_next = np.empty((block, d1)), np.empty((block, d1))
+            Y, Y_next = np.empty((block, d2)), np.empty((block, d2))
         K = np.empty(rows, dtype=np.int64)
         RP, RD = np.empty(rows), np.empty(rows)
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's dimension limit
         raise MemoryError(f"a trajectory of {rows} rows cannot be reserved ({exc})") from exc
 
-    n = 0
+    n = 0  # rows recorded
+    j = 0  # rows in the state buffer
     termination = TERMINATION_BUDGET
     for i in range(budget):
         k = schedule.k_start + i
@@ -187,8 +220,12 @@ def run(
 
         if i % record_every == 0 or last:
             K[n], RP[n], RD[n] = k, rp, rd
-            X[n], Y[n], X_next[n], Y_next[n] = x, y, x_next, y_next
+            X[j], Y[j], X_next[j], Y_next[j] = x, y, x_next, y_next
             n += 1
+            j += 1
+            if observer is not None and (j == block or last):
+                observer(K[n - j:n], X[:j], Y[:j], X_next[:j], Y_next[:j])
+                j = 0
         x, y = x_next, y_next
         if diverged:
             termination = TERMINATION_DIVERGENCE
@@ -199,10 +236,10 @@ def run(
 
     k = K[:n]
     tau, sigma, theta = schedule_at(schedule, k)
+    states = (X[:n], Y[:n], X_next[:n], Y_next[:n]) if observer is None else (None,) * 4
     return Trajectory(
-        k=k, tau=tau, sigma=sigma, theta=theta, x=X[:n], y=Y[:n],
-        x_next=X_next[:n], y_next=Y_next[:n], primal_residual=RP[:n], dual_residual=RD[:n],
-        init=init, schedule=schedule, termination=termination,
+        k, tau, sigma, theta, *states, primal_residual=RP[:n], dual_residual=RD[:n],
+        init=init, schedule=schedule, termination=termination, final=PrimalDualPair(x=x, y=y),
     )
 
 

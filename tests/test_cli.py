@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +35,16 @@ def write_config(tmp_path, doc, name="config.json"):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def tightest_ratio(rows, column):
+    """The largest ``column``/theorem_bound ratio of CSV rows with a finite
+    bound, and its k."""
+    ratios = [
+        (float(row[column]) / float(row["theorem_bound"]), int(row["k"]))
+        for row in rows if math.isfinite(float(row["theorem_bound"]))
+    ]
+    return max(ratios, key=lambda pair: pair[0])
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +181,28 @@ def test_theorem_skip_names_the_missing_E_K0(tmp_path, capsys):
     )
 
 
+def test_accelerated_theorem_pass_names_its_tightest_ratio(tmp_path, capsys):
+    # c = 0.9 puts K0 = ceil(0.9 / 0.2) = 5: rows below K0 carry no bound
+    out = tmp_path / "out"
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 4, "seed": 0, "mu": 1.0, "gamma": 1.0},
+        "regime": "accelerated",
+        "schedule": {"c": 0.9},
+        "budget": 300,
+        "checks": ["theorem"],
+        "output": str(out),
+    }
+    assert main(["run", write_config(tmp_path, doc)]) == 0
+    ratio, k = tightest_ratio(read_rows(out / "trajectory.csv"), "dist_x_sq")
+    match = re.search(
+        r"check\.theorem = PASS \(O\(1/k\^2\) bound holds from K0=5; "
+        r"tightest distance/bound (\S+) at k=(\d+)\)",
+        capsys.readouterr().out,
+    )
+    assert match and int(match[2]) == k >= 5
+    assert float(match[1]) == pytest.approx(ratio, rel=1e-5) and 0.0 < ratio <= 1.0
+
+
 def test_verify_fails_lemma_on_nan_slack(tmp_path, capsys, monkeypatch):
     # a prox oracle that returns nan trips the divergence guard at k = 0;
     # the one recorded transition has E(1) = nan, so its slack is nan
@@ -282,7 +315,11 @@ def test_varying_sc_theorem_with_an_overflowing_c_squared_ends_in_a_verdict(tmp_
         "checks": ["theorem"],
     }
     assert main(["verify", write_config(tmp_path, doc)]) == 0
-    assert "check.theorem = PASS (Lyapunov and trajectory bounds hold)" in capsys.readouterr().out
+    assert re.search(
+        r"check\.theorem = PASS \(Lyapunov and trajectory bounds hold; "
+        r"tightest E/bound \S+ at k=\d+, distance/bound \S+ at k=\d+\)",
+        capsys.readouterr().out,
+    )
 
 
 # numpy warns of the overflows this config is built to cause
@@ -529,8 +566,16 @@ def test_theorem_and_csv_share_one_bound_per_record(tmp_path, monkeypatch):
     }))
     code, lines, _ = execute(config, write_trajectory=True, quiet=True)
     assert code == 0
-    assert "check.theorem = PASS (Lyapunov and trajectory bounds hold)" in lines
     rows = read_rows(tmp_path / "trajectory.csv")
+    # the PASS detail names the largest E/bound ratio of the CSV's rows
+    ratio, k = tightest_ratio(rows, "lyapunov")
+    (line,) = [line for line in lines if line.startswith("check.theorem")]
+    match = re.fullmatch(
+        r"check\.theorem = PASS \(Lyapunov and trajectory bounds hold; tightest "
+        r"E/bound (\S+) at k=(\d+), distance/bound \S+ at k=\d+\)", line
+    )
+    assert match and int(match[2]) == k
+    assert float(match[1]) == pytest.approx(ratio, rel=1e-5)
     K = len(rows)
     assert K > 1
     assert all(math.isfinite(float(row["theorem_bound"])) for row in rows)
@@ -908,6 +953,37 @@ def test_budget_past_the_array_size_limit_is_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot be reserved" in err
     assert "lower budget or raise record_every" in err
+
+
+def test_verify_streams_its_states_instead_of_holding_them(monkeypatch):
+    # one 4000 x 400 state array is 12.8 MB, and a run that kept its states
+    # would hold two (x and y).  On top of the built instance, a streamed
+    # run and its diagnostics keep (R,) columns, one hand-over of states
+    # (641 rows of x and of y, 4.1 MB) and a row block's temporaries.
+    real_materialize = cli.materialize
+    held = []
+
+    def materialize_then_reset_peak(config):
+        built = real_materialize(config)
+        tracemalloc.reset_peak()  # the build's own temporaries are not the run's
+        held.append(tracemalloc.get_traced_memory()[0])
+        return built
+
+    monkeypatch.setattr(cli, "materialize", materialize_then_reset_peak)
+    config = parse_config(json.dumps({
+        "instance": {"kind": "lasso", "d": 400, "lam": 0.05},
+        "regime": "varying_sc",
+        "budget": 4000,
+        "checks": ["lemma", "theorem", "rate_fit"],
+    }))
+    tracemalloc.start()
+    try:
+        code, _, _ = execute(config, write_trajectory=False, quiet=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak - held[0] < 4000 * 400 * 8 / 2
 
 
 def test_instance_too_large_to_build_is_exit_2_without_budget_advice(

@@ -7,6 +7,8 @@ import pytest
 
 from pdhglab import (
     FIXED,
+    FirstDifference,
+    Identity,
     InstanceSpec,
     PrimalDualPair,
     SaddleProblem,
@@ -59,6 +61,19 @@ def test_mass_matrix_singularity_rejected():
     )
     with pytest.raises(ValueError):
         one_step(state, 0.1, 1.0, 1.0, 1.0, prob)
+
+
+@pytest.mark.parametrize("coupling", [Identity(2), FirstDifference(3)])
+def test_matrix_free_coupling_is_a_named_error(coupling):
+    # the mass matrix needs F's entries; a matrix-free coupling has none
+    d2, d1 = coupling.shape
+    prob = SaddleProblem(
+        F=coupling, prox_f=lambda v, t: v / (1.0 + t), prox_gstar=lambda w, t: w / (1.0 + t),
+        mu=1.0, gamma=1.0, grad_f=lambda x: x, grad_gstar=lambda y: y,
+    )
+    state = PrimalDualPair(np.ones(d1), np.ones(d2))
+    with pytest.raises(ValueError, match="needs a dense coupling"):
+        integrate(state, 1.0, 0.1, 0.4, 0.4, 0.4, prob)
 
 
 def test_decoupled_scalar_recurrence():

@@ -1,6 +1,8 @@
 """Iteration engine tests: single steps, full runs, termination, residuals."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,3 +245,51 @@ def test_step_residuals_stay_finite_when_their_squares_overflow():
     rp, rd = step_residuals(F, x_k, zero, zero, zero, 1.0, 1.0, 1.0)
     assert rp == pytest.approx(5e200, rel=1e-15)
     assert rd == pytest.approx(5e200, rel=1e-15)
+
+
+class RecordingObserver:
+    """A block observer that copies every block it is handed."""
+
+    def __init__(self, block_rows):
+        self.block_rows = block_rows
+        self.blocks = []
+
+    def __call__(self, k, x, y, x_next, y_next):
+        assert len(k) <= self.block_rows
+        self.blocks.append(tuple(np.array(a) for a in (k, x, y, x_next, y_next)))
+
+
+@pytest.mark.parametrize("record_every, budget", [(1, 20), (1, 23), (3, 23)])
+def test_streamed_run_hands_every_recorded_row_to_the_observer(record_every, budget):
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=2, seed=3))
+    sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, s=0.2, mu=1.0, gamma=1.0)
+    init = PrimalDualPair(np.ones(3), -np.ones(2))
+    stored = run(built.problem, sched, init, budget=budget, tol=0.0, record_every=record_every)
+    observer = RecordingObserver(block_rows=4)
+    streamed = run(
+        built.problem, sched, init, budget=budget, tol=0.0, record_every=record_every,
+        observer=observer,
+    )
+    # full blocks of 4, then the rest
+    sizes = [len(block[0]) for block in observer.blocks]
+    assert sizes[:-1] == [4] * (len(sizes) - 1) and 1 <= sizes[-1] <= 4
+    for got, name in zip(zip(*observer.blocks), ("k", "x", "y", "x_next", "y_next")):
+        assert np.array_equal(np.concatenate(got), getattr(stored, name))
+    assert streamed.x is streamed.y is streamed.x_next is streamed.y_next is None
+    assert np.array_equal(streamed.k, stored.k)
+    assert np.array_equal(streamed.final.x, stored.final.x)
+    assert np.array_equal(streamed.final.y, stored.final.y)
+
+
+def test_engine_does_not_import_the_diagnostics():
+    # the solver streams to a block observer; it must not depend on lyapunov
+    path = Path(__file__).resolve().parents[1] / "src" / "pdhglab" / "engine.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert not [name for name in imported if "lyapunov" in name.split(".")]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from pdhglab import lyapunov
+from pdhglab.engine import TERMINATION_BUDGET, TERMINATION_DIVERGENCE, TERMINATION_RESIDUAL
 from pdhglab import (
     ACCELERATED,
     FIXED,
@@ -23,9 +24,11 @@ from pdhglab import (
     PrimalDualPair,
     SaddleProblem,
     Schedule,
+    TableAccumulator,
     Trajectory,
     alpha_rate,
     build_instance,
+    k0_threshold,
     lemma_records,
     lyapunov_accelerated,
     lyapunov_fixed,
@@ -445,3 +448,85 @@ def test_table_working_memory_is_bounded(regime):
     output = 9 * rows * 8  # seven columns, plus the two the accelerated shift replaces
     assert peak <= output + 2**20
     assert np.isfinite(table.E_next).all()
+
+
+TABLE_COLUMNS = ("k", "E", "ne", "dist_x", "dist_y", "E_next", "dist_x_next", "dist_y_next")
+
+
+def stored_and_streamed(problem, sched, init, saddle, **run_args):
+    """The same run twice: kept whole and handed to lyapunov_table, and
+    streamed into a TableAccumulator."""
+    stored = run(problem, sched, init, **run_args)
+    table = TableAccumulator(sched, problem, saddle, init)
+    streamed = run(problem, sched, init, observer=table, **run_args)
+    return stored, lyapunov_table(stored, problem, saddle), streamed, table.table(streamed)
+
+
+def assert_same_run(stored, stored_table, streamed, streamed_table):
+    assert streamed.x is streamed.y is streamed.x_next is streamed.y_next is None
+    assert streamed.termination == stored.termination
+    for name in ("k", "tau", "sigma", "theta", "primal_residual", "dual_residual"):
+        assert np.array_equal(getattr(streamed, name), getattr(stored, name))
+    assert np.array_equal(streamed.final.x, stored.final.x)
+    assert np.array_equal(streamed.final.y, stored.final.y)
+    for name in TABLE_COLUMNS:
+        assert np.array_equal(
+            getattr(streamed_table, name), getattr(stored_table, name), equal_nan=True
+        ), name
+
+
+# With 28 block elements and 56 stream elements, a d = 4 run is handed
+# over 14 rows at a time and the table fills 7 at a time.  record_every 1
+# records every step; record_every 3 records steps 0, 3, ... and the last
+# one.  ``edge`` says whether the last hand-over is full: 74 rows end 4
+# rows into one, 80 rows 7 + 3 rows into one, 42 rows (budget 124) on one.
+@pytest.mark.parametrize(
+    "record_every, budget, edge",
+    [(1, 70, True), (1, 74, False), (1, 80, False), (3, 124, True), (3, 62, False)],
+)
+@pytest.mark.parametrize(
+    "regime, c", [(FIXED, None), (VARYING_SC, None), (OPTIMAL_SS, None),
+                  (ACCELERATED, None), (ACCELERATED, 0.9)],
+)
+def test_streamed_table_equals_the_stored_one(monkeypatch, regime, c, record_every, budget, edge):
+    monkeypatch.setattr(lyapunov, "BLOCK_ELEMENTS", 28)
+    monkeypatch.setattr(lyapunov, "STREAM_ELEMENTS", 56)
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=4, seed=2, mu=1.0, gamma=1.0))
+    problem = built.problem
+    # a short step keeps optimal_ss from reaching a zero residual in the budget
+    sched = make_schedule(regime, problem.F_norm, s=0.1, c=c, mu=1.0, gamma=1.0)
+    if c is not None:
+        assert k0_threshold(1.0, c) == 5
+    init = PrimalDualPair(np.ones(4), -np.ones(4))
+    runs = stored_and_streamed(
+        problem, sched, init, built.saddle, budget=budget, tol=0.0, record_every=record_every
+    )
+    assert (len(runs[0].k) % 14 == 0) == edge
+    assert runs[0].termination == TERMINATION_BUDGET
+    assert_same_run(*runs)
+
+
+@pytest.mark.parametrize("regime", [FIXED, VARYING_SC, OPTIMAL_SS, ACCELERATED])
+def test_streamed_table_equals_the_stored_one_when_a_stop_ends_the_run(monkeypatch, regime):
+    monkeypatch.setattr(lyapunov, "BLOCK_ELEMENTS", 28)
+    monkeypatch.setattr(lyapunov, "STREAM_ELEMENTS", 56)
+    # optimal_ss reaches the residual tolerance in a few dozen steps
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=4, seed=0, mu=1.0, gamma=1.0))
+    sched = make_schedule(regime, built.problem.F_norm, mu=1.0, gamma=1.0)
+    init = PrimalDualPair(np.ones(4), -np.ones(4))
+    if regime == OPTIMAL_SS:
+        runs = stored_and_streamed(built.problem, sched, init, built.saddle, budget=1000, tol=1e-10)
+        assert runs[0].termination == TERMINATION_RESIDUAL and len(runs[0].k) % 14
+        assert_same_run(*runs)
+    # an amplifying "prox" trips the divergence guard after a few steps
+    problem = SaddleProblem(
+        F=np.eye(4), prox_f=lambda v, t: 4.0 * v + 1.0, prox_gstar=lambda w, t: 4.0 * w + 1.0,
+        mu=1.0, gamma=1.0,
+    )
+    saddle = PrimalDualPair(np.zeros(4), np.zeros(4))
+    for record_every in (1, 3):
+        runs = stored_and_streamed(
+            problem, sched, init, saddle, budget=1000, tol=0.0, record_every=record_every
+        )
+        assert runs[0].termination == TERMINATION_DIVERGENCE
+        assert_same_run(*runs)
