@@ -21,9 +21,11 @@ from .engine import (
     step_residuals,
 )
 from .lyapunov import (
+    Claim,
     LyapunovTable,
     NoMatchingLemma,
     TableAccumulator,
+    Theorem,
     alpha_rate,
     lemma_records,
     lyapunov_accelerated,

@@ -54,9 +54,9 @@ from .config import (
 from .dynamics import integrate
 from .engine import TERMINATION_DIVERGENCE, run
 from .lyapunov import (
-    LyapunovTable,
     NoMatchingLemma,
     TableAccumulator,
+    Theorem,
     alpha_rate,
     block_rows,
     lemma_records,
@@ -143,130 +143,47 @@ def _check_lemma(problem, traj, table) -> tuple[CheckResult, Optional[np.ndarray
     return CheckResult(CHECK_LEMMA, PASS, detail), slack
 
 
-def _first_nonfinite(k, *named) -> Optional[CheckResult]:
-    """A theorem FAIL naming the first nan or inf among the (name, column)
-    pairs: the earliest row of ``k`` first, then the earliest pair."""
-    values = np.column_stack([column for _, column in named])
-    hits = np.argwhere(~np.isfinite(values))
-    if not len(hits):
-        return None
-    row, pair = hits[0]
-    return CheckResult(
-        CHECK_THEOREM, FAIL,
-        f"{named[pair][0]} is {values[row, pair]:g} at k={np.atleast_1d(k)[row]}",
-    )
-
-
-def _first_over(k, value, bound, what) -> Optional[CheckResult]:
-    """A theorem FAIL naming the first row whose ``value`` exceeds its
-    ``bound`` by more than 1e-6 relative."""
-    over = np.flatnonzero(value > bound * (1.0 + 1e-6))
-    if not over.size:
-        return None
-    i = over[0]
-    return CheckResult(
-        CHECK_THEOREM, FAIL, f"{what} exceeded at k={k[i]}: {value[i]:.6g} > {bound[i]:.6g}"
-    )
-
-
-def _tightest(k, value, bound) -> str:
-    """The largest value/bound ratio and its k, as "<ratio> at k=<k>"; a
-    row whose bound is not positive counts as ratio 0."""
-    ratio = np.divide(value, bound, out=np.zeros(len(value)), where=bound > 0)
-    i = np.argmax(ratio)
-    return f"{ratio[i]:.6g} at k={k[i]}"
-
-
-def _check_theorem(schedule, problem, table, bounds) -> CheckResult:
-    """The regime's closed-form bound against the run.  ``bounds`` is what
-    :func:`theorem_bound` gave for ``table``: its ``(bound, trajectory)``
-    arrays, or the NoMatchingLemma it raised, whose reason is the skip
-    detail.  Any nan or inf compared (an overflowed bound, say) is a FAIL."""
-    regime = schedule.regime
-    if regime == FIXED:
-        return CheckResult(
-            CHECK_THEOREM, SKIPPED, "fixed regime has no closed-form rate guarantee"
-        )
+def _check_theorem(table, theorem) -> CheckResult:
+    """The regime's theorem against the run.  ``theorem`` is what
+    :func:`theorem_bound` gave for ``table``, or the NoMatchingLemma it
+    raised, whose reason is the skip detail.  After the final post-state,
+    which no claim covers, each claim in turn fails at its first nan or inf
+    (an overflowed bound, say), then at its first row over its bound.  A
+    PASS names, per claim, the tightest ratio of the measured value to the
+    largest one that passes, bound (1 + rtol) + atol, and that ratio at
+    the claim's last row; a row that allows nothing above 0 counts as 0."""
     if table is None:
         return CheckResult(CHECK_THEOREM, SKIPPED, "no certified saddle available")
-    if isinstance(bounds, NoMatchingLemma):
-        return CheckResult(CHECK_THEOREM, SKIPPED, str(bounds))
-    bound, trajectory = bounds
-    k, E, dist = table.k, table.E, table.dist_x
-    mu, gamma = problem.mu, problem.gamma
-    last = int(k[-1]) + 1
-    # The final post-state is compared by no per-row bound below.
-    failed = _first_nonfinite(
-        last, ("Lyapunov value", table.E_next[-1]), ("distance", table.dist_x_next[-1])
-    )
-    if failed:
-        return failed
-
-    if regime == VARYING_SC:
-        failed = _first_nonfinite(k, ("Lyapunov value", E), ("bound", bound))
-        if failed:
-            return failed
-        over = E > bound * (1.0 + 1e-6)
-        if over.any():
-            ratio = np.divide(
-                E[over], bound[over], out=np.full(over.sum(), math.inf),
-                where=bound[over] > 0,
-            )
-            return CheckResult(
-                CHECK_THEOREM, FAIL, f"Lyapunov bound exceeded, worst ratio {ratio.max():.6g}"
-            )
-        failed = _first_nonfinite(k, ("distance", dist), ("trajectory bound", trajectory))
-        return failed or _first_over(k, dist, trajectory, "trajectory bound") or CheckResult(
-            CHECK_THEOREM, PASS,
-            f"Lyapunov and trajectory bounds hold; tightest E/bound {_tightest(k, E, bound)}, "
-            f"distance/bound {_tightest(k, dist, trajectory)}",
+    if isinstance(theorem, NoMatchingLemma):
+        return CheckResult(CHECK_THEOREM, SKIPPED, str(theorem))
+    last = table.k[-1] + 1
+    for what, value in (("Lyapunov value", table.E_next[-1]), ("distance", table.dist_x_next[-1])):
+        if not math.isfinite(value):
+            return CheckResult(CHECK_THEOREM, FAIL, f"{what} is {value:g} at k={last}")
+    held = []
+    for claim in theorem.claims:
+        k, measured, bound = claim.k, claim.measured, claim.bound
+        bad = np.flatnonzero(~np.isfinite(measured) | ~np.isfinite(bound))
+        if bad.size:
+            i = bad[0]
+            detail = f"{claim.name} not finite at k={k[i]}: {measured[i]:.6g} vs {bound[i]:.6g}"
+            return CheckResult(CHECK_THEOREM, FAIL, detail)
+        allowed = bound * (1.0 + claim.rtol) + claim.atol
+        over = np.flatnonzero(measured > allowed)
+        if over.size:
+            i = over[0]
+            detail = f"{claim.name} exceeded at k={k[i]}: {measured[i]:.6g} > {bound[i]:.6g}"
+            return CheckResult(CHECK_THEOREM, FAIL, detail)
+        if not len(k):
+            held.append(f"{claim.name} has no rows")
+            continue
+        ratio = np.divide(measured, allowed, out=np.zeros(len(k)), where=allowed > 0)
+        i = np.argmax(ratio)
+        held.append(
+            f"{claim.name} holds: tightest {ratio[i]:.6g} at k={k[i]}, "
+            f"final {ratio[-1]:.6g} at k={k[-1]}"
         )
-
-    if regime == ACCELERATED:
-        K0 = k0_threshold(mu, schedule.c)
-        after = k >= K0
-        k, dist, bound = k[after], dist[after], bound[after]
-        failed = _first_nonfinite(k, ("distance", dist), ("bound", bound))
-        return failed or _first_over(k, dist, bound, "O(1/k^2) bound") or CheckResult(
-            CHECK_THEOREM, PASS,
-            f"O(1/k^2) bound holds from K0={K0}; tightest distance/bound "
-            f"{_tightest(k, dist, bound)}",
-        )
-
-    # OPTIMAL_SS: per-step contraction plus the terminal weighted sandwich.
-    rho = rho_rate(mu, gamma, schedule.s, problem.F_norm)
-    failed = _first_nonfinite(k, ("Lyapunov value", E))
-    if failed:
-        return failed
-    try:
-        summary = contraction_factors(_finite_E(table))
-        if summary.max_ratio > rho + 1e-8:
-            return CheckResult(
-                CHECK_THEOREM, FAIL,
-                f"contraction ratio {summary.max_ratio:.12g} exceeds rho={rho:.12g}",
-            )
-        ratio_detail = f"max ratio {summary.max_ratio:.6g} <= rho {rho:.6g}"
-    except ValueError:
-        ratio_detail = "contraction ratios not measurable (series too short)"
-    weighted = mu * table.dist_x_next[-1] + gamma * table.dist_y_next[-1]
-    sandwich = trajectory[-1]
-    failed = _first_nonfinite(
-        last, ("terminal weighted distance", weighted), ("sandwich", sandwich)
-    )
-    if failed:
-        return failed
-    if weighted > sandwich * (1.0 + 1e-9) + 1e-300:
-        return CheckResult(
-            CHECK_THEOREM, FAIL,
-            f"terminal weighted distance {weighted:.6g} exceeds sandwich {sandwich:.6g}",
-        )
-    return CheckResult(CHECK_THEOREM, PASS, ratio_detail)
-
-
-def _finite_E(table: LyapunovTable) -> np.ndarray:
-    """The (k, E) rows of the table where E is defined, as an (n, 2) array."""
-    keep = ~np.isnan(table.E)
-    return np.column_stack((table.k[keep], table.E[keep]))
+    return CheckResult(CHECK_THEOREM, PASS, "; ".join(held))
 
 
 def _check_rate_fit(problem, traj, table) -> tuple[CheckResult, Optional[float], Optional[float]]:
@@ -399,14 +316,14 @@ def _execute(config, built, schedule, resolved, write_trajectory, quiet):
     except MemoryError as exc:  # the (R,) columns are reserved for the whole budget
         raise ConfigError(f"{exc}; lower budget or raise record_every") from exc
     table = observer.table(traj) if saddle is not None else None
-    # The regime's bounds on each row, read by the theorem check and the CSV:
-    # (bound, trajectory), or the NoMatchingLemma that withheld them.
-    bounds = None
+    # The regime's theorem, read by the theorem check and the CSV, or the
+    # NoMatchingLemma that withheld it.
+    theorem = None
     if table is not None and (write_trajectory or CHECK_THEOREM in config.checks):
         try:
-            bounds = theorem_bound(schedule, problem, table)
+            theorem = theorem_bound(schedule, problem, table)
         except NoMatchingLemma as exc:
-            bounds = exc
+            theorem = exc
     # The sweep aggregate wants a slope even when rate_fit was not requested.
     rate_fit, slope, resid = _check_rate_fit(problem, traj, table)
     metrics = {"slope": slope, "slope_residual": resid, "geomean_ratio": None}
@@ -417,7 +334,7 @@ def _execute(config, built, schedule, resolved, write_trajectory, quiet):
         if name == CHECK_LEMMA:
             result, slacks = _check_lemma(problem, traj, table)
         elif name == CHECK_THEOREM:
-            result = _check_theorem(schedule, problem, table, bounds)
+            result = _check_theorem(table, theorem)
         elif name == CHECK_RATE_FIT:
             result = rate_fit
         else:
@@ -425,8 +342,10 @@ def _execute(config, built, schedule, resolved, write_trajectory, quiet):
         results.append(result)
 
     if table is not None:
+        defined = ~np.isnan(table.E)
         try:
-            metrics["geomean_ratio"] = contraction_factors(_finite_E(table)).geomean_ratio
+            E_series = np.column_stack((table.k[defined], table.E[defined]))
+            metrics["geomean_ratio"] = contraction_factors(E_series).geomean_ratio
         except ValueError:  # not measurable
             pass
 
@@ -455,7 +374,7 @@ def _execute(config, built, schedule, resolved, write_trajectory, quiet):
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(
             os.path.join(out_dir, "trajectory.csv"),
-            traj, table, slacks, bounds[0] if isinstance(bounds, tuple) else None,
+            traj, table, slacks, theorem.bound if isinstance(theorem, Theorem) else None,
         )
         with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
             fh.write("\n".join(lines) + "\n")

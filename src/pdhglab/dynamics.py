@@ -13,8 +13,12 @@ compared against near-continuous reference trajectories (h = s/100).
 
 :func:`integrate` is the stepper; it returns the states as two arrays, X and
 Y, one row per step.  Each step solves M (z+ - z) = h G(z+) for z = (X, Y)
-by Newton's method and accepts z+ once the residual is at most
-NEWTON_TOL, giving up after NEWTON_MAX_ITER updates.  One call fixes h, s,
+by Newton's method.  It accepts z+ once H = M (z+ - z) - h G(z+) has
+||H|| <= NEWTON_TOL or, past z itself, once H less what one ulp in each
+coordinate of z+ can change it by, EPS |N| |z+| for the Newton matrix N,
+is at most NEWTON_TOL max(1, ||M (z+ - z)|| + h ||G(z+)||): a large scale
+or a stiff step (mu = 1e200) keeps ||H|| far above NEWTON_TOL.  It gives
+up after NEWTON_MAX_ITER updates.  One call fixes h, s,
 tau, sigma and the problem, so it builds M, checks its condition number and
 inverts the Newton matrix M - h dG once; affine gradients then cost one
 update per step, and the matrix is re-taken only when an update fails to
@@ -31,10 +35,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problems import Dense, PrimalDualPair, SaddleProblem
+from .problems import Dense, PrimalDualPair, SaddleProblem, _norm
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
+EPS = np.finfo(float).eps
 
 
 def mass_matrix(s: float, tau: float, sigma: float, F: np.ndarray) -> np.ndarray:
@@ -119,24 +124,30 @@ def integrate(
             [-(F.T @ Y) - problem.grad_f(X), F @ X - problem.grad_gstar(Y)]
         )
 
-    def newton_inverse(z):
-        return np.linalg.inv(M - h * _rhs_jacobian(problem, z[:d1], z[d1:]))
+    def newton_matrix(z):  # N^-1 and |N| for the Newton matrix N = M - h dG at z
+        N = M - h * _rhs_jacobian(problem, z[:d1], z[d1:])
+        return np.linalg.inv(N), np.abs(N)
 
     n_steps = int(np.ceil(T / h - 1e-12))
     Z = np.empty((n_steps + 1, d1 + problem.d2))
     z = Z[0] = np.concatenate([init.x, init.y])
-    J_inv = newton_inverse(z)
+    J_inv, N_abs = newton_matrix(z)
     G = rhs(z)
     for j in range(1, n_steps + 1):
         z_new = z
         last = np.inf
-        for _ in range(NEWTON_MAX_ITER):
-            H = M @ (z_new - z) - h * G
-            res = np.linalg.norm(H)
+        for i in range(NEWTON_MAX_ITER):
+            MD = M @ (z_new - z)
+            H = MD - h * G
+            res = _norm(H)
             if res <= NEWTON_TOL:
                 break
+            if i:  # z itself is held to the absolute test: it spares each step the scaled one
+                beyond = np.maximum(np.abs(H) - EPS * (N_abs @ np.abs(z_new)), 0.0)
+                if _norm(beyond) <= NEWTON_TOL * max(1.0, _norm(MD) + h * _norm(G)):
+                    break
             if res > 0.5 * last:
-                J_inv = newton_inverse(z_new)
+                J_inv, N_abs = newton_matrix(z_new)
             z_new = z_new - J_inv @ H
             G = rhs(z_new)
             last = res

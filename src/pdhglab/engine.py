@@ -213,7 +213,9 @@ def run(
         x_next, y_next = pdhg_step(problem, x, y, tau_k, sigma_k, theta_k)
         rp, rd = step_residuals(problem.F, x, y, x_next, y_next, tau_k, sigma_k, theta_k)
 
-        state_norm = math.sqrt(float(x_next @ x_next)) + math.sqrt(float(y_next @ y_next))
+        # np.vdot warns of no overflow: the guard reads an inf as divergence
+        sq_x, sq_y = float(np.vdot(x_next, x_next)), float(np.vdot(y_next, y_next))
+        state_norm = math.sqrt(sq_x) + math.sqrt(sq_y)
         diverged = (not np.isfinite(state_norm)) or state_norm > DIVERGENCE_GUARD
         hit_tol = max(rp, rd) <= tol
         last = diverged or hit_tol or i == budget - 1

@@ -18,8 +18,9 @@ feeds it the states of a stored trajectory.  :func:`lemma_records` reads that
 table for the lemma's right-hand side and per-step slack, so checking a
 lemma is those two calls in turn.  :func:`theorem_bound` is the one
 source of each regime's closed-form convergence guarantee: it reads its
-constants from the schedule, the problem and that table, and gives the
-bound on every row.
+constants from the schedule, the problem and that table, and states the
+theorem as a list of :class:`Claim` records, each a measured column that
+must stay under a bound column.
 
 All evaluators are pure functions of their arguments.  The Lyapunov and NE
 evaluators take one state (and return a float) or stacked rows of states
@@ -36,6 +37,7 @@ import numpy as np
 
 from .engine import Trajectory
 from .problems import PrimalDualPair, SaddleProblem
+from .rates import contraction_factors
 from .schedules import (
     ACCELERATED,
     FIXED,
@@ -76,7 +78,9 @@ class LyapunovTable:
     of row i): the regime's Lyapunov values E(k) and E(k+1), the
     numerical-error term NE, and the squared distances of the pre-state
     (x_k, y_k) and the post-state (x_{k+1}, y_{k+1}) to the saddle.
-    Undefined entries are nan.
+    Undefined entries are nan.  ``dist_x_floor`` = ||eps max(|x*|, |x_K|)||^2
+    and ``dist_y_floor`` are what rounding alone can put between the final
+    post-state (x_K, y_K) and the saddle, eps the machine epsilon.
     """
 
     k: np.ndarray
@@ -87,6 +91,31 @@ class LyapunovTable:
     E_next: np.ndarray
     dist_x_next: np.ndarray
     dist_y_next: np.ndarray
+    dist_x_floor: float
+    dist_y_floor: float
+
+
+@dataclass(frozen=True, eq=False)
+class Claim:
+    """One "measured <= bound" claim of a theorem on the table rows it
+    covers, whose indices are ``k``: it fails at a row where
+    measured > bound (1 + rtol) + atol."""
+
+    name: str
+    k: np.ndarray
+    measured: np.ndarray
+    bound: np.ndarray
+    rtol: float = 0.0
+    atol: float = 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class Theorem:
+    """A regime's theorem on one table: its claims, in the order they are
+    checked, and ``bound``, the trajectory CSV's bound column."""
+
+    claims: tuple[Claim, ...]
+    bound: np.ndarray
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray):
@@ -240,30 +269,33 @@ def _lgamma(a: np.ndarray) -> np.ndarray:
 
 def theorem_bound(
     schedule: Schedule, problem: SaddleProblem, table: LyapunovTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """The closed-form convergence bound of the schedule's regime, one value
-    per row of ``table``, as ``(bound, trajectory)``.
+) -> Theorem:
+    """The closed-form convergence theorem of the schedule's regime on the
+    rows of ``table``.
 
     Every constant is read from its source: regime, s and c from
     ``schedule``; mu, gamma and ||F|| from ``problem``; E(0) and the squared
     initial distances dx0, dy0 from the table's row k = 0, and E(K0) from
-    its row K0.
+    its row K0.  The claims, with q = s||F||:
 
-    ``varying_sc``
-        bound: E(k) <= (1 + alpha) Gamma(k+2)/Gamma(k+2+alpha) E(0), the
-        generalized factorial ratio (k+1)!/(k+1+alpha)! read through the
-        Gamma function in the log domain.  trajectory: ||x_k - x*||^2 <=
-        (1 + s||F||)/(1 - s||F||) (1 + alpha) Gamma(k+1)/Gamma(k+2+alpha)
-        (dx0 + dy0/(c^2 s^2)), at each row's pre-state.
-
-    ``accelerated``
-        ||x_k - x*||^2 <= 2 E(K0) / (c^2 k^2) for k >= K0, NaN below K0,
-        where no bound is asserted; bound and trajectory are one array.
-
+    ``varying_sc``, every row, rtol 1e-6
+        "Lyapunov bound" E(k) <= (1 + alpha) Gamma(k+2)/Gamma(k+2+alpha)
+        E(0), the generalized factorial ratio (k+1)!/(k+1+alpha)! read in
+        the log domain; "trajectory bound" ||x_k - x*||^2 <= (1 + q)/(1 - q)
+        (1 + alpha) Gamma(k+1)/Gamma(k+2+alpha) (dx0 + dy0/(c^2 s^2)).
+    ``accelerated``, the rows k >= K0, rtol 1e-6
+        "O(1/k^2) bound" ||x_k - x*||^2 <= 2 E(K0) / (c^2 k^2).
     ``optimal_ss``
-        bound: E(k) <= rho^k E(0).  trajectory: mu ||x_{k+1} - x*||^2 +
-        gamma ||y_{k+1} - y*||^2 <= (1 + s||F||)/(1 - s||F||) rho^(k+1)
-        (mu dx0 + gamma dy0), at each row's post-state.
+        "contraction": the per-step ratios of :func:`contraction_factors`
+        on the (k, E) rows, which stop at the first E below its
+        TRUNCATION_FLOOR, are at most rho, atol 1e-8; a ratio sits at the
+        k of its first row.  "terminal sandwich" mu ||x_K - x*||^2 +
+        gamma ||y_K - y*||^2 <= (1 + q)/(1 - q) rho^K (mu dx0 + gamma dy0)
+        at the final post-state K = last k + 1, rtol 1e-9, atol the
+        rounding floor mu dist_x_floor + gamma dist_y_floor.
+
+    The CSV bound is the first claim's bound (nan below K0), and for
+    ``optimal_ss`` rho^k E(0), which no claim checks.
 
     Raises NoMatchingLemma for the fixed regime (no closed-form rate), for
     a run not recorded from k = 0 (or with no E(0)), and for an accelerated
@@ -282,7 +314,9 @@ def theorem_bound(
         E_K0 = float(table.E[at[0]])
         k_sq = np.square(np.maximum(k, K0), dtype=float)  # K0 >= 1: no division by zero
         bound = np.where(k < K0, np.nan, 2.0 * E_K0 / (np.float64(schedule.c) ** 2 * k_sq))
-        return bound, bound
+        after = k >= K0
+        claim = Claim("O(1/k^2) bound", k[after], table.dist_x[after], bound[after], rtol=1e-6)
+        return Theorem((claim,), bound)
     if k[0] != 0 or math.isnan(table.E[0]):
         raise NoMatchingLemma("bound constants unavailable (run not recorded from its start)")
     E0, dx0, dy0 = float(table.E[0]), float(table.dist_x[0]), float(table.dist_y[0])
@@ -295,18 +329,42 @@ def theorem_bound(
         # numpy's power overflows to inf (and the term to 0) where float ** raises
         weight = dx0 + dy0 / (np.float64(c) ** 2 * s**2)
         trajectory = _sandwich(s, F_norm) * (1.0 + alpha) * np.exp(_lgamma(k + 1.0) - lg) * weight
-        return bound, trajectory
+        claims = (
+            Claim("Lyapunov bound", k, table.E, bound, rtol=1e-6),
+            Claim("trajectory bound", k, table.dist_x, trajectory, rtol=1e-6),
+        )
+        return Theorem(claims, bound)
     if regime == OPTIMAL_SS:
         gamma = problem.gamma
         rho = rho_rate(mu, gamma, s, F_norm)
-        trajectory = _sandwich(s, F_norm) * rho ** (k + 1) * (mu * dx0 + gamma * dy0)
-        return rho**k * E0, trajectory
+        try:
+            ratios = contraction_factors(np.column_stack((k, table.E))).ratios
+        except ValueError:  # fewer than two rows above the floor
+            ratios = np.empty(0)
+        rows = k[: len(ratios)]
+        K = k[-1:] + 1
+        weighted = mu * table.dist_x_next[-1:] + gamma * table.dist_y_next[-1:]
+        sandwich = _sandwich(s, F_norm) * rho**K * (mu * dx0 + gamma * dy0)
+        floor = mu * table.dist_x_floor + gamma * table.dist_y_floor
+        claims = (
+            Claim("contraction", rows, ratios, np.full(len(rows), rho), atol=1e-8),
+            Claim("terminal sandwich", K, weighted, sandwich, rtol=1e-9, atol=floor),
+        )
+        return Theorem(claims, rho**k * E0)
     raise ValueError(f"unknown regime {regime!r}")
 
 
 def _sq_dist(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     diff = points - center
     return _rowdot(diff, diff)
+
+
+@np.errstate(over="ignore")  # past ~1e170 the floor is inf: rounding allows any distance
+def _rounding_floor(a: np.ndarray, b: np.ndarray) -> float:
+    """||eps max(|a|, |b|)||^2: the squared distance between a and b that
+    rounding alone can give."""
+    scale = np.finfo(float).eps * np.maximum(np.abs(a), np.abs(b))
+    return float(scale @ scale)
 
 
 def block_rows(problem: SaddleProblem) -> int:
@@ -395,9 +453,12 @@ class TableAccumulator:
             ne = np.where(follows, np.roll(ne, 1), np.nan)
             if self._first is not None:
                 E[0], ne[0] = self._first
+        saddle, final = self._saddle, trajectory.final
         return LyapunovTable(
             k=k, E=E, ne=ne, dist_x=dist_x, dist_y=dist_y,
             E_next=E_next, dist_x_next=dist_x_next, dist_y_next=dist_y_next,
+            dist_x_floor=_rounding_floor(saddle.x, final.x),
+            dist_y_floor=_rounding_floor(saddle.y, final.y),
         )
 
 

@@ -159,9 +159,10 @@ def test_criterion_02_varying_sc_theorem_bound():
         lyapunov_fixed(traj.x[i], traj.y[i], saddle, traj.tau[i], traj.sigma[i], problem.F)
         for i in rows
     ]
-    bound, trajectory_bound = theorem_bound(
+    lyapunov_claim, trajectory_claim = theorem_bound(
         schedule, problem, lyapunov_table(traj, problem, saddle)
-    )
+    ).claims
+    bound, trajectory_bound = lyapunov_claim.bound, trajectory_claim.bound
 
     worst_E = worst_traj = 0.0
     for i, Ek in zip(rows, E):
@@ -231,7 +232,9 @@ def test_criterion_04_accelerated_rate_bound():
     )
     table = lyapunov_table(traj, problem, saddle)
     assert table.k[0] == 1 and table.E[0] == E_K0
-    bound, _ = theorem_bound(schedule, problem, table)
+    (claim,) = theorem_bound(schedule, problem, table).claims
+    assert claim.k[0] == 1  # K0 = 1: the claim covers every row
+    bound = claim.bound
     worst = 0.0
     for x, bound_k in zip(traj.x, bound):
         worst = max(worst, dist_sq(x, saddle.x) / bound_k)
@@ -279,10 +282,10 @@ def test_criterion_05_contraction_rate():
 
     weighted = dist_sq(traj.x_next[-1], saddle.x) + dist_sq(traj.y_next[-1], saddle.y)
     # the sandwich at the post-state of the last row, k + 1
-    _, trajectory_bound = theorem_bound(
+    _, sandwich_claim = theorem_bound(
         traj.schedule, problem, lyapunov_table(traj, problem, saddle)
-    )
-    sandwich = trajectory_bound[-1]
+    ).claims
+    (sandwich,) = sandwich_claim.bound
     ok = (
         summary.max_ratio <= rho + 1e-8
         and weighted <= sandwich * (1.0 + 1e-9)

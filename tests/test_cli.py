@@ -11,12 +11,13 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pdhglab import cli, config as config_module, lyapunov, zoo
+from pdhglab import cli, config as config_module, dynamics, lyapunov, zoo
 from pdhglab.cli import CSV_COLUMNS, execute, main
 from pdhglab.config import ConfigError, materialize, parse_config
 from pdhglab.dynamics import integrate
@@ -37,14 +38,31 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
-def tightest_ratio(rows, column):
-    """The largest ``column``/theorem_bound ratio of CSV rows with a finite
-    bound, and its k."""
-    ratios = [
+def bound_ratios(rows, column):
+    """The ``column``/theorem_bound ratios of CSV rows with a finite bound,
+    as (ratio, k) pairs in row order."""
+    return [
         (float(row[column]) / float(row["theorem_bound"]), int(row["k"]))
         for row in rows if math.isfinite(float(row["theorem_bound"]))
     ]
-    return max(ratios, key=lambda pair: pair[0])
+
+
+def tightest_ratio(rows, column):
+    """The largest ``column``/theorem_bound ratio of CSV rows with a finite
+    bound, and its k."""
+    return max(bound_ratios(rows, column), key=lambda pair: pair[0])
+
+
+def patch_claims(monkeypatch, change):
+    """Have the CLI check ``change(claim)`` in place of each claim of the
+    regime's real theorem."""
+    real_bound = cli.theorem_bound
+
+    def patched(schedule, problem, table):
+        theorem = real_bound(schedule, problem, table)
+        return replace(theorem, claims=tuple(change(claim) for claim in theorem.claims))
+
+    monkeypatch.setattr(cli, "theorem_bound", patched)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +211,17 @@ def test_accelerated_theorem_pass_names_its_tightest_ratio(tmp_path, capsys):
         "output": str(out),
     }
     assert main(["run", write_config(tmp_path, doc)]) == 0
-    ratio, k = tightest_ratio(read_rows(out / "trajectory.csv"), "dist_x_sq")
+    rows = read_rows(out / "trajectory.csv")
+    ratio, k = tightest_ratio(rows, "dist_x_sq")
+    final_ratio, last_k = bound_ratios(rows, "dist_x_sq")[-1]
     match = re.search(
-        r"check\.theorem = PASS \(O\(1/k\^2\) bound holds from K0=5; "
-        r"tightest distance/bound (\S+) at k=(\d+)\)",
+        r"check\.theorem = PASS \(O\(1/k\^2\) bound holds: tightest (\S+) at k=(\d+), "
+        r"final (\S+) at k=(\d+)\)",
         capsys.readouterr().out,
     )
-    assert match and int(match[2]) == k >= 5
+    assert match and int(match[2]) == k >= 5 and int(match[4]) == last_k == 300
     assert float(match[1]) == pytest.approx(ratio, rel=1e-5) and 0.0 < ratio <= 1.0
+    assert float(match[3]) == pytest.approx(final_ratio, rel=1e-5)
 
 
 def test_verify_fails_lemma_on_nan_slack(tmp_path, capsys, monkeypatch):
@@ -267,10 +288,7 @@ def test_verify_fails_theorem_on_nan_post_state(
 
 @pytest.mark.parametrize("regime", ["varying_sc", "accelerated"])
 def test_theorem_fails_on_nan_bound(monkeypatch, regime):
-    monkeypatch.setattr(
-        cli, "theorem_bound",
-        lambda schedule, problem, table: (np.full(table.k.shape, math.nan),) * 2,
-    )
+    patch_claims(monkeypatch, lambda c: replace(c, bound=np.full_like(c.bound, math.nan)))
     config = parse_config(json.dumps({
         "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
         "regime": regime,
@@ -279,18 +297,16 @@ def test_theorem_fails_on_nan_bound(monkeypatch, regime):
     }))
     code, lines, _ = execute(config, write_trajectory=False, quiet=True)
     assert code == 1
+    first = {"varying_sc": r"Lyapunov bound", "accelerated": r"O\(1/k\^2\) bound"}[regime]
     assert any(
-        re.fullmatch(r"check\.theorem = FAIL \(bound is nan at k=\d+\)", line)
-        for line in lines
+        re.fullmatch(rf"check\.theorem = FAIL \({first} not finite at k=\d+: \S+ vs nan\)", ln)
+        for ln in lines
     )
 
 
 def test_theorem_fails_on_infinite_bound(monkeypatch):
     # an overflowed bound holds every value below it: it must not pass
-    monkeypatch.setattr(
-        cli, "theorem_bound",
-        lambda schedule, problem, table: (np.full(table.k.shape, math.inf),) * 2,
-    )
+    patch_claims(monkeypatch, lambda c: replace(c, bound=np.full_like(c.bound, math.inf)))
     config = parse_config(json.dumps({
         "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
         "regime": "varying_sc",
@@ -299,7 +315,8 @@ def test_theorem_fails_on_infinite_bound(monkeypatch):
     }))
     code, lines, _ = execute(config, write_trajectory=False, quiet=True)
     assert code == 1
-    assert "check.theorem = FAIL (bound is inf at k=0)" in lines
+    pattern = r"check\.theorem = FAIL \(Lyapunov bound not finite at k=0: \S+ vs inf\)"
+    assert any(re.fullmatch(pattern, line) for line in lines)
 
 
 # numpy warns of the overflows this config is built to cause
@@ -316,8 +333,8 @@ def test_varying_sc_theorem_with_an_overflowing_c_squared_ends_in_a_verdict(tmp_
     }
     assert main(["verify", write_config(tmp_path, doc)]) == 0
     assert re.search(
-        r"check\.theorem = PASS \(Lyapunov and trajectory bounds hold; "
-        r"tightest E/bound \S+ at k=\d+, distance/bound \S+ at k=\d+\)",
+        r"check\.theorem = PASS \(Lyapunov bound holds: tightest \S+ at k=\d+, final \S+ at k=49; "
+        r"trajectory bound holds: tightest \S+ at k=\d+, final \S+ at k=49\)",
         capsys.readouterr().out,
     )
 
@@ -342,8 +359,6 @@ def test_accelerated_with_an_overflowing_c_squared_ends_in_a_verdict(tmp_path, c
     assert "check.theorem = FAIL (Lyapunov value is inf at k=51)" in capsys.readouterr().out
 
 
-# numpy warns of the overflows this config is built to cause
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_final_residual_stays_finite_when_its_square_overflows(tmp_path, capsys):
     # mu = 1e300: the primal displacement residual is about 5e296, so its
     # square is past the largest double
@@ -390,12 +405,11 @@ def test_ode_compare_matches_a_per_row_reference():
     assert result.detail in (f"halving ratios {ratios}", f"halving ratios {ratios} exceed 0.7")
 
 
-# numpy warns of the overflows these moduli are built to cause
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("moduli", [{"mu": 1e200}, {"gamma": 1e200}])
-def test_ode_compare_names_a_newton_failure(tmp_path, capsys, moduli):
-    # the implicit-Euler reference cannot meet the absolute Newton residual
-    # 1e-10 on this scale: a verdict, not a traceback
+def test_ode_compare_names_a_newton_failure(tmp_path, capsys, monkeypatch, moduli):
+    # one Newton update cannot solve a step: a verdict, not a traceback.  At
+    # these moduli the residual's square overflows on the way to that verdict
+    monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 1)
     doc = {
         "instance": {"kind": "quad_pair", "d": 4, **moduli},
         "regime": "fixed",
@@ -410,8 +424,42 @@ def test_ode_compare_names_a_newton_failure(tmp_path, capsys, moduli):
     assert re.search(pattern, capsys.readouterr().out)
 
 
-# the instance build squares a residual past the double range and warns
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("moduli", [{"mu": 1e200}, {"gamma": 1e200}])
+def test_ode_compare_newton_stops_at_the_rounding_floor_of_a_stiff_step(tmp_path, capsys, moduli):
+    # h 1e200 (x+ - a) (or (y+ - b)) moves by about 1e182 as x+ (or y+)
+    # moves one ulp, so no Newton iterate brings the residual near 1e-10;
+    # the solve meets its test net of that floor, and the halvings pass
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 4, **moduli},
+        "regime": "fixed",
+        "budget": 50,
+        "checks": ["ode_compare"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    assert "did not reach residual" not in out
+    assert re.search(r"^check\.ode_compare = PASS \(halving ratios \S+, \S+\)$", out, re.M)
+
+
+def test_optimal_ss_sandwich_below_the_rounding_floor_passes(tmp_path, capsys):
+    # mu = 1e200 puts rho near 1e-100: the sandwich bound falls to about
+    # 1e-99 while an x of order 1 lies about 1e-16 from x*, which mu weighs
+    # up to about 1e168, the distance's rounding floor
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 4, "mu": 1e200},
+        "regime": "optimal_ss",
+        "budget": 50,
+        "checks": ["lemma", "theorem"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    assert "check.lemma = PASS" in out
+    assert re.search(
+        r"^check\.theorem = PASS \(contraction has no rows; terminal sandwich holds: "
+        r"tightest \S+ at k=3, final \S+ at k=3\)$", out, re.M,
+    )
+
+
 def test_optimal_ss_moduli_ratio_past_the_double_range_is_exit_2(tmp_path, capsys):
     doc = {
         "instance": {"kind": "quad_pair", "d": 2, "mu": 1e-200, "gamma": 1e200},
@@ -454,21 +502,23 @@ def test_rate_fit_skip_names_the_window_start_and_the_last_k(tmp_path, capsys):
 @pytest.mark.parametrize(
     "regime, form, detail",
     [
-        ("varying_sc", "lyapunov", r"Lyapunov bound exceeded, worst ratio \S+"),
+        ("varying_sc", "lyapunov", r"Lyapunov bound exceeded at k=0: \S+ > \S+"),
         ("varying_sc", "trajectory", r"trajectory bound exceeded at k=0: \S+ > \S+"),
         ("accelerated", "lyapunov", r"O\(1/k\^2\) bound exceeded at k=1: \S+ > \S+"),
-        ("optimal_ss", "trajectory",
-         r"terminal weighted distance \S+ exceeds sandwich \S+"),
+        ("optimal_ss", "trajectory", r"terminal sandwich exceeded at k=38: \S+ > \S+"),
     ],
 )
 def test_theorem_fails_on_exceeded_bound(monkeypatch, regime, form, detail):
+    # "lyapunov" shrinks the regime's first claim, "trajectory" its last;
+    # the optimal_ss sandwich, shrunk, stays above its rounding floor
     real_bound = cli.theorem_bound
 
     def shrunk(schedule, problem, table):
-        bound, trajectory = real_bound(schedule, problem, table)
-        if form == "lyapunov":
-            return bound * 1e-12, trajectory
-        return bound, trajectory * 1e-12
+        theorem = real_bound(schedule, problem, table)
+        claims = list(theorem.claims)
+        i = 0 if form == "lyapunov" else -1
+        claims[i] = replace(claims[i], bound=claims[i].bound * 1e-12)
+        return replace(theorem, claims=tuple(claims))
 
     monkeypatch.setattr(cli, "theorem_bound", shrunk)
     config = parse_config(json.dumps({
@@ -483,7 +533,7 @@ def test_theorem_fails_on_exceeded_bound(monkeypatch, regime, form, detail):
 
 
 def test_theorem_fails_on_contraction_above_rho(monkeypatch):
-    monkeypatch.setattr(cli, "rho_rate", lambda *args: 0.125)
+    monkeypatch.setattr(lyapunov, "rho_rate", lambda *args: 0.125)
     config = parse_config(json.dumps({
         "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
         "regime": "optimal_ss",
@@ -492,7 +542,7 @@ def test_theorem_fails_on_contraction_above_rho(monkeypatch):
     }))
     code, lines, _ = execute(config, write_trajectory=False, quiet=True)
     assert code == 1
-    pattern = r"check\.theorem = FAIL \(contraction ratio \S+ exceeds rho=0\.125\)"
+    pattern = r"check\.theorem = FAIL \(contraction exceeded at k=\d+: \S+ > 0\.125\)"
     assert any(re.fullmatch(pattern, line) for line in lines)
 
 
@@ -567,15 +617,19 @@ def test_theorem_and_csv_share_one_bound_per_record(tmp_path, monkeypatch):
     code, lines, _ = execute(config, write_trajectory=True, quiet=True)
     assert code == 0
     rows = read_rows(tmp_path / "trajectory.csv")
-    # the PASS detail names the largest E/bound ratio of the CSV's rows
+    # the PASS detail names the largest E/bound ratio of the CSV's rows, and
+    # the ratio of its last row
     ratio, k = tightest_ratio(rows, "lyapunov")
+    final_ratio, last_k = bound_ratios(rows, "lyapunov")[-1]
     (line,) = [line for line in lines if line.startswith("check.theorem")]
     match = re.fullmatch(
-        r"check\.theorem = PASS \(Lyapunov and trajectory bounds hold; tightest "
-        r"E/bound (\S+) at k=(\d+), distance/bound \S+ at k=\d+\)", line
+        r"check\.theorem = PASS \(Lyapunov bound holds: tightest (\S+) at k=(\d+), "
+        r"final (\S+) at k=(\d+); trajectory bound holds: tightest \S+ at k=\d+, "
+        r"final \S+ at k=\d+\)", line
     )
-    assert match and int(match[2]) == k
+    assert match and int(match[2]) == k and int(match[4]) == last_k
     assert float(match[1]) == pytest.approx(ratio, rel=1e-5)
+    assert float(match[3]) == pytest.approx(final_ratio, rel=1e-5)
     K = len(rows)
     assert K > 1
     assert all(math.isfinite(float(row["theorem_bound"])) for row in rows)

@@ -20,6 +20,7 @@ from pdhglab import (
 )
 from pdhglab import dynamics
 from pdhglab.dynamics import mass_matrix
+from pdhglab.zoo import make_quad_pair
 
 
 def decoupled_problem():
@@ -137,6 +138,55 @@ def test_newton_handles_nonlinear_gradients(monkeypatch):
     monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 1)
     with pytest.raises(RuntimeError):
         one_step(state, h, s, s, s, prob)
+
+
+def implicit_residuals(X, Y, h, s, problem):
+    """Per step j >= 1: the residual ||M (z_j - z_{j-1}) - h G(z_j)|| of the
+    implicit-Euler equation, and the scale ||M (z_j - z_{j-1})|| + h ||G(z_j)||."""
+    F = problem.F.matrix
+    M = mass_matrix(s, s, s, F)
+    Z = np.hstack([X, Y])
+    G = np.hstack([-(Y @ F) - problem.grad_f(X), X @ F.T - problem.grad_gstar(Y)])
+    MD = np.diff(Z, axis=0) @ M.T
+    residual = np.linalg.norm(MD - h * G[1:], axis=1)
+    return residual, np.linalg.norm(MD, axis=1) + h * np.linalg.norm(G[1:], axis=1)
+
+
+def test_every_step_of_an_ordinary_instance_meets_the_absolute_tolerance():
+    # the scaled test and the rounding floor only accept where the absolute
+    # one cannot be met: on the quad-ode instance each step still meets it
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=16, seed=1))
+    s = 0.9 / built.problem.F_norm
+    init = PrimalDualPair(np.zeros(16), np.zeros(16))
+    X, Y = integrate(init, T=1.0, h=s / 100, s=s, tau=s, sigma=s, problem=built.problem)
+    residual, _ = implicit_residuals(X, Y, s / 100, s, built.problem)
+    assert residual.max() <= dynamics.NEWTON_TOL
+
+
+def test_newton_test_is_relative_to_a_large_scale():
+    # with x* and y* near 1e8 the residual's rounding is about 1e-8, which
+    # no iterate brings under the absolute 1e-10; relative to the size of
+    # its terms each step meets the tolerance
+    F = np.array([[0.6, 0.2], [-0.3, 0.5]])
+    problem, _ = make_quad_pair(1e8 * np.ones(2), 1e8 * np.ones(2), 1.0, 1.0, F)
+    s = 0.5
+    X, Y = integrate(PrimalDualPair(np.zeros(2), np.zeros(2)), 1.0, 0.005, s, s, s, problem)
+    residual, scale = implicit_residuals(X, Y, 0.005, s, problem)
+    assert residual.max() > dynamics.NEWTON_TOL
+    assert np.all(residual <= dynamics.NEWTON_TOL * scale)
+
+
+def test_newton_stops_at_the_rounding_floor_of_a_stiff_step():
+    # mu = 1e200: h mu (x+ - x*) moves by about 1e182 per ulp of x+, so the
+    # residual cannot fall near 1e-10 nor near 1e-10 of its terms; the
+    # first step pins x at x*, where it stays
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=4, seed=0, mu=1e200))
+    problem, saddle = built.problem, built.saddle
+    s = 0.9 / problem.F_norm
+    init = PrimalDualPair(np.zeros(4), np.zeros(4))
+    X, Y = integrate(init, T=1.0, h=s / 100, s=s, tau=s, sigma=s, problem=problem)
+    assert np.isfinite(Y).all()
+    np.testing.assert_array_equal(X[1:], np.broadcast_to(saddle.x, X[1:].shape))
 
 
 def test_integrate_includes_initial_state():

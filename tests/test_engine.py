@@ -236,8 +236,6 @@ def test_optimality_residual_requires_an_oracle():
         optimality_residual(prob, traj, 0)
 
 
-# numpy warns of the squares this test overflows
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_step_residuals_stay_finite_when_their_squares_overflow():
     # ||(3e200, 4e200)|| = 5e200 though its square is past the largest double
     F = Dense(np.eye(2))

@@ -13,6 +13,7 @@ import pytest
 
 from pdhglab import lyapunov
 from pdhglab.engine import TERMINATION_BUDGET, TERMINATION_DIVERGENCE, TERMINATION_RESIDUAL
+from pdhglab.rates import TRUNCATION_FLOOR
 from pdhglab import (
     ACCELERATED,
     FIXED,
@@ -135,10 +136,13 @@ def test_rate_constants():
     assert abs(rho_rate(1.0, 1.0, 0.5, 1.0) - 0.6) <= 1e-15
 
 
-def bound_inputs(k, E, mu=1.0, gamma=0.0, F_norm=0.0, dist_x=0.0, dist_y=0.0):
+def bound_inputs(
+    k, E, mu=1.0, gamma=0.0, F_norm=0.0, dist_x=0.0, dist_y=0.0, floor_x=0.0, floor_y=0.0
+):
     """A problem with the given moduli and a 1x1 coupling of norm ``F_norm``,
-    and a table with rows ``k``, Lyapunov values ``E`` and constant squared
-    distances; theorem_bound reads nothing else."""
+    and a table with rows ``k``, Lyapunov values ``E``, constant squared
+    distances and the given rounding floors; theorem_bound reads nothing
+    else."""
     problem = SaddleProblem(
         F=np.array([[F_norm]]), prox_f=None, prox_gstar=None, mu=mu, gamma=gamma
     )
@@ -146,7 +150,8 @@ def bound_inputs(k, E, mu=1.0, gamma=0.0, F_norm=0.0, dist_x=0.0, dist_y=0.0):
     E = np.broadcast_to(np.asarray(E, dtype=float), k.shape)
     dx, dy, nan = (np.full(k.shape, v) for v in (dist_x, dist_y, math.nan))
     table = lyapunov.LyapunovTable(
-        k=k, E=E, ne=nan, dist_x=dx, dist_y=dy, E_next=nan, dist_x_next=dx, dist_y_next=dy
+        k=k, E=E, ne=nan, dist_x=dx, dist_y=dy, E_next=nan, dist_x_next=dx, dist_y_next=dy,
+        dist_x_floor=floor_x, dist_y_floor=floor_y,
     )
     return problem, table
 
@@ -155,7 +160,7 @@ def test_theorem_bound_integer_alpha_reduces_to_rational():
     # mu = 1, c = 0.5, s = 1, F = 0 gives alpha = 1 and bound 2 E0 / (k + 2)
     k = np.array([0, 1, 8, 100])
     problem, table = bound_inputs(k, 1.0)
-    bound, _ = theorem_bound(Schedule(VARYING_SC, s=1.0, c=0.5), problem, table)
+    bound = theorem_bound(Schedule(VARYING_SC, s=1.0, c=0.5), problem, table).bound
     for ki, got in zip(k, bound):
         assert abs(got - 2.0 / (ki + 2)) <= 1e-12
     assert abs(bound[2] - 0.2) <= 1e-12
@@ -165,7 +170,7 @@ def test_theorem_bound_matches_direct_gamma_for_small_k():
     mu, c, s, Fn = 1.0, 0.25, 0.4, 1.3
     alpha = alpha_rate(mu, c, s, Fn)
     problem, table = bound_inputs(np.arange(21), 3.0, mu=mu, F_norm=Fn)
-    bound, _ = theorem_bound(Schedule(VARYING_SC, s=s, c=c), problem, table)
+    bound = theorem_bound(Schedule(VARYING_SC, s=s, c=c), problem, table).bound
     for k, got in enumerate(bound):
         want = (1 + alpha) * math.gamma(k + 2) / math.gamma(k + 2 + alpha) * 3.0
         assert abs(got - want) <= 1e-12 * want
@@ -174,7 +179,7 @@ def test_theorem_bound_matches_direct_gamma_for_small_k():
 def test_theorem_bound_recurrence_and_monotonicity():
     mu, c, s, Fn = 0.5, 0.2, 0.8, 1.0
     problem, table = bound_inputs(np.arange(400), 1.0, mu=mu, F_norm=Fn)
-    bound, _ = theorem_bound(Schedule(VARYING_SC, s=s, c=c), problem, table)
+    bound = theorem_bound(Schedule(VARYING_SC, s=s, c=c), problem, table).bound
     alpha = alpha_rate(mu, c, s, Fn)
     for k in range(1, 400):
         prev, cur = bound[k - 1], bound[k]
@@ -188,13 +193,16 @@ def test_theorem_bound_regimes_and_errors():
         theorem_bound(Schedule(FIXED, s=0.5, tau=0.5, sigma=0.5), problem, table)
     # accelerated bound below the threshold index K0 = 5 is undefined
     problem, table = bound_inputs(np.arange(1, 11), 1.0)
-    bound, trajectory = theorem_bound(Schedule(ACCELERATED, s=0.5, c=0.9), problem, table)
-    assert math.isnan(bound[0]) and trajectory is bound
+    theorem = theorem_bound(Schedule(ACCELERATED, s=0.5, c=0.9), problem, table)
+    assert np.isnan(theorem.bound[:4]).all()
+    (claim,) = theorem.claims
+    np.testing.assert_array_equal(claim.bound, theorem.bound[4:])
     problem, table = bound_inputs(np.arange(1, 11), 4.5)
-    bound, _ = theorem_bound(Schedule(ACCELERATED, s=0.5, c=2.0 / 3.0), problem, table)
+    bound = theorem_bound(Schedule(ACCELERATED, s=0.5, c=2.0 / 3.0), problem, table).bound
     assert abs(bound[-1] - 2 * 4.5 / ((2.0 / 3.0) ** 2 * 100)) <= 1e-12
     problem, table = bound_inputs(np.arange(8), 2.0, gamma=1.0, F_norm=1.0)
-    bound, _ = theorem_bound(Schedule(OPTIMAL_SS, s=0.5, tau=0.5, sigma=0.5), problem, table)
+    sched = Schedule(OPTIMAL_SS, s=0.5, tau=0.5, sigma=0.5)
+    bound = theorem_bound(sched, problem, table).bound
     assert abs(bound[-1] - 0.6**7 * 2.0) <= 1e-12
 
 
@@ -204,21 +212,19 @@ def test_theorem_bound_trajectory_forms():
     mu, c, s, Fn = 1.0, 0.25, 0.4, 1.3
     alpha, q = alpha_rate(mu, c, s, Fn), s * Fn
     problem, table = bound_inputs(np.arange(21), 3.0, mu=mu, F_norm=Fn, dist_x=2.0, dist_y=0.5)
-    _, trajectory = theorem_bound(Schedule(VARYING_SC, s=s, c=c), problem, table)
+    trajectory = theorem_bound(Schedule(VARYING_SC, s=s, c=c), problem, table).claims[1].bound
     for k, got in enumerate(trajectory):
         want = (1 + q) / (1 - q) * (1 + alpha) * math.gamma(k + 1) / math.gamma(k + 2 + alpha)
         want *= 2.0 + 0.5 / (c**2 * s**2)
         assert abs(got - want) <= 1e-12 * want
-    # optimal_ss at the post-state k + 1: (1 + q)/(1 - q) rho^(k+1) (mu dx0 + gamma dy0)
+    # optimal_ss at the final post-state K = 8: (1 + q)/(1 - q) rho^K (mu dx0 + gamma dy0)
     problem, table = bound_inputs(
         np.arange(8), 2.0, mu=1.0, gamma=4.0, F_norm=1.0, dist_x=2.0, dist_y=0.5
     )
     sched = make_schedule(OPTIMAL_SS, 1.0, s=0.5, mu=1.0, gamma=4.0)
-    _, trajectory = theorem_bound(sched, problem, table)
-    rho = rho_rate(1.0, 4.0, 0.5, 1.0)
-    for k, got in enumerate(trajectory):
-        want = 3.0 * rho ** (k + 1) * (2.0 + 4.0 * 0.5)
-        assert abs(got - want) <= 1e-12 * want
+    (got,) = theorem_bound(sched, problem, table).claims[1].bound
+    want = 3.0 * rho_rate(1.0, 4.0, 0.5, 1.0) ** 8 * (2.0 + 4.0 * 0.5)
+    assert abs(got - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("k, E", [(np.arange(3, 8), 1.0), (np.arange(5), math.nan)])
@@ -243,6 +249,75 @@ def test_theorem_bound_accelerated_needs_E_at_K0():
         NoMatchingLemma, match=r"^E\(K0\) unavailable: no Lyapunov value at K0=5, last k=29$"
     ):
         theorem_bound(Schedule(ACCELERATED, s=0.5, c=0.9), problem, table)
+
+
+def test_varying_sc_claims_cover_every_row():
+    problem, table = bound_inputs(np.arange(6), 1.0, F_norm=1.0, dist_x=2.0)
+    theorem = theorem_bound(Schedule(VARYING_SC, s=0.5, c=0.5), problem, table)
+    lyap, traj = theorem.claims
+    assert (lyap.name, traj.name) == ("Lyapunov bound", "trajectory bound")
+    for claim, measured in ((lyap, table.E), (traj, table.dist_x)):
+        np.testing.assert_array_equal(claim.k, table.k)
+        assert claim.measured is measured
+        assert (claim.rtol, claim.atol) == (1e-6, 0.0)
+    # the CSV column is the Lyapunov bound
+    assert lyap.bound is theorem.bound
+
+
+def test_accelerated_claim_starts_at_K0():
+    # c = 0.9 with mu = 1 gives K0 = 5
+    problem, table = bound_inputs(np.arange(1, 11), 1.0, dist_x=np.arange(1.0, 11.0))
+    (claim,) = theorem_bound(Schedule(ACCELERATED, s=0.5, c=0.9), problem, table).claims
+    assert claim.name == "O(1/k^2) bound"
+    np.testing.assert_array_equal(claim.k, np.arange(5, 11))
+    np.testing.assert_array_equal(claim.measured, np.arange(5.0, 11.0))
+    assert (claim.rtol, claim.atol) == (1e-6, 0.0)
+
+
+def test_optimal_ss_claims_stop_contraction_at_the_truncation_floor():
+    E = np.array([1.0, 0.5, 0.25, 0.1 * TRUNCATION_FLOOR, 0.01 * TRUNCATION_FLOOR])
+    problem, table = bound_inputs(
+        np.arange(5), E, gamma=4.0, F_norm=1.0, dist_x=2.0, dist_y=0.5,
+        floor_x=1e-30, floor_y=1e-31,
+    )
+    sched = make_schedule(OPTIMAL_SS, 1.0, s=0.5, mu=1.0, gamma=4.0)
+    contraction, sandwich = theorem_bound(sched, problem, table).claims
+    rho = rho_rate(1.0, 4.0, 0.5, 1.0)
+    assert contraction.name == "contraction"
+    np.testing.assert_array_equal(contraction.k, [0, 1])
+    np.testing.assert_array_equal(contraction.measured, [0.5, 0.5])
+    np.testing.assert_array_equal(contraction.bound, [rho, rho])
+    assert (contraction.rtol, contraction.atol) == (0.0, 1e-8)
+    # the terminal sandwich at the final post-state k = 5, with the
+    # weighted rounding floor mu dist_x_floor + gamma dist_y_floor as atol
+    assert sandwich.name == "terminal sandwich"
+    np.testing.assert_array_equal(sandwich.k, [5])
+    np.testing.assert_array_equal(sandwich.measured, [1.0 * 2.0 + 4.0 * 0.5])
+    assert (sandwich.rtol, sandwich.atol) == (1e-9, 1e-30 + 4.0 * 1e-31)
+
+
+def test_optimal_ss_contraction_of_a_short_series_has_no_rows():
+    problem, table = bound_inputs(np.arange(2), [1.0, 0.0], gamma=1.0, F_norm=1.0)
+    contraction, _ = theorem_bound(
+        Schedule(OPTIMAL_SS, s=0.5, tau=0.5, sigma=0.5), problem, table
+    ).claims
+    assert len(contraction.k) == len(contraction.measured) == len(contraction.bound) == 0
+
+
+def test_table_rounding_floor_of_the_final_post_state():
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=3, seed=0))
+    problem, saddle = built.problem, built.saddle
+    init = PrimalDualPair(np.zeros(3), np.zeros(3))
+    sched = make_schedule(OPTIMAL_SS, problem.F_norm, s=0.5, mu=problem.mu, gamma=problem.gamma)
+    traj = run(problem, sched, init, budget=20, tol=0.0)
+    table = lyapunov_table(traj, problem, saddle)
+    eps = np.finfo(float).eps
+    for floor, star, final in (
+        (table.dist_x_floor, saddle.x, traj.x_next[-1]),
+        (table.dist_y_floor, saddle.y, traj.y_next[-1]),
+    ):
+        want = sum((eps * max(abs(a), abs(b))) ** 2 for a, b in zip(star, final))
+        assert floor == pytest.approx(want, rel=1e-12) and floor > 0.0
 
 
 def test_check_lemma_quadratic_pair_all_regimes():

@@ -142,8 +142,6 @@ def test_primal_dual_pair_is_a_plain_container():
     assert pair.x.shape == (1,) and pair.y.shape == (2,)
 
 
-# numpy warns of the squares this test overflows
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_inclusion_residuals_stay_finite_when_their_squares_overflow():
     prob = SaddleProblem(
         F=np.eye(2), prox_f=lambda v, t: v, prox_gstar=lambda w, t: w,

@@ -228,8 +228,6 @@ def test_tv_instance_end_to_end_fixed_run():
     assert abs(phi_run - phi_ref) <= 1e-8
 
 
-# numpy warns of the squares this test overflows
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_kkt_solve_check_holds_when_the_squared_norms_overflow(monkeypatch):
     # mu = 1e300 puts ||rhs||^2 past the largest double; the tolerance
     # 1e-10 (1 + ||rhs||) must stay finite, so a wrong solve is refused
