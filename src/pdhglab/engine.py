@@ -28,6 +28,12 @@ saddle).
 A run either keeps every recorded state, or streams them: given a block
 observer, :func:`run` hands the recorded states to it a block of rows at a
 time and keeps only the (R,) columns and the final state.
+
+The step loop only steps: each step is the iteration and the divergence
+guard.  The residuals, the ``tol`` stop and the recording are evaluated once
+per block of up to STEP_BLOCK steps, on the block's stacked rows, so a run
+that stops on ``tol`` computes up to STEP_BLOCK - 1 steps past its stop and
+discards them.  Every iterate carries the bits of a step-by-step loop.
 """
 
 from __future__ import annotations
@@ -48,6 +54,11 @@ TERMINATION_DIVERGENCE = "divergence_guard"
 #: Abort threshold on ||x_k|| + ||y_k||; inadmissible configurations must
 #: fail loudly instead of hanging.
 DIVERGENCE_GUARD = 1e12
+
+#: Steps per block of :func:`run`, and the cap on the entries of a block's
+#: stacked states (a wide problem takes fewer steps per block).
+STEP_BLOCK = 64
+STEP_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +128,14 @@ def pdhg_step(
         raise ValueError("step sizes must be positive")
     if not 0.0 <= theta_k <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    F = problem.F
-    x_next = problem.prox_f(x_k - tau_k * F.apply_T(y_k), tau_k)
+    return _step(problem, x_k, y_k, problem.F.apply_T(y_k), tau_k, sigma_k, theta_k)
+
+
+def _step(problem, x_k, y_k, FTy_k, tau_k, sigma_k, theta_k):
+    """One iteration from (x_k, y_k), given F^T y_k as ``FTy_k``."""
+    x_next = problem.prox_f(x_k - tau_k * FTy_k, tau_k)
     x_bar = x_next + theta_k * (x_next - x_k)
-    y_next = problem.prox_gstar(y_k + sigma_k * F.apply(x_bar), sigma_k)
+    y_next = problem.prox_gstar(y_k + sigma_k * problem.F.apply(x_bar), sigma_k)
     return x_next, y_next
 
 
@@ -130,14 +145,21 @@ def step_residuals(
     y_k: np.ndarray,
     x_next: np.ndarray,
     y_next: np.ndarray,
-    tau_k: float,
-    sigma_k: float,
-    theta_k: float,
-) -> tuple[float, float]:
+    tau_k,
+    sigma_k,
+    theta_k,
+):
     """Displacement (fixed-point) residuals of one transition under the
-    coupling operator ``F``."""
+    coupling operator ``F``.
+
+    On stacked (n, d) rows the steps are per row, of shape (n,), and so are
+    the two residuals; each row has the bits of its own call, up to how the
+    operator rounds a block of rows against a single one.
+    """
     dx = x_k - x_next
     dy = y_k - y_next
+    if dx.ndim == 2:
+        tau_k, sigma_k, theta_k = (np.reshape(a, (-1, 1)) for a in (tau_k, sigma_k, theta_k))
     rx = dx / tau_k - F.apply_T(dy)
     ry = dy / sigma_k - theta_k * F.apply(dx)
     return _norm(rx), _norm(ry)
@@ -163,6 +185,12 @@ def run(
     (no primal step, no extrapolation — 1/tau_0 := 0), after which every
     recorded transition is a full iteration.
 
+    The steps are taken in blocks of up to STEP_BLOCK.  The divergence
+    guard is read after every step, so no step runs past a diverged state;
+    the residuals and the ``tol`` stop are evaluated after each block, and
+    the run is cut back to the first row at ``tol`` (the diverged row wins
+    a tie).  The steps of the block past that row are discarded.
+
     Without an ``observer`` the trajectory keeps every recorded state.
     With one, the states are buffered ``observer.block_rows`` rows at a
     time: each full block, and the last partial one, goes to the observer,
@@ -183,14 +211,16 @@ def run(
             f"({problem.d1},), ({problem.d2},)"
         )
 
+    F = problem.F
     if schedule.regime == ACCELERATED:
         sigma0 = schedule.c * schedule.s**2
-        y = problem.prox_gstar(y + sigma0 * problem.F.apply(x), sigma0)
+        y = problem.prox_gstar(y + sigma0 * F.apply(x), sigma0)
 
     d1, d2 = problem.d1, problem.d2
     # A stride records its rows plus the last step.
     rows = budget if record_every == 1 else -(-budget // record_every) + 1
     block = rows if observer is None else min(rows, observer.block_rows)
+    steps_per_block = max(1, min(STEP_BLOCK, STEP_BLOCK_ELEMENTS // max(d1, d2)))
     try:
         if record_every == 1:
             # Each row's post-state is the next row's pre-state: store it once.
@@ -203,45 +233,68 @@ def run(
         RP, RD = np.empty(rows), np.empty(rows)
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's dimension limit
         raise MemoryError(f"a trajectory of {rows} rows cannot be reserved ({exc})") from exc
+    # Row 0 holds a block's first pre-state and row i + 1 the post-state of its step i.
+    work_x = np.empty((steps_per_block + 1, d1))
+    work_y = np.empty((steps_per_block + 1, d2))
+    work_x[0], work_y[0] = x, y
 
     n = 0  # rows recorded
     j = 0  # rows in the state buffer
     termination = TERMINATION_BUDGET
-    for i in range(budget):
-        k = schedule.k_start + i
-        tau_k, sigma_k, theta_k = schedule_at(schedule, k)
-        x_next, y_next = pdhg_step(problem, x, y, tau_k, sigma_k, theta_k)
-        rp, rd = step_residuals(problem.F, x, y, x_next, y_next, tau_k, sigma_k, theta_k)
+    FTy = F.apply_T(y)
+    for start in range(0, budget, steps_per_block):
+        ks = np.arange(start, min(start + steps_per_block, budget)) + schedule.k_start
+        steps = schedule_at(schedule, ks)
+        m = 0  # steps taken in this block
+        diverged = False
+        for tau_k, sigma_k, theta_k in zip(*(a.tolist() for a in steps)):
+            x, y = _step(problem, x, y, FTy, tau_k, sigma_k, theta_k)
+            m += 1
+            work_x[m], work_y[m] = x, y
+            # np.vdot warns of no overflow: the guard reads an inf as divergence
+            state_norm = math.sqrt(float(np.vdot(x, x))) + math.sqrt(float(np.vdot(y, y)))
+            if not math.isfinite(state_norm) or state_norm > DIVERGENCE_GUARD:
+                diverged = True
+                break
+            FTy = F.apply_T(y)
 
-        # np.vdot warns of no overflow: the guard reads an inf as divergence
-        sq_x, sq_y = float(np.vdot(x_next, x_next)), float(np.vdot(y_next, y_next))
-        state_norm = math.sqrt(sq_x) + math.sqrt(sq_y)
-        diverged = (not np.isfinite(state_norm)) or state_norm > DIVERGENCE_GUARD
-        hit_tol = max(rp, rd) <= tol
-        last = diverged or hit_tol or i == budget - 1
+        rp, rd = step_residuals(
+            F, work_x[:m], work_y[:m], work_x[1:m + 1], work_y[1:m + 1], *(a[:m] for a in steps)
+        )
+        # max(rp, rd) <= tol row by row, max taken as Python takes it of two floats
+        at_tol = np.flatnonzero(np.where(rd > rp, rd, rp) <= tol)
+        stop = m - 1
+        if at_tol.size and (at_tol[0] < stop or not diverged):
+            stop, termination = int(at_tol[0]), TERMINATION_RESIDUAL
+        elif diverged:
+            termination = TERMINATION_DIVERGENCE
+        last = termination != TERMINATION_BUDGET or start + m == budget
 
-        if i % record_every == 0 or last:
-            K[n], RP[n], RD[n] = k, rp, rd
-            X[j], Y[j], X_next[j], Y_next[j] = x, y, x_next, y_next
-            n += 1
-            j += 1
-            if observer is not None and (j == block or last):
+        recorded = np.arange(start, start + stop + 1) % record_every == 0
+        recorded[-1] |= last
+        picked = np.flatnonzero(recorded)
+        while picked.size:
+            rows_in = picked[: block - j]
+            picked = picked[block - j:]
+            t = len(rows_in)
+            K[n:n + t], RP[n:n + t], RD[n:n + t] = ks[rows_in], rp[rows_in], rd[rows_in]
+            X[j:j + t], Y[j:j + t] = work_x[rows_in], work_y[rows_in]
+            X_next[j:j + t], Y_next[j:j + t] = work_x[rows_in + 1], work_y[rows_in + 1]
+            n, j = n + t, j + t
+            if observer is not None and (j == block or (last and not picked.size)):
                 observer(K[n - j:n], X[:j], Y[:j], X_next[:j], Y_next[:j])
                 j = 0
-        x, y = x_next, y_next
-        if diverged:
-            termination = TERMINATION_DIVERGENCE
+        if last:
+            final = PrimalDualPair(x=work_x[stop + 1].copy(), y=work_y[stop + 1].copy())
             break
-        if hit_tol:
-            termination = TERMINATION_RESIDUAL
-            break
+        work_x[0], work_y[0] = work_x[m], work_y[m]
 
     k = K[:n]
     tau, sigma, theta = schedule_at(schedule, k)
     states = (X[:n], Y[:n], X_next[:n], Y_next[:n]) if observer is None else (None,) * 4
     return Trajectory(
         k, tau, sigma, theta, *states, primal_residual=RP[:n], dual_residual=RD[:n],
-        init=init, schedule=schedule, termination=termination, final=PrimalDualPair(x=x, y=y),
+        init=init, schedule=schedule, termination=termination, final=final,
     )
 
 

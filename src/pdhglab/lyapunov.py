@@ -185,14 +185,16 @@ def lyapunov_accelerated(
     """
     if np.any(tau_k <= 0) or s <= 0:
         raise ValueError("tau_k and s must be positive")
+    if tau_prev is not None and np.any(tau_prev <= 0):
+        raise ValueError("tau_prev must be positive (or None for 1/tau_0 := 0)")
     dx = x_k - saddle.x
     dy = y_prev - saddle.y
-    value = _rowdot(dx, dx) / (2.0 * tau_k**2) + _rowdot(dy, dy) / (2.0 * s**2)
-    if tau_prev is not None:
-        if np.any(tau_prev <= 0):
-            raise ValueError("tau_prev must be positive (or None for 1/tau_0 := 0)")
-        step = x_k - x_prev
-        value += _rowdot(F.apply(step), dy) / tau_prev + _rowdot(step, step) / (2.0 * tau_prev**2)
+    # at extreme moduli tau_k**2 overflows or underflows: the value is inf or nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = _rowdot(dx, dx) / (2.0 * tau_k**2) + _rowdot(dy, dy) / (2.0 * s**2)
+        if tau_prev is not None:
+            step = x_k - x_prev
+            value += _rowdot(F.apply(step), dy) / tau_prev + _rowdot(step, step) / (2.0 * tau_prev**2)
     return _as_result(value)
 
 
@@ -224,11 +226,13 @@ def numerical_error(
     if np.any(sigma <= 0):
         raise ValueError("sigma (or s) must be positive")
     if accelerated:
-        value = _rowdot(dy, dy) / (2.0 * sigma**2)
-        if tau is not None:
-            if np.any(tau <= 0):
-                raise ValueError("tau must be positive (or None for 1/tau_0 := 0)")
-            value += _rowdot(dx, dx) / (2.0 * tau**2) - _rowdot(F.apply(dx), dy) / tau
+        if tau is not None and np.any(tau <= 0):
+            raise ValueError("tau must be positive (or None for 1/tau_0 := 0)")
+        # as in lyapunov_accelerated, tau**2 may leave the double range
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            value = _rowdot(dy, dy) / (2.0 * sigma**2)
+            if tau is not None:
+                value += _rowdot(dx, dx) / (2.0 * tau**2) - _rowdot(F.apply(dx), dy) / tau
         return _as_result(value)
     if tau is None or np.any(tau <= 0):
         raise ValueError("tau must be positive")
@@ -313,7 +317,8 @@ def theorem_bound(
             )
         E_K0 = float(table.E[at[0]])
         k_sq = np.square(np.maximum(k, K0), dtype=float)  # K0 >= 1: no division by zero
-        bound = np.where(k < K0, np.nan, 2.0 * E_K0 / (np.float64(schedule.c) ** 2 * k_sq))
+        with np.errstate(over="ignore", invalid="ignore"):  # c**2 past the double range
+            bound = np.where(k < K0, np.nan, 2.0 * E_K0 / (np.float64(schedule.c) ** 2 * k_sq))
         after = k >= K0
         claim = Claim("O(1/k^2) bound", k[after], table.dist_x[after], bound[after], rtol=1e-6)
         return Theorem((claim,), bound)
@@ -327,7 +332,8 @@ def theorem_bound(
         lg = _lgamma(k + 2.0 + alpha)
         bound = (1.0 + alpha) * np.exp(_lgamma(k + 2.0) - lg) * E0
         # numpy's power overflows to inf (and the term to 0) where float ** raises
-        weight = dx0 + dy0 / (np.float64(c) ** 2 * s**2)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            weight = dx0 + dy0 / (np.float64(c) ** 2 * s**2)
         trajectory = _sandwich(s, F_norm) * (1.0 + alpha) * np.exp(_lgamma(k + 1.0) - lg) * weight
         claims = (
             Claim("Lyapunov bound", k, table.E, bound, rtol=1e-6),
@@ -535,13 +541,16 @@ def lemma_records(
     tau_k, sigma_k = trajectory.tau, trajectory.sigma
     tau_n, sigma_n, _ = schedule_at(sched, k + 1)
     dxn, dyn = table.dist_x_next, table.dist_y_next
-    if regime == ACCELERATED:
-        rhs = -(mu / tau_k + 1.0 / (2.0 * tau_k**2) - 1.0 / (2.0 * tau_n**2)) * dxn
-    elif regime == VARYING_SC:
-        rhs = (
-            -(mu + 1.0 / (2.0 * tau_k) - 1.0 / (2.0 * tau_n)) * dxn
-            - (1.0 / (2.0 * sigma_k) - 1.0 / (2.0 * sigma_n)) * dyn
-        )
-    else:
-        rhs = -(mu * dxn + gamma * dyn)
-    return rhs, rhs - (table.E_next - table.E)
+    # At extreme moduli the steps' squares and the E values leave the double
+    # range: an inf or nan slack fails its verdict.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if regime == ACCELERATED:
+            rhs = -(mu / tau_k + 1.0 / (2.0 * tau_k**2) - 1.0 / (2.0 * tau_n**2)) * dxn
+        elif regime == VARYING_SC:
+            rhs = (
+                -(mu + 1.0 / (2.0 * tau_k) - 1.0 / (2.0 * tau_n)) * dxn
+                - (1.0 / (2.0 * sigma_k) - 1.0 / (2.0 * sigma_n)) * dyn
+            )
+        else:
+            rhs = -(mu * dxn + gamma * dyn)
+        return rhs, rhs - (table.E_next - table.E)

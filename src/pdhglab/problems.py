@@ -147,10 +147,21 @@ class PrimalDualPair:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float).ravel())
 
 
-def _norm(r: np.ndarray) -> float:
+def _norm(r: np.ndarray):
     """||r|| as sqrt(r @ r), rescaled by max |r| when only the square
     overflows.  The square is np.vdot(r, r): the bits of r @ r, 1 us
-    sooner, and no overflow warning where it turns inf."""
+    sooner, and no overflow warning where it turns inf.
+
+    On stacked (n, d) rows, the (n,) norms of the rows, each with the bits
+    of its own call: the stacked (1, d) @ (d, 1) products square a row as
+    np.vdot does.
+    """
+    if r.ndim == 2:
+        with np.errstate(over="ignore"):  # an inf square is rescaled below
+            values = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+        for i in np.flatnonzero(values == math.inf):
+            values[i] = _norm(r[i])
+        return values
     value = math.sqrt(float(np.vdot(r, r)))
     if value == math.inf and np.isfinite(r).all():
         scale = float(np.abs(r).max())

@@ -95,8 +95,9 @@ def contraction_factors(E_series) -> ContractionSummary:
     gaps = np.diff(ks)
     if np.any(gaps <= 0):
         raise ValueError("series indices must be strictly increasing")
-    ratios = (Es[1:] / Es[:-1]) ** (1.0 / gaps)
-    geomean = (Es[-1] / Es[0]) ** (1.0 / (ks[-1] - ks[0]))
+    with np.errstate(invalid="ignore"):  # inf / inf: an overflowed E gives a nan ratio
+        ratios = (Es[1:] / Es[:-1]) ** (1.0 / gaps)
+        geomean = (Es[-1] / Es[0]) ** (1.0 / (ks[-1] - ks[0]))
     return ContractionSummary(
         ratios=ratios,
         max_ratio=float(ratios.max()),

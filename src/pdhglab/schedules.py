@@ -150,8 +150,9 @@ def schedule_at(sched: Schedule, k):
     """Return (tau_k, sigma_k, theta_k) for iteration k >= k_start.
 
     ``k`` is an int or an integer array; for an array each of the three is
-    an array of k's shape.  The int path makes no numpy call: the engine
-    takes it once per step.
+    an array of k's shape, with the bits the int path gives each k (the same
+    IEEE operations, on integers below 2^53).  The engine reads the steps
+    of a block of iterations from one array call.
     """
     rows = isinstance(k, np.ndarray)
     first = k.min(initial=sched.k_start) if rows else k

@@ -319,8 +319,6 @@ def test_theorem_fails_on_infinite_bound(monkeypatch):
     assert any(re.fullmatch(pattern, line) for line in lines)
 
 
-# numpy warns of the overflows this config is built to cause
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_varying_sc_theorem_with_an_overflowing_c_squared_ends_in_a_verdict(tmp_path, capsys):
     # mu = 1e200 puts c = mu/2 past sqrt(max double): c^2 in the trajectory
     # bound's weight dx0 + dy0 / (c^2 s^2) overflows, and the term it divides
@@ -339,8 +337,6 @@ def test_varying_sc_theorem_with_an_overflowing_c_squared_ends_in_a_verdict(tmp_
     )
 
 
-# numpy warns of the overflows this config is built to cause
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_accelerated_with_an_overflowing_c_squared_ends_in_a_verdict(tmp_path, capsys):
     # mu = 1e200: c^2 in the bound 2 E(K0) / (c^2 k^2) overflows, and so does
     # E(K0), so no bound can be evaluated
@@ -403,6 +399,54 @@ def test_ode_compare_matches_a_per_row_reference():
     ratios = ", ".join(f"{sups[i + 1] / sups[i]:.3f}" for i in range(2))
     result = cli._check_ode_compare(built.problem, schedule)
     assert result.detail in (f"halving ratios {ratios}", f"halving ratios {ratios} exceed 0.7")
+
+
+def count_integrate_calls(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])  # the reference step h
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", counting)
+    return calls
+
+
+def test_ode_compare_takes_a_fourth_level_when_the_first_halving_is_pre_asymptotic(
+    tmp_path, capsys, monkeypatch
+):
+    # the first halving barely shrinks the error (ratio 1.005); from the
+    # second on the run is first order, and the verdict reads the last two
+    calls = count_integrate_calls(monkeypatch)
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 4, "seed": 3},
+        "regime": "fixed",
+        "budget": 300,
+        "checks": ["ode_compare"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 0
+    assert len(calls) == 4
+    match = re.search(
+        r"^check\.ode_compare = PASS \(halving ratios (\S+), (\S+), (\S+)\)$",
+        capsys.readouterr().out, re.M,
+    )
+    first, *last_two = map(float, match.groups())
+    assert first > 0.7 and max(last_two) <= 0.7
+
+
+def test_ode_compare_keeps_three_levels_when_the_first_halving_is_first_order(
+    tmp_path, capsys, monkeypatch
+):
+    calls = count_integrate_calls(monkeypatch)
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 16, "seed": 1},
+        "regime": "fixed",
+        "budget": 2000,
+        "checks": ["ode_compare"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 0
+    assert len(calls) == 3
+    assert "check.ode_compare = PASS (halving ratios 0.588, 0.554)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("moduli", [{"mu": 1e200}, {"gamma": 1e200}])
@@ -471,8 +515,6 @@ def test_optimal_ss_moduli_ratio_past_the_double_range_is_exit_2(tmp_path, capsy
     assert "config error: gamma/mu = inf puts the derived steps" in capsys.readouterr().err
 
 
-# numpy warns of the overflows these moduli are built to cause
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("regime", ["fixed", "varying_sc", "accelerated", "optimal_ss"])
 def test_extreme_moduli_never_exit_through_a_traceback(tmp_path, regime):
     for mu, gamma in [(1, 1), (1e-200, 1e200), (1e200, 1e-200), (1e200, 1), (1, 1e200)]:

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,10 @@ from pdhglab import (
     ACCELERATED,
     FIXED,
     OPTIMAL_SS,
+    VARYING_SC,
     Dense,
+    FirstDifference,
+    Identity,
     InstanceSpec,
     PrimalDualPair,
     SaddleProblem,
@@ -21,9 +25,12 @@ from pdhglab import (
     optimality_residual,
     pdhg_step,
     run,
+    schedule_at,
     step_residuals,
 )
 from pdhglab.engine import (
+    DIVERGENCE_GUARD,
+    STEP_BLOCK,
     TERMINATION_BUDGET,
     TERMINATION_DIVERGENCE,
     TERMINATION_RESIDUAL,
@@ -243,6 +250,13 @@ def test_step_residuals_stay_finite_when_their_squares_overflow():
     rp, rd = step_residuals(F, x_k, zero, zero, zero, 1.0, 1.0, 1.0)
     assert rp == pytest.approx(5e200, rel=1e-15)
     assert rd == pytest.approx(5e200, rel=1e-15)
+    # stacked among finite rows, the overflowing row keeps its norm
+    x_rows = np.array([[1.0, 2.0], [3e200, 4e200], [0.5, 0.0]])
+    zeros = np.zeros((3, 2))
+    rp, rd = step_residuals(F, x_rows, zeros, zeros, zeros, np.ones(3), np.ones(3), np.ones(3))
+    for i, row in enumerate(x_rows):
+        assert (rp[i], rd[i]) == step_residuals(F, row, zero, zero, zero, 1.0, 1.0, 1.0)
+    assert rp[1] == pytest.approx(5e200, rel=1e-15)
 
 
 class RecordingObserver:
@@ -291,3 +305,198 @@ def test_engine_does_not_import_the_diagnostics():
             imported.add(module)
             imported.update(f"{module}.{alias.name}" for alias in node.names)
     assert not [name for name in imported if "lyapunov" in name.split(".")]
+
+
+def reference_run(problem, schedule, init, budget, tol, record_every=1):
+    """The engine loop one step at a time: after each step its residuals,
+    the divergence guard and the ``tol`` stop, then the recording.  The
+    block loop of :func:`run` must give the same rows."""
+    x = np.asarray(init.x, dtype=float)
+    y = np.asarray(init.y, dtype=float)
+    if schedule.regime == ACCELERATED:
+        sigma0 = schedule.c * schedule.s**2
+        y = problem.prox_gstar(y + sigma0 * problem.F.apply(x), sigma0)
+    rows = {name: [] for name in ("k", "x", "y", "x_next", "y_next", "rp", "rd")}
+    termination = TERMINATION_BUDGET
+    for i in range(budget):
+        k = schedule.k_start + i
+        tau_k, sigma_k, theta_k = schedule_at(schedule, k)
+        x_next, y_next = pdhg_step(problem, x, y, tau_k, sigma_k, theta_k)
+        rp, rd = step_residuals(problem.F, x, y, x_next, y_next, tau_k, sigma_k, theta_k)
+        state_norm = math.sqrt(float(np.vdot(x_next, x_next))) + math.sqrt(
+            float(np.vdot(y_next, y_next))
+        )
+        diverged = (not np.isfinite(state_norm)) or state_norm > DIVERGENCE_GUARD
+        hit_tol = max(rp, rd) <= tol
+        last = diverged or hit_tol or i == budget - 1
+        if i % record_every == 0 or last:
+            for name, value in zip(rows, (k, x, y, x_next, y_next, rp, rd)):
+                rows[name].append(value)
+        x, y = x_next, y_next
+        if diverged:
+            termination = TERMINATION_DIVERGENCE
+            break
+        if hit_tol:
+            termination = TERMINATION_RESIDUAL
+            break
+    rows = {name: np.array(value) for name, value in rows.items()}
+    return rows, termination, PrimalDualPair(x=x, y=y)
+
+
+def assert_matches_reference(problem, schedule, init, budget, tol, record_every=1, block_rows=None):
+    """Run the engine stored, or streamed to a recording observer with
+    ``block_rows``, and compare every row with :func:`reference_run`: the
+    states bitwise, the residuals to rtol 1e-13 (a dense F applies a block
+    of rows by GEMM and one row by GEMV).  Returns the trajectory."""
+    want, termination, final = reference_run(problem, schedule, init, budget, tol, record_every)
+    observer = None if block_rows is None else RecordingObserver(block_rows)
+    got = run(problem, schedule, init, budget=budget, tol=tol, record_every=record_every,
+              observer=observer)
+    assert got.termination == termination
+    assert np.array_equal(got.k, want["k"])
+    tau, sigma, theta = schedule_at(schedule, want["k"])
+    for name, column in (("tau", tau), ("sigma", sigma), ("theta", theta)):
+        assert np.array_equal(getattr(got, name), column)
+    if observer is None:
+        states = {name: getattr(got, name) for name in ("x", "y", "x_next", "y_next")}
+    else:
+        blocks = list(zip(*observer.blocks))
+        assert np.array_equal(np.concatenate(blocks[0]), want["k"])
+        states = dict(zip(("x", "y", "x_next", "y_next"), map(np.concatenate, blocks[1:])))
+    for name, value in states.items():
+        assert np.array_equal(value, want[name]), name
+    assert np.array_equal(got.final.x, final.x) and np.array_equal(got.final.y, final.y)
+    np.testing.assert_allclose(got.primal_residual, want["rp"], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got.dual_residual, want["rd"], rtol=1e-13, atol=0)
+    return got
+
+
+def regime_schedule(regime, problem):
+    # s = 0.3 keeps every regime moving over a few blocks of steps
+    c = {VARYING_SC: 0.5, ACCELERATED: 0.9}.get(regime)
+    return make_schedule(regime, problem.F_norm, s=0.3, c=c, mu=problem.mu, gamma=problem.gamma)
+
+
+@pytest.mark.parametrize("regime", [FIXED, VARYING_SC, ACCELERATED, OPTIMAL_SS])
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("block_rows", [None, 5])
+def test_block_loop_matches_the_step_by_step_loop(regime, record_every, block_rows):
+    # the accelerated regime takes its dual half-step first and starts at k = 1
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=4, d2=3, seed=3))
+    problem = built.problem
+    init = PrimalDualPair(np.ones(4), -np.ones(3))
+    schedule = regime_schedule(regime, problem)
+    # within one block, one block, not a multiple of one; tol = -1 never
+    # stops a run, which under fixed steps reaches an exact fixed point
+    for budget in (1, 10, 64, 150):
+        got = assert_matches_reference(
+            problem, schedule, init, budget, -1.0, record_every, block_rows
+        )
+        assert got.termination == TERMINATION_BUDGET and got.k[-1] == schedule.k_start + budget - 1
+
+
+def test_block_loop_takes_the_bits_of_a_matrix_free_step():
+    # FirstDifference applies a block of rows with the operations of one row,
+    # so the residuals too are bitwise those of the step-by-step loop
+    built = build_instance(InstanceSpec(kind="gen_lasso", d1=30, lam=0.3, identity_a=True, seed=1))
+    schedule = make_schedule(VARYING_SC, built.problem.F_norm, mu=built.problem.mu)
+    init = PrimalDualPair(np.zeros(30), np.zeros(29))
+    got = assert_matches_reference(built.problem, schedule, init, 200, 0.0)
+    want, _, _ = reference_run(built.problem, schedule, init, 200, 0.0)
+    assert np.array_equal(got.primal_residual, want["rp"])
+    assert np.array_equal(got.dual_residual, want["rd"])
+
+
+@pytest.mark.parametrize("stop", [0, 62, 63, 64, 126, 127])
+@pytest.mark.parametrize("block_rows", [None, 5])
+def test_tol_stop_at_any_row_of_a_block(stop, block_rows):
+    # rows 0, 62 and 63 of the first and second blocks of STEP_BLOCK = 64 steps
+    assert STEP_BLOCK == 64
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=4, d2=4, seed=1))
+    problem = built.problem
+    schedule = make_schedule(OPTIMAL_SS, problem.F_norm, s=0.3, mu=problem.mu, gamma=problem.gamma)
+    init = PrimalDualPair(np.ones(4), -np.ones(4))
+    rows, _, _ = reference_run(problem, schedule, init, 200, 0.0)
+    worst = np.maximum(rows["rp"], rows["rd"])
+    # a tol between the stop row's residual and every earlier one
+    assert worst[stop] < worst[:stop].min(initial=np.inf)
+    tol = math.sqrt(worst[stop] * min(worst[:stop].min(initial=np.inf), 4 * worst[stop]))
+    for budget in (200, stop + 1):  # the budget ends past the stop, and on it
+        got = assert_matches_reference(problem, schedule, init, budget, tol, 1, block_rows)
+        assert got.termination == TERMINATION_RESIDUAL and got.k[-1] == stop
+
+
+def amplifying_problem(factor):
+    """A fake "prox" that multiplies its input: the state grows by about
+    ``factor`` per step until the divergence guard trips."""
+    return SaddleProblem(
+        F=np.array([[1.0]]),
+        prox_f=lambda v, t: factor * v + 1.0,
+        prox_gstar=lambda w, t: factor * w + 1.0,
+    )
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("block_rows", [None, 5])
+def test_divergence_in_the_middle_of_a_block(record_every, block_rows):
+    schedule = make_schedule(FIXED, 1.0, s=0.5, tau=0.5, sigma=0.5)
+    init = PrimalDualPair(np.ones(1), np.ones(1))
+    for factor in (4.0, 1.2):  # trips in the first block, and in a later one
+        got = assert_matches_reference(
+            amplifying_problem(factor), schedule, init, 10_000, 0.0, record_every, block_rows
+        )
+        assert got.termination == TERMINATION_DIVERGENCE
+        assert got.k[-1] % STEP_BLOCK not in (0, STEP_BLOCK - 1)
+        assert got.k[-1] > STEP_BLOCK if factor == 1.2 else got.k[-1] < STEP_BLOCK
+
+
+def test_divergence_wins_a_tie_with_tol():
+    # tol = inf is met by every row; the first row also trips the guard
+    schedule = make_schedule(FIXED, 1.0, s=0.5, tau=0.5, sigma=0.5)
+    init = PrimalDualPair(np.ones(1), np.ones(1))
+    got = assert_matches_reference(amplifying_problem(1e13), schedule, init, 100, math.inf)
+    assert got.termination == TERMINATION_DIVERGENCE and got.k.tolist() == [0]
+
+
+def test_stacked_step_residuals_equal_the_per_row_calls():
+    rng = np.random.default_rng(8)
+    n, d = 9, 12
+    for F in (Identity(d), FirstDifference(d + 1)):
+        d1, d2 = F.shape[1], F.shape[0]
+        x, x_next = rng.standard_normal((2, n, d1))
+        y, y_next = rng.standard_normal((2, n, d2))
+        tau, sigma, theta = rng.uniform(0.1, 2.0, (3, n))
+        rp, rd = step_residuals(F, x, y, x_next, y_next, tau, sigma, theta)
+        assert rp.shape == rd.shape == (n,)
+        for i in range(n):
+            want = step_residuals(F, x[i], y[i], x_next[i], y_next[i], tau[i], sigma[i], theta[i])
+            assert (rp[i], rd[i]) == want
+
+
+def test_the_loop_makes_no_per_step_schedule_or_residual_call(monkeypatch):
+    # two operator applications per step, two more per block
+    from pdhglab import engine
+
+    calls = {"schedule_at": 0, "step_residuals": 0, "apply": 0, "apply_T": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    built = build_instance(InstanceSpec(kind="gen_lasso", d1=10, lam=0.3, identity_a=True, seed=1))
+    F = built.problem.F
+    monkeypatch.setattr(F, "apply", counting("apply", F.apply))
+    monkeypatch.setattr(F, "apply_T", counting("apply_T", F.apply_T))
+    for name in ("schedule_at", "step_residuals"):
+        monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+    schedule = make_schedule(FIXED, F.norm)
+    budget = 3 * STEP_BLOCK + 5
+    run(built.problem, schedule, PrimalDualPair(np.zeros(10), np.zeros(9)), budget=budget, tol=0.0)
+    blocks = 4
+    assert calls["schedule_at"] == blocks + 1  # one more for the (R,) step columns
+    assert calls["step_residuals"] == blocks
+    # F^T y of the start, then one F and one F^T per step, one each per block
+    assert calls["apply"] == budget + blocks
+    assert calls["apply_T"] == 1 + budget + blocks

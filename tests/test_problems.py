@@ -14,7 +14,7 @@ from pdhglab import (
     SaddleProblem,
     build_instance,
 )
-from pdhglab.problems import inclusion_residuals
+from pdhglab.problems import _norm, inclusion_residuals
 
 
 def dense_difference(d: int) -> np.ndarray:
@@ -151,3 +151,17 @@ def test_inclusion_residuals_stay_finite_when_their_squares_overflow():
     r_x, r_y = inclusion_residuals(prob, big, zero, zero, -big)
     assert r_x == pytest.approx(5e200, rel=1e-15)
     assert r_y == pytest.approx(5e200, rel=1e-15)
+
+
+def test_norm_of_stacked_rows_takes_the_bits_of_each_row():
+    rng = np.random.default_rng(5)
+    for d in (1, 3, 4, 16, 79, 80, 400):
+        rows = rng.standard_normal((7, d)) * 10.0 ** rng.integers(-150, 150, (7, 1))
+        # one row whose square overflows among finite ones, and non-finite rows
+        rows[2] = 3e200
+        rows[4, 0], rows[5, -1] = np.inf, np.nan
+        got = _norm(rows)
+        assert got.shape == (7,)
+        want = np.array([_norm(row) for row in rows])
+        assert np.array_equal(got, want, equal_nan=True), d
+        assert math.isfinite(got[2]) and got[4] == math.inf and math.isnan(got[5])

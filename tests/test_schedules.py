@@ -146,3 +146,19 @@ def test_k0_threshold_values():
         k0_threshold(1.0, 1.0)
     with pytest.raises(ValueError):
         k0_threshold(1.0, 0.0)
+
+
+@pytest.mark.parametrize("regime", [FIXED, VARYING_SC, ACCELERATED, OPTIMAL_SS])
+def test_schedule_at_rows_take_the_bits_of_the_int_path(regime):
+    # the engine reads a block's steps from one array call
+    sched = make_schedule(regime, 1.3, s=0.37, c={VARYING_SC: 0.61, ACCELERATED: 0.29}.get(regime),
+                          mu=0.7, gamma=1.9)
+    rng = np.random.default_rng(0)
+    ks = np.unique(np.concatenate([
+        np.arange(sched.k_start, 300), rng.integers(sched.k_start, 1_000_001, 2000), [1_000_000],
+    ]))
+    rows = [a.tolist() for a in schedule_at(sched, ks)]
+    for i, k in enumerate(ks.tolist()):
+        want = np.array(schedule_at(sched, k), dtype=float)
+        got = np.array([column[i] for column in rows])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), k
