@@ -58,7 +58,6 @@ from .lyapunov import (
     TableAccumulator,
     Theorem,
     alpha_rate,
-    block_rows,
     lemma_records,
     rho_rate,
     slack_tolerance,
@@ -96,17 +95,6 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
-
-
-class _Discard:
-    """The block observer of a run whose states nothing reads (a plain
-    class: a dataclass would cost about 1 ms of every command's import)."""
-
-    def __init__(self, block_rows: int):
-        self.block_rows = block_rows
-
-    def __call__(self, k, x, y, x_next, y_next) -> None:
-        pass
 
 
 def _resolve_saddle(built: BuiltInstance) -> tuple[Optional[PrimalDualPair], str]:
@@ -226,7 +214,8 @@ def _check_ode_compare(problem, schedule) -> CheckResult:
         # A first halving that is not yet first order takes a fourth level.
         if min(sups) > 0 and sups[1] / sups[0] > 0.7:
             sups.append(_ode_sup_error(problem, schedule, init, 3))
-    except RuntimeError as exc:  # a Newton solve that does not converge
+    # a Newton solve that does not converge, or an ill-conditioned mass matrix
+    except (RuntimeError, ValueError) as exc:
         return CheckResult(CHECK_ODE_COMPARE, FAIL, str(exc))
     if not min(sups) > 0:
         return CheckResult(CHECK_ODE_COMPARE, SKIPPED, "discretization error is zero")
@@ -240,7 +229,8 @@ def _check_ode_compare(problem, schedule) -> CheckResult:
 def _ode_sup_error(problem, schedule, init, level) -> float:
     """The largest distance over t in [0, T] between the iterates at the
     fixed steps halved ``level`` times and their implicit-Euler reference;
-    a Newton solve that does not converge raises RuntimeError."""
+    a Newton solve that does not converge raises RuntimeError, and an
+    ill-conditioned mass matrix ValueError."""
     T = 10.0
     s, tau, sigma = (v * 0.5**level for v in (schedule.s, schedule.tau, schedule.sigma))
     n_iter = int(math.ceil(T / s))
@@ -318,7 +308,7 @@ def _execute(config, built, schedule, resolved, write_trajectory, quiet):
     if saddle is not None:
         observer = TableAccumulator(schedule, problem, saddle, init)
     else:
-        observer = _Discard(block_rows(problem))
+        observer = lambda *block: None
     try:
         traj = run(
             problem, schedule, init, budget=config.budget, tol=config.tol,

@@ -92,8 +92,8 @@ def integrate(
     re-taken at the current iterate whenever an update fails to halve the
     residual; G(z+) of each step seeds the next.  Raises ValueError on a
     problem without both gradient oracles or without a dense coupling, or on
-    a singular mass matrix, and RuntimeError when a Newton solve does not
-    converge.
+    an ill-conditioned mass matrix, and RuntimeError when a Newton solve
+    does not converge.
     """
     if T <= 0 or h <= 0:
         raise ValueError("T and h must be positive")
@@ -113,8 +113,8 @@ def integrate(
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > 1e14:
         raise ValueError(
-            "mass matrix is singular (tau * sigma * ||F||^2 = 1 degeneracy); "
-            "choose admissible steps with s * ||F|| < 1"
+            f"mass matrix is ill-conditioned: condition number {cond:.3g} > 1e14 "
+            "(tau * sigma * ||F||^2 near 1, or tau and sigma far apart in scale)"
         )
 
     def rhs(z):

@@ -25,15 +25,16 @@ scaling.  :func:`optimality_residual` evaluates the exact per-step inclusion
 residuals instead (zero for exact prox oracles, regardless of distance to the
 saddle).
 
-A run either keeps every recorded state, or streams them: given a block
-observer, :func:`run` hands the recorded states to it a block of rows at a
-time and keeps only the (R,) columns and the final state.
-
 The step loop only steps: each step is the iteration and the divergence
-guard.  The residuals, the ``tol`` stop and the recording are evaluated once
-per block of up to STEP_BLOCK steps, on the block's stacked rows, so a run
-that stops on ``tol`` computes up to STEP_BLOCK - 1 steps past its stop and
-discards them.  Every iterate carries the bits of a step-by-step loop.
+guard.  The steps are taken in blocks of :func:`step_block` steps; the
+residuals, the ``tol`` stop and the recording are evaluated once per block,
+on the block's stacked rows, so a run that stops on ``tol`` computes up to
+STEP_BLOCK - 1 steps past its stop and discards them.  Every iterate carries
+the bits of a step-by-step loop.
+
+A run either keeps every recorded state, or streams them: given a block
+observer, :func:`run` hands it the recorded rows of each step block and
+keeps only the (R,) columns and the final state.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ DIVERGENCE_GUARD = 1e12
 
 #: Steps per block of :func:`run`, and the cap on the entries of a block's
 #: stacked states (a wide problem takes fewer steps per block).
-STEP_BLOCK = 64
+STEP_BLOCK = 256
 STEP_BLOCK_ELEMENTS = 2**15
 
 
@@ -103,16 +104,20 @@ class Trajectory:
 class BlockObserver(Protocol):
     """What :func:`run` streams recorded states to.
 
-    ``block_rows`` is how many rows the engine buffers between calls.  Each
-    call passes a block of consecutive rows: their ``k`` of shape (n,) and
-    the pre- and post-states ``x``, ``y``, ``x_next``, ``y_next`` of shape
-    (n, d), n <= block_rows.  The state arrays are the engine's buffer,
-    overwritten after the call returns.
+    Each call passes the recorded rows of one step block, in order: their
+    ``k`` of shape (n,), n >= 1, and the pre- and post-states ``x``, ``y``,
+    ``x_next``, ``y_next`` of shape (n, d), copied from the block's work
+    buffer.
     """
 
-    block_rows: int
-
     def __call__(self, k, x, y, x_next, y_next) -> None: ...
+
+
+def step_block(problem: SaddleProblem) -> int:
+    """Steps per block of :func:`run` on ``problem``: STEP_BLOCK, or fewer
+    so that a block's stacked states hold at most STEP_BLOCK_ELEMENTS
+    entries per array."""
+    return max(1, min(STEP_BLOCK, STEP_BLOCK_ELEMENTS // max(problem.d1, problem.d2)))
 
 
 def pdhg_step(
@@ -185,24 +190,27 @@ def run(
     (no primal step, no extrapolation — 1/tau_0 := 0), after which every
     recorded transition is a full iteration.
 
-    The steps are taken in blocks of up to STEP_BLOCK.  The divergence
-    guard is read after every step, so no step runs past a diverged state;
-    the residuals and the ``tol`` stop are evaluated after each block, and
-    the run is cut back to the first row at ``tol`` (the diverged row wins
-    a tie).  The steps of the block past that row are discarded.
+    The steps are taken in blocks of :func:`step_block` steps.  The
+    divergence guard is read after every step, so no step runs past a
+    diverged state; the residuals and the ``tol`` stop are evaluated after
+    each block, and the run is cut back to the first row at ``tol`` (the
+    diverged row wins a tie).  The steps of the block past that row are
+    discarded.
 
     Without an ``observer`` the trajectory keeps every recorded state.
-    With one, the states are buffered ``observer.block_rows`` rows at a
-    time: each full block, and the last partial one, goes to the observer,
-    and the buffer is reused.  The trajectory then holds its (R,) columns
-    and ``final`` but no states.  The (R,) columns, and the states when
-    kept, are reserved for the whole budget up front; a reservation that
-    fails raises MemoryError before any step.
+    With one, the recorded rows of each step block go from the block's
+    work buffer to the observer, and the trajectory holds its (R,) columns
+    and ``final`` but no states.  The (R,) columns, and the
+    states when kept, are reserved for the whole budget up front; a
+    reservation that fails raises MemoryError before any step.  A
+    ``record_every`` past the budget records what ``budget`` does: the
+    first row and the last.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
+    record_every = min(record_every, budget)
     x = np.asarray(init.x, dtype=float)
     y = np.asarray(init.y, dtype=float)
     if x.shape != (problem.d1,) or y.shape != (problem.d2,):
@@ -219,27 +227,25 @@ def run(
     d1, d2 = problem.d1, problem.d2
     # A stride records its rows plus the last step.
     rows = budget if record_every == 1 else -(-budget // record_every) + 1
-    block = rows if observer is None else min(rows, observer.block_rows)
-    steps_per_block = max(1, min(STEP_BLOCK, STEP_BLOCK_ELEMENTS // max(d1, d2)))
     try:
-        if record_every == 1:
+        if observer is None and record_every == 1:
             # Each row's post-state is the next row's pre-state: store it once.
-            xs, ys = np.empty((block + 1, d1)), np.empty((block + 1, d2))
+            xs, ys = np.empty((rows + 1, d1)), np.empty((rows + 1, d2))
             X, X_next, Y, Y_next = xs[:-1], xs[1:], ys[:-1], ys[1:]
-        else:
-            X, X_next = np.empty((block, d1)), np.empty((block, d1))
-            Y, Y_next = np.empty((block, d2)), np.empty((block, d2))
+        elif observer is None:
+            X, X_next = np.empty((rows, d1)), np.empty((rows, d1))
+            Y, Y_next = np.empty((rows, d2)), np.empty((rows, d2))
         K = np.empty(rows, dtype=np.int64)
         RP, RD = np.empty(rows), np.empty(rows)
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's dimension limit
         raise MemoryError(f"a trajectory of {rows} rows cannot be reserved ({exc})") from exc
+    steps_per_block = step_block(problem)
     # Row 0 holds a block's first pre-state and row i + 1 the post-state of its step i.
     work_x = np.empty((steps_per_block + 1, d1))
     work_y = np.empty((steps_per_block + 1, d2))
     work_x[0], work_y[0] = x, y
 
     n = 0  # rows recorded
-    j = 0  # rows in the state buffer
     termination = TERMINATION_BUDGET
     FTy = F.apply_T(y)
     for start in range(0, budget, steps_per_block):
@@ -273,17 +279,15 @@ def run(
         recorded = np.arange(start, start + stop + 1) % record_every == 0
         recorded[-1] |= last
         picked = np.flatnonzero(recorded)
-        while picked.size:
-            rows_in = picked[: block - j]
-            picked = picked[block - j:]
-            t = len(rows_in)
-            K[n:n + t], RP[n:n + t], RD[n:n + t] = ks[rows_in], rp[rows_in], rd[rows_in]
-            X[j:j + t], Y[j:j + t] = work_x[rows_in], work_y[rows_in]
-            X_next[j:j + t], Y_next[j:j + t] = work_x[rows_in + 1], work_y[rows_in + 1]
-            n, j = n + t, j + t
-            if observer is not None and (j == block or (last and not picked.size)):
-                observer(K[n - j:n], X[:j], Y[:j], X_next[:j], Y_next[:j])
-                j = 0
+        kept = ks[picked]
+        t = len(kept)
+        K[n:n + t], RP[n:n + t], RD[n:n + t] = kept, rp[picked], rd[picked]
+        states = work_x[picked], work_y[picked], work_x[picked + 1], work_y[picked + 1]
+        if observer is None:
+            X[n:n + t], Y[n:n + t], X_next[n:n + t], Y_next[n:n + t] = states
+        elif t:
+            observer(K[n:n + t], *states)
+        n += t
         if last:
             final = PrimalDualPair(x=work_x[stop + 1].copy(), y=work_y[stop + 1].copy())
             break

@@ -12,15 +12,16 @@ Three discrete Lyapunov functions are evaluated, one per analysis regime:
 
 Each regime's descent lemma bounds E(k+1) - E(k) by an explicit nonpositive
 (or sign-determined) right-hand side.  :class:`TableAccumulator` evaluates
-the Lyapunov values, NE terms and saddle distances as columns, a block of
-rows at a time, while a run streams its states to it; :func:`lyapunov_table`
-feeds it the states of a stored trajectory.  :func:`lemma_records` reads that
-table for the lemma's right-hand side and per-step slack, so checking a
-lemma is those two calls in turn.  :func:`theorem_bound` is the one
-source of each regime's closed-form convergence guarantee: it reads its
-constants from the schedule, the problem and that table, and states the
-theorem as a list of :class:`Claim` records, each a measured column that
-must stay under a bound column.
+the Lyapunov values, NE terms and saddle distances as columns, one step
+block's rows at a time, while a run streams its states to it;
+:func:`lyapunov_table` feeds it the states of a stored trajectory in the
+same blocks.  :func:`lemma_records` reads that table for the lemma's
+right-hand side and per-step slack, so checking a lemma is those two calls
+in turn.  :func:`theorem_bound` is the one source of each regime's
+closed-form convergence guarantee: it reads its constants from the
+schedule, the problem and that table, and states the theorem as a list of
+:class:`Claim` records, each a measured column that must stay under a bound
+column.
 
 All evaluators are pure functions of their arguments.  The Lyapunov and NE
 evaluators take one state (and return a float) or stacked rows of states
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Trajectory
+from .engine import Trajectory, step_block
 from .problems import PrimalDualPair, SaddleProblem
 from .rates import contraction_factors
 from .schedules import (
@@ -47,18 +48,6 @@ from .schedules import (
     k0_threshold,
     schedule_at,
 )
-
-
-#: Entries per state array in one row block of :class:`TableAccumulator`
-#: (128 KiB of doubles); it bounds the memory the block's temporaries take.
-BLOCK_ELEMENTS = 2**14
-
-#: Entries per state array that a streamed run hands to a
-#: :class:`TableAccumulator` at a time (2 MiB of doubles), in whole row
-#: blocks.  On a 10 000-step lasso at d = 400, handing over each row block
-#: as it filled made the run 8% slower than evaluating the table after it;
-#: this size (16 row blocks there) made it 5% faster.
-STREAM_ELEMENTS = 2**18
 
 
 class NoMatchingLemma(ValueError):
@@ -121,6 +110,11 @@ class Theorem:
 def _rowdot(a: np.ndarray, b: np.ndarray):
     """Inner product over the last axis: one per row for stacked vectors."""
     return np.einsum("...i,...i->...", a, b)
+
+
+def _sq_dist(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    diff = points - center
+    return _rowdot(diff, diff)
 
 
 def _as_result(value):
@@ -187,11 +181,10 @@ def lyapunov_accelerated(
         raise ValueError("tau_k and s must be positive")
     if tau_prev is not None and np.any(tau_prev <= 0):
         raise ValueError("tau_prev must be positive (or None for 1/tau_0 := 0)")
-    dx = x_k - saddle.x
     dy = y_prev - saddle.y
     # at extreme moduli tau_k**2 overflows or underflows: the value is inf or nan
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        value = _rowdot(dx, dx) / (2.0 * tau_k**2) + _rowdot(dy, dy) / (2.0 * s**2)
+        value = _sq_dist(x_k, saddle.x) / (2.0 * tau_k**2) + _rowdot(dy, dy) / (2.0 * s**2)
         if tau_prev is not None:
             step = x_k - x_prev
             value += _rowdot(F.apply(step), dy) / tau_prev + _rowdot(step, step) / (2.0 * tau_prev**2)
@@ -360,11 +353,6 @@ def theorem_bound(
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def _sq_dist(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    diff = points - center
-    return _rowdot(diff, diff)
-
-
 @np.errstate(over="ignore")  # past ~1e170 the floor is inf: rounding allows any distance
 def _rounding_floor(a: np.ndarray, b: np.ndarray) -> float:
     """||eps max(|a|, |b|)||^2: the squared distance between a and b that
@@ -373,24 +361,16 @@ def _rounding_floor(a: np.ndarray, b: np.ndarray) -> float:
     return float(scale @ scale)
 
 
-def block_rows(problem: SaddleProblem) -> int:
-    """Rows per row block of :class:`TableAccumulator`: about
-    BLOCK_ELEMENTS entries per state array."""
-    return max(1, BLOCK_ELEMENTS // max(problem.d1, problem.d2))
-
-
 class TableAccumulator:
     """The :class:`LyapunovTable` of one run, filled a block of rows at a
     time: the block observer :func:`~pdhglab.engine.run` streams states to,
     and the body of :func:`lyapunov_table`.
 
-    Each call takes consecutive rows ``(k, x, y, x_next, y_next)`` and
-    fills the table's columns for them one row block (:func:`block_rows`
-    rows) at a time; :meth:`table` returns the table of every row seen.
-    A run hands over ``block_rows`` rows at a time, whole row blocks of
-    about STREAM_ELEMENTS entries per state array, so its row blocks start
-    where those of one call with every row would.  The step sizes of row k
-    are read from ``schedule``.
+    Each call takes the consecutive rows ``(k, x, y, x_next, y_next)`` of
+    one step block and fills the table's columns for them; :meth:`table`
+    returns the table of every row seen.  The block bounds the memory the
+    call's temporaries take.  The step sizes of row k are read from
+    ``schedule``.
     E(k+1) is evaluated for every row.  The accelerated E(k) and NE need
     the row of step k - 1: where the rows are consecutive they are the
     previous row's E(k+1) and its transition's NE; at the first iteration
@@ -402,22 +382,13 @@ class TableAccumulator:
         self, schedule: Schedule, problem: SaddleProblem, saddle: PrimalDualPair,
         init: PrimalDualPair,
     ):
-        self._step = step = block_rows(problem)
-        self.block_rows = step * max(1, STREAM_ELEMENTS // (step * max(problem.d1, problem.d2)))
         self._schedule, self._F, self._saddle, self._init = schedule, problem.F, saddle, init
         # E, ne, E_next, dist_x, dist_y, dist_x_next, dist_y_next; grown by doubling
-        self._columns = np.empty((7, self.block_rows))
+        self._columns = np.empty((7, step_block(problem)))
         self._rows = 0
         self._first = None  # the accelerated (E, ne) of the k_start row
 
     def __call__(self, k, x, y, x_next, y_next) -> None:
-        step = self._step
-        for lo in range(0, len(k), step):
-            b = slice(lo, lo + step)
-            self._fill(k[b], x[b], y[b], x_next[b], y_next[b])
-
-    def _fill(self, k, x, y, x_next, y_next) -> None:
-        """Fill the columns of one row block."""
         sched, F, saddle = self._schedule, self._F, self._saddle
         s = sched.s
         lo, hi = self._rows, self._rows + len(k)
@@ -472,13 +443,17 @@ def lyapunov_table(
     trajectory: Trajectory, problem: SaddleProblem, saddle: PrimalDualPair
 ) -> LyapunovTable:
     """Evaluate the regime's Lyapunov diagnostics along a trajectory that
-    kept its states: all its rows go to one :class:`TableAccumulator`
-    call, which gives the bits of a streamed run's table and keeps the
-    working set at a row block's temporaries.
+    kept its states: its rows go to a :class:`TableAccumulator` in the
+    step blocks a run hands over, (k - k_start) // step_block(problem),
+    which gives the bits of a streamed run's table and keeps the working
+    set at a step block's temporaries.
     """
     t = trajectory
     table = TableAccumulator(t.schedule, problem, saddle, t.init)
-    table(t.k, t.x, t.y, t.x_next, t.y_next)
+    block = (t.k - t.schedule.k_start) // step_block(problem)
+    cuts = np.flatnonzero(np.diff(block)) + 1
+    for lo, hi in zip([0, *cuts], [*cuts, len(block)]):
+        table(t.k[lo:hi], t.x[lo:hi], t.y[lo:hi], t.x_next[lo:hi], t.y_next[lo:hi])
     return table.table(t)
 
 

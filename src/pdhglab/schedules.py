@@ -72,7 +72,8 @@ def make_schedule(
     c = mu/2 for ``varying_sc`` and c = 2 mu / 3 for ``accelerated``.  Raises
     ValueError naming the offending parameter when a regime precondition is
     violated (mu/gamma missing, c outside its open interval, s * F_norm >= 1,
-    or a parameter that the regime does not accept).
+    or a parameter that the regime does not accept), and when tau or sigma
+    at k_start underflows to 0 or overflows to inf.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
@@ -137,13 +138,20 @@ def make_schedule(
             f"s * F_norm = {s * F_norm} violates the admissibility condition s * ||F|| < 1"
         )
 
-    return Schedule(
+    sched = Schedule(
         regime=regime,
         s=float(s),
         c=None if c is None else float(c),
         tau=None if tau is None else float(tau),
         sigma=None if sigma is None else float(sigma),
     )
+    tau_0, sigma_0, _ = schedule_at(sched, sched.k_start)
+    if not (0.0 < tau_0 < math.inf and 0.0 < sigma_0 < math.inf):
+        raise ValueError(
+            f"the steps at k = {sched.k_start} are out of the double range: "
+            f"tau = {tau_0:g}, sigma = {sigma_0:g}"
+        )
+    return sched
 
 
 def schedule_at(sched: Schedule, k):

@@ -86,6 +86,8 @@ class InstanceSpec:
                 raise ValueError("lam must be positive for l1-regularized kinds")
         if self.cond < 1:
             raise ValueError("cond must be at least 1")
+        if self.m is not None and self.m < 1:
+            raise ValueError("m must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)

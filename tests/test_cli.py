@@ -468,6 +468,21 @@ def test_ode_compare_names_a_newton_failure(tmp_path, capsys, monkeypatch, modul
     assert re.search(pattern, capsys.readouterr().out)
 
 
+def test_ode_compare_names_an_ill_conditioned_mass_matrix(tmp_path, capsys):
+    # tau sigma ||F||^2 = 0.1, but steps 1e300 and 1e-301 put the mass
+    # matrix's diagonal blocks 600 decades apart: a verdict, not a traceback
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 4},
+        "regime": "fixed",
+        "schedule": {"tau": 1e300, "sigma": 1e-301},
+        "budget": 50,
+        "checks": ["ode_compare"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 1
+    pattern = r"^check\.ode_compare = FAIL \(mass matrix is ill-conditioned: condition number inf > 1e14"
+    assert re.search(pattern, capsys.readouterr().out, re.M)
+
+
 @pytest.mark.parametrize("moduli", [{"mu": 1e200}, {"gamma": 1e200}])
 def test_ode_compare_newton_stops_at_the_rounding_floor_of_a_stiff_step(tmp_path, capsys, moduli):
     # h 1e200 (x+ - a) (or (y+ - b)) moves by about 1e182 as x+ (or y+)
@@ -513,6 +528,40 @@ def test_optimal_ss_moduli_ratio_past_the_double_range_is_exit_2(tmp_path, capsy
     }
     assert main(["verify", write_config(tmp_path, doc)]) == 2
     assert "config error: gamma/mu = inf puts the derived steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "instance, regime, checks, k",
+    [({"kind": "gen_lasso", "d": 10, "lam": 5, "identity_a": True}, "varying_sc", ["lemma"], 0),
+     ({"kind": "quad_pair", "d": 4}, "accelerated", [], 1)],
+)
+def test_steps_that_underflow_at_the_start_are_exit_2(tmp_path, capsys, instance, regime, checks, k):
+    # s = 1e-170 makes sigma = c s^2 underflow to 0
+    doc = {"instance": instance, "regime": regime, "schedule": {"s": 1e-170}, "budget": 50,
+           "checks": checks}
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: the steps at k = {k} are out of the double range: " in err
+    assert err.rstrip().endswith("sigma = 0")
+
+
+def test_a_record_every_past_int64_records_the_first_and_last_rows(tmp_path, capsys):
+    doc = {"instance": {"kind": "quad_pair", "d": 4}, "regime": "varying_sc", "budget": 50}
+    outputs = []
+    for record_every in (50, 10**26):
+        out = tmp_path / str(record_every)
+        doc.update(record_every=record_every, output=str(out))
+        assert main(["run", write_config(tmp_path, doc)]) == 0
+        outputs.append((out / "trajectory.csv").read_text())
+    assert outputs[0] == outputs[1]
+    assert [row["k"] for row in csv.DictReader(outputs[0].splitlines())] == ["0", "49"]
+
+
+def test_instance_m_below_one_is_a_named_config_error(tmp_path, capsys):
+    doc = {"instance": {"kind": "lasso", "d": 10, "lam": 0.1, "m": 0}, "regime": "fixed",
+           "budget": 50}
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    assert "config error: instance: m must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("regime", ["fixed", "varying_sc", "accelerated", "optimal_ss"])

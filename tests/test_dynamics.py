@@ -64,6 +64,18 @@ def test_mass_matrix_singularity_rejected():
         one_step(state, 0.1, 1.0, 1.0, 1.0, prob)
 
 
+def test_ill_conditioned_mass_matrix_names_its_condition_number():
+    # tau sigma ||F||^2 = 0.25 is admissible, but the diagonal blocks 1/tau
+    # and 1/sigma lie 20 decades apart
+    prob = SaddleProblem(
+        F=np.array([[1.0]]), prox_f=lambda v, t: v, prox_gstar=lambda w, t: w,
+        mu=1.0, gamma=1.0, grad_f=lambda x: x, grad_gstar=lambda y: y,
+    )
+    state = PrimalDualPair(np.ones(1), np.ones(1))
+    with pytest.raises(ValueError, match=r"ill-conditioned: condition number 3\.33e\+19 > 1e14"):
+        integrate(state, 1.0, 0.1, 0.5, 2.5e9, 1e-10, prob)
+
+
 @pytest.mark.parametrize("coupling", [Identity(2), FirstDifference(3)])
 def test_matrix_free_coupling_is_a_named_error(coupling):
     # the mass matrix needs F's entries; a matrix-free coupling has none

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,9 +29,9 @@ from pdhglab import (
     schedule_at,
     step_residuals,
 )
+from pdhglab import engine
 from pdhglab.engine import (
     DIVERGENCE_GUARD,
-    STEP_BLOCK,
     TERMINATION_BUDGET,
     TERMINATION_DIVERGENCE,
     TERMINATION_RESIDUAL,
@@ -262,35 +263,73 @@ def test_step_residuals_stay_finite_when_their_squares_overflow():
 class RecordingObserver:
     """A block observer that copies every block it is handed."""
 
-    def __init__(self, block_rows):
-        self.block_rows = block_rows
+    def __init__(self):
         self.blocks = []
 
     def __call__(self, k, x, y, x_next, y_next):
-        assert len(k) <= self.block_rows
         self.blocks.append(tuple(np.array(a) for a in (k, x, y, x_next, y_next)))
 
 
+def use_step_block(monkeypatch, step_block):
+    """Run the engine in blocks of ``step_block`` steps (None keeps
+    STEP_BLOCK); returns the block size in force."""
+    if step_block is not None:
+        monkeypatch.setattr(engine, "STEP_BLOCK", step_block)
+    return engine.STEP_BLOCK
+
+
 @pytest.mark.parametrize("record_every, budget", [(1, 20), (1, 23), (3, 23)])
-def test_streamed_run_hands_every_recorded_row_to_the_observer(record_every, budget):
+def test_streamed_run_hands_every_recorded_row_to_the_observer(monkeypatch, record_every, budget):
+    use_step_block(monkeypatch, 4)
     built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=2, seed=3))
     sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, s=0.2, mu=1.0, gamma=1.0)
     init = PrimalDualPair(np.ones(3), -np.ones(2))
     stored = run(built.problem, sched, init, budget=budget, tol=0.0, record_every=record_every)
-    observer = RecordingObserver(block_rows=4)
+    observer = RecordingObserver()
     streamed = run(
         built.problem, sched, init, budget=budget, tol=0.0, record_every=record_every,
         observer=observer,
     )
-    # full blocks of 4, then the rest
-    sizes = [len(block[0]) for block in observer.blocks]
-    assert sizes[:-1] == [4] * (len(sizes) - 1) and 1 <= sizes[-1] <= 4
+    # one hand-over per 4-step block, of the rows recorded in it
+    blocks = {}
+    for k in stored.k.tolist():
+        blocks.setdefault(k // 4, []).append(k)
+    assert [block[0].tolist() for block in observer.blocks] == list(blocks.values())
     for got, name in zip(zip(*observer.blocks), ("k", "x", "y", "x_next", "y_next")):
         assert np.array_equal(np.concatenate(got), getattr(stored, name))
     assert streamed.x is streamed.y is streamed.x_next is streamed.y_next is None
     assert np.array_equal(streamed.k, stored.k)
     assert np.array_equal(streamed.final.x, stored.final.x)
     assert np.array_equal(streamed.final.y, stored.final.y)
+
+
+def test_step_block_caps_the_entries_of_a_block():
+    # step_block reads only the dimensions
+    def dims(d1, d2):
+        return SimpleNamespace(d1=d1, d2=d2)
+
+    assert engine.step_block(dims(4, 3)) == engine.STEP_BLOCK
+    # a d = 400 block holds 81 rows of 400 entries, at most 2^15
+    assert engine.step_block(dims(400, 400)) == engine.STEP_BLOCK_ELEMENTS // 400 == 81
+    assert engine.step_block(dims(3, 400)) == 81
+    assert engine.step_block(dims(2 * engine.STEP_BLOCK_ELEMENTS, 1)) == 1
+
+
+def test_a_record_every_past_the_budget_records_the_first_and_last_rows():
+    # a stride past int64 records what a stride of the budget records
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=2, seed=3))
+    sched = make_schedule(FIXED, built.problem.F_norm)
+    init = PrimalDualPair(np.ones(3), -np.ones(2))
+    for budget in (1, 7, 600):
+        want = run(built.problem, sched, init, budget=budget, tol=-1.0, record_every=budget)
+        for observer in (None, RecordingObserver()):
+            got = run(
+                built.problem, sched, init, budget=budget, tol=-1.0, record_every=10**26,
+                observer=observer,
+            )
+            assert got.k.tolist() == want.k.tolist() == sorted({0, budget - 1})
+            assert np.array_equal(got.primal_residual, want.primal_residual)
+            assert np.array_equal(got.final.x, want.final.x)
 
 
 def test_engine_does_not_import_the_diagnostics():
@@ -343,32 +382,34 @@ def reference_run(problem, schedule, init, budget, tol, record_every=1):
     return rows, termination, PrimalDualPair(x=x, y=y)
 
 
-def assert_matches_reference(problem, schedule, init, budget, tol, record_every=1, block_rows=None):
-    """Run the engine stored, or streamed to a recording observer with
-    ``block_rows``, and compare every row with :func:`reference_run`: the
-    states bitwise, the residuals to rtol 1e-13 (a dense F applies a block
-    of rows by GEMM and one row by GEMV).  Returns the trajectory."""
+def assert_matches_reference(problem, schedule, init, budget, tol, record_every=1):
+    """Run the engine stored, and streamed to a recording observer, and
+    compare every row of each with :func:`reference_run`: the states
+    bitwise, the residuals to rtol 1e-13 (a dense F applies a block of rows
+    by GEMM and one row by GEMV).  Returns the stored trajectory."""
     want, termination, final = reference_run(problem, schedule, init, budget, tol, record_every)
-    observer = None if block_rows is None else RecordingObserver(block_rows)
-    got = run(problem, schedule, init, budget=budget, tol=tol, record_every=record_every,
-              observer=observer)
-    assert got.termination == termination
-    assert np.array_equal(got.k, want["k"])
+    observer = RecordingObserver()
+    stored, streamed = (
+        run(problem, schedule, init, budget=budget, tol=tol, record_every=record_every,
+            observer=o)
+        for o in (None, observer)
+    )
+    blocks = list(zip(*observer.blocks))
+    assert np.array_equal(np.concatenate(blocks[0]), want["k"])
+    streamed_states = dict(zip(("x", "y", "x_next", "y_next"), map(np.concatenate, blocks[1:])))
     tau, sigma, theta = schedule_at(schedule, want["k"])
-    for name, column in (("tau", tau), ("sigma", sigma), ("theta", theta)):
-        assert np.array_equal(getattr(got, name), column)
-    if observer is None:
-        states = {name: getattr(got, name) for name in ("x", "y", "x_next", "y_next")}
-    else:
-        blocks = list(zip(*observer.blocks))
-        assert np.array_equal(np.concatenate(blocks[0]), want["k"])
-        states = dict(zip(("x", "y", "x_next", "y_next"), map(np.concatenate, blocks[1:])))
-    for name, value in states.items():
+    for got in (stored, streamed):
+        assert got.termination == termination
+        assert np.array_equal(got.k, want["k"])
+        for name, column in (("tau", tau), ("sigma", sigma), ("theta", theta)):
+            assert np.array_equal(getattr(got, name), column)
+        assert np.array_equal(got.final.x, final.x) and np.array_equal(got.final.y, final.y)
+        np.testing.assert_allclose(got.primal_residual, want["rp"], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got.dual_residual, want["rd"], rtol=1e-13, atol=0)
+    for name, value in streamed_states.items():
+        assert np.array_equal(getattr(stored, name), want[name]), name
         assert np.array_equal(value, want[name]), name
-    assert np.array_equal(got.final.x, final.x) and np.array_equal(got.final.y, final.y)
-    np.testing.assert_allclose(got.primal_residual, want["rp"], rtol=1e-13, atol=0)
-    np.testing.assert_allclose(got.dual_residual, want["rd"], rtol=1e-13, atol=0)
-    return got
+    return stored
 
 
 def regime_schedule(regime, problem):
@@ -379,8 +420,9 @@ def regime_schedule(regime, problem):
 
 @pytest.mark.parametrize("regime", [FIXED, VARYING_SC, ACCELERATED, OPTIMAL_SS])
 @pytest.mark.parametrize("record_every", [1, 7])
-@pytest.mark.parametrize("block_rows", [None, 5])
-def test_block_loop_matches_the_step_by_step_loop(regime, record_every, block_rows):
+@pytest.mark.parametrize("step_block", [None, 5])
+def test_block_loop_matches_the_step_by_step_loop(monkeypatch, regime, record_every, step_block):
+    S = use_step_block(monkeypatch, step_block)
     # the accelerated regime takes its dual half-step first and starts at k = 1
     built = build_instance(InstanceSpec(kind="quad_pair", d1=4, d2=3, seed=3))
     problem = built.problem
@@ -388,10 +430,8 @@ def test_block_loop_matches_the_step_by_step_loop(regime, record_every, block_ro
     schedule = regime_schedule(regime, problem)
     # within one block, one block, not a multiple of one; tol = -1 never
     # stops a run, which under fixed steps reaches an exact fixed point
-    for budget in (1, 10, 64, 150):
-        got = assert_matches_reference(
-            problem, schedule, init, budget, -1.0, record_every, block_rows
-        )
+    for budget in (1, S - 1, S, 2 * S + 3):
+        got = assert_matches_reference(problem, schedule, init, budget, -1.0, record_every)
         assert got.termination == TERMINATION_BUDGET and got.k[-1] == schedule.k_start + budget - 1
 
 
@@ -407,22 +447,57 @@ def test_block_loop_takes_the_bits_of_a_matrix_free_step():
     assert np.array_equal(got.dual_residual, want["rd"])
 
 
+def tol_stopping_at(rows, stop):
+    """A tol between the residual of row ``stop`` of a reference run and
+    every earlier one, which must all be larger."""
+    worst = np.maximum(rows["rp"], rows["rd"])
+    earlier = worst[:stop].min(initial=np.inf)
+    assert worst[stop] < earlier
+    return math.sqrt(worst[stop] * min(earlier, 4 * worst[stop]))
+
+
 @pytest.mark.parametrize("stop", [0, 62, 63, 64, 126, 127])
-@pytest.mark.parametrize("block_rows", [None, 5])
-def test_tol_stop_at_any_row_of_a_block(stop, block_rows):
-    # rows 0, 62 and 63 of the first and second blocks of STEP_BLOCK = 64 steps
-    assert STEP_BLOCK == 64
+@pytest.mark.parametrize("step_block", [None, 5])
+def test_tol_stop_at_any_row_of_a_block(monkeypatch, stop, step_block):
+    # inside the first block of STEP_BLOCK steps; in 5-step blocks at rows
+    # 0 (stop 0), 1 (126), 2 (62, 127), 3 (63) and 4 (64) of one
+    use_step_block(monkeypatch, step_block)
     built = build_instance(InstanceSpec(kind="quad_pair", d1=4, d2=4, seed=1))
     problem = built.problem
     schedule = make_schedule(OPTIMAL_SS, problem.F_norm, s=0.3, mu=problem.mu, gamma=problem.gamma)
     init = PrimalDualPair(np.ones(4), -np.ones(4))
     rows, _, _ = reference_run(problem, schedule, init, 200, 0.0)
-    worst = np.maximum(rows["rp"], rows["rd"])
-    # a tol between the stop row's residual and every earlier one
-    assert worst[stop] < worst[:stop].min(initial=np.inf)
-    tol = math.sqrt(worst[stop] * min(worst[:stop].min(initial=np.inf), 4 * worst[stop]))
+    tol = tol_stopping_at(rows, stop)
     for budget in (200, stop + 1):  # the budget ends past the stop, and on it
-        got = assert_matches_reference(problem, schedule, init, budget, tol, 1, block_rows)
+        got = assert_matches_reference(problem, schedule, init, budget, tol)
+        assert got.termination == TERMINATION_RESIDUAL and got.k[-1] == stop
+
+
+def contracting_problem():
+    """Uncoupled "proxes" that contract by 0.98 a step: both residuals
+    fall by that factor at every step, for thousands of steps."""
+    return SaddleProblem(
+        F=np.zeros((1, 1)),
+        prox_f=lambda v, t: 0.98 * v + 1.0,
+        prox_gstar=lambda w, t: 0.98 * w + 1.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "blocks, row",
+    [pytest.param(0, 0, id="0"), pytest.param(1, -2, id="S-2"), pytest.param(1, -1, id="S-1"),
+     pytest.param(1, 0, id="S"), pytest.param(2, -2, id="2S-2"), pytest.param(2, -1, id="2S-1")],
+)
+def test_tol_stop_at_the_edges_of_a_step_block(blocks, row):
+    S = engine.STEP_BLOCK
+    stop = blocks * S + row
+    problem = contracting_problem()
+    schedule = make_schedule(FIXED, 1.0, s=0.5, tau=0.5, sigma=0.5)
+    init = PrimalDualPair(np.zeros(1), np.zeros(1))
+    rows, _, _ = reference_run(problem, schedule, init, 2 * S + 10, 0.0)
+    tol = tol_stopping_at(rows, stop)
+    for budget in (2 * S + 10, stop + 1):
+        got = assert_matches_reference(problem, schedule, init, budget, tol)
         assert got.termination == TERMINATION_RESIDUAL and got.k[-1] == stop
 
 
@@ -437,17 +512,20 @@ def amplifying_problem(factor):
 
 
 @pytest.mark.parametrize("record_every", [1, 7])
-@pytest.mark.parametrize("block_rows", [None, 5])
-def test_divergence_in_the_middle_of_a_block(record_every, block_rows):
+@pytest.mark.parametrize("step_block", [None, 5])
+def test_divergence_in_the_middle_of_a_block(monkeypatch, record_every, step_block):
+    S = use_step_block(monkeypatch, step_block)
     schedule = make_schedule(FIXED, 1.0, s=0.5, tau=0.5, sigma=0.5)
     init = PrimalDualPair(np.ones(1), np.ones(1))
-    for factor in (4.0, 1.2):  # trips in the first block, and in a later one
+    # trips at k = 27 and k = 327: in the first block of STEP_BLOCK steps
+    # and in the second, and mid-block in 5-step blocks too
+    for factor, block in ((3.0, 0), (1.25, 1)):
         got = assert_matches_reference(
-            amplifying_problem(factor), schedule, init, 10_000, 0.0, record_every, block_rows
+            amplifying_problem(factor), schedule, init, 10_000, 0.0, record_every
         )
         assert got.termination == TERMINATION_DIVERGENCE
-        assert got.k[-1] % STEP_BLOCK not in (0, STEP_BLOCK - 1)
-        assert got.k[-1] > STEP_BLOCK if factor == 1.2 else got.k[-1] < STEP_BLOCK
+        assert got.k[-1] % S not in (0, S - 1)
+        assert step_block is not None or got.k[-1] // S == block
 
 
 def test_divergence_wins_a_tie_with_tol():
@@ -475,8 +553,6 @@ def test_stacked_step_residuals_equal_the_per_row_calls():
 
 def test_the_loop_makes_no_per_step_schedule_or_residual_call(monkeypatch):
     # two operator applications per step, two more per block
-    from pdhglab import engine
-
     calls = {"schedule_at": 0, "step_residuals": 0, "apply": 0, "apply_T": 0}
 
     def counting(name, fn):
@@ -492,7 +568,7 @@ def test_the_loop_makes_no_per_step_schedule_or_residual_call(monkeypatch):
     for name in ("schedule_at", "step_residuals"):
         monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
     schedule = make_schedule(FIXED, F.norm)
-    budget = 3 * STEP_BLOCK + 5
+    budget = 3 * engine.STEP_BLOCK + 5
     run(built.problem, schedule, PrimalDualPair(np.zeros(10), np.zeros(9)), budget=budget, tol=0.0)
     blocks = 4
     assert calls["schedule_at"] == blocks + 1  # one more for the (R,) step columns

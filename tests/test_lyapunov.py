@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pdhglab import lyapunov
+from pdhglab import engine, lyapunov
 from pdhglab.engine import TERMINATION_BUDGET, TERMINATION_DIVERGENCE, TERMINATION_RESIDUAL
 from pdhglab.rates import TRUNCATION_FLOOR
 from pdhglab import (
@@ -442,12 +442,12 @@ def reference_slack(regime, traj, problem, ref):
     return np.array(rhs_all), np.array(slack_all)
 
 
-@pytest.mark.parametrize("block_elements", [None, 12])
+@pytest.mark.parametrize("step_block", [None, 12])
 @pytest.mark.parametrize("record_every", [1, 3])
 @pytest.mark.parametrize("regime", [FIXED, VARYING_SC, ACCELERATED, OPTIMAL_SS])
-def test_table_matches_scalar_reference(monkeypatch, regime, record_every, block_elements):
-    if block_elements is not None:  # several blocks, with boundaries inside gaps
-        monkeypatch.setattr(lyapunov, "BLOCK_ELEMENTS", block_elements)
+def test_table_matches_scalar_reference(monkeypatch, regime, record_every, step_block):
+    if step_block is not None:  # several blocks, with boundaries inside gaps
+        monkeypatch.setattr(engine, "STEP_BLOCK", step_block)
     built = build_instance(InstanceSpec(kind="quad_pair", d1=5, d2=3, seed=4))
     problem = built.problem
     sched = make_schedule(regime, problem.F_norm, mu=problem.mu, gamma=problem.gamma)
@@ -537,6 +537,30 @@ def stored_and_streamed(problem, sched, init, saddle, **run_args):
     return stored, lyapunov_table(stored, problem, saddle), streamed, table.table(streamed)
 
 
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_a_stored_table_fills_in_the_blocks_a_run_hands_over(monkeypatch, record_every):
+    # accelerated starts at k = 1: the blocks count from k_start
+    monkeypatch.setattr(engine, "STEP_BLOCK", 7)
+    fills = []
+    fill = TableAccumulator.__call__
+
+    def recording(self, k, *states):
+        fills.append(k.tolist())
+        fill(self, k, *states)
+
+    monkeypatch.setattr(TableAccumulator, "__call__", recording)
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=4, seed=2))
+    sched = make_schedule(ACCELERATED, built.problem.F_norm, mu=built.problem.mu)
+    init = PrimalDualPair(np.ones(4), -np.ones(4))
+    stored_and_streamed(
+        built.problem, sched, init, built.saddle, budget=45, tol=0.0, record_every=record_every
+    )
+    stored, streamed = fills[: len(fills) // 2], fills[len(fills) // 2:]
+    assert stored == streamed
+    assert [(k[0] - 1) // 7 for k in stored] == list(range(7))  # 45 steps, 7 blocks
+    assert all((k[-1] - 1) // 7 == (k[0] - 1) // 7 for k in stored)
+
+
 def assert_same_run(stored, stored_table, streamed, streamed_table):
     assert streamed.x is streamed.y is streamed.x_next is streamed.y_next is None
     assert streamed.termination == stored.termination
@@ -550,11 +574,10 @@ def assert_same_run(stored, stored_table, streamed, streamed_table):
         ), name
 
 
-# With 28 block elements and 56 stream elements, a d = 4 run is handed
-# over 14 rows at a time and the table fills 7 at a time.  record_every 1
-# records every step; record_every 3 records steps 0, 3, ... and the last
-# one.  ``edge`` says whether the last hand-over is full: 74 rows end 4
-# rows into one, 80 rows 7 + 3 rows into one, 42 rows (budget 124) on one.
+# A run with record_every 1 goes in 14-step blocks; with record_every 3,
+# which records steps 0, 3, ... and the last one, in 4-step blocks of one
+# or two recorded rows.  ``edge`` says whether the budget ends on the last
+# step of a block: 70 and 124 do, 74, 80 and 62 end 4, 10 and 2 steps into one.
 @pytest.mark.parametrize(
     "record_every, budget, edge",
     [(1, 70, True), (1, 74, False), (1, 80, False), (3, 124, True), (3, 62, False)],
@@ -564,8 +587,8 @@ def assert_same_run(stored, stored_table, streamed, streamed_table):
                   (ACCELERATED, None), (ACCELERATED, 0.9)],
 )
 def test_streamed_table_equals_the_stored_one(monkeypatch, regime, c, record_every, budget, edge):
-    monkeypatch.setattr(lyapunov, "BLOCK_ELEMENTS", 28)
-    monkeypatch.setattr(lyapunov, "STREAM_ELEMENTS", 56)
+    step_block = {1: 14, 3: 4}[record_every]
+    monkeypatch.setattr(engine, "STEP_BLOCK", step_block)
     built = build_instance(InstanceSpec(kind="quad_pair", d1=4, seed=2, mu=1.0, gamma=1.0))
     problem = built.problem
     # a short step keeps optimal_ss from reaching a zero residual in the budget
@@ -576,15 +599,14 @@ def test_streamed_table_equals_the_stored_one(monkeypatch, regime, c, record_eve
     runs = stored_and_streamed(
         problem, sched, init, built.saddle, budget=budget, tol=0.0, record_every=record_every
     )
-    assert (len(runs[0].k) % 14 == 0) == edge
+    assert (budget % step_block == 0) == edge
     assert runs[0].termination == TERMINATION_BUDGET
     assert_same_run(*runs)
 
 
 @pytest.mark.parametrize("regime", [FIXED, VARYING_SC, OPTIMAL_SS, ACCELERATED])
 def test_streamed_table_equals_the_stored_one_when_a_stop_ends_the_run(monkeypatch, regime):
-    monkeypatch.setattr(lyapunov, "BLOCK_ELEMENTS", 28)
-    monkeypatch.setattr(lyapunov, "STREAM_ELEMENTS", 56)
+    monkeypatch.setattr(engine, "STEP_BLOCK", 14)
     # optimal_ss reaches the residual tolerance in a few dozen steps
     built = build_instance(InstanceSpec(kind="quad_pair", d1=4, seed=0, mu=1.0, gamma=1.0))
     sched = make_schedule(regime, built.problem.F_norm, mu=1.0, gamma=1.0)

@@ -114,6 +114,16 @@ def test_optimal_ss_rejects_a_moduli_ratio_past_the_double_range():
         make_schedule(OPTIMAL_SS, 1.0, mu=1e200, gamma=1e-200)
 
 
+def test_steps_out_of_the_double_range_at_the_start_are_rejected():
+    # s = 1e-170 underflows sigma = c s^2 (k + 1) to 0 at the first iteration
+    for regime, k_start in ((VARYING_SC, 0), (ACCELERATED, 1)):
+        with pytest.raises(ValueError, match=rf"steps at k = {k_start} .* sigma = 0$"):
+            make_schedule(regime, 1.0, s=1e-170, mu=1.0)
+    # c = 1e-310 overflows tau = 1/(c (k + 1)) to inf
+    with pytest.raises(ValueError, match=r"steps at k = 0 .* tau = inf, sigma = 8.1e-311$"):
+        make_schedule(VARYING_SC, 1.0, c=1e-310, mu=1.0)
+
+
 def test_monotone_step_evolution():
     for regime, kw in [
         (VARYING_SC, dict(c=0.5, mu=1.0)),

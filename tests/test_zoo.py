@@ -237,3 +237,10 @@ def test_kkt_solve_check_holds_when_the_squared_norms_overflow(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lambda K, rhs: np.zeros_like(rhs))
     with pytest.raises(RuntimeError, match="KKT solve residual"):
         make_quad_pair(a, b_hat, 1e300, 1.0, F)
+
+
+def test_instance_spec_rejects_fewer_than_one_row():
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="^m must be at least 1$"):
+            InstanceSpec(kind="lasso", d1=5, lam=0.5, m=m)
+    assert build_instance(InstanceSpec(kind="lasso", d1=5, lam=0.5, m=1)).A.shape == (1, 5)
