@@ -4,9 +4,10 @@ Subcommands:
 
 * ``run <config>``     execute one experiment; write trajectory.csv and
                        summary.txt into the output directory.
-* ``sweep <config>``   run a grid over schedule constants c and s, serially on
-                       one built instance and saddle; one subdirectory per
-                       cell plus an aggregate sweep_summary.csv.
+* ``sweep <config>``   run a grid over schedule constants c and s on one built
+                       instance and saddle, the cells stepping in lockstep as
+                       one stacked run; one subdirectory per cell plus an
+                       aggregate sweep_summary.csv.
 * ``verify <config>``  run the requested checks only; print the summary,
                        write no trajectory CSV.
 * ``info <config>``    print resolved defaults, admissibility margin and the
@@ -300,15 +301,23 @@ def execute(
 def _execute(config, built, schedule, resolved, write_trajectory, quiet):
     """:func:`execute` on a built instance, its schedule and its resolved
     (saddle, source)."""
-    saddle, saddle_source = resolved
-    problem = built.problem
+    traj, observer = _solve(config, built.problem, schedule, resolved[0])
+    return _report(config, built, schedule, resolved, traj, observer, write_trajectory, quiet)
+
+
+def _solve(config, problem, schedule, saddle):
+    """:func:`run` from the origin under ``schedule``, or under a list of
+    schedules in lockstep; returns the trajectory and the observer the run
+    streamed its states to, or the lists of both.  The observer is the
+    table when there is a saddle to measure the states against, else one
+    that drops them."""
     init = PrimalDualPair(x=np.zeros(problem.d1), y=np.zeros(problem.d2))
-    # The run streams its states in blocks: to the table when there is a
-    # saddle to measure them against, else to an observer that drops them.
-    if saddle is not None:
-        observer = TableAccumulator(schedule, problem, saddle, init)
-    else:
-        observer = lambda *block: None
+    stacked = isinstance(schedule, list)
+    observers = [
+        TableAccumulator(one, problem, saddle, init) if saddle is not None else lambda *block: None
+        for one in (schedule if stacked else [schedule])
+    ]
+    observer = observers if stacked else observers[0]
     try:
         traj = run(
             problem, schedule, init, budget=config.budget, tol=config.tol,
@@ -316,6 +325,13 @@ def _execute(config, built, schedule, resolved, write_trajectory, quiet):
         )
     except MemoryError as exc:  # the (R,) columns are reserved for the whole budget
         raise ConfigError(f"{exc}; lower budget or raise record_every") from exc
+    return traj, observer
+
+
+def _report(config, built, schedule, resolved, traj, observer, write_trajectory, quiet):
+    """The table, theorem, checks, summary and files of one solved run."""
+    saddle, saddle_source = resolved
+    problem = built.problem
     table = observer.table(traj) if saddle is not None else None
     # The regime's theorem, read by the theorem check and the CSV, or the
     # NoMatchingLemma that withheld it.
@@ -404,7 +420,9 @@ def _write_csv(path, traj, table, slacks, bound):
 
 def sweep(config: ExperimentConfig) -> int:
     """Grid runner over the schedule constants on one built instance and one
-    resolved saddle; every cell's schedule is validated before any cell runs."""
+    resolved saddle; every cell's schedule is validated before any cell runs,
+    and the cells run as one stacked :func:`run`, each with the bits of its
+    own."""
     built = materialize_instance(config)
     base_output = config.output or "."
     cells = []
@@ -420,9 +438,12 @@ def sweep(config: ExperimentConfig) -> int:
                 raise ConfigError(f"sweep cell ({i}, {j}) with c={c}, s={s}: {exc}") from exc
 
     resolved = _resolve_saddle(built)
+    # the cells step in lockstep, as one stacked run
+    schedules = [schedule for _, _, schedule in cells]
+    trajs, observers = _solve(config, built.problem, schedules, resolved[0])
     outcomes = [
-        _execute(cell, built, schedule, resolved, write_trajectory=True, quiet=True)
-        for _, cell, schedule in cells
+        _report(cell, built, schedule, resolved, traj, observer, write_trajectory=True, quiet=True)
+        for (_, cell, schedule), traj, observer in zip(cells, trajs, observers)
     ]
 
     os.makedirs(base_output, exist_ok=True)

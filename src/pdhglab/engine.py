@@ -35,13 +35,17 @@ the bits of a step-by-step loop.
 A run either keeps every recorded state, or streams them: given a block
 observer, :func:`run` hands it the recorded rows of each step block and
 keeps only the (R,) columns and the final state.
+
+Given a list of schedules, :func:`run` steps their runs in lockstep as one
+(B, d) stack with (B, 1) step columns, through the same loop; each run
+keeps the bits it has alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Optional, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -157,28 +161,40 @@ def step_residuals(
     """Displacement (fixed-point) residuals of one transition under the
     coupling operator ``F``.
 
-    On stacked (n, d) rows the steps are per row, of shape (n,), and so are
-    the two residuals; each row has the bits of its own call, up to how the
-    operator rounds a block of rows against a single one.
+    On stacked (..., d) rows the steps are per row, of shape (...,), and so
+    are the two residuals; each row has the bits of its own call.
     """
     dx = x_k - x_next
     dy = y_k - y_next
-    if dx.ndim == 2:
-        tau_k, sigma_k, theta_k = (np.reshape(a, (-1, 1)) for a in (tau_k, sigma_k, theta_k))
+    if dx.ndim > 1:
+        tau_k, sigma_k, theta_k = (np.asarray(a)[..., None] for a in (tau_k, sigma_k, theta_k))
     rx = dx / tau_k - F.apply_T(dy)
     ry = dy / sigma_k - theta_k * F.apply(dx)
     return _norm(rx), _norm(ry)
 
 
+def _reserve(rows: int, d1: int, d2: int, states: bool, shared: bool) -> list[np.ndarray]:
+    """The columns of one run: k and the two residuals, then, if ``states``,
+    x, y, x_next and y_next.  ``shared`` stores each post-state once, as the
+    next row's pre-state."""
+    columns = [np.empty(rows, dtype=np.int64), np.empty(rows), np.empty(rows)]
+    if states and shared:
+        xs, ys = np.empty((rows + 1, d1)), np.empty((rows + 1, d2))
+        columns += [xs[:-1], ys[:-1], xs[1:], ys[1:]]
+    elif states:
+        columns += [np.empty((rows, d)) for d in (d1, d2, d1, d2)]
+    return columns
+
+
 def run(
     problem: SaddleProblem,
-    schedule: Schedule,
+    schedule: Union[Schedule, Sequence[Schedule]],
     init: PrimalDualPair,
     budget: int,
     tol: float = 1e-10,
     record_every: int = 1,
-    observer: Optional[BlockObserver] = None,
-) -> Trajectory:
+    observer: Union[None, BlockObserver, Sequence[BlockObserver]] = None,
+) -> Union[Trajectory, list[Trajectory]]:
     """Iterate under ``schedule`` until the budget is exhausted, both
     displacement residuals fall below ``tol``, or the divergence guard
     trips.
@@ -205,7 +221,24 @@ def run(
     reservation that fails raises MemoryError before any step.  A
     ``record_every`` past the budget records what ``budget`` does: the
     first row and the last.
+
+    Given a sequence of B schedules of one regime (and, to stream, one
+    observer each), the B runs from ``init`` step in lockstep as a (B, d)
+    stack with per-row steps, and the list of their B trajectories is
+    returned, each with the bits of its own run.  The guard tests the whole
+    stack, whose norm no row's exceeds, and each row only when the stack
+    fails it; a row that trips it ends the block for every row, as in its
+    own run, and the others carry on.  Each row has its own residuals,
+    ``tol`` stop, records and hand-overs, and leaves the stack at the end
+    of the block where it stops.
     """
+    stacked = not isinstance(schedule, Schedule)
+    schedules = list(schedule) if stacked else [schedule]
+    observers = list(observer) if stacked and observer is not None else [observer] * len(schedules)
+    if not schedules or len({s.regime for s in schedules}) != 1:
+        raise ValueError("a stacked run needs at least one schedule, all of one regime")
+    if len(observers) != len(schedules):
+        raise ValueError(f"{len(observers)} observers for {len(schedules)} schedules")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if record_every < 1:
@@ -219,87 +252,116 @@ def run(
             f"({problem.d1},), ({problem.d2},)"
         )
 
+    B = len(schedules)
+    first = schedules[0]
+    if stacked:  # rows of states and columns of step sizes
+        x, y = np.tile(x, (B, 1)), np.tile(y, (B, 1))
     F = problem.F
-    if schedule.regime == ACCELERATED:
-        sigma0 = schedule.c * schedule.s**2
+    if first.regime == ACCELERATED:
+        sigma0 = first.c * first.s**2
+        if stacked:
+            sigma0 = np.array([[sched.c * sched.s**2] for sched in schedules])
         y = problem.prox_gstar(y + sigma0 * F.apply(x), sigma0)
 
-    d1, d2 = problem.d1, problem.d2
+    store = observer is None
     # A stride records its rows plus the last step.
     rows = budget if record_every == 1 else -(-budget // record_every) + 1
     try:
-        if observer is None and record_every == 1:
-            # Each row's post-state is the next row's pre-state: store it once.
-            xs, ys = np.empty((rows + 1, d1)), np.empty((rows + 1, d2))
-            X, X_next, Y, Y_next = xs[:-1], xs[1:], ys[:-1], ys[1:]
-        elif observer is None:
-            X, X_next = np.empty((rows, d1)), np.empty((rows, d1))
-            Y, Y_next = np.empty((rows, d2)), np.empty((rows, d2))
-        K = np.empty(rows, dtype=np.int64)
-        RP, RD = np.empty(rows), np.empty(rows)
+        columns = [
+            _reserve(rows, problem.d1, problem.d2, store, record_every == 1) for _ in schedules
+        ]
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's dimension limit
-        raise MemoryError(f"a trajectory of {rows} rows cannot be reserved ({exc})") from exc
+        what = "a trajectory" if B == 1 else f"{B} trajectories"
+        raise MemoryError(f"{what} of {rows} rows cannot be reserved ({exc})") from exc
     steps_per_block = step_block(problem)
-    # Row 0 holds a block's first pre-state and row i + 1 the post-state of its step i.
-    work_x = np.empty((steps_per_block + 1, d1))
-    work_y = np.empty((steps_per_block + 1, d2))
+    # Row 0 holds a block's first pre-states and row i + 1 the post-states of its step i.
+    work_x = np.empty((steps_per_block + 1, B, problem.d1))
+    work_y = np.empty((steps_per_block + 1, B, problem.d2))
     work_x[0], work_y[0] = x, y
 
-    n = 0  # rows recorded
-    termination = TERMINATION_BUDGET
+    active = list(range(B))  # the runs in the stack, by row
+    n = [0] * B  # rows recorded
+    termination = [TERMINATION_BUDGET] * B
+    final = [None] * B
     FTy = F.apply_T(y)
-    for start in range(0, budget, steps_per_block):
-        ks = np.arange(start, min(start + steps_per_block, budget)) + schedule.k_start
-        steps = schedule_at(schedule, ks)
+    start = 0
+    while active:
+        # A block ends at the next multiple of the block size, as in a run alone.
+        ks = np.arange(start, min((start // steps_per_block + 1) * steps_per_block, budget))
+        ks += first.k_start
+        # steps[i, j, b] is parameter i (tau, sigma, theta) of step j of row b
+        steps = np.stack([schedule_at(schedules[b], ks) for b in active], axis=-1)
+        per_step = zip(*(steps[..., None] if stacked else steps[..., 0].tolist()))
         m = 0  # steps taken in this block
-        diverged = False
-        for tau_k, sigma_k, theta_k in zip(*(a.tolist() for a in steps)):
+        diverged = np.zeros(len(active), dtype=bool)
+        for tau_k, sigma_k, theta_k in per_step:
             x, y = _step(problem, x, y, FTy, tau_k, sigma_k, theta_k)
             m += 1
             work_x[m], work_y[m] = x, y
             # np.vdot warns of no overflow: the guard reads an inf as divergence
             state_norm = math.sqrt(float(np.vdot(x, x))) + math.sqrt(float(np.vdot(y, y)))
             if not math.isfinite(state_norm) or state_norm > DIVERGENCE_GUARD:
-                diverged = True
-                break
+                # no row's norm exceeds the stack's: find the rows past the guard,
+                # whose norms _norm takes with np.vdot's bits (or past 1e154)
+                diverged = ~(_norm(work_x[m]) + _norm(work_y[m]) <= DIVERGENCE_GUARD)
+                if diverged.any():
+                    break
             FTy = F.apply_T(y)
 
         rp, rd = step_residuals(
-            F, work_x[:m], work_y[:m], work_x[1:m + 1], work_y[1:m + 1], *(a[:m] for a in steps)
+            F, work_x[:m], work_y[:m], work_x[1:m + 1], work_y[1:m + 1], *steps[:, :m]
         )
         # max(rp, rd) <= tol row by row, max taken as Python takes it of two floats
-        at_tol = np.flatnonzero(np.where(rd > rp, rd, rp) <= tol)
-        stop = m - 1
-        if at_tol.size and (at_tol[0] < stop or not diverged):
-            stop, termination = int(at_tol[0]), TERMINATION_RESIDUAL
-        elif diverged:
-            termination = TERMINATION_DIVERGENCE
-        last = termination != TERMINATION_BUDGET or start + m == budget
+        at_tol = np.where(rd > rp, rd, rp) <= tol
+        stays = []
+        for row, b in enumerate(active):
+            hits = np.flatnonzero(at_tol[:, row])
+            stop = m - 1
+            if hits.size and (hits[0] < stop or not diverged[row]):
+                stop, termination[b] = int(hits[0]), TERMINATION_RESIDUAL
+            elif diverged[row]:
+                termination[b] = TERMINATION_DIVERGENCE
+            last = termination[b] != TERMINATION_BUDGET or start + m == budget
 
-        recorded = np.arange(start, start + stop + 1) % record_every == 0
-        recorded[-1] |= last
-        picked = np.flatnonzero(recorded)
-        kept = ks[picked]
-        t = len(kept)
-        K[n:n + t], RP[n:n + t], RD[n:n + t] = kept, rp[picked], rd[picked]
-        states = work_x[picked], work_y[picked], work_x[picked + 1], work_y[picked + 1]
-        if observer is None:
-            X[n:n + t], Y[n:n + t], X_next[n:n + t], Y_next[n:n + t] = states
-        elif t:
-            observer(K[n:n + t], *states)
-        n += t
-        if last:
-            final = PrimalDualPair(x=work_x[stop + 1].copy(), y=work_y[stop + 1].copy())
-            break
+            recorded = np.arange(start, start + stop + 1) % record_every == 0
+            recorded[-1] |= last
+            picked = np.flatnonzero(recorded)
+            kept = ks[picked]
+            lo, t = n[b], len(kept)
+            states = (
+                work_x[picked, row], work_y[picked, row],
+                work_x[picked + 1, row], work_y[picked + 1, row],
+            )
+            # the states go to the columns when they are kept, else to the observer
+            for column, value in zip(columns[b], (kept, rp[picked, row], rd[picked, row], *states)):
+                column[lo:lo + t] = value
+            if not store and t:
+                observers[b](columns[b][0][lo:lo + t], *states)
+            n[b] += t
+            if last:  # copied out of the work buffer, which the stack reuses
+                final[b] = PrimalDualPair(*(w[stop + 1, row].copy() for w in (work_x, work_y)))
+            else:
+                stays.append(row)
+        if len(stays) < len(active):
+            active = [active[row] for row in stays]
+            if stacked:
+                # a block cut by a diverged row ends before its F^T y
+                x, y = x[stays], y[stays]
+                FTy = F.apply_T(y) if diverged.any() else FTy[stays]
+                work_x, work_y = work_x[:, stays], work_y[:, stays]
         work_x[0], work_y[0] = work_x[m], work_y[m]
+        start += m
 
-    k = K[:n]
-    tau, sigma, theta = schedule_at(schedule, k)
-    states = (X[:n], Y[:n], X_next[:n], Y_next[:n]) if observer is None else (None,) * 4
-    return Trajectory(
-        k, tau, sigma, theta, *states, primal_residual=RP[:n], dual_residual=RD[:n],
-        init=init, schedule=schedule, termination=termination, final=final,
-    )
+    trajectories = []
+    for b, sched in enumerate(schedules):
+        k, rp, rd, *states = (column[:n[b]] for column in columns[b])
+        tau, sigma, theta = schedule_at(sched, k)
+        trajectories.append(Trajectory(
+            k, tau, sigma, theta, *(states or (None,) * 4), primal_residual=rp,
+            dual_residual=rd, init=init, schedule=sched, termination=termination[b],
+            final=final[b],
+        ))
+    return trajectories if stacked else trajectories[0]
 
 
 def optimality_residual(problem: SaddleProblem, traj: Trajectory, i: int) -> tuple[float, float]:

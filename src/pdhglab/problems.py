@@ -11,7 +11,8 @@ of extension.
 
 A coupling operator has a ``shape`` (d2, d1), its spectral norm ``norm`` and
 the actions ``apply(v)`` = F v and ``apply_T(w)`` = F^T w.  Both act on the
-last axis, so one call serves a single state (d,) or a block of rows (R, d).
+last axis, so one call serves a single state (d,) or stacked rows (..., d),
+and each row of a stack gets the bits of its own call.
 :class:`Identity` and :class:`FirstDifference` are matrix-free; :class:`Dense`
 wraps any other matrix, and ``SaddleProblem`` wraps an ndarray ``F`` in it.
 
@@ -69,6 +70,13 @@ class FirstDifference:
         return p[..., :-1] - p[..., 1:]
 
 
+def matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for one vector (d,), or per row of stacked rows (..., d): one
+    matrix-vector product each, with the bits of ``M @ row`` (a product of
+    the whole stack, v M^T, rounds differently)."""
+    return M @ v if v.ndim == 1 else np.matmul(M, v[..., None])[..., 0]
+
+
 class Dense:
     """An explicit (d2, d1) matrix; its norm is the largest singular value
     (0.0 for the zero matrix)."""
@@ -83,10 +91,10 @@ class Dense:
         self.norm = float(np.linalg.norm(M, 2))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v if v.ndim == 1 else v @ self._T
+        return matvec(self.matrix, v)
 
     def apply_T(self, w: np.ndarray) -> np.ndarray:
-        return self._T @ w if w.ndim == 1 else w @ self.matrix
+        return matvec(self._T, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,14 +160,14 @@ def _norm(r: np.ndarray):
     overflows.  The square is np.vdot(r, r): the bits of r @ r, 1 us
     sooner, and no overflow warning where it turns inf.
 
-    On stacked (n, d) rows, the (n,) norms of the rows, each with the bits
-    of its own call: the stacked (1, d) @ (d, 1) products square a row as
-    np.vdot does.
+    On stacked (..., d) rows, the norms of the rows, of shape (...,), each
+    with the bits of its own call: the stacked (1, d) @ (d, 1) products
+    square a row as np.vdot does.
     """
-    if r.ndim == 2:
+    if r.ndim > 1:
         with np.errstate(over="ignore"):  # an inf square is rescaled below
-            values = np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
-        for i in np.flatnonzero(values == math.inf):
+            values = np.sqrt((r[..., None, :] @ r[..., :, None])[..., 0, 0])
+        for i in zip(*np.nonzero(values == math.inf)):
             values[i] = _norm(r[i])
         return values
     value = math.sqrt(float(np.vdot(r, r)))

@@ -6,11 +6,18 @@ spectral decomposition of A^T A, so that an iteration-varying prox weight
 costs one matrix-vector pass per call), and shifted quadratics.  The exact
 normal-cone residual of the l-infinity ball, the one nonsmooth term, lives
 here as well.
+
+Each prox takes one point v (d,) with a float weight t, or stacked points
+(B, d) with a (B, 1) column of weights, one per row; each row of a stack
+gets the bits of its own call.  A weight is checked as cheaply as a float
+compares, and an array of weights is refused if any entry is nonpositive.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .problems import matvec
 
 
 def project_linf_ball(w: np.ndarray, r: float) -> np.ndarray:
@@ -53,20 +60,21 @@ class QuadraticProxCache:
 def prox_least_squares(cache: QuadraticProxCache, v: np.ndarray, t: float) -> np.ndarray:
     """Minimizer of 0.5 ||A u - b||^2 + ||u - v||^2 / (2 t).
 
-    Solves (I + t A^T A) u = v + t A^T b through the cached decomposition.
+    Solves (I + t A^T A) u = v + t A^T b through the cached decomposition,
+    row by row on a stack.
     """
-    if t <= 0:
+    if t <= 0 if isinstance(t, float) else (np.asarray(t) <= 0).any():
         raise ValueError("t must be positive")
-    v = np.asarray(v, dtype=float).ravel()
-    rhs = v + t * cache.Atb
-    return cache.eigvecs @ ((cache.eigvecs.T @ rhs) / (1.0 + t * cache.eigvals))
+    rhs = np.asarray(v, dtype=float) + t * cache.Atb
+    V = cache.eigvecs
+    return matvec(V, matvec(V.T, rhs) / (1.0 + t * cache.eigvals))
 
 
 def prox_shifted_quadratic(a: np.ndarray, m: float, v: np.ndarray, t: float) -> np.ndarray:
     """Minimizer of (m/2) ||u - a||^2 + ||u - v||^2 / (2 t): (v + t m a) / (1 + t m)."""
     if m <= 0:
         raise ValueError("m must be positive")
-    if t <= 0:
+    if t <= 0 if isinstance(t, float) else (np.asarray(t) <= 0).any():
         raise ValueError("t must be positive")
     a = np.asarray(a, dtype=float)
     v = np.asarray(v, dtype=float)

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pdhglab import cli, config as config_module, dynamics, lyapunov, zoo
+from pdhglab import cli, config as config_module, dynamics, engine, lyapunov, zoo
 from pdhglab.cli import CSV_COLUMNS, execute, main
 from pdhglab.config import ConfigError, materialize, parse_config
 from pdhglab.dynamics import integrate
@@ -792,20 +792,51 @@ def reference_run_sweep_doc(out):
     }
 
 
+def lockstep_sweep_docs(out):
+    """Sweeps whose cells stop on tol in different step blocks, next to
+    cells that run out the budget: a dense quad_pair in each regime (with a
+    record stride under fixed), a lasso and a TV instance on reference-run
+    saddles."""
+    quad = {"kind": "quad_pair", "d": 4, "seed": 2}
+    docs = [
+        {"instance": quad, "regime": "fixed", "budget": 900, "record_every": 7,
+         "sweep": {"s": [0.03, 0.06, 0.9]}},
+        {"instance": dict(quad, mu=2.0, gamma=0.5), "regime": "optimal_ss", "budget": 900,
+         "sweep": {"s": [0.02, 0.05, 0.9]}},
+        {"instance": quad, "regime": "varying_sc", "budget": 300,
+         "sweep": {"c": [0.5, 1.5], "s": [0.3, 0.9]}},
+        {"instance": quad, "regime": "accelerated", "budget": 600, "tol": 1e-6,
+         "sweep": {"c": [0.3, 0.9], "s": [0.3, 0.9]}},
+        {"instance": {"kind": "lasso", "d": 30, "lam": 0.05}, "regime": "varying_sc",
+         "budget": 300, "sweep": {"c": [0.1, 0.2], "s": [0.5, 0.9]}},
+        reference_run_sweep_doc(out),
+    ]
+    for i, doc in enumerate(docs):
+        doc.update(checks=["lemma", "theorem", "rate_fit"], output=str(out / f"sweep_{i}"))
+    return docs
+
+
 def test_sweep_cells_match_standalone_runs(tmp_path):
-    # the cells share one instance and one saddle, yet each writes what a
-    # standalone run of its own config writes
-    out = tmp_path / "sweep"
-    doc = reference_run_sweep_doc(out)
-    assert main(["sweep", write_config(tmp_path, doc)]) == 0
-    for row in read_rows(out / "sweep_summary.csv"):
-        alone = tmp_path / "alone" / row["cell"]
-        cell_doc = {key: value for key, value in doc.items() if key != "sweep"}
-        cell_doc.update(schedule={"c": float(row["c"]), "s": float(row["s"])}, output=str(alone))
-        code = main(["run", write_config(tmp_path, cell_doc, f"{row['cell']}.json")])
-        assert str(code) == row["exit_status"]
-        for name in ("trajectory.csv", "summary.txt"):
-            assert (out / row["cell"] / name).read_bytes() == (alone / name).read_bytes()
+    # the cells share one instance and one saddle and step in lockstep, yet
+    # each writes what a standalone run of its own config writes
+    terminations = set()
+    for i, doc in enumerate(lockstep_sweep_docs(tmp_path)):
+        out = tmp_path / f"sweep_{i}"
+        code = main(["sweep", write_config(tmp_path, doc)])
+        rows = read_rows(out / "sweep_summary.csv")
+        assert str(code) == max(row["exit_status"] for row in rows)
+        for row in rows:
+            alone = tmp_path / "alone" / str(i) / row["cell"]
+            cell_doc = {key: value for key, value in doc.items() if key != "sweep"}
+            schedule = {key: float(row[key]) for key in ("c", "s") if row[key]}
+            cell_doc.update(schedule=schedule, output=str(alone))
+            code = main(["run", write_config(tmp_path, cell_doc, f"{row['cell']}.json")])
+            assert str(code) == row["exit_status"]
+            for name in ("trajectory.csv", "summary.txt"):
+                assert (out / row["cell"] / name).read_bytes() == (alone / name).read_bytes()
+            summary = (alone / "summary.txt").read_text()
+            terminations.add(re.search(r"run.termination = (\w+)", summary).group(1))
+    assert terminations == {"budget", "residual_tol"}
 
 
 def test_sweep_rejects_bad_cell_before_running_any(tmp_path, capsys):
@@ -1081,14 +1112,33 @@ def test_cli_csv_is_csv_writer_format(tmp_path):
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def test_unreservable_trajectory_is_exit_2(tmp_path, capsys, monkeypatch):
-    def refused(*args, **kwargs):
-        raise MemoryError("Unable to allocate 29.8 GiB")
+def refused(*args, **kwargs):
+    raise MemoryError("Unable to allocate 29.8 GiB")
 
+
+def test_unreservable_trajectory_is_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run", refused)
     doc = {"instance": {"kind": "quad_pair", "d": 4}, "regime": "fixed", "budget": 10**9}
     assert main(["verify", write_config(tmp_path, doc)]) == 2
     assert "lower budget or raise record_every" in capsys.readouterr().err
+
+
+def test_sweep_whose_columns_cannot_be_reserved_is_exit_2(tmp_path, capsys, monkeypatch):
+    # the stacked run reserves every cell's columns before its first step:
+    # a refusal at the third cell ends the sweep before a cell writes anything
+    reserve, calls = engine._reserve, []
+
+    def third_refused(*args):
+        calls.append(args)
+        return refused() if len(calls) == 3 else reserve(*args)
+
+    monkeypatch.setattr(engine, "_reserve", third_refused)
+    out = tmp_path / "out"
+    assert main(["sweep", write_config(tmp_path, sweep_doc(out))]) == 2
+    err = capsys.readouterr().err
+    assert "4 trajectories of 150 rows cannot be reserved" in err
+    assert "lower budget or raise record_every" in err
+    assert len(calls) == 3 and not list(out.glob("cell_*"))
 
 
 def test_budget_past_the_array_size_limit_is_exit_2(tmp_path, capsys):

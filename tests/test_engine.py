@@ -384,9 +384,8 @@ def reference_run(problem, schedule, init, budget, tol, record_every=1):
 
 def assert_matches_reference(problem, schedule, init, budget, tol, record_every=1):
     """Run the engine stored, and streamed to a recording observer, and
-    compare every row of each with :func:`reference_run`: the states
-    bitwise, the residuals to rtol 1e-13 (a dense F applies a block of rows
-    by GEMM and one row by GEMV).  Returns the stored trajectory."""
+    compare every row of each with :func:`reference_run`, bitwise.  Returns
+    the stored trajectory."""
     want, termination, final = reference_run(problem, schedule, init, budget, tol, record_every)
     observer = RecordingObserver()
     stored, streamed = (
@@ -404,8 +403,8 @@ def assert_matches_reference(problem, schedule, init, budget, tol, record_every=
         for name, column in (("tau", tau), ("sigma", sigma), ("theta", theta)):
             assert np.array_equal(getattr(got, name), column)
         assert np.array_equal(got.final.x, final.x) and np.array_equal(got.final.y, final.y)
-        np.testing.assert_allclose(got.primal_residual, want["rp"], rtol=1e-13, atol=0)
-        np.testing.assert_allclose(got.dual_residual, want["rd"], rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(got.primal_residual, want["rp"])
+        np.testing.assert_array_equal(got.dual_residual, want["rd"])
     for name, value in streamed_states.items():
         assert np.array_equal(getattr(stored, name), want[name]), name
         assert np.array_equal(value, want[name]), name
@@ -436,15 +435,10 @@ def test_block_loop_matches_the_step_by_step_loop(monkeypatch, regime, record_ev
 
 
 def test_block_loop_takes_the_bits_of_a_matrix_free_step():
-    # FirstDifference applies a block of rows with the operations of one row,
-    # so the residuals too are bitwise those of the step-by-step loop
     built = build_instance(InstanceSpec(kind="gen_lasso", d1=30, lam=0.3, identity_a=True, seed=1))
     schedule = make_schedule(VARYING_SC, built.problem.F_norm, mu=built.problem.mu)
     init = PrimalDualPair(np.zeros(30), np.zeros(29))
-    got = assert_matches_reference(built.problem, schedule, init, 200, 0.0)
-    want, _, _ = reference_run(built.problem, schedule, init, 200, 0.0)
-    assert np.array_equal(got.primal_residual, want["rp"])
-    assert np.array_equal(got.dual_residual, want["rd"])
+    assert_matches_reference(built.problem, schedule, init, 200, 0.0)
 
 
 def tol_stopping_at(rows, stop):
@@ -536,10 +530,74 @@ def test_divergence_wins_a_tie_with_tol():
     assert got.termination == TERMINATION_DIVERGENCE and got.k.tolist() == [0]
 
 
+def scaling_problem():
+    """Fake "proxes" that scale their input by their weight t and add 1,
+    coupled by F = 0.3: the state settles under t < 1 and grows under
+    t > 1 until the divergence guard trips."""
+    return SaddleProblem(
+        F=np.full((1, 1), 0.3),
+        prox_f=lambda v, t: t * v + 1.0,
+        prox_gstar=lambda w, t: t * w + 1.0,
+    )
+
+
+@pytest.mark.parametrize("streamed", [False, True])
+def test_a_stacked_run_gives_each_row_the_bits_of_its_own_run(monkeypatch, streamed):
+    S = use_step_block(monkeypatch, 16)
+    problem = scaling_problem()
+    init = PrimalDualPair(np.zeros(1), np.zeros(1))
+    # weights whose runs stop at tol in three different blocks, trip the
+    # guard mid-block and run out the budget
+    weights = (0.5, 0.8, 1.6, 0.9, 0.99)
+    schedules = [Schedule(regime=FIXED, s=w, tau=w, sigma=w) for w in weights]
+    budget, tol, record_every = 200, 1e-6, 7
+    observers = [RecordingObserver() for _ in schedules] if streamed else None
+    stack = run(
+        problem, schedules, init, budget=budget, tol=tol, record_every=record_every,
+        observer=observers,
+    )
+    assert len(stack) == len(schedules)
+    for b, (schedule, got) in enumerate(zip(schedules, stack)):
+        want = assert_matches_reference(problem, schedule, init, budget, tol, record_every)
+        assert got.schedule is schedule and got.termination == want.termination
+        for name in ("k", "tau", "sigma", "theta", "primal_residual", "dual_residual"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(got.final.x, want.final.x)
+        assert np.array_equal(got.final.y, want.final.y)
+        if streamed:
+            handed = list(map(np.concatenate, zip(*observers[b].blocks)))
+            assert np.array_equal(handed[0], want.k)
+        else:
+            handed = [None, got.x, got.y, got.x_next, got.y_next]
+        for name, value in zip(("x", "y", "x_next", "y_next"), handed[1:]):
+            assert np.array_equal(value, getattr(want, name)), name
+    ends = [(got.termination, int(got.k[-1])) for got in stack]
+    assert [end[0] for end in ends] == [TERMINATION_RESIDUAL] * 2 + [
+        TERMINATION_DIVERGENCE, TERMINATION_RESIDUAL, TERMINATION_BUDGET
+    ]
+    assert len({k // S for end, k in ends if end == TERMINATION_RESIDUAL}) == 3
+    diverged_at = ends[2][1]
+    assert diverged_at % S not in (0, S - 1)  # mid-block
+    assert ends[3][1] > diverged_at  # a row carries on past the cut block
+
+
+def test_a_stacked_run_takes_schedules_of_one_regime_and_one_observer_each():
+    problem = scaling_problem()
+    init = PrimalDualPair(np.zeros(1), np.zeros(1))
+    fixed = Schedule(regime=FIXED, s=0.5, tau=0.5, sigma=0.5)
+    other = Schedule(regime=OPTIMAL_SS, s=0.5, tau=0.5, sigma=0.5)
+    with pytest.raises(ValueError, match="one regime"):
+        run(problem, [fixed, other], init, budget=5)
+    with pytest.raises(ValueError, match="one regime"):
+        run(problem, [], init, budget=5)
+    with pytest.raises(ValueError, match="1 observers for 2 schedules"):
+        run(problem, [fixed, fixed], init, budget=5, observer=[RecordingObserver()])
+
+
 def test_stacked_step_residuals_equal_the_per_row_calls():
     rng = np.random.default_rng(8)
     n, d = 9, 12
-    for F in (Identity(d), FirstDifference(d + 1)):
+    for F in (Identity(d), FirstDifference(d + 1), Dense(rng.standard_normal((d + 1, d)))):
         d1, d2 = F.shape[1], F.shape[0]
         x, x_next = rng.standard_normal((2, n, d1))
         y, y_next = rng.standard_normal((2, n, d2))

@@ -95,16 +95,25 @@ def test_matrix_free_operators_take_the_bits_of_dense_products(d):
 
 
 def test_dense_applies_the_products_of_its_matrix():
+    # row i of a stacked apply is M @ V[i], bitwise: one matrix-vector
+    # product per row, not a product of the whole stack
     rng = np.random.default_rng(5)
-    M = rng.standard_normal((3, 4))
-    op = Dense(M)
-    v, w = rng.standard_normal(4), rng.standard_normal(3)
-    V, W = rng.standard_normal((6, 4)), rng.standard_normal((6, 3))
-    assert np.array_equal(op.apply(v), M @ v)
-    assert np.array_equal(op.apply_T(w), M.T @ w)
-    assert np.array_equal(op.apply(V), V @ M.T)
-    assert np.array_equal(op.apply_T(W), W @ M)
-    assert op.shape == (3, 4) and op.norm == np.linalg.norm(M, 2)
+    for d in (4, 16, 80, 400):
+        M = rng.standard_normal((d - 1, d))
+        op = Dense(M)
+        v, w = rng.standard_normal(d), rng.standard_normal(d - 1)
+        V, W = rng.standard_normal((3, 6, d)), rng.standard_normal((6, d - 1))
+        assert np.array_equal(op.apply(v), M @ v)
+        assert np.array_equal(op.apply_T(w), M.T @ w)
+        stacked = op.apply(V)
+        assert stacked.shape == (3, 6, d - 1)
+        for i in np.ndindex(3, 6):
+            assert np.array_equal(stacked[i], M @ V[i])
+        for i, row in enumerate(op.apply_T(W)):
+            assert np.array_equal(row, M.T @ W[i])
+        for i, row in enumerate(op.apply(V[:, 2])):  # rows that are not contiguous
+            assert np.array_equal(row, M @ V[i, 2])
+        assert op.shape == (d - 1, d) and op.norm == np.linalg.norm(M, 2)
 
 
 def test_saddle_problem_wraps_a_matrix_and_keeps_an_operator():

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from pdhglab import (
+    InstanceSpec,
     QuadraticProxCache,
+    build_instance,
     linf_normal_cone_dist,
     project_linf_ball,
     prox_least_squares,
@@ -140,6 +142,42 @@ def test_prox_maps_are_nonexpansive():
             np.linalg.norm(prox_least_squares(cache, u, t) - prox_least_squares(cache, v, t))
             <= gap + 1e-12
         )
+
+
+ZOO_SPECS = [
+    InstanceSpec(kind="quad_pair", d1=4, d2=5, seed=1),
+    InstanceSpec(kind="lasso", d1=30, lam=0.05, seed=2),
+    InstanceSpec(kind="gen_lasso", d1=30, lam=0.5, identity_a=True, seed=3),
+    InstanceSpec(kind="gen_lasso", d1=16, lam=0.5, seed=4),
+]
+
+
+@pytest.mark.parametrize("spec", ZOO_SPECS, ids=lambda spec: f"{spec.kind}-{spec.d1}")
+def test_each_zoo_prox_on_a_stack_equals_its_per_row_calls(spec):
+    # a (B, d) stack with a (B, 1) column of weights: row i has the bits of
+    # the call on v[i] with the float t[i]
+    problem = build_instance(spec).problem
+    rng = np.random.default_rng(21)
+    for prox, d in ((problem.prox_f, problem.d1), (problem.prox_gstar, problem.d2)):
+        v = 3.0 * rng.standard_normal((6, d))
+        t = rng.uniform(0.01, 5.0, (6, 1))
+        stacked = prox(v, t)
+        assert stacked.shape == (6, d)
+        for i in range(6):
+            assert np.array_equal(stacked[i], prox(v[i], float(t[i, 0])))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, -np.inf])
+def test_a_stack_with_one_nonpositive_weight_is_refused(bad):
+    rng = np.random.default_rng(23)
+    cache = QuadraticProxCache(rng.standard_normal((6, 4)), rng.standard_normal(6))
+    v, t = rng.standard_normal((3, 4)), np.array([[0.5], [bad], [2.0]])
+    with pytest.raises(ValueError, match="t must be positive"):
+        prox_least_squares(cache, v, t)
+    with pytest.raises(ValueError, match="t must be positive"):
+        prox_shifted_quadratic(np.zeros(4), 1.0, v, t)
+    with pytest.raises(ValueError, match="t must be positive"):
+        prox_least_squares(cache, v[0], bad)
 
 
 def test_linf_normal_cone_dist_cases():
