@@ -17,7 +17,8 @@ Exit status: 0 when every requested check passed or was skipped, 1 when any
 check failed or the run was stopped by the divergence guard (the summary
 then names it as ``exit_reason = divergence_guard``), 2 for configuration
 errors, including a budget whose per-row columns cannot be reserved in memory
-and an instance too large to build.
+and an instance too large to build, and 3 for any other exception, an internal
+error named on stderr as ``internal error: <type>: <message>``.
 
 The trajectory CSV has one row per recorded step.  Row k holds the pre-step
 state diagnostics (distances, Lyapunov value) at iterate k together with the
@@ -55,13 +56,13 @@ from .config import (
 from .dynamics import integrate
 from .engine import TERMINATION_DIVERGENCE, run
 from .lyapunov import (
+    Claim,
     NoMatchingLemma,
     TableAccumulator,
     Theorem,
     alpha_rate,
     lemma_records,
     rho_rate,
-    slack_tolerance,
     theorem_bound,
 )
 from .problems import PrimalDualPair
@@ -108,71 +109,59 @@ def _resolve_saddle(built: BuiltInstance) -> tuple[Optional[PrimalDualPair], str
         return None, "unavailable"
 
 
-def _check_lemma(problem, traj, table) -> tuple[CheckResult, Optional[np.ndarray]]:
-    """The lemma verdict and the per-row slacks (None when not evaluated)."""
-    if table is None:
-        return CheckResult(CHECK_LEMMA, SKIPPED, "no certified saddle available"), None
+def _obtain(evaluate, *args):
+    """What ``evaluate(*args)`` states, or the ValueError that withheld it:
+    a NoMatchingLemma, or the refusal of an inadmissible trajectory."""
     try:
-        _, slack = lemma_records(traj, problem, table)
-    except NoMatchingLemma as exc:
-        return CheckResult(CHECK_LEMMA, SKIPPED, str(exc)), None
+        return evaluate(*args)
     except ValueError as exc:
-        return CheckResult(CHECK_LEMMA, FAIL, str(exc)), None
-    k = table.k
-    nan = np.flatnonzero(np.isnan(slack))
-    if nan.size:
-        return CheckResult(CHECK_LEMMA, FAIL, f"slack is nan at k={k[nan[0]]}"), slack
-    margin = slack + slack_tolerance(table.E)
-    worst = np.argmin(margin)
-    if margin[worst] < 0.0:
-        detail = f"slack violation at k={k[worst]}, margin={margin[worst]:.3e}"
-        return CheckResult(CHECK_LEMMA, FAIL, detail), slack
-    lowest = np.argmin(slack)
-    detail = f"{len(slack)} transitions, min slack {slack[lowest]:.3e} at k={k[lowest]}"
-    return CheckResult(CHECK_LEMMA, PASS, detail), slack
+        return exc
 
 
-def _check_theorem(table, theorem) -> CheckResult:
-    """The regime's theorem against the run.  ``theorem`` is what
-    :func:`theorem_bound` gave for ``table``, or the NoMatchingLemma it
-    raised, whose reason is the skip detail.  After the final post-state,
-    which no claim covers, each claim in turn fails at its first nan or inf
-    (an overflowed bound, say), then at its first row over its bound.  A
-    PASS names, per claim, the tightest ratio of the measured value to the
-    largest one that passes, bound (1 + rtol) + atol, and that ratio at
-    the claim's last row; a row that allows nothing above 0 counts as 0."""
+def _check_claims(name, table, outcome) -> CheckResult:
+    """The check ``name`` of what :func:`_obtain` gave for ``table``: a
+    lemma's :class:`Claim`, a :class:`Theorem`, or the ValueError that
+    withheld them, a skip if it is a NoMatchingLemma and else a fail.  After
+    the final post-state, which no claim covers, each claim in turn fails at
+    its first nan or inf (an overflowed bound, say), then at its first row
+    over allowed = bound (1 + rtol) + atol.  A PASS names, per claim, the
+    tightest ratio measured / allowed (0 where allowed <= 0), that ratio at
+    the claim's last row, and the least margin, allowed - measured."""
     if table is None:
-        return CheckResult(CHECK_THEOREM, SKIPPED, "no certified saddle available")
-    if isinstance(theorem, NoMatchingLemma):
-        return CheckResult(CHECK_THEOREM, SKIPPED, str(theorem))
+        return CheckResult(name, SKIPPED, "no certified saddle available")
+    if isinstance(outcome, ValueError):
+        status = SKIPPED if isinstance(outcome, NoMatchingLemma) else FAIL
+        return CheckResult(name, status, str(outcome))
     last = table.k[-1] + 1
     for what, value in (("Lyapunov value", table.E_next[-1]), ("distance", table.dist_x_next[-1])):
         if not math.isfinite(value):
-            return CheckResult(CHECK_THEOREM, FAIL, f"{what} is {value:g} at k={last}")
+            return CheckResult(name, FAIL, f"{what} is {value:g} at k={last}")
     held = []
-    for claim in theorem.claims:
+    for claim in outcome.claims if isinstance(outcome, Theorem) else (outcome,):
         k, measured, bound = claim.k, claim.measured, claim.bound
         bad = np.flatnonzero(~np.isfinite(measured) | ~np.isfinite(bound))
         if bad.size:
             i = bad[0]
             detail = f"{claim.name} not finite at k={k[i]}: {measured[i]:.6g} vs {bound[i]:.6g}"
-            return CheckResult(CHECK_THEOREM, FAIL, detail)
+            return CheckResult(name, FAIL, detail)
         allowed = bound * (1.0 + claim.rtol) + claim.atol
         over = np.flatnonzero(measured > allowed)
         if over.size:
             i = over[0]
             detail = f"{claim.name} exceeded at k={k[i]}: {measured[i]:.6g} > {bound[i]:.6g}"
-            return CheckResult(CHECK_THEOREM, FAIL, detail)
+            return CheckResult(name, FAIL, detail)
         if not len(k):
             held.append(f"{claim.name} has no rows")
             continue
         ratio = np.divide(measured, allowed, out=np.zeros(len(k)), where=allowed > 0)
-        i = np.argmax(ratio)
+        with np.errstate(over="ignore"):  # a margin past the double range is inf
+            margin = allowed - measured
+        i, j = np.argmax(ratio), np.argmin(margin)
         held.append(
             f"{claim.name} holds: tightest {ratio[i]:.6g} at k={k[i]}, "
-            f"final {ratio[-1]:.6g} at k={k[-1]}"
+            f"final {ratio[-1]:.6g} at k={k[-1]}, least margin {margin[j]:.3e} at k={k[j]}"
         )
-    return CheckResult(CHECK_THEOREM, PASS, "; ".join(held))
+    return CheckResult(name, PASS, "; ".join(held))
 
 
 def _check_rate_fit(problem, traj, table) -> tuple[CheckResult, Optional[float], Optional[float]]:
@@ -295,12 +284,7 @@ def execute(
     """Run one experiment; returns (exit_code, summary_lines, metrics).
     A violated regime precondition raises ConfigError before anything runs."""
     built, schedule = materialize(config)
-    return _execute(config, built, schedule, _resolve_saddle(built), write_trajectory, quiet)
-
-
-def _execute(config, built, schedule, resolved, write_trajectory, quiet):
-    """:func:`execute` on a built instance, its schedule and its resolved
-    (saddle, source)."""
+    resolved = _resolve_saddle(built)
     traj, observer = _solve(config, built.problem, schedule, resolved[0])
     return _report(config, built, schedule, resolved, traj, observer, write_trajectory, quiet)
 
@@ -333,30 +317,35 @@ def _report(config, built, schedule, resolved, traj, observer, write_trajectory,
     saddle, saddle_source = resolved
     problem = built.problem
     table = observer.table(traj) if saddle is not None else None
-    # The regime's theorem, read by the theorem check and the CSV, or the
-    # NoMatchingLemma that withheld it.
-    theorem = None
+    # The regime's theorem, read by its check and the CSV's bound column, and
+    # the lemma, read by its check and the CSV's slack column, each as
+    # :func:`_obtain` gives it.  The lemma's columns are taken after the rate
+    # fit, in the memory its temporaries free, and freed before the CSV write.
+    lemma = theorem = None
     if table is not None and (write_trajectory or CHECK_THEOREM in config.checks):
-        try:
-            theorem = theorem_bound(schedule, problem, table)
-        except NoMatchingLemma as exc:
-            theorem = exc
+        theorem = _obtain(theorem_bound, schedule, problem, table)
     # The sweep aggregate wants a slope even when rate_fit was not requested.
     rate_fit, slope, resid = _check_rate_fit(problem, traj, table)
     metrics = {"slope": slope, "slope_residual": resid, "geomean_ratio": None}
+    if table is not None and CHECK_LEMMA in config.checks:
+        lemma = _obtain(lemma_records, traj, problem, table)
 
-    slacks = None
     results: list[CheckResult] = []
     for name in config.checks:
         if name == CHECK_LEMMA:
-            result, slacks = _check_lemma(problem, traj, table)
+            result = _check_claims(name, table, lemma)
         elif name == CHECK_THEOREM:
-            result = _check_theorem(table, theorem)
+            result = _check_claims(name, table, theorem)
         elif name == CHECK_RATE_FIT:
             result = rate_fit
         else:
             result = _check_ode_compare(problem, schedule)
         results.append(result)
+    slacks = None
+    if write_trajectory and isinstance(lemma, Claim):
+        with np.errstate(over="ignore", invalid="ignore"):  # where the run left the double range
+            slacks = lemma.bound - lemma.measured
+    del lemma
 
     if table is not None:
         defined = ~np.isnan(table.E)
@@ -514,6 +503,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # e.g. an instance too large to build
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, told apart from a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

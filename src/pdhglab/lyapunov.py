@@ -15,13 +15,12 @@ Each regime's descent lemma bounds E(k+1) - E(k) by an explicit nonpositive
 the Lyapunov values, NE terms and saddle distances as columns, one step
 block's rows at a time, while a run streams its states to it;
 :func:`lyapunov_table` feeds it the states of a stored trajectory in the
-same blocks.  :func:`lemma_records` reads that table for the lemma's
-right-hand side and per-step slack, so checking a lemma is those two calls
-in turn.  :func:`theorem_bound` is the one source of each regime's
-closed-form convergence guarantee: it reads its constants from the
-schedule, the problem and that table, and states the theorem as a list of
-:class:`Claim` records, each a measured column that must stay under a bound
-column.
+same blocks.  Both results are read from that table as :class:`Claim`
+records, each a measured column that must stay under a bound column:
+:func:`lemma_records` states the descent lemma, E(k+1) - E(k) under its
+right-hand side, and :func:`theorem_bound`, the one source of each regime's
+closed-form convergence guarantee, reads its constants from the schedule,
+the problem and that table and states the theorem as a list of claims.
 
 All evaluators are pure functions of their arguments.  The Lyapunov and NE
 evaluators take one state (and return a float) or stacked rows of states
@@ -86,16 +85,17 @@ class LyapunovTable:
 
 @dataclass(frozen=True, eq=False)
 class Claim:
-    """One "measured <= bound" claim of a theorem on the table rows it
-    covers, whose indices are ``k``: it fails at a row where
-    measured > bound (1 + rtol) + atol."""
+    """One "measured <= bound" claim of a lemma or theorem on the table rows
+    it covers, whose indices are ``k``: it fails at a row where
+    measured > bound (1 + rtol) + atol.  ``atol`` is one float or one per
+    row."""
 
     name: str
     k: np.ndarray
     measured: np.ndarray
     bound: np.ndarray
     rtol: float = 0.0
-    atol: float = 0.0
+    atol: float | np.ndarray = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +310,8 @@ def theorem_bound(
             )
         E_K0 = float(table.E[at[0]])
         k_sq = np.square(np.maximum(k, K0), dtype=float)  # K0 >= 1: no division by zero
-        with np.errstate(over="ignore", invalid="ignore"):  # c**2 past the double range
+        # c**2 past the double range, or c**2 = 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             bound = np.where(k < K0, np.nan, 2.0 * E_K0 / (np.float64(schedule.c) ** 2 * k_sq))
         after = k >= K0
         claim = Claim("O(1/k^2) bound", k[after], table.dist_x[after], bound[after], rtol=1e-6)
@@ -461,14 +462,15 @@ def lemma_records(
     trajectory: Trajectory,
     problem: SaddleProblem,
     table: LyapunovTable,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Claim:
     """The descent lemma of the trajectory's regime (read from its
     schedule) along the recorded steps, on its precomputed
     :func:`lyapunov_table`.
 
-    Returns ``(lemma_rhs, lemma_slack)`` per row: the lemma's right-hand
-    side and the slack lemma_slack = lemma_rhs - (E(k+1) - E(k)); a slack
-    below -slack_tolerance(table.E) invalidates the run.
+    Returns the "descent lemma" :class:`Claim` on every row: the measured
+    E(k+1) - E(k) stays under the bound, the lemma's right-hand side, up to
+    the per-row atol slack_tolerance(table.E).  Its slack is bound -
+    measured.
 
     Dispatch: varying_sc -> iteration-varying lemma; accelerated ->
     accelerated lemma (needs consecutively recorded steps starting at
@@ -517,7 +519,7 @@ def lemma_records(
     tau_n, sigma_n, _ = schedule_at(sched, k + 1)
     dxn, dyn = table.dist_x_next, table.dist_y_next
     # At extreme moduli the steps' squares and the E values leave the double
-    # range: an inf or nan slack fails its verdict.
+    # range: an inf or nan row fails its verdict.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if regime == ACCELERATED:
             rhs = -(mu / tau_k + 1.0 / (2.0 * tau_k**2) - 1.0 / (2.0 * tau_n**2)) * dxn
@@ -528,4 +530,5 @@ def lemma_records(
             )
         else:
             rhs = -(mu * dxn + gamma * dyn)
-        return rhs, rhs - (table.E_next - table.E)
+        measured = table.E_next - table.E
+    return Claim("descent lemma", k, measured, rhs, atol=slack_tolerance(table.E))

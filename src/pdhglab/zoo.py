@@ -184,6 +184,7 @@ def _solve_kkt(
     """Exact saddle of a quadratic pair: the unique solution of
     mu(x - a) + F^T y = 0, gamma(y - b_hat) - F x = 0 (always nonsingular
     for positive moduli — the system's symmetric part is positive definite).
+    A residual over 1e-10 (1 + ||rhs||), or nan, raises ValueError.
     """
     d2, d1 = F.shape
     K = np.zeros((d1 + d2, d1 + d2))
@@ -191,11 +192,13 @@ def _solve_kkt(
     K[:d1, d1:] = F.T
     K[d1:, :d1] = -F
     K[d1:, d1:] = gamma * np.eye(d2)
-    rhs = np.concatenate([mu * a, gamma * b_hat])
-    z = np.linalg.solve(K, rhs)
-    residual = _norm(K @ z - rhs)
-    if residual > 1e-10 * (1.0 + _norm(rhs)):
-        raise RuntimeError(f"KKT solve residual {residual} exceeds tolerance")
+    # moduli near the largest double overflow the products: a nan residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.concatenate([mu * a, gamma * b_hat])
+        z = np.linalg.solve(K, rhs)
+        residual = _norm(K @ z - rhs)
+    if not residual <= 1e-10 * (1.0 + _norm(rhs)):
+        raise ValueError(f"KKT solve residual {residual} exceeds tolerance")
     return PrimalDualPair(x=z[:d1], y=z[d1:])
 
 

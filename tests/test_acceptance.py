@@ -118,7 +118,8 @@ def test_criterion_01_lemma_descent_suites():
             traj = run(problem, schedule, zeros_init(problem), budget=1000, tol=0.0)
             saddle = resolve_saddle(built)
             table = lyapunov_table(traj, problem, saddle)
-            _, slack = lemma_records(traj, problem, table)
+            claim = lemma_records(traj, problem, table)
+            slack = claim.bound - claim.measured
             for E, lemma_slack in zip(table.E, slack):
                 worst = min(worst, lemma_slack + 1e-8 * (1.0 + abs(E)))
                 n_steps += 1

@@ -22,7 +22,7 @@ from pdhglab.cli import CSV_COLUMNS, execute, main
 from pdhglab.config import ConfigError, materialize, parse_config
 from pdhglab.dynamics import integrate
 from pdhglab.engine import run
-from pdhglab.lyapunov import lyapunov_fixed, numerical_error
+from pdhglab.lyapunov import Claim, lyapunov_fixed, numerical_error
 from pdhglab.problems import PrimalDualPair
 from pdhglab.schedules import FIXED, Schedule
 
@@ -160,7 +160,8 @@ def test_verify_prints_checks_but_writes_nothing(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "check.lemma = PASS" in stdout
     assert re.search(
-        r"check\.lemma = PASS \(\d+ transitions, min slack \S+ at k=\d+\)", stdout
+        r"check\.lemma = PASS \(descent lemma holds: tightest \S+ at k=\d+, final \S+ at k=\d+, "
+        r"least margin \S+ at k=\d+\)", stdout
     )
     assert "check.theorem = PASS" in stdout
     assert "exit_status = 0" in stdout
@@ -216,7 +217,7 @@ def test_accelerated_theorem_pass_names_its_tightest_ratio(tmp_path, capsys):
     final_ratio, last_k = bound_ratios(rows, "dist_x_sq")[-1]
     match = re.search(
         r"check\.theorem = PASS \(O\(1/k\^2\) bound holds: tightest (\S+) at k=(\d+), "
-        r"final (\S+) at k=(\d+)\)",
+        r"final (\S+) at k=(\d+), least margin \S+ at k=\d+\)",
         capsys.readouterr().out,
     )
     assert match and int(match[2]) == k >= 5 and int(match[4]) == last_k == 300
@@ -239,7 +240,7 @@ def test_verify_fails_lemma_on_nan_slack(tmp_path, capsys, monkeypatch):
     assert main(["verify", write_config(tmp_path, doc)]) == 1
     stdout = capsys.readouterr().out
     assert "run.termination = divergence_guard" in stdout
-    assert "check.lemma = FAIL (slack is nan at k=0)" in stdout
+    assert "check.lemma = FAIL (Lyapunov value is nan at k=1)" in stdout
 
 
 def test_divergence_guard_exits_1_without_checks(tmp_path, capsys, monkeypatch):
@@ -331,8 +332,9 @@ def test_varying_sc_theorem_with_an_overflowing_c_squared_ends_in_a_verdict(tmp_
     }
     assert main(["verify", write_config(tmp_path, doc)]) == 0
     assert re.search(
-        r"check\.theorem = PASS \(Lyapunov bound holds: tightest \S+ at k=\d+, final \S+ at k=49; "
-        r"trajectory bound holds: tightest \S+ at k=\d+, final \S+ at k=49\)",
+        r"check\.theorem = PASS \(Lyapunov bound holds: tightest \S+ at k=\d+, final \S+ at k=49, "
+        r"least margin \S+ at k=\d+; trajectory bound holds: tightest \S+ at k=\d+, "
+        r"final \S+ at k=49, least margin \S+ at k=\d+\)",
         capsys.readouterr().out,
     )
 
@@ -515,7 +517,7 @@ def test_optimal_ss_sandwich_below_the_rounding_floor_passes(tmp_path, capsys):
     assert "check.lemma = PASS" in out
     assert re.search(
         r"^check\.theorem = PASS \(contraction has no rows; terminal sandwich holds: "
-        r"tightest \S+ at k=3, final \S+ at k=3\)$", out, re.M,
+        r"tightest \S+ at k=3, final \S+ at k=3, least margin \S+ at k=3\)$", out, re.M,
     )
 
 
@@ -564,16 +566,105 @@ def test_instance_m_below_one_is_a_named_config_error(tmp_path, capsys):
     assert "config error: instance: m must be at least 1" in capsys.readouterr().err
 
 
+# (exit status, check.lemma, check.theorem) per (mu, gamma) pair, in the
+# order of EXTREME_MODULI; None where the config is refused before any check
+EXTREME_MODULI = [(1, 1), (1e-200, 1e200), (1e200, 1e-200), (1e200, 1), (1, 1e200)]
+EXTREME_VERDICTS = {
+    "fixed": [
+        (0, "PASS", "SKIPPED"), (1, "FAIL", "SKIPPED"), (1, "FAIL", "SKIPPED"),
+        (0, "PASS", "SKIPPED"), (0, "PASS", "SKIPPED"),
+    ],
+    "varying_sc": [
+        (0, "PASS", "PASS"), (1, "FAIL", "FAIL"), (1, "FAIL", "FAIL"),
+        (0, "PASS", "PASS"), (0, "PASS", "PASS"),
+    ],
+    "accelerated": [
+        (0, "PASS", "PASS"), (1, "FAIL", "SKIPPED"), (1, "FAIL", "FAIL"),
+        (1, "FAIL", "FAIL"), (0, "PASS", "PASS"),
+    ],
+    "optimal_ss": [
+        (0, "PASS", "PASS"), (2, None, None), (2, None, None),
+        (0, "PASS", "PASS"), (0, "PASS", "PASS"),
+    ],
+}
+
+
 @pytest.mark.parametrize("regime", ["fixed", "varying_sc", "accelerated", "optimal_ss"])
-def test_extreme_moduli_never_exit_through_a_traceback(tmp_path, regime):
-    for mu, gamma in [(1, 1), (1e-200, 1e200), (1e200, 1e-200), (1e200, 1), (1, 1e200)]:
+def test_extreme_moduli_never_exit_through_a_traceback(tmp_path, capsys, regime):
+    for (mu, gamma), (code, lemma, theorem) in zip(EXTREME_MODULI, EXTREME_VERDICTS[regime]):
         doc = {
             "instance": {"kind": "quad_pair", "d": 2, "mu": mu, "gamma": gamma},
             "regime": regime,
             "budget": 50,
             "checks": ["lemma", "theorem", "rate_fit", "ode_compare"],
         }
-        assert main(["verify", write_config(tmp_path, doc)]) in (0, 1, 2), (mu, gamma)
+        assert main(["verify", write_config(tmp_path, doc)]) == code, (mu, gamma)
+        verdicts = dict(re.findall(r"^check\.(\w+) = (\w+)", capsys.readouterr().out, re.M))
+        assert (verdicts.get("lemma"), verdicts.get("theorem")) == (lemma, theorem), (mu, gamma)
+
+
+def test_kkt_saddle_of_overflowing_moduli_is_a_named_config_error(tmp_path, capsys):
+    # gamma = 1.7e308 overflows gamma * b_hat: the KKT solve gives nan, and
+    # its nan residual is refused, with no RuntimeWarning
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 2, "seed": 2, "gamma": 1.7e308},
+        "regime": "varying_sc",
+        "budget": 50,
+        "checks": ["lemma", "theorem"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    out, err = capsys.readouterr()
+    assert "config error: instance: KKT solve residual nan exceeds tolerance" in err
+    assert "saddle.source" not in out
+
+
+def test_accelerated_bound_with_an_underflowing_c_squared_fails_without_a_warning(
+    tmp_path, capsys
+):
+    # c = 1.3e-300 puts c^2 below the smallest double: the bound
+    # 2 E(K0) / (c^2 k^2) divides by zero and is inf, which fails
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 2},
+        "regime": "accelerated",
+        "schedule": {"c": 1.3e-300},
+        "budget": 20,
+        "checks": ["lemma", "theorem"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 1
+    assert (
+        "check.theorem = FAIL (O(1/k^2) bound not finite at k=1: 0.135892 vs inf)"
+        in capsys.readouterr().out
+    )
+
+
+def test_claim_check_allows_exactly_its_per_row_atol():
+    # measured = bound + atol passes on every row; one ulp above fails at
+    # that row's k
+    k = np.arange(3, 7)
+    bound = np.array([-1.0, -0.3, 0.0, 2.5])
+    atol = np.array([0.5, 1e-8, 0.1, 3.0])
+    allowed = bound + atol
+    table = SimpleNamespace(k=k, E_next=np.ones(4), dist_x_next=np.ones(4))
+    result = cli._check_claims("lemma", table, Claim("descent lemma", k, allowed, bound, atol=atol))
+    assert result.status == cli.PASS
+    assert result.detail.endswith("least margin 0.000e+00 at k=3")
+    for i in range(len(k)):
+        measured = allowed.copy()
+        measured[i] = np.nextafter(allowed[i], np.inf)
+        claim = Claim("descent lemma", k, measured, bound, atol=atol)
+        result = cli._check_claims("lemma", table, claim)
+        assert result.status == cli.FAIL
+        assert result.detail.startswith(f"descent lemma exceeded at k={k[i]}: ")
+
+
+def test_an_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(config):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "materialize", broken)
+    doc = {"instance": {"kind": "quad_pair", "d": 2}, "regime": "fixed", "budget": 10}
+    assert main(["verify", write_config(tmp_path, doc)]) == 3
+    assert capsys.readouterr().err == "internal error: KeyError: 'boom'\n"
 
 
 def test_rate_fit_skip_names_the_window_start_and_the_last_k(tmp_path, capsys):
@@ -638,7 +729,7 @@ def test_theorem_fails_on_contraction_above_rho(monkeypatch):
 
 
 def test_lemma_fails_on_slack_violation(monkeypatch):
-    monkeypatch.setattr(cli, "slack_tolerance", lambda E: -1e9)
+    monkeypatch.setattr(lyapunov, "slack_tolerance", lambda E: -1e9)
     config = parse_config(json.dumps({
         "instance": {"kind": "quad_pair", "d": 3, "seed": 1},
         "regime": "varying_sc",
@@ -647,7 +738,7 @@ def test_lemma_fails_on_slack_violation(monkeypatch):
     }))
     code, lines, _ = execute(config, write_trajectory=False, quiet=True)
     assert code == 1
-    pattern = r"check\.lemma = FAIL \(slack violation at k=\d+, margin=-1\.000e\+09\)"
+    pattern = r"check\.lemma = FAIL \(descent lemma exceeded at k=\d+: \S+ > \S+\)"
     assert any(re.fullmatch(pattern, line) for line in lines)
 
 
@@ -715,8 +806,8 @@ def test_theorem_and_csv_share_one_bound_per_record(tmp_path, monkeypatch):
     (line,) = [line for line in lines if line.startswith("check.theorem")]
     match = re.fullmatch(
         r"check\.theorem = PASS \(Lyapunov bound holds: tightest (\S+) at k=(\d+), "
-        r"final (\S+) at k=(\d+); trajectory bound holds: tightest \S+ at k=\d+, "
-        r"final \S+ at k=\d+\)", line
+        r"final (\S+) at k=(\d+), least margin \S+ at k=\d+; trajectory bound holds: "
+        r"tightest \S+ at k=\d+, final \S+ at k=\d+, least margin \S+ at k=\d+\)", line
     )
     assert match and int(match[2]) == k and int(match[4]) == last_k
     assert float(match[1]) == pytest.approx(ratio, rel=1e-5)

@@ -332,7 +332,8 @@ def test_check_lemma_quadratic_pair_all_regimes():
     for regime, sched in regimes.items():
         traj = run(built.problem, sched, init, budget=500, tol=0.0)
         table = lyapunov_table(traj, built.problem, built.saddle)
-        rhs, slack = lemma_records(traj, built.problem, table)
+        claim = lemma_records(traj, built.problem, table)
+        rhs, slack = claim.bound, claim.bound - claim.measured
         assert len(slack) >= 1
         for E, ne, lemma_rhs, lemma_slack in zip(table.E, table.ne, rhs, slack):
             assert lemma_slack >= -slack_tolerance(E)
@@ -347,7 +348,8 @@ def test_check_lemma_saddle_start_gives_zero_energy():
     sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, mu=1.0, gamma=1.0)
     traj = run(built.problem, sched, built.saddle, budget=20, tol=0.0)
     table = lyapunov_table(traj, built.problem, built.saddle)
-    _, slack = lemma_records(traj, built.problem, table)
+    claim = lemma_records(traj, built.problem, table)
+    slack = claim.bound - claim.measured
     for E, lemma_slack in zip(table.E, slack):
         assert abs(E) <= 1e-20
         assert abs(lemma_slack) <= 1e-20
@@ -464,7 +466,8 @@ def test_table_matches_scalar_reference(monkeypatch, regime, record_every, step_
         with pytest.raises(ValueError, match="consecutively recorded"):
             lemma_records(traj, problem, table)
         return
-    rhs, slack = lemma_records(traj, problem, table)
+    claim = lemma_records(traj, problem, table)
+    rhs, slack = claim.bound, claim.bound - claim.measured
     want_rhs, want_slack = reference_slack(regime, traj, problem, ref)
     np.testing.assert_allclose(rhs, want_rhs, rtol=1e-13, atol=0.0)
     # a slack is a difference of nearly equal values: relative to its terms

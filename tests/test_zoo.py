@@ -235,7 +235,7 @@ def test_kkt_solve_check_holds_when_the_squared_norms_overflow(monkeypatch):
     problem, saddle = make_quad_pair(a, b_hat, 1e300, 1.0, F)
     assert np.isfinite(saddle.x).all() and np.isfinite(saddle.y).all()
     monkeypatch.setattr(np.linalg, "solve", lambda K, rhs: np.zeros_like(rhs))
-    with pytest.raises(RuntimeError, match="KKT solve residual"):
+    with pytest.raises(ValueError, match="KKT solve residual"):
         make_quad_pair(a, b_hat, 1e300, 1.0, F)
 
 
