@@ -54,7 +54,7 @@ from .config import (
     parse_config,
 )
 from .dynamics import integrate
-from .engine import TERMINATION_DIVERGENCE, run
+from .engine import STEP_BLOCK, TERMINATION_DIVERGENCE, max_recorded_rows, run
 from .lyapunov import (
     Claim,
     NoMatchingLemma,
@@ -297,12 +297,14 @@ def _solve(config, problem, schedule, saddle):
     that drops them."""
     init = PrimalDualPair(x=np.zeros(problem.d1), y=np.zeros(problem.d2))
     stacked = isinstance(schedule, list)
-    observers = [
-        TableAccumulator(one, problem, saddle, init) if saddle is not None else lambda *block: None
-        for one in (schedule if stacked else [schedule])
-    ]
-    observer = observers if stacked else observers[0]
+    rows = max_recorded_rows(config.budget, config.record_every)
     try:
+        observers = [
+            TableAccumulator(one, problem, saddle, init, rows)
+            if saddle is not None else lambda *block: None
+            for one in (schedule if stacked else [schedule])
+        ]
+        observer = observers if stacked else observers[0]
         traj = run(
             problem, schedule, init, budget=config.budget, tol=config.tol,
             record_every=config.record_every, observer=observer,
@@ -390,6 +392,9 @@ def _report(config, built, schedule, resolved, traj, observer, write_trajectory,
 
 
 def _write_csv(path, traj, table, slacks, bound):
+    """The trajectory CSV, formatted STEP_BLOCK rows per ``%`` operation: the
+    bytes ``np.savetxt`` gives with ``fmt=["%d"] + ["%.17g"] * 11``, k read
+    as a float like every other column."""
     undefined = np.full(len(traj.k), math.nan)
     if table is None:
         diagnostics = [undefined] * 4
@@ -401,10 +406,12 @@ def _write_csv(path, traj, table, slacks, bound):
         + [undefined if slacks is None else slacks, undefined if bound is None else bound]
         + [traj.primal_residual, traj.dual_residual]
     )
-    np.savetxt(
-        path, np.column_stack(columns), fmt=["%d"] + ["%.17g"] * 11, delimiter=",",
-        newline="\r\n", header=",".join(CSV_COLUMNS), comments="",
-    )
+    row = "%d" + ",%.17g" * (len(columns) - 1) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        for lo in range(0, len(traj.k), STEP_BLOCK):
+            block = np.column_stack([column[lo:lo + STEP_BLOCK] for column in columns])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def sweep(config: ExperimentConfig) -> int:

@@ -110,8 +110,9 @@ class BlockObserver(Protocol):
 
     Each call passes the recorded rows of one step block, in order: their
     ``k`` of shape (n,), n >= 1, and the pre- and post-states ``x``, ``y``,
-    ``x_next``, ``y_next`` of shape (n, d), copied from the block's work
-    buffer.
+    ``x_next``, ``y_next`` of shape (n, d), read from the block's work
+    buffer: views of it when every step is recorded, else copies.  A view
+    is valid until the call returns; the next block overwrites it.
     """
 
     def __call__(self, k, x, y, x_next, y_next) -> None: ...
@@ -122,6 +123,13 @@ def step_block(problem: SaddleProblem) -> int:
     so that a block's stacked states hold at most STEP_BLOCK_ELEMENTS
     entries per array."""
     return max(1, min(STEP_BLOCK, STEP_BLOCK_ELEMENTS // max(problem.d1, problem.d2)))
+
+
+def max_recorded_rows(budget: int, record_every: int) -> int:
+    """The most rows :func:`run` records in ``budget`` steps: every
+    ``record_every``-th step, plus the last one."""
+    record_every = min(record_every, budget)
+    return budget if record_every == 1 else -(-budget // record_every) + 1
 
 
 def pdhg_step(
@@ -264,8 +272,7 @@ def run(
         y = problem.prox_gstar(y + sigma0 * F.apply(x), sigma0)
 
     store = observer is None
-    # A stride records its rows plus the last step.
-    rows = budget if record_every == 1 else -(-budget // record_every) + 1
+    rows = max_recorded_rows(budget, record_every)
     try:
         columns = [
             _reserve(rows, problem.d1, problem.d2, store, record_every == 1) for _ in schedules
@@ -323,17 +330,18 @@ def run(
                 termination[b] = TERMINATION_DIVERGENCE
             last = termination[b] != TERMINATION_BUDGET or start + m == budget
 
-            recorded = np.arange(start, start + stop + 1) % record_every == 0
-            recorded[-1] |= last
-            picked = np.flatnonzero(recorded)
-            kept = ks[picked]
+            if record_every == 1:  # every step up to the stop: views of the buffer
+                pre, post = slice(0, stop + 1), slice(1, stop + 2)
+            else:
+                recorded = np.arange(start, start + stop + 1) % record_every == 0
+                recorded[-1] |= last
+                pre = np.flatnonzero(recorded)
+                post = pre + 1
+            kept = ks[pre]
             lo, t = n[b], len(kept)
-            states = (
-                work_x[picked, row], work_y[picked, row],
-                work_x[picked + 1, row], work_y[picked + 1, row],
-            )
+            states = (work_x[pre, row], work_y[pre, row], work_x[post, row], work_y[post, row])
             # the states go to the columns when they are kept, else to the observer
-            for column, value in zip(columns[b], (kept, rp[picked, row], rd[picked, row], *states)):
+            for column, value in zip(columns[b], (kept, rp[pre, row], rd[pre, row], *states)):
                 column[lo:lo + t] = value
             if not store and t:
                 observers[b](columns[b][0][lo:lo + t], *states)

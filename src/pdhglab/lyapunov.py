@@ -122,12 +122,14 @@ def _as_result(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _coupled_form(dx, dy, tau, sigma, F):
-    """||dx||^2/(2 tau) + ||dy||^2/(2 sigma) - <F dx, dy>, per row."""
-    return (
-        _rowdot(dx, dx) / (2.0 * tau) + _rowdot(dy, dy) / (2.0 * sigma)
-        - _rowdot(F.apply(dx), dy)
-    )
+def _coupled_form(dx, dy, tau, sigma, F, dx_sq=None, dy_sq=None):
+    """||dx||^2/(2 tau) + ||dy||^2/(2 sigma) - <F dx, dy>, per row, given
+    the squared norms ``dx_sq`` and ``dy_sq`` where the caller has them."""
+    if dx_sq is None:
+        dx_sq, dy_sq = _rowdot(dx, dx), _rowdot(dy, dy)
+    # at extreme steps a term leaves the double range: the value is inf or nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return dx_sq / (2.0 * tau) + dy_sq / (2.0 * sigma) - _rowdot(F.apply(dx), dy)
 
 
 def slack_tolerance(E_k: float) -> float:
@@ -363,74 +365,100 @@ def _rounding_floor(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class TableAccumulator:
-    """The :class:`LyapunovTable` of one run, filled a block of rows at a
-    time: the block observer :func:`~pdhglab.engine.run` streams states to,
-    and the body of :func:`lyapunov_table`.
+    """The :class:`LyapunovTable` of one run of at most ``rows`` rows,
+    filled a block of rows at a time: the block observer
+    :func:`~pdhglab.engine.run` streams states to, and the body of
+    :func:`lyapunov_table`.
 
     Each call takes the consecutive rows ``(k, x, y, x_next, y_next)`` of
     one step block and fills the table's columns for them; :meth:`table`
-    returns the table of every row seen.  The block bounds the memory the
-    call's temporaries take.  The step sizes of row k are read from
-    ``schedule``.
-    E(k+1) is evaluated for every row.  The accelerated E(k) and NE need
-    the row of step k - 1: where the rows are consecutive they are the
-    previous row's E(k+1) and its transition's NE; at the first iteration
-    k_start they use the convention 1/tau_0 := 0 with y_0 = ``init.y``, and
-    after a gap they are nan.
+    returns the table of every row seen.  The columns are reserved once,
+    for ``rows`` rows, and a reservation that fails raises MemoryError; the
+    block bounds the memory the call's temporaries take.  The step sizes
+    of row k are read from ``schedule``.
+
+    Each row's post-state values are evaluated: the squared distances of
+    (x_{k+1}, y_{k+1}), and E(k+1), which takes its squared norms from
+    them.  A row whose k follows the previous row's, in its block or the
+    one before, copies its pre-state values, E(k) and the distances of
+    (x_k, y_k), from that row's post-state ones, which measure the same
+    state; so they are evaluated only for a run's first row and after a
+    gap.  The accelerated E(k) and NE need the row of step k - 1: where
+    the rows are consecutive they are the previous row's E(k+1) and its
+    transition's NE; at the first iteration k_start they use the
+    convention 1/tau_0 := 0 with y_0 = ``init.y``, and after a gap they are
+    nan.
     """
 
     def __init__(
         self, schedule: Schedule, problem: SaddleProblem, saddle: PrimalDualPair,
-        init: PrimalDualPair,
+        init: PrimalDualPair, rows: int,
     ):
         self._schedule, self._F, self._saddle, self._init = schedule, problem.F, saddle, init
-        # E, ne, E_next, dist_x, dist_y, dist_x_next, dist_y_next; grown by doubling
-        self._columns = np.empty((7, step_block(problem)))
+        try:
+            # the pre-state E, dist_x, dist_y, the post-state E_next, dist_x_next,
+            # dist_y_next, and ne
+            self._columns = np.empty((7, rows))
+        except (MemoryError, ValueError) as exc:  # ValueError: past numpy's dimension limit
+            raise MemoryError(f"a Lyapunov table of {rows} rows cannot be reserved ({exc})") from exc
         self._rows = 0
-        self._first = None  # the accelerated (E, ne) of the k_start row
+        self._last_k = None  # of the last row seen
+        self._last_ne = math.nan  # accelerated: the NE of the last row's transition
+
+    def _state_values(self, x, y, tau, sigma):
+        """E and the squared distances to the saddle of the stacked states
+        (x, y) at steps (tau, sigma), E taking its squared norms from the
+        distances; the accelerated E, which needs the previous state, is
+        nan."""
+        saddle = self._saddle
+        dx, dy = x - saddle.x, y - saddle.y
+        dist_x, dist_y = _rowdot(dx, dx), _rowdot(dy, dy)
+        if self._schedule.regime == ACCELERATED:
+            return math.nan, dist_x, dist_y
+        return _coupled_form(dx, dy, tau, sigma, self._F, dist_x, dist_y), dist_x, dist_y
 
     def __call__(self, k, x, y, x_next, y_next) -> None:
         sched, F, saddle = self._schedule, self._F, self._saddle
-        s = sched.s
-        lo, hi = self._rows, self._rows + len(k)
-        if hi > self._columns.shape[1]:
-            grown = np.empty((7, max(hi, 2 * self._columns.shape[1])))
-            grown[:, :lo] = self._columns[:, :lo]
-            self._columns = grown
-        E, ne, E_next, dist_x, dist_y, dist_x_next, dist_y_next = self._columns[:, lo:hi]
+        accelerated = sched.regime == ACCELERATED
+        columns, lo, hi = self._columns, self._rows, self._rows + len(k)
+        E, dist_x, dist_y, E_next, dist_x_next, dist_y_next, ne = columns[:, lo:hi]
         tau, sigma, _ = schedule_at(sched, k)
         tau_n, sigma_n, _ = schedule_at(sched, k + 1)
-        dist_x[:], dist_y[:] = _sq_dist(x, saddle.x), _sq_dist(y, saddle.y)
-        dist_x_next[:], dist_y_next[:] = _sq_dist(x_next, saddle.x), _sq_dist(y_next, saddle.y)
-        if sched.regime == ACCELERATED:
-            E_next[:] = lyapunov_accelerated(x_next, x, y, saddle, tau_n, tau, s, F)
-            # the NE of the following row
-            ne[:] = numerical_error(x_next - x, y_next - y, tau, s, F, accelerated=True)
+        E_next[:], dist_x_next[:], dist_y_next[:] = self._state_values(
+            x_next, y_next, tau_n, sigma_n
+        )
+        if accelerated:
+            E_next[:] = lyapunov_accelerated(x_next, x, y, saddle, tau_n, tau, sched.s, F)
+        follows = np.empty(len(k), dtype=bool)
+        follows[0] = lo > 0 and k[0] == self._last_k + 1
+        follows[1:] = k[1:] == k[:-1] + 1
+        after = np.flatnonzero(follows) + lo
+        columns[:3, after] = columns[3:6, after - 1]
+        fresh = np.flatnonzero(~follows)
+        if fresh.size:
+            E[fresh], dist_x[fresh], dist_y[fresh] = self._state_values(
+                x[fresh], y[fresh], tau[fresh], sigma[fresh]
+            )
+        if not accelerated:
+            ne[:] = numerical_error(x_next - x, y_next - y, tau, sigma, F)
+        else:
+            transition = numerical_error(x_next - x, y_next - y, tau, sched.s, F, accelerated=True)
+            ne[:] = np.where(follows, np.concatenate(([self._last_ne], transition[:-1])), math.nan)
+            self._last_ne = transition[-1]
             if lo == 0 and k[0] == sched.k_start:
                 x0, init_y = x[0], self._init.y
-                self._first = (
-                    lyapunov_accelerated(x0, x0, init_y, saddle, tau[0], None, s, F),
-                    numerical_error(np.zeros_like(x0), y[0] - init_y, None, s, F, accelerated=True),
+                E[0] = lyapunov_accelerated(x0, x0, init_y, saddle, tau[0], None, sched.s, F)
+                ne[0] = numerical_error(
+                    np.zeros_like(x0), y[0] - init_y, None, sched.s, F, accelerated=True
                 )
-        else:
-            E[:] = lyapunov_fixed(x, y, saddle, tau, sigma, F)
-            E_next[:] = lyapunov_fixed(x_next, y_next, saddle, tau_n, sigma_n, F)
-            ne[:] = numerical_error(x_next - x, y_next - y, tau, sigma, F)
-        self._rows = hi
+        self._rows, self._last_k = hi, k[-1]
 
     def table(self, trajectory: Trajectory) -> LyapunovTable:
         """The table of the rows seen, which are the rows of ``trajectory``."""
         k = trajectory.k
         if len(k) != self._rows:
             raise ValueError(f"the trajectory has {len(k)} rows, the table {self._rows}")
-        E, ne, E_next, dist_x, dist_y, dist_x_next, dist_y_next = self._columns[:, : self._rows]
-        if self._schedule.regime == ACCELERATED:
-            follows = np.zeros(len(k), dtype=bool)
-            follows[1:] = k[1:] == k[:-1] + 1
-            E = np.where(follows, np.roll(E_next, 1), np.nan)
-            ne = np.where(follows, np.roll(ne, 1), np.nan)
-            if self._first is not None:
-                E[0], ne[0] = self._first
+        E, dist_x, dist_y, E_next, dist_x_next, dist_y_next, ne = self._columns[:, : self._rows]
         saddle, final = self._saddle, trajectory.final
         return LyapunovTable(
             k=k, E=E, ne=ne, dist_x=dist_x, dist_y=dist_y,
@@ -450,7 +478,7 @@ def lyapunov_table(
     set at a step block's temporaries.
     """
     t = trajectory
-    table = TableAccumulator(t.schedule, problem, saddle, t.init)
+    table = TableAccumulator(t.schedule, problem, saddle, t.init, len(t.k))
     block = (t.k - t.schedule.k_start) // step_block(problem)
     cuts = np.flatnonzero(np.diff(block)) + 1
     for lo, hi in zip([0, *cuts], [*cuts, len(block)]):

@@ -251,7 +251,7 @@ def conditioned_matrix(
     U, _ = np.linalg.qr(rng.standard_normal((m, r)))
     V, _ = np.linalg.qr(rng.standard_normal((n, r)))
     sing = np.geomspace(1.0, 1.0 / cond, r) if r > 1 else np.ones(1)
-    return U @ np.diag(sing) @ V.T
+    return (U * sing) @ V.T  # U @ diag(sing) @ V.T without the diagonal's product
 
 
 def piecewise_constant_signal(rng: np.random.Generator, d: int, segments: int = 5) -> np.ndarray:

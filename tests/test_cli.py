@@ -1187,6 +1187,31 @@ def test_csv_matches_csv_writer_byte_for_byte(tmp_path):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 513])
+def test_csv_has_the_bytes_of_savetxt(tmp_path, rows):
+    # row counts about the 256-row format block
+    rng = np.random.default_rng(rows)
+    special = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308]
+    values = []
+    for j in range(11):
+        column = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        at = rng.permutation(rows)[: len(special)]
+        column[at] = np.roll(special, j)[: len(at)]
+        values.append(column)
+    k = np.arange(rows) * 3 + 1
+    traj = SimpleNamespace(
+        k=k, tau=values[0], sigma=values[1], theta=values[2],
+        primal_residual=values[9], dual_residual=values[10],
+    )
+    table = SimpleNamespace(dist_x=values[3], dist_y=values[4], E=values[5], ne=values[6])
+    cli._write_csv(tmp_path / "got.csv", traj, table, values[7], values[8])
+    np.savetxt(
+        tmp_path / "want.csv", np.column_stack([k] + values), fmt=["%d"] + ["%.17g"] * 11,
+        delimiter=",", newline="\r\n", header=",".join(CSV_COLUMNS), comments="",
+    )
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_cli_csv_is_csv_writer_format(tmp_path):
     out = tmp_path / "out"
     doc = {
@@ -1239,6 +1264,29 @@ def test_budget_past_the_array_size_limit_is_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot be reserved" in err
     assert "lower budget or raise record_every" in err
+
+
+def test_a_table_that_cannot_be_reserved_is_exit_2(tmp_path, capsys, monkeypatch):
+    # the table alone is refused: the run reserves its own columns
+    monkeypatch.setattr(cli, "max_recorded_rows", lambda budget, record_every: 10**20)
+    doc = {"instance": {"kind": "quad_pair", "d": 4}, "regime": "fixed", "checks": ["lemma"]}
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: a Lyapunov table of 100000000000000000000 rows")
+    assert "cannot be reserved" in err and "lower budget or raise record_every" in err
+
+
+def test_fixed_lemma_whose_energy_overflows_fails_without_a_warning(tmp_path, capsys):
+    # ||dx||^2 / (2 tau) overflows at tau = 5e-324
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 2}, "regime": "fixed",
+        "schedule": {"tau": 5e-324, "sigma": 1e300}, "budget": 20, "checks": ["lemma"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 1
+    out, err = capsys.readouterr()
+    assert "check.lemma = FAIL (Lyapunov value is inf at k=2)" in out.splitlines()
+    assert err == ""
 
 
 def test_verify_streams_its_states_instead_of_holding_them(monkeypatch):

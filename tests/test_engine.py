@@ -303,6 +303,48 @@ def test_streamed_run_hands_every_recorded_row_to_the_observer(monkeypatch, reco
     assert np.array_equal(streamed.final.y, stored.final.y)
 
 
+class ViewObserver:
+    """A block observer that asks whether each block's pre- and post-states
+    are views of one buffer, as every recorded step's are."""
+
+    def __init__(self):
+        self.shared = []
+
+    def __call__(self, k, x, y, x_next, y_next):
+        self.shared.append(
+            np.shares_memory(x, x_next) and np.shares_memory(y, y_next)
+        )
+
+
+@pytest.mark.parametrize("record_every, views", [(1, True), (3, False)])
+def test_a_run_recording_every_step_hands_over_views_of_its_work_buffer(
+    monkeypatch, record_every, views
+):
+    use_step_block(monkeypatch, 4)
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=2, seed=3))
+    sched = make_schedule(FIXED, built.problem.F_norm)
+    init = PrimalDualPair(np.ones(3), -np.ones(2))
+    observer = ViewObserver()
+    run(built.problem, sched, init, budget=23, tol=0.0, record_every=record_every,
+        observer=observer)
+    assert observer.shared == [views] * 6
+
+
+def test_max_recorded_rows_bounds_the_rows_a_run_records():
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=2, seed=3))
+    sched = make_schedule(FIXED, built.problem.F_norm)
+    init = PrimalDualPair(np.ones(3), -np.ones(2))
+    for budget in (1, 2, 7, 8, 14, 15, 30):
+        for record_every in (1, 2, 3, 7, budget, budget + 1, 10**26):
+            rows = len(run(built.problem, sched, init, budget=budget, tol=-1.0,
+                           record_every=record_every).k)
+            stride = min(record_every, budget)
+            # the bound counts the last step as a row of its own, which it is not
+            # when it falls on the stride
+            last_on_stride = stride > 1 and (budget - 1) % stride == 0
+            assert rows == engine.max_recorded_rows(budget, record_every) - last_on_stride
+
+
 def test_step_block_caps_the_entries_of_a_block():
     # step_block reads only the dimensions
     def dims(d1, d2):

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from pdhglab import engine, lyapunov
-from pdhglab.engine import TERMINATION_BUDGET, TERMINATION_DIVERGENCE, TERMINATION_RESIDUAL
+from pdhglab.engine import (
+    TERMINATION_BUDGET,
+    TERMINATION_DIVERGENCE,
+    TERMINATION_RESIDUAL,
+    max_recorded_rows,
+)
+from pdhglab.lyapunov import _sq_dist
 from pdhglab.rates import TRUNCATION_FLOOR
 from pdhglab import (
     ACCELERATED,
@@ -379,48 +385,51 @@ def test_check_lemma_requires_both_moduli_for_fixed_steps():
 # the column table against a scalar per-row reference
 
 
+TABLE_COLUMNS = ("k", "E", "ne", "dist_x", "dist_y", "E_next", "dist_x_next", "dist_y_next")
+
+
 def reference_table(traj, problem, saddle):
-    """The table as one scalar evaluation per row: E(k+1) of a row is reused
-    as E(k) of its successor, the accelerated form reads the row of step
-    k - 1, and k_start uses 1/tau_0 := 0 with y_0 the run's init."""
-    sched = traj.schedule
-    s, F = sched.s, problem.F
-    accelerated = sched.regime == ACCELERATED
-
-    def state(k, x, y, before):
-        tau, sigma, _ = schedule_at(sched, k)
-        if not accelerated:
-            E = lyapunov_fixed(x, y, saddle, tau, sigma, F)
-        elif before is not None:
-            E = lyapunov_accelerated(
-                x, traj.x[before], traj.y[before], saddle, tau, traj.tau[before], s, F
-            )
-        elif k == sched.k_start:
-            E = lyapunov_accelerated(x, x, traj.init.y, saddle, tau, None, s, F)
+    """The table's columns of a stored run, each row evaluated on its own
+    states by the public evaluators (and ``_sq_dist``): the accelerated E(k)
+    and NE from the row of step k - 1, or at k_start from the 1/tau_0 := 0
+    convention with y_0 = init.y, and nan after a gap."""
+    sched, F, s = traj.schedule, problem.F, traj.schedule.s
+    k, x, y, x_next, y_next = traj.k, traj.x, traj.y, traj.x_next, traj.y_next
+    columns = {name: np.full(len(k), math.nan) for name in TABLE_COLUMNS[1:]}
+    for i, ki in enumerate(k.tolist()):
+        tau, sigma, _ = schedule_at(sched, ki)
+        tau_n, sigma_n, _ = schedule_at(sched, ki + 1)
+        row = {
+            "dist_x": _sq_dist(x[i], saddle.x), "dist_y": _sq_dist(y[i], saddle.y),
+            "dist_x_next": _sq_dist(x_next[i], saddle.x),
+            "dist_y_next": _sq_dist(y_next[i], saddle.y),
+        }
+        if sched.regime != ACCELERATED:
+            row["E"] = lyapunov_fixed(x[i], y[i], saddle, tau, sigma, F)
+            row["E_next"] = lyapunov_fixed(x_next[i], y_next[i], saddle, tau_n, sigma_n, F)
+            row["ne"] = numerical_error(x_next[i] - x[i], y_next[i] - y[i], tau, sigma, F)
         else:
-            E = math.nan
-        return E, float((x - saddle.x) @ (x - saddle.x)), float((y - saddle.y) @ (y - saddle.y))
+            row["E_next"] = lyapunov_accelerated(x_next[i], x[i], y[i], saddle, tau_n, tau, s, F)
+            if i == 0 and ki == sched.k_start:
+                y0 = traj.init.y
+                row["E"] = lyapunov_accelerated(x[0], x[0], y0, saddle, tau, None, s, F)
+                row["ne"] = numerical_error(
+                    np.zeros_like(x[0]), y[0] - y0, None, s, F, accelerated=True
+                )
+            elif i > 0 and ki == k[i - 1] + 1:
+                tau_p = schedule_at(sched, ki - 1)[0]
+                row["E"] = lyapunov_accelerated(x[i], x[i - 1], y[i - 1], saddle, tau, tau_p, s, F)
+                row["ne"] = numerical_error(
+                    x[i] - x[i - 1], y[i] - y[i - 1], tau_p, s, F, accelerated=True
+                )
+        for name, value in row.items():
+            columns[name][i] = value
+    return columns
 
-    rows, post = [], None
-    for i, k in enumerate(traj.k.tolist()):
-        x, y, x_next, y_next = traj.x[i], traj.y[i], traj.x_next[i], traj.y_next[i]
-        before = i - 1 if i > 0 and traj.k[i - 1] == k - 1 else None
-        pre = post if before is not None else state(k, x, y, None)
-        post = state(k + 1, x_next, y_next, i)
-        if not accelerated:
-            ne = numerical_error(x_next - x, y_next - y, traj.tau[i], traj.sigma[i], F)
-        elif before is not None:
-            ne = numerical_error(
-                x - traj.x[before], y - traj.y[before], traj.tau[before], s, F,
-                accelerated=True,
-            )
-        elif k == sched.k_start:
-            ne = numerical_error(np.zeros_like(x), y - traj.init.y, None, s, F, accelerated=True)
-        else:
-            ne = math.nan
-        rows.append((pre[0], ne, pre[1], pre[2]) + post)
-    names = ("E", "ne", "dist_x", "dist_y", "E_next", "dist_x_next", "dist_y_next")
-    return dict(zip(names, map(np.array, zip(*rows))))
+
+def assert_table_is_direct(table, traj, problem, saddle):
+    for name, want in reference_table(traj, problem, saddle).items():
+        assert np.array_equal(getattr(table, name), want, equal_nan=True), name
 
 
 def reference_slack(regime, traj, problem, ref):
@@ -457,9 +466,8 @@ def test_table_matches_scalar_reference(monkeypatch, regime, record_every, step_
     traj = run(problem, sched, init, budget=61, tol=0.0, record_every=record_every)
     assert traj.k[0] == sched.k_start
     table = lyapunov_table(traj, problem, built.saddle)
+    assert_table_is_direct(table, traj, problem, built.saddle)
     ref = reference_table(traj, problem, built.saddle)
-    for name, want in ref.items():
-        np.testing.assert_allclose(getattr(table, name), want, rtol=1e-13, atol=0.0)
     assert np.isfinite(table.E[0]) and np.isfinite(table.ne[0])  # the k_start row
     if regime == ACCELERATED and record_every > 1:
         assert np.isnan(table.E[1:]).all() and np.isnan(table.ne[1:]).all()
@@ -528,14 +536,12 @@ def test_table_working_memory_is_bounded(regime):
     assert np.isfinite(table.E_next).all()
 
 
-TABLE_COLUMNS = ("k", "E", "ne", "dist_x", "dist_y", "E_next", "dist_x_next", "dist_y_next")
-
-
 def stored_and_streamed(problem, sched, init, saddle, **run_args):
     """The same run twice: kept whole and handed to lyapunov_table, and
     streamed into a TableAccumulator."""
     stored = run(problem, sched, init, **run_args)
-    table = TableAccumulator(sched, problem, saddle, init)
+    rows = max_recorded_rows(run_args["budget"], run_args.get("record_every", 1))
+    table = TableAccumulator(sched, problem, saddle, init, rows)
     streamed = run(problem, sched, init, observer=table, **run_args)
     return stored, lyapunov_table(stored, problem, saddle), streamed, table.table(streamed)
 
@@ -630,3 +636,67 @@ def test_streamed_table_equals_the_stored_one_when_a_stop_ends_the_run(monkeypat
         )
         assert runs[0].termination == TERMINATION_DIVERGENCE
         assert_same_run(*runs)
+
+
+# With 10-step blocks, budget 61 ends one step into a block; a stride of 7
+# over 58 steps records 0, 7, ..., 56 and the last step 57, which follows 56.
+@pytest.mark.parametrize("record_every, budget", [(1, 61), (7, 58), (7, 61)])
+@pytest.mark.parametrize("regime", [FIXED, VARYING_SC, OPTIMAL_SS, ACCELERATED])
+def test_streamed_and_stored_tables_equal_a_per_row_evaluation(
+    monkeypatch, regime, record_every, budget
+):
+    monkeypatch.setattr(engine, "STEP_BLOCK", 10)
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=5, d2=3, seed=4))
+    problem = built.problem
+    sched = make_schedule(regime, problem.F_norm, s=0.1, mu=problem.mu, gamma=problem.gamma)
+    init = PrimalDualPair(np.ones(5), -np.ones(3))
+    runs = stored_and_streamed(
+        problem, sched, init, built.saddle, budget=budget, tol=0.0, record_every=record_every
+    )
+    stored, stored_table = runs[:2]
+    assert stored.termination == TERMINATION_BUDGET
+    assert_same_run(*runs)
+    assert_table_is_direct(stored_table, stored, problem, built.saddle)
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("regime", [VARYING_SC, ACCELERATED])
+def test_a_stacked_run_streams_each_cell_the_table_of_its_own_run(
+    monkeypatch, regime, record_every
+):
+    monkeypatch.setattr(engine, "STEP_BLOCK", 10)
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=5, d2=3, seed=4, mu=1.0))
+    problem, saddle = built.problem, built.saddle
+    schedules = [
+        make_schedule(regime, problem.F_norm, s=s, c=c, mu=1.0)
+        for c, s in ((0.1, 0.3), (0.25, 0.9), (0.5, 0.6))
+    ]
+    init = PrimalDualPair(np.ones(5), -np.ones(3))
+    args = dict(budget=43, tol=0.0, record_every=record_every)
+    rows = max_recorded_rows(43, record_every)
+    tables = [TableAccumulator(sched, problem, saddle, init, rows) for sched in schedules]
+    stack = run(problem, schedules, init, observer=tables, **args)
+    for sched, streamed, table in zip(schedules, stack, tables):
+        alone = run(problem, sched, init, **args)
+        assert np.array_equal(streamed.k, alone.k)
+        assert_table_is_direct(table.table(streamed), alone, problem, saddle)
+
+
+def test_a_table_cut_at_tol_mid_block_equals_a_per_row_evaluation(monkeypatch):
+    monkeypatch.setattr(engine, "STEP_BLOCK", 14)
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=4, seed=0, mu=1.0, gamma=1.0))
+    sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, mu=1.0, gamma=1.0)
+    init = PrimalDualPair(np.ones(4), -np.ones(4))
+    runs = stored_and_streamed(built.problem, sched, init, built.saddle, budget=1000, tol=1e-10)
+    stored, stored_table = runs[:2]
+    assert stored.termination == TERMINATION_RESIDUAL and len(stored.k) % 14
+    assert_same_run(*runs)
+    assert_table_is_direct(stored_table, stored, built.problem, built.saddle)
+
+
+def test_a_table_that_cannot_be_reserved_is_a_memory_error():
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=2, seed=0))
+    sched = make_schedule(FIXED, built.problem.F_norm)
+    init = PrimalDualPair(np.zeros(2), np.zeros(2))
+    with pytest.raises(MemoryError, match=r"a Lyapunov table of 10{20} rows cannot be reserved"):
+        TableAccumulator(sched, built.problem, built.saddle, init, 10**20)

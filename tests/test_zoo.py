@@ -155,6 +155,19 @@ def test_conditioned_matrix_spectrum():
     assert np.allclose(np.sort(sv)[::-1], want, rtol=1e-10)
 
 
+@pytest.mark.parametrize("m, n", [(12, 6), (5, 9), (1, 7), (7, 1), (800, 400)])
+@pytest.mark.parametrize("seed", [0, 1, 41])
+def test_conditioned_matrix_equals_the_product_with_a_diagonal(m, n, seed):
+    A = conditioned_matrix(np.random.default_rng(seed), m, n, cond=50.0)
+    # the draws of conditioned_matrix, multiplied through the diagonal matrix
+    rng = np.random.default_rng(seed)
+    r = min(m, n)
+    U, _ = np.linalg.qr(rng.standard_normal((m, r)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    sing = np.geomspace(1.0, 1.0 / 50.0, r) if r > 1 else np.ones(1)
+    assert np.array_equal(A, U @ np.diag(sing) @ V.T)
+
+
 def test_piecewise_constant_signal_shape():
     rng = np.random.default_rng(43)
     sig = piecewise_constant_signal(rng, 50, segments=5)
