@@ -30,7 +30,6 @@ from .lyapunov import (
     lemma_records,
     lyapunov_accelerated,
     lyapunov_fixed,
-    lyapunov_table,
     numerical_error,
     rho_rate,
     slack_tolerance,

@@ -225,7 +225,16 @@ def _ode_sup_error(problem, schedule, init, level) -> float:
     s, tau, sigma = (v * 0.5**level for v in (schedule.s, schedule.tau, schedule.sigma))
     n_iter = int(math.ceil(T / s))
     sub_sched = Schedule(regime=FIXED, s=s, tau=tau, sigma=sigma)
-    sub_traj = run(problem, sub_sched, init, budget=n_iter, tol=0.0, record_every=1)
+    post = []  # the post-states x_{k+1}, y_{k+1} by row, copied from each hand-over
+
+    def copy_post(k, x, y, x_next, y_next):
+        if not post:  # reserved after the run's own columns, which a huge budget fails
+            post.extend(np.empty((n_iter, d)) for d in (problem.d1, problem.d2))
+        post[0][k], post[1][k] = x_next, y_next
+
+    sub_traj = run(
+        problem, sub_sched, init, budget=n_iter, tol=0.0, record_every=1, observer=copy_post
+    )
     h = s / 100.0
     try:
         X, Y = integrate(init, T, h, s, tau, sigma, problem)
@@ -234,8 +243,8 @@ def _ode_sup_error(problem, schedule, init, level) -> float:
     # Iterate k + 1 against the reference state at t = (k + 1) s.
     idx = (sub_traj.k + 1) * 100
     keep = ((sub_traj.k + 1) * s <= T + 1e-12) & (idx < len(X))
-    dx = sub_traj.x_next[keep] - X[idx[keep]]
-    dy = sub_traj.y_next[keep] - Y[idx[keep]]
+    dx = post[0][: len(keep)][keep] - X[idx[keep]]
+    dy = post[1][: len(keep)][keep] - Y[idx[keep]]
     err = np.sqrt(np.einsum("ij,ij->i", dx, dx) + np.einsum("ij,ij->i", dy, dy))
     return float(err.max(initial=0.0))
 
@@ -276,32 +285,28 @@ def _summary_header(config, built, schedule) -> list[str]:
     return lines
 
 
-def execute(
-    config: ExperimentConfig,
-    write_trajectory: bool = True,
-    quiet: bool = False,
-):
+def execute(config: ExperimentConfig, write_trajectory: bool = True):
     """Run one experiment; returns (exit_code, summary_lines, metrics).
     A violated regime precondition raises ConfigError before anything runs."""
     built, schedule = materialize(config)
     resolved = _resolve_saddle(built)
     traj, observer = _solve(config, built.problem, schedule, resolved[0])
-    return _report(config, built, schedule, resolved, traj, observer, write_trajectory, quiet)
+    return _report(config, built, schedule, resolved, traj, observer, write_trajectory)
 
 
 def _solve(config, problem, schedule, saddle):
     """:func:`run` from the origin under ``schedule``, or under a list of
     schedules in lockstep; returns the trajectory and the observer the run
-    streamed its states to, or the lists of both.  The observer is the
-    table when there is a saddle to measure the states against, else one
-    that drops them."""
+    handed its states to, or the lists of both.  The observer is the table
+    when there is a saddle to measure the states against, else None, and
+    the run drops them."""
     init = PrimalDualPair(x=np.zeros(problem.d1), y=np.zeros(problem.d2))
     stacked = isinstance(schedule, list)
     rows = max_recorded_rows(config.budget, config.record_every)
     try:
         observers = [
             TableAccumulator(one, problem, saddle, init, rows)
-            if saddle is not None else lambda *block: None
+            if saddle is not None else None
             for one in (schedule if stacked else [schedule])
         ]
         observer = observers if stacked else observers[0]
@@ -314,7 +319,7 @@ def _solve(config, problem, schedule, saddle):
     return traj, observer
 
 
-def _report(config, built, schedule, resolved, traj, observer, write_trajectory, quiet):
+def _report(config, built, schedule, resolved, traj, observer, write_trajectory):
     """The table, theorem, checks, summary and files of one solved run."""
     saddle, saddle_source = resolved
     problem = built.problem
@@ -386,8 +391,6 @@ def _report(config, built, schedule, resolved, traj, observer, write_trajectory,
         )
         with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
-    if not quiet:
-        print("\n".join(lines))
     return exit_code, lines, metrics
 
 
@@ -438,7 +441,7 @@ def sweep(config: ExperimentConfig) -> int:
     schedules = [schedule for _, _, schedule in cells]
     trajs, observers = _solve(config, built.problem, schedules, resolved[0])
     outcomes = [
-        _report(cell, built, schedule, resolved, traj, observer, write_trajectory=True, quiet=True)
+        _report(cell, built, schedule, resolved, traj, observer, write_trajectory=True)
         for (_, cell, schedule), traj, observer in zip(cells, trajs, observers)
     ]
 
@@ -492,11 +495,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load(args.config)
-        if args.command == "run":
-            code, _, _ = execute(config, write_trajectory=True)
-            return code
-        if args.command == "verify":
-            code, _, _ = execute(config, write_trajectory=False)
+        if args.command in ("run", "verify"):
+            code, lines, _ = execute(config, write_trajectory=args.command == "run")
+            print("\n".join(lines))
             return code
         if args.command == "sweep":
             return sweep(config)

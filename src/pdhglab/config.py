@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .schedules import ACCELERATED, REGIMES, Schedule, make_schedule
+from .schedules import ACCELERATED, REGIMES, Schedule, make_schedule, schedule_at
 from .zoo import KINDS, QUAD_PAIR, BuiltInstance, InstanceSpec, build_instance
 
 CHECK_LEMMA = "lemma"
@@ -270,15 +270,25 @@ def materialize_instance(config: ExperimentConfig) -> BuiltInstance:
 
 def materialize_schedule(config: ExperimentConfig, built: BuiltInstance) -> Schedule:
     """The config's schedule on a built instance, translating any
-    regime-precondition violation into a ConfigError naming the parameter."""
+    regime-precondition violation into a ConfigError naming the parameter,
+    and steps that leave the double range by the run's last post-state."""
     problem = built.problem
     try:
-        return make_schedule(
+        schedule = make_schedule(
             config.regime, problem.F_norm, s=config.s, c=config.c, tau=config.tau,
             sigma=config.sigma, mu=problem.mu, gamma=problem.gamma,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # the steps are monotone in k, and no run reaches k = 2^62
+    last = schedule.k_start + min(config.budget, 2**62)
+    tau, sigma, _ = schedule_at(schedule, last)
+    if not (0.0 < tau < math.inf and 0.0 < sigma < math.inf):
+        raise ConfigError(
+            f"the steps at k = {last} are out of the double range: "
+            f"tau = {tau:g}, sigma = {sigma:g}; lower budget"
+        )
+    return schedule
 
 
 def materialize(config: ExperimentConfig) -> tuple[BuiltInstance, Schedule]:

@@ -13,7 +13,7 @@ subproblems; the equivalence is itself a tested property.
 
 :func:`run` drives the iteration under a :class:`~pdhglab.schedules.Schedule`
 and records a :class:`Trajectory`: one row per recorded step, stored as
-columns.  The residuals of each row are fixed-point displacement residuals
+(R,) columns.  The residuals of each row are fixed-point displacement residuals
 
     primal: || (x_k - x_{k+1}) / tau_k  - F^T (y_k - y_{k+1}) ||
     dual:   || (y_k - y_{k+1}) / sigma_k - theta_k F (x_k - x_{k+1}) ||
@@ -22,30 +22,22 @@ which both vanish exactly at a saddle point and, for smooth terms, equal the
 norms of the stationarity gaps || grad f(x_{k+1}) + F^T y_{k+1} || and
 || grad g*(y_{k+1}) - F x_{k+1} ||-like quantities up to the displacement
 scaling.  :func:`optimality_residual` evaluates the exact per-step inclusion
-residuals instead (zero for exact prox oracles, regardless of distance to the
-saddle).
+residuals of one transition instead (zero for exact prox oracles, regardless
+of distance to the saddle).
 
 The step loop only steps: each step is the iteration and the divergence
-guard.  The steps are taken in blocks of :func:`step_block` steps; the
-residuals, the ``tol`` stop and the recording are evaluated once per block,
-on the block's stacked rows, so a run that stops on ``tol`` computes up to
-STEP_BLOCK - 1 steps past its stop and discards them.  Every iterate carries
-the bits of a step-by-step loop.
-
-A run either keeps every recorded state, or streams them: given a block
-observer, :func:`run` hands it the recorded rows of each step block and
-keeps only the (R,) columns and the final state.
-
-Given a list of schedules, :func:`run` steps their runs in lockstep as one
-(B, d) stack with (B, 1) step columns, through the same loop; each run
-keeps the bits it has alone.
+guard.  The residuals, the ``tol`` stop and the recording are evaluated once
+per block of :func:`step_block` steps, and the recorded states of the block
+go to the run's observer: a run keeps no states.  Given a list of
+schedules, :func:`run` steps their runs in lockstep as one (B, d) stack;
+each run keeps the bits it has alone, which are a step-by-step loop's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence, Union
+from typing import Protocol, Sequence, Union
 
 import numpy as np
 
@@ -61,7 +53,7 @@ TERMINATION_DIVERGENCE = "divergence_guard"
 DIVERGENCE_GUARD = 1e12
 
 #: Steps per block of :func:`run`, and the cap on the entries of a block's
-#: stacked states (a wide problem takes fewer steps per block).
+#: stacked states (a wide problem or a large stack takes fewer steps per block).
 STEP_BLOCK = 256
 STEP_BLOCK_ELEMENTS = 2**15
 
@@ -72,41 +64,23 @@ class Trajectory:
 
     Row i is the transition k[i] -> k[i] + 1: the step sizes ``tau``,
     ``sigma``, ``theta`` and displacement residuals of that step, each of
-    shape (R,), and the pre-state ``x``, ``y`` and post-state ``x_next``,
-    ``y_next``, each of shape (R, d).  A streamed run (see :func:`run`)
-    handed its states to an observer and keeps none: its four state fields
-    are None.
-
-    ``init`` is the user-supplied starting pair.  For the accelerated
-    regime the engine performs a preparatory dual half-step before the
-    recorded iterations begin (see :func:`run`), so ``init.y`` precedes
-    the first row's pre-state dual variable.  ``final`` is the last
-    post-state: where the states are kept it is read from ``x_next`` and
-    ``y_next``, whatever is passed.
+    shape (R,).  The run handed its states to its observer (see
+    :func:`run`) and keeps only ``final``, the last post-state.
     """
 
     k: np.ndarray
     tau: np.ndarray
     sigma: np.ndarray
     theta: np.ndarray
-    x: Optional[np.ndarray]
-    y: Optional[np.ndarray]
-    x_next: Optional[np.ndarray]
-    y_next: Optional[np.ndarray]
     primal_residual: np.ndarray
     dual_residual: np.ndarray
-    init: PrimalDualPair
     schedule: Schedule
     termination: str
-    final: Optional[PrimalDualPair] = None
-
-    def __post_init__(self):
-        if self.x_next is not None:
-            object.__setattr__(self, "final", PrimalDualPair(x=self.x_next[-1], y=self.y_next[-1]))
+    final: PrimalDualPair
 
 
 class BlockObserver(Protocol):
-    """What :func:`run` streams recorded states to.
+    """What :func:`run` hands its recorded states to.
 
     Each call passes the recorded rows of one step block, in order: their
     ``k`` of shape (n,), n >= 1, and the pre- and post-states ``x``, ``y``,
@@ -118,11 +92,11 @@ class BlockObserver(Protocol):
     def __call__(self, k, x, y, x_next, y_next) -> None: ...
 
 
-def step_block(problem: SaddleProblem) -> int:
-    """Steps per block of :func:`run` on ``problem``: STEP_BLOCK, or fewer
-    so that a block's stacked states hold at most STEP_BLOCK_ELEMENTS
-    entries per array."""
-    return max(1, min(STEP_BLOCK, STEP_BLOCK_ELEMENTS // max(problem.d1, problem.d2)))
+def step_block(problem: SaddleProblem, runs: int = 1) -> int:
+    """Steps per block of :func:`run` on ``problem`` for a stack of ``runs``
+    runs: STEP_BLOCK, or fewer so that a block's stacked states hold at most
+    STEP_BLOCK_ELEMENTS entries per array, over the whole stack."""
+    return max(1, min(STEP_BLOCK, STEP_BLOCK_ELEMENTS // (runs * max(problem.d1, problem.d2))))
 
 
 def max_recorded_rows(budget: int, record_every: int) -> int:
@@ -181,19 +155,6 @@ def step_residuals(
     return _norm(rx), _norm(ry)
 
 
-def _reserve(rows: int, d1: int, d2: int, states: bool, shared: bool) -> list[np.ndarray]:
-    """The columns of one run: k and the two residuals, then, if ``states``,
-    x, y, x_next and y_next.  ``shared`` stores each post-state once, as the
-    next row's pre-state."""
-    columns = [np.empty(rows, dtype=np.int64), np.empty(rows), np.empty(rows)]
-    if states and shared:
-        xs, ys = np.empty((rows + 1, d1)), np.empty((rows + 1, d2))
-        columns += [xs[:-1], ys[:-1], xs[1:], ys[1:]]
-    elif states:
-        columns += [np.empty((rows, d)) for d in (d1, d2, d1, d2)]
-    return columns
-
-
 def run(
     problem: SaddleProblem,
     schedule: Union[Schedule, Sequence[Schedule]],
@@ -214,24 +175,23 @@ def run(
     (no primal step, no extrapolation — 1/tau_0 := 0), after which every
     recorded transition is a full iteration.
 
-    The steps are taken in blocks of :func:`step_block` steps.  The
+    The steps are taken in blocks of :func:`step_block` steps (of the
+    problem and the number of runs in the stack).  The
     divergence guard is read after every step, so no step runs past a
     diverged state; the residuals and the ``tol`` stop are evaluated after
     each block, and the run is cut back to the first row at ``tol`` (the
     diverged row wins a tie).  The steps of the block past that row are
     discarded.
 
-    Without an ``observer`` the trajectory keeps every recorded state.
-    With one, the recorded rows of each step block go from the block's
-    work buffer to the observer, and the trajectory holds its (R,) columns
-    and ``final`` but no states.  The (R,) columns, and the
-    states when kept, are reserved for the whole budget up front; a
-    reservation that fails raises MemoryError before any step.  A
-    ``record_every`` past the budget records what ``budget`` does: the
-    first row and the last.
+    The recorded rows of each step block go from the block's work buffer
+    to the ``observer``, or are dropped when it is None; the trajectory
+    holds its (R,) columns and ``final`` but no states.  The (R,) columns
+    are reserved for the whole budget up front; a reservation that fails
+    raises MemoryError before any step.  A ``record_every`` past the budget
+    records what ``budget`` does: the first row and the last.
 
-    Given a sequence of B schedules of one regime (and, to stream, one
-    observer each), the B runs from ``init`` step in lockstep as a (B, d)
+    Given a sequence of B schedules of one regime (and one observer each,
+    or None), the B runs from ``init`` step in lockstep as a (B, d)
     stack with per-row steps, and the list of their B trajectories is
     returned, each with the bits of its own run.  The guard tests the whole
     stack, whose norm no row's exceeds, and each row only when the stack
@@ -251,7 +211,7 @@ def run(
         raise ValueError("budget must be at least 1")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
-    record_every = min(record_every, budget)
+    record_every = min(record_every, budget, 2**62)  # past it: the first step and the last
     x = np.asarray(init.x, dtype=float)
     y = np.asarray(init.y, dtype=float)
     if x.shape != (problem.d1,) or y.shape != (problem.d2,):
@@ -269,18 +229,19 @@ def run(
         sigma0 = first.c * first.s**2
         if stacked:
             sigma0 = np.array([[sched.c * sched.s**2] for sched in schedules])
-        y = problem.prox_gstar(y + sigma0 * F.apply(x), sigma0)
+        # past the double range the state is inf or nan: the guard reads it as divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = problem.prox_gstar(y + sigma0 * F.apply(x), sigma0)
 
-    store = observer is None
     rows = max_recorded_rows(budget, record_every)
-    try:
+    try:  # k and the two residuals of each run
         columns = [
-            _reserve(rows, problem.d1, problem.d2, store, record_every == 1) for _ in schedules
+            (np.empty(rows, dtype=np.int64), np.empty(rows), np.empty(rows)) for _ in schedules
         ]
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's dimension limit
         what = "a trajectory" if B == 1 else f"{B} trajectories"
         raise MemoryError(f"{what} of {rows} rows cannot be reserved ({exc})") from exc
-    steps_per_block = step_block(problem)
+    steps_per_block = step_block(problem, B)
     # Row 0 holds a block's first pre-states and row i + 1 the post-states of its step i.
     work_x = np.empty((steps_per_block + 1, B, problem.d1))
     work_y = np.empty((steps_per_block + 1, B, problem.d2))
@@ -293,7 +254,7 @@ def run(
     FTy = F.apply_T(y)
     start = 0
     while active:
-        # A block ends at the next multiple of the block size, as in a run alone.
+        # A block ends at the next multiple of the block size.
         ks = np.arange(start, min((start // steps_per_block + 1) * steps_per_block, budget))
         ks += first.k_start
         # steps[i, j, b] is parameter i (tau, sigma, theta) of step j of row b
@@ -339,12 +300,13 @@ def run(
                 post = pre + 1
             kept = ks[pre]
             lo, t = n[b], len(kept)
-            states = (work_x[pre, row], work_y[pre, row], work_x[post, row], work_y[post, row])
-            # the states go to the columns when they are kept, else to the observer
-            for column, value in zip(columns[b], (kept, rp[pre, row], rd[pre, row], *states)):
+            for column, value in zip(columns[b], (kept, rp[pre, row], rd[pre, row])):
                 column[lo:lo + t] = value
-            if not store and t:
-                observers[b](columns[b][0][lo:lo + t], *states)
+            if observers[b] is not None and t:
+                observers[b](
+                    columns[b][0][lo:lo + t],
+                    work_x[pre, row], work_y[pre, row], work_x[post, row], work_y[post, row],
+                )
             n[b] += t
             if last:  # copied out of the work buffer, which the stack reuses
                 final[b] = PrimalDualPair(*(w[stop + 1, row].copy() for w in (work_x, work_y)))
@@ -362,18 +324,26 @@ def run(
 
     trajectories = []
     for b, sched in enumerate(schedules):
-        k, rp, rd, *states = (column[:n[b]] for column in columns[b])
+        k, rp, rd = (column[:n[b]] for column in columns[b])
         tau, sigma, theta = schedule_at(sched, k)
-        trajectories.append(Trajectory(
-            k, tau, sigma, theta, *(states or (None,) * 4), primal_residual=rp,
-            dual_residual=rd, init=init, schedule=sched, termination=termination[b],
-            final=final[b],
-        ))
+        trajectories.append(
+            Trajectory(k, tau, sigma, theta, rp, rd, sched, termination[b], final[b])
+        )
     return trajectories if stacked else trajectories[0]
 
 
-def optimality_residual(problem: SaddleProblem, traj: Trajectory, i: int) -> tuple[float, float]:
-    """Exact inclusion residuals of row ``i`` of a trajectory.
+def optimality_residual(
+    problem: SaddleProblem,
+    x_k: np.ndarray,
+    y_k: np.ndarray,
+    x_next: np.ndarray,
+    y_next: np.ndarray,
+    tau_k: float,
+    sigma_k: float,
+    theta_k: float,
+) -> tuple[float, float]:
+    """Exact inclusion residuals of the transition (x_k, y_k) ->
+    (x_{k+1}, y_{k+1}) under the steps (tau_k, sigma_k, theta_k):
 
         r_x = dist(0, @f(x_{k+1}) + F^T y_k + (x_{k+1} - x_k)/tau_k)
         r_y = dist(0, @g*(y_{k+1}) - F xbar_{k+1} + (y_{k+1} - y_k)/sigma_k)
@@ -383,12 +353,11 @@ def optimality_residual(problem: SaddleProblem, traj: Trajectory, i: int) -> tup
     the same bits as the iterate's.
     """
     F = problem.F
-    x, y, x_next, y_next = traj.x[i], traj.y[i], traj.x_next[i], traj.y_next[i]
-    x_bar = x_next + traj.theta[i] * (x_next - x)
+    x_bar = x_next + theta_k * (x_next - x_k)
     return inclusion_residuals(
         problem,
         x_next,
-        F.apply_T(y) + (x_next - x) / traj.tau[i],
+        F.apply_T(y_k) + (x_next - x_k) / tau_k,
         y_next,
-        -F.apply(x_bar) + (y_next - y) / traj.sigma[i],
+        -F.apply(x_bar) + (y_next - y_k) / sigma_k,
     )

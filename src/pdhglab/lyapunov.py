@@ -13,10 +13,10 @@ Three discrete Lyapunov functions are evaluated, one per analysis regime:
 Each regime's descent lemma bounds E(k+1) - E(k) by an explicit nonpositive
 (or sign-determined) right-hand side.  :class:`TableAccumulator` evaluates
 the Lyapunov values, NE terms and saddle distances as columns, one step
-block's rows at a time, while a run streams its states to it;
-:func:`lyapunov_table` feeds it the states of a stored trajectory in the
-same blocks.  Both results are read from that table as :class:`Claim`
-records, each a measured column that must stay under a bound column:
+block's rows at a time, as the block observer a run hands its states to;
+a row's values do not depend on the block it comes in.  Both results are
+read from that table as :class:`Claim` records, each a measured column that
+must stay under a bound column:
 :func:`lemma_records` states the descent lemma, E(k+1) - E(k) under its
 right-hand side, and :func:`theorem_bound`, the one source of each regime's
 closed-form convergence guarantee, reads its constants from the schedule,
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Trajectory, step_block
+from .engine import Trajectory
 from .problems import PrimalDualPair, SaddleProblem
 from .rates import contraction_factors
 from .schedules import (
@@ -108,7 +108,12 @@ class Theorem:
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray):
-    """Inner product over the last axis: one per row for stacked vectors."""
+    """Inner product over the last axis: one per row for stacked vectors,
+    each with the bits of its own call.  numpy sums a row of more than 8192
+    entries in buffered chunks among other rows and in one pass alone, so
+    such rows are taken one at a time."""
+    if a.ndim > 1 and a.shape[-1] > 8192:
+        return np.array([_rowdot(u, v) for u, v in zip(*np.broadcast_arrays(a, b))])
     return np.einsum("...i,...i->...", a, b)
 
 
@@ -367,15 +372,16 @@ def _rounding_floor(a: np.ndarray, b: np.ndarray) -> float:
 class TableAccumulator:
     """The :class:`LyapunovTable` of one run of at most ``rows`` rows,
     filled a block of rows at a time: the block observer
-    :func:`~pdhglab.engine.run` streams states to, and the body of
-    :func:`lyapunov_table`.
+    :func:`~pdhglab.engine.run` hands its states to.
 
     Each call takes the consecutive rows ``(k, x, y, x_next, y_next)`` of
-    one step block and fills the table's columns for them; :meth:`table`
-    returns the table of every row seen.  The columns are reserved once,
-    for ``rows`` rows, and a reservation that fails raises MemoryError; the
-    block bounds the memory the call's temporaries take.  The step sizes
-    of row k are read from ``schedule``.
+    one step block and fills the table's columns for them, each row with
+    the bits it has in any other block; :meth:`table` returns the table of
+    every row seen.  A hand-over is valid only during the call, and no
+    state of it is kept.  The columns are reserved once, for ``rows`` rows,
+    and a reservation that fails raises MemoryError; the block bounds the
+    memory the call's temporaries take.  The step sizes of row k are read
+    from ``schedule``.
 
     Each row's post-state values are evaluated: the squared distances of
     (x_{k+1}, y_{k+1}), and E(k+1), which takes its squared norms from
@@ -468,32 +474,14 @@ class TableAccumulator:
         )
 
 
-def lyapunov_table(
-    trajectory: Trajectory, problem: SaddleProblem, saddle: PrimalDualPair
-) -> LyapunovTable:
-    """Evaluate the regime's Lyapunov diagnostics along a trajectory that
-    kept its states: its rows go to a :class:`TableAccumulator` in the
-    step blocks a run hands over, (k - k_start) // step_block(problem),
-    which gives the bits of a streamed run's table and keeps the working
-    set at a step block's temporaries.
-    """
-    t = trajectory
-    table = TableAccumulator(t.schedule, problem, saddle, t.init, len(t.k))
-    block = (t.k - t.schedule.k_start) // step_block(problem)
-    cuts = np.flatnonzero(np.diff(block)) + 1
-    for lo, hi in zip([0, *cuts], [*cuts, len(block)]):
-        table(t.k[lo:hi], t.x[lo:hi], t.y[lo:hi], t.x_next[lo:hi], t.y_next[lo:hi])
-    return table.table(t)
-
-
 def lemma_records(
     trajectory: Trajectory,
     problem: SaddleProblem,
     table: LyapunovTable,
 ) -> Claim:
     """The descent lemma of the trajectory's regime (read from its
-    schedule) along the recorded steps, on its precomputed
-    :func:`lyapunov_table`.
+    schedule) along the recorded steps, on its :class:`TableAccumulator`
+    table.
 
     Returns the "descent lemma" :class:`Claim` on every row: the measured
     E(k+1) - E(k) stays under the bound, the lemma's right-hand side, up to

@@ -34,7 +34,6 @@ from pdhglab.lyapunov import (
     lemma_records,
     lyapunov_accelerated,
     lyapunov_fixed,
-    lyapunov_table,
     numerical_error,
     rho_rate,
     theorem_bound,
@@ -59,6 +58,7 @@ from pdhglab.zoo import (
     primal_objective,
     reference_saddle,
 )
+from recording import recorded_run
 
 
 def report(num, ok, detail):
@@ -115,9 +115,10 @@ def test_criterion_01_lemma_descent_suites():
             schedule = make_schedule(
                 regime, built.problem.F_norm, mu=problem.mu, gamma=problem.gamma
             )
-            traj = run(problem, schedule, zeros_init(problem), budget=1000, tol=0.0)
             saddle = resolve_saddle(built)
-            table = lyapunov_table(traj, problem, saddle)
+            traj, _, table = recorded_run(
+                problem, schedule, zeros_init(problem), saddle, budget=1000, tol=0.0
+            )
             claim = lemma_records(traj, problem, table)
             slack = claim.bound - claim.measured
             for E, lemma_slack in zip(table.E, slack):
@@ -150,25 +151,25 @@ def test_criterion_02_varying_sc_theorem_bound():
     problem = built.problem
     c = 0.5 * mu
     schedule = make_schedule(VARYING_SC, built.problem.F_norm, s=s, c=c, mu=mu)
-    traj = run(problem, schedule, zeros_init(problem), budget=10_001, tol=0.0)
     saddle = built.saddle
     assert saddle is not None  # dual-interior design: closed-form saddle
+    traj, states, table = recorded_run(
+        problem, schedule, zeros_init(problem), saddle, budget=10_001, tol=0.0
+    )
 
     rows = range(len(traj.k))
     assert traj.k[0] == 0 and traj.k[-1] == 10_000
     E = [
-        lyapunov_fixed(traj.x[i], traj.y[i], saddle, traj.tau[i], traj.sigma[i], problem.F)
+        lyapunov_fixed(states.x[i], states.y[i], saddle, traj.tau[i], traj.sigma[i], problem.F)
         for i in rows
     ]
-    lyapunov_claim, trajectory_claim = theorem_bound(
-        schedule, problem, lyapunov_table(traj, problem, saddle)
-    ).claims
+    lyapunov_claim, trajectory_claim = theorem_bound(schedule, problem, table).claims
     bound, trajectory_bound = lyapunov_claim.bound, trajectory_claim.bound
 
     worst_E = worst_traj = 0.0
     for i, Ek in zip(rows, E):
         worst_E = max(worst_E, Ek / bound[i])
-        worst_traj = max(worst_traj, dist_sq(traj.x[i], saddle.x) / trajectory_bound[i])
+        worst_traj = max(worst_traj, dist_sq(states.x[i], saddle.x) / trajectory_bound[i])
     ok = worst_E <= 1.0 + 1e-6 and worst_traj <= 1.0 + 1e-6
     report(
         2,
@@ -189,10 +190,10 @@ def test_criterion_03_slope_trend_toward_minus_two():
     slopes = []
     for frac in (0.5, 0.1, 0.02):
         schedule = make_schedule(VARYING_SC, built.problem.F_norm, s=s, c=frac * mu, mu=mu)
-        traj = run(problem, schedule, zeros_init(problem), budget=10_001, tol=0.0)
+        _, states, _ = recorded_run(problem, schedule, zeros_init(problem), budget=10_001, tol=0.0)
         series = [
             (k, dist_sq(x, saddle.x))
-            for k, x in zip(traj.k, traj.x)
+            for k, x in zip(states.k, states.x)
             if dist_sq(x, saddle.x) > 0.0
         ]
         fit = fit_rate(series, window=(100, 10_000))
@@ -222,27 +223,26 @@ def test_criterion_04_accelerated_rate_bound():
     s = min(0.9 / built.problem.F_norm, mu)
     schedule = make_schedule(ACCELERATED, built.problem.F_norm, s=s, c=c, mu=mu)
     init = zeros_init(problem)
-    traj = run(problem, schedule, init, budget=10_000, tol=0.0)
     saddle = built.saddle
     assert saddle is not None
+    traj, states, table = recorded_run(problem, schedule, init, saddle, budget=10_000, tol=0.0)
 
     assert traj.k[0] == 1 and traj.k[-1] == 10_000
     # E(K0) at K0 = 1: the starting pair with tau_1 = 1/c, no displacement term
     E_K0 = lyapunov_accelerated(
         init.x, None, init.y, saddle, 1.0 / c, None, s, problem.F
     )
-    table = lyapunov_table(traj, problem, saddle)
     assert table.k[0] == 1 and table.E[0] == E_K0
     (claim,) = theorem_bound(schedule, problem, table).claims
     assert claim.k[0] == 1  # K0 = 1: the claim covers every row
     bound = claim.bound
     worst = 0.0
-    for x, bound_k in zip(traj.x, bound):
+    for x, bound_k in zip(states.x, bound):
         worst = max(worst, dist_sq(x, saddle.x) / bound_k)
 
     series = [
         (k, dist_sq(x, saddle.x))
-        for k, x in zip(traj.k, traj.x)
+        for k, x in zip(traj.k, states.x)
         if dist_sq(x, saddle.x) > 0.0
     ]
     fit = fit_rate(series, window=(100, 10_000))
@@ -266,26 +266,26 @@ def optimal_ss_run():
     problem = built.problem
     s = 0.5
     schedule = make_schedule(OPTIMAL_SS, built.problem.F_norm, s=s, mu=1.0, gamma=1.0)
-    traj = run(problem, schedule, zeros_init(problem), budget=2000, tol=1e-10)
+    recorded = recorded_run(
+        problem, schedule, zeros_init(problem), built.saddle, budget=2000, tol=1e-10
+    )
     rho = rho_rate(1.0, 1.0, s, built.problem.F_norm)
-    return built, traj, s, rho
+    return built, recorded, s, rho
 
 
 def test_criterion_05_contraction_rate():
-    built, traj, s, rho = optimal_ss_run()
+    built, (traj, states, table), s, rho = optimal_ss_run()
     problem, saddle = built.problem, built.saddle
     assert problem.mu == 1.0 and problem.gamma == 1.0
     E = [
         (k, lyapunov_fixed(x, y, saddle, tau, sigma, problem.F))
-        for k, x, y, tau, sigma in zip(traj.k, traj.x, traj.y, traj.tau, traj.sigma)
+        for k, x, y, tau, sigma in zip(traj.k, states.x, states.y, traj.tau, traj.sigma)
     ]
     summary = contraction_factors(E)
 
-    weighted = dist_sq(traj.x_next[-1], saddle.x) + dist_sq(traj.y_next[-1], saddle.y)
+    weighted = dist_sq(states.x_next[-1], saddle.x) + dist_sq(states.y_next[-1], saddle.y)
     # the sandwich at the post-state of the last row, k + 1
-    _, sandwich_claim = theorem_bound(
-        traj.schedule, problem, lyapunov_table(traj, problem, saddle)
-    ).claims
+    _, sandwich_claim = theorem_bound(traj.schedule, problem, table).claims
     (sandwich,) = sandwich_claim.bound
     ok = (
         summary.max_ratio <= rho + 1e-8
@@ -302,11 +302,11 @@ def test_criterion_05_contraction_rate():
 
 
 def test_criterion_08_saddle_reached_within_cap():
-    built, traj, s, rho = optimal_ss_run()
+    built, (_, states, _), s, rho = optimal_ss_run()
     saddle = built.saddle
     cap = 5.0 * math.log(1e8) / math.log(1.0 / rho)
     hit = None
-    for k, x, y in zip(traj.k, traj.x, traj.y):
+    for k, x, y in zip(states.k, states.x, states.y):
         norm = math.sqrt(dist_sq(x, saddle.x) + dist_sq(y, saddle.y))
         if norm <= 1e-8:
             hit = k
@@ -382,9 +382,12 @@ def test_criterion_07_optimality_residuals():
         schedule = make_schedule(
             regime, built.problem.F_norm, mu=problem.mu, gamma=problem.gamma
         )
-        traj = run(problem, schedule, zeros_init(problem), budget=1000, tol=0.0)
+        traj, states, _ = recorded_run(problem, schedule, zeros_init(problem), budget=1000, tol=0.0)
         for i in range(len(traj.k)):
-            r_x, r_y = optimality_residual(problem, traj, i)
+            r_x, r_y = optimality_residual(
+                problem, states.x[i], states.y[i], states.x_next[i], states.y_next[i],
+                traj.tau[i], traj.sigma[i], traj.theta[i],
+            )
             worst = max(worst, r_x, r_y)
             n_steps += 1
     ok = worst <= 1e-9
@@ -409,12 +412,12 @@ def test_criterion_09_ode_consistency():
     for base in (0.1, 0.05, 0.025):
         s = base / built.problem.F_norm
         schedule = make_schedule(FIXED, built.problem.F_norm, s=s)
-        traj = run(
+        _, states, _ = recorded_run(
             problem, schedule, init, budget=int(math.ceil(T / s)), tol=0.0
         )
         X, Y = integrate(init, T, s / 100.0, s, s, s, problem)
         sup = 0.0
-        for k, x_next, y_next in zip(traj.k, traj.x_next, traj.y_next):
+        for k, x_next, y_next in zip(states.k, states.x_next, states.y_next):
             idx = (k + 1) * 100
             if (k + 1) * s > T + 1e-12 or idx >= len(X):
                 continue

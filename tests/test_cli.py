@@ -21,10 +21,10 @@ from pdhglab import cli, config as config_module, dynamics, engine, lyapunov, zo
 from pdhglab.cli import CSV_COLUMNS, execute, main
 from pdhglab.config import ConfigError, materialize, parse_config
 from pdhglab.dynamics import integrate
-from pdhglab.engine import run
 from pdhglab.lyapunov import Claim, lyapunov_fixed, numerical_error
 from pdhglab.problems import PrimalDualPair
 from pdhglab.schedules import FIXED, Schedule
+from recording import recorded_run
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -119,21 +119,19 @@ def test_run_budget_one_golden_row(tmp_path):
     built, schedule = materialize(config)
     problem = built.problem
     init = PrimalDualPair(x=np.zeros(problem.d1), y=np.zeros(problem.d2))
-    traj = run(problem, schedule, init, budget=1, tol=1e-10, record_every=1)
+    traj, states, _ = recorded_run(problem, schedule, init, budget=1, tol=1e-10, record_every=1)
     saddle = built.saddle
     assert saddle is not None
 
+    x, y, x_next, y_next = states.x[0], states.y[0], states.x_next[0], states.y_next[0]
     assert int(row["k"]) == traj.k[0] == 0
     assert float(row["tau_k"]) == traj.tau[0]
     assert float(row["sigma_k"]) == traj.sigma[0]
     assert float(row["theta_k"]) == traj.theta[0] == 1.0
-    assert float(row["dist_x_sq"]) == float((traj.x[0] - saddle.x) @ (traj.x[0] - saddle.x))
-    assert float(row["dist_y_sq"]) == float((traj.y[0] - saddle.y) @ (traj.y[0] - saddle.y))
-    E = lyapunov_fixed(traj.x[0], traj.y[0], saddle, traj.tau[0], traj.sigma[0], problem.F)
-    ne = numerical_error(
-        traj.x_next[0] - traj.x[0], traj.y_next[0] - traj.y[0],
-        traj.tau[0], traj.sigma[0], problem.F,
-    )
+    assert float(row["dist_x_sq"]) == float((x - saddle.x) @ (x - saddle.x))
+    assert float(row["dist_y_sq"]) == float((y - saddle.y) @ (y - saddle.y))
+    E = lyapunov_fixed(x, y, saddle, traj.tau[0], traj.sigma[0], problem.F)
+    ne = numerical_error(x_next - x, y_next - y, traj.tau[0], traj.sigma[0], problem.F)
     assert float(row["lyapunov"]) == E
     assert float(row["ne"]) == ne
     # no lemma check requested and no fixed-regime bound: both columns are nan
@@ -296,7 +294,7 @@ def test_theorem_fails_on_nan_bound(monkeypatch, regime):
         "budget": 50,
         "checks": ["theorem"],
     }))
-    code, lines, _ = execute(config, write_trajectory=False, quiet=True)
+    code, lines, _ = execute(config, write_trajectory=False)
     assert code == 1
     first = {"varying_sc": r"Lyapunov bound", "accelerated": r"O\(1/k\^2\) bound"}[regime]
     assert any(
@@ -314,7 +312,7 @@ def test_theorem_fails_on_infinite_bound(monkeypatch):
         "budget": 50,
         "checks": ["theorem"],
     }))
-    code, lines, _ = execute(config, write_trajectory=False, quiet=True)
+    code, lines, _ = execute(config, write_trajectory=False)
     assert code == 1
     pattern = r"check\.theorem = FAIL \(Lyapunov bound not finite at k=0: \S+ vs inf\)"
     assert any(re.fullmatch(pattern, line) for line in lines)
@@ -388,10 +386,10 @@ def test_ode_compare_matches_a_per_row_reference():
     for level in range(3):
         s, tau, sigma = (v * 0.5**level for v in (schedule.s, schedule.tau, schedule.sigma))
         sched = Schedule(regime=FIXED, s=s, tau=tau, sigma=sigma)
-        traj = run(problem, sched, init, budget=int(math.ceil(T / s)), tol=0.0)
+        _, states, _ = recorded_run(problem, sched, init, budget=int(math.ceil(T / s)), tol=0.0)
         X, Y = integrate(init, T, s / 100.0, s, tau, sigma, problem)
         sup = 0.0
-        for k, x_next, y_next in zip(traj.k.tolist(), traj.x_next, traj.y_next):
+        for k, x_next, y_next in zip(states.k.tolist(), states.x_next, states.y_next):
             idx = (k + 1) * 100
             if (k + 1) * s > T + 1e-12 or idx >= len(X):
                 continue
@@ -545,6 +543,39 @@ def test_steps_that_underflow_at_the_start_are_exit_2(tmp_path, capsys, instance
     err = capsys.readouterr().err
     assert f"config error: the steps at k = {k} are out of the double range: " in err
     assert err.rstrip().endswith("sigma = 0")
+
+
+def test_steps_that_leave_the_double_range_within_the_budget_are_exit_2(tmp_path, capsys):
+    # c = mu/2 = 8.5e307: the steps are finite at k = 0 and 1, and c (k + 1)
+    # overflows from k = 2 on, inside the budget
+    doc = {"instance": {"kind": "quad_pair", "d": 2, "seed": 1, "mu": 1.7e308},
+           "regime": "varying_sc", "budget": 40}
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: the steps at k = 40 are out of the double range: "
+        "tau = 0, sigma = inf; lower budget\n"
+    )
+
+
+def test_an_accelerated_half_step_past_the_double_range_trips_the_guard_quietly(
+    tmp_path, capsys
+):
+    # sigma_0 gamma = c s^2 gamma overflows in the quadratic prox of the dual
+    # half-step before the first step: the state is nan
+    doc = {"instance": {"kind": "quad_pair", "d": 2, "seed": 2, "mu": 1e300, "gamma": 1e170},
+           "regime": "accelerated", "budget": 7, "checks": ["theorem"]}
+    assert main(["verify", write_config(tmp_path, doc)]) == 1
+    out, err = capsys.readouterr()
+    assert "run.termination = divergence_guard" in out.splitlines()
+    assert err == ""
+
+
+def test_a_budget_and_a_stride_past_int64_run_to_tol(tmp_path, capsys):
+    doc = {"instance": {"kind": "quad_pair", "d": 4, "seed": 3}, "regime": "fixed",
+           "budget": 10**20, "record_every": 10**26}
+    assert main(["verify", write_config(tmp_path, doc)]) == 0
+    out, err = capsys.readouterr()
+    assert "run.termination = residual_tol" in out.splitlines() and err == ""
 
 
 def test_a_record_every_past_int64_records_the_first_and_last_rows(tmp_path, capsys):
@@ -709,7 +740,7 @@ def test_theorem_fails_on_exceeded_bound(monkeypatch, regime, form, detail):
         "budget": 50,
         "checks": ["theorem"],
     }))
-    code, lines, _ = execute(config, write_trajectory=False, quiet=True)
+    code, lines, _ = execute(config, write_trajectory=False)
     assert code == 1
     assert any(re.fullmatch(rf"check\.theorem = FAIL \({detail}\)", line) for line in lines)
 
@@ -722,7 +753,7 @@ def test_theorem_fails_on_contraction_above_rho(monkeypatch):
         "budget": 50,
         "checks": ["theorem"],
     }))
-    code, lines, _ = execute(config, write_trajectory=False, quiet=True)
+    code, lines, _ = execute(config, write_trajectory=False)
     assert code == 1
     pattern = r"check\.theorem = FAIL \(contraction exceeded at k=\d+: \S+ > 0\.125\)"
     assert any(re.fullmatch(pattern, line) for line in lines)
@@ -736,7 +767,7 @@ def test_lemma_fails_on_slack_violation(monkeypatch):
         "budget": 50,
         "checks": ["lemma"],
     }))
-    code, lines, _ = execute(config, write_trajectory=False, quiet=True)
+    code, lines, _ = execute(config, write_trajectory=False)
     assert code == 1
     pattern = r"check\.lemma = FAIL \(descent lemma exceeded at k=\d+: \S+ > \S+\)"
     assert any(re.fullmatch(pattern, line) for line in lines)
@@ -771,13 +802,27 @@ def test_execute_evaluates_each_lyapunov_value_once(monkeypatch, regime):
         "record_every": 1,
         "checks": ["lemma", "theorem", "rate_fit"],
     }))
-    code, lines, _ = execute(config, write_trajectory=False, quiet=True)
+    code, lines, _ = execute(config, write_trajectory=False)
     assert code == 0
     assert any(line.startswith("check.lemma = PASS") for line in lines)
     K = len(trajectories[0].k)
     assert K > 1
     assert calls["E"] <= K + 1
     assert calls["NE"] <= K
+
+
+def test_only_main_prints_a_summary(tmp_path, capsys):
+    # execute returns the summary lines; main prints them for run and
+    # verify, and a sweep prints only where it wrote its aggregate
+    doc = {"instance": {"kind": "quad_pair", "d": 3, "seed": 1}, "regime": "fixed", "budget": 20}
+    code, lines, _ = execute(parse_config(json.dumps(doc)), write_trajectory=False)
+    assert capsys.readouterr().out == ""
+    assert main(["verify", write_config(tmp_path, doc)]) == code == 0
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    out = tmp_path / "out"
+    doc.update(output=str(out), sweep={"s": [0.2, 0.4]})
+    assert main(["sweep", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'sweep_summary.csv'} (2 cells)\n"
 
 
 def test_theorem_and_csv_share_one_bound_per_record(tmp_path, monkeypatch):
@@ -796,7 +841,7 @@ def test_theorem_and_csv_share_one_bound_per_record(tmp_path, monkeypatch):
         "checks": ["theorem"],
         "output": str(tmp_path),
     }))
-    code, lines, _ = execute(config, write_trajectory=True, quiet=True)
+    code, lines, _ = execute(config, write_trajectory=True)
     assert code == 0
     rows = read_rows(tmp_path / "trajectory.csv")
     # the PASS detail names the largest E/bound ratio of the CSV's rows, and
@@ -887,7 +932,8 @@ def lockstep_sweep_docs(out):
     """Sweeps whose cells stop on tol in different step blocks, next to
     cells that run out the budget: a dense quad_pair in each regime (with a
     record stride under fixed), a lasso and a TV instance on reference-run
-    saddles."""
+    saddles, and a wide TV instance whose stack takes smaller step blocks
+    than a cell alone."""
     quad = {"kind": "quad_pair", "d": 4, "seed": 2}
     docs = [
         {"instance": quad, "regime": "fixed", "budget": 900, "record_every": 7,
@@ -901,6 +947,10 @@ def lockstep_sweep_docs(out):
         {"instance": {"kind": "lasso", "d": 30, "lam": 0.05}, "regime": "varying_sc",
          "budget": 300, "sweep": {"c": [0.1, 0.2], "s": [0.5, 0.9]}},
         reference_run_sweep_doc(out),
+        # 4 cells of d = 9000 pass the 2^15 entries of a step block together,
+        # so the stack takes one step per block where each cell alone takes 3
+        {"instance": {"kind": "gen_lasso", "d": 9000, "lam": 1e6, "identity_a": True},
+         "regime": "varying_sc", "budget": 40, "sweep": {"c": [0.25, 0.5], "s": [0.2, 0.45]}},
     ]
     for i, doc in enumerate(docs):
         doc.update(checks=["lemma", "theorem", "rate_fit"], output=str(out / f"sweep_{i}"))
@@ -1239,22 +1289,33 @@ def test_unreservable_trajectory_is_exit_2(tmp_path, capsys, monkeypatch):
     assert "lower budget or raise record_every" in capsys.readouterr().err
 
 
+class RefusingNumpy:
+    """numpy, as the engine sees it, with an ``empty`` that refuses its
+    ``n``-th call."""
+
+    def __init__(self, n):
+        self.n, self.calls = n, 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        self.calls += 1
+        return refused() if self.calls == self.n else np.empty(*args, **kwargs)
+
+
 def test_sweep_whose_columns_cannot_be_reserved_is_exit_2(tmp_path, capsys, monkeypatch):
-    # the stacked run reserves every cell's columns before its first step:
-    # a refusal at the third cell ends the sweep before a cell writes anything
-    reserve, calls = engine._reserve, []
-
-    def third_refused(*args):
-        calls.append(args)
-        return refused() if len(calls) == 3 else reserve(*args)
-
-    monkeypatch.setattr(engine, "_reserve", third_refused)
+    # the stacked run reserves every cell's three columns before its first
+    # step: a refusal at the third cell ends the sweep before a cell writes
+    # anything
+    numpy = RefusingNumpy(7)
+    monkeypatch.setattr(engine, "np", numpy)
     out = tmp_path / "out"
     assert main(["sweep", write_config(tmp_path, sweep_doc(out))]) == 2
     err = capsys.readouterr().err
     assert "4 trajectories of 150 rows cannot be reserved" in err
     assert "lower budget or raise record_every" in err
-    assert len(calls) == 3 and not list(out.glob("cell_*"))
+    assert numpy.calls == 7 and not list(out.glob("cell_*"))
 
 
 def test_budget_past_the_array_size_limit_is_exit_2(tmp_path, capsys):
@@ -1312,7 +1373,7 @@ def test_verify_streams_its_states_instead_of_holding_them(monkeypatch):
     }))
     tracemalloc.start()
     try:
-        code, _, _ = execute(config, write_trajectory=False, quiet=True)
+        code, _, _ = execute(config, write_trajectory=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -16,11 +16,11 @@ from pdhglab import (
     integrate,
     lyapunov_fixed,
     make_schedule,
-    run,
 )
 from pdhglab import dynamics
 from pdhglab.dynamics import mass_matrix
 from pdhglab.zoo import make_quad_pair
+from recording import recorded_run
 
 
 def decoupled_problem():
@@ -275,10 +275,10 @@ def test_fixed_step_iteration_matches_implicit_euler():
     sched = make_schedule(FIXED, built.problem.F_norm, s=s)
     init = PrimalDualPair(np.ones(3), np.zeros(3))
     n = 30
-    traj = run(built.problem, sched, init, budget=n, tol=0.0)
+    _, states, _ = recorded_run(built.problem, sched, init, budget=n, tol=0.0)
     X, Y = integrate(init, T=n * s, h=s, s=s, tau=s, sigma=s, problem=built.problem)
     assert len(X) == n + 1
-    for k, x_next, y_next in zip(traj.k, traj.x_next, traj.y_next):
+    for k, x_next, y_next in zip(states.k, states.x_next, states.y_next):
         gap = math.sqrt(
             float(np.sum((x_next - X[k + 1]) ** 2)) + float(np.sum((y_next - Y[k + 1]) ** 2))
         )

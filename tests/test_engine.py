@@ -1,7 +1,6 @@
 """Iteration engine tests: single steps, full runs, termination, residuals."""
 
 import ast
-import dataclasses
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -36,6 +35,7 @@ from pdhglab.engine import (
     TERMINATION_DIVERGENCE,
     TERMINATION_RESIDUAL,
 )
+from recording import RecordingObserver, recorded_run
 
 
 def scalar_quadratic_problem():
@@ -109,13 +109,15 @@ def test_directly_built_accelerated_schedule_starts_at_k_one():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=3, seed=4))
     init = PrimalDualPair(np.ones(3), -np.ones(3))
     direct = Schedule(regime=ACCELERATED, s=0.5, c=0.5)
-    got = run(built.problem, direct, init, budget=20, tol=0.0)
+    got, got_states, _ = recorded_run(built.problem, direct, init, budget=20, tol=0.0)
     made = make_schedule(ACCELERATED, built.problem.F_norm, s=0.5, c=0.5, mu=built.problem.mu)
-    want = run(built.problem, made, init, budget=20, tol=0.0)
+    want, want_states, _ = recorded_run(built.problem, made, init, budget=20, tol=0.0)
     assert direct == made
     assert got.k[0] == 1
-    for name in ("k", "tau", "sigma", "theta", "x", "y", "x_next", "y_next"):
+    for name in ("k", "tau", "sigma", "theta"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
+    for name in ("x", "y", "x_next", "y_next"):
+        assert np.array_equal(getattr(got_states, name), getattr(want_states, name))
 
 
 def test_run_from_saddle_stops_immediately():
@@ -132,28 +134,14 @@ def test_run_records_chain_and_extrapolation_identity():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=5, d2=5, seed=3))
     sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, mu=1.0, gamma=1.0)
     init = PrimalDualPair(np.ones(5), -np.ones(5))
-    traj = run(built.problem, sched, init, budget=60, tol=0.0)
-    assert np.array_equal(traj.x[0], init.x)
-    assert np.array_equal(traj.y[0], init.y)
+    traj, states, _ = recorded_run(built.problem, sched, init, budget=60, tol=0.0)
+    assert np.array_equal(states.x[0], init.x)
+    assert np.array_equal(states.y[0], init.y)
     for i in range(1, len(traj.k)):
-        assert np.array_equal(traj.x[i], traj.x_next[i - 1])
-        assert np.array_equal(traj.y[i], traj.y_next[i - 1])
-
-
-def test_run_stores_each_state_once():
-    built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=2, seed=5))
-    sched = make_schedule(FIXED, built.problem.F_norm)
-    init = PrimalDualPair(np.ones(3), np.zeros(2))
-    traj = run(built.problem, sched, init, budget=20, tol=0.0)
-    # one (budget + 1)-row buffer per variable holds pre- and post-states
-    assert np.shares_memory(traj.x[1:], traj.x_next[:-1])
-    assert np.shares_memory(traj.y[1:], traj.y_next[:-1])
-    assert traj.x.base is traj.x_next.base and traj.x.base.shape == (21, 3)
-    strided = run(built.problem, sched, init, budget=20, tol=0.0, record_every=3)
-    # ceil(20 / 3) stride rows plus the last step
-    assert strided.x.base.shape == strided.x_next.base.shape == (8, 3)
-    assert not np.shares_memory(strided.x, strided.x_next)
-    assert strided.k.tolist() == [0, 3, 6, 9, 12, 15, 18, 19]
+        assert np.array_equal(states.x[i], states.x_next[i - 1])
+        assert np.array_equal(states.y[i], states.y_next[i - 1])
+    assert np.array_equal(traj.final.x, states.x_next[-1])
+    assert np.array_equal(traj.final.y, states.y_next[-1])
 
 
 def test_run_record_every_keeps_stride_and_last():
@@ -172,11 +160,11 @@ def test_run_is_deterministic():
     built = build_instance(InstanceSpec(kind="lasso", d1=5, seed=3, lam=0.5))
     sched = make_schedule(FIXED, built.problem.F_norm)
     init = PrimalDualPair(np.zeros(5), np.zeros(5))
-    t1 = run(built.problem, sched, init, budget=50, tol=0.0)
-    t2 = run(built.problem, sched, init, budget=50, tol=0.0)
+    t1, s1, _ = recorded_run(built.problem, sched, init, budget=50, tol=0.0)
+    t2, s2, _ = recorded_run(built.problem, sched, init, budget=50, tol=0.0)
     for i in range(len(t1.k)):
-        assert np.array_equal(t1.x_next[i], t2.x_next[i])
-        assert np.array_equal(t1.y_next[i], t2.y_next[i])
+        assert np.array_equal(s1.x_next[i], s2.x_next[i])
+        assert np.array_equal(s1.y_next[i], s2.y_next[i])
         assert t1.primal_residual[i] == t2.primal_residual[i]
 
 
@@ -212,13 +200,22 @@ def test_step_residuals_vanish_at_fixed_point():
     assert rp == 0.0 and rd == 0.0
 
 
+def transition(traj, states, i):
+    """The states and steps of row ``i`` of a recorded run, in the order
+    :func:`optimality_residual` takes them."""
+    return (
+        states.x[i], states.y[i], states.x_next[i], states.y_next[i],
+        traj.tau[i], traj.sigma[i], traj.theta[i],
+    )
+
+
 def test_optimality_residual_exact_for_closed_form_prox():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=4, d2=4, seed=7))
     sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, mu=1.0, gamma=1.0)
     init = PrimalDualPair(np.ones(4), np.ones(4))
-    traj = run(built.problem, sched, init, budget=40, tol=0.0)
+    traj, states, _ = recorded_run(built.problem, sched, init, budget=40, tol=0.0)
     for i in range(len(traj.k)):
-        r_x, r_y = optimality_residual(built.problem, traj, i)
+        r_x, r_y = optimality_residual(built.problem, *transition(traj, states, i))
         assert r_x <= 1e-9 and r_y <= 1e-9
 
 
@@ -226,9 +223,9 @@ def test_optimality_residual_detects_corruption():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=4, d2=4, seed=7))
     sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, mu=1.0, gamma=1.0)
     init = PrimalDualPair(np.ones(4), np.ones(4))
-    traj = run(built.problem, sched, init, budget=5, tol=0.0)
-    bad = dataclasses.replace(traj, x_next=traj.x_next + 1e-3)
-    r_x, _ = optimality_residual(built.problem, bad, 2)
+    traj, states, _ = recorded_run(built.problem, sched, init, budget=5, tol=0.0)
+    x, y, x_next, *rest = transition(traj, states, 2)
+    r_x, _ = optimality_residual(built.problem, x, y, x_next + 1e-3, *rest)
     assert r_x >= 1e-4
 
 
@@ -239,9 +236,9 @@ def test_optimality_residual_requires_an_oracle():
         prox_gstar=lambda w, t: w / (1.0 + t),
     )
     sched = make_schedule(FIXED, 1.0)
-    traj = run(prob, sched, PrimalDualPair(np.ones(1), np.ones(1)), budget=1)
+    traj, states, _ = recorded_run(prob, sched, PrimalDualPair(np.ones(1), np.ones(1)), budget=1)
     with pytest.raises(ValueError):
-        optimality_residual(prob, traj, 0)
+        optimality_residual(prob, *transition(traj, states, 0))
 
 
 def test_step_residuals_stay_finite_when_their_squares_overflow():
@@ -260,16 +257,6 @@ def test_step_residuals_stay_finite_when_their_squares_overflow():
     assert rp[1] == pytest.approx(5e200, rel=1e-15)
 
 
-class RecordingObserver:
-    """A block observer that copies every block it is handed."""
-
-    def __init__(self):
-        self.blocks = []
-
-    def __call__(self, k, x, y, x_next, y_next):
-        self.blocks.append(tuple(np.array(a) for a in (k, x, y, x_next, y_next)))
-
-
 def use_step_block(monkeypatch, step_block):
     """Run the engine in blocks of ``step_block`` steps (None keeps
     STEP_BLOCK); returns the block size in force."""
@@ -284,7 +271,7 @@ def test_streamed_run_hands_every_recorded_row_to_the_observer(monkeypatch, reco
     built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=2, seed=3))
     sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, s=0.2, mu=1.0, gamma=1.0)
     init = PrimalDualPair(np.ones(3), -np.ones(2))
-    stored = run(built.problem, sched, init, budget=budget, tol=0.0, record_every=record_every)
+    want, _, final = reference_run(built.problem, sched, init, budget, 0.0, record_every)
     observer = RecordingObserver()
     streamed = run(
         built.problem, sched, init, budget=budget, tol=0.0, record_every=record_every,
@@ -292,15 +279,14 @@ def test_streamed_run_hands_every_recorded_row_to_the_observer(monkeypatch, reco
     )
     # one hand-over per 4-step block, of the rows recorded in it
     blocks = {}
-    for k in stored.k.tolist():
+    for k in want["k"].tolist():
         blocks.setdefault(k // 4, []).append(k)
     assert [block[0].tolist() for block in observer.blocks] == list(blocks.values())
     for got, name in zip(zip(*observer.blocks), ("k", "x", "y", "x_next", "y_next")):
-        assert np.array_equal(np.concatenate(got), getattr(stored, name))
-    assert streamed.x is streamed.y is streamed.x_next is streamed.y_next is None
-    assert np.array_equal(streamed.k, stored.k)
-    assert np.array_equal(streamed.final.x, stored.final.x)
-    assert np.array_equal(streamed.final.y, stored.final.y)
+        assert np.array_equal(np.concatenate(got), want[name])
+    assert np.array_equal(streamed.k, want["k"])
+    assert np.array_equal(streamed.final.x, final.x)
+    assert np.array_equal(streamed.final.y, final.y)
 
 
 class ViewObserver:
@@ -355,6 +341,11 @@ def test_step_block_caps_the_entries_of_a_block():
     assert engine.step_block(dims(400, 400)) == engine.STEP_BLOCK_ELEMENTS // 400 == 81
     assert engine.step_block(dims(3, 400)) == 81
     assert engine.step_block(dims(2 * engine.STEP_BLOCK_ELEMENTS, 1)) == 1
+    # the cap counts the entries of the whole stack of runs
+    assert engine.step_block(dims(4, 3), 16) == engine.STEP_BLOCK  # 16 * 4 * 256 = 2^14
+    assert engine.step_block(dims(4, 4), 64) == 128
+    assert engine.step_block(dims(400, 400), 2) == 40
+    assert engine.step_block(dims(3000, 2999), 16) == 1
 
 
 def test_a_record_every_past_the_budget_records_the_first_and_last_rows():
@@ -425,21 +416,16 @@ def reference_run(problem, schedule, init, budget, tol, record_every=1):
 
 
 def assert_matches_reference(problem, schedule, init, budget, tol, record_every=1):
-    """Run the engine stored, and streamed to a recording observer, and
+    """Run the engine without an observer, and with a recording one, and
     compare every row of each with :func:`reference_run`, bitwise.  Returns
-    the stored trajectory."""
+    the recorded trajectory."""
     want, termination, final = reference_run(problem, schedule, init, budget, tol, record_every)
-    observer = RecordingObserver()
-    stored, streamed = (
-        run(problem, schedule, init, budget=budget, tol=tol, record_every=record_every,
-            observer=o)
-        for o in (None, observer)
+    dropped = run(problem, schedule, init, budget=budget, tol=tol, record_every=record_every)
+    recorded, states, _ = recorded_run(
+        problem, schedule, init, budget=budget, tol=tol, record_every=record_every
     )
-    blocks = list(zip(*observer.blocks))
-    assert np.array_equal(np.concatenate(blocks[0]), want["k"])
-    streamed_states = dict(zip(("x", "y", "x_next", "y_next"), map(np.concatenate, blocks[1:])))
     tau, sigma, theta = schedule_at(schedule, want["k"])
-    for got in (stored, streamed):
+    for got in (dropped, recorded):
         assert got.termination == termination
         assert np.array_equal(got.k, want["k"])
         for name, column in (("tau", tau), ("sigma", sigma), ("theta", theta)):
@@ -447,10 +433,9 @@ def assert_matches_reference(problem, schedule, init, budget, tol, record_every=
         assert np.array_equal(got.final.x, final.x) and np.array_equal(got.final.y, final.y)
         np.testing.assert_array_equal(got.primal_residual, want["rp"])
         np.testing.assert_array_equal(got.dual_residual, want["rd"])
-    for name, value in streamed_states.items():
-        assert np.array_equal(getattr(stored, name), want[name]), name
-        assert np.array_equal(value, want[name]), name
-    return stored
+    for name in ("k", "x", "y", "x_next", "y_next"):
+        assert np.array_equal(getattr(states, name), want[name]), name
+    return recorded
 
 
 def regime_schedule(regime, problem):
@@ -607,12 +592,10 @@ def test_a_stacked_run_gives_each_row_the_bits_of_its_own_run(monkeypatch, strea
         assert np.array_equal(got.final.x, want.final.x)
         assert np.array_equal(got.final.y, want.final.y)
         if streamed:
-            handed = list(map(np.concatenate, zip(*observers[b].blocks)))
-            assert np.array_equal(handed[0], want.k)
-        else:
-            handed = [None, got.x, got.y, got.x_next, got.y_next]
-        for name, value in zip(("x", "y", "x_next", "y_next"), handed[1:]):
-            assert np.array_equal(value, getattr(want, name)), name
+            rows, _, _ = reference_run(problem, schedule, init, budget, tol, record_every)
+            handed = observers[b].states()
+            for name in ("k", "x", "y", "x_next", "y_next"):
+                assert np.array_equal(getattr(handed, name), rows[name]), name
     ends = [(got.termination, int(got.k[-1])) for got in stack]
     assert [end[0] for end in ends] == [TERMINATION_RESIDUAL] * 2 + [
         TERMINATION_DIVERGENCE, TERMINATION_RESIDUAL, TERMINATION_BUDGET

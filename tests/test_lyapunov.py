@@ -7,6 +7,7 @@ guarantees (positivity under admissibility, refusal outside it).
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,14 +33,12 @@ from pdhglab import (
     SaddleProblem,
     Schedule,
     TableAccumulator,
-    Trajectory,
     alpha_rate,
     build_instance,
     k0_threshold,
     lemma_records,
     lyapunov_accelerated,
     lyapunov_fixed,
-    lyapunov_table,
     make_schedule,
     numerical_error,
     rho_rate,
@@ -48,6 +47,7 @@ from pdhglab import (
     slack_tolerance,
     theorem_bound,
 )
+from recording import STATES, recorded_run
 
 ZERO = PrimalDualPair(np.zeros(1), np.zeros(1))
 
@@ -315,12 +315,11 @@ def test_table_rounding_floor_of_the_final_post_state():
     problem, saddle = built.problem, built.saddle
     init = PrimalDualPair(np.zeros(3), np.zeros(3))
     sched = make_schedule(OPTIMAL_SS, problem.F_norm, s=0.5, mu=problem.mu, gamma=problem.gamma)
-    traj = run(problem, sched, init, budget=20, tol=0.0)
-    table = lyapunov_table(traj, problem, saddle)
+    _, states, table = recorded_run(problem, sched, init, saddle, budget=20, tol=0.0)
     eps = np.finfo(float).eps
     for floor, star, final in (
-        (table.dist_x_floor, saddle.x, traj.x_next[-1]),
-        (table.dist_y_floor, saddle.y, traj.y_next[-1]),
+        (table.dist_x_floor, saddle.x, states.x_next[-1]),
+        (table.dist_y_floor, saddle.y, states.y_next[-1]),
     ):
         want = sum((eps * max(abs(a), abs(b))) ** 2 for a, b in zip(star, final))
         assert floor == pytest.approx(want, rel=1e-12) and floor > 0.0
@@ -336,8 +335,9 @@ def test_check_lemma_quadratic_pair_all_regimes():
         OPTIMAL_SS: make_schedule(OPTIMAL_SS, built.problem.F_norm, mu=1.0, gamma=1.0),
     }
     for regime, sched in regimes.items():
-        traj = run(built.problem, sched, init, budget=500, tol=0.0)
-        table = lyapunov_table(traj, built.problem, built.saddle)
+        traj, _, table = recorded_run(
+            built.problem, sched, init, built.saddle, budget=500, tol=0.0
+        )
         claim = lemma_records(traj, built.problem, table)
         rhs, slack = claim.bound, claim.bound - claim.measured
         assert len(slack) >= 1
@@ -352,8 +352,9 @@ def test_check_lemma_quadratic_pair_all_regimes():
 def test_check_lemma_saddle_start_gives_zero_energy():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=3, seed=8))
     sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, mu=1.0, gamma=1.0)
-    traj = run(built.problem, sched, built.saddle, budget=20, tol=0.0)
-    table = lyapunov_table(traj, built.problem, built.saddle)
+    traj, _, table = recorded_run(
+        built.problem, sched, built.saddle, built.saddle, budget=20, tol=0.0
+    )
     claim = lemma_records(traj, built.problem, table)
     slack = claim.bound - claim.measured
     for E, lemma_slack in zip(table.E, slack):
@@ -365,9 +366,9 @@ def test_check_lemma_refuses_inadmissible_scale():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=2, d2=2, seed=9))
     # bypass the factory to fabricate an inadmissible schedule (s ||F|| = 1.5)
     bad = Schedule(regime=VARYING_SC, s=1.5 / built.problem.F_norm, c=0.5)
-    traj = run(built.problem, bad, PrimalDualPair(np.ones(2), np.ones(2)), budget=3, tol=0.0)
+    init = PrimalDualPair(np.ones(2), np.ones(2))
+    traj, _, table = recorded_run(built.problem, bad, init, built.saddle, budget=3, tol=0.0)
     with pytest.raises(ValueError):
-        table = lyapunov_table(traj, built.problem, built.saddle)
         lemma_records(traj, built.problem, table)
 
 
@@ -375,9 +376,9 @@ def test_check_lemma_requires_both_moduli_for_fixed_steps():
     built = build_instance(InstanceSpec(kind="lasso", d1=5, seed=3, lam=10.0))
     assert built.saddle is not None  # interior dual: closed-form saddle
     sched = make_schedule(FIXED, built.problem.F_norm)
-    traj = run(built.problem, sched, PrimalDualPair(np.zeros(5), np.zeros(5)), budget=20, tol=0.0)
+    init = PrimalDualPair(np.zeros(5), np.zeros(5))
+    traj, _, table = recorded_run(built.problem, sched, init, built.saddle, budget=20, tol=0.0)
     with pytest.raises(NoMatchingLemma):
-        table = lyapunov_table(traj, built.problem, built.saddle)
         lemma_records(traj, built.problem, table)
 
 
@@ -388,13 +389,14 @@ def test_check_lemma_requires_both_moduli_for_fixed_steps():
 TABLE_COLUMNS = ("k", "E", "ne", "dist_x", "dist_y", "E_next", "dist_x_next", "dist_y_next")
 
 
-def reference_table(traj, problem, saddle):
-    """The table's columns of a stored run, each row evaluated on its own
-    states by the public evaluators (and ``_sq_dist``): the accelerated E(k)
-    and NE from the row of step k - 1, or at k_start from the 1/tau_0 := 0
-    convention with y_0 = init.y, and nan after a gap."""
+def reference_table(traj, states, problem, saddle, init):
+    """The table's columns of a run whose states were recorded, each row
+    evaluated on its own states by the public evaluators (and ``_sq_dist``):
+    the accelerated E(k) and NE from the row of step k - 1, or at k_start
+    from the 1/tau_0 := 0 convention with y_0 = init.y, and nan after a
+    gap."""
     sched, F, s = traj.schedule, problem.F, traj.schedule.s
-    k, x, y, x_next, y_next = traj.k, traj.x, traj.y, traj.x_next, traj.y_next
+    k, x, y, x_next, y_next = (getattr(states, name) for name in STATES)
     columns = {name: np.full(len(k), math.nan) for name in TABLE_COLUMNS[1:]}
     for i, ki in enumerate(k.tolist()):
         tau, sigma, _ = schedule_at(sched, ki)
@@ -411,7 +413,7 @@ def reference_table(traj, problem, saddle):
         else:
             row["E_next"] = lyapunov_accelerated(x_next[i], x[i], y[i], saddle, tau_n, tau, s, F)
             if i == 0 and ki == sched.k_start:
-                y0 = traj.init.y
+                y0 = init.y
                 row["E"] = lyapunov_accelerated(x[0], x[0], y0, saddle, tau, None, s, F)
                 row["ne"] = numerical_error(
                     np.zeros_like(x[0]), y[0] - y0, None, s, F, accelerated=True
@@ -427,8 +429,8 @@ def reference_table(traj, problem, saddle):
     return columns
 
 
-def assert_table_is_direct(table, traj, problem, saddle):
-    for name, want in reference_table(traj, problem, saddle).items():
+def assert_table_is_direct(table, traj, states, problem, saddle, init):
+    for name, want in reference_table(traj, states, problem, saddle, init).items():
         assert np.array_equal(getattr(table, name), want, equal_nan=True), name
 
 
@@ -463,11 +465,12 @@ def test_table_matches_scalar_reference(monkeypatch, regime, record_every, step_
     problem = built.problem
     sched = make_schedule(regime, problem.F_norm, mu=problem.mu, gamma=problem.gamma)
     init = PrimalDualPair(np.ones(5), -np.ones(3))
-    traj = run(problem, sched, init, budget=61, tol=0.0, record_every=record_every)
+    traj, states, table = recorded_run(
+        problem, sched, init, built.saddle, budget=61, tol=0.0, record_every=record_every
+    )
     assert traj.k[0] == sched.k_start
-    table = lyapunov_table(traj, problem, built.saddle)
-    assert_table_is_direct(table, traj, problem, built.saddle)
-    ref = reference_table(traj, problem, built.saddle)
+    assert_table_is_direct(table, traj, states, problem, built.saddle, init)
+    ref = reference_table(traj, states, problem, built.saddle, init)
     assert np.isfinite(table.E[0]) and np.isfinite(table.ne[0])  # the k_start row
     if regime == ACCELERATED and record_every > 1:
         assert np.isnan(table.E[1:]).all() and np.isnan(table.ne[1:]).all()
@@ -506,8 +509,9 @@ def test_evaluators_keep_one_code_path_for_one_state():
 
 @pytest.mark.parametrize("regime", [VARYING_SC, ACCELERATED])
 def test_table_working_memory_is_bounded(regime):
-    # a 2000 x 400 trajectory (12.8 MB of states): the table's temporaries
-    # stay at a few row blocks instead of whole-trajectory arrays
+    # 2000 rows of d = 400 handed over a step block at a time, as a run
+    # hands them (12.8 MB of states in all): the table's temporaries stay
+    # at a few row blocks instead of whole-trajectory arrays
     d, rows = 400, 2000
     problem = SaddleProblem(
         F=np.eye(d), prox_f=lambda v, t: v, prox_gstar=lambda w, t: w,
@@ -515,72 +519,76 @@ def test_table_working_memory_is_bounded(regime):
     )
     sched = make_schedule(regime, problem.F_norm, mu=1.0)
     rng = np.random.default_rng(0)
-    xs, ys = rng.standard_normal((rows + 1, d)), rng.standard_normal((rows + 1, d))
-    k = np.arange(sched.k_start, sched.k_start + rows)
-    tau, sigma, theta = schedule_at(sched, k)
-    traj = Trajectory(
-        k=k, tau=tau, sigma=sigma, theta=theta, x=xs[:-1], y=ys[:-1],
-        x_next=xs[1:], y_next=ys[1:], primal_residual=np.zeros(rows),
-        dual_residual=np.zeros(rows), init=PrimalDualPair(xs[0], ys[0]),
-        schedule=sched, termination="budget",
-    )
+    block = engine.step_block(problem)
+    xs, ys = rng.standard_normal((block + 1, d)), rng.standard_normal((block + 1, d))
     saddle = PrimalDualPair(np.zeros(d), np.zeros(d))
+    table = TableAccumulator(sched, problem, saddle, PrimalDualPair(xs[0], ys[0]), rows)
     tracemalloc.start()
     try:
-        table = lyapunov_table(traj, problem, saddle)
+        for lo in range(0, rows, block):
+            k = np.arange(lo, min(lo + block, rows)) + sched.k_start
+            n = len(k)
+            table(k, xs[:n], ys[:n], xs[1:n + 1], ys[1:n + 1])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     output = 9 * rows * 8  # seven columns, plus the two the accelerated shift replaces
     assert peak <= output + 2**20
-    assert np.isfinite(table.E_next).all()
+    k = np.arange(rows) + sched.k_start
+    traj = SimpleNamespace(k=k, final=PrimalDualPair(xs[-1], ys[-1]))
+    assert np.isfinite(table.table(traj).E_next).all()
+
+
+def refilled(traj, states, problem, saddle, init, rows_per_call):
+    """The table of a run whose states were recorded, fed to a fresh
+    TableAccumulator ``rows_per_call`` rows at a time."""
+    table = TableAccumulator(traj.schedule, problem, saddle, init, len(traj.k))
+    for lo in range(0, len(traj.k), rows_per_call):
+        table(*(getattr(states, name)[lo:lo + rows_per_call] for name in STATES))
+    return table.table(traj)
+
+
+def assert_same_tables(got, want):
+    for name in TABLE_COLUMNS:
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
 
 
 def stored_and_streamed(problem, sched, init, saddle, **run_args):
-    """The same run twice: kept whole and handed to lyapunov_table, and
-    streamed into a TableAccumulator."""
+    """The same run twice: one with no observer, whose table is refilled in
+    one call from the states the other recorded, and the other, which
+    streamed them into a TableAccumulator in its step blocks.  Returns the
+    two (run, table) pairs and the recorded states; a table refilled a row
+    at a time must equal the one filled in one call."""
     stored = run(problem, sched, init, **run_args)
-    rows = max_recorded_rows(run_args["budget"], run_args.get("record_every", 1))
-    table = TableAccumulator(sched, problem, saddle, init, rows)
-    streamed = run(problem, sched, init, observer=table, **run_args)
-    return stored, lyapunov_table(stored, problem, saddle), streamed, table.table(streamed)
+    streamed, states, streamed_table = recorded_run(problem, sched, init, saddle, **run_args)
+    stored_table = refilled(stored, states, problem, saddle, init, len(stored.k))
+    assert_same_tables(refilled(stored, states, problem, saddle, init, 1), stored_table)
+    return (stored, stored_table, streamed, streamed_table), states
 
 
-@pytest.mark.parametrize("record_every", [1, 3])
-def test_a_stored_table_fills_in_the_blocks_a_run_hands_over(monkeypatch, record_every):
-    # accelerated starts at k = 1: the blocks count from k_start
-    monkeypatch.setattr(engine, "STEP_BLOCK", 7)
-    fills = []
-    fill = TableAccumulator.__call__
-
-    def recording(self, k, *states):
-        fills.append(k.tolist())
-        fill(self, k, *states)
-
-    monkeypatch.setattr(TableAccumulator, "__call__", recording)
-    built = build_instance(InstanceSpec(kind="quad_pair", d1=4, seed=2))
-    sched = make_schedule(ACCELERATED, built.problem.F_norm, mu=built.problem.mu)
-    init = PrimalDualPair(np.ones(4), -np.ones(4))
-    stored_and_streamed(
-        built.problem, sched, init, built.saddle, budget=45, tol=0.0, record_every=record_every
-    )
-    stored, streamed = fills[: len(fills) // 2], fills[len(fills) // 2:]
-    assert stored == streamed
-    assert [(k[0] - 1) // 7 for k in stored] == list(range(7))  # 45 steps, 7 blocks
-    assert all((k[-1] - 1) // 7 == (k[0] - 1) // 7 for k in stored)
+@pytest.mark.parametrize("regime", [VARYING_SC, ACCELERATED])
+def test_a_wide_row_has_the_bits_of_its_table_row_in_any_block(regime):
+    # numpy sums a row of d > 8192 entries one way alone and another among
+    # others: a table row has the bits of its own evaluation, in any block
+    d = 9000
+    built = build_instance(InstanceSpec(kind="gen_lasso", d1=d, lam=1e6, identity_a=True))
+    problem, saddle = built.problem, built.saddle
+    sched = make_schedule(regime, problem.F_norm, mu=problem.mu)
+    init = PrimalDualPair(np.zeros(d), np.zeros(d - 1))
+    traj, states, streamed = recorded_run(problem, sched, init, saddle, budget=7, tol=0.0)
+    assert engine.step_block(problem) == 3  # hand-overs of 3, 3 and 1 rows
+    for rows_per_call in (1, 2, 7):
+        assert_same_tables(refilled(traj, states, problem, saddle, init, rows_per_call), streamed)
+    assert_table_is_direct(streamed, traj, states, problem, saddle, init)
 
 
 def assert_same_run(stored, stored_table, streamed, streamed_table):
-    assert streamed.x is streamed.y is streamed.x_next is streamed.y_next is None
     assert streamed.termination == stored.termination
     for name in ("k", "tau", "sigma", "theta", "primal_residual", "dual_residual"):
         assert np.array_equal(getattr(streamed, name), getattr(stored, name))
     assert np.array_equal(streamed.final.x, stored.final.x)
     assert np.array_equal(streamed.final.y, stored.final.y)
-    for name in TABLE_COLUMNS:
-        assert np.array_equal(
-            getattr(streamed_table, name), getattr(stored_table, name), equal_nan=True
-        ), name
+    assert_same_tables(streamed_table, stored_table)
 
 
 # A run with record_every 1 goes in 14-step blocks; with record_every 3,
@@ -605,7 +613,7 @@ def test_streamed_table_equals_the_stored_one(monkeypatch, regime, c, record_eve
     if c is not None:
         assert k0_threshold(1.0, c) == 5
     init = PrimalDualPair(np.ones(4), -np.ones(4))
-    runs = stored_and_streamed(
+    runs, _ = stored_and_streamed(
         problem, sched, init, built.saddle, budget=budget, tol=0.0, record_every=record_every
     )
     assert (budget % step_block == 0) == edge
@@ -621,7 +629,9 @@ def test_streamed_table_equals_the_stored_one_when_a_stop_ends_the_run(monkeypat
     sched = make_schedule(regime, built.problem.F_norm, mu=1.0, gamma=1.0)
     init = PrimalDualPair(np.ones(4), -np.ones(4))
     if regime == OPTIMAL_SS:
-        runs = stored_and_streamed(built.problem, sched, init, built.saddle, budget=1000, tol=1e-10)
+        runs, _ = stored_and_streamed(
+            built.problem, sched, init, built.saddle, budget=1000, tol=1e-10
+        )
         assert runs[0].termination == TERMINATION_RESIDUAL and len(runs[0].k) % 14
         assert_same_run(*runs)
     # an amplifying "prox" trips the divergence guard after a few steps
@@ -631,7 +641,7 @@ def test_streamed_table_equals_the_stored_one_when_a_stop_ends_the_run(monkeypat
     )
     saddle = PrimalDualPair(np.zeros(4), np.zeros(4))
     for record_every in (1, 3):
-        runs = stored_and_streamed(
+        runs, _ = stored_and_streamed(
             problem, sched, init, saddle, budget=1000, tol=0.0, record_every=record_every
         )
         assert runs[0].termination == TERMINATION_DIVERGENCE
@@ -650,13 +660,13 @@ def test_streamed_and_stored_tables_equal_a_per_row_evaluation(
     problem = built.problem
     sched = make_schedule(regime, problem.F_norm, s=0.1, mu=problem.mu, gamma=problem.gamma)
     init = PrimalDualPair(np.ones(5), -np.ones(3))
-    runs = stored_and_streamed(
+    runs, states = stored_and_streamed(
         problem, sched, init, built.saddle, budget=budget, tol=0.0, record_every=record_every
     )
     stored, stored_table = runs[:2]
     assert stored.termination == TERMINATION_BUDGET
     assert_same_run(*runs)
-    assert_table_is_direct(stored_table, stored, problem, built.saddle)
+    assert_table_is_direct(stored_table, stored, states, problem, built.saddle, init)
 
 
 @pytest.mark.parametrize("record_every", [1, 7])
@@ -677,9 +687,9 @@ def test_a_stacked_run_streams_each_cell_the_table_of_its_own_run(
     tables = [TableAccumulator(sched, problem, saddle, init, rows) for sched in schedules]
     stack = run(problem, schedules, init, observer=tables, **args)
     for sched, streamed, table in zip(schedules, stack, tables):
-        alone = run(problem, sched, init, **args)
+        alone, states, _ = recorded_run(problem, sched, init, **args)
         assert np.array_equal(streamed.k, alone.k)
-        assert_table_is_direct(table.table(streamed), alone, problem, saddle)
+        assert_table_is_direct(table.table(streamed), alone, states, problem, saddle, init)
 
 
 def test_a_table_cut_at_tol_mid_block_equals_a_per_row_evaluation(monkeypatch):
@@ -687,11 +697,13 @@ def test_a_table_cut_at_tol_mid_block_equals_a_per_row_evaluation(monkeypatch):
     built = build_instance(InstanceSpec(kind="quad_pair", d1=4, seed=0, mu=1.0, gamma=1.0))
     sched = make_schedule(OPTIMAL_SS, built.problem.F_norm, mu=1.0, gamma=1.0)
     init = PrimalDualPair(np.ones(4), -np.ones(4))
-    runs = stored_and_streamed(built.problem, sched, init, built.saddle, budget=1000, tol=1e-10)
+    runs, states = stored_and_streamed(
+        built.problem, sched, init, built.saddle, budget=1000, tol=1e-10
+    )
     stored, stored_table = runs[:2]
     assert stored.termination == TERMINATION_RESIDUAL and len(stored.k) % 14
     assert_same_run(*runs)
-    assert_table_is_direct(stored_table, stored, built.problem, built.saddle)
+    assert_table_is_direct(stored_table, stored, states, built.problem, built.saddle, init)
 
 
 def test_a_table_that_cannot_be_reserved_is_a_memory_error():
