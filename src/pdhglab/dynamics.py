@@ -24,6 +24,15 @@ inverts the Newton matrix M - h dG once; affine gradients then cost one
 update per step, and the matrix is re-taken only when an update fails to
 halve the residual.
 
+The steps run in blocks of :data:`~pdhglab.engine.STEP_BLOCK`.  Each step
+of a block takes one update, z+ = z - N^-1 H0 with H0 = M 0 - h G(z), and
+evaluates G(z+).  The block then reads both tests of its steps at once, on
+stacked rows that keep each row's bits: ||H0|| > NEWTON_TOL, and ||H|| <=
+NEWTON_TOL at z+.  A step that meets both is the Newton loop's iterations 0
+and 1.  The first step that fails one is retaken by the full loop, which
+finishes the block, and the steps computed after it are dropped; so the
+states have the bits of the full loop at every step.
+
 Restricted to problems carrying gradient oracles; the right-hand side needs
 grad f and grad g* pointwise.  M is assembled from the coupling's dense
 ``F.matrix``, so the coupling must be :class:`~pdhglab.problems.Dense`: of
@@ -35,7 +44,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problems import Dense, PrimalDualPair, SaddleProblem, _norm
+from .engine import STEP_BLOCK
+from .problems import Dense, PrimalDualPair, SaddleProblem, _norm, matvec
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
@@ -117,23 +127,19 @@ def integrate(
             "(tau * sigma * ||F||^2 near 1, or tau and sigma far apart in scale)"
         )
 
+    FT, grad_f, grad_gstar = F.T, problem.grad_f, problem.grad_gstar
+
     def rhs(z):
         # G(z) = (-F^T Y - grad f(X), F X - grad g*(Y))
         X, Y = z[:d1], z[d1:]
-        return np.concatenate(
-            [-(F.T @ Y) - problem.grad_f(X), F @ X - problem.grad_gstar(Y)]
-        )
+        return np.concatenate([-(FT @ Y) - grad_f(X), F @ X - grad_gstar(Y)])
 
     def newton_matrix(z):  # N^-1 and |N| for the Newton matrix N = M - h dG at z
         N = M - h * _rhs_jacobian(problem, z[:d1], z[d1:])
         return np.linalg.inv(N), np.abs(N)
 
-    n_steps = int(np.ceil(T / h - 1e-12))
-    Z = np.empty((n_steps + 1, d1 + problem.d2))
-    z = Z[0] = np.concatenate([init.x, init.y])
-    J_inv, N_abs = newton_matrix(z)
-    G = rhs(z)
-    for j in range(1, n_steps + 1):
+    def newton_step(z, G):  # z+ from z, and G(z+), by the full Newton loop
+        nonlocal J_inv, N_abs
         z_new = z
         last = np.inf
         for i in range(NEWTON_MAX_ITER):
@@ -155,5 +161,46 @@ def integrate(
             raise RuntimeError(
                 f"implicit-Euler Newton solve did not reach residual {NEWTON_TOL}"
             )
-        z = Z[j] = z_new
+        return z_new, G
+
+    n_steps = int(np.ceil(T / h - 1e-12))
+    Z = np.empty((n_steps + 1, d1 + problem.d2))
+    z = Z[0] = np.concatenate([init.x, init.y])
+    J_inv, N_abs = newton_matrix(z)
+    G = rhs(z)
+    # M (z - z) at a finite z: +0 in every row, since every row of M has a
+    # positive diagonal entry
+    zero = M @ np.zeros(len(z))
+    # In a block, a floating-point error numpy would report stops the steps
+    # at that step, or the tests at the block's first step: the full loop
+    # retakes from there, under the caller's settings, and reports it.
+    strict = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+    # G at a block's first state, then at each of its steps' states
+    Gb = np.empty((min(STEP_BLOCK, n_steps) + 1, len(z)))
+    for j in range(1, n_steps + 1, STEP_BLOCK):
+        stop = min(j + STEP_BLOCK, n_steps + 1)
+        Gb[0] = G
+        # a step the block keeps is the full loop's iterations 0 and 1
+        end = stop if NEWTON_MAX_ITER > 1 else j
+        with np.errstate(**strict):
+            k = j
+            try:
+                for k in range(j, end):
+                    z = Z[k] = z - J_inv @ (zero - h * G)
+                    G = Gb[k - j + 1] = rhs(z)
+                k = end
+            except FloatingPointError:
+                pass  # step k raised: steps j .. k-1 stand
+            try:
+                res0 = _norm(zero - h * Gb[: k - j])
+                res1 = _norm(matvec(M, Z[j:k] - Z[j - 1 : k - 1]) - h * Gb[1 : k - j + 1])
+                kept = (res0 > NEWTON_TOL) & (res1 <= NEWTON_TOL)
+                k = k if kept.all() else j + int(np.argmin(kept))
+            except FloatingPointError:
+                k = j
+        # the first step not kept, and the rest of the block, by the full loop
+        z, G = Z[k - 1], Gb[k - j]
+        for k in range(k, stop):
+            z, G = newton_step(z, G)
+            Z[k] = z
     return Z[:, :d1], Z[:, d1:]

@@ -11,6 +11,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -597,41 +598,48 @@ def test_instance_m_below_one_is_a_named_config_error(tmp_path, capsys):
     assert "config error: instance: m must be at least 1" in capsys.readouterr().err
 
 
-# (exit status, check.lemma, check.theorem) per (mu, gamma) pair, in the
-# order of EXTREME_MODULI; None where the config is refused before any check
+# (exit status, check.lemma, check.theorem, check.ode_compare) per (mu,
+# gamma) pair, in the order of EXTREME_MODULI; None where the config is
+# refused before any check.  ode_compare applies to the fixed regime only.
 EXTREME_MODULI = [(1, 1), (1e-200, 1e200), (1e200, 1e-200), (1e200, 1), (1, 1e200)]
 EXTREME_VERDICTS = {
     "fixed": [
-        (0, "PASS", "SKIPPED"), (1, "FAIL", "SKIPPED"), (1, "FAIL", "SKIPPED"),
-        (0, "PASS", "SKIPPED"), (0, "PASS", "SKIPPED"),
+        (0, "PASS", "SKIPPED", "PASS"), (1, "FAIL", "SKIPPED", "FAIL"),
+        (1, "FAIL", "SKIPPED", "FAIL"), (0, "PASS", "SKIPPED", "PASS"),
+        (0, "PASS", "SKIPPED", "PASS"),
     ],
     "varying_sc": [
-        (0, "PASS", "PASS"), (1, "FAIL", "FAIL"), (1, "FAIL", "FAIL"),
-        (0, "PASS", "PASS"), (0, "PASS", "PASS"),
+        (0, "PASS", "PASS", "SKIPPED"), (1, "FAIL", "FAIL", "SKIPPED"),
+        (1, "FAIL", "FAIL", "SKIPPED"), (0, "PASS", "PASS", "SKIPPED"),
+        (0, "PASS", "PASS", "SKIPPED"),
     ],
     "accelerated": [
-        (0, "PASS", "PASS"), (1, "FAIL", "SKIPPED"), (1, "FAIL", "FAIL"),
-        (1, "FAIL", "FAIL"), (0, "PASS", "PASS"),
+        (0, "PASS", "PASS", "SKIPPED"), (1, "FAIL", "SKIPPED", "SKIPPED"),
+        (1, "FAIL", "FAIL", "SKIPPED"), (1, "FAIL", "FAIL", "SKIPPED"),
+        (0, "PASS", "PASS", "SKIPPED"),
     ],
     "optimal_ss": [
-        (0, "PASS", "PASS"), (2, None, None), (2, None, None),
-        (0, "PASS", "PASS"), (0, "PASS", "PASS"),
+        (0, "PASS", "PASS", "SKIPPED"), (2, None, None, None), (2, None, None, None),
+        (0, "PASS", "PASS", "SKIPPED"), (0, "PASS", "PASS", "SKIPPED"),
     ],
 }
 
 
 @pytest.mark.parametrize("regime", ["fixed", "varying_sc", "accelerated", "optimal_ss"])
 def test_extreme_moduli_never_exit_through_a_traceback(tmp_path, capsys, regime):
-    for (mu, gamma), (code, lemma, theorem) in zip(EXTREME_MODULI, EXTREME_VERDICTS[regime]):
+    for (mu, gamma), (code, *want) in zip(EXTREME_MODULI, EXTREME_VERDICTS[regime]):
         doc = {
             "instance": {"kind": "quad_pair", "d": 2, "mu": mu, "gamma": gamma},
             "regime": regime,
             "budget": 50,
             "checks": ["lemma", "theorem", "rate_fit", "ode_compare"],
         }
-        assert main(["verify", write_config(tmp_path, doc)]) == code, (mu, gamma)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", write_config(tmp_path, doc)]) == code, (mu, gamma)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (mu, gamma)
         verdicts = dict(re.findall(r"^check\.(\w+) = (\w+)", capsys.readouterr().out, re.M))
-        assert (verdicts.get("lemma"), verdicts.get("theorem")) == (lemma, theorem), (mu, gamma)
+        assert [verdicts.get(c) for c in ("lemma", "theorem", "ode_compare")] == want, (mu, gamma)
 
 
 def test_kkt_saddle_of_overflowing_moduli_is_a_named_config_error(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Implicit-Euler integrator tests for the continuous saddle dynamics."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from pdhglab import (
 )
 from pdhglab import dynamics
 from pdhglab.dynamics import mass_matrix
+from pdhglab.engine import STEP_BLOCK
+from pdhglab.problems import _norm
 from pdhglab.zoo import make_quad_pair
 from recording import recorded_run
 
@@ -304,3 +308,214 @@ def test_long_horizon_flow_reaches_saddle():
     sad = built.saddle
     gap = math.sqrt(float(np.sum((X[-1] - sad.x) ** 2) + np.sum((Y[-1] - sad.y) ** 2)))
     assert gap <= 1e-3
+
+
+def newton_oracle(init, T, h, s, tau, sigma, problem):
+    """Implicit Euler by the full Newton loop at every step: the reference
+    whose bits integrate keeps.  Returns X, Y and, per step, whether it took
+    exactly one update and met the absolute test (a step a block keeps)."""
+    F, d1 = problem.F.matrix, problem.d1
+    M = mass_matrix(s, tau, sigma, F)
+
+    def rhs(z):
+        X, Y = z[:d1], z[d1:]
+        return np.concatenate([-(F.T @ Y) - problem.grad_f(X), F @ X - problem.grad_gstar(Y)])
+
+    def newton_matrix(z):
+        N = M - h * dynamics._rhs_jacobian(problem, z[:d1], z[d1:])
+        return np.linalg.inv(N), np.abs(N)
+
+    n_steps = int(np.ceil(T / h - 1e-12))
+    Z = np.empty((n_steps + 1, d1 + problem.d2))
+    one_update = np.zeros(n_steps, dtype=bool)
+    z = Z[0] = np.concatenate([init.x, init.y])
+    J_inv, N_abs = newton_matrix(z)
+    G = rhs(z)
+    for j in range(1, n_steps + 1):
+        z_new, last = z, np.inf
+        for i in range(dynamics.NEWTON_MAX_ITER):
+            MD = M @ (z_new - z)
+            H = MD - h * G
+            res = _norm(H)
+            if res <= dynamics.NEWTON_TOL:
+                one_update[j - 1] = i == 1
+                break
+            if i:
+                beyond = np.maximum(np.abs(H) - dynamics.EPS * (N_abs @ np.abs(z_new)), 0.0)
+                if _norm(beyond) <= dynamics.NEWTON_TOL * max(1.0, _norm(MD) + h * _norm(G)):
+                    break
+            if res > 0.5 * last:
+                J_inv, N_abs = newton_matrix(z_new)
+            z_new = z_new - J_inv @ H
+            G = rhs(z_new)
+            last = res
+        else:
+            raise RuntimeError("Newton solve did not converge")
+        z = Z[j] = z_new
+    return Z[:, :d1], Z[:, d1:], one_update
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def quad_ode_case(level=0, T=10.0):
+    """The quad-ode instance (quad_pair d = 16, seed 1) at the steps halved ``level`` times."""
+    problem = build_instance(InstanceSpec(kind="quad_pair", d1=16, seed=1)).problem
+    s = 0.9 / problem.F_norm * 0.5**level
+    return PrimalDualPair(np.zeros(16), np.zeros(16)), T, s / 100, s, s, s, problem
+
+
+def large_scale_case():
+    F = np.array([[0.6, 0.2], [-0.3, 0.5]])
+    problem, _ = make_quad_pair(1e8 * np.ones(2), 1e8 * np.ones(2), 1.0, 1.0, F)
+    return PrimalDualPair(np.zeros(2), np.zeros(2)), 1.0, 0.005, 0.5, 0.5, 0.5, problem
+
+
+def stiff_case():
+    problem = build_instance(InstanceSpec(kind="quad_pair", d1=4, seed=0, mu=1e200)).problem
+    s = 0.9 / problem.F_norm
+    return PrimalDualPair(np.zeros(4), np.zeros(4)), 10.0, s / 100, s, s, s, problem
+
+
+def cubic_case():
+    init = PrimalDualPair(np.array([2.0]), np.array([0.0]))
+    return init, 200.0, 0.5, 0.5, 0.5, 0.5, cubic_problem()
+
+
+def rest_case():
+    # h ||G(z)|| falls under NEWTON_TOL at step 53: from there z is kept as it is
+    init = PrimalDualPair(np.array([1e-7]), np.array([-1e-7]))
+    return init, 60.0, 0.1, 0.5, 0.5, 0.5, decoupled_problem()
+
+
+# (case, share of steps a block keeps): every step of the quad-ode levels;
+# no step where each takes the scaled test, the rounding floor or a nonlinear
+# gradient's Newton matrix re-take; the first 52 of 600 steps of a flow that
+# comes to rest; 100 steps, less than one block; 600 steps, which end in the
+# middle of the third block
+ORACLE_CASES = {
+    **{f"quad-ode-level-{n}": (lambda n=n: quad_ode_case(n), 1.0) for n in range(4)},
+    "large-scale-scaled-test": (large_scale_case, 0.0),
+    "mu-1e200-rounding-floor": (stiff_case, 0.0),
+    "cubic-newton-matrix-retaken": (cubic_case, 0.0),
+    "comes-to-rest-mid-block": (rest_case, 52 / 600),
+    "shorter-than-a-block": (lambda: quad_ode_case(T=0.9), 1.0),
+    "ends-mid-block": (lambda: quad_ode_case(T=5.4), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_integrate_has_the_bits_of_the_full_newton_loop(case):
+    build, kept_share = ORACLE_CASES[case]
+    args = build()
+    X, Y = integrate(*args)
+    X0, Y0, one_update = newton_oracle(*args)
+    assert same_bits(X, X0) and same_bits(Y, Y0)
+    assert one_update.mean() == kept_share
+    if case == "ends-mid-block":
+        assert len(one_update) % STEP_BLOCK and len(one_update) > 2 * STEP_BLOCK
+    if case == "shorter-than-a-block":
+        assert len(one_update) < STEP_BLOCK
+
+
+def test_steps_failing_in_the_middle_of_a_block_are_retaken(monkeypatch):
+    # at NEWTON_TOL = 1e-14 one update leaves some steps above the tolerance,
+    # scattered through each block: each is retaken by the full loop, and
+    # the block's steps after it with it
+    monkeypatch.setattr(dynamics, "NEWTON_TOL", 1e-14)
+    args = quad_ode_case()
+    X, Y = integrate(*args)
+    X0, Y0, one_update = newton_oracle(*args)
+    assert same_bits(X, X0) and same_bits(Y, Y0)
+    failing = np.flatnonzero(~one_update) % STEP_BLOCK
+    assert 0.5 < one_update.mean() < 1.0
+    assert (failing > 0).any() and (failing < STEP_BLOCK - 1).any()
+
+
+def test_a_floating_point_error_in_the_tests_retakes_the_block(monkeypatch):
+    # an overflow in the first block's stacked tests: the full loop retakes
+    # all of that block's steps, one more G each, with the same bits
+    calls = []
+    problem = quad_ode_case()[-1]
+    counted = replace(problem, grad_f=lambda x: calls.append(1) or problem.grad_f(x))
+    args = quad_ode_case(T=5.4)[:-1] + (counted,)
+    X0, Y0 = integrate(*args)
+    n_calls = len(calls)
+
+    real_matvec, overflowed = dynamics.matvec, []
+
+    def matvec_overflowing_once(M, v):
+        if not overflowed:
+            overflowed.append(True)
+            np.float64(1e308) * 10.0  # raises under the block's settings
+        return real_matvec(M, v)
+
+    monkeypatch.setattr(dynamics, "matvec", matvec_overflowing_once)
+    calls.clear()
+    X, Y = integrate(*args)
+    assert same_bits(X, X0) and same_bits(Y, Y0)
+    assert len(calls) == n_calls + STEP_BLOCK
+
+
+def test_a_one_update_limit_gives_up_as_the_full_loop_does(monkeypatch):
+    # the full loop tests no iterate past its last update: with one update
+    # allowed, it keeps only a step that needs none, so a block keeps none
+    monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 1)
+    args = quad_ode_case(T=0.9)
+    with pytest.raises(RuntimeError):
+        newton_oracle(*args)
+    with pytest.raises(RuntimeError, match="did not reach residual"):
+        integrate(*args)
+
+
+def test_mass_matrix_times_zero_is_positive_zero():
+    # M (z - z) at a finite z is +0 in every row, the bits of the constant
+    # M 0 a block forms each step's first residual from, because each row of
+    # M has a positive diagonal entry; the coupling's signs do not matter
+    for case in (quad_ode_case, large_scale_case, stiff_case, cubic_case):
+        init, _, h, s, tau, sigma, problem = case()
+        M = mass_matrix(s, tau, sigma, problem.F.matrix)
+        z = np.resize([1e-300, -1e300, 3.0], len(M))
+        zero = M @ np.zeros(len(M))
+        assert not zero.view(np.int64).any()
+        assert same_bits(M @ (z - z), zero)
+        G = np.resize([0.0, -0.0, 1e-300, -1e308], len(M))
+        assert same_bits(zero - h * G, M @ (z - z) - h * G)
+
+
+def stiff_past_one_problem():
+    """grad f = x, plus 1e8 sign(x) (|x| - 1)^3 past |x| = 1: linear, then very stiff."""
+    return SaddleProblem(
+        F=np.array([[1.0]]),
+        prox_f=lambda v, t: v,
+        prox_gstar=lambda w, t: w,
+        grad_f=lambda x: x + 1e8 * np.sign(x) * np.maximum(np.abs(x) - 1.0, 0.0) ** 3,
+        grad_gstar=lambda y: y,
+    )
+
+
+def test_steps_discarded_after_a_failing_step_print_no_warning():
+    # the first Newton matrix, taken at x = 0, does not see the stiff term:
+    # past |x| = 1 one update fails the test, and a block's later steps, each
+    # of one update with that matrix, overflow a few steps on.  The full
+    # Newton loop retakes the matrix and stays finite, and it prints nothing.
+    problem = stiff_past_one_problem()
+    args = PrimalDualPair(np.array([0.0]), np.array([-3.0])), 10.0, 0.01, 0.5, 0.5, 0.5, problem
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        X, Y = integrate(*args)
+        X0, Y0, one_update = newton_oracle(*args)
+    assert not caught
+    assert same_bits(X, X0) and same_bits(Y, Y0)
+    first_failure = int(np.argmin(one_update))
+    assert 0 < first_failure < STEP_BLOCK
+    # the block's own one-update steps, which never retake the matrix
+    init, _, h, s, tau, sigma, _ = args
+    M = mass_matrix(s, tau, sigma, problem.F.matrix)
+    J_inv = np.linalg.inv(M - h * dynamics._rhs_jacobian(problem, init.x, init.y))
+    z = np.concatenate([init.x, init.y])
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        for _ in range(STEP_BLOCK):
+            G = np.concatenate([-z[1:] - problem.grad_f(z[:1]), z[:1] - problem.grad_gstar(z[1:])])
+            z = z - J_inv @ (0.0 - h * G)
