@@ -204,7 +204,7 @@ def _check_ode_compare(problem, schedule) -> CheckResult:
         # A first halving that is not yet first order takes a fourth level.
         if min(sups) > 0 and sups[1] / sups[0] > 0.7:
             sups.append(_ode_sup_error(problem, schedule, init, 3))
-    # a Newton solve that does not converge, or an ill-conditioned mass matrix
+    # a reference that fails its certificate, or an ill-conditioned mass matrix
     except (RuntimeError, ValueError) as exc:
         return CheckResult(CHECK_ODE_COMPARE, FAIL, str(exc))
     if not min(sups) > 0:
@@ -219,7 +219,8 @@ def _check_ode_compare(problem, schedule) -> CheckResult:
 def _ode_sup_error(problem, schedule, init, level) -> float:
     """The largest distance over t in [0, T] between the iterates at the
     fixed steps halved ``level`` times and their implicit-Euler reference;
-    a Newton solve that does not converge raises RuntimeError, and an
+    a reference state that fails its certificate (gradients not the affine
+    map of the moduli, or not finite) raises RuntimeError, and an
     ill-conditioned mass matrix ValueError."""
     T = 10.0
     s, tau, sigma = (v * 0.5**level for v in (schedule.s, schedule.tau, schedule.sigma))

@@ -452,21 +452,35 @@ def test_ode_compare_keeps_three_levels_when_the_first_halving_is_first_order(
 
 @pytest.mark.parametrize("moduli", [{"mu": 1e200}, {"gamma": 1e200}])
 def test_ode_compare_names_a_newton_failure(tmp_path, capsys, monkeypatch, moduli):
-    # one Newton update cannot solve a step: a verdict, not a traceback.  At
-    # these moduli the residual's square overflows on the way to that verdict
-    monkeypatch.setattr(dynamics, "NEWTON_MAX_ITER", 1)
+    # gradients whose Hessians are not mu I and gamma I: the reference is
+    # refused, a verdict, not a traceback, and at these moduli no warning
+    make_quad_pair = zoo.make_quad_pair
+
+    def anisotropic(a, b_hat, mu, gamma, F):
+        problem, saddle = make_quad_pair(a, b_hat, mu, gamma, F)
+        wx, wy = np.arange(1.0, a.size + 1), np.arange(1.0, b_hat.size + 1)
+        grad_f, grad_gstar = problem.grad_f, problem.grad_gstar
+        return replace(
+            problem, grad_f=lambda x: wx * grad_f(x), grad_gstar=lambda y: wy * grad_gstar(y)
+        ), saddle
+
+    monkeypatch.setattr(zoo, "make_quad_pair", anisotropic)
     doc = {
         "instance": {"kind": "quad_pair", "d": 4, **moduli},
         "regime": "fixed",
         "budget": 50,
         "checks": ["ode_compare"],
     }
-    assert main(["verify", write_config(tmp_path, doc)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", write_config(tmp_path, doc)]) == 1
+    assert not caught
     pattern = (
-        r"check\.ode_compare = FAIL \(implicit-Euler Newton solve did not reach "
-        r"residual 1e-10 at step h=\S+\)"
+        r"^check\.ode_compare = FAIL \(implicit-Euler reference state at t=\S+ is not "
+        r"finite, or its gradients are not the affine map J z \+ G\(0\) of moduli mu "
+        r"and gamma at step h=\S+\)$"
     )
-    assert re.search(pattern, capsys.readouterr().out)
+    assert re.search(pattern, capsys.readouterr().out, re.M)
 
 
 def test_ode_compare_names_an_ill_conditioned_mass_matrix(tmp_path, capsys):
@@ -487,8 +501,8 @@ def test_ode_compare_names_an_ill_conditioned_mass_matrix(tmp_path, capsys):
 @pytest.mark.parametrize("moduli", [{"mu": 1e200}, {"gamma": 1e200}])
 def test_ode_compare_newton_stops_at_the_rounding_floor_of_a_stiff_step(tmp_path, capsys, moduli):
     # h 1e200 (x+ - a) (or (y+ - b)) moves by about 1e182 as x+ (or y+)
-    # moves one ulp, so no Newton iterate brings the residual near 1e-10;
-    # the solve meets its test net of that floor, and the halvings pass
+    # moves one ulp, so no step's residual comes near 1e-10; the reference
+    # map meets its certificate at every state, and the halvings pass
     doc = {
         "instance": {"kind": "quad_pair", "d": 4, **moduli},
         "regime": "fixed",
@@ -497,7 +511,7 @@ def test_ode_compare_newton_stops_at_the_rounding_floor_of_a_stiff_step(tmp_path
     }
     assert main(["verify", write_config(tmp_path, doc)]) == 0
     out = capsys.readouterr().out
-    assert "did not reach residual" not in out
+    assert "not the affine map" not in out
     assert re.search(r"^check\.ode_compare = PASS \(halving ratios \S+, \S+\)$", out, re.M)
 
 

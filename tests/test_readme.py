@@ -1,7 +1,11 @@
-"""The README's library quickstart runs against the current API."""
+"""The README runs against the current API: its library quickstart, and the constants it names."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import pdhglab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +19,15 @@ def test_readme_quickstart_runs():
     namespace = {}
     exec(compile(source, str(README), "exec"), namespace)
     assert namespace["slack"].size
+
+
+def test_readme_names_only_constants_that_pdhglab_defines():
+    # an upper-case constant the README names in backticks (`STEP_BLOCK`,
+    # say) is defined in a pdhglab module, so a deleted one cannot linger
+    names = set(re.findall(r"`([A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+)`", README.read_text()))
+    modules = [
+        importlib.import_module(f"pdhglab.{info.name}")
+        for info in pkgutil.iter_modules(pdhglab.__path__)
+    ]
+    assert names
+    assert {name for name in names if not any(hasattr(m, name) for m in modules)} == set()
