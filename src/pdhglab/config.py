@@ -22,7 +22,10 @@ Document shape (see the README for the full grammar):
       "sweep": {"c": [0.5, 0.05], "s": [0.4]}
     }
 
-Only "instance" and "regime" are required; everything else defaults.
+Only "instance" and "regime" are required; everything else defaults, and a
+null leaves its key at the default.  The defaults are the field defaults of
+:class:`~pdhglab.zoo.InstanceSpec` and :class:`ExperimentConfig`: the parser
+hands them only the keys a document sets.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ CHECK_RATE_FIT = "rate_fit"
 CHECK_ODE_COMPARE = "ode_compare"
 CHECKS = (CHECK_LEMMA, CHECK_THEOREM, CHECK_RATE_FIT, CHECK_ODE_COMPARE)
 
-DEFAULT_BUDGET = 10_000
-DEFAULT_TOL = 1e-10
-DEFAULT_RECORD_EVERY = 1
-
 
 class ConfigError(ValueError):
     """A configuration document is malformed or violates a precondition."""
@@ -58,9 +57,9 @@ class ExperimentConfig:
     c: Optional[float] = None
     tau: Optional[float] = None
     sigma: Optional[float] = None
-    budget: int = DEFAULT_BUDGET
-    tol: float = DEFAULT_TOL
-    record_every: int = DEFAULT_RECORD_EVERY
+    budget: int = 10_000
+    tol: float = 1e-10
+    record_every: int = 1
     checks: tuple[str, ...] = ()
     output: Optional[str] = None
     sweep_c: Optional[tuple[float, ...]] = None
@@ -75,15 +74,16 @@ def _require_double(value, where: str) -> None:
         raise ConfigError(f'key "{where}" overflows a double') from None
 
 
-def _require_keys(obj: dict, allowed: dict, path: str) -> None:
-    for key in obj:
+def _require_keys(obj: dict, allowed: dict, path: str) -> dict:
+    """The keys ``obj`` sets, type-checked; a null leaves its key unset."""
+    fields = {}
+    for key, value in obj.items():
         where = f"{path}.{key}" if path else key
         if key not in allowed:
             raise ConfigError(f'unknown key "{where}"')
-        expected = allowed[key]
-        value = obj[key]
         if value is None:
             continue
+        expected = allowed[key]
         if expected is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f'key "{where}" must be a number')
@@ -94,55 +94,42 @@ def _require_keys(obj: dict, allowed: dict, path: str) -> None:
             kind = {int: "an integer", str: "a string", bool: "a boolean",
                     dict: "an object", list: "an array"}[expected]
             raise ConfigError(f'key "{where}" must be {kind}')
+        fields[key] = value
+    return fields
 
 
-def _parse_instance(obj) -> InstanceSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError('key "instance" must be an object')
+def _parse_instance(obj: dict) -> InstanceSpec:
     allowed = {
         "kind": str, "d": int, "d1": int, "d2": int, "seed": int,
         "lam": float, "mu": float, "gamma": float, "cond": float,
         "m": int, "identity_a": bool,
     }
-    _require_keys(obj, allowed, "instance")
-    if "kind" not in obj:
+    fields = _require_keys(obj, allowed, "instance")
+    if "kind" not in fields:
         raise ConfigError('missing required key "instance.kind"')
-    if obj["kind"] not in KINDS:
+    kind = fields["kind"]
+    if kind not in KINDS:
         raise ConfigError(
-            f'key "instance.kind" must be one of {list(KINDS)}, got {obj["kind"]!r}'
+            f'key "instance.kind" must be one of {list(KINDS)}, got {kind!r}'
         )
     # A key the kind ignores would run silently with another value.
-    kind = obj["kind"]
-    for key in obj:
+    for key in fields:
         if key in ("mu", "gamma", "d2") and kind != QUAD_PAIR:
             raise ConfigError(
                 f'key "instance.{key}" applies to {QUAD_PAIR} only; {kind} derives it from the data'
             )
         if key in ("lam", "cond", "m", "identity_a") and kind == QUAD_PAIR:
             raise ConfigError(f'key "instance.{key}" does not apply to {QUAD_PAIR}')
-        if key in ("cond", "m") and obj.get("identity_a"):
+        if key in ("cond", "m") and fields.get("identity_a"):
             raise ConfigError(f'key "instance.{key}" does not apply with "instance.identity_a"')
-    if "d" in obj and "d1" in obj:
-        raise ConfigError('keys "instance.d" and "instance.d1" are mutually exclusive')
-    d1 = obj.get("d1", obj.get("d"))
-    if d1 is None:
+    if "d" in fields:
+        if "d1" in fields:
+            raise ConfigError('keys "instance.d" and "instance.d1" are mutually exclusive')
+        fields["d1"] = fields.pop("d")
+    if "d1" not in fields:
         raise ConfigError('missing required key "instance.d1" (or its alias "instance.d")')
-    kwargs = dict(
-        kind=obj["kind"],
-        d1=d1,
-        d2=obj.get("d2"),
-        seed=obj.get("seed", 0),
-        lam=obj.get("lam"),
-        cond=obj.get("cond", 3.0),
-        m=obj.get("m"),
-        identity_a=obj.get("identity_a", False),
-    )
-    if "mu" in obj:
-        kwargs["mu"] = obj["mu"]
-    if "gamma" in obj:
-        kwargs["gamma"] = obj["gamma"]
     try:
-        return InstanceSpec(**kwargs)
+        return InstanceSpec(**fields)
     except ValueError as exc:
         raise ConfigError(f"instance: {exc}") from exc
 
@@ -183,26 +170,25 @@ def parse_config(text: str) -> ExperimentConfig:
         "budget": int, "tol": float, "record_every": int,
         "checks": list, "output": str, "sweep": dict,
     }
-    _require_keys(obj, allowed, "")
+    fields = _require_keys(obj, allowed, "")
     for key in ("instance", "regime"):
-        if key not in obj:
+        if key not in fields:
             raise ConfigError(f'missing required key "{key}"')
 
-    instance = _parse_instance(obj["instance"])
+    instance = _parse_instance(fields.pop("instance"))
 
-    regime = obj["regime"]
+    regime = fields["regime"]
     if regime not in REGIMES:
         raise ConfigError(f'key "regime" must be one of {list(REGIMES)}, got {regime!r}')
 
-    sched_obj = obj.get("schedule") or {}
-    _require_keys(sched_obj, {"s": float, "c": float, "tau": float, "sigma": float},
-                  "schedule")
+    schedule = _require_keys(fields.pop("schedule", {}),
+                             {"s": float, "c": float, "tau": float, "sigma": float},
+                             "schedule")
+    fields.update((key, float(value)) for key, value in schedule.items())
 
-    sweep_obj = obj.get("sweep") or {}
-    _require_keys(sweep_obj, {"c": list, "s": list}, "sweep")
-    sweep_c = sweep_s = None
+    sweep = _require_keys(fields.pop("sweep", {}), {"c": list, "s": list}, "sweep")
     for name in ("c", "s"):
-        values = sweep_obj.get(name)
+        values = sweep.get(name)
         if values is None:
             continue
         if not values:
@@ -211,50 +197,34 @@ def parse_config(text: str) -> ExperimentConfig:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(f'key "sweep.{name}" must contain numbers only')
             _require_double(v, f"sweep.{name}")
-        if name == "c":
-            sweep_c = tuple(float(v) for v in values)
-        else:
-            sweep_s = tuple(float(v) for v in values)
+        fields[f"sweep_{name}"] = tuple(float(v) for v in values)
 
-    checks = obj.get("checks", [])
-    for i, check in enumerate(checks):
+    if "tol" in fields:
+        fields["tol"] = float(fields["tol"])
+    if "checks" in fields:
+        fields["checks"] = tuple(fields["checks"])
+    config = ExperimentConfig(instance=instance, **fields)
+
+    for i, check in enumerate(config.checks):
         if check not in CHECKS:
             raise ConfigError(
                 f'unknown check "{check}"; available checks are {list(CHECKS)}'
             )
-        if check in checks[:i]:
+        if check in config.checks[:i]:
             raise ConfigError(f'check "{check}" appears twice in "checks"')
 
-    budget = obj.get("budget", DEFAULT_BUDGET)
-    if budget < 1:
+    if config.budget < 1:
         raise ConfigError('key "budget" must be at least 1')
-    tol = obj.get("tol", DEFAULT_TOL)
-    if not tol > 0:
+    if not config.tol > 0:
         raise ConfigError('key "tol" must be positive')
-    record_every = obj.get("record_every", DEFAULT_RECORD_EVERY)
-    if record_every < 1:
+    if config.record_every < 1:
         raise ConfigError('key "record_every" must be at least 1')
-    if regime == ACCELERATED and CHECK_LEMMA in checks and record_every > 1:
+    if config.regime == ACCELERATED and CHECK_LEMMA in config.checks and config.record_every > 1:
         raise ConfigError(
             'key "record_every" must be 1 for the accelerated lemma check, '
             "which needs consecutively recorded steps"
         )
-
-    return ExperimentConfig(
-        instance=instance,
-        regime=regime,
-        s=None if sched_obj.get("s") is None else float(sched_obj["s"]),
-        c=None if sched_obj.get("c") is None else float(sched_obj["c"]),
-        tau=None if sched_obj.get("tau") is None else float(sched_obj["tau"]),
-        sigma=None if sched_obj.get("sigma") is None else float(sched_obj["sigma"]),
-        budget=budget,
-        tol=float(tol),
-        record_every=record_every,
-        checks=tuple(checks),
-        output=obj.get("output"),
-        sweep_c=sweep_c,
-        sweep_s=sweep_s,
-    )
+    return config
 
 
 def materialize_instance(config: ExperimentConfig) -> BuiltInstance:

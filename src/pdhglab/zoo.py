@@ -79,6 +79,10 @@ class InstanceSpec:
             raise ValueError(f"unknown instance kind {self.kind!r}; expected one of {KINDS}")
         if self.d1 < 1:
             raise ValueError("d1 must be at least 1")
+        if self.d2 is not None and self.d2 < 1:
+            raise ValueError("d2 must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
         if self.kind == GEN_LASSO and self.d1 < 2:
             raise ValueError("gen_lasso needs d1 >= 2 for the difference operator")
         if self.kind in (LASSO, GEN_LASSO):

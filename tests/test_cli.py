@@ -451,9 +451,9 @@ def test_ode_compare_keeps_three_levels_when_the_first_halving_is_first_order(
 
 
 @pytest.mark.parametrize("moduli", [{"mu": 1e200}, {"gamma": 1e200}])
-def test_ode_compare_names_a_newton_failure(tmp_path, capsys, monkeypatch, moduli):
-    # gradients whose Hessians are not mu I and gamma I: the reference is
-    # refused, a verdict, not a traceback, and at these moduli no warning
+def test_ode_compare_refuses_gradients_off_the_affine_map(tmp_path, capsys, monkeypatch, moduli):
+    # gradients whose Hessians are not mu I and gamma I fail the reference's
+    # certificate: a verdict, not a traceback, and at these moduli no warning
     make_quad_pair = zoo.make_quad_pair
 
     def anisotropic(a, b_hat, mu, gamma, F):
@@ -499,10 +499,10 @@ def test_ode_compare_names_an_ill_conditioned_mass_matrix(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("moduli", [{"mu": 1e200}, {"gamma": 1e200}])
-def test_ode_compare_newton_stops_at_the_rounding_floor_of_a_stiff_step(tmp_path, capsys, moduli):
+def test_ode_compare_certifies_a_stiff_step_at_its_rounding_floor(tmp_path, capsys, moduli):
     # h 1e200 (x+ - a) (or (y+ - b)) moves by about 1e182 as x+ (or y+)
-    # moves one ulp, so no step's residual comes near 1e-10; the reference
-    # map meets its certificate at every state, and the halvings pass
+    # moves one ulp; the certificate's floor scales with |J| |z|, so the
+    # reference map meets it at every state, and the halvings pass
     doc = {
         "instance": {"kind": "quad_pair", "d": 4, **moduli},
         "regime": "fixed",
@@ -610,6 +610,19 @@ def test_instance_m_below_one_is_a_named_config_error(tmp_path, capsys):
            "budget": 50}
     assert main(["verify", write_config(tmp_path, doc)]) == 2
     assert "config error: instance: m must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("d2", -3, "d2 must be at least 1"), ("d2", 0, "d2 must be at least 1"),
+     ("seed", -1, "seed must be at least 0")],
+)
+def test_instance_d2_and_seed_out_of_range_are_named_config_errors(
+    tmp_path, capsys, key, value, message
+):
+    doc = {"instance": {"kind": "quad_pair", "d": 3, key: value}, "regime": "fixed"}
+    assert main(["info", write_config(tmp_path, doc)]) == 2
+    assert f"config error: instance: {message}" in capsys.readouterr().err
 
 
 # (exit status, check.lemma, check.theorem, check.ode_compare) per (mu,
@@ -1154,6 +1167,92 @@ def test_boolean_for_integer_key_is_exit_2(tmp_path, capsys, key, doc):
     doc = {"instance": {"kind": "quad_pair", "d": 2}, "regime": "fixed", **doc}
     assert main(["verify", write_config(tmp_path, doc)]) == 2
     assert f'key "{key}" must be an integer' in capsys.readouterr().err
+
+
+def document_without(key):
+    """The command and a document that reads ``key`` but leaves it unset."""
+    if key in ("instance.lam", "instance.cond", "instance.m", "instance.identity_a"):
+        instance = {"kind": "lasso", "d": 3, "seed": 2, "lam": 0.5, "cond": 2.0, "m": 5}
+    else:
+        instance = {"kind": "quad_pair", "d": 3, "d2": 2, "seed": 2, "mu": 0.5, "gamma": 0.7}
+    doc = {
+        "instance": instance,
+        "regime": "fixed" if key in ("schedule.tau", "schedule.sigma") else "varying_sc",
+        "schedule": {"s": 0.5, "c": 0.2},
+        "budget": 60,
+        "tol": 1e-6,
+        "record_every": 2,
+        "checks": ["lemma", "theorem"],
+        "output": "out",
+    }
+    if doc["regime"] == "fixed":
+        del doc["schedule"]["c"]
+    command = "run"
+    if key.startswith("sweep"):
+        command, doc["sweep"] = "sweep", {"c": [0.2, 0.1], "s": [0.5]}
+    *path, name = key.split(".")
+    section = doc
+    for part in path:
+        section = section[part]
+    section.pop(name, None)
+    return command, doc
+
+
+def with_null(doc, key):
+    doc = json.loads(json.dumps(doc))
+    *path, name = key.split(".")
+    section = doc
+    for part in path:
+        section = section.setdefault(part, {})
+    section[name] = None
+    return doc
+
+
+def run_in(cwd, capsys, monkeypatch, command, doc):
+    """Exit status, stdout, stderr and every file written by the run, run
+    from ``cwd`` (where "output" defaults to)."""
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    path = cwd.parent / f"{cwd.name}.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path)])
+    out, err = capsys.readouterr()
+    files = {str(p.relative_to(cwd)): p.read_bytes() for p in cwd.rglob("*") if p.is_file()}
+    return code, out, err, files
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "instance.seed", "instance.d2", "instance.mu", "instance.gamma", "instance.lam",
+        "instance.cond", "instance.m", "instance.identity_a",
+        "schedule", "schedule.s", "schedule.c", "schedule.tau", "schedule.sigma",
+        "budget", "tol", "record_every", "checks", "output",
+        "sweep", "sweep.c", "sweep.s",
+    ],
+)
+def test_a_null_key_is_unset(tmp_path, capsys, monkeypatch, key):
+    # the field defaults of InstanceSpec and ExperimentConfig apply, and the
+    # seed still fixes the instance
+    command, doc = document_without(key)
+    unset = run_in(tmp_path / "unset", capsys, monkeypatch, command, doc)
+    null = run_in(tmp_path / "null", capsys, monkeypatch, command, with_null(doc, key))
+    assert null == unset
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("instance", 'missing required key "instance"'),
+        ("regime", 'missing required key "regime"'),
+        ("instance.kind", 'missing required key "instance.kind"'),
+        ("instance.d", 'missing required key "instance.d1" (or its alias "instance.d")'),
+    ],
+)
+def test_a_null_required_key_is_missing(tmp_path, capsys, key, message):
+    doc = with_null({"instance": {"kind": "quad_pair", "d": 3}, "regime": "fixed"}, key)
+    assert main(["verify", write_config(tmp_path, doc)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_verify_large_total_variation_instance(tmp_path, capsys):

@@ -221,10 +221,10 @@ def test_every_step_of_an_ordinary_instance_meets_the_absolute_tolerance():
     assert residual.max() <= 1e-10
 
 
-def test_newton_test_is_relative_to_a_large_scale():
-    # with x* and y* near 1e8 the residual's rounding is about 1e-8, far
-    # above the absolute 1e-10; relative to the size of its terms each step
-    # is within 1e-10 (4.7e-14 measured)
+def test_a_step_residual_is_relative_to_a_large_scale():
+    # with x* and y* near 1e8 the implicit-Euler residual's rounding is
+    # about 1e-8, far above an absolute 1e-10; the map solves each step to
+    # within 1e-10 of the size of its terms (4.7e-14 measured)
     F = np.array([[0.6, 0.2], [-0.3, 0.5]])
     problem, _ = make_quad_pair(1e8 * np.ones(2), 1e8 * np.ones(2), 1.0, 1.0, F)
     s = 0.5
@@ -234,10 +234,10 @@ def test_newton_test_is_relative_to_a_large_scale():
     assert np.all(residual <= 1e-10 * scale)
 
 
-def test_newton_stops_at_the_rounding_floor_of_a_stiff_step():
-    # mu = 1e200: h mu (x+ - x*) moves by about 1e182 per ulp of x+, so the
-    # residual cannot fall near 1e-10 nor near 1e-10 of its terms; from the
-    # first step on the map holds x within an ulp of x* (1.4e-17 measured)
+def test_a_stiff_step_lands_within_an_ulp_of_the_saddle():
+    # mu = 1e200: h mu (x+ - x*) moves by about 1e182 per ulp of x+, so no
+    # residual, absolute or relative, can judge the step; from the first
+    # step on the map holds x within an ulp of x* (1.4e-17 measured)
     built = build_instance(InstanceSpec(kind="quad_pair", d1=4, seed=0, mu=1e200))
     problem, saddle = built.problem, built.saddle
     s = 0.9 / problem.F_norm

@@ -13,12 +13,20 @@ little may take its whole budget).  ``ode_compare``, whose reference runs
 ceil(1000 / s) steps per level whatever the budget, is kept only where no
 tau is drawn and every drawn s, of the schedule or of a sweep list, is at
 least 0.3.
+
+Run as a script, ``PYTHONPATH=src python tests/test_fuzz.py START STOP``
+draws the cases of seeds START to STOP - 1, prints every seed that breaks
+the contract and the five slowest seeds, and exits 1 if any seed broke it.
 """
 
 import contextlib
 import io
 import json
+import pathlib
 import re
+import sys
+import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -112,3 +120,28 @@ def test_a_drawn_config_runs_or_exits_2_with_a_named_error(tmp_path, seed):
 def test_a_drawn_config_whose_prox_overflows_in_a_step_runs_quietly(tmp_path):
     # seed 3580: quad_pair with gamma = 1.7e308 under accelerated steps
     test_a_drawn_config_runs_or_exits_2_with_a_named_error(tmp_path, 3580)
+
+
+def main(argv):
+    if len(argv) != 2:
+        print("usage: PYTHONPATH=src python tests/test_fuzz.py START STOP", file=sys.stderr)
+        return 2
+    start, stop = map(int, argv)
+    broken, times = [], []
+    for seed in range(start, stop):
+        with tempfile.TemporaryDirectory() as tmp:
+            began = time.perf_counter()
+            try:
+                test_a_drawn_config_runs_or_exits_2_with_a_named_error(pathlib.Path(tmp), seed)
+            except AssertionError as exc:
+                broken.append(seed)
+                print(f"seed {seed} breaks the contract: {exc}", flush=True)
+            times.append((time.perf_counter() - began, seed))
+    print(f"{len(broken)} of {stop - start} seeds break the contract")
+    for elapsed, seed in sorted(times, reverse=True)[:5]:
+        print(f"seed {seed}: {elapsed:.2f} s")
+    return 1 if broken else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
