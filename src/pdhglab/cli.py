@@ -67,7 +67,9 @@ from .lyapunov import (
 )
 from .problems import PrimalDualPair
 from .rates import contraction_factors, default_window, fit_rate
-from .schedules import ACCELERATED, FIXED, OPTIMAL_SS, VARYING_SC, Schedule, k0_threshold
+from .schedules import (
+    ACCELERATED, FIXED, OPTIMAL_SS, VARYING_SC, Schedule, k0_threshold, schedule_at,
+)
 from .zoo import QUAD_PAIR, BuiltInstance, reference_saddle
 
 CSV_COLUMNS = [
@@ -164,22 +166,21 @@ def _check_claims(name, table, outcome) -> CheckResult:
     return CheckResult(name, PASS, "; ".join(held))
 
 
-def _check_rate_fit(problem, traj, table) -> tuple[CheckResult, Optional[float], Optional[float]]:
+def _check_rate_fit(problem, table) -> tuple[CheckResult, Optional[float], Optional[float]]:
     if table is None:
         return CheckResult(CHECK_RATE_FIT, SKIPPED, "no certified saddle available"), None, None
     K0 = 1
-    if traj.schedule.regime == ACCELERATED:
-        K0 = k0_threshold(problem.mu, traj.schedule.c)
+    if table.schedule.regime == ACCELERATED:
+        K0 = k0_threshold(problem.mu, table.schedule.c)
     lo, hi = default_window(K0)
-    last = int(traj.k[-1])
+    last = int(table.k[-1])
     if last <= lo:
         detail = f"the fit window starts at k={lo} and the run ends at k={last}"
         return CheckResult(CHECK_RATE_FIT, SKIPPED, detail), None, None
     hi = min(hi, last)
     positive = table.dist_x > 0.0
-    series = np.column_stack((table.k[positive], table.dist_x[positive]))
     try:
-        fit = fit_rate(series, window=(lo, hi))
+        fit = fit_rate(table.k[positive], table.dist_x[positive], window=(lo, hi))
     except ValueError as exc:
         return CheckResult(CHECK_RATE_FIT, SKIPPED, str(exc)), None, None
     detail = (
@@ -246,7 +247,11 @@ def _ode_sup_error(problem, schedule, init, level) -> float:
     keep = ((sub_traj.k + 1) * s <= T + 1e-12) & (idx < len(X))
     dx = post[0][: len(keep)][keep] - X[idx[keep]]
     dy = post[1][: len(keep)][keep] - Y[idx[keep]]
-    err = np.sqrt(np.einsum("ij,ij->i", dx, dx) + np.einsum("ij,ij->i", dy, dy))
+    sq = np.einsum("ij,ij->i", dx, dx) + np.einsum("ij,ij->i", dy, dy)
+    err = np.sqrt(sq)
+    # a square below the normal range lost bits or underflowed: math.hypot scales
+    for i in np.flatnonzero(sq < np.finfo(float).tiny):
+        err[i] = math.hypot(*dx[i], *dy[i])
     return float(err.max(initial=0.0))
 
 
@@ -324,19 +329,19 @@ def _report(config, built, schedule, resolved, traj, observer, write_trajectory)
     """The table, theorem, checks, summary and files of one solved run."""
     saddle, saddle_source = resolved
     problem = built.problem
-    table = observer.table(traj) if saddle is not None else None
+    table = observer.table() if saddle is not None else None
     # The regime's theorem, read by its check and the CSV's bound column, and
     # the lemma, read by its check and the CSV's slack column, each as
     # :func:`_obtain` gives it.  The lemma's columns are taken after the rate
     # fit, in the memory its temporaries free, and freed before the CSV write.
     lemma = theorem = None
     if table is not None and (write_trajectory or CHECK_THEOREM in config.checks):
-        theorem = _obtain(theorem_bound, schedule, problem, table)
+        theorem = _obtain(theorem_bound, problem, table)
     # The sweep aggregate wants a slope even when rate_fit was not requested.
-    rate_fit, slope, resid = _check_rate_fit(problem, traj, table)
+    rate_fit, slope, resid = _check_rate_fit(problem, table)
     metrics = {"slope": slope, "slope_residual": resid, "geomean_ratio": None}
     if table is not None and CHECK_LEMMA in config.checks:
-        lemma = _obtain(lemma_records, traj, problem, table)
+        lemma = _obtain(lemma_records, problem, table)
 
     results: list[CheckResult] = []
     for name in config.checks:
@@ -358,8 +363,8 @@ def _report(config, built, schedule, resolved, traj, observer, write_trajectory)
     if table is not None:
         defined = ~np.isnan(table.E)
         try:
-            E_series = np.column_stack((table.k[defined], table.E[defined]))
-            metrics["geomean_ratio"] = contraction_factors(E_series).geomean_ratio
+            summary = contraction_factors(table.k[defined], table.E[defined])
+            metrics["geomean_ratio"] = summary.geomean_ratio
         except ValueError:  # not measurable
             pass
 
@@ -405,7 +410,7 @@ def _write_csv(path, traj, table, slacks, bound):
     else:
         diagnostics = [table.dist_x, table.dist_y, table.E, table.ne]
     columns = (
-        [traj.k, traj.tau, traj.sigma, traj.theta]
+        [traj.k, *schedule_at(traj.schedule, traj.k)]
         + diagnostics
         + [undefined if slacks is None else slacks, undefined if bound is None else bound]
         + [traj.primal_residual, traj.dual_residual]

@@ -128,6 +128,8 @@ def _parse_instance(obj: dict) -> InstanceSpec:
         fields["d1"] = fields.pop("d")
     if "d1" not in fields:
         raise ConfigError('missing required key "instance.d1" (or its alias "instance.d")')
+    if kind != QUAD_PAIR and "lam" not in fields:
+        raise ConfigError('missing required key "instance.lam"')
     try:
         return InstanceSpec(**fields)
     except ValueError as exc:

@@ -62,16 +62,13 @@ STEP_BLOCK_ELEMENTS = 2**15
 class Trajectory:
     """Recorded steps of one solver run, as columns aligned by row.
 
-    Row i is the transition k[i] -> k[i] + 1: the step sizes ``tau``,
-    ``sigma``, ``theta`` and displacement residuals of that step, each of
-    shape (R,).  The run handed its states to its observer (see
+    Row i is the transition k[i] -> k[i] + 1, under the steps
+    ``schedule_at(schedule, k[i])``: its displacement residuals, each
+    column of shape (R,).  The run handed its states to its observer (see
     :func:`run`) and keeps only ``final``, the last post-state.
     """
 
     k: np.ndarray
-    tau: np.ndarray
-    sigma: np.ndarray
-    theta: np.ndarray
     primal_residual: np.ndarray
     dual_residual: np.ndarray
     schedule: Schedule
@@ -322,13 +319,10 @@ def run(
         work_x[0], work_y[0] = work_x[m], work_y[m]
         start += m
 
-    trajectories = []
-    for b, sched in enumerate(schedules):
-        k, rp, rd = (column[:n[b]] for column in columns[b])
-        tau, sigma, theta = schedule_at(sched, k)
-        trajectories.append(
-            Trajectory(k, tau, sigma, theta, rp, rd, sched, termination[b], final[b])
-        )
+    trajectories = [
+        Trajectory(*(column[:n[b]] for column in columns[b]), sched, termination[b], final[b])
+        for b, sched in enumerate(schedules)
+    ]
     return trajectories if stacked else trajectories[0]
 
 

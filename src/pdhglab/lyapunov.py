@@ -19,8 +19,9 @@ read from that table as :class:`Claim` records, each a measured column that
 must stay under a bound column:
 :func:`lemma_records` states the descent lemma, E(k+1) - E(k) under its
 right-hand side, and :func:`theorem_bound`, the one source of each regime's
-closed-form convergence guarantee, reads its constants from the schedule,
-the problem and that table and states the theorem as a list of claims.
+closed-form convergence guarantee, reads its constants from the problem
+and that table, which holds its schedule, and states the theorem as a list
+of claims.
 
 All evaluators are pure functions of their arguments.  The Lyapunov and NE
 evaluators take one state (and return a float) or stacked rows of states
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Trajectory
 from .problems import PrimalDualPair, SaddleProblem
 from .rates import contraction_factors
 from .schedules import (
@@ -61,16 +61,18 @@ class NoMatchingLemma(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LyapunovTable:
-    """Diagnostics of one trajectory against one saddle, as columns aligned
-    with the trajectory's rows (entry i describes the transition k -> k+1
-    of row i): the regime's Lyapunov values E(k) and E(k+1), the
-    numerical-error term NE, and the squared distances of the pre-state
-    (x_k, y_k) and the post-state (x_{k+1}, y_{k+1}) to the saddle.
-    Undefined entries are nan.  ``dist_x_floor`` = ||eps max(|x*|, |x_K|)||^2
-    and ``dist_y_floor`` are what rounding alone can put between the final
-    post-state (x_K, y_K) and the saddle, eps the machine epsilon.
+    """Diagnostics of one run under ``schedule`` against one saddle, as
+    columns aligned by row (entry i describes the transition k -> k+1 of
+    row i, whose steps are ``schedule_at(schedule, k)``): the regime's
+    Lyapunov values E(k) and E(k+1), the numerical-error term NE, and the
+    squared distances of the pre-state (x_k, y_k) and the post-state
+    (x_{k+1}, y_{k+1}) to the saddle.  Undefined entries are nan.
+    ``dist_x_floor`` = ||eps max(|x*|, |x_K|)||^2 and ``dist_y_floor`` are
+    what rounding alone can put between the final post-state (x_K, y_K)
+    and the saddle, eps the machine epsilon.
     """
 
+    schedule: Schedule
     k: np.ndarray
     E: np.ndarray
     ne: np.ndarray
@@ -271,16 +273,14 @@ def _lgamma(a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, np.ravel(a)), float).reshape(np.shape(a))
 
 
-def theorem_bound(
-    schedule: Schedule, problem: SaddleProblem, table: LyapunovTable
-) -> Theorem:
-    """The closed-form convergence theorem of the schedule's regime on the
-    rows of ``table``.
+def theorem_bound(problem: SaddleProblem, table: LyapunovTable) -> Theorem:
+    """The closed-form convergence theorem of the table's regime on its
+    rows.
 
-    Every constant is read from its source: regime, s and c from
-    ``schedule``; mu, gamma and ||F|| from ``problem``; E(0) and the squared
-    initial distances dx0, dy0 from the table's row k = 0, and E(K0) from
-    its row K0.  The claims, with q = s||F||:
+    Every constant is read from its source: regime, s and c from the
+    table's schedule; mu, gamma and ||F|| from ``problem``; E(0) and the
+    squared initial distances dx0, dy0 from the table's row k = 0, and E(K0)
+    from its row K0.  The claims, with q = s||F||:
 
     ``varying_sc``, every row, rtol 1e-6
         "Lyapunov bound" E(k) <= (1 + alpha) Gamma(k+2)/Gamma(k+2+alpha)
@@ -305,7 +305,8 @@ def theorem_bound(
     a run not recorded from k = 0 (or with no E(0)), and for an accelerated
     table without E(K0).
     """
-    regime, k, mu = schedule.regime, table.k, problem.mu
+    schedule, k, mu = table.schedule, table.k, problem.mu
+    regime = schedule.regime
     if regime == FIXED:
         raise NoMatchingLemma("fixed regime has no closed-form rate guarantee")
     if regime == ACCELERATED:
@@ -345,7 +346,7 @@ def theorem_bound(
         gamma = problem.gamma
         rho = rho_rate(mu, gamma, s, F_norm)
         try:
-            ratios = contraction_factors(np.column_stack((k, table.E))).ratios
+            ratios = contraction_factors(k, table.E).ratios
         except ValueError:  # fewer than two rows above the floor
             ratios = np.empty(0)
         rows = k[: len(ratios)]
@@ -377,11 +378,12 @@ class TableAccumulator:
     Each call takes the consecutive rows ``(k, x, y, x_next, y_next)`` of
     one step block and fills the table's columns for them, each row with
     the bits it has in any other block; :meth:`table` returns the table of
-    every row seen.  A hand-over is valid only during the call, and no
-    state of it is kept.  The columns are reserved once, for ``rows`` rows,
-    and a reservation that fails raises MemoryError; the block bounds the
-    memory the call's temporaries take.  The step sizes of row k are read
-    from ``schedule``.
+    every row seen.  A hand-over is valid only during the call; of its
+    states only the last post-state is kept, a copy, which after the run's
+    last block is the run's final state.  The columns, ``k`` among them,
+    are reserved once, for ``rows`` rows, and a reservation that fails
+    raises MemoryError; the block bounds the memory the call's temporaries
+    take.  The step sizes of row k are read from ``schedule``.
 
     Each row's post-state values are evaluated: the squared distances of
     (x_{k+1}, y_{k+1}), and E(k+1), which takes its squared norms from
@@ -402,13 +404,14 @@ class TableAccumulator:
     ):
         self._schedule, self._F, self._saddle, self._init = schedule, problem.F, saddle, init
         try:
+            self._k = np.empty(rows, dtype=np.int64)
             # the pre-state E, dist_x, dist_y, the post-state E_next, dist_x_next,
             # dist_y_next, and ne
             self._columns = np.empty((7, rows))
         except (MemoryError, ValueError) as exc:  # ValueError: past numpy's dimension limit
             raise MemoryError(f"a Lyapunov table of {rows} rows cannot be reserved ({exc})") from exc
         self._rows = 0
-        self._last_k = None  # of the last row seen
+        self._final = None  # the last post-state seen
         self._last_ne = math.nan  # accelerated: the NE of the last row's transition
 
     def _state_values(self, x, y, tau, sigma):
@@ -436,7 +439,7 @@ class TableAccumulator:
         if accelerated:
             E_next[:] = lyapunov_accelerated(x_next, x, y, saddle, tau_n, tau, sched.s, F)
         follows = np.empty(len(k), dtype=bool)
-        follows[0] = lo > 0 and k[0] == self._last_k + 1
+        follows[0] = lo > 0 and k[0] == self._k[lo - 1] + 1
         follows[1:] = k[1:] == k[:-1] + 1
         after = np.flatnonzero(follows) + lo
         columns[:3, after] = columns[3:6, after - 1]
@@ -457,31 +460,28 @@ class TableAccumulator:
                 ne[0] = numerical_error(
                     np.zeros_like(x0), y[0] - init_y, None, sched.s, F, accelerated=True
                 )
-        self._rows, self._last_k = hi, k[-1]
+        self._k[lo:hi] = k
+        self._rows, self._final = hi, (x_next[-1].copy(), y_next[-1].copy())
 
-    def table(self, trajectory: Trajectory) -> LyapunovTable:
-        """The table of the rows seen, which are the rows of ``trajectory``."""
-        k = trajectory.k
-        if len(k) != self._rows:
-            raise ValueError(f"the trajectory has {len(k)} rows, the table {self._rows}")
+    def table(self) -> LyapunovTable:
+        """The table of the rows seen, its floors taken at the last
+        post-state; ValueError if no block was handed over."""
+        if self._final is None:
+            raise ValueError("the Lyapunov table has no rows: no block was handed over")
         E, dist_x, dist_y, E_next, dist_x_next, dist_y_next, ne = self._columns[:, : self._rows]
-        saddle, final = self._saddle, trajectory.final
+        saddle, (x_K, y_K) = self._saddle, self._final
         return LyapunovTable(
-            k=k, E=E, ne=ne, dist_x=dist_x, dist_y=dist_y,
+            schedule=self._schedule, k=self._k[: self._rows], E=E, ne=ne,
+            dist_x=dist_x, dist_y=dist_y,
             E_next=E_next, dist_x_next=dist_x_next, dist_y_next=dist_y_next,
-            dist_x_floor=_rounding_floor(saddle.x, final.x),
-            dist_y_floor=_rounding_floor(saddle.y, final.y),
+            dist_x_floor=_rounding_floor(saddle.x, x_K),
+            dist_y_floor=_rounding_floor(saddle.y, y_K),
         )
 
 
-def lemma_records(
-    trajectory: Trajectory,
-    problem: SaddleProblem,
-    table: LyapunovTable,
-) -> Claim:
-    """The descent lemma of the trajectory's regime (read from its
-    schedule) along the recorded steps, on its :class:`TableAccumulator`
-    table.
+def lemma_records(problem: SaddleProblem, table: LyapunovTable) -> Claim:
+    """The descent lemma of the table's regime (read from its schedule)
+    along its rows.
 
     Returns the "descent lemma" :class:`Claim` on every row: the measured
     E(k+1) - E(k) stays under the bound, the lemma's right-hand side, up to
@@ -496,7 +496,7 @@ def lemma_records(
     s ||F|| < 1 is re-verified against the problem's exact ``F_norm``;
     an inadmissible trajectory is refused outright.
     """
-    sched = trajectory.schedule
+    sched = table.schedule
     regime = sched.regime
     if sched.s * problem.F_norm >= 1.0:
         raise ValueError(
@@ -504,7 +504,7 @@ def lemma_records(
             "the descent lemmas assume s * ||F|| < 1"
         )
 
-    k = trajectory.k
+    k = table.k
     mu, gamma = problem.mu, problem.gamma
     if regime == ACCELERATED:
         if mu <= 0:
@@ -531,7 +531,7 @@ def lemma_records(
     else:
         raise ValueError(f"unknown regime {regime!r}")
 
-    tau_k, sigma_k = trajectory.tau, trajectory.sigma
+    tau_k, sigma_k, _ = schedule_at(sched, k)
     tau_n, sigma_n, _ = schedule_at(sched, k + 1)
     dxn, dyn = table.dist_x_next, table.dist_y_next
     # At extreme moduli the steps' squares and the E values leave the double

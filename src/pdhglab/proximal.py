@@ -47,8 +47,6 @@ class QuadraticProxCache:
         b = np.asarray(b, dtype=float).ravel()
         if A.ndim != 2 or A.shape[0] != b.shape[0]:
             raise ValueError("A and b have incompatible shapes")
-        self.A = A
-        self.b = b
         gram = A.T @ A
         eigvals, eigvecs = np.linalg.eigh(gram)
         self.eigvals = np.maximum(eigvals, 0.0)  # clip rounding negatives

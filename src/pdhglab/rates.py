@@ -37,28 +37,22 @@ class ContractionSummary:
     geomean_ratio: float
 
 
-def _pairs(series) -> tuple[np.ndarray, np.ndarray]:
-    """The k and value columns of a series of (k, value) pairs, as floats."""
-    pairs = np.asarray(series, dtype=float).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
-
-
 def default_window(K0: int = 1) -> tuple[int, int]:
     """Fit window [max(100, 10*K0), 10^4], skipping the pre-asymptotic head."""
     return (max(100, 10 * K0), 10_000)
 
 
-def fit_rate(series, window: tuple[int, int]) -> RateFit:
+def fit_rate(ks, vs, window: tuple[int, int]) -> RateFit:
     """OLS of ln v against ln k over the window [k_lo, k_hi]; the slope is
     the empirical order (slope -2 means O(1/k^2)).
 
-    ``series`` holds (k, v) pairs: a sequence of pairs or an (n, 2) array.
-    Requires at least 10 points with k inside the window, all with v > 0.
+    ``ks`` and ``vs`` are the k and v columns of the series.  Requires at
+    least 10 points with k inside the window, all with v > 0.
     """
     k_lo, k_hi = window
     if k_lo >= k_hi:
         raise ValueError("window must satisfy k_lo < k_hi")
-    ks, vs = _pairs(series)
+    ks, vs = np.asarray(ks, dtype=float), np.asarray(vs, dtype=float)
     inside = (k_lo <= ks) & (ks <= k_hi) & (ks > 0)
     ks, vs = ks[inside], vs[inside]
     if len(ks) < 10:
@@ -75,16 +69,16 @@ def fit_rate(series, window: tuple[int, int]) -> RateFit:
     )
 
 
-def contraction_factors(E_series) -> ContractionSummary:
-    """Contraction ratios of a positive, indexed series of (k, E) pairs (a
-    sequence of pairs or an (n, 2) array).
+def contraction_factors(ks, Es) -> ContractionSummary:
+    """Contraction ratios of a positive, indexed series, given as its k
+    and E columns.
 
     The series is truncated at the first E below TRUNCATION_FLOOR.  Ratios
     between non-consecutive indices are normalized per step,
     (E_j/E_i)^(1/(j-i)); the geometric mean telescopes to
     (E_last/E_first)^(1/(k_last-k_first)).
     """
-    ks, Es = _pairs(E_series)
+    ks, Es = np.asarray(ks, dtype=float), np.asarray(Es, dtype=float)
     below = np.flatnonzero(Es < TRUNCATION_FLOOR)
     if below.size:
         ks, Es = ks[: below[0]], Es[: below[0]]

@@ -43,4 +43,4 @@ def recorded_run(problem, schedule, init, saddle=None, **run_args):
         table = TableAccumulator(schedule, problem, saddle, init, rows)
     recorder = RecordingObserver(table)
     traj = run(problem, schedule, init, observer=recorder, **run_args)
-    return traj, recorder.states(), None if table is None else table.table(traj)
+    return traj, recorder.states(), None if table is None else table.table()

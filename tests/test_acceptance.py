@@ -47,6 +47,7 @@ from pdhglab.schedules import (
     VARYING_SC,
     k0_threshold,
     make_schedule,
+    schedule_at,
 )
 from pdhglab.zoo import (
     GEN_LASSO,
@@ -119,7 +120,7 @@ def test_criterion_01_lemma_descent_suites():
             traj, _, table = recorded_run(
                 problem, schedule, zeros_init(problem), saddle, budget=1000, tol=0.0
             )
-            claim = lemma_records(traj, problem, table)
+            claim = lemma_records(problem, table)
             slack = claim.bound - claim.measured
             for E, lemma_slack in zip(table.E, slack):
                 worst = min(worst, lemma_slack + 1e-8 * (1.0 + abs(E)))
@@ -159,11 +160,12 @@ def test_criterion_02_varying_sc_theorem_bound():
 
     rows = range(len(traj.k))
     assert traj.k[0] == 0 and traj.k[-1] == 10_000
+    tau, sigma, _ = schedule_at(schedule, traj.k)
     E = [
-        lyapunov_fixed(states.x[i], states.y[i], saddle, traj.tau[i], traj.sigma[i], problem.F)
+        lyapunov_fixed(states.x[i], states.y[i], saddle, tau[i], sigma[i], problem.F)
         for i in rows
     ]
-    lyapunov_claim, trajectory_claim = theorem_bound(schedule, problem, table).claims
+    lyapunov_claim, trajectory_claim = theorem_bound(problem, table).claims
     bound, trajectory_bound = lyapunov_claim.bound, trajectory_claim.bound
 
     worst_E = worst_traj = 0.0
@@ -196,7 +198,7 @@ def test_criterion_03_slope_trend_toward_minus_two():
             for k, x in zip(states.k, states.x)
             if dist_sq(x, saddle.x) > 0.0
         ]
-        fit = fit_rate(series, window=(100, 10_000))
+        fit = fit_rate(*zip(*series), window=(100, 10_000))
         slopes.append(fit.slope)
     gaps = [abs(sl + 2.0) for sl in slopes]
     ok = gaps[0] > gaps[1] > gaps[2] and -2.1 <= slopes[-1] <= -1.75
@@ -233,7 +235,7 @@ def test_criterion_04_accelerated_rate_bound():
         init.x, None, init.y, saddle, 1.0 / c, None, s, problem.F
     )
     assert table.k[0] == 1 and table.E[0] == E_K0
-    (claim,) = theorem_bound(schedule, problem, table).claims
+    (claim,) = theorem_bound(problem, table).claims
     assert claim.k[0] == 1  # K0 = 1: the claim covers every row
     bound = claim.bound
     worst = 0.0
@@ -245,7 +247,7 @@ def test_criterion_04_accelerated_rate_bound():
         for k, x in zip(traj.k, states.x)
         if dist_sq(x, saddle.x) > 0.0
     ]
-    fit = fit_rate(series, window=(100, 10_000))
+    fit = fit_rate(*zip(*series), window=(100, 10_000))
     elapsed = time.perf_counter() - start
     ok = worst <= 1.0 + 1e-6 and -2.3 <= fit.slope <= -1.9 and elapsed < 30.0
     report(
@@ -279,13 +281,15 @@ def test_criterion_05_contraction_rate():
     assert problem.mu == 1.0 and problem.gamma == 1.0
     E = [
         (k, lyapunov_fixed(x, y, saddle, tau, sigma, problem.F))
-        for k, x, y, tau, sigma in zip(traj.k, states.x, states.y, traj.tau, traj.sigma)
+        for k, x, y, tau, sigma in zip(
+            traj.k, states.x, states.y, *schedule_at(traj.schedule, traj.k)[:2]
+        )
     ]
-    summary = contraction_factors(E)
+    summary = contraction_factors(*zip(*E))
 
     weighted = dist_sq(states.x_next[-1], saddle.x) + dist_sq(states.y_next[-1], saddle.y)
     # the sandwich at the post-state of the last row, k + 1
-    _, sandwich_claim = theorem_bound(traj.schedule, problem, table).claims
+    _, sandwich_claim = theorem_bound(problem, table).claims
     (sandwich,) = sandwich_claim.bound
     ok = (
         summary.max_ratio <= rho + 1e-8
@@ -383,10 +387,11 @@ def test_criterion_07_optimality_residuals():
             regime, built.problem.F_norm, mu=problem.mu, gamma=problem.gamma
         )
         traj, states, _ = recorded_run(problem, schedule, zeros_init(problem), budget=1000, tol=0.0)
+        tau, sigma, theta = schedule_at(schedule, traj.k)
         for i in range(len(traj.k)):
             r_x, r_y = optimality_residual(
                 problem, states.x[i], states.y[i], states.x_next[i], states.y_next[i],
-                traj.tau[i], traj.sigma[i], traj.theta[i],
+                tau[i], sigma[i], theta[i],
             )
             worst = max(worst, r_x, r_y)
             n_steps += 1

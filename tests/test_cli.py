@@ -24,7 +24,7 @@ from pdhglab.config import ConfigError, materialize, parse_config
 from pdhglab.dynamics import integrate
 from pdhglab.lyapunov import Claim, lyapunov_fixed, numerical_error
 from pdhglab.problems import PrimalDualPair
-from pdhglab.schedules import FIXED, Schedule
+from pdhglab.schedules import FIXED, Schedule, schedule_at
 from recording import recorded_run
 
 
@@ -59,8 +59,8 @@ def patch_claims(monkeypatch, change):
     regime's real theorem."""
     real_bound = cli.theorem_bound
 
-    def patched(schedule, problem, table):
-        theorem = real_bound(schedule, problem, table)
+    def patched(problem, table):
+        theorem = real_bound(problem, table)
         return replace(theorem, claims=tuple(change(claim) for claim in theorem.claims))
 
     monkeypatch.setattr(cli, "theorem_bound", patched)
@@ -125,14 +125,15 @@ def test_run_budget_one_golden_row(tmp_path):
     assert saddle is not None
 
     x, y, x_next, y_next = states.x[0], states.y[0], states.x_next[0], states.y_next[0]
+    (tau,), (sigma,), (theta,) = schedule_at(schedule, traj.k)
     assert int(row["k"]) == traj.k[0] == 0
-    assert float(row["tau_k"]) == traj.tau[0]
-    assert float(row["sigma_k"]) == traj.sigma[0]
-    assert float(row["theta_k"]) == traj.theta[0] == 1.0
+    assert float(row["tau_k"]) == tau
+    assert float(row["sigma_k"]) == sigma
+    assert float(row["theta_k"]) == theta == 1.0
     assert float(row["dist_x_sq"]) == float((x - saddle.x) @ (x - saddle.x))
     assert float(row["dist_y_sq"]) == float((y - saddle.y) @ (y - saddle.y))
-    E = lyapunov_fixed(x, y, saddle, traj.tau[0], traj.sigma[0], problem.F)
-    ne = numerical_error(x_next - x, y_next - y, traj.tau[0], traj.sigma[0], problem.F)
+    E = lyapunov_fixed(x, y, saddle, tau, sigma, problem.F)
+    ne = numerical_error(x_next - x, y_next - y, tau, sigma, problem.F)
     assert float(row["lyapunov"]) == E
     assert float(row["ne"]) == ne
     # no lemma check requested and no fixed-regime bound: both columns are nan
@@ -515,6 +516,30 @@ def test_ode_compare_certifies_a_stiff_step_at_its_rounding_floor(tmp_path, caps
     assert re.search(r"^check\.ode_compare = PASS \(halving ratios \S+, \S+\)$", out, re.M)
 
 
+@pytest.mark.parametrize(
+    "moduli, verdict",
+    [
+        (1e-200, "PASS (halving ratios 0.193, 0.242)"),
+        (1e-300, "PASS (halving ratios 0.193, 0.242)"),
+        (1e300, "SKIPPED (discretization error is zero)"),
+        (1.7e308, "SKIPPED (discretization error is zero)"),
+    ],
+)
+def test_ode_compare_rescales_a_distance_whose_square_underflows(tmp_path, capsys, moduli, verdict):
+    # at mu = gamma = 1e-200 the iterates stay about 1e-201 from the
+    # reference, whose square underflows to 0: rescaled, the sup errors of
+    # levels 0-3 are 1.37e-201, 2.63e-202, 6.35e-203 and 1.58e-203; at 1e300
+    # and 1.7e308 the distances are exactly 0
+    doc = {
+        "instance": {"kind": "quad_pair", "d": 2, "seed": 0, "mu": moduli, "gamma": moduli},
+        "regime": "fixed",
+        "budget": 50,
+        "checks": ["ode_compare"],
+    }
+    assert main(["verify", write_config(tmp_path, doc)]) == 0
+    assert f"check.ode_compare = {verdict}\n" in capsys.readouterr().out
+
+
 def test_optimal_ss_sandwich_below_the_rounding_floor_passes(tmp_path, capsys):
     # mu = 1e200 puts rho near 1e-100: the sandwich bound falls to about
     # 1e-99 while an x of order 1 lies about 1e-16 from x*, which mu weighs
@@ -761,8 +786,8 @@ def test_theorem_fails_on_exceeded_bound(monkeypatch, regime, form, detail):
     # the optimal_ss sandwich, shrunk, stays above its rounding floor
     real_bound = cli.theorem_bound
 
-    def shrunk(schedule, problem, table):
-        theorem = real_bound(schedule, problem, table)
+    def shrunk(problem, table):
+        theorem = real_bound(problem, table)
         claims = list(theorem.claims)
         i = 0 if form == "lyapunov" else -1
         claims[i] = replace(claims[i], bound=claims[i].bound * 1e-12)
@@ -1255,6 +1280,15 @@ def test_a_null_required_key_is_missing(tmp_path, capsys, key, message):
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam", ["absent", None])
+@pytest.mark.parametrize("kind", ["lasso", "gen_lasso"])
+def test_an_l1_kind_without_lam_is_missing_a_required_key(tmp_path, capsys, kind, lam):
+    instance = {"kind": kind, "d": 3} if lam == "absent" else {"kind": kind, "d": 3, "lam": lam}
+    doc = {"instance": instance, "regime": "fixed"}
+    assert main(["info", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == 'config error: missing required key "instance.lam"\n'
+
+
 def test_verify_large_total_variation_instance(tmp_path, capsys):
     # the first-difference norm at d = 400 is exact, so every check runs
     doc = {
@@ -1329,7 +1363,20 @@ def csv_writer_reference(path, columns):
             writer.writerow([str(int(row[0]))] + [f"{float(v):.17g}" for v in row[1:]])
 
 
-def test_csv_matches_csv_writer_byte_for_byte(tmp_path):
+def csv_inputs(monkeypatch, k, values):
+    """The run and the table that :func:`cli._write_csv` reads for the
+    eleven columns ``values`` after k; the step columns, values 0 to 2,
+    come from a patched ``schedule_at``."""
+    steps = tuple(values[:3])
+    monkeypatch.setattr(cli, "schedule_at", lambda schedule, ks: steps if ks is k else None)
+    traj = SimpleNamespace(
+        k=k, schedule=None, primal_residual=values[9], dual_residual=values[10]
+    )
+    table = SimpleNamespace(dist_x=values[3], dist_y=values[4], E=values[5], ne=values[6])
+    return traj, table
+
+
+def test_csv_matches_csv_writer_byte_for_byte(tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     n = 64
     special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
@@ -1340,11 +1387,7 @@ def test_csv_matches_csv_writer_byte_for_byte(tmp_path):
         column[: len(special)] = rng.permutation(special)
         values.append(column)
     k = np.arange(n) * 7
-    traj = SimpleNamespace(
-        k=k, tau=values[0], sigma=values[1], theta=values[2],
-        primal_residual=values[9], dual_residual=values[10],
-    )
-    table = SimpleNamespace(dist_x=values[3], dist_y=values[4], E=values[5], ne=values[6])
+    traj, table = csv_inputs(monkeypatch, k, values)
     cli._write_csv(tmp_path / "got.csv", traj, table, values[7], values[8])
     csv_writer_reference(tmp_path / "want.csv", [k] + values)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -1359,7 +1402,7 @@ def test_csv_matches_csv_writer_byte_for_byte(tmp_path):
 
 
 @pytest.mark.parametrize("rows", [1, 255, 256, 257, 513])
-def test_csv_has_the_bytes_of_savetxt(tmp_path, rows):
+def test_csv_has_the_bytes_of_savetxt(tmp_path, monkeypatch, rows):
     # row counts about the 256-row format block
     rng = np.random.default_rng(rows)
     special = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.7976931348623157e308]
@@ -1370,11 +1413,7 @@ def test_csv_has_the_bytes_of_savetxt(tmp_path, rows):
         column[at] = np.roll(special, j)[: len(at)]
         values.append(column)
     k = np.arange(rows) * 3 + 1
-    traj = SimpleNamespace(
-        k=k, tau=values[0], sigma=values[1], theta=values[2],
-        primal_residual=values[9], dual_residual=values[10],
-    )
-    table = SimpleNamespace(dist_x=values[3], dist_y=values[4], E=values[5], ne=values[6])
+    traj, table = csv_inputs(monkeypatch, k, values)
     cli._write_csv(tmp_path / "got.csv", traj, table, values[7], values[8])
     np.savetxt(
         tmp_path / "want.csv", np.column_stack([k] + values), fmt=["%d"] + ["%.17g"] * 11,

@@ -114,8 +114,7 @@ def test_directly_built_accelerated_schedule_starts_at_k_one():
     want, want_states, _ = recorded_run(built.problem, made, init, budget=20, tol=0.0)
     assert direct == made
     assert got.k[0] == 1
-    for name in ("k", "tau", "sigma", "theta"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(got.k, want.k)
     for name in ("x", "y", "x_next", "y_next"):
         assert np.array_equal(getattr(got_states, name), getattr(want_states, name))
 
@@ -205,7 +204,7 @@ def transition(traj, states, i):
     :func:`optimality_residual` takes them."""
     return (
         states.x[i], states.y[i], states.x_next[i], states.y_next[i],
-        traj.tau[i], traj.sigma[i], traj.theta[i],
+        *schedule_at(traj.schedule, traj.k[i]),
     )
 
 
@@ -365,18 +364,29 @@ def test_a_record_every_past_the_budget_records_the_first_and_last_rows():
             assert np.array_equal(got.final.x, want.final.x)
 
 
-def test_engine_does_not_import_the_diagnostics():
-    # the solver streams to a block observer; it must not depend on lyapunov
-    path = Path(__file__).resolve().parents[1] / "src" / "pdhglab" / "engine.py"
+def imported_names(module):
+    """Every module and name that ``pdhglab/<module>.py`` imports, as dotted
+    names (relative imports without their leading dots)."""
+    path = Path(__file__).resolve().parents[1] / "src" / "pdhglab" / f"{module}.py"
     imported = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            imported.add(module)
-            imported.update(f"{module}.{alias.name}" for alias in node.names)
-    assert not [name for name in imported if "lyapunov" in name.split(".")]
+            source = node.module or ""
+            imported.add(source)
+            imported.update(f"{source}.{alias.name}" for alias in node.names)
+    return imported
+
+
+def test_engine_does_not_import_the_diagnostics():
+    # the solver streams to a block observer; it must not depend on lyapunov
+    assert not [name for name in imported_names("engine") if "lyapunov" in name.split(".")]
+
+
+def test_the_diagnostics_do_not_import_the_engine():
+    # a Lyapunov table holds its own rows and schedule; it reads no trajectory
+    assert not [name for name in imported_names("lyapunov") if "engine" in name.split(".")]
 
 
 def reference_run(problem, schedule, init, budget, tol, record_every=1):
@@ -424,12 +434,9 @@ def assert_matches_reference(problem, schedule, init, budget, tol, record_every=
     recorded, states, _ = recorded_run(
         problem, schedule, init, budget=budget, tol=tol, record_every=record_every
     )
-    tau, sigma, theta = schedule_at(schedule, want["k"])
     for got in (dropped, recorded):
         assert got.termination == termination
         assert np.array_equal(got.k, want["k"])
-        for name, column in (("tau", tau), ("sigma", sigma), ("theta", theta)):
-            assert np.array_equal(getattr(got, name), column)
         assert np.array_equal(got.final.x, final.x) and np.array_equal(got.final.y, final.y)
         np.testing.assert_array_equal(got.primal_residual, want["rp"])
         np.testing.assert_array_equal(got.dual_residual, want["rd"])
@@ -587,7 +594,7 @@ def test_a_stacked_run_gives_each_row_the_bits_of_its_own_run(monkeypatch, strea
     for b, (schedule, got) in enumerate(zip(schedules, stack)):
         want = assert_matches_reference(problem, schedule, init, budget, tol, record_every)
         assert got.schedule is schedule and got.termination == want.termination
-        for name in ("k", "tau", "sigma", "theta", "primal_residual", "dual_residual"):
+        for name in ("k", "primal_residual", "dual_residual"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert np.array_equal(got.final.x, want.final.x)
         assert np.array_equal(got.final.y, want.final.y)
@@ -654,7 +661,7 @@ def test_the_loop_makes_no_per_step_schedule_or_residual_call(monkeypatch):
     budget = 3 * engine.STEP_BLOCK + 5
     run(built.problem, schedule, PrimalDualPair(np.zeros(10), np.zeros(9)), budget=budget, tol=0.0)
     blocks = 4
-    assert calls["schedule_at"] == blocks + 1  # one more for the (R,) step columns
+    assert calls["schedule_at"] == blocks
     assert calls["step_residuals"] == blocks
     # F^T y of the start, then one F and one F^T per step, one each per block
     assert calls["apply"] == budget + blocks

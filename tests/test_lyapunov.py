@@ -7,7 +7,6 @@ guarantees (positivity under admissibility, refusal outside it).
 
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -143,12 +142,13 @@ def test_rate_constants():
 
 
 def bound_inputs(
-    k, E, mu=1.0, gamma=0.0, F_norm=0.0, dist_x=0.0, dist_y=0.0, floor_x=0.0, floor_y=0.0
+    schedule, k, E, mu=1.0, gamma=0.0, F_norm=0.0, dist_x=0.0, dist_y=0.0, floor_x=0.0,
+    floor_y=0.0,
 ):
     """A problem with the given moduli and a 1x1 coupling of norm ``F_norm``,
-    and a table with rows ``k``, Lyapunov values ``E``, constant squared
-    distances and the given rounding floors; theorem_bound reads nothing
-    else."""
+    and a table under ``schedule`` with rows ``k``, Lyapunov values ``E``,
+    constant squared distances and the given rounding floors; theorem_bound
+    reads nothing else."""
     problem = SaddleProblem(
         F=np.array([[F_norm]]), prox_f=None, prox_gstar=None, mu=mu, gamma=gamma
     )
@@ -156,8 +156,8 @@ def bound_inputs(
     E = np.broadcast_to(np.asarray(E, dtype=float), k.shape)
     dx, dy, nan = (np.full(k.shape, v) for v in (dist_x, dist_y, math.nan))
     table = lyapunov.LyapunovTable(
-        k=k, E=E, ne=nan, dist_x=dx, dist_y=dy, E_next=nan, dist_x_next=dx, dist_y_next=dy,
-        dist_x_floor=floor_x, dist_y_floor=floor_y,
+        schedule=schedule, k=k, E=E, ne=nan, dist_x=dx, dist_y=dy,
+        E_next=nan, dist_x_next=dx, dist_y_next=dy, dist_x_floor=floor_x, dist_y_floor=floor_y,
     )
     return problem, table
 
@@ -165,8 +165,8 @@ def bound_inputs(
 def test_theorem_bound_integer_alpha_reduces_to_rational():
     # mu = 1, c = 0.5, s = 1, F = 0 gives alpha = 1 and bound 2 E0 / (k + 2)
     k = np.array([0, 1, 8, 100])
-    problem, table = bound_inputs(k, 1.0)
-    bound = theorem_bound(Schedule(VARYING_SC, s=1.0, c=0.5), problem, table).bound
+    problem, table = bound_inputs(Schedule(VARYING_SC, s=1.0, c=0.5), k, 1.0)
+    bound = theorem_bound(problem, table).bound
     for ki, got in zip(k, bound):
         assert abs(got - 2.0 / (ki + 2)) <= 1e-12
     assert abs(bound[2] - 0.2) <= 1e-12
@@ -175,8 +175,10 @@ def test_theorem_bound_integer_alpha_reduces_to_rational():
 def test_theorem_bound_matches_direct_gamma_for_small_k():
     mu, c, s, Fn = 1.0, 0.25, 0.4, 1.3
     alpha = alpha_rate(mu, c, s, Fn)
-    problem, table = bound_inputs(np.arange(21), 3.0, mu=mu, F_norm=Fn)
-    bound = theorem_bound(Schedule(VARYING_SC, s=s, c=c), problem, table).bound
+    problem, table = bound_inputs(
+        Schedule(VARYING_SC, s=s, c=c), np.arange(21), 3.0, mu=mu, F_norm=Fn
+    )
+    bound = theorem_bound(problem, table).bound
     for k, got in enumerate(bound):
         want = (1 + alpha) * math.gamma(k + 2) / math.gamma(k + 2 + alpha) * 3.0
         assert abs(got - want) <= 1e-12 * want
@@ -184,8 +186,10 @@ def test_theorem_bound_matches_direct_gamma_for_small_k():
 
 def test_theorem_bound_recurrence_and_monotonicity():
     mu, c, s, Fn = 0.5, 0.2, 0.8, 1.0
-    problem, table = bound_inputs(np.arange(400), 1.0, mu=mu, F_norm=Fn)
-    bound = theorem_bound(Schedule(VARYING_SC, s=s, c=c), problem, table).bound
+    problem, table = bound_inputs(
+        Schedule(VARYING_SC, s=s, c=c), np.arange(400), 1.0, mu=mu, F_norm=Fn
+    )
+    bound = theorem_bound(problem, table).bound
     alpha = alpha_rate(mu, c, s, Fn)
     for k in range(1, 400):
         prev, cur = bound[k - 1], bound[k]
@@ -194,21 +198,24 @@ def test_theorem_bound_recurrence_and_monotonicity():
 
 
 def test_theorem_bound_regimes_and_errors():
-    problem, table = bound_inputs(np.arange(5), 1.0, gamma=1.0)
+    fixed = Schedule(FIXED, s=0.5, tau=0.5, sigma=0.5)
+    problem, table = bound_inputs(fixed, np.arange(5), 1.0, gamma=1.0)
     with pytest.raises(NoMatchingLemma, match=r"^fixed regime has no closed-form rate guarantee$"):
-        theorem_bound(Schedule(FIXED, s=0.5, tau=0.5, sigma=0.5), problem, table)
+        theorem_bound(problem, table)
     # accelerated bound below the threshold index K0 = 5 is undefined
-    problem, table = bound_inputs(np.arange(1, 11), 1.0)
-    theorem = theorem_bound(Schedule(ACCELERATED, s=0.5, c=0.9), problem, table)
+    problem, table = bound_inputs(Schedule(ACCELERATED, s=0.5, c=0.9), np.arange(1, 11), 1.0)
+    theorem = theorem_bound(problem, table)
     assert np.isnan(theorem.bound[:4]).all()
     (claim,) = theorem.claims
     np.testing.assert_array_equal(claim.bound, theorem.bound[4:])
-    problem, table = bound_inputs(np.arange(1, 11), 4.5)
-    bound = theorem_bound(Schedule(ACCELERATED, s=0.5, c=2.0 / 3.0), problem, table).bound
+    problem, table = bound_inputs(
+        Schedule(ACCELERATED, s=0.5, c=2.0 / 3.0), np.arange(1, 11), 4.5
+    )
+    bound = theorem_bound(problem, table).bound
     assert abs(bound[-1] - 2 * 4.5 / ((2.0 / 3.0) ** 2 * 100)) <= 1e-12
-    problem, table = bound_inputs(np.arange(8), 2.0, gamma=1.0, F_norm=1.0)
     sched = Schedule(OPTIMAL_SS, s=0.5, tau=0.5, sigma=0.5)
-    bound = theorem_bound(sched, problem, table).bound
+    problem, table = bound_inputs(sched, np.arange(8), 2.0, gamma=1.0, F_norm=1.0)
+    bound = theorem_bound(problem, table).bound
     assert abs(bound[-1] - 0.6**7 * 2.0) <= 1e-12
 
 
@@ -217,18 +224,21 @@ def test_theorem_bound_trajectory_forms():
     # Gamma(k+1)/Gamma(k+2+alpha) (dx0 + dy0/(c^2 s^2)), q = s ||F||
     mu, c, s, Fn = 1.0, 0.25, 0.4, 1.3
     alpha, q = alpha_rate(mu, c, s, Fn), s * Fn
-    problem, table = bound_inputs(np.arange(21), 3.0, mu=mu, F_norm=Fn, dist_x=2.0, dist_y=0.5)
-    trajectory = theorem_bound(Schedule(VARYING_SC, s=s, c=c), problem, table).claims[1].bound
+    problem, table = bound_inputs(
+        Schedule(VARYING_SC, s=s, c=c), np.arange(21), 3.0, mu=mu, F_norm=Fn,
+        dist_x=2.0, dist_y=0.5,
+    )
+    trajectory = theorem_bound(problem, table).claims[1].bound
     for k, got in enumerate(trajectory):
         want = (1 + q) / (1 - q) * (1 + alpha) * math.gamma(k + 1) / math.gamma(k + 2 + alpha)
         want *= 2.0 + 0.5 / (c**2 * s**2)
         assert abs(got - want) <= 1e-12 * want
     # optimal_ss at the final post-state K = 8: (1 + q)/(1 - q) rho^K (mu dx0 + gamma dy0)
-    problem, table = bound_inputs(
-        np.arange(8), 2.0, mu=1.0, gamma=4.0, F_norm=1.0, dist_x=2.0, dist_y=0.5
-    )
     sched = make_schedule(OPTIMAL_SS, 1.0, s=0.5, mu=1.0, gamma=4.0)
-    (got,) = theorem_bound(sched, problem, table).claims[1].bound
+    problem, table = bound_inputs(
+        sched, np.arange(8), 2.0, mu=1.0, gamma=4.0, F_norm=1.0, dist_x=2.0, dist_y=0.5
+    )
+    (got,) = theorem_bound(problem, table).claims[1].bound
     want = 3.0 * rho_rate(1.0, 4.0, 0.5, 1.0) ** 8 * (2.0 + 4.0 * 0.5)
     assert abs(got - want) <= 1e-12 * want
 
@@ -236,30 +246,32 @@ def test_theorem_bound_trajectory_forms():
 @pytest.mark.parametrize("k, E", [(np.arange(3, 8), 1.0), (np.arange(5), math.nan)])
 def test_theorem_bound_needs_the_run_from_its_start(k, E):
     # a table that does not start at k = 0, or has no E(0)
-    problem, table = bound_inputs(k, E, gamma=1.0, F_norm=1.0)
     schedules = (
         Schedule(VARYING_SC, s=0.5, c=0.5), Schedule(OPTIMAL_SS, s=0.5, tau=0.5, sigma=0.5)
     )
     for sched in schedules:
+        problem, table = bound_inputs(sched, k, E, gamma=1.0, F_norm=1.0)
         with pytest.raises(
             NoMatchingLemma,
             match=r"^bound constants unavailable \(run not recorded from its start\)$",
         ):
-            theorem_bound(sched, problem, table)
+            theorem_bound(problem, table)
 
 
 def test_theorem_bound_accelerated_needs_E_at_K0():
     # c = 0.9 with mu = 1 gives K0 = 5; rows recorded every 7th step skip it
-    problem, table = bound_inputs(np.arange(1, 30, 7), 1.0)
+    problem, table = bound_inputs(Schedule(ACCELERATED, s=0.5, c=0.9), np.arange(1, 30, 7), 1.0)
     with pytest.raises(
         NoMatchingLemma, match=r"^E\(K0\) unavailable: no Lyapunov value at K0=5, last k=29$"
     ):
-        theorem_bound(Schedule(ACCELERATED, s=0.5, c=0.9), problem, table)
+        theorem_bound(problem, table)
 
 
 def test_varying_sc_claims_cover_every_row():
-    problem, table = bound_inputs(np.arange(6), 1.0, F_norm=1.0, dist_x=2.0)
-    theorem = theorem_bound(Schedule(VARYING_SC, s=0.5, c=0.5), problem, table)
+    problem, table = bound_inputs(
+        Schedule(VARYING_SC, s=0.5, c=0.5), np.arange(6), 1.0, F_norm=1.0, dist_x=2.0
+    )
+    theorem = theorem_bound(problem, table)
     lyap, traj = theorem.claims
     assert (lyap.name, traj.name) == ("Lyapunov bound", "trajectory bound")
     for claim, measured in ((lyap, table.E), (traj, table.dist_x)):
@@ -272,8 +284,10 @@ def test_varying_sc_claims_cover_every_row():
 
 def test_accelerated_claim_starts_at_K0():
     # c = 0.9 with mu = 1 gives K0 = 5
-    problem, table = bound_inputs(np.arange(1, 11), 1.0, dist_x=np.arange(1.0, 11.0))
-    (claim,) = theorem_bound(Schedule(ACCELERATED, s=0.5, c=0.9), problem, table).claims
+    problem, table = bound_inputs(
+        Schedule(ACCELERATED, s=0.5, c=0.9), np.arange(1, 11), 1.0, dist_x=np.arange(1.0, 11.0)
+    )
+    (claim,) = theorem_bound(problem, table).claims
     assert claim.name == "O(1/k^2) bound"
     np.testing.assert_array_equal(claim.k, np.arange(5, 11))
     np.testing.assert_array_equal(claim.measured, np.arange(5.0, 11.0))
@@ -282,12 +296,12 @@ def test_accelerated_claim_starts_at_K0():
 
 def test_optimal_ss_claims_stop_contraction_at_the_truncation_floor():
     E = np.array([1.0, 0.5, 0.25, 0.1 * TRUNCATION_FLOOR, 0.01 * TRUNCATION_FLOOR])
+    sched = make_schedule(OPTIMAL_SS, 1.0, s=0.5, mu=1.0, gamma=4.0)
     problem, table = bound_inputs(
-        np.arange(5), E, gamma=4.0, F_norm=1.0, dist_x=2.0, dist_y=0.5,
+        sched, np.arange(5), E, gamma=4.0, F_norm=1.0, dist_x=2.0, dist_y=0.5,
         floor_x=1e-30, floor_y=1e-31,
     )
-    sched = make_schedule(OPTIMAL_SS, 1.0, s=0.5, mu=1.0, gamma=4.0)
-    contraction, sandwich = theorem_bound(sched, problem, table).claims
+    contraction, sandwich = theorem_bound(problem, table).claims
     rho = rho_rate(1.0, 4.0, 0.5, 1.0)
     assert contraction.name == "contraction"
     np.testing.assert_array_equal(contraction.k, [0, 1])
@@ -303,19 +317,53 @@ def test_optimal_ss_claims_stop_contraction_at_the_truncation_floor():
 
 
 def test_optimal_ss_contraction_of_a_short_series_has_no_rows():
-    problem, table = bound_inputs(np.arange(2), [1.0, 0.0], gamma=1.0, F_norm=1.0)
-    contraction, _ = theorem_bound(
-        Schedule(OPTIMAL_SS, s=0.5, tau=0.5, sigma=0.5), problem, table
-    ).claims
+    problem, table = bound_inputs(
+        Schedule(OPTIMAL_SS, s=0.5, tau=0.5, sigma=0.5), np.arange(2), [1.0, 0.0],
+        gamma=1.0, F_norm=1.0,
+    )
+    contraction, _ = theorem_bound(problem, table).claims
     assert len(contraction.k) == len(contraction.measured) == len(contraction.bound) == 0
 
 
-def test_table_rounding_floor_of_the_final_post_state():
-    built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=3, seed=0))
-    problem, saddle = built.problem, built.saddle
-    init = PrimalDualPair(np.zeros(3), np.zeros(3))
-    sched = make_schedule(OPTIMAL_SS, problem.F_norm, s=0.5, mu=problem.mu, gamma=problem.gamma)
-    _, states, table = recorded_run(problem, sched, init, saddle, budget=20, tol=0.0)
+def amplifying_problem(d):
+    """An amplifying "prox" pair that trips the divergence guard after a
+    few steps."""
+    return SaddleProblem(
+        F=np.eye(d), prox_f=lambda v, t: 4.0 * v + 1.0, prox_gstar=lambda w, t: 4.0 * w + 1.0,
+        mu=1.0, gamma=1.0,
+    )
+
+
+def assert_table_of(table, traj, saddle):
+    """``table`` holds the rows and schedule of ``traj`` and the rounding
+    floors of its final state."""
+    assert table.schedule is traj.schedule
+    assert table.k.dtype == np.int64 and np.array_equal(table.k, traj.k)
+    assert table.dist_x_floor == lyapunov._rounding_floor(saddle.x, traj.final.x)
+    assert table.dist_y_floor == lyapunov._rounding_floor(saddle.y, traj.final.y)
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("end", [TERMINATION_BUDGET, TERMINATION_RESIDUAL, TERMINATION_DIVERGENCE])
+def test_table_rounding_floor_of_the_final_post_state(monkeypatch, end, record_every):
+    # the table keeps the rows of its run and the floors of the last
+    # post-state handed over, which is the run's final state however it ends
+    monkeypatch.setattr(engine, "STEP_BLOCK", 14)
+    init = PrimalDualPair(np.ones(4), -np.ones(4))
+    if end == TERMINATION_DIVERGENCE:
+        problem, saddle = amplifying_problem(4), PrimalDualPair(np.zeros(4), np.zeros(4))
+    else:
+        built = build_instance(InstanceSpec(kind="quad_pair", d1=4, seed=0, mu=1.0, gamma=1.0))
+        problem, saddle = built.problem, built.saddle
+    sched = make_schedule(OPTIMAL_SS, problem.F_norm, mu=1.0, gamma=1.0)
+    budget, tol = (20, 0.0) if end == TERMINATION_BUDGET else (1000, 1e-10)
+    traj, states, table = recorded_run(
+        problem, sched, init, saddle, budget=budget, tol=tol, record_every=record_every
+    )
+    assert traj.termination == end
+    if end == TERMINATION_RESIDUAL:  # the stop falls inside a block
+        assert (traj.k[-1] + 1) % 14
+    assert_table_of(table, traj, saddle)
     eps = np.finfo(float).eps
     for floor, star, final in (
         (table.dist_x_floor, saddle.x, states.x_next[-1]),
@@ -323,6 +371,44 @@ def test_table_rounding_floor_of_the_final_post_state():
     ):
         want = sum((eps * max(abs(a), abs(b))) ** 2 for a, b in zip(star, final))
         assert floor == pytest.approx(want, rel=1e-12) and floor > 0.0
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_each_table_of_a_stacked_run_keeps_the_rows_and_the_final_floors_of_its_row(
+    monkeypatch, record_every
+):
+    monkeypatch.setattr(engine, "STEP_BLOCK", 16)
+    # "proxes" that scale their input by their weight t and add 1, coupled
+    # by F = 0.3: the rows settle under t < 1, at tol or at the budget, and
+    # the row at t = 1.6 trips the guard
+    problem = SaddleProblem(
+        F=np.full((1, 1), 0.3), prox_f=lambda v, t: t * v + 1.0,
+        prox_gstar=lambda w, t: t * w + 1.0,
+    )
+    schedules = [Schedule(FIXED, s=w, tau=w, sigma=w) for w in (0.5, 0.8, 1.6, 0.9, 0.99)]
+    init, saddle = PrimalDualPair(np.zeros(1), np.zeros(1)), PrimalDualPair(np.ones(1), np.ones(1))
+    rows = max_recorded_rows(200, record_every)
+    tables = [TableAccumulator(sched, problem, saddle, init, rows) for sched in schedules]
+    stack = run(
+        problem, schedules, init, budget=200, tol=1e-6, record_every=record_every,
+        observer=tables,
+    )
+    assert {traj.termination for traj in stack} == {
+        TERMINATION_BUDGET, TERMINATION_RESIDUAL, TERMINATION_DIVERGENCE
+    }
+    for traj, table in zip(stack, tables):
+        assert_table_of(table.table(), traj, saddle)
+
+
+def test_a_table_before_any_hand_over_is_refused():
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=3, d2=3, seed=0))
+    init = PrimalDualPair(np.zeros(3), np.zeros(3))
+    sched = make_schedule(FIXED, built.problem.F_norm)
+    table = TableAccumulator(sched, built.problem, built.saddle, init, rows=5)
+    with pytest.raises(
+        ValueError, match=r"^the Lyapunov table has no rows: no block was handed over$"
+    ):
+        table.table()
 
 
 def test_check_lemma_quadratic_pair_all_regimes():
@@ -338,7 +424,7 @@ def test_check_lemma_quadratic_pair_all_regimes():
         traj, _, table = recorded_run(
             built.problem, sched, init, built.saddle, budget=500, tol=0.0
         )
-        claim = lemma_records(traj, built.problem, table)
+        claim = lemma_records(built.problem, table)
         rhs, slack = claim.bound, claim.bound - claim.measured
         assert len(slack) >= 1
         for E, ne, lemma_rhs, lemma_slack in zip(table.E, table.ne, rhs, slack):
@@ -355,7 +441,7 @@ def test_check_lemma_saddle_start_gives_zero_energy():
     traj, _, table = recorded_run(
         built.problem, sched, built.saddle, built.saddle, budget=20, tol=0.0
     )
-    claim = lemma_records(traj, built.problem, table)
+    claim = lemma_records(built.problem, table)
     slack = claim.bound - claim.measured
     for E, lemma_slack in zip(table.E, slack):
         assert abs(E) <= 1e-20
@@ -369,7 +455,7 @@ def test_check_lemma_refuses_inadmissible_scale():
     init = PrimalDualPair(np.ones(2), np.ones(2))
     traj, _, table = recorded_run(built.problem, bad, init, built.saddle, budget=3, tol=0.0)
     with pytest.raises(ValueError):
-        lemma_records(traj, built.problem, table)
+        lemma_records(built.problem, table)
 
 
 def test_check_lemma_requires_both_moduli_for_fixed_steps():
@@ -379,7 +465,7 @@ def test_check_lemma_requires_both_moduli_for_fixed_steps():
     init = PrimalDualPair(np.zeros(5), np.zeros(5))
     traj, _, table = recorded_run(built.problem, sched, init, built.saddle, budget=20, tol=0.0)
     with pytest.raises(NoMatchingLemma):
-        lemma_records(traj, built.problem, table)
+        lemma_records(built.problem, table)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +524,7 @@ def reference_slack(regime, traj, problem, ref):
     mu, gamma = problem.mu, problem.gamma
     rhs_all, slack_all = [], []
     for i, k in enumerate(traj.k.tolist()):
-        tau_k, sigma_k = traj.tau[i], traj.sigma[i]
+        tau_k, sigma_k, _ = schedule_at(traj.schedule, k)
         tau_n, sigma_n, _ = schedule_at(traj.schedule, k + 1)
         dxn, dyn = ref["dist_x_next"][i], ref["dist_y_next"][i]
         if regime == ACCELERATED:
@@ -475,9 +561,9 @@ def test_table_matches_scalar_reference(monkeypatch, regime, record_every, step_
     if regime == ACCELERATED and record_every > 1:
         assert np.isnan(table.E[1:]).all() and np.isnan(table.ne[1:]).all()
         with pytest.raises(ValueError, match="consecutively recorded"):
-            lemma_records(traj, problem, table)
+            lemma_records(problem, table)
         return
-    claim = lemma_records(traj, problem, table)
+    claim = lemma_records(problem, table)
     rhs, slack = claim.bound, claim.bound - claim.measured
     want_rhs, want_slack = reference_slack(regime, traj, problem, ref)
     np.testing.assert_allclose(rhs, want_rhs, rtol=1e-13, atol=0.0)
@@ -534,9 +620,7 @@ def test_table_working_memory_is_bounded(regime):
         tracemalloc.stop()
     output = 9 * rows * 8  # seven columns, plus the two the accelerated shift replaces
     assert peak <= output + 2**20
-    k = np.arange(rows) + sched.k_start
-    traj = SimpleNamespace(k=k, final=PrimalDualPair(xs[-1], ys[-1]))
-    assert np.isfinite(table.table(traj).E_next).all()
+    assert np.isfinite(table.table().E_next).all()
 
 
 def refilled(traj, states, problem, saddle, init, rows_per_call):
@@ -545,7 +629,7 @@ def refilled(traj, states, problem, saddle, init, rows_per_call):
     table = TableAccumulator(traj.schedule, problem, saddle, init, len(traj.k))
     for lo in range(0, len(traj.k), rows_per_call):
         table(*(getattr(states, name)[lo:lo + rows_per_call] for name in STATES))
-    return table.table(traj)
+    return table.table()
 
 
 def assert_same_tables(got, want):
@@ -584,7 +668,7 @@ def test_a_wide_row_has_the_bits_of_its_table_row_in_any_block(regime):
 
 def assert_same_run(stored, stored_table, streamed, streamed_table):
     assert streamed.termination == stored.termination
-    for name in ("k", "tau", "sigma", "theta", "primal_residual", "dual_residual"):
+    for name in ("k", "primal_residual", "dual_residual"):
         assert np.array_equal(getattr(streamed, name), getattr(stored, name))
     assert np.array_equal(streamed.final.x, stored.final.x)
     assert np.array_equal(streamed.final.y, stored.final.y)
@@ -634,11 +718,7 @@ def test_streamed_table_equals_the_stored_one_when_a_stop_ends_the_run(monkeypat
         )
         assert runs[0].termination == TERMINATION_RESIDUAL and len(runs[0].k) % 14
         assert_same_run(*runs)
-    # an amplifying "prox" trips the divergence guard after a few steps
-    problem = SaddleProblem(
-        F=np.eye(4), prox_f=lambda v, t: 4.0 * v + 1.0, prox_gstar=lambda w, t: 4.0 * w + 1.0,
-        mu=1.0, gamma=1.0,
-    )
+    problem = amplifying_problem(4)
     saddle = PrimalDualPair(np.zeros(4), np.zeros(4))
     for record_every in (1, 3):
         runs, _ = stored_and_streamed(
@@ -689,7 +769,7 @@ def test_a_stacked_run_streams_each_cell_the_table_of_its_own_run(
     for sched, streamed, table in zip(schedules, stack, tables):
         alone, states, _ = recorded_run(problem, sched, init, **args)
         assert np.array_equal(streamed.k, alone.k)
-        assert_table_is_direct(table.table(streamed), alone, states, problem, saddle, init)
+        assert_table_is_direct(table.table(), alone, states, problem, saddle, init)
 
 
 def test_a_table_cut_at_tol_mid_block_equals_a_per_row_evaluation(monkeypatch):
