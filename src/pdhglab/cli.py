@@ -183,10 +183,7 @@ def _check_rate_fit(problem, table) -> tuple[CheckResult, Optional[float], Optio
         fit = fit_rate(table.k[positive], table.dist_x[positive], window=(lo, hi))
     except ValueError as exc:
         return CheckResult(CHECK_RATE_FIT, SKIPPED, str(exc)), None, None
-    detail = (
-        f"slope {fit.slope:.6g}, residual {fit.residual:.3g}, "
-        f"window [{fit.window[0]}, {fit.window[1]}]"
-    )
+    detail = f"slope {fit.slope:.6g}, residual {fit.residual:.3g}, window [{lo}, {hi}]"
     return CheckResult(CHECK_RATE_FIT, PASS, detail), fit.slope, fit.residual
 
 
@@ -237,11 +234,7 @@ def _ode_sup_error(problem, schedule, init, level) -> float:
     sub_traj = run(
         problem, sub_sched, init, budget=n_iter, tol=0.0, record_every=1, observer=copy_post
     )
-    h = s / 100.0
-    try:
-        X, Y = integrate(init, T, h, s, tau, sigma, problem)
-    except RuntimeError as exc:  # name the reference step
-        raise RuntimeError(f"{exc} at step h={h:.6g}") from exc
+    X, Y = integrate(init, T, s / 100.0, s, tau, sigma, problem)
     # Iterate k + 1 against the reference state at t = (k + 1) s.
     idx = (sub_traj.k + 1) * 100
     keep = ((sub_traj.k + 1) * s <= T + 1e-12) & (idx < len(X))
@@ -295,17 +288,16 @@ def execute(config: ExperimentConfig, write_trajectory: bool = True):
     """Run one experiment; returns (exit_code, summary_lines, metrics).
     A violated regime precondition raises ConfigError before anything runs."""
     built, schedule = materialize(config)
-    resolved = _resolve_saddle(built)
-    traj, observer = _solve(config, built.problem, schedule, resolved[0])
-    return _report(config, built, schedule, resolved, traj, observer, write_trajectory)
+    saddle, source = _resolve_saddle(built)
+    traj, table = _solve(config, built.problem, schedule, saddle)
+    return _report(config, built, schedule, source, traj, table, write_trajectory)
 
 
 def _solve(config, problem, schedule, saddle):
     """:func:`run` from the origin under ``schedule``, or under a list of
-    schedules in lockstep; returns the trajectory and the observer the run
-    handed its states to, or the lists of both.  The observer is the table
-    when there is a saddle to measure the states against, else None, and
-    the run drops them."""
+    schedules in lockstep; returns the trajectory and the Lyapunov table of
+    its states against ``saddle``, or the lists of both.  Without a saddle
+    the table is None, and the run drops its states."""
     init = PrimalDualPair(x=np.zeros(problem.d1), y=np.zeros(problem.d2))
     stacked = isinstance(schedule, list)
     rows = max_recorded_rows(config.budget, config.record_every)
@@ -315,21 +307,19 @@ def _solve(config, problem, schedule, saddle):
             if saddle is not None else None
             for one in (schedule if stacked else [schedule])
         ]
-        observer = observers if stacked else observers[0]
         traj = run(
             problem, schedule, init, budget=config.budget, tol=config.tol,
-            record_every=config.record_every, observer=observer,
+            record_every=config.record_every, observer=observers if stacked else observers[0],
         )
     except MemoryError as exc:  # the (R,) columns are reserved for the whole budget
         raise ConfigError(f"{exc}; lower budget or raise record_every") from exc
-    return traj, observer
+    tables = [None if observer is None else observer.table() for observer in observers]
+    return traj, tables if stacked else tables[0]
 
 
-def _report(config, built, schedule, resolved, traj, observer, write_trajectory):
-    """The table, theorem, checks, summary and files of one solved run."""
-    saddle, saddle_source = resolved
+def _report(config, built, schedule, source, traj, table, write_trajectory):
+    """The theorem, checks, summary and files of one solved run and its table."""
     problem = built.problem
-    table = observer.table() if saddle is not None else None
     # The regime's theorem, read by its check and the CSV's bound column, and
     # the lemma, read by its check and the CSV's slack column, each as
     # :func:`_obtain` gives it.  The lemma's columns are taken after the rate
@@ -376,7 +366,7 @@ def _report(config, built, schedule, resolved, traj, observer, write_trajectory)
     lines.append(f"run.last_k = {traj.k[-1]}")
     lines.append(f"run.final_primal_residual = {_fmt(traj.primal_residual[-1])}")
     lines.append(f"run.final_dual_residual = {_fmt(traj.dual_residual[-1])}")
-    lines.append(f"saddle.source = {saddle_source}")
+    lines.append(f"saddle.source = {source}")
     if metrics["slope"] is not None:
         lines.append(f"rate_fit.slope = {_fmt(metrics['slope'])}")
         lines.append(f"rate_fit.residual = {_fmt(metrics['slope_residual'])}")
@@ -442,13 +432,13 @@ def sweep(config: ExperimentConfig) -> int:
             except ConfigError as exc:
                 raise ConfigError(f"sweep cell ({i}, {j}) with c={c}, s={s}: {exc}") from exc
 
-    resolved = _resolve_saddle(built)
+    saddle, source = _resolve_saddle(built)
     # the cells step in lockstep, as one stacked run
     schedules = [schedule for _, _, schedule in cells]
-    trajs, observers = _solve(config, built.problem, schedules, resolved[0])
+    trajs, tables = _solve(config, built.problem, schedules, saddle)
     outcomes = [
-        _report(cell, built, schedule, resolved, traj, observer, write_trajectory=True)
-        for (_, cell, schedule), traj, observer in zip(cells, trajs, observers)
+        _report(cell, built, schedule, source, traj, table, write_trajectory=True)
+        for (_, cell, schedule), traj, table in zip(cells, trajs, tables)
     ]
 
     os.makedirs(base_output, exist_ok=True)

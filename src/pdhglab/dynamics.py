@@ -72,7 +72,7 @@ def integrate(
     t = j h.  Raises ValueError on a problem without both gradient oracles
     or without a dense coupling, or on an ill-conditioned mass matrix, and
     RuntimeError at the first state whose gradients are not the affine map
-    J z + G(0), or that is not finite.
+    J z + G(0), or that is not finite, naming its time and the step h.
     """
     if T <= 0 or h <= 0:
         raise ValueError("T and h must be positive")
@@ -124,6 +124,7 @@ def integrate(
                 k = j + int(np.argmin(ok))
                 raise RuntimeError(
                     f"implicit-Euler reference state at t={k * h:.6g} is not finite, or its "
-                    "gradients are not the affine map J z + G(0) of moduli mu and gamma"
+                    "gradients are not the affine map J z + G(0) of moduli mu and gamma "
+                    f"at step h={h:.6g}"
                 )
     return Z[:, :d1], Z[:, d1:]

@@ -116,12 +116,12 @@ def pdhg_step(
         raise ValueError("step sizes must be positive")
     if not 0.0 <= theta_k <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    return _step(problem, x_k, y_k, problem.F.apply_T(y_k), tau_k, sigma_k, theta_k)
+    return _step(problem, x_k, y_k, tau_k, sigma_k, theta_k)
 
 
-def _step(problem, x_k, y_k, FTy_k, tau_k, sigma_k, theta_k):
-    """One iteration from (x_k, y_k), given F^T y_k as ``FTy_k``."""
-    x_next = problem.prox_f(x_k - tau_k * FTy_k, tau_k)
+def _step(problem, x_k, y_k, tau_k, sigma_k, theta_k):
+    """One iteration from (x_k, y_k)."""
+    x_next = problem.prox_f(x_k - tau_k * problem.F.apply_T(y_k), tau_k)
     x_bar = x_next + theta_k * (x_next - x_k)
     y_next = problem.prox_gstar(y_k + sigma_k * problem.F.apply(x_bar), sigma_k)
     return x_next, y_next
@@ -248,7 +248,6 @@ def run(
     n = [0] * B  # rows recorded
     termination = [TERMINATION_BUDGET] * B
     final = [None] * B
-    FTy = F.apply_T(y)
     start = 0
     while active:
         # A block ends at the next multiple of the block size.
@@ -260,7 +259,7 @@ def run(
         m = 0  # steps taken in this block
         diverged = np.zeros(len(active), dtype=bool)
         for tau_k, sigma_k, theta_k in per_step:
-            x, y = _step(problem, x, y, FTy, tau_k, sigma_k, theta_k)
+            x, y = _step(problem, x, y, tau_k, sigma_k, theta_k)
             m += 1
             work_x[m], work_y[m] = x, y
             # np.vdot warns of no overflow: the guard reads an inf as divergence
@@ -271,7 +270,6 @@ def run(
                 diverged = ~(_norm(work_x[m]) + _norm(work_y[m]) <= DIVERGENCE_GUARD)
                 if diverged.any():
                     break
-            FTy = F.apply_T(y)
 
         rp, rd = step_residuals(
             F, work_x[:m], work_y[:m], work_x[1:m + 1], work_y[1:m + 1], *steps[:, :m]
@@ -312,9 +310,7 @@ def run(
         if len(stays) < len(active):
             active = [active[row] for row in stays]
             if stacked:
-                # a block cut by a diverged row ends before its F^T y
                 x, y = x[stays], y[stays]
-                FTy = F.apply_T(y) if diverged.any() else FTy[stays]
                 work_x, work_y = work_x[:, stays], work_y[:, stays]
         work_x[0], work_y[0] = work_x[m], work_y[m]
         start += m

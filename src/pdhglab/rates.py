@@ -23,7 +23,6 @@ class RateFit:
 
     slope: float
     intercept: float
-    window: tuple[int, int]
     residual: float
 
 
@@ -64,9 +63,7 @@ def fit_rate(ks, vs, window: tuple[int, int]) -> RateFit:
     slope, intercept = np.polyfit(ln_k, ln_v, 1)
     pred = slope * ln_k + intercept
     residual = float(np.sqrt(np.mean((ln_v - pred) ** 2)))
-    return RateFit(
-        slope=float(slope), intercept=float(intercept), window=(k_lo, k_hi), residual=residual
-    )
+    return RateFit(slope=float(slope), intercept=float(intercept), residual=residual)
 
 
 def contraction_factors(ks, Es) -> ContractionSummary:

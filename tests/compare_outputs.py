@@ -10,11 +10,14 @@ working directory and the relative output ``out``.  The exit code, stdout,
 stderr and every file the child writes are compared; each difference is
 named, and the script exits 1 if there is any, else 0.
 
-The configs are the four workloads of ``perfbench/workloads.py`` at seed 0,
-read unchanged, and nine runs and sweeps that reach the other regimes, the
-recording gaps, the theorem on a reference-run saddle and a saddle that
+The 16 configs are the four workloads of ``perfbench/workloads.py`` at
+seed 0, read unchanged; nine runs and sweeps that reach the other regimes,
+the recording gaps, the theorem on a reference-run saddle and a saddle that
 cannot be resolved (whose reference run takes all its 500 000 steps,
-about 13 s on one core).
+about 13 s on one core); and three verifies that end early, so the failure
+and error texts are compared too: a lemma and an ODE comparison that fail
+on extreme moduli (exit 1), a budget whose table cannot be reserved and an
+unknown key (both exit 2).
 pytest does not collect this file; ``test_compare_outputs.py`` tests its
 comparator.
 """
@@ -78,6 +81,16 @@ CONFIGS = [
     ("saddle-unavailable", "run", {
         "instance": {"kind": "lasso", "d": 5, "lam": 1e-8, "cond": 1e300, "seed": 0},
         "regime": "fixed", "budget": 50, "checks": ["lemma", "theorem", "rate_fit"],
+    }),
+    ("extreme-moduli-fail", "verify", {
+        "instance": {"kind": "quad_pair", "d": 2, "mu": 1e-200, "gamma": 1e200},
+        "regime": "fixed", "budget": 50, "checks": ["lemma", "ode_compare"],
+    }),
+    ("budget-cannot-be-reserved", "verify", {
+        "instance": _quad(), "regime": "varying_sc", "budget": 2**62,
+    }),
+    ("unknown-key", "verify", {
+        "instance": _quad(), "regime": "fixed", "schedule": {"momentum": 0.5},
     }),
 ]
 for _, _, _doc in CONFIGS:

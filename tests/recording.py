@@ -4,8 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from pdhglab import TableAccumulator, run
-from pdhglab.engine import max_recorded_rows
+from pdhglab.engine import max_recorded_rows, run
+from pdhglab.lyapunov import TableAccumulator
 
 STATES = ("k", "x", "y", "x_next", "y_next")
 

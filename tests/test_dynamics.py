@@ -7,23 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pdhglab import (
-    FIXED,
-    FirstDifference,
-    Identity,
-    InstanceSpec,
-    PrimalDualPair,
-    SaddleProblem,
-    build_instance,
-    integrate,
-    lyapunov_fixed,
-    make_schedule,
-)
 from pdhglab import dynamics
-from pdhglab.dynamics import mass_matrix
+from pdhglab.dynamics import integrate, mass_matrix
 from pdhglab.engine import STEP_BLOCK
-from pdhglab.problems import _norm
-from pdhglab.zoo import make_quad_pair
+from pdhglab.lyapunov import lyapunov_fixed
+from pdhglab.problems import FirstDifference, Identity, PrimalDualPair, SaddleProblem, _norm
+from pdhglab.schedules import FIXED, make_schedule
+from pdhglab.zoo import InstanceSpec, build_instance, make_quad_pair
 from recording import recorded_run
 
 EPS = np.finfo(float).eps

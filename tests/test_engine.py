@@ -2,39 +2,37 @@
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pdhglab import (
-    ACCELERATED,
-    FIXED,
-    OPTIMAL_SS,
-    VARYING_SC,
-    Dense,
-    FirstDifference,
-    Identity,
-    InstanceSpec,
-    PrimalDualPair,
-    SaddleProblem,
-    Schedule,
-    build_instance,
-    make_schedule,
-    optimality_residual,
-    pdhg_step,
-    run,
-    schedule_at,
-    step_residuals,
-)
 from pdhglab import engine
 from pdhglab.engine import (
     DIVERGENCE_GUARD,
     TERMINATION_BUDGET,
     TERMINATION_DIVERGENCE,
     TERMINATION_RESIDUAL,
+    optimality_residual,
+    pdhg_step,
+    run,
+    step_residuals,
 )
+from pdhglab.problems import Dense, FirstDifference, Identity, PrimalDualPair, SaddleProblem
+from pdhglab.schedules import (
+    ACCELERATED,
+    FIXED,
+    OPTIMAL_SS,
+    VARYING_SC,
+    Schedule,
+    make_schedule,
+    schedule_at,
+)
+from pdhglab.zoo import InstanceSpec, build_instance
 from recording import RecordingObserver, recorded_run
 
 
@@ -364,10 +362,13 @@ def test_a_record_every_past_the_budget_records_the_first_and_last_rows():
             assert np.array_equal(got.final.x, want.final.x)
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def imported_names(module):
     """Every module and name that ``pdhglab/<module>.py`` imports, as dotted
     names (relative imports without their leading dots)."""
-    path = Path(__file__).resolve().parents[1] / "src" / "pdhglab" / f"{module}.py"
+    path = SRC / "pdhglab" / f"{module}.py"
     imported = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
@@ -387,6 +388,32 @@ def test_engine_does_not_import_the_diagnostics():
 def test_the_diagnostics_do_not_import_the_engine():
     # a Lyapunov table holds its own rows and schedule; it reads no trajectory
     assert not [name for name in imported_names("lyapunov") if "engine" in name.split(".")]
+
+
+def modules_loaded_by(statement):
+    """The pdhglab modules a fresh interpreter holds after ``statement``."""
+    listing = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'pdhglab'))"
+    code = f"{statement}\nimport sys\n{listing}"
+    path = os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    return child.stdout.split()
+
+
+def test_importing_the_engine_loads_only_the_solver_side():
+    assert modules_loaded_by("import pdhglab.engine") == [
+        "pdhglab", "pdhglab.engine", "pdhglab.problems", "pdhglab.schedules",
+    ]
+    assert "pdhglab.engine" not in modules_loaded_by("import pdhglab.lyapunov")
+
+
+def test_the_package_binds_no_name():
+    # each name has one home, its module: pdhglab/__init__.py is its docstring
+    tree = ast.parse((SRC / "pdhglab" / "__init__.py").read_text())
+    assert ast.get_docstring(tree)
+    assert [type(node) for node in tree.body] == [ast.Expr]
 
 
 def reference_run(problem, schedule, init, budget, tol, record_every=1):
@@ -663,6 +690,6 @@ def test_the_loop_makes_no_per_step_schedule_or_residual_call(monkeypatch):
     blocks = 4
     assert calls["schedule_at"] == blocks
     assert calls["step_residuals"] == blocks
-    # F^T y of the start, then one F and one F^T per step, one each per block
+    # one F and one F^T per step, one each per block
     assert calls["apply"] == budget + blocks
-    assert calls["apply_T"] == 1 + budget + blocks
+    assert calls["apply_T"] == budget + blocks

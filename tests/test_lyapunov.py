@@ -17,35 +17,34 @@ from pdhglab.engine import (
     TERMINATION_DIVERGENCE,
     TERMINATION_RESIDUAL,
     max_recorded_rows,
+    run,
 )
-from pdhglab.lyapunov import _sq_dist
+from pdhglab.lyapunov import (
+    NoMatchingLemma,
+    TableAccumulator,
+    _sq_dist,
+    alpha_rate,
+    lemma_records,
+    lyapunov_accelerated,
+    lyapunov_fixed,
+    numerical_error,
+    rho_rate,
+    slack_tolerance,
+    theorem_bound,
+)
+from pdhglab.problems import Dense, PrimalDualPair, SaddleProblem
 from pdhglab.rates import TRUNCATION_FLOOR
-from pdhglab import (
+from pdhglab.schedules import (
     ACCELERATED,
     FIXED,
     OPTIMAL_SS,
     VARYING_SC,
-    Dense,
-    InstanceSpec,
-    NoMatchingLemma,
-    PrimalDualPair,
-    SaddleProblem,
     Schedule,
-    TableAccumulator,
-    alpha_rate,
-    build_instance,
     k0_threshold,
-    lemma_records,
-    lyapunov_accelerated,
-    lyapunov_fixed,
     make_schedule,
-    numerical_error,
-    rho_rate,
-    run,
     schedule_at,
-    slack_tolerance,
-    theorem_bound,
 )
+from pdhglab.zoo import InstanceSpec, build_instance
 from recording import STATES, recorded_run
 
 ZERO = PrimalDualPair(np.zeros(1), np.zeros(1))

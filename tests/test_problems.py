@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from pdhglab import (
+from pdhglab.problems import (
     Dense,
     FirstDifference,
     Identity,
-    InstanceSpec,
     PrimalDualPair,
     SaddleProblem,
-    build_instance,
+    _norm,
+    inclusion_residuals,
 )
-from pdhglab.problems import _norm, inclusion_residuals
+from pdhglab.zoo import InstanceSpec, build_instance
 
 
 def dense_difference(d: int) -> np.ndarray:

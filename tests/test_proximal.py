@@ -8,15 +8,14 @@ the formula itself.
 import numpy as np
 import pytest
 
-from pdhglab import (
-    InstanceSpec,
+from pdhglab.proximal import (
     QuadraticProxCache,
-    build_instance,
     linf_normal_cone_dist,
     project_linf_ball,
     prox_least_squares,
     prox_shifted_quadratic,
 )
+from pdhglab.zoo import InstanceSpec, build_instance
 
 
 def scalar_prox_oracle(h, v, t, lo=-50.0, hi=50.0, rounds=60):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pdhglab import (
+from pdhglab.schedules import (
     ACCELERATED,
     FIXED,
     OPTIMAL_SS,

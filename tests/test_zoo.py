@@ -5,22 +5,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pdhglab import (
-    FIXED,
-    Dense,
-    FirstDifference,
+from pdhglab.engine import run
+from pdhglab.problems import Dense, FirstDifference, PrimalDualPair
+from pdhglab.schedules import FIXED, make_schedule
+from pdhglab.zoo import (
     InstanceSpec,
-    PrimalDualPair,
     build_instance,
     certify_saddle,
+    conditioned_matrix,
     make_generalized_lasso,
     make_quad_pair,
-    make_schedule,
+    piecewise_constant_signal,
     primal_objective,
     reference_saddle,
-    run,
 )
-from pdhglab.zoo import conditioned_matrix, piecewise_constant_signal
 
 
 def test_kkt_oracle_hand_example():
