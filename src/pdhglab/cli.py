@@ -53,7 +53,7 @@ from .config import (
     materialize_schedule,
     parse_config,
 )
-from .dynamics import integrate
+from .dynamics import EPS, FALLBACK_STEPS, IMPLICIT_EULER, reference_states
 from .engine import STEP_BLOCK, TERMINATION_DIVERGENCE, max_recorded_rows, run
 from .lyapunov import (
     Claim,
@@ -197,29 +197,54 @@ def _check_ode_compare(problem, schedule) -> CheckResult:
             CHECK_ODE_COMPARE, SKIPPED, "problem lacks smooth gradient oracles"
         )
     init = PrimalDualPair(x=np.zeros(problem.d1), y=np.zeros(problem.d2))
+
+    def counted():  # a sup error at or below its rounding floor counts as zero
+        return [sup if sup > floor else 0.0 for sup, floor, _ in levels]
+
     try:
-        sups = [_ode_sup_error(problem, schedule, init, level) for level in range(3)]
+        levels = [_ode_sup_error(problem, schedule, init, level) for level in range(3)]
+        sups = counted()
         # A first halving that is not yet first order takes a fourth level.
         if min(sups) > 0 and sups[1] / sups[0] > 0.7:
-            sups.append(_ode_sup_error(problem, schedule, init, 3))
+            levels.append(_ode_sup_error(problem, schedule, init, 3))
+            sups = counted()
     # a reference that fails its certificate, or an ill-conditioned mass matrix
     except (RuntimeError, ValueError) as exc:
         return CheckResult(CHECK_ODE_COMPARE, FAIL, str(exc))
+    references = "; references " + ", ".join(source for _, _, source in levels)
     if not min(sups) > 0:
-        return CheckResult(CHECK_ODE_COMPARE, SKIPPED, "discretization error is zero")
+        if not max(sup for sup, _, _ in levels) > 0:
+            return CheckResult(CHECK_ODE_COMPARE, SKIPPED, "discretization error is zero")
+        detail = (
+            "discretization error at or below the rounding floor: sup errors "
+            + ", ".join(f"{sup:.3g}" for sup, _, _ in levels)
+            + ", floors " + ", ".join(f"{floor:.3g}" for _, floor, _ in levels)
+        )
+        return CheckResult(CHECK_ODE_COMPARE, SKIPPED, detail + references)
     ratios = [b / a for a, b in zip(sups, sups[1:])]
     detail = "halving ratios " + ", ".join(f"{r:.3f}" for r in ratios)
     if max(ratios[-2:]) <= 0.7:
-        return CheckResult(CHECK_ODE_COMPARE, PASS, detail)
-    return CheckResult(CHECK_ODE_COMPARE, FAIL, detail + " exceed 0.7")
+        return CheckResult(CHECK_ODE_COMPARE, PASS, detail + references)
+    return CheckResult(CHECK_ODE_COMPARE, FAIL, detail + " exceed 0.7" + references)
 
 
-def _ode_sup_error(problem, schedule, init, level) -> float:
-    """The largest distance over t in [0, T] between the iterates at the
-    fixed steps halved ``level`` times and their implicit-Euler reference;
-    a reference state that fails its certificate (gradients not the affine
-    map of the moduli, or not finite) raises RuntimeError, and an
-    ill-conditioned mass matrix ValueError."""
+def _ode_sup_error(problem, schedule, init, level) -> tuple[float, float, str]:
+    """(sup, floor, source): the largest distance over t in [0, T] between
+    the iterates at the fixed steps halved ``level`` times and the reference
+    states at the same times, its rounding floor, and the reference used.
+
+    An iterate is reached through its PDHG steps, and a reference state
+    through FALLBACK_STEPS implicit-Euler steps per PDHG step or through one
+    evaluation of the exact flow.  Each of these maps rounds a coordinate
+    by up to (n + 4) EPS of the largest, as the reference's certificate
+    allows (an n-term product and a few further operations, n = d1 + d2),
+    and to first order the roundings of maps that do not expand add up.  So
+    two states that agree up to rounding lie at most m sqrt(n) (n + 4) EPS
+    times the largest reference coordinate apart, m the number of maps
+    that reach the last compared pair: that is the floor.  A reference
+    state that fails its certificate (gradients not the affine map of the
+    moduli, or not finite) raises RuntimeError, and an ill-conditioned mass
+    matrix ValueError."""
     T = 10.0
     s, tau, sigma = (v * 0.5**level for v in (schedule.s, schedule.tau, schedule.sigma))
     n_iter = int(math.ceil(T / s))
@@ -234,18 +259,24 @@ def _ode_sup_error(problem, schedule, init, level) -> float:
     sub_traj = run(
         problem, sub_sched, init, budget=n_iter, tol=0.0, record_every=1, observer=copy_post
     )
-    X, Y = integrate(init, T, s / 100.0, s, tau, sigma, problem)
-    # Iterate k + 1 against the reference state at t = (k + 1) s.
-    idx = (sub_traj.k + 1) * 100
-    keep = ((sub_traj.k + 1) * s <= T + 1e-12) & (idx < len(X))
-    dx = post[0][: len(keep)][keep] - X[idx[keep]]
-    dy = post[1][: len(keep)][keep] - Y[idx[keep]]
+    X, Y, source = reference_states(init, T, s, tau, sigma, problem)
+    # Iterate k + 1 against the reference state at t = (k + 1) s <= T.
+    idx = sub_traj.k + 1
+    keep = idx * s <= T + 1e-12
+    idx = idx[keep]
+    dx = post[0][: len(keep)][keep] - X[idx]
+    dy = post[1][: len(keep)][keep] - Y[idx]
     sq = np.einsum("ij,ij->i", dx, dx) + np.einsum("ij,ij->i", dy, dy)
     err = np.sqrt(sq)
     # a square below the normal range lost bits or underflowed: math.hypot scales
     for i in np.flatnonzero(sq < np.finfo(float).tiny):
         err[i] = math.hypot(*dx[i], *dy[i])
-    return float(err.max(initial=0.0))
+    last = int(idx.max(initial=0))
+    maps = last + (FALLBACK_STEPS * last if source == IMPLICIT_EULER else 1)
+    n = problem.d1 + problem.d2
+    largest = max(np.abs(X[idx]).max(initial=0.0), np.abs(Y[idx]).max(initial=0.0))
+    floor = maps * math.sqrt(n) * (n + 4) * EPS * largest
+    return float(err.max(initial=0.0)), float(floor), source
 
 
 def _summary_header(config, built, schedule) -> list[str]:

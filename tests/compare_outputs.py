@@ -10,13 +10,15 @@ working directory and the relative output ``out``.  The exit code, stdout,
 stderr and every file the child writes are compared; each difference is
 named, and the script exits 1 if there is any, else 0.
 
-The 16 configs are the four workloads of ``perfbench/workloads.py`` at
+The 18 configs are the four workloads of ``perfbench/workloads.py`` at
 seed 0, read unchanged; nine runs and sweeps that reach the other regimes,
 the recording gaps, the theorem on a reference-run saddle and a saddle that
 cannot be resolved (whose reference run takes all its 500 000 steps,
-about 13 s on one core); and three verifies that end early, so the failure
-and error texts are compared too: a lemma and an ODE comparison that fail
-on extreme moduli (exit 1), a budget whose table cannot be reserved and an
+about 13 s on one core); two ODE comparisons, one at s = 0.1 on the exact
+flow and one on a stiff pair that falls back to implicit Euler; and three
+verifies that end early, so the failure and error texts are compared too: a
+lemma that fails on extreme moduli and an ODE comparison skipped there at
+its rounding floor (exit 1), a budget whose table cannot be reserved and an
 unknown key (both exit 2).
 pytest does not collect this file; ``test_compare_outputs.py`` tests its
 comparator.
@@ -85,6 +87,14 @@ CONFIGS = [
     ("extreme-moduli-fail", "verify", {
         "instance": {"kind": "quad_pair", "d": 2, "mu": 1e-200, "gamma": 1e200},
         "regime": "fixed", "budget": 50, "checks": ["lemma", "ode_compare"],
+    }),
+    ("ode_compare-s-0.1", "verify", {
+        "instance": {"kind": "quad_pair", "d": 2}, "regime": "fixed", "schedule": {"s": 0.1},
+        "budget": 40, "checks": ["ode_compare"],
+    }),
+    ("ode_compare-stiff-fallback", "verify", {
+        "instance": {"kind": "quad_pair", "d": 2, "mu": 1, "gamma": 1e200},
+        "regime": "fixed", "budget": 50, "checks": ["ode_compare"],
     }),
     ("budget-cannot-be-reserved", "verify", {
         "instance": _quad(), "regime": "varying_sc", "budget": 2**62,

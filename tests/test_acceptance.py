@@ -18,8 +18,8 @@ not a test fix.
  7. inclusion residuals stay below 1e-9 on every recorded step;
  8. doubly-strongly-convex runs reach the KKT saddle within the
     rho-derived iteration cap;
- 9. PDHG tracks the implicit-Euler reference of its continuous-time limit
-    at first order (error ratio <= 0.7 per step-size halving);
+ 9. PDHG tracks the exact flow of its continuous-time limit at first
+    order (error ratio <= 0.7 per step-size halving);
 10. total-variation denoising reaches the certified reference optimum.
 """
 
@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from pdhglab.engine import optimality_residual, run
-from pdhglab.dynamics import integrate
+from pdhglab.dynamics import EXACT_FLOW, reference_states
 from pdhglab.lyapunov import (
     lemma_records,
     lyapunov_accelerated,
@@ -405,7 +405,7 @@ def test_criterion_07_optimality_residuals():
 
 
 # ---------------------------------------------------------------------------
-# 9. first-order agreement with the implicit-Euler reference
+# 9. first-order agreement with the exact flow of the ODE
 
 
 def test_criterion_09_ode_consistency():
@@ -413,30 +413,30 @@ def test_criterion_09_ode_consistency():
     problem = built.problem
     init = PrimalDualPair(x=np.ones(problem.d1), y=np.zeros(problem.d2))
     T = 10.0
-    sups = []
+    sups, sources = [], []
     for base in (0.1, 0.05, 0.025):
         s = base / built.problem.F_norm
         schedule = make_schedule(FIXED, built.problem.F_norm, s=s)
         _, states, _ = recorded_run(
             problem, schedule, init, budget=int(math.ceil(T / s)), tol=0.0
         )
-        X, Y = integrate(init, T, s / 100.0, s, s, s, problem)
+        X, Y, source = reference_states(init, T, s, s, s, problem)
         sup = 0.0
         for k, x_next, y_next in zip(states.k, states.x_next, states.y_next):
-            idx = (k + 1) * 100
-            if (k + 1) * s > T + 1e-12 or idx >= len(X):
+            if (k + 1) * s > T + 1e-12:
                 continue
-            err = math.sqrt(dist_sq(x_next, X[idx]) + dist_sq(y_next, Y[idx]))
+            err = math.sqrt(dist_sq(x_next, X[k + 1]) + dist_sq(y_next, Y[k + 1]))
             sup = max(sup, err)
         sups.append(sup)
+        sources.append(source)
     ratios = [sups[i + 1] / sups[i] for i in range(2)]
-    ok = max(ratios) <= 0.7
+    ok = max(ratios) <= 0.7 and sources == [EXACT_FLOW] * 3
     report(
         9,
         ok,
         "sup distances " + ", ".join(f"{v:.3e}" for v in sups)
         + ", halving ratios " + ", ".join(f"{r:.3f}" for r in ratios)
-        + " (each <= 0.7)",
+        + " (each <= 0.7), references " + ", ".join(sources),
     )
 
 
