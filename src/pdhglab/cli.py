@@ -53,7 +53,7 @@ from .config import (
     materialize_schedule,
     parse_config,
 )
-from .dynamics import EPS, FALLBACK_STEPS, IMPLICIT_EULER, reference_states
+from .dynamics import EPS, reference_states
 from .engine import STEP_BLOCK, TERMINATION_DIVERGENCE, max_recorded_rows, run
 from .lyapunov import (
     Claim,
@@ -199,7 +199,7 @@ def _check_ode_compare(problem, schedule) -> CheckResult:
     init = PrimalDualPair(x=np.zeros(problem.d1), y=np.zeros(problem.d2))
 
     def counted():  # a sup error at or below its rounding floor counts as zero
-        return [sup if sup > floor else 0.0 for sup, floor, _ in levels]
+        return [sup if sup > floor else 0.0 for sup, floor in levels]
 
     try:
         levels = [_ode_sup_error(problem, schedule, init, level) for level in range(3)]
@@ -211,40 +211,35 @@ def _check_ode_compare(problem, schedule) -> CheckResult:
     # a reference that fails its certificate, or an ill-conditioned mass matrix
     except (RuntimeError, ValueError) as exc:
         return CheckResult(CHECK_ODE_COMPARE, FAIL, str(exc))
-    references = "; references " + ", ".join(source for _, _, source in levels)
     if not min(sups) > 0:
-        if not max(sup for sup, _, _ in levels) > 0:
+        if not max(sup for sup, _ in levels) > 0:
             return CheckResult(CHECK_ODE_COMPARE, SKIPPED, "discretization error is zero")
         detail = (
             "discretization error at or below the rounding floor: sup errors "
-            + ", ".join(f"{sup:.3g}" for sup, _, _ in levels)
-            + ", floors " + ", ".join(f"{floor:.3g}" for _, floor, _ in levels)
+            + ", ".join(f"{sup:.3g}" for sup, _ in levels)
+            + ", floors " + ", ".join(f"{floor:.3g}" for _, floor in levels)
         )
-        return CheckResult(CHECK_ODE_COMPARE, SKIPPED, detail + references)
+        return CheckResult(CHECK_ODE_COMPARE, SKIPPED, detail)
     ratios = [b / a for a, b in zip(sups, sups[1:])]
     detail = "halving ratios " + ", ".join(f"{r:.3f}" for r in ratios)
     if max(ratios[-2:]) <= 0.7:
-        return CheckResult(CHECK_ODE_COMPARE, PASS, detail + references)
-    return CheckResult(CHECK_ODE_COMPARE, FAIL, detail + " exceed 0.7" + references)
+        return CheckResult(CHECK_ODE_COMPARE, PASS, detail)
+    return CheckResult(CHECK_ODE_COMPARE, FAIL, detail + " exceed 0.7")
 
 
-def _ode_sup_error(problem, schedule, init, level) -> tuple[float, float, str]:
-    """(sup, floor, source): the largest distance over t in [0, T] between
-    the iterates at the fixed steps halved ``level`` times and the reference
-    states at the same times, its rounding floor, and the reference used.
+def _ode_sup_error(problem, schedule, init, level) -> tuple[float, float]:
+    """(sup, floor): the largest distance over t in [0, T] between the
+    iterates at the fixed steps halved ``level`` times and the exact-flow
+    states at the same times, and its rounding floor.
 
-    An iterate is reached through its PDHG steps, and a reference state
-    through FALLBACK_STEPS implicit-Euler steps per PDHG step or through one
-    evaluation of the exact flow.  Each of these maps rounds a coordinate
-    by up to (n + 4) EPS of the largest, as the reference's certificate
-    allows (an n-term product and a few further operations, n = d1 + d2),
-    and to first order the roundings of maps that do not expand add up.  So
-    two states that agree up to rounding lie at most m sqrt(n) (n + 4) EPS
-    times the largest reference coordinate apart, m the number of maps
-    that reach the last compared pair: that is the floor.  A reference
-    state that fails its certificate (gradients not the affine map of the
-    moduli, or not finite) raises RuntimeError, and an ill-conditioned mass
-    matrix ValueError."""
+    Iterate k is reached through k PDHG steps and a flow state through one
+    evaluation.  Each of these maps rounds a coordinate by up to (n + 4) EPS
+    of the largest, as the certificate allows (an n-term product and a few
+    further operations, n = d1 + d2), and to first order the roundings of
+    maps that do not expand add up.  So two states that agree up to
+    rounding lie at most (k + 1) sqrt(n) (n + 4) EPS times the largest
+    reference coordinate apart, k the last compared iterate: that is the
+    floor.  Raises as :func:`~pdhglab.dynamics.reference_states` does."""
     T = 10.0
     s, tau, sigma = (v * 0.5**level for v in (schedule.s, schedule.tau, schedule.sigma))
     n_iter = int(math.ceil(T / s))
@@ -259,7 +254,7 @@ def _ode_sup_error(problem, schedule, init, level) -> tuple[float, float, str]:
     sub_traj = run(
         problem, sub_sched, init, budget=n_iter, tol=0.0, record_every=1, observer=copy_post
     )
-    X, Y, source = reference_states(init, T, s, tau, sigma, problem)
+    X, Y = reference_states(init, T, s, tau, sigma, problem)
     # Iterate k + 1 against the reference state at t = (k + 1) s <= T.
     idx = sub_traj.k + 1
     keep = idx * s <= T + 1e-12
@@ -272,11 +267,10 @@ def _ode_sup_error(problem, schedule, init, level) -> tuple[float, float, str]:
     for i in np.flatnonzero(sq < np.finfo(float).tiny):
         err[i] = math.hypot(*dx[i], *dy[i])
     last = int(idx.max(initial=0))
-    maps = last + (FALLBACK_STEPS * last if source == IMPLICIT_EULER else 1)
     n = problem.d1 + problem.d2
     largest = max(np.abs(X[idx]).max(initial=0.0), np.abs(Y[idx]).max(initial=0.0))
-    floor = maps * math.sqrt(n) * (n + 4) * EPS * largest
-    return float(err.max(initial=0.0)), float(floor), source
+    floor = (last + 1) * math.sqrt(n) * (n + 4) * EPS * largest
+    return float(err.max(initial=0.0)), float(floor)
 
 
 def _summary_header(config, built, schedule) -> list[str]:

@@ -7,42 +7,52 @@ of the coupled system
     (s/sigma) Y' - s F X' =  F X  - grad g*(Y)
 
 whose mass matrix M = [[ (s/tau) I, -s F^T ], [ -s F, (s/sigma) I ]] is
-invertible whenever tau * sigma = s^2 and s ||F|| < 1.  This module gives
-the reference trajectories that discrete iterates are compared against.
+invertible whenever tau * sigma = s^2 and s ||F|| < 1.  Both entry points
+serve affine gradients with Hessians mu I and gamma I, as the zoo's
+``quad_pair`` has: then G(z) = J z + g with J = [[-mu I, -F^T], [F, -gamma
+I]] and g = G(0), and M z' = G(z) is linear.
 
-Both entry points serve affine gradients with Hessians mu I and gamma I (the
-moduli of the problem), as the zoo's ``quad_pair`` has: then the right-hand
-side is G(z) = J z + g with J = [[-mu I, -F^T], [F, -gamma I]] and g = G(0),
-and the system M z' = J (z - z*), J z* = -g, is linear.
+:func:`reference_states` gives the exact flow at the PDHG times t = j s.
+With F = U diag(sv) V^T, x = V x~ and y = U y~ split the system into 2x2
+blocks M_i = [[s/tau, -s sv_i], [-s sv_i, s/sigma]], J_i = [[-mu, -sv_i],
+[sv_i, -gamma]] (sv_i = 0 holds the 1x1 rates -mu tau/s and -gamma sigma/s
+where d1 != d2).  Each block's z(t) - z0 is a closed form in G(z0), so z*
+is never formed.  Where its rates lam_j are real and 4 times apart, it is
+the sum of [expm1(t lam_j) / lam_j] v_j l_j^T G / (l_j^T M_i v_j), v_j and
+l_j the right and left null vectors of J_i - lam_j M_i (Hochbruck &
+Ostermann, Acta Numerica 2010); where they are complex or close, it is
+(exp(t A_i) - I) J_i^-1 G, A_i = M_i^-1 J_i, with exp in divided-difference
+form (Moler & Van Loan, SIAM Review 2003).
 
-:func:`reference_states` returns the states at the PDHG times t = j s.  It
-reads the exact flow z(t) - z* = exp(t A) (z0 - z*), A = M^-1 J, from one
-eigendecomposition A = V diag(lam) V^-1 per call, evaluated at each t
-directly (Moler & Van Loan, SIAM Review 2003, method 14).  The flow is taken
-only where a rounding model bounds its error; see :func:`_exact_flow`.
-Elsewhere (the stiff moduli near 1e200, say) it falls back to
-:func:`integrate` at h = s/100 and keeps every 100th state.
+Rounding: the SVD is backward stable and U, V orthogonal, so the rotations
+in and out add a few n EPS of each vector's norm.  The rates solve a quadratic
+scaled by the block's largest entry of J_i, which cannot overflow; the large
+rate is taken without cancellation and the small one as the product of the
+rates over it, each to a few EPS.  A null vector read from the larger row
+or column of J_i - lam_j M_i is good to a few EPS of its norm, and rates 4
+times apart keep l_j^T M_i v_j from cancelling.  No term has the size of
+z*, which lies near 1e200 at (mu, gamma) = (1e-200, 1e200) while the states
+stay near 1.  Rates within a factor 4 leave the block unstiff, so
+J_i^-1 G = z0 - z* has the size of its data and the divided-difference
+form's error, a few EPS |J_i^-1 G|, is rounding too.
 
-:func:`integrate` is the implicit-Euler stepper; it returns the states as two
-arrays, X and Y, one row per step.  Each step M (z+ - z) = h G(z+) is the one
-linear map z+ = P z + c, (M - h J) [P | c] = [M | h g].  One call fixes h, s,
-tau, sigma and the problem, so it builds M, checks its condition number and
-solves for P and c once.
+:func:`integrate` is the implicit-Euler stepper, the h -> 0 cross-check of
+the flow; no command steps it.  Each step M (z+ - z) = h G(z+) is the one
+linear map z+ = P z + c, (M - h J) [P | c] = [M | h g], solved once per call
+after M's condition number is checked.  Both return X and Y, one row per t.
 
-A certificate then runs on every returned state of either path: the
-gradient oracles must equal the affine map, |G(z) - (J z + g)| <= (n + 4)
-EPS (|J| |z| + |g|) in each of the n = d1 + d2 coordinates.  That floor
-bounds the rounding of each side, an n-term product and a few further
-operations, with room.  A cubic gradient, a Hessian other than mu I or
-gamma I, or a state that is not finite fails it.  It reads
+A certificate runs on every returned state: the gradient oracles must
+equal the affine map, |G(z) - (J z + g)| <= (n + 4) EPS (|J| |z| + |g|) in
+each of the n = d1 + d2 coordinates, the rounding of each side's n-term
+product and a few further operations.  A cubic gradient, a Hessian other
+than mu I or gamma I, or a state that is not finite fails it.  It checks the
+oracles, not the flow: a state off the flow whose gradients are the affine
+map passes, so the flow's accuracy rests on the argument above.  It reads
 :data:`~pdhglab.engine.STEP_BLOCK` states at a time, so the gradient oracles
 take stacked rows (..., d), as a stacked run's prox oracles do.
 
-Restricted to problems carrying gradient oracles; the right-hand side needs
-grad f and grad g*.  M is assembled from the coupling's dense
-``F.matrix``, so the coupling must be :class:`~pdhglab.problems.Dense`: of
-the zoo's kinds, only ``quad_pair`` has both gradients, and its coupling is
-dense.
+The right-hand side needs grad f and grad g*, and M a dense ``F.matrix``
+(:class:`~pdhglab.problems.Dense`): of the zoo's kinds, ``quad_pair``.
 """
 
 from __future__ import annotations
@@ -53,13 +63,6 @@ from .engine import STEP_BLOCK
 from .problems import Dense, PrimalDualPair, SaddleProblem
 
 EPS = np.finfo(float).eps
-# largest modelled rounding error of an exact-flow state, relative to
-# ||z0 - z*||: far below the O(s) errors of the iterates it is compared with
-FLOW_TOL = 1e-8
-# the reference a call of reference_states used
-EXACT_FLOW, IMPLICIT_EULER = "exact_flow", "implicit_euler"
-# implicit-Euler steps per PDHG step where the exact flow is refused
-FALLBACK_STEPS = 100
 
 
 def mass_matrix(s: float, tau: float, sigma: float, F: np.ndarray) -> np.ndarray:
@@ -128,41 +131,52 @@ def _certify(Z: np.ndarray, J, g, rhs, name: str, step: str, dt: float) -> None:
             )
 
 
-def _exact_flow(z0: np.ndarray, t: np.ndarray, M, J, g) -> np.ndarray | None:
-    """The states z* + exp(t A) (z0 - z*), A = M^-1 J, one row per time, or
-    None where z* or A is not finite, a solve is singular, z0 = z*, or the
-    rounding model below exceeds FLOW_TOL ||z0 - z*||.
-
-    The computed eigendecomposition is exact for A + E with ||E|| <= n EPS
-    ||A|| (a backward-stable QR algorithm), so each state carries (i) the
-    flow's change under E, at most t ||E|| kappa(V)^2 ||z0 - z*|| since
-    ||exp(t (A + E))|| <= kappa(V); (ii) the rounding of V^-1 and V applied
-    to z0 - z*, n EPS kappa(V) ||z0 - z*||; and (iii) that of z*, n EPS
-    kappa(J) ||z*||, moved by I - exp(t A).  A flow whose slow and fast
-    modes lie far apart in scale (||A|| near 1e200) or whose V is near
-    singular is refused."""
-    n = len(z0)
-    try:
-        z_star = np.linalg.solve(J, -g)
-        A = np.linalg.solve(M, J)
-        if not (np.isfinite(z_star).all() and np.isfinite(A).all()):
-            return None
-        lam, V = np.linalg.eig(A)
-        w = np.linalg.solve(V, z0 - z_star)
-    except np.linalg.LinAlgError:
-        return None
-    e_max, kappa_V = np.abs(z0 - z_star).max(), np.linalg.cond(V)
-    if not e_max > 0:
-        return None
-    # (i) to (iii) over ||z0 - z*||, bounding ||z*|| / ||z0 - z*|| by
-    # sqrt(n) max|z*| / max|z0 - z*|, which cannot overflow
-    relative = n * EPS * (
-        kappa_V * (1.0 + t[-1] * np.linalg.norm(A, 2) * kappa_V)
-        + (1.0 + kappa_V) * np.linalg.cond(J) * np.sqrt(n) * np.abs(z_star).max() / e_max
-    )
-    if not relative <= FLOW_TOL:
-        return None
-    return z_star + ((np.exp(np.outer(t, lam)) * w) @ V.T).real
+def _block_flow(t, G0, s, tau, sigma, problem):
+    """z(t) - z0 at each t (rows) of the flow whose right-hand side at z0 is
+    G0, block by block in the singular vectors of F (module docstring)."""
+    F, mu, gamma, d1, d2 = problem.F.matrix, problem.mu, problem.gamma, problem.d1, problem.d2
+    U, sv, Vh = np.linalg.svd(F)
+    # max(d1, d2) blocks: a block of sv = 0 holds the two 1x1 blocks' rates
+    sv = np.pad(sv, (0, max(d1, d2) - len(sv)))
+    gx, gy = (np.pad(g, (0, len(sv) - len(g))) for g in (Vh @ G0[:d1], U.T @ G0[d1:]))
+    a, b, c = s / tau, s / sigma, s * sv
+    # the rates kap nu of J_i / kap, kap its largest entry, solve P2 nu^2 + P1 nu + P0 = 0
+    kap = np.maximum(max(mu, gamma), sv)
+    mh, gh, vh = mu / kap, gamma / kap, sv / kap
+    P2, P1, P0 = a * b - c * c, mh * b + gh * a, mh * gh + vh * vh
+    root = np.sqrt(P1 * P1 - 4 * P0 * P2 + 0j)
+    # real rates at least 4 times apart (small over large: 4 P0 P2 / (P1 + root)^2)
+    apart = (root.imag == 0) & (16 * P0 * P2 <= (P1 + root.real) ** 2)
+    fast = -(P1 + root.real) / (2 * P2)
+    larger = lambda p, q, u, w: np.maximum(abs(p), abs(q)) >= np.maximum(abs(u), abs(w))
+    ux = uy = 0.0
+    for nu in (fast, (mh / fast * gh + vh * (vh / fast)) / P2):
+        # null vectors of (J_i - kap nu M_i) / kap from its larger row and column
+        n11, n12, n21, n22 = -mh - nu * a, nu * c - vh, nu * c + vh, -gh - nu * b
+        v = np.where(larger(n11, n12, n21, n22), [-n12, n11], [n22, -n21])
+        l = np.where(larger(n11, n21, n12, n22), [n21, -n11], [n22, -n12])
+        v, l = v / abs(v).max(axis=0), l / abs(l).max(axis=0)
+        lMv = l[0] * (a * v[0] - c * v[1]) + l[1] * (b * v[1] - c * v[0])
+        coef = (l[0] * gx + l[1] * gy) / lMv
+        # expm1(t lam) / lam coef, t coef where |t lam| < EPS; lam = kap nu
+        # is never formed, as past the double range it overflows
+        x = np.multiply.outer(t, nu) * kap
+        term = np.where(abs(x) < EPS, np.multiply.outer(t, coef), np.expm1(x) * (coef / kap / nu))
+        ux, uy = ux + term * v[0], uy + term * v[1]
+    # complex or close rates kap (m +- delta): exp(t A_i) = exp(t kap m) (cosh(t kap delta)
+    # + sinh(t kap delta) (A_i - kap m) / (kap delta)) in (exp(t A_i) - I) J_i^-1 G
+    m, delta = -P1 / (2 * P2), root / (2 * P2)
+    wx, wy = (vh * gy - gh * gx) / P0, -(vh * gx + mh * gy) / P0  # kap J_i^-1 G
+    rx = (b * gx + c * gy) / P2 - m * wx  # (A_i - kap m) J_i^-1 G
+    ry = (c * gx + a * gy) / P2 - m * wy
+    up, down = (np.exp(np.multiply.outer(t, m + d) * kap) for d in (delta, -delta))
+    q = np.multiply.outer(t, delta) * kap
+    cosh = ((up + down) / 2).real - 1
+    small = np.exp(np.multiply.outer(t, m) * kap) * t[:, None] * np.sinc(1j * q / np.pi)
+    sinh = np.where(abs(q) < 1, small, (up - down) / (2 * delta * kap)).real
+    ux = np.where(apart, ux, cosh * (wx / kap) + sinh * rx)
+    uy = np.where(apart, uy, cosh * (wy / kap) + sinh * ry)
+    return np.concatenate([ux[:, :d1] @ Vh, uy[:, :d2] @ U.T], axis=1)
 
 
 def reference_states(
@@ -172,30 +186,20 @@ def reference_states(
     tau: float,
     sigma: float,
     problem: SaddleProblem,
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """The certified states of the ODE from ``init`` at t = j s, j = 0..n,
-    n = ceil(T/s), and the reference that gave them.
-
-    Returns (X, Y, source): X and Y of shapes (n+1, d1) and (n+1, d2), and
-    source :data:`EXACT_FLOW` or, where the exact flow is refused,
-    :data:`IMPLICIT_EULER` (:func:`integrate` at h = s / FALLBACK_STEPS,
-    every FALLBACK_STEPS-th state).  Raises as :func:`integrate` does; a
-    certificate failure names the reference, its time and its step.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) of shapes (n+1, d1) and (n+1, d2): the certified states of the
+    ODE from ``init`` at t = j s, j = 0..n, n = ceil(T/s).  Raises as
+    :func:`integrate` does, naming the time and step s."""
     if T <= 0:
         raise ValueError("T must be positive")
     M, J, g, rhs = _affine_system(s, tau, sigma, problem)
-    n_steps = int(np.ceil(T / s - 1e-12))
-    t = s * np.arange(n_steps + 1)
+    t = s * np.arange(int(np.ceil(T / s - 1e-12)) + 1)
+    z0 = np.concatenate([init.x, init.y])
     # a state that overflows fails the certificate, which names it
-    with np.errstate(over="ignore", invalid="ignore"):
-        Z = _exact_flow(np.concatenate([init.x, init.y]), t, M, J, g)
-        if Z is None:
-            X, Y = integrate(init, t[-1], s / FALLBACK_STEPS, s, tau, sigma, problem)
-            every = slice(0, FALLBACK_STEPS * n_steps + 1, FALLBACK_STEPS)
-            return X[every], Y[every], IMPLICIT_EULER
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        Z = z0 + _block_flow(t, rhs(z0), s, tau, sigma, problem)
         _certify(Z, J, g, rhs, "exact-flow", "s", s)
-    return Z[:, : problem.d1], Z[:, problem.d1 :], EXACT_FLOW
+    return Z[:, : problem.d1], Z[:, problem.d1 :]
 
 
 def integrate(

@@ -10,12 +10,12 @@ working directory and the relative output ``out``.  The exit code, stdout,
 stderr and every file the child writes are compared; each difference is
 named, and the script exits 1 if there is any, else 0.
 
-The 18 configs are the four workloads of ``perfbench/workloads.py`` at
+The 19 configs are the four workloads of ``perfbench/workloads.py`` at
 seed 0, read unchanged; nine runs and sweeps that reach the other regimes,
 the recording gaps, the theorem on a reference-run saddle and a saddle that
 cannot be resolved (whose reference run takes all its 500 000 steps,
-about 13 s on one core); two ODE comparisons, one at s = 0.1 on the exact
-flow and one on a stiff pair that falls back to implicit Euler; and three
+about 13 s on one core); three ODE comparisons, at s = 0.1, on a stiff
+pair (moduli 1 and 1e200) and at d = 128; and three
 verifies that end early, so the failure and error texts are compared too: a
 lemma that fails on extreme moduli and an ODE comparison skipped there at
 its rounding floor (exit 1), a budget whose table cannot be reserved and an
@@ -92,8 +92,12 @@ CONFIGS = [
         "instance": {"kind": "quad_pair", "d": 2}, "regime": "fixed", "schedule": {"s": 0.1},
         "budget": 40, "checks": ["ode_compare"],
     }),
-    ("ode_compare-stiff-fallback", "verify", {
+    ("ode_compare-stiff-pair", "verify", {
         "instance": {"kind": "quad_pair", "d": 2, "mu": 1, "gamma": 1e200},
+        "regime": "fixed", "budget": 50, "checks": ["ode_compare"],
+    }),
+    ("ode_compare-d-128", "verify", {
+        "instance": {"kind": "quad_pair", "d": 128, "seed": 0},
         "regime": "fixed", "budget": 50, "checks": ["ode_compare"],
     }),
     ("budget-cannot-be-reserved", "verify", {

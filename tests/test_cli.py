@@ -21,7 +21,7 @@ import pytest
 from pdhglab import cli, config as config_module, dynamics, engine, lyapunov, zoo
 from pdhglab.cli import CSV_COLUMNS, execute, main
 from pdhglab.config import ConfigError, materialize, parse_config
-from pdhglab.dynamics import EXACT_FLOW, IMPLICIT_EULER, reference_states
+from pdhglab.dynamics import reference_states
 from pdhglab.lyapunov import Claim, lyapunov_fixed, numerical_error
 from pdhglab.problems import PrimalDualPair
 from pdhglab.schedules import FIXED, Schedule, schedule_at
@@ -384,12 +384,12 @@ def test_ode_compare_matches_a_per_row_reference():
     built, schedule = materialize(config)
     problem, T = built.problem, 10.0
     init = PrimalDualPair(np.zeros(2), np.zeros(2))
-    sups, sources = [], []
+    sups = []
     for level in range(3):
         s, tau, sigma = (v * 0.5**level for v in (schedule.s, schedule.tau, schedule.sigma))
         sched = Schedule(regime=FIXED, s=s, tau=tau, sigma=sigma)
         _, states, _ = recorded_run(problem, sched, init, budget=int(math.ceil(T / s)), tol=0.0)
-        X, Y, source = reference_states(init, T, s, tau, sigma, problem)
+        X, Y = reference_states(init, T, s, tau, sigma, problem)
         sup = 0.0
         for k, x_next, y_next in zip(states.k.tolist(), states.x_next, states.y_next):
             if (k + 1) * s > T + 1e-12:
@@ -397,31 +397,26 @@ def test_ode_compare_matches_a_per_row_reference():
             dx, dy = x_next - X[k + 1], y_next - Y[k + 1]
             sup = max(sup, math.sqrt(float(dx @ dx) + float(dy @ dy)))
         sups.append(sup)
-        sources.append(source)
     ratios = ", ".join(f"{sups[i + 1] / sups[i]:.3f}" for i in range(2))
     result = cli._check_ode_compare(built.problem, schedule)
-    assert sources == [EXACT_FLOW] * 3
-    assert result.detail in (
-        f"halving ratios {ratios}; references {', '.join(sources)}",
-        f"halving ratios {ratios} exceed 0.7; references {', '.join(sources)}",
-    )
+    assert result.detail in (f"halving ratios {ratios}", f"halving ratios {ratios} exceed 0.7")
 
 
 def count_reference_builds(monkeypatch):
-    """The reference of each level the check builds, as (s, states, source)."""
+    """The reference of each level the check builds, as (s, states)."""
     builds = []
 
     def counting(init, T, s, *args):
-        X, Y, source = reference_states(init, T, s, *args)
-        builds.append((s, len(X), source))
-        return X, Y, source
+        X, Y = reference_states(init, T, s, *args)
+        builds.append((s, len(X)))
+        return X, Y
 
     monkeypatch.setattr(cli, "reference_states", counting)
     return builds
 
 
 def count_integrate_calls(monkeypatch):
-    """The step h of each implicit-Euler reference the fallback takes."""
+    """The step h of each implicit-Euler run that ``dynamics`` takes."""
     calls = []
     integrate = dynamics.integrate
 
@@ -448,8 +443,7 @@ def test_ode_compare_takes_a_fourth_level_when_the_first_halving_is_pre_asymptot
     assert main(["verify", write_config(tmp_path, doc)]) == 0
     assert len(builds) == 4
     match = re.search(
-        r"^check\.ode_compare = PASS \(halving ratios (\S+), (\S+), (\S+); "
-        r"references exact_flow, exact_flow, exact_flow, exact_flow\)$",
+        r"^check\.ode_compare = PASS \(halving ratios (\S+), (\S+), (\S+)\)$",
         capsys.readouterr().out, re.M,
     )
     first, *last_two = map(float, match.groups())
@@ -468,7 +462,7 @@ def test_ode_compare_keeps_three_levels_when_the_first_halving_is_first_order(
     }
     assert main(["verify", write_config(tmp_path, doc)]) == 0
     assert len(builds) == 3
-    want = "PASS (halving ratios 0.587, 0.554; references exact_flow, exact_flow, exact_flow)"
+    want = "PASS (halving ratios 0.587, 0.554)"
     assert f"check.ode_compare = {want}" in capsys.readouterr().out
 
 
@@ -476,7 +470,7 @@ def test_ode_compare_cost_follows_the_pdhg_steps_not_a_hundred_reference_steps_e
     tmp_path, capsys, monkeypatch
 ):
     # at s = 0.1 the exact flow gives the ceil(10/s) + 1 states compared, in
-    # place of 100 implicit-Euler steps per PDHG step, and no level falls back
+    # place of 100 implicit-Euler steps per PDHG step
     builds = count_reference_builds(monkeypatch)
     calls = count_integrate_calls(monkeypatch)
     doc = {
@@ -489,14 +483,14 @@ def test_ode_compare_cost_follows_the_pdhg_steps_not_a_hundred_reference_steps_e
     assert main(["verify", write_config(tmp_path, doc)]) == 0
     assert "check.ode_compare = PASS" in capsys.readouterr().out
     assert len(builds) == 3 and calls == []
-    for level, (s, states, source) in enumerate(builds):
+    for level, (s, states) in enumerate(builds):
         assert s == 0.1 * 0.5**level
-        assert states == math.ceil(10 / s) + 1 and source == EXACT_FLOW
+        assert states == math.ceil(10 / s) + 1
 
 
-def test_ode_compare_falls_back_to_implicit_euler_on_a_stiff_pair(tmp_path, capsys, monkeypatch):
-    # mu = 1, gamma = 1e200: the eigenvector matrix's condition number
-    # reaches 1e84, so each level takes the h = s/100 reference
+def test_ode_compare_takes_no_implicit_euler_step_on_a_stiff_pair(tmp_path, capsys, monkeypatch):
+    # mu = 1, gamma = 1e200: one rate of each block lies near 1e200, and the
+    # exact flow still gives every level's states
     builds = count_reference_builds(monkeypatch)
     calls = count_integrate_calls(monkeypatch)
     doc = {
@@ -506,9 +500,9 @@ def test_ode_compare_falls_back_to_implicit_euler_on_a_stiff_pair(tmp_path, caps
         "checks": ["ode_compare"],
     }
     assert main(["verify", write_config(tmp_path, doc)]) == 0
-    assert [source for _, _, source in builds] == [IMPLICIT_EULER] * 3
-    assert calls == [s / 100.0 for s, _, _ in builds]
-    assert all(states == math.ceil(10 / s) + 1 for s, states, _ in builds)
+    assert "check.ode_compare = PASS" in capsys.readouterr().out
+    assert len(builds) == 3 and calls == []
+    assert all(states == math.ceil(10 / s) + 1 for s, states in builds)
 
 
 @pytest.mark.parametrize("moduli", [{"mu": 1e200}, {"gamma": 1e200}])
@@ -537,9 +531,9 @@ def test_ode_compare_refuses_gradients_off_the_affine_map(tmp_path, capsys, monk
         assert main(["verify", write_config(tmp_path, doc)]) == 1
     assert not caught
     pattern = (
-        r"^check\.ode_compare = FAIL \(implicit-Euler reference state at t=\S+ is not "
+        r"^check\.ode_compare = FAIL \(exact-flow reference state at t=\S+ is not "
         r"finite, or its gradients are not the affine map J z \+ G\(0\) of moduli mu "
-        r"and gamma at step h=\S+\)$"
+        r"and gamma at step s=\S+\)$"
     )
     assert re.search(pattern, capsys.readouterr().out, re.M)
 
@@ -561,9 +555,9 @@ def test_ode_compare_names_an_ill_conditioned_mass_matrix(tmp_path, capsys):
 
 @pytest.mark.parametrize("moduli", [{"mu": 1e200}, {"gamma": 1e200}])
 def test_ode_compare_certifies_a_stiff_step_at_its_rounding_floor(tmp_path, capsys, moduli):
-    # h 1e200 (x+ - a) (or (y+ - b)) moves by about 1e182 as x+ (or y+)
-    # moves one ulp; the certificate's floor scales with |J| |z|, so the
-    # reference map meets it at every state, and the halvings pass
+    # 1e200 (x - a) (or (y - b)) moves by about 1e184 as x (or y) moves
+    # one ulp; the certificate's floor scales with |J| |z|, so every
+    # reference state meets it, and the halvings pass
     doc = {
         "instance": {"kind": "quad_pair", "d": 4, **moduli},
         "regime": "fixed",
@@ -573,29 +567,27 @@ def test_ode_compare_certifies_a_stiff_step_at_its_rounding_floor(tmp_path, caps
     assert main(["verify", write_config(tmp_path, doc)]) == 0
     out = capsys.readouterr().out
     assert "not the affine map" not in out
-    # the eigenvector matrix or ||A|| near 1e200 refuses the exact flow
-    pattern = (
-        r"^check\.ode_compare = PASS \(halving ratios \S+, \S+; "
-        r"references implicit_euler, implicit_euler, implicit_euler\)$"
-    )
-    assert re.search(pattern, out, re.M)
+    assert re.search(r"^check\.ode_compare = PASS \(halving ratios \S+, \S+\)$", out, re.M)
 
 
 @pytest.mark.parametrize(
     "moduli, verdict",
     [
-        (1e-200, "PASS (halving ratios 0.191, 0.242; references exact_flow, exact_flow, exact_flow)"),
-        (1e-300, "PASS (halving ratios 0.191, 0.242; references exact_flow, exact_flow, exact_flow)"),
-        (1e300, "SKIPPED (discretization error is zero)"),
-        (1.7e308, "SKIPPED (discretization error is zero)"),
+        (1e-200, "PASS (halving ratios 0.191, 0.242)"),
+        (1e-300, "PASS (halving ratios 0.191, 0.242)"),
+        (1e300, "SKIPPED (discretization error at or below the rounding floor: sup errors "
+         "5.55e-17, 5.55e-17, 5.55e-17, floors 6.83e-15, 6.83e-15, 6.83e-15)"),
+        (1.7e308, "SKIPPED (discretization error at or below the rounding floor: sup errors "
+         "4.16e-17, 4.16e-17, 4.16e-17, floors 6.83e-15, 6.83e-15, 6.83e-15)"),
     ],
 )
 def test_ode_compare_rescales_a_distance_whose_square_underflows(tmp_path, capsys, moduli, verdict):
     # at mu = gamma = 1e-200 the iterates stay about 1e-201 from the
     # reference, whose square underflows to 0: rescaled, the sup errors of
     # levels 0-3 are 1.39e-201, 2.66e-202, 6.42e-203 and 1.59e-203, far
-    # above their rounding floors near 2e-214; at 1e300 and 1.7e308 the
-    # distances are exactly 0
+    # above their rounding floors near 2e-214; at 1e300 and 1.7e308 iterate
+    # and reference both sit at the saddle, up to the rounding of the
+    # reference's rotation into and out of the singular vectors of F
     doc = {
         "instance": {"kind": "quad_pair", "d": 2, "seed": 0, "mu": moduli, "gamma": moduli},
         "regime": "fixed",
@@ -606,15 +598,12 @@ def test_ode_compare_rescales_a_distance_whose_square_underflows(tmp_path, capsy
     assert f"check.ode_compare = {verdict}\n" in capsys.readouterr().out
 
 
-def test_ode_compare_skips_an_error_at_its_rounding_floor(tmp_path, capsys, monkeypatch):
+def test_ode_compare_skips_an_error_at_its_rounding_floor(tmp_path, capsys):
     # mu = gamma = 1e200 hold every iterate and reference state within an
-    # ulp of the saddle: each level's sup error is 1.39e-17, under its floor
-    # of 4.6e-13 (the runs stop at a zero residual after two steps, 202
+    # ulp of the saddle: each level's sup error is 1.12e-16, under its floor
+    # of 6.83e-15 (the runs stop at a zero residual after two steps, three
     # maps with the reference's), so the flat series is no first-order
-    # failure.
-    # The acceptance bound is set to 0 so that the exact flow is refused
-    # even where the rounding model would take it.
-    monkeypatch.setattr(dynamics, "FLOW_TOL", 0.0)
+    # failure
     doc = {
         "instance": {"kind": "quad_pair", "d": 2, "seed": 0, "mu": 1e200, "gamma": 1e200},
         "regime": "fixed",
@@ -626,8 +615,7 @@ def test_ode_compare_skips_an_error_at_its_rounding_floor(tmp_path, capsys, monk
     assert "FAIL" not in out
     want = (
         "check.ode_compare = SKIPPED (discretization error at or below the rounding floor: "
-        "sup errors 1.39e-17, 1.39e-17, 1.39e-17, floors 4.6e-13, 4.6e-13, 4.6e-13; "
-        "references implicit_euler, implicit_euler, implicit_euler)"
+        "sup errors 1.12e-16, 1.12e-16, 1.12e-16, floors 6.83e-15, 6.83e-15, 6.83e-15)"
     )
     assert want in out
 
@@ -636,7 +624,7 @@ def test_ode_compare_fails_a_flat_error_above_its_rounding_floor(monkeypatch):
     # a sup error that does not shrink with s, a billion times its floor,
     # is a first-order failure, not rounding
     monkeypatch.setattr(
-        cli, "_ode_sup_error", lambda *args: (1e-6, 1e-15, EXACT_FLOW)
+        cli, "_ode_sup_error", lambda *args: (1e-6, 1e-15)
     )
     built, schedule = materialize(parse_config(json.dumps({
         "instance": {"kind": "quad_pair", "d": 2}, "regime": "fixed", "budget": 10,
@@ -644,8 +632,7 @@ def test_ode_compare_fails_a_flat_error_above_its_rounding_floor(monkeypatch):
     result = cli._check_ode_compare(built.problem, schedule)
     assert (result.status, result.detail) == (
         cli.FAIL,
-        "halving ratios 1.000, 1.000, 1.000 exceed 0.7; "
-        "references exact_flow, exact_flow, exact_flow, exact_flow",
+        "halving ratios 1.000, 1.000, 1.000 exceed 0.7",
     )
 
 
@@ -764,8 +751,8 @@ def test_instance_d2_and_seed_out_of_range_are_named_config_errors(
 # refused before any check.  ode_compare applies to the fixed regime only.
 # At (1e-200, 1e200) and (1e200, 1e-200) one block is pinned to the saddle
 # and the other drifts at a constant rate, which implicit Euler follows
-# exactly: the sup errors, 2.3e-14 to 2.8e-13, are rounding under floors of
-# 3.0e-12 to 3.1e-11, so ode_compare is SKIPPED there.
+# exactly: the sup errors, 2.2e-16 to 1.8e-15, are rounding under floors of
+# 3.3e-14 to 3.1e-13, so ode_compare is SKIPPED there.
 EXTREME_MODULI = [(1, 1), (1e-200, 1e200), (1e200, 1e-200), (1e200, 1), (1, 1e200)]
 EXTREME_VERDICTS = {
     "fixed": [

@@ -1,5 +1,5 @@
 """Reference tests for the continuous saddle dynamics: the exact flow and the
-implicit-Euler integrator it falls back to."""
+implicit-Euler integrator that converges to it."""
 
 import math
 import warnings
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pdhglab import dynamics
-from pdhglab.dynamics import EXACT_FLOW, IMPLICIT_EULER, integrate, mass_matrix, reference_states
+from pdhglab.dynamics import integrate, mass_matrix, reference_states
 from pdhglab.engine import STEP_BLOCK
 from pdhglab.lyapunov import lyapunov_fixed
 from pdhglab.problems import FirstDifference, Identity, PrimalDualPair, SaddleProblem, _norm
@@ -547,61 +547,78 @@ def flow_case(level):
     return init, T, s, tau, sigma, problem
 
 
+def pair_case(d1, seed, d2=None, **moduli):
+    """quad_pair d1 x d2 at ``seed`` and the default fixed steps, T = 10."""
+    spec = InstanceSpec(kind="quad_pair", d1=d1, d2=d2, seed=seed, **moduli)
+    problem = build_instance(spec).problem
+    s = 0.9 / problem.F_norm
+    return PrimalDualPair(np.zeros(problem.d1), np.zeros(problem.d2)), 10.0, s, s, s, problem
+
+
 FLOW_CASES = {
     **{f"quad-ode-level-{n}": (lambda n=n: flow_case(n)) for n in range(4)},
     **{f"criterion-9-s-{b}": (lambda b=b: criterion_09_case(b)) for b in (0.1, 0.05, 0.025)},
+    **{f"d-128-seed-{n}": (lambda n=n: pair_case(128, n)) for n in (0, 1)},
+    "3x5-seed-2": lambda: pair_case(3, 2, d2=5),
+    "6x2-seed-0": lambda: pair_case(6, 0, d2=2),
+    # F's null space decouples at the slow rate -mu tau/s = -1e-4
+    "6x2-seed-0-mu-1e-4": lambda: pair_case(6, 0, d2=2, mu=1e-4),
 }
 
 
 @pytest.mark.parametrize("expm", [taylor_expm, scipy_expm], ids=["taylor", "scipy"])
 @pytest.mark.parametrize("case", FLOW_CASES)
 def test_the_exact_flow_agrees_with_an_independent_propagator(case, expm):
-    # one eigendecomposition evaluated at each t against a propagator
-    # stepped ceil(T/s) times (measured: 7.4e-15 of max |z| at most)
+    # the block flow evaluated at each t against one propagator of the
+    # whole system stepped ceil(T/s) times (measured: 1.2e-13 of max |z| at
+    # most, Taylor on the 6x2 pair at mu = 1e-4, whose z* is near 1e4)
     args = FLOW_CASES[case]()
-    X, Y, source = reference_states(*args)
+    X, Y = reference_states(*args)
     X0, Y0 = stepped_flow(*args, expm)
-    assert source == EXACT_FLOW
     assert X.shape == X0.shape and Y.shape == Y0.shape
     gap = max(np.abs(X - X0).max(), np.abs(Y - Y0).max())
     assert gap <= 1e-12 * max(np.abs(X0).max(), np.abs(Y0).max())
 
 
-@pytest.mark.parametrize("case", ["quad-ode-level-0", "criterion-9-s-0.1"])
-def test_implicit_euler_approaches_the_exact_flow_at_first_order(case):
-    # implicit Euler's gap to the exact flow at the PDHG times halves with h
-    # (ratios 0.500 and 0.501 measured on both instances)
-    init, T, s, tau, sigma, problem = FLOW_CASES[case]()
-    X, Y, _ = reference_states(init, T, s, tau, sigma, problem)
+def implicit_euler_gaps(init, T, s, tau, sigma, problem, per_steps):
+    """max |z_h - z| over the PDHG times of implicit Euler at each h = s /
+    per_step against the exact flow, and max |z|."""
+    X, Y = reference_states(init, T, s, tau, sigma, problem)
     n = len(X) - 1
     gaps = []
-    for per_step in (100, 200, 400):
+    for per_step in per_steps:
         Xh, Yh = integrate(init, n * s, s / per_step, s, tau, sigma, problem)
         every = slice(0, per_step * n + 1, per_step)
         gaps.append(max(np.abs(Xh[every] - X).max(), np.abs(Yh[every] - Y).max()))
+    return gaps, max(np.abs(X).max(), np.abs(Y).max())
+
+
+FIRST_ORDER_CASES = {
+    "quad-ode-level-0": FLOW_CASES["quad-ode-level-0"],
+    "criterion-9-s-0.1": FLOW_CASES["criterion-9-s-0.1"],
+    "d-128-seed-0": FLOW_CASES["d-128-seed-0"],
+    "mu-1e200": lambda: pair_case(4, 0, mu=1e200),
+    "gamma-1e200": lambda: pair_case(4, 0, gamma=1e200),
+}
+
+
+@pytest.mark.parametrize("case", FIRST_ORDER_CASES)
+def test_implicit_euler_approaches_the_exact_flow_at_first_order(case):
+    # implicit Euler's gap to the exact flow at the PDHG times halves with h
+    # (ratios 0.500 and 0.501 measured on every case); at mu or gamma = 1e200
+    # one rate of each block lies near 1e200
+    gaps, _ = implicit_euler_gaps(*FIRST_ORDER_CASES[case](), (100, 200, 400))
     ratios = [b / a for a, b in zip(gaps, gaps[1:])]
     assert all(0.45 <= r <= 0.55 for r in ratios), ratios
 
 
-def test_reference_states_fall_back_to_every_hundredth_implicit_euler_state(monkeypatch):
-    # with the acceptance bound at 0 the exact flow is refused; the
-    # fallback's states are integrate's at h = s/100, bit for bit
-    monkeypatch.setattr(dynamics, "FLOW_TOL", 0.0)
-    init, T, s, tau, sigma, problem = flow_case(0)
-    X, Y, source = reference_states(init, T, s, tau, sigma, problem)
-    n = int(np.ceil(T / s))
-    X0, Y0 = integrate(init, n * s, s / 100, s, tau, sigma, problem)
-    assert source == IMPLICIT_EULER and len(X) == n + 1
-    assert same_bits(X, X0[::100]) and same_bits(Y, Y0[::100])
-
-
-@pytest.mark.parametrize("mu, gamma", [(1e200, 1.0), (1.0, 1e200), (1e-200, 1e200)])
-def test_a_stiff_pair_falls_back(mu, gamma):
-    # ||A|| near 1e200, or an eigenvector matrix of condition number 1e84:
-    # the rounding model refuses the exact flow
-    init, T, _, s, tau, sigma, problem = moduli_case(mu, gamma)
-    X, _, source = reference_states(init, T, s, tau, sigma, problem)
-    assert source == IMPLICIT_EULER and len(X) == int(np.ceil(T / s)) + 1
+@pytest.mark.parametrize("mu, gamma", [(1e-200, 1e200), (1e200, 1e-200)])
+def test_implicit_euler_follows_the_flow_of_a_pinned_and_a_drifting_block(mu, gamma):
+    # one block of each pair is pinned to the saddle, the other drifts at a
+    # constant rate, which implicit Euler follows exactly: the two agree to
+    # rounding, though z* lies near 1e200 (measured: 6.3e-14 of max |z|)
+    (gap,), largest = implicit_euler_gaps(*pair_case(4, 0, mu=mu, gamma=gamma), (100,))
+    assert gap <= 1e-12 * largest
 
 
 def test_an_exact_flow_state_off_the_affine_map_is_named():

@@ -10,9 +10,8 @@ or 1) or stops with a named error (exit 2): no traceback, no internal error
 Budgets are tiny, or so large that their columns cannot be reserved (a
 stride past them goes only with a tiny budget, since a run that records
 little may take its whole budget).  ``ode_compare`` is kept wherever it is
-drawn: its reference is one eigendecomposition per level, or 100 ceil(10 / s)
-implicit-Euler steps where that falls back, and its PDHG runs take
-ceil(10 / s) steps per level.
+drawn: its reference is one SVD of F and one closed-form evaluation per
+level, and its PDHG runs take ceil(10 / s) steps per level.
 
 Run as a script, ``PYTHONPATH=src python tests/test_fuzz.py START STOP``
 draws the cases of seeds START to STOP - 1, prints every seed that breaks
