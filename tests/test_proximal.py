@@ -199,3 +199,39 @@ def test_linf_normal_cone_dist_accepts_exactly_clamped_iterates():
     y = project_linf_ball(np.array([2.0, -3.0, 0.1]), r)
     w = np.array([-1.0, 1.0, 0.0])
     assert linf_normal_cone_dist(y, w, r) == 0.0
+
+
+def _moved_to(M, offset):
+    """A C-ordered copy of M whose data starts `offset` bytes past a 64-byte boundary."""
+    buf = np.empty(M.size + 16)
+    start = (-buf.ctypes.data % 64 + offset) // 8
+    out = buf[start:start + M.size].reshape(M.shape)
+    out[...] = M
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+@pytest.mark.parametrize("d", [8, 64, 400])
+def test_the_cached_eigenvectors_start_on_a_cache_line(d):
+    # eigh's own result starts 16 bytes into a mapped page (d = 400's first
+    # build), or wherever the heap leaves it
+    rng = np.random.default_rng(d)
+    for _ in range(4):
+        cache = QuadraticProxCache(rng.standard_normal((2 * d, d)), rng.standard_normal(2 * d))
+        assert cache.eigvecs.ctypes.data % 64 == 0
+        assert cache.eigvecs.flags.c_contiguous
+
+
+@pytest.mark.parametrize("d", [8, 400])
+def test_the_least_squares_prox_has_the_same_bits_wherever_the_eigenvectors_start(d):
+    # the alignment only moves where the BLAS kernel reads V; pin that it
+    # moves no bit of a single or a stacked prox
+    rng = np.random.default_rng(29)
+    cache = QuadraticProxCache(rng.standard_normal((2 * d, d)), rng.standard_normal(2 * d))
+    v, t = rng.standard_normal((5, d)), rng.uniform(0.01, 5.0, (5, 1))
+    single, stacked = prox_least_squares(cache, v[0], 0.7), prox_least_squares(cache, v, t)
+    V = cache.eigvecs
+    for offset in (16, 32, 48):
+        cache.eigvecs = _moved_to(V, offset)
+        assert prox_least_squares(cache, v[0], 0.7).tobytes() == single.tobytes()
+        assert prox_least_squares(cache, v, t).tobytes() == stacked.tobytes()
