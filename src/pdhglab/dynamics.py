@@ -36,10 +36,12 @@ stay near 1.  Rates within a factor 4 leave the block unstiff, so
 J_i^-1 G = z0 - z* has the size of its data and the divided-difference
 form's error, a few EPS |J_i^-1 G|, is rounding too.
 
+Both entry points refuse a mass matrix whose condition number passes 1e14,
+read from the eigenvalues of the blocks M_i without forming M.
 :func:`integrate` is the implicit-Euler stepper, the h -> 0 cross-check of
 the flow; no command steps it.  Each step M (z+ - z) = h G(z+) is the one
-linear map z+ = P z + c, (M - h J) [P | c] = [M | h g], solved once per call
-after M's condition number is checked.  Both return X and Y, one row per t.
+linear map z+ = P z + c, (M - h J) [P | c] = [M | h g], solved once per
+call.  Both return X and Y, one row per t.
 
 A certificate runs on every returned state: the gradient oracles must
 equal the affine map, |G(z) - (J z + g)| <= (n + 4) EPS (|J| |z| + |g|) in
@@ -76,8 +78,23 @@ def mass_matrix(s: float, tau: float, sigma: float, F: np.ndarray) -> np.ndarray
     return M
 
 
+def _mass_condition(s: float, tau: float, sigma: float, sv: np.ndarray, d1: int, d2: int):
+    """The condition number of M, whose eigenvalues are those of its blocks
+    M_i, (a + b)/2 +- hypot((a - b)/2, s sv_i) with a = s/tau and b = s/sigma
+    (the small one as det M_i over the large, scaled so that no product
+    overflows), and a alone or b alone in each of the |d1 - d2| directions
+    that F or F^T sends to zero."""
+    # past the double range a value is inf or nan, which the caller refuses
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a, b, c = s / tau, s / sigma, s * sv
+        large = (a + b) / 2 + np.hypot((a - b) / 2, c)
+        small = abs(a / large * b - c / large * c)
+        eig = np.concatenate([large, small, [a] if d1 > d2 else [b] if d2 > d1 else []])
+        return eig.max() / eig.min()
+
+
 def _affine_system(s: float, tau: float, sigma: float, problem: SaddleProblem):
-    """The mass matrix M, J, g = G(0) and the right-hand side G of the
+    """The SVD (U, sv, Vh) of F, J, g = G(0) and the right-hand side G of the
     system; raises ValueError on a problem without both gradient oracles or
     without a dense coupling, or on an ill-conditioned mass matrix."""
     if problem.grad_f is None or problem.grad_gstar is None:
@@ -92,8 +109,8 @@ def _affine_system(s: float, tau: float, sigma: float, problem: SaddleProblem):
             f"its mass matrix; got {type(problem.F).__name__}"
         )
     F, d1, d2 = problem.F.matrix, problem.d1, problem.d2
-    M = mass_matrix(s, tau, sigma, F)
-    cond = np.linalg.cond(M)
+    svd = np.linalg.svd(F)
+    cond = _mass_condition(s, tau, sigma, svd[1], d1, d2)
     if not np.isfinite(cond) or cond > 1e14:
         raise ValueError(
             f"mass matrix is ill-conditioned: condition number {cond:.3g} > 1e14 "
@@ -109,7 +126,7 @@ def _affine_system(s: float, tau: float, sigma: float, problem: SaddleProblem):
     J = np.block([[-problem.mu * np.eye(d1), -F.T], [F, -problem.gamma * np.eye(d2)]])
     with np.errstate(over="ignore", invalid="ignore"):
         g = rhs(np.zeros(d1 + d2))
-    return M, J, g, rhs
+    return svd, J, g, rhs
 
 
 def _certify(Z: np.ndarray, J, g, rhs, name: str, step: str, dt: float) -> None:
@@ -131,11 +148,12 @@ def _certify(Z: np.ndarray, J, g, rhs, name: str, step: str, dt: float) -> None:
             )
 
 
-def _block_flow(t, G0, s, tau, sigma, problem):
+def _block_flow(t, G0, s, tau, sigma, problem, svd):
     """z(t) - z0 at each t (rows) of the flow whose right-hand side at z0 is
-    G0, block by block in the singular vectors of F (module docstring)."""
-    F, mu, gamma, d1, d2 = problem.F.matrix, problem.mu, problem.gamma, problem.d1, problem.d2
-    U, sv, Vh = np.linalg.svd(F)
+    G0, block by block in the singular vectors of F, whose SVD is ``svd``
+    (module docstring)."""
+    mu, gamma, d1, d2 = problem.mu, problem.gamma, problem.d1, problem.d2
+    U, sv, Vh = svd
     # max(d1, d2) blocks: a block of sv = 0 holds the two 1x1 blocks' rates
     sv = np.pad(sv, (0, max(d1, d2) - len(sv)))
     gx, gy = (np.pad(g, (0, len(sv) - len(g))) for g in (Vh @ G0[:d1], U.T @ G0[d1:]))
@@ -192,12 +210,12 @@ def reference_states(
     :func:`integrate` does, naming the time and step s."""
     if T <= 0:
         raise ValueError("T must be positive")
-    M, J, g, rhs = _affine_system(s, tau, sigma, problem)
+    svd, J, g, rhs = _affine_system(s, tau, sigma, problem)
     t = s * np.arange(int(np.ceil(T / s - 1e-12)) + 1)
     z0 = np.concatenate([init.x, init.y])
     # a state that overflows fails the certificate, which names it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        Z = z0 + _block_flow(t, rhs(z0), s, tau, sigma, problem)
+        Z = z0 + _block_flow(t, rhs(z0), s, tau, sigma, problem, svd)
         _certify(Z, J, g, rhs, "exact-flow", "s", s)
     return Z[:, : problem.d1], Z[:, problem.d1 :]
 
@@ -221,7 +239,8 @@ def integrate(
     """
     if T <= 0 or h <= 0:
         raise ValueError("T and h must be positive")
-    M, J, g, rhs = _affine_system(s, tau, sigma, problem)
+    _, J, g, rhs = _affine_system(s, tau, sigma, problem)
+    M = mass_matrix(s, tau, sigma, problem.F.matrix)
     n_steps = int(np.ceil(T / h - 1e-12))
     Z = np.empty((n_steps + 1, len(g)))
     z = Z[0] = np.concatenate([init.x, init.y])

@@ -18,12 +18,9 @@ and records a :class:`Trajectory`: one row per recorded step, stored as
     primal: || (x_k - x_{k+1}) / tau_k  - F^T (y_k - y_{k+1}) ||
     dual:   || (y_k - y_{k+1}) / sigma_k - theta_k F (x_k - x_{k+1}) ||
 
-which both vanish exactly at a saddle point and, for smooth terms, equal the
-norms of the stationarity gaps || grad f(x_{k+1}) + F^T y_{k+1} || and
-|| grad g*(y_{k+1}) - F x_{k+1} ||-like quantities up to the displacement
-scaling.  :func:`optimality_residual` evaluates the exact per-step inclusion
-residuals of one transition instead (zero for exact prox oracles, regardless
-of distance to the saddle).
+which both vanish exactly at a saddle point.  With exact prox oracles and
+smooth terms they are the stationarity gaps || grad f(x_{k+1}) + F^T y_{k+1} ||
+and || grad g*(y_{k+1}) - F x_{k+1} ||.
 
 The step loop only steps: each step is the iteration and the divergence
 guard.  The residuals, the ``tol`` stop and the recording are evaluated once
@@ -41,7 +38,7 @@ from typing import Protocol, Sequence, Union
 
 import numpy as np
 
-from .problems import PrimalDualPair, SaddleProblem, _norm, inclusion_residuals
+from .problems import PrimalDualPair, SaddleProblem, _norm
 from .schedules import ACCELERATED, Schedule, schedule_at
 
 TERMINATION_BUDGET = "budget"
@@ -101,22 +98,6 @@ def max_recorded_rows(budget: int, record_every: int) -> int:
     ``record_every``-th step, plus the last one."""
     record_every = min(record_every, budget)
     return budget if record_every == 1 else -(-budget // record_every) + 1
-
-
-def pdhg_step(
-    problem: SaddleProblem,
-    x_k: np.ndarray,
-    y_k: np.ndarray,
-    tau_k: float,
-    sigma_k: float,
-    theta_k: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance one iteration; returns (x_{k+1}, y_{k+1})."""
-    if tau_k <= 0 or sigma_k <= 0:
-        raise ValueError("step sizes must be positive")
-    if not 0.0 <= theta_k <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    return _step(problem, x_k, y_k, tau_k, sigma_k, theta_k)
 
 
 def _step(problem, x_k, y_k, tau_k, sigma_k, theta_k):
@@ -321,33 +302,3 @@ def run(
     ]
     return trajectories if stacked else trajectories[0]
 
-
-def optimality_residual(
-    problem: SaddleProblem,
-    x_k: np.ndarray,
-    y_k: np.ndarray,
-    x_next: np.ndarray,
-    y_next: np.ndarray,
-    tau_k: float,
-    sigma_k: float,
-    theta_k: float,
-) -> tuple[float, float]:
-    """Exact inclusion residuals of the transition (x_k, y_k) ->
-    (x_{k+1}, y_{k+1}) under the steps (tau_k, sigma_k, theta_k):
-
-        r_x = dist(0, @f(x_{k+1}) + F^T y_k + (x_{k+1} - x_k)/tau_k)
-        r_y = dist(0, @g*(y_{k+1}) - F xbar_{k+1} + (y_{k+1} - y_k)/sigma_k)
-
-    Evaluated by :func:`~pdhglab.problems.inclusion_residuals`.  xbar_{k+1}
-    is recomputed with the operations of :func:`pdhg_step`, so it carries
-    the same bits as the iterate's.
-    """
-    F = problem.F
-    x_bar = x_next + theta_k * (x_next - x_k)
-    return inclusion_residuals(
-        problem,
-        x_next,
-        F.apply_T(y_k) + (x_next - x_k) / tau_k,
-        y_next,
-        -F.apply(x_bar) + (y_next - y_k) / sigma_k,
-    )

@@ -4,8 +4,8 @@ Three discrete Lyapunov functions are evaluated, one per analysis regime:
 
 * fixed steps:      E(k) = ||x_k - x*||^2/(2 tau) + ||y_k - y*||^2/(2 sigma)
                            - <F (x_k - x*), y_k - y*>
-* varying steps:    same form with (tau_k, sigma_k) (:func:`lyapunov_fixed`
-                    evaluated at the step sizes of iteration k)
+* varying steps:    same form with (tau_k, sigma_k), the step sizes of
+                    iteration k
 * accelerated:      E(k) = ||x_k - x*||^2/(2 tau_k^2) + ||y_{k-1} - y*||^2/(2 s^2)
                            + <F (x_k - x_{k-1}), y_{k-1} - y*>/tau_{k-1}
                            + ||x_k - x_{k-1}||^2/(2 tau_{k-1}^2)
@@ -149,25 +149,6 @@ def slack_tolerance(E_k: float) -> float:
     return 1e-8 * (1.0 + abs(E_k))
 
 
-def lyapunov_fixed(
-    x_k: np.ndarray,
-    y_k: np.ndarray,
-    saddle: PrimalDualPair,
-    tau,
-    sigma,
-    F,
-):
-    """Fixed-step Lyapunov value at (x_k, y_k).
-
-    Nonnegative whenever tau * sigma = s^2 and s ||F|| < 1, with the sandwich
-    (1 - s||F||)/2 * (||dx||^2/tau + ||dy||^2/sigma) <= E <= (1 + s||F||)/2 * (same).
-    Stacked rows (R, d) take step sizes of shape (R,) and give R values.
-    """
-    if np.any(tau <= 0) or np.any(sigma <= 0):
-        raise ValueError("step sizes must be positive")
-    return _as_result(_coupled_form(x_k - saddle.x, y_k - saddle.y, tau, sigma, F))
-
-
 def lyapunov_accelerated(
     x_k: np.ndarray,
     x_prev: np.ndarray,
@@ -213,6 +194,11 @@ def numerical_error(
     Fixed/varying form (default):
 
         NE = ||dx||^2/(2 tau) + ||dy||^2/(2 sigma) - <F dx, dy>
+
+    the coupled form of E(k): at dx = x_k - x*, dy = y_k - y* and the steps
+    (tau_k, sigma_k) of iteration k it is the fixed and varying E(k).  Under
+    tau sigma = s^2 it lies between (1 - s||F||)/2 and (1 + s||F||)/2 times
+    ||dx||^2/tau + ||dy||^2/sigma.
 
     Accelerated form (``accelerated=True``, where ``tau`` is tau_{k-1} and
     ``sigma`` plays the role of s):

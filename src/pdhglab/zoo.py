@@ -274,15 +274,6 @@ def piecewise_constant_signal(rng: np.random.Generator, d: int, segments: int = 
     return signal + 0.05 * rng.standard_normal(d)
 
 
-def primal_objective(
-    A: Optional[np.ndarray], b: np.ndarray, lam: float, F, x: np.ndarray
-) -> float:
-    """Composite objective 1/2 ||Ax - b||^2 + lam ||Fx||_1 for a coupling
-    operator F; ``A = None`` stands for A = I."""
-    r = (x if A is None else A @ x) - b
-    return float(0.5 * (r @ r) + lam * np.abs(F.apply(x)).sum())
-
-
 def build_instance(spec: InstanceSpec) -> BuiltInstance:
     """Materialize a spec into a problem (bitwise-reproducible from the seed).
 

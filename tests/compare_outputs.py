@@ -10,16 +10,18 @@ working directory and the relative output ``out``.  The exit code, stdout,
 stderr and every file the child writes are compared; each difference is
 named, and the script exits 1 if there is any, else 0.
 
-The 19 configs are the four workloads of ``perfbench/workloads.py`` at
+The 21 configs are the four workloads of ``perfbench/workloads.py`` at
 seed 0, read unchanged; nine runs and sweeps that reach the other regimes,
 the recording gaps, the theorem on a reference-run saddle and a saddle that
 cannot be resolved (whose reference run takes all its 500 000 steps,
-about 13 s on one core); three ODE comparisons, at s = 0.1, on a stiff
-pair (moduli 1 and 1e200) and at d = 128; and three
-verifies that end early, so the failure and error texts are compared too: a
-lemma that fails on extreme moduli and an ODE comparison skipped there at
-its rounding floor (exit 1), a budget whose table cannot be reserved and an
-unknown key (both exit 2).
+about 13 s on one core); four ODE comparisons, at s = 0.1, on a stiff
+pair (moduli 1 and 1e200), at d = 128 and on a 2 x 6 coupling, whose four
+null directions of F enter the mass matrix's condition number alone; and
+four verifies that end early, so the failure and error texts are compared
+too: a lemma that fails on extreme moduli and an ODE comparison skipped
+there at its rounding floor, and an ODE comparison at steps 1e300 and
+1e-301 whose mass matrix is refused as ill-conditioned (both exit 1), a
+budget whose table cannot be reserved and an unknown key (both exit 2).
 pytest does not collect this file; ``test_compare_outputs.py`` tests its
 comparator.
 """
@@ -99,6 +101,14 @@ CONFIGS = [
     ("ode_compare-d-128", "verify", {
         "instance": {"kind": "quad_pair", "d": 128, "seed": 0},
         "regime": "fixed", "budget": 50, "checks": ["ode_compare"],
+    }),
+    ("ode_compare-6x2", "verify", {
+        "instance": {"kind": "quad_pair", "d": 6, "d2": 2},
+        "regime": "fixed", "budget": 50, "checks": ["ode_compare"],
+    }),
+    ("ode_compare-ill-conditioned", "verify", {
+        "instance": {"kind": "quad_pair", "d": 4}, "regime": "fixed",
+        "schedule": {"tau": 1e300, "sigma": 1e-301}, "budget": 50, "checks": ["ode_compare"],
     }),
     ("budget-cannot-be-reserved", "verify", {
         "instance": _quad(), "regime": "varying_sc", "budget": 2**62,

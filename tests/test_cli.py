@@ -22,7 +22,7 @@ from pdhglab import cli, config as config_module, dynamics, engine, lyapunov, zo
 from pdhglab.cli import CSV_COLUMNS, execute, main
 from pdhglab.config import ConfigError, materialize, parse_config
 from pdhglab.dynamics import reference_states
-from pdhglab.lyapunov import Claim, lyapunov_fixed, numerical_error
+from pdhglab.lyapunov import Claim, numerical_error
 from pdhglab.problems import PrimalDualPair
 from pdhglab.schedules import FIXED, Schedule, schedule_at
 from recording import recorded_run
@@ -132,7 +132,7 @@ def test_run_budget_one_golden_row(tmp_path):
     assert float(row["theta_k"]) == theta == 1.0
     assert float(row["dist_x_sq"]) == float((x - saddle.x) @ (x - saddle.x))
     assert float(row["dist_y_sq"]) == float((y - saddle.y) @ (y - saddle.y))
-    E = lyapunov_fixed(x, y, saddle, tau, sigma, problem.F)
+    E = numerical_error(x - saddle.x, y - saddle.y, tau, sigma, problem.F)
     ne = numerical_error(x_next - x, y_next - y, tau, sigma, problem.F)
     assert float(row["lyapunov"]) == E
     assert float(row["ne"]) == ne
@@ -943,9 +943,7 @@ def test_execute_evaluates_each_lyapunov_value_once(monkeypatch, regime):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name, key in (
-        ("lyapunov_fixed", "E"), ("lyapunov_accelerated", "E"), ("numerical_error", "NE")
-    ):
+    for name, key in (("lyapunov_accelerated", "E"), ("numerical_error", "NE")):
         monkeypatch.setattr(lyapunov, name, counted(getattr(lyapunov, name), key))
     trajectories = []
     real_run = cli.run

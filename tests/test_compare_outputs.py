@@ -42,6 +42,6 @@ def test_each_difference_is_named(tmp_path):
 
 
 def test_the_config_set_writes_to_a_relative_output():
-    assert len(CONFIGS) == 19
-    assert len({name for name, _, _ in CONFIGS}) == 19
+    assert len(CONFIGS) == 21
+    assert len({name for name, _, _ in CONFIGS}) == 21
     assert all(doc["output"] == "out" for _, _, doc in CONFIGS)

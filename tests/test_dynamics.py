@@ -11,7 +11,7 @@ import pytest
 from pdhglab import dynamics
 from pdhglab.dynamics import integrate, mass_matrix, reference_states
 from pdhglab.engine import STEP_BLOCK
-from pdhglab.lyapunov import lyapunov_fixed
+from pdhglab.lyapunov import numerical_error
 from pdhglab.problems import FirstDifference, Identity, PrimalDualPair, SaddleProblem, _norm
 from pdhglab.schedules import FIXED, make_schedule
 from pdhglab.zoo import InstanceSpec, build_instance, make_quad_pair
@@ -247,27 +247,69 @@ def test_integrate_includes_initial_state():
     assert np.all(np.isfinite(X)) and np.all(np.isfinite(Y))
 
 
-def test_integrate_sets_up_once_per_call(monkeypatch):
-    built = build_instance(InstanceSpec(kind="quad_pair", d1=16, seed=1))
-    s = 0.9 / built.problem.F_norm
-    calls = {"mass_matrix": 0, "cond": 0, "solve": 0}
+def count_set_up_calls(monkeypatch):
+    """Counts of the calls that set up an ODE reference, filled as they run."""
+    calls = {"mass_matrix": 0, "cond": 0, "svd": 0, "solve": 0}
 
-    def counted(module, name, key):
+    def counted(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            calls[name] += 1
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(dynamics, "mass_matrix", "mass_matrix")
-    counted(np.linalg, "cond", "cond")
-    counted(np.linalg, "solve", "solve")
+    counted(dynamics, "mass_matrix")
+    for name in ("cond", "svd", "solve"):
+        counted(np.linalg, name)
+    return calls
+
+
+def test_integrate_sets_up_once_per_call(monkeypatch):
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=16, seed=1))
+    s = 0.9 / built.problem.F_norm
+    calls = count_set_up_calls(monkeypatch)
     init = PrimalDualPair(np.ones(16), -np.ones(16))
     X, _ = integrate(init, T=1.0, h=s / 100, s=s, tau=s, sigma=s, problem=built.problem)
     assert len(X) > 100
-    assert calls == {"mass_matrix": 1, "cond": 1, "solve": 1}
+    assert calls == {"mass_matrix": 1, "cond": 0, "svd": 1, "solve": 1}
+
+
+def test_the_exact_flow_sets_up_from_one_svd_and_builds_no_mass_matrix(monkeypatch):
+    built = build_instance(InstanceSpec(kind="quad_pair", d1=16, seed=1))
+    s = 0.9 / built.problem.F_norm
+    calls = count_set_up_calls(monkeypatch)
+    init = PrimalDualPair(np.ones(16), -np.ones(16))
+    X, _ = reference_states(init, 10 * s, s, s, s, built.problem)
+    assert len(X) == 11
+    assert calls == {"mass_matrix": 0, "cond": 0, "svd": 1, "solve": 0}
+
+
+@pytest.mark.parametrize("d2, d1", [(4, 4), (3, 5), (5, 3), (6, 2), (16, 16)])
+def test_the_block_condition_number_matches_the_dense_mass_matrix(d2, d1):
+    # the eigenvalues of the 2x2 blocks, and a or b alone in each of the
+    # |d1 - d2| directions F or F^T sends to zero, against the dense M
+    rng = np.random.default_rng(d1 * d2)
+    F = rng.standard_normal((d2, d1))
+    F[:, 0] = 0.0  # a zero singular value inside the blocks
+    s = 0.9 / np.linalg.norm(F, 2)
+    sv = np.linalg.svd(F, compute_uv=False)
+    for tau, sigma in [(s, s), (4 * s, s / 4), (s / 300, 300 * s)]:
+        want = np.linalg.cond(mass_matrix(s, tau, sigma, F))
+        assert math.isclose(dynamics._mass_condition(s, tau, sigma, sv, d1, d2), want, rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("d2, d1", [(1, 1), (4, 4), (3, 5), (6, 2), (16, 16)])
+def test_the_block_condition_number_is_exact_where_the_dense_one_is_not(d2, d1):
+    # at tau = 2.5e9, sigma = 1e-10, s = 0.5 and ||F|| = 1 the largest
+    # eigenvalue is b = s/sigma = 5e9 and the smallest det/b = (ab - s^2) / b
+    # = 0.75 / 5e9 to rounding, where np.linalg.cond of the dense M reads
+    # from 2.8e19 to 3.4e21 on the pairs past 1 x 1
+    F = np.random.default_rng(1).standard_normal((d2, d1))
+    sv = np.linalg.svd(F / np.linalg.norm(F, 2), compute_uv=False)
+    got = dynamics._mass_condition(0.5, 2.5e9, 1e-10, sv, d1, d2)
+    assert math.isclose(got, 5e9 / 1.5e-10, rel_tol=1e-12)
 
 
 def test_integrate_matches_chained_single_steps():
@@ -306,7 +348,8 @@ def test_continuous_lyapunov_decays_along_flow():
     init = PrimalDualPair(np.ones(2), np.ones(2))
     X, Y = integrate(init, T=5.0, h=0.05, s=s, tau=s, sigma=s, problem=built.problem)
     sad = built.saddle
-    vals = [lyapunov_fixed(x, y, sad, s, s, built.problem.F) for x, y in zip(X, Y)]
+    F = built.problem.F
+    vals = [numerical_error(x - sad.x, y - sad.y, s, s, F) for x, y in zip(X, Y)]
     assert all(b <= a + 1e-8 for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-2 * vals[0]
 

@@ -26,7 +26,6 @@ from pdhglab.lyapunov import (
     alpha_rate,
     lemma_records,
     lyapunov_accelerated,
-    lyapunov_fixed,
     numerical_error,
     rho_rate,
     slack_tolerance,
@@ -51,11 +50,12 @@ ZERO = PrimalDualPair(np.zeros(1), np.zeros(1))
 
 
 def test_lyapunov_fixed_hand_values():
+    # the fixed-step E(k) is the NE form at (x_k - x*, y_k - y*); x* = y* = 0
     F = Dense(np.array([[0.5]]))
-    val = lyapunov_fixed(np.array([1.0]), np.array([1.0]), ZERO, 1.0, 1.0, F)
+    val = numerical_error(np.array([1.0]), np.array([1.0]), 1.0, 1.0, F)
     assert abs(val - 0.5) <= 1e-15
-    assert lyapunov_fixed(np.zeros(1), np.zeros(1), ZERO, 1.0, 1.0, F) == 0.0
-    val = lyapunov_fixed(np.array([1.0]), np.array([0.0]), ZERO, 2.0, 1.0, F)
+    assert numerical_error(np.zeros(1), np.zeros(1), 1.0, 1.0, F) == 0.0
+    val = numerical_error(np.array([1.0]), np.array([0.0]), 2.0, 1.0, F)
     assert abs(val - 0.25) <= 1e-15
 
 
@@ -63,10 +63,10 @@ def test_lyapunov_varying_hand_value():
     # the varying-step Lyapunov value is the fixed form at (tau_k, sigma_k)
     # k = 0 of the varying schedule with c = 1, s = 0.5: tau0 = 1, sigma0 = 1/4
     F = Dense(np.array([[1.0]]))
-    val = lyapunov_fixed(np.array([1.0]), np.array([1.0]), ZERO, 1.0, 0.25, F)
+    val = numerical_error(np.array([1.0]), np.array([1.0]), 1.0, 0.25, F)
     assert abs(val - 1.5) <= 1e-15
-    assert lyapunov_fixed(np.zeros(1), np.zeros(1), ZERO, 1.0, 0.25, F) == 0.0
-    val = lyapunov_fixed(np.array([1.0]), np.array([1.0]), ZERO, 1.0, 1.0, Dense(np.array([[0.0]])))
+    assert numerical_error(np.zeros(1), np.zeros(1), 1.0, 0.25, F) == 0.0
+    val = numerical_error(np.array([1.0]), np.array([1.0]), 1.0, 1.0, Dense(np.array([[0.0]])))
     assert abs(val - 1.0) <= 1e-15
 
 
@@ -105,7 +105,8 @@ def test_quadratic_forms_nonnegative_under_admissibility():
             dx = rng.standard_normal(d)
             dy = rng.standard_normal(d)
             sad = PrimalDualPair(np.zeros(d), np.zeros(d))
-            assert lyapunov_fixed(dx, dy, sad, tau, sigma, F) >= -1e-12
+            # E(k) at the state (dx, dy), and NE of the displacement (dx, dy)
+            assert numerical_error(dx - sad.x, dy - sad.y, tau, sigma, F) >= -1e-12
             assert numerical_error(dx, dy, tau, sigma, F) >= -1e-12
             # accelerated form: tau plays tau_{k-1}, the dual scale is s itself
             assert numerical_error(dx, dy, tau, s, F, accelerated=True) >= -1e-12
@@ -492,8 +493,11 @@ def reference_table(traj, states, problem, saddle, init):
             "dist_y_next": _sq_dist(y_next[i], saddle.y),
         }
         if sched.regime != ACCELERATED:
-            row["E"] = lyapunov_fixed(x[i], y[i], saddle, tau, sigma, F)
-            row["E_next"] = lyapunov_fixed(x_next[i], y_next[i], saddle, tau_n, sigma_n, F)
+            # the fixed and varying E(k) are the NE form at the saddle offsets
+            row["E"] = numerical_error(x[i] - saddle.x, y[i] - saddle.y, tau, sigma, F)
+            row["E_next"] = numerical_error(
+                x_next[i] - saddle.x, y_next[i] - saddle.y, tau_n, sigma_n, F
+            )
             row["ne"] = numerical_error(x_next[i] - x[i], y_next[i] - y[i], tau, sigma, F)
         else:
             row["E_next"] = lyapunov_accelerated(x_next[i], x[i], y[i], saddle, tau_n, tau, s, F)
@@ -578,8 +582,8 @@ def test_evaluators_keep_one_code_path_for_one_state():
     x, y = rng.standard_normal((3, 4)), rng.standard_normal((3, 2))
     tau, sigma = np.array([0.5, 0.25, 0.125]), np.array([0.2, 0.4, 0.8])
     F = problem.F
-    rows = lyapunov_fixed(x, y, saddle, tau, sigma, F)
-    one = lyapunov_fixed(x[1], y[1], saddle, tau[1], sigma[1], F)
+    rows = numerical_error(x - saddle.x, y - saddle.y, tau, sigma, F)
+    one = numerical_error(x[1] - saddle.x, y[1] - saddle.y, tau[1], sigma[1], F)
     assert isinstance(one, float) and rows.shape == (3,)
     assert math.isclose(rows[1], one, rel_tol=1e-14)
     rows = lyapunov_accelerated(x, x[::-1], y, saddle, tau, sigma, 0.5, F)
@@ -589,7 +593,7 @@ def test_evaluators_keep_one_code_path_for_one_state():
     one = numerical_error(x[2], y[2], tau[2], 0.5, F, accelerated=True)
     assert isinstance(one, float) and math.isclose(rows[2], one, rel_tol=1e-14)
     with pytest.raises(ValueError):
-        lyapunov_fixed(x, y, saddle, np.array([0.5, -1.0, 0.5]), sigma, F)
+        numerical_error(x - saddle.x, y - saddle.y, np.array([0.5, -1.0, 0.5]), sigma, F)
 
 
 @pytest.mark.parametrize("regime", [VARYING_SC, ACCELERATED])

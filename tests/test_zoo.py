@@ -16,7 +16,6 @@ from pdhglab.zoo import (
     make_generalized_lasso,
     make_quad_pair,
     piecewise_constant_signal,
-    primal_objective,
     reference_saddle,
 )
 
@@ -174,6 +173,13 @@ def test_piecewise_constant_signal_shape():
     # a five-segment signal has at most four large jumps
     jumps = np.abs(np.diff(sig)) > 0.5
     assert 1 <= int(np.sum(jumps)) <= 4
+
+
+def primal_objective(A, b, lam, F, x):
+    """The composite objective 1/2 ||Ax - b||^2 + lam ||Fx||_1 of the lasso
+    kinds, for a coupling operator F; ``A = None`` stands for A = I."""
+    r = (x if A is None else A @ x) - b
+    return 0.5 * float(r @ r) + lam * float(np.abs(F.apply(x)).sum())
 
 
 def test_primal_objective_with_identity_a():
