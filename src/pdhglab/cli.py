@@ -23,10 +23,11 @@ error named on stderr as ``internal error: <type>: <message>``.
 The trajectory CSV has one row per recorded step.  Row k holds the pre-step
 state diagnostics (distances, Lyapunov value) at iterate k together with the
 transition quantities of step k -> k+1 (numerical error, lemma slack,
-residuals).  Values are written with 17 significant digits so downstream
-tolerance checks read back losslessly; entries that are not defined for the
-run (no saddle point, no matching lemma, gaps in accelerated rows) are
-``nan``.
+residuals).  In the accelerated regime the numerical error of row k is that
+of step k-1 -> k, and row k_start holds that of the dual half-step from y_0.
+Values are written with 17 significant digits so downstream tolerance checks
+read back losslessly; entries that are not defined for the run (no saddle
+point, no matching lemma, gaps in accelerated rows) are ``nan``.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .rates import contraction_factors, default_window, fit_rate
 from .schedules import (
     ACCELERATED, FIXED, OPTIMAL_SS, VARYING_SC, Schedule, k0_threshold, schedule_at,
 )
-from .zoo import QUAD_PAIR, BuiltInstance, reference_saddle
+from .zoo import BuiltInstance, reference_saddle
 
 CSV_COLUMNS = [
     "k", "tau_k", "sigma_k", "theta_k", "dist_x_sq", "dist_y_sq", "lyapunov",
@@ -103,8 +104,7 @@ def _fmt(value) -> str:
 
 def _resolve_saddle(built: BuiltInstance) -> tuple[Optional[PrimalDualPair], str]:
     if built.saddle is not None:
-        source = "kkt_oracle" if built.spec.kind == QUAD_PAIR else "closed_form"
-        return built.saddle, source
+        return built.saddle, built.saddle_source
     try:
         return reference_saddle(built.problem), "reference_run"
     except RuntimeError:

@@ -124,16 +124,9 @@ def _sq_dist(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     return _rowdot(diff, diff)
 
 
-def _as_result(value):
-    """A float for one state, the array for stacked rows."""
-    return float(value) if np.ndim(value) == 0 else value
-
-
-def _coupled_form(dx, dy, tau, sigma, F, dx_sq=None, dy_sq=None):
+def _coupled_form(dx, dy, tau, sigma, F, dx_sq, dy_sq):
     """||dx||^2/(2 tau) + ||dy||^2/(2 sigma) - <F dx, dy>, per row, given
-    the squared norms ``dx_sq`` and ``dy_sq`` where the caller has them."""
-    if dx_sq is None:
-        dx_sq, dy_sq = _rowdot(dx, dx), _rowdot(dy, dy)
+    the squared norms ``dx_sq`` = ||dx||^2 and ``dy_sq`` = ||dy||^2."""
     # at extreme steps a term leaves the double range: the value is inf or nan
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return dx_sq / (2.0 * tau) + dy_sq / (2.0 * sigma) - _rowdot(F.apply(dx), dy)
@@ -178,53 +171,48 @@ def lyapunov_accelerated(
         if tau_prev is not None:
             step = x_k - x_prev
             value += _rowdot(F.apply(step), dy) / tau_prev + _rowdot(step, step) / (2.0 * tau_prev**2)
-    return _as_result(value)
+    return value
 
 
-def numerical_error(
-    dx: np.ndarray,
-    dy: np.ndarray,
-    tau,
-    sigma,
-    F,
-    accelerated: bool = False,
-):
-    """Numerical-error term NE of the implicit discretization.
-
-    Fixed/varying form (default):
+def numerical_error(dx: np.ndarray, dy: np.ndarray, tau, sigma, F):
+    """Numerical-error term NE of the implicit discretization with steps
+    (tau, sigma), the fixed and varying regimes' form
 
         NE = ||dx||^2/(2 tau) + ||dy||^2/(2 sigma) - <F dx, dy>
 
     the coupled form of E(k): at dx = x_k - x*, dy = y_k - y* and the steps
     (tau_k, sigma_k) of iteration k it is the fixed and varying E(k).  Under
     tau sigma = s^2 it lies between (1 - s||F||)/2 and (1 + s||F||)/2 times
-    ||dx||^2/tau + ||dy||^2/sigma.
-
-    Accelerated form (``accelerated=True``, where ``tau`` is tau_{k-1} and
-    ``sigma`` plays the role of s):
-
-        NE = ||dx||^2/(2 tau^2) - <F dx, dy>/tau + ||dy||^2/(2 s^2)
-
-    with ``tau = None`` encoding 1/tau_0 := 0 (only the dy term survives).
-    Nonnegative whenever the step sizes obey the regime's coupling to s^2 and
-    s ||F|| < 1; exactly zero on the admissibility boundary s ||F|| = 1 for
-    aligned displacements.  Stacked displacement rows take per-row step
-    sizes.
+    ||dx||^2/tau + ||dy||^2/sigma, so it is nonnegative for s ||F|| <= 1.
+    Stacked displacement rows take per-row step sizes.
     """
-    if np.any(sigma <= 0):
-        raise ValueError("sigma (or s) must be positive")
-    if accelerated:
-        if tau is not None and np.any(tau <= 0):
-            raise ValueError("tau must be positive (or None for 1/tau_0 := 0)")
-        # as in lyapunov_accelerated, tau**2 may leave the double range
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            value = _rowdot(dy, dy) / (2.0 * sigma**2)
-            if tau is not None:
-                value += _rowdot(dx, dx) / (2.0 * tau**2) - _rowdot(F.apply(dx), dy) / tau
-        return _as_result(value)
-    if tau is None or np.any(tau <= 0):
-        raise ValueError("tau must be positive")
-    return _as_result(_coupled_form(dx, dy, tau, sigma, F))
+    if np.any(sigma <= 0) or np.any(tau <= 0):
+        raise ValueError("tau and sigma must be positive")
+    return _coupled_form(dx, dy, tau, sigma, F, _rowdot(dx, dx), _rowdot(dy, dy))
+
+
+def numerical_error_accelerated(dx: np.ndarray, dy: np.ndarray, tau_prev, s: float, F):
+    """Numerical-error term NE of the accelerated discretization for the
+    displacement (dx, dy) of the transition k - 1 -> k:
+
+        NE = ||dx||^2/(2 tau_prev^2) - <F dx, dy>/tau_prev + ||dy||^2/(2 s^2)
+
+    with ``tau_prev`` = tau_{k-1}, and ``tau_prev = None`` encoding
+    1/tau_0 := 0 (only the dy term survives).  Nonnegative whenever
+    s ||F|| <= 1; exactly zero on the admissibility boundary s ||F|| = 1 for
+    aligned displacements.  Stacked displacement rows take per-row
+    ``tau_prev``.
+    """
+    if s <= 0:
+        raise ValueError("s must be positive")
+    if tau_prev is not None and np.any(tau_prev <= 0):
+        raise ValueError("tau_prev must be positive (or None for 1/tau_0 := 0)")
+    # as in lyapunov_accelerated, tau_prev**2 may leave the double range
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = _rowdot(dy, dy) / (2.0 * s**2)
+        if tau_prev is not None:
+            value += _rowdot(dx, dx) / (2.0 * tau_prev**2) - _rowdot(F.apply(dx), dy) / tau_prev
+    return value
 
 
 def alpha_rate(mu: float, c: float, s: float, F_norm: float) -> float:
@@ -437,14 +425,14 @@ class TableAccumulator:
         if not accelerated:
             ne[:] = numerical_error(x_next - x, y_next - y, tau, sigma, F)
         else:
-            transition = numerical_error(x_next - x, y_next - y, tau, sched.s, F, accelerated=True)
+            transition = numerical_error_accelerated(x_next - x, y_next - y, tau, sched.s, F)
             ne[:] = np.where(follows, np.concatenate(([self._last_ne], transition[:-1])), math.nan)
             self._last_ne = transition[-1]
             if lo == 0 and k[0] == sched.k_start:
                 x0, init_y = x[0], self._init.y
                 E[0] = lyapunov_accelerated(x0, x0, init_y, saddle, tau[0], None, sched.s, F)
-                ne[0] = numerical_error(
-                    np.zeros_like(x0), y[0] - init_y, None, sched.s, F, accelerated=True
+                ne[0] = numerical_error_accelerated(
+                    np.zeros_like(x0), y[0] - init_y, None, sched.s, F
                 )
         self._k[lo:hi] = k
         self._rows, self._final = hi, (x_next[-1].copy(), y_next[-1].copy())

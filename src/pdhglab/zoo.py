@@ -96,15 +96,14 @@ class InstanceSpec:
 
 @dataclass(frozen=True, eq=False)
 class BuiltInstance:
-    """Materialized instance: the problem, its data, and (when available in
-    closed form) its saddle point.  ``A`` is None for A = I
-    (``identity_a``)."""
+    """Materialized instance: the problem and, when available in closed
+    form, its saddle point and the name of its source (``kkt_oracle`` or
+    ``closed_form``).  The data A and b live in the problem's oracles."""
 
     spec: InstanceSpec
     problem: SaddleProblem
     saddle: Optional[PrimalDualPair] = None
-    A: Optional[np.ndarray] = None
-    b: Optional[np.ndarray] = None
+    saddle_source: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -277,13 +276,14 @@ def piecewise_constant_signal(rng: np.random.Generator, d: int, segments: int = 
 def build_instance(spec: InstanceSpec) -> BuiltInstance:
     """Materialize a spec into a problem (bitwise-reproducible from the seed).
 
-    Closed-form saddles are attached where they exist: quadratic pairs always
-    (KKT oracle); lasso when lam >= ||A^T b||_inf (then x* = 0 and
-    y* = A^T b); gen_lasso when lam >= ||y*||_inf for the constant
-    x* = c 1, c = <A1, b>/||A1||^2, and y* = -cumsum(A^T (b - A x*))[:-1],
-    the solution of D^T y* = A^T (b - A x*) for the first-difference D.  In
-    each case y* is dual feasible and both saddle inclusions hold.  Other
-    instances leave ``saddle`` as None; see :func:`reference_saddle`.
+    Closed-form saddles are attached where they exist, with their source:
+    quadratic pairs always (``kkt_oracle``); ``closed_form`` for lasso when
+    lam >= ||A^T b||_inf (then x* = 0 and y* = A^T b) and for gen_lasso
+    when lam >= ||y*||_inf for the constant x* = c 1, c = <A1, b>/||A1||^2,
+    and y* = -cumsum(A^T (b - A x*))[:-1], the solution of
+    D^T y* = A^T (b - A x*) for the first-difference D.  In each case y* is
+    dual feasible and both saddle inclusions hold.  Other instances leave
+    ``saddle`` as None; see :func:`reference_saddle`.
     """
     rng = np.random.default_rng(spec.seed)
 
@@ -297,7 +297,7 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
         G = rng.standard_normal((d2, d1))
         F = G / np.linalg.norm(G, 2)
         problem, saddle = make_quad_pair(a, b_hat, spec.mu, spec.gamma, F)
-        return BuiltInstance(spec=spec, problem=problem, saddle=saddle)
+        return BuiltInstance(spec, problem, saddle, "kkt_oracle")
 
     d1 = spec.d1
     if spec.identity_a:
@@ -320,13 +320,6 @@ def build_instance(spec: InstanceSpec) -> BuiltInstance:
         x_star = np.full(d1, (A1 @ b) / (A1 @ A1))
         r = b - x_star if A is None else A.T @ (b - A @ x_star)
         y_star = -np.cumsum(r)[:-1]
-    saddle = None
     if np.abs(y_star).max() <= spec.lam:
-        saddle = PrimalDualPair(x=x_star, y=y_star)
-    return BuiltInstance(
-        spec=spec,
-        problem=problem,
-        saddle=saddle,
-        A=A,
-        b=b,
-    )
+        return BuiltInstance(spec, problem, PrimalDualPair(x=x_star, y=y_star), "closed_form")
+    return BuiltInstance(spec, problem)

@@ -10,11 +10,11 @@ working directory and the relative output ``out``.  The exit code, stdout,
 stderr and every file the child writes are compared; each difference is
 named, and the script exits 1 if there is any, else 0.
 
-The 21 configs are the four workloads of ``perfbench/workloads.py`` at
-seed 0, read unchanged; nine runs and sweeps that reach the other regimes,
-the recording gaps, the theorem on a reference-run saddle and a saddle that
-cannot be resolved (whose reference run takes all its 500 000 steps,
-about 13 s on one core); four ODE comparisons, at s = 0.1, on a stiff
+The 23 configs are the four workloads of ``perfbench/workloads.py`` at
+seed 0, read unchanged; eleven runs and sweeps that reach the other regimes,
+the recording gaps, the theorem on a reference-run saddle, closed-form
+lasso and TV saddles and a saddle that cannot be resolved (whose reference
+run takes all its 500 000 steps, about 13 s on one core); four ODE comparisons, at s = 0.1, on a stiff
 pair (moduli 1 and 1e200), at d = 128 and on a 2 x 6 coupling, whose four
 null directions of F enter the mass matrix's condition number alone; and
 four verifies that end early, so the failure and error texts are compared
@@ -81,6 +81,14 @@ CONFIGS = [
     ("tv-accelerated", "run", {
         "instance": {"kind": "gen_lasso", "d": 30, "lam": 0.5, "identity_a": True, "seed": 0},
         "regime": "accelerated", "budget": 1000, "checks": ["lemma", "theorem", "rate_fit"],
+    }),
+    ("lasso-closed-form", "run", {
+        "instance": {"kind": "lasso", "d": 20, "lam": 10, "seed": 0},
+        "regime": "varying_sc", "budget": 500, "checks": ["lemma", "theorem", "rate_fit"],
+    }),
+    ("tv-closed-form", "run", {
+        "instance": {"kind": "gen_lasso", "d": 80, "lam": 200, "identity_a": True, "seed": 0},
+        "regime": "varying_sc", "budget": 500, "checks": ["lemma", "theorem", "rate_fit"],
     }),
     ("saddle-unavailable", "run", {
         "instance": {"kind": "lasso", "d": 5, "lam": 1e-8, "cond": 1e300, "seed": 0},

@@ -34,6 +34,7 @@ from pdhglab.lyapunov import (
     lemma_records,
     lyapunov_accelerated,
     numerical_error,
+    numerical_error_accelerated,
     rho_rate,
     theorem_bound,
 )
@@ -347,7 +348,7 @@ def test_criterion_06_numerical_error_nonnegative():
                 ne = numerical_error(dx, dy, s, s, F)
             elif regime == ACCELERATED:
                 tau = s * math.exp(rng.uniform(-2.0, 2.0))
-                ne = numerical_error(dx, dy, tau, s, F, accelerated=True)
+                ne = numerical_error_accelerated(dx, dy, tau, s, F)
             else:
                 ratio = math.exp(rng.uniform(-2.0, 2.0))
                 ne = numerical_error(dx, dy, s * ratio, s / ratio, F)
@@ -457,10 +458,10 @@ def test_criterion_10_tv_denoising_end_to_end():
 
     schedule = make_schedule(FIXED, built.problem.F_norm)
     traj = run(problem, schedule, zeros_init(problem), budget=100_000, tol=1e-12)
-    assert built.A is None  # A = I
+    b = -problem.grad_f(np.zeros(problem.d1))  # A = I, so grad f(x) = x - b
 
     def objective(x):  # 1/2 ||x - b||^2 + lam ||Fx||_1
-        r = x - built.b
+        r = x - b
         return 0.5 * float(r @ r) + built.spec.lam * float(np.abs(problem.F.apply(x)).sum())
 
     gap = abs(objective(traj.final.x) - objective(ref.x))

@@ -943,7 +943,11 @@ def test_execute_evaluates_each_lyapunov_value_once(monkeypatch, regime):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name, key in (("lyapunov_accelerated", "E"), ("numerical_error", "NE")):
+    for name, key in (
+        ("lyapunov_accelerated", "E"),
+        ("numerical_error", "NE"),
+        ("numerical_error_accelerated", "NE"),
+    ):
         monkeypatch.setattr(lyapunov, name, counted(getattr(lyapunov, name), key))
     trajectories = []
     real_run = cli.run

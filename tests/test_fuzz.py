@@ -113,9 +113,12 @@ def test_a_drawn_config_runs_or_exits_2_with_a_named_error(tmp_path, seed):
     strict=True, raises=AssertionError,
     reason="the quadratic prox (v + t m a)/(1 + t m) warns when t m overflows inside a step",
 )
-def test_a_drawn_config_whose_prox_overflows_in_a_step_runs_quietly(tmp_path):
-    # seed 3580: quad_pair with gamma = 1.7e308 under accelerated steps
-    test_a_drawn_config_runs_or_exits_2_with_a_named_error(tmp_path, 3580)
+@pytest.mark.parametrize("seed", [3580, 6393])
+def test_a_drawn_config_whose_prox_overflows_in_a_step_runs_quietly(tmp_path, seed):
+    # under accelerated steps, seed 3580: a single quad_pair run with
+    # gamma = 1.7e308; seed 6393: a two-cell sweep, so a stacked run, with
+    # mu = 1.7e308
+    test_a_drawn_config_runs_or_exits_2_with_a_named_error(tmp_path, seed)
 
 
 def main(argv):

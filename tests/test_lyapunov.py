@@ -27,6 +27,7 @@ from pdhglab.lyapunov import (
     lemma_records,
     lyapunov_accelerated,
     numerical_error,
+    numerical_error_accelerated,
     rho_rate,
     slack_tolerance,
     theorem_bound,
@@ -94,6 +95,20 @@ def test_numerical_error_hand_values():
     assert abs(val) <= 1e-15
 
 
+def test_numerical_error_accelerated_hand_values():
+    F = Dense(np.array([[0.5]]))
+    # 1/(2 tau_prev^2) - 0.5/tau_prev + 1/(2 s^2) at dx = dy = 1
+    assert numerical_error_accelerated(np.ones(1), np.ones(1), 1.0, 0.5, F) == 2.0
+    assert numerical_error_accelerated(np.ones(1), np.ones(1), 0.5, 1.0, F) == 1.5
+    # 1/tau_0 := 0: only the dual term survives
+    assert numerical_error_accelerated(np.ones(1), np.ones(1), None, 0.5, F) == 2.0
+    # s ||F|| = 1 and aligned displacements: exactly zero
+    assert numerical_error_accelerated(np.ones(1), np.ones(1), 1.0, 1.0, Dense(np.eye(1))) == 0.0
+    for tau_prev, s in ((0.0, 0.5), (1.0, 0.0)):
+        with pytest.raises(ValueError):
+            numerical_error_accelerated(np.ones(1), np.ones(1), tau_prev, s, F)
+
+
 def test_quadratic_forms_nonnegative_under_admissibility():
     rng = np.random.default_rng(23)
     for d in (1, 2, 5, 20):
@@ -109,7 +124,7 @@ def test_quadratic_forms_nonnegative_under_admissibility():
             assert numerical_error(dx - sad.x, dy - sad.y, tau, sigma, F) >= -1e-12
             assert numerical_error(dx, dy, tau, sigma, F) >= -1e-12
             # accelerated form: tau plays tau_{k-1}, the dual scale is s itself
-            assert numerical_error(dx, dy, tau, s, F, accelerated=True) >= -1e-12
+            assert numerical_error_accelerated(dx, dy, tau, s, F) >= -1e-12
 
 
 def test_accelerated_lower_bound_inequality():
@@ -504,14 +519,14 @@ def reference_table(traj, states, problem, saddle, init):
             if i == 0 and ki == sched.k_start:
                 y0 = init.y
                 row["E"] = lyapunov_accelerated(x[0], x[0], y0, saddle, tau, None, s, F)
-                row["ne"] = numerical_error(
-                    np.zeros_like(x[0]), y[0] - y0, None, s, F, accelerated=True
+                row["ne"] = numerical_error_accelerated(
+                    np.zeros_like(x[0]), y[0] - y0, None, s, F
                 )
             elif i > 0 and ki == k[i - 1] + 1:
                 tau_p = schedule_at(sched, ki - 1)[0]
                 row["E"] = lyapunov_accelerated(x[i], x[i - 1], y[i - 1], saddle, tau, tau_p, s, F)
-                row["ne"] = numerical_error(
-                    x[i] - x[i - 1], y[i] - y[i - 1], tau_p, s, F, accelerated=True
+                row["ne"] = numerical_error_accelerated(
+                    x[i] - x[i - 1], y[i] - y[i - 1], tau_p, s, F
                 )
         for name, value in row.items():
             columns[name][i] = value
@@ -589,8 +604,8 @@ def test_evaluators_keep_one_code_path_for_one_state():
     rows = lyapunov_accelerated(x, x[::-1], y, saddle, tau, sigma, 0.5, F)
     one = lyapunov_accelerated(x[0], x[2], y[0], saddle, tau[0], sigma[0], 0.5, F)
     assert isinstance(one, float) and math.isclose(rows[0], one, rel_tol=1e-14)
-    rows = numerical_error(x, y, tau, 0.5, F, accelerated=True)
-    one = numerical_error(x[2], y[2], tau[2], 0.5, F, accelerated=True)
+    rows = numerical_error_accelerated(x, y, tau, 0.5, F)
+    one = numerical_error_accelerated(x[2], y[2], tau[2], 0.5, F)
     assert isinstance(one, float) and math.isclose(rows[2], one, rel_tol=1e-14)
     with pytest.raises(ValueError):
         numerical_error(x - saddle.x, y - saddle.y, np.array([0.5, -1.0, 0.5]), sigma, F)

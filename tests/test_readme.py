@@ -1,4 +1,5 @@
-"""The README runs against the current API: its library quickstart, and the constants it names."""
+"""The README runs against the current API: its library quickstart, the constants it names
+and the size of the output comparison it describes."""
 
 import importlib
 import pkgutil
@@ -6,6 +7,7 @@ import re
 from pathlib import Path
 
 import pdhglab
+from compare_outputs import CONFIGS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,3 +33,9 @@ def test_readme_names_only_constants_that_pdhglab_defines():
     ]
     assert names
     assert {name for name in names if not any(hasattr(m, name) for m in modules)} == set()
+
+
+def test_readme_states_how_many_configs_compare_outputs_runs():
+    stated = re.search(r"`tests/compare_outputs\.py OLD_SRC NEW_SRC` runs (\d+) configs", README.read_text())
+    assert stated, "README does not say how many configs compare_outputs.py runs"
+    assert int(stated.group(1)) == len(CONFIGS)

@@ -42,20 +42,25 @@ def test_kkt_oracle_certifies_on_random_instances():
         assert cert.r_x <= 1e-10 and cert.r_y <= 1e-10
 
 
+def _At_b(built):
+    """A^T b of a lasso-kind instance, read from its oracle: -grad f(0)."""
+    return -built.problem.grad_f(np.zeros(built.problem.d1))
+
+
 def test_lasso_interior_dual_closed_form_saddle():
     # lam >= ||A^T b||_inf makes (0, A^T b) the exact saddle point
     built = build_instance(InstanceSpec(kind="lasso", d1=5, seed=3, lam=10.0, cond=3.0))
-    assert built.saddle is not None
+    assert built.saddle is not None and built.saddle_source == "closed_form"
     assert np.array_equal(built.saddle.x, np.zeros(5))
-    assert np.array_equal(built.saddle.y, built.A.T @ built.b)
+    assert np.array_equal(built.saddle.y, _At_b(built))
     cert = certify_saddle(built.problem, built.saddle, tol=1e-10)
     assert cert.passed and cert.r_x == 0.0 and cert.r_y == 0.0
 
 
 def test_lasso_active_dual_has_no_closed_form():
     built = build_instance(InstanceSpec(kind="lasso", d1=5, seed=3, lam=0.5, cond=3.0))
-    assert np.max(np.abs(built.A.T @ built.b)) > 0.5
-    assert built.saddle is None
+    assert np.max(np.abs(_At_b(built))) > 0.5
+    assert built.saddle is None and built.saddle_source is None
 
 
 @pytest.mark.parametrize("identity_a", [True, False])
@@ -65,7 +70,7 @@ def test_gen_lasso_closed_form_saddle_certifies(seed, identity_a):
     # (x*, y*) with D^T y* = A^T (b - A x*) the exact saddle point
     spec = InstanceSpec(kind="gen_lasso", d1=40, seed=seed, lam=20.0, identity_a=identity_a)
     built = build_instance(spec)
-    assert built.saddle is not None
+    assert built.saddle is not None and built.saddle_source == "closed_form"
     assert np.ptp(built.saddle.x) == 0.0
     assert np.max(np.abs(built.saddle.y)) <= 20.0
     cert = certify_saddle(built.problem, built.saddle, tol=1e-10)
@@ -82,7 +87,7 @@ def test_gen_lasso_closed_form_matches_reference_run():
 
 def test_gen_lasso_below_the_dual_bound_has_no_closed_form():
     built = build_instance(InstanceSpec(kind="gen_lasso", d1=40, seed=0, lam=1.0, identity_a=True))
-    assert built.saddle is None
+    assert built.saddle is None and built.saddle_source is None
 
 
 @pytest.mark.parametrize("kind", ["lasso", "gen_lasso"])
@@ -90,16 +95,17 @@ def test_identity_a_takes_the_bits_of_the_dense_identity(kind):
     # eigh(I) is exactly (1, I), so the O(d) oracles equal the dense ones
     d, lam = 80, 0.5
     built = build_instance(InstanceSpec(kind, d1=d, seed=3, lam=lam, identity_a=True))
-    dense = make_generalized_lasso(np.eye(d), built.b, lam, built.problem.F)
-    assert built.A is None and built.problem.mu == dense.mu == 1.0
+    b = _At_b(built)  # A = I
+    dense = make_generalized_lasso(np.eye(d), b, lam, built.problem.F)
+    assert built.problem.mu == dense.mu == 1.0
     rng = np.random.default_rng(8)
     v = rng.standard_normal(d)
     for t in (1e-3, 0.7, 5.0):
-        want = (v + t * built.b) / (1 + t)
+        want = (v + t * b) / (1 + t)
         assert np.array_equal(built.problem.prox_f(v, t), want)
         assert np.array_equal(dense.prox_f(v, t), want)
-    assert np.array_equal(built.problem.grad_f(v), v - built.b)
-    assert np.array_equal(dense.grad_f(v), v - built.b)
+    assert np.array_equal(built.problem.grad_f(v), v - b)
+    assert np.array_equal(dense.grad_f(v), v - b)
 
 
 def test_tv_instance_builds_in_linear_memory():
@@ -201,13 +207,16 @@ def test_build_instance_is_deterministic():
     spec = InstanceSpec(kind="lasso", d1=6, seed=11, lam=0.3, cond=4.0)
     b1 = build_instance(spec)
     b2 = build_instance(spec)
-    assert np.array_equal(b1.A, b2.A)
-    assert np.array_equal(b1.b, b2.b)
+    # the oracles hold A and b: grad f(v) = A^T (A v - b) reads both
+    v = np.random.default_rng(0).standard_normal(6)
+    assert np.array_equal(b1.problem.grad_f(v), b2.problem.grad_f(v))
+    assert np.array_equal(b1.problem.prox_f(v, 0.7), b2.problem.prox_f(v, 0.7))
     assert b1.problem.F_norm == b2.problem.F_norm
 
 
 def test_build_instance_quad_pair_unit_coupling_norm():
     built = build_instance(InstanceSpec(kind="quad_pair", d1=4, d2=3, seed=2, mu=2.0, gamma=0.5))
+    assert built.saddle is not None and built.saddle_source == "kkt_oracle"
     sv = np.linalg.svd(built.problem.F.matrix, compute_uv=False)
     assert abs(sv[0] - 1.0) <= 1e-12
     assert built.problem.mu == 2.0 and built.problem.gamma == 0.5
@@ -240,8 +249,9 @@ def test_tv_instance_end_to_end_fixed_run():
     sad = reference_saddle(built.problem)
     sched = make_schedule(FIXED, built.problem.F_norm)
     traj = run(built.problem, sched, PrimalDualPair(np.zeros(20), np.zeros(19)), budget=50_000, tol=1e-12)
-    phi_run = primal_objective(built.A, built.b, 0.2, built.problem.F, traj.final.x)
-    phi_ref = primal_objective(built.A, built.b, 0.2, built.problem.F, sad.x)
+    b = _At_b(built)  # A = I
+    phi_run = primal_objective(None, b, 0.2, built.problem.F, traj.final.x)
+    phi_ref = primal_objective(None, b, 0.2, built.problem.F, sad.x)
     assert abs(phi_run - phi_ref) <= 1e-8
 
 
@@ -260,4 +270,7 @@ def test_instance_spec_rejects_fewer_than_one_row():
     for m in (0, -3):
         with pytest.raises(ValueError, match="^m must be at least 1$"):
             InstanceSpec(kind="lasso", d1=5, lam=0.5, m=m)
-    assert build_instance(InstanceSpec(kind="lasso", d1=5, lam=0.5, m=1)).A.shape == (1, 5)
+    grad_f = build_instance(InstanceSpec(kind="lasso", d1=5, lam=0.5, m=1)).problem.grad_f
+    # grad f(v) - grad f(0) = A^T A v: with one row of A, A^T A has rank 1
+    gram = np.array([grad_f(e) - grad_f(np.zeros(5)) for e in np.eye(5)])
+    assert np.linalg.matrix_rank(gram) == 1
